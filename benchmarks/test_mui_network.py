@@ -7,11 +7,7 @@ closing in (received power following the TG4a path-loss law) drives
 the link interference-limited.
 """
 
-from benchmarks.conftest import (
-    assert_no_throughput_regression,
-    full_scale,
-    write_bench_artifact,
-)
+from benchmarks.conftest import full_scale, write_bench_artifact
 from repro.experiments import run_mui
 from repro.obs import trace
 
@@ -64,5 +60,3 @@ def test_mui_network_ber(benchmark, report_sink):
     closest = float(result.near_far[distances[0]].ber[0])
     farthest = float(result.near_far[distances[-1]].ber[0])
     assert closest > farthest
-    assert_no_throughput_regression("mui", pps,
-                                    stage_walls=stage_walls)

@@ -29,11 +29,10 @@ runnable here with no CLI change.  Common flags: ``--fast`` (default)
 / ``--full`` select the Monte-Carlo budget, ``--processes`` fans
 scenarios out over a process pool, ``--seed`` overrides the
 experiment's default seed, ``--chunk-bits`` sizes the Monte-Carlo
-chunks, ``--batch-points`` / ``--no-batch-points`` select the
-scenario-batched sweep kernel versus the legacy per-point loop, and
-``--cache-dir`` / ``--no-cache`` / ``--sharded`` control the result
-store (the flavor is autodetected from an existing layout; fresh
-directories are classic for ``run`` and sharded for ``queue work``).
+chunks, and ``--cache-dir`` / ``--no-cache`` / ``--sharded`` control
+the result store (the flavor is autodetected from an existing layout;
+fresh directories are classic for ``run`` and sharded for ``queue
+work``).
 Re-running a completed campaign executes zero scenarios; an
 interrupted campaign resumes from its checkpoints.  ``queue work``
 converts SIGINT/SIGTERM into graceful preemption: the in-flight job
@@ -231,12 +230,6 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
                         help="Monte-Carlo chunk size (bits per "
                              "vectorized chunk; default: backend "
                              "native)")
-    parser.add_argument("--batch-points",
-                        action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="scenario-batched sweep kernel (default) "
-                             "vs. the legacy per-point loop "
-                             "(--no-batch-points)")
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -295,8 +288,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         ctx = ExperimentContext(full=args.full,
                                 processes=args.processes,
                                 seed=args.seed, store=store,
-                                chunk_bits=args.chunk_bits,
-                                batch_points=args.batch_points)
+                                chunk_bits=args.chunk_bits)
         start = time.perf_counter()
         text = experiments[name].run(ctx)
         elapsed = time.perf_counter() - start
@@ -417,7 +409,6 @@ def _queue_submit(queue, args: argparse.Namespace) -> int:
         job_id = queue.submit(JobSpec(
             experiment=name, full=args.full, seed=args.seed,
             processes=args.processes, chunk_bits=args.chunk_bits,
-            batch_points=args.batch_points,
             modules=tuple(args.module)))
         print(f"submitted {job_id} [{name}]")
     counts = queue.counts()
@@ -630,8 +621,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # store=None: a trace must observe real execution, not cache hits.
     ctx = ExperimentContext(full=args.full, processes=args.processes,
                             seed=args.seed, store=None,
-                            chunk_bits=args.chunk_bits,
-                            batch_points=args.batch_points)
+                            chunk_bits=args.chunk_bits)
     metrics.REGISTRY.reset()
     with trace.collect(args.experiment) as root:
         text = experiments[args.experiment].run(ctx)

@@ -123,7 +123,6 @@ class JobSpec:
     seed: int | None = None
     processes: int | None = None
     chunk_bits: int | None = None
-    batch_points: bool = True
     modules: tuple[str, ...] = ()
     submitted: float = field(default=0.0)
 
@@ -385,8 +384,7 @@ def run_job(queue: JobQueue, job_id: str, spec: JobSpec,
         experiment = get_experiment(spec.experiment)
         ctx = ExperimentContext(full=spec.full, processes=spec.processes,
                                 seed=spec.seed, store=store,
-                                chunk_bits=spec.chunk_bits,
-                                batch_points=spec.batch_points)
+                                chunk_bits=spec.chunk_bits)
         # Each job runs traced into a fresh tree with fresh metrics:
         # the progress hooks above then carry live per-stage walls
         # into the heartbeat file, and the outcome records the final

@@ -162,13 +162,10 @@ class ResultStore:
         if scenario.seed is None and (scenario.rng_param
                                       or scenario.seed_param):
             return None
-        key_params = scenario.key_params
-        if key_params is None:
-            key_params = scenario.params
         try:
             payload = {
                 "fn": callable_spec(scenario.fn),
-                "params": dict(key_params),
+                "params": dict(scenario.params),
                 "seed": scenario.seed,
                 "rng_param": scenario.rng_param,
                 "seed_param": scenario.seed_param,

@@ -51,11 +51,6 @@ class Scenario:
             run that must execute every time even under a result store
             (e.g. repeated timing measurements, whose content address
             would otherwise collapse the repeats onto one entry).
-        key_params: optional override of the parameters hashed into
-            the campaign content address (default: *params*).  Use it
-            to normalize execution-only knobs - e.g. a worker count
-            that changes scheduling but not results - so equivalent
-            runs share one cache entry.
     """
 
     name: str
@@ -65,7 +60,6 @@ class Scenario:
     rng_param: str | None = None
     seed_param: str | None = None
     cache: bool = True
-    key_params: Mapping[str, Any] | None = None
 
     def build_kwargs(self) -> dict[str, Any]:
         kwargs = dict(self.params)

@@ -209,15 +209,19 @@ def from_jsonable(obj: Any,
         cls = resolve_callable(obj["__dataclass__"])
         instance = cls.__new__(cls)
         # Seed defaults first so fields added after the payload was
-        # written still exist on the decoded object.
+        # written still exist on the decoded object; fields removed
+        # since then are dropped.
+        names = set()
         for f in dataclasses.fields(cls):
+            names.add(f.name)
             if f.default is not dataclasses.MISSING:
                 object.__setattr__(instance, f.name, f.default)
             elif f.default_factory is not dataclasses.MISSING:
                 object.__setattr__(instance, f.name, f.default_factory())
         for name, encoded in obj["fields"].items():
-            object.__setattr__(instance, name,
-                               from_jsonable(encoded, arrays))
+            if name in names:
+                object.__setattr__(instance, name,
+                                   from_jsonable(encoded, arrays))
         return instance
     if "__enum__" in obj:
         cls = resolve_callable(obj["__enum__"])

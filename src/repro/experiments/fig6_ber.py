@@ -9,8 +9,7 @@ noise (same seed) so the comparison is tight at small sample counts.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +74,15 @@ def run_fig6(config: UwbConfig | None = None,
              seed: int = 7,
              quick: bool = True,
              circuit: WindowIntegrator | None = None,
-             processes: int | None = None,
-             workers: int | None = None,
              adaptive: AdaptiveStopping | None = None,
              store: ResultStore | None = None,
-             batch_points: bool = True,
              chunk_bits: int | None = None) -> Fig6Result:
     """Regenerate figure 6.
+
+    The whole figure is ONE scenario-batched sweep: both curves share
+    the seed, hence the front end, so one Tx/channel/AFE pass per chunk
+    feeds both decision stages.  Each curve is bit-identical to its
+    own standalone ``ber_curve`` run.
 
     Args:
         quick: smaller Monte-Carlo budget (bench default); paper-scale
@@ -89,20 +90,10 @@ def run_fig6(config: UwbConfig | None = None,
         circuit: override the circuit model (e.g. a
             :func:`repro.core.characterize.build_surrogate` extraction);
             default is the registry's analytic surrogate.
-        processes: fan the two curves out over processes (legacy path
-            only; the batched sweep is one scenario).
-        workers: fan the Eb/N0 points of each curve out over processes
-            (legacy path; see the fastsim backend).
         adaptive: sequential per-point stopping policy; deep-SNR
             points end once their Wilson bounds are resolved instead
             of burning the whole ``max_bits`` budget.
         store: result store for cached/resumable execution.
-        batch_points: run the whole figure as ONE scenario-batched
-            sweep (both curves share the seed, hence the front end:
-            one Tx/channel/AFE pass feeds both decision stages).  Each
-            curve is bit-identical to its own per-point run, but the
-            campaign is a handful of large array ops.  ``False``
-            restores the legacy one-scenario-per-curve campaign.
         chunk_bits: Monte-Carlo chunk size override.
     """
     config = config or UwbConfig()
@@ -115,49 +106,20 @@ def run_fig6(config: UwbConfig | None = None,
 
     # Paired noise: both curves draw from a generator seeded
     # identically, so they differ only by the integrator model.
-    runner = CampaignRunner(processes=processes, store=store)
+    runner = CampaignRunner(store=store)
     spec = LinkSpec(config=config,
                     frontend=FrontEndSpec(band=WIDE_FRONT_END,
                                           squarer_drive=BER_DRIVE),
                     integrator="ideal")
-    if batch_points:
-        # The shared seed means both curves see identical Tx/channel/
-        # AFE samples - the batched sweep computes that front end once
-        # and grades every (integrator, Eb/N0) cell from it.
-        runner.add(Scenario(
-            name="curves", fn=ops.ber_sweep, seed=seed, rng_param="rng",
-            params=dict(
-                spec=spec, ebn0_grid=ebn0_grid,
-                integrators=("ideal",
-                             circuit if circuit is not None
-                             else "circuit"),
-                labels=("ideal", "circuit"),
-                adaptive=adaptive, **budget)))
-        curves = runner.run().by_name()["curves"]
-    else:
-        for label in ("ideal", "circuit"):
-            params = dict(spec=dataclasses.replace(spec,
-                                                   integrator=label),
-                          ebn0_grid=ebn0_grid, label=label,
-                          workers=workers, adaptive=adaptive,
-                          batch_points=False, **budget)
-            if label == "circuit" and circuit is not None:
-                # Substitute-and-play override: a characterized
-                # surrogate replaces the registry's analytic model.
-                params["integrator"] = circuit
-            # The worker count is an execution knob: any workers>1
-            # yields identical spawned-stream results (see fastsim
-            # ber_curve), so only the serial/spawned seeding
-            # distinction enters the content address - re-running with
-            # a different fan-out stays cached.
-            key_params = dict(
-                params,
-                workers="spawned" if workers and workers > 1
-                else "serial")
-            runner.add(Scenario(
-                name=label, fn=ops.ber_curve, seed=seed,
-                rng_param="rng", params=params, key_params=key_params))
-        curves = runner.run().by_name()
+    runner.add(Scenario(
+        name="curves", fn=ops.ber_sweep, seed=seed, rng_param="rng",
+        params=dict(
+            spec=spec, ebn0_grid=ebn0_grid,
+            integrators=("ideal",
+                         circuit if circuit is not None else "circuit"),
+            labels=("ideal", "circuit"),
+            adaptive=adaptive, **budget)))
+    curves = runner.run().by_name()["curves"]
     return Fig6Result(comparison=compare_ber(curves["ideal"],
                                              curves["circuit"]),
                       config=config, drive=BER_DRIVE, curves=curves)
@@ -171,9 +133,7 @@ def fig6_experiment(ctx: ExperimentContext) -> str:
     # upper bound resolves below the study's floor instead of burning
     # the full symbol budget.
     adaptive = AdaptiveStopping(ber_floor=1e-5 if ctx.full else 1e-4)
-    result = run_fig6(quick=not ctx.full, workers=ctx.processes,
-                      adaptive=adaptive, store=ctx.store,
-                      batch_points=ctx.batch_points,
-                      chunk_bits=ctx.chunk_bits,
+    result = run_fig6(quick=not ctx.full, adaptive=adaptive,
+                      store=ctx.store, chunk_bits=ctx.chunk_bits,
                       **ctx.seed_kwargs())
     return result.format_report()

@@ -198,10 +198,8 @@ def run_mui(victim: LinkSpec | None = None,
             quick: bool = True,
             budget: Mapping[str, Any] | None = None,
             processes: int | None = None,
-            workers: int | None = None,
             adaptive: AdaptiveStopping | None = None,
             store: ResultStore | None = None,
-            batch_points: bool = True,
             chunk_bits: int | None = None) -> MuiResult:
     """Run the multi-user interference study.
 
@@ -221,14 +219,9 @@ def run_mui(victim: LinkSpec | None = None,
         budget: explicit ``target_errors`` / ``max_bits`` /
             ``min_bits`` overrides on top of the *quick* selection.
         processes: fan scenarios out over processes.
-        workers: fan each curve's Eb/N0 points out over processes.
         adaptive: per-point sequential stopping policy.
         store: result store for cached/resumable execution (each
             network scenario checkpoints independently).
-        batch_points: run every curve through the scenario-batched
-            sweep kernel (default; bit-identical to a per-point run,
-            see the fastsim backend) instead of the legacy per-point
-            loop.
         chunk_bits: Monte-Carlo chunk size override.
     """
     victim = victim or default_victim(config)
@@ -249,20 +242,11 @@ def run_mui(victim: LinkSpec | None = None,
     runner = CampaignRunner(processes=processes, store=store)
 
     def add(name: str, network: NetworkSpec, grid) -> None:
-        params = dict(network=network, ebn0_grid=grid, label=name,
-                      workers=workers, adaptive=adaptive,
-                      batch_points=batch_points, **mc)
-        # The worker count is an execution knob (see fig6): normalize
-        # it out of the content address so re-running with a different
-        # fan-out stays cached.  The batched kernel has its own
-        # (shared-draw) seeding convention, so it gets its own key.
-        key_workers = ("batched" if batch_points
-                       else "spawned" if workers and workers > 1
-                       else "serial")
-        key_params = dict(params, workers=key_workers)
         runner.add(Scenario(name=name, fn=ops.mui_ber_curve, seed=seed,
-                            rng_param="rng", params=params,
-                            key_params=key_params))
+                            rng_param="rng",
+                            params=dict(network=network, ebn0_grid=grid,
+                                        label=name, adaptive=adaptive,
+                                        **mc)))
 
     seen = set()
     for sir in sir_grid:
@@ -294,7 +278,6 @@ def mui_experiment(ctx: ExperimentContext) -> str:
     adaptive = AdaptiveStopping(ber_floor=1e-5 if ctx.full else 1e-4)
     result = run_mui(quick=not ctx.full, processes=ctx.processes,
                      adaptive=adaptive, store=ctx.store,
-                     batch_points=ctx.batch_points,
                      chunk_bits=ctx.chunk_bits,
                      **ctx.seed_kwargs())
     return result.format_report()

@@ -34,7 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.link.pipeline import InterfererPath
+from repro.link.pipeline import InterfererPath, keeps_sampling
 from repro.link.registry import resolve_integrator
 from repro.link.spec import InterfererSpec, LinkSpec, NetworkSpec
 from repro.uwb.adc import Adc
@@ -50,7 +50,6 @@ from repro.uwb.fastsim import (
     _curve_result,
     _LinkCache,
     _simulate_ber_point,
-    wilson_interval,
 )
 from repro.uwb.frontend import Vga
 from repro.uwb.integrator import WindowIntegrator, nominal_gain
@@ -421,9 +420,7 @@ class FastsimBackend(Backend):
                   max_bits: int = 200_000,
                   min_bits: int = 2_000,
                   chunk_bits: int = 1_000,
-                  workers: int | None = None,
-                  adaptive: AdaptiveStopping | None = None,
-                  batch_points: bool | None = None) -> BerResult:
+                  adaptive: AdaptiveStopping | None = None) -> BerResult:
         victim, network = split_network(spec)
         resolved = self._integrator(victim, integrator, cosim=False)
         # One (memoized) calibration drives the noise sizing, any
@@ -440,8 +437,7 @@ class FastsimBackend(Backend):
             adc=self._ber_adc(victim),
             target_errors=target_errors, max_bits=max_bits,
             min_bits=min_bits, chunk_bits=chunk_bits, label=label,
-            workers=workers, adaptive=adaptive,
-            batch_points=batch_points, **extra)
+            adaptive=adaptive, **extra)
 
     def sweep(self, spec: LinkSpec | NetworkSpec, ebn0_grid,
               rng: np.random.Generator, *,
@@ -457,9 +453,8 @@ class FastsimBackend(Backend):
         decision stage per integrator, every (integrator, Eb/N0) cell
         graded from the same bit/noise draws.
 
-        Each returned curve is bit-identical to
-        :meth:`ber_curve` called with the same *rng* seeding
-        convention (a fresh generator per point) - the batch only
+        Each returned curve is bit-identical to :meth:`ber_curve`
+        called with a generator seeded like *rng* - the batch only
         reorganizes the arithmetic, never the entropy stream.
 
         Args:
@@ -623,13 +618,11 @@ class KernelBackend(Backend):
         sigma = noise_sigma_for_ebn0(cache.eb, float(ebn0_db), cfg.fs)
         scale = spec.frontend.squarer_drive / cache.peak
         n_sym = cfg.samples_per_symbol
+        rule = dict(target_errors=target_errors, max_bits=max_bits,
+                    min_bits=min_bits, adaptive=adaptive)
         errors = 0
         bits_done = 0
-        while bits_done < max_bits and (errors < target_errors
-                                        or bits_done < min_bits):
-            if (adaptive is not None and bits_done >= min_bits
-                    and adaptive.resolved(errors, bits_done)):
-                break
+        while keeps_sampling(errors, bits_done, **rule):
             n = min(chunk_bits, max_bits - bits_done)
             bits = random_bits(n, rng)
             wave = ppm_waveform(bits, cfg)
@@ -653,44 +646,23 @@ class KernelBackend(Backend):
                   max_bits: int = 1_500,
                   min_bits: int = 200,
                   chunk_bits: int = 100,
-                  workers: int | None = None,
-                  adaptive: AdaptiveStopping | None = None,
-                  batch_points: bool | None = None) -> BerResult:
-        """Serial BER sweep (``workers`` is accepted for signature
-        uniformity and ignored: each point is a kernel simulation and
-        fan-out belongs at the campaign layer).  ``batch_points`` may
-        only be falsy - the event-driven testbench has no batched
-        path."""
-        if batch_points:
-            raise ValueError(
-                "KernelBackend has no batched sweep path; pass "
-                "batch_points=False (or use backend='fastsim')")
+                  adaptive: AdaptiveStopping | None = None) -> BerResult:
+        """Serial BER sweep, one kernel-demodulated :meth:`ber_point`
+        per Eb/N0 point (fan-out belongs at the campaign layer)."""
         ebn0_grid = np.asarray(ebn0_grid, dtype=float)
-        errors = np.zeros(len(ebn0_grid), dtype=np.int64)
-        bits = np.zeros(len(ebn0_grid), dtype=np.int64)
-        for i, point in enumerate(ebn0_grid):
-            e, b = self.ber_point(
-                spec, float(point), rng, integrator=integrator,
-                target_errors=target_errors, max_bits=max_bits,
-                min_bits=min_bits, chunk_bits=chunk_bits,
-                adaptive=adaptive)
-            errors[i] = e
-            bits[i] = b
-        confidence = (adaptive.confidence if adaptive is not None
-                      else 0.95)
-        bounds = np.array([wilson_interval(int(e), int(b), confidence)
-                           if b else (0.0, 1.0)
-                           for e, b in zip(errors, bits)])
+        points = [self.ber_point(spec, float(point), rng,
+                                 integrator=integrator,
+                                 target_errors=target_errors,
+                                 max_bits=max_bits, min_bits=min_bits,
+                                 chunk_bits=chunk_bits, adaptive=adaptive)
+                  for point in ebn0_grid]
+        errors = np.array([e for e, _ in points], dtype=np.int64)
+        bits = np.array([b for _, b in points], dtype=np.int64)
         if label is None:
             resolved = self._integrator(spec, integrator, cosim=True)
             label = resolved if isinstance(resolved, str) \
                 else resolved.name
-        return BerResult(
-            ebn0_db=ebn0_grid, ber=errors / np.maximum(bits, 1),
-            errors=errors, bits=bits, label=label,
-            ci_low=bounds[:, 0] if len(bounds) else np.zeros(0),
-            ci_high=bounds[:, 1] if len(bounds) else np.zeros(0),
-            confidence=confidence)
+        return _curve_result(ebn0_grid, errors, bits, label, adaptive)
 
 
 # ----------------------------------------------------------------------

@@ -67,22 +67,13 @@ def ber_curve(spec: LinkSpec, ebn0_grid,
               max_bits: int | None = None,
               min_bits: int | None = None,
               chunk_bits: int | None = None,
-              workers: int | None = None,
-              adaptive: AdaptiveStopping | None = None,
-              batch_points: bool | None = None) -> BerResult:
-    """BER versus Eb/N0 through the selected backend.
-
-    ``batch_points`` selects fastsim's scenario-batched sweep kernel
-    (``True``), the legacy per-point loop (``False``), or the
-    backend's own default (``None``); it is forwarded only when set so
-    backends without a batched path keep working untouched.
-    """
+              adaptive: AdaptiveStopping | None = None) -> BerResult:
+    """BER versus Eb/N0 through the selected backend."""
     return _backend(backend, engine).ber_curve(
         spec, ebn0_grid, rng, label=label, integrator=integrator,
-        workers=workers, adaptive=adaptive,
+        adaptive=adaptive,
         **_budget(target_errors=target_errors, max_bits=max_bits,
-                  min_bits=min_bits, chunk_bits=chunk_bits,
-                  batch_points=batch_points))
+                  min_bits=min_bits, chunk_bits=chunk_bits))
 
 
 def mui_ber_curve(network: NetworkSpec, ebn0_grid,
@@ -95,9 +86,7 @@ def mui_ber_curve(network: NetworkSpec, ebn0_grid,
                   max_bits: int | None = None,
                   min_bits: int | None = None,
                   chunk_bits: int | None = None,
-                  workers: int | None = None,
-                  adaptive: AdaptiveStopping | None = None,
-                  batch_points: bool | None = None) -> BerResult:
+                  adaptive: AdaptiveStopping | None = None) -> BerResult:
     """Multi-user BER versus Eb/N0 over a :class:`NetworkSpec`.
 
     The campaign-facing twin of :func:`ber_curve` for multi-user
@@ -113,10 +102,9 @@ def mui_ber_curve(network: NetworkSpec, ebn0_grid,
                         "for the zero-interferer baseline")
     return _backend(backend, engine).ber_curve(
         network, ebn0_grid, rng, label=label, integrator=integrator,
-        workers=workers, adaptive=adaptive,
+        adaptive=adaptive,
         **_budget(target_errors=target_errors, max_bits=max_bits,
-                  min_bits=min_bits, chunk_bits=chunk_bits,
-                  batch_points=batch_points))
+                  min_bits=min_bits, chunk_bits=chunk_bits))
 
 
 def ber_sweep(spec: LinkSpec | NetworkSpec, ebn0_grid,

@@ -349,8 +349,8 @@ class SignalPipeline:
                 raise ValueError("sigmas must be >= 0")
         state = LinkState(n=n, rng=rng, sigmas=sigmas)
         # Hot path: the disabled branch must stay the bare stage loop
-        # (one module attribute load + one branch per chunk - pinned
-        # <2% on fig6 fast-scale by tests/obs/test_overhead.py).
+        # (one module attribute load + one branch per chunk; pinned by
+        # tests/obs/test_overhead.py).
         if _trace.ENABLED:
             for stage in self.stages:
                 with _trace.span(stage.span_name):
@@ -401,33 +401,26 @@ def build_link_pipeline(config: UwbConfig, *,
     ))
 
 
-def run_ber_point(pipeline: SignalPipeline, rng: np.random.Generator, *,
-                  target_errors: int = 100,
-                  max_bits: int = 200_000,
-                  min_bits: int = 2_000,
-                  chunk_bits: int = 1_000,
-                  adaptive: "AdaptiveStopping | None" = None
-                  ) -> tuple[int, int]:
-    """Monte-Carlo chunk loop over *pipeline* (the historic stopping
-    rule, verbatim: hard ``target_errors`` / ``max_bits`` caps plus the
-    optional sequential :class:`~repro.uwb.fastsim.AdaptiveStopping`
-    early exit checked after each chunk past ``min_bits``).
+def run_ber_point(pipeline: SignalPipeline, rng: np.random.Generator,
+                  **rule) -> tuple[int, int]:
+    """Monte-Carlo chunk loop over one operating point: the 1x1 case of
+    :func:`run_ber_sweep` (same stopping-rule keywords).
+
+    *pipeline* is a canonical :func:`build_link_pipeline` composition:
+    its trailing :class:`DecisionStage` grades the chunks and its
+    :class:`CombineStage` ``sigma`` is the point's noise scale.
 
     Returns:
         ``(errors, bits)`` counters.
     """
-    errors = 0
-    bits_done = 0
-    while bits_done < max_bits and (errors < target_errors
-                                    or bits_done < min_bits):
-        if (adaptive is not None and bits_done >= min_bits
-                and adaptive.resolved(errors, bits_done)):
-            break
-        n = min(chunk_bits, max_bits - bits_done)
-        state = pipeline.run_chunk(n, rng)
-        errors += state.error_count()
-        bits_done += n
-    return errors, bits_done
+    *front, decider = pipeline.stages
+    if not isinstance(decider, DecisionStage):
+        raise ValueError("run_ber_point needs a pipeline ending in a "
+                         "DecisionStage")
+    sigma = pipeline.stage(CombineStage).sigma
+    errors, bits = run_ber_sweep(SignalPipeline(stages=tuple(front)),
+                                 (decider,), (sigma,), rng, **rule)
+    return int(errors[0, 0]), int(bits[0, 0])
 
 
 _PRIMED_BYTES = 0
@@ -470,24 +463,19 @@ def _prime_allocator(block_bytes: int, live_blocks: int = 4) -> None:
     del blocks
 
 
-def _cell_continues(errors: int, bits: int, bits_done: int, *,
-                    target_errors: int, max_bits: int, min_bits: int,
-                    adaptive: "AdaptiveStopping | None") -> bool:
-    """:func:`run_ber_point`'s stopping rule for one sweep cell,
-    verbatim: the hard-cap ``while`` condition first, then the
-    adaptive early exit.  A retired cell's counters freeze behind the
-    sweep's shared ``bits_done``, which keeps it retired (the rule is
-    monotone in frozen counters; the explicit check makes the
-    invariant unconditional)."""
-    if bits != bits_done:
-        return False
+def keeps_sampling(errors: int, bits: int, *, target_errors: int,
+                   max_bits: int, min_bits: int,
+                   adaptive: "AdaptiveStopping | None") -> bool:
+    """The Monte-Carlo stopping rule of one cell: does a cell at
+    ``errors/bits`` need another chunk?  The hard ``target_errors`` /
+    ``max_bits`` caps come first, then the optional sequential
+    :class:`~repro.uwb.fastsim.AdaptiveStopping` early exit, checked
+    once ``min_bits`` have been simulated."""
     if not (bits < max_bits and (errors < target_errors
                                  or bits < min_bits)):
         return False
-    if (adaptive is not None and bits >= min_bits
-            and adaptive.resolved(errors, bits)):
-        return False
-    return True
+    return not (adaptive is not None and bits >= min_bits
+                and adaptive.resolved(errors, bits))
 
 
 def run_ber_sweep(front: SignalPipeline,
@@ -513,18 +501,18 @@ def run_ber_sweep(front: SignalPipeline,
     generator: per chunk the driver draws the victim bits, each
     interferer's bits (in path order) and one unit-variance noise
     vector - exactly the draw sequence of a single per-point run.
-    Scenario (decider k, sigma j) is therefore bit-identical to
-    ``run_ber_point`` over the equivalent per-point pipeline started
-    from the *same generator seed*: it sees the same bits, the same
-    interferers and the same noise process scaled by its own sigma.
+    Scenario (decider k, sigma j) is therefore bit-identical to a 1x1
+    sweep of that cell (:func:`run_ber_point`) started from the *same
+    generator seed*: it sees the same bits, the same interferers and
+    the same noise process scaled by its own sigma.
 
-    **Retirement.**  Each cell follows :func:`run_ber_point`'s
-    stopping rule (hard ``target_errors`` / ``max_bits`` caps,
-    optional :class:`~repro.uwb.fastsim.AdaptiveStopping` early exit)
-    independently: a resolved cell simply stops accumulating while the
-    shared draws continue for the survivors, so retiring a cell
-    cannot perturb any other cell's stream.  Scenario rows with no
-    active cell left are dropped from the batch arithmetic entirely.
+    **Retirement.**  Each cell follows the :func:`keeps_sampling`
+    stopping rule independently: a resolved cell simply stops
+    accumulating while the shared draws continue for the survivors, so
+    retiring a cell cannot perturb any other cell's stream (its
+    counters freeze behind the shared ``bits_done``, which keeps it
+    retired).  Scenario rows with no active cell left are dropped from
+    the batch arithmetic entirely.
 
     Args:
         front: the shared pipeline front (no :class:`DecisionStage`).
@@ -565,9 +553,9 @@ def run_ber_sweep(front: SignalPipeline,
         active = np.zeros((n_dec, n_pts), dtype=bool)
         for k in range(n_dec):
             for j in range(n_pts):
-                active[k, j] = _cell_continues(
-                    int(errors[k, j]), int(bits[k, j]), bits_done,
-                    **rule)
+                active[k, j] = (bits[k, j] == bits_done
+                                and keeps_sampling(int(errors[k, j]),
+                                                   bits_done, **rule))
         if not active.any():
             break
         n = min(chunk_bits, max_bits - bits_done)

@@ -1,5 +1,6 @@
 """JobQueue + workers: specs, claims, heartbeats, preemption."""
 
+import json
 import multiprocessing
 import os
 import pathlib
@@ -32,7 +33,7 @@ def spec(experiment="table2", **kwargs):
 class TestJobSpec:
     def test_json_round_trip(self):
         original = spec(full=True, seed=3, processes=2, chunk_bits=64,
-                        batch_points=False, modules=("a", "b"))
+                        modules=("a", "b"))
         back = JobSpec.from_json(original.to_json())
         assert back == original
 
@@ -242,6 +243,34 @@ class TestRunJob:
         _, rerun_spec = queue.claim("w")
         outcome = run_job(queue, rerun_id, rerun_spec, store, worker="w")
         assert (outcome["executed"], outcome["cached"]) == (0, 2)
+
+    def test_job_queued_with_batch_points_still_runs(self, tmp_path):
+        """A job document written while ``batch_points`` was still a
+        JobSpec field decodes (the stale field is dropped) and runs."""
+        queue = JobQueue(tmp_path / "q")
+        store = ShardedResultStore(tmp_path / "cache")
+        pending = queue.state_dir("pending")
+        pending.mkdir(parents=True)
+        (pending / "0000000000001-table2-0000abcd.json").write_text(
+            json.dumps({
+                "format": JOB_FORMAT,
+                "payload": {
+                    "__dataclass__": "repro.campaign.queue:JobSpec",
+                    "fields": {
+                        "batch_points": False,
+                        "chunk_bits": None,
+                        "experiment": "table2",
+                        "full": False,
+                        "modules": {"__tuple__": []},
+                        "processes": None,
+                        "seed": 3,
+                        "submitted": 0.0}}}))
+        job_id, job_spec = queue.claim("w")
+        assert job_spec == spec("table2", seed=3)
+        assert not hasattr(job_spec, "batch_points")
+        outcome = run_job(queue, job_id, job_spec, store, worker="w")
+        assert outcome["state"] == "done"
+        assert queue.counts()["done"] == 1
 
     def test_unknown_experiment_fails_job(self, tmp_path):
         queue = JobQueue(tmp_path / "q")

@@ -9,13 +9,7 @@ from repro.core.scenario import (
     SweepRunner,
     _execute,
 )
-from repro.uwb.config import UwbConfig
-from repro.link import LinkSpec, ops
-from repro.uwb.integrator import IdealIntegrator
 from repro.uwb.modulation import random_bits
-
-FAST = UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
-                 pulse_order=5, integration_window=2e-9)
 
 
 class TestScenario:
@@ -190,32 +184,3 @@ class TestSweepReportJson:
         back = SweepReport.from_json(report.to_json())
         assert back.results[0].cached is True
         assert back.results[1].cached is False
-
-
-class TestBerCurveWorkers:
-    BUDGET = dict(target_errors=15, max_bits=2000, min_bits=400)
-
-    SPEC = LinkSpec(config=FAST)
-
-    def test_parallel_ber_curve_reproducible(self):
-        a = ops.ber_curve(self.SPEC, [4.0, 8.0],
-                          np.random.default_rng(3), workers=2,
-                          **self.BUDGET)
-        b = ops.ber_curve(self.SPEC, [4.0, 8.0],
-                          np.random.default_rng(3), workers=2,
-                          **self.BUDGET)
-        assert np.array_equal(a.errors, b.errors)
-        assert np.array_equal(a.bits, b.bits)
-
-    def test_parallel_matches_spawned_serial_points(self):
-        """Each parallel point equals a serial run of the same spawned
-        stream - fan-out changes scheduling, not statistics."""
-        grid = [4.0, 8.0]
-        parallel = ops.ber_curve(self.SPEC, grid,
-                                 np.random.default_rng(9), workers=2,
-                                 **self.BUDGET)
-        children = np.random.default_rng(9).spawn(len(grid))
-        for i, (point, child) in enumerate(zip(grid, children)):
-            e, b = ops.ber_point(self.SPEC, point, child,
-                                 **self.BUDGET)
-            assert (parallel.errors[i], parallel.bits[i]) == (e, b)

@@ -1,19 +1,16 @@
-"""Deprecation shims: old front doors still work, but warn - and the
-internal pipeline never touches them.
+"""The harnesses and backends run warning-free.
 
-The CI deprecation job runs the internal suites under
-``-W error::DeprecationWarning``; these tests pin the shim contract
-itself (warn + delegate) and prove the migrated paths are silent.
+The CI deprecation job runs the whole Tier-1 suite under
+``-W error::DeprecationWarning``; these tests additionally prove the
+main entry points are silent on their own.
 """
 
 import warnings
 
 import numpy as np
-import pytest
 
-from repro.link import FastsimBackend, LinkSpec, build_bpf, ops
+from repro.link import FastsimBackend, LinkSpec, build_bpf
 from repro.uwb.config import UwbConfig
-from repro.uwb.integrator import IdealIntegrator, TwoPoleIntegrator
 from repro.uwb.modulation import ppm_waveform
 
 FAST = UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
@@ -27,76 +24,6 @@ def clean_signal(bits):
                         amplitude=1.0)
     sig = build_bpf(SPEC)(wave)
     return 0.25 * sig / np.max(np.abs(sig))
-
-
-class TestShimsWarnAndDelegate:
-    def test_simulate_ber_point(self):
-        from repro.uwb.fastsim import simulate_ber_point
-
-        with pytest.deprecated_call(match="repro.link"):
-            legacy = simulate_ber_point(FAST, IdealIntegrator(), 8.0,
-                                        np.random.default_rng(5),
-                                        **BUDGET)
-        fresh = FastsimBackend().ber_point(SPEC, 8.0,
-                                           np.random.default_rng(5),
-                                           **BUDGET)
-        assert legacy == fresh
-
-    def test_ber_curve(self):
-        from repro.uwb.fastsim import ber_curve
-
-        with pytest.deprecated_call(match="repro.link"):
-            legacy = ber_curve(FAST, IdealIntegrator(), [8.0],
-                               np.random.default_rng(5), **BUDGET)
-        fresh = FastsimBackend().ber_curve(SPEC, [8.0],
-                                           np.random.default_rng(5),
-                                           **BUDGET)
-        assert np.array_equal(legacy.errors, fresh.errors)
-        assert np.array_equal(legacy.bits, fresh.bits)
-
-    def test_run_ams_receiver(self):
-        from repro.uwb.system import run_ams_receiver
-
-        bits = np.array([1, 0, 1], dtype=np.int8)
-        sig = clean_signal(bits)
-        with pytest.deprecated_call(match="repro.link"):
-            legacy = run_ams_receiver(FAST, "ideal", sig)
-        fresh = ops.run_testbench(SPEC, sig)
-        assert np.array_equal(legacy.bits, fresh.bits)
-        assert np.array_equal(legacy.slot_values, fresh.slot_values)
-
-    def test_make_integrator(self):
-        from repro.uwb.system import make_integrator
-
-        with pytest.deprecated_call(match="resolve_integrator"):
-            assert isinstance(make_integrator("two_pole"),
-                              TwoPoleIntegrator)
-        with pytest.deprecated_call():
-            assert make_integrator("circuit") == "circuit"
-        inst = TwoPoleIntegrator()
-        with pytest.deprecated_call():
-            assert make_integrator(inst) is inst
-        with pytest.deprecated_call():
-            with pytest.raises(ValueError):
-                make_integrator("quantum")
-
-    def test_make_twr_and_run_twr_arm(self):
-        from repro.experiments.table2_twr import (
-            TWR_CONFIG,
-            make_twr,
-            run_twr_arm,
-        )
-        from repro.uwb import UwbConfig as Cfg
-
-        with pytest.deprecated_call(match="twr_spec"):
-            twr = make_twr(Cfg(**TWR_CONFIG), IdealIntegrator(),
-                           distance=3.0)
-        assert twr.distance == 3.0
-        with pytest.deprecated_call(match="twr_spec"):
-            res = run_twr_arm(IdealIntegrator(), 3.0, 1,
-                              np.random.default_rng(1),
-                              noise_sigma=9e-5)
-        assert len(res.distances) == 1
 
 
 class TestInternalPipelineIsWarningFree:

@@ -6,15 +6,20 @@ victim bits, interferer bits and the unit noise wave are drawn once per
 chunk and only the noise *scale* differs per scenario row.  Under the
 repository's per-run seeding convention - every BER point starts from
 a generator freshly seeded with the run seed - that is exactly what
-the per-point loop already computes, so cell ``(k, j)`` must equal
-``_simulate_ber_point(config, integrators[k], grid[j], fresh_rng)``
-**bit for bit**, in both fixed-n and adaptive modes, with and without
-interferers.  Cached campaign results and the committed BENCH
-artifacts are only valid if these tests hold.
+the historic per-point loop computes, so cell ``(k, j)`` must equal
+that loop run at ``(integrators[k], grid[j])`` from a fresh generator
+**bit for bit**, in both fixed-n and adaptive modes.  The sweep is the
+only BER engine, so the oracles here are independent of it: the
+verbatim pre-refactor loop of ``test_pipeline_parity`` for
+interferer-free cells, and counters recorded before the per-point path
+was folded into the sweep for interferer cells.  Cached campaign
+results and the committed BENCH artifacts are only valid if these
+tests hold.
 """
 
 import numpy as np
 import pytest
+from test_pipeline_parity import _legacy_simulate_ber_point
 
 from repro.link import FastsimBackend, LinkSpec, NetworkSpec, ops
 from repro.link.backends import (
@@ -24,9 +29,10 @@ from repro.link.backends import (
     calibrate,
 )
 from repro.link.pipeline import run_ber_sweep
+from repro.link.registry import resolve_integrator
 from repro.link.spec import ChannelSpec, FrontEndSpec, InterfererSpec
 from repro.uwb.config import TEST_CONFIG
-from repro.uwb.fastsim import AdaptiveStopping, _simulate_ber_point
+from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import IdealIntegrator
 from repro.uwb.modulation import ppm_positions, ppm_waveform
 from repro.uwb.pulse import sampled_pulse
@@ -41,15 +47,23 @@ SPEC = LinkSpec(config=TEST_CONFIG,
 
 GRID = (2.0, 6.0, 10.0, 14.0)
 
+#: ``(errors, bits)`` of the two-interferer network below over
+#: ``GRID[:3]`` at seed 11, recorded from the per-point loop before it
+#: became a 1x1 sweep (fixed-n and adaptive agree: every cell reaches
+#: ``target_errors`` within ``min_bits``).
+MUI_COUNTERS = [(326, 1000), (191, 1000), (68, 1000)]
 
-def _pointwise(spec, grid, seed, integrator=None, adaptive=None,
-               **budget):
-    """The per-point oracle: each point from its own freshly seeded
-    generator (the sharing convention the batched kernel exploits)."""
-    backend = FastsimBackend()
-    return [backend.ber_point(spec, p, np.random.default_rng(seed),
-                              integrator=integrator, adaptive=adaptive,
-                              **budget)
+
+def _pointwise(spec, grid, seed, adaptive=None, **budget):
+    """The per-point oracle: the verbatim pre-refactor loop, each point
+    from its own freshly seeded generator (the sharing convention the
+    batched kernel exploits)."""
+    cache = calibrate(spec)
+    integrator = resolve_integrator(spec.integrator)
+    return [_legacy_simulate_ber_point(
+                spec.config, integrator, p, np.random.default_rng(seed),
+                squarer_drive=spec.frontend.squarer_drive,
+                adaptive=adaptive, _cache=cache, **budget)
             for p in grid]
 
 
@@ -59,8 +73,8 @@ class TestCurveParity:
                              ids=["fixed-n", "adaptive"])
     def test_fig6_grid_matches_pointwise(self, adaptive):
         curve = FastsimBackend().ber_curve(
-            SPEC, GRID, np.random.default_rng(7), batch_points=True,
-            adaptive=adaptive, **BUDGET)
+            SPEC, GRID, np.random.default_rng(7), adaptive=adaptive,
+            **BUDGET)
         expected = _pointwise(SPEC, GRID, 7, adaptive=adaptive,
                               **BUDGET)
         assert list(zip(curve.errors.tolist(),
@@ -70,8 +84,7 @@ class TestCurveParity:
         spec = LinkSpec(config=TEST_CONFIG,
                         channel=ChannelSpec(kind="cm1", distance=3.0))
         curve = FastsimBackend().ber_curve(
-            spec, GRID[:2], np.random.default_rng(3),
-            batch_points=True, **BUDGET)
+            spec, GRID[:2], np.random.default_rng(3), **BUDGET)
         expected = _pointwise(spec, GRID[:2], 3, **BUDGET)
         assert list(zip(curve.errors.tolist(),
                         curve.bits.tolist())) == expected
@@ -90,20 +103,21 @@ class TestCurveParity:
                                timing_offset=0.41 * slot)))
         curve = ops.mui_ber_curve(
             network, GRID[:3], np.random.default_rng(11),
-            batch_points=True, adaptive=adaptive, **BUDGET)
-        expected = _pointwise(network, GRID[:3], 11,
-                              adaptive=adaptive, **BUDGET)
+            adaptive=adaptive, **BUDGET)
         assert list(zip(curve.errors.tolist(),
-                        curve.bits.tolist())) == expected
+                        curve.bits.tolist())) == MUI_COUNTERS
+        point = FastsimBackend().ber_point(
+            network, GRID[1], np.random.default_rng(11),
+            adaptive=adaptive, **BUDGET)
+        assert point == MUI_COUNTERS[1]
 
     def test_batched_default_when_serial(self):
-        """``batch_points=None`` selects the batched kernel unless a
-        worker pool was requested."""
+        """A curve is the one-integrator batched sweep."""
         a = FastsimBackend().ber_curve(
             SPEC, GRID[:2], np.random.default_rng(7), **BUDGET)
-        b = FastsimBackend().ber_curve(
+        b = FastsimBackend().sweep(
             SPEC, GRID[:2], np.random.default_rng(7),
-            batch_points=True, **BUDGET)
+            integrators=("ideal",), **BUDGET)["ideal"]
         assert np.array_equal(a.errors, b.errors)
         assert np.array_equal(a.bits, b.bits)
 
@@ -119,7 +133,7 @@ class TestMultiIntegratorSweep:
         for name in ("ideal", "circuit"):
             solo = FastsimBackend().ber_curve(
                 SPEC, GRID, np.random.default_rng(7), integrator=name,
-                batch_points=True, **BUDGET)
+                **BUDGET)
             assert np.array_equal(sweep[name].errors, solo.errors)
             assert np.array_equal(sweep[name].bits, solo.bits)
 
@@ -129,14 +143,13 @@ class TestMultiIntegratorSweep:
                           backend="kernel")
 
     def test_kernel_curve_rejects_batch_points(self):
+        """The knob is gone from every layer: a stale caller fails
+        loudly instead of silently selecting nothing."""
         from repro.link import KernelBackend
 
-        with pytest.raises(ValueError, match="no batched sweep"):
-            KernelBackend().ber_curve(SPEC, GRID,
-                                      np.random.default_rng(7),
-                                      batch_points=True)
-        # falsy values are accepted silently (ops forwards False).
-        KernelBackend().ber_curve(SPEC, (), np.random.default_rng(7),
+        for backend in (FastsimBackend(), KernelBackend()):
+            with pytest.raises(TypeError, match="batch_points"):
+                backend.ber_curve(SPEC, (), np.random.default_rng(7),
                                   batch_points=False)
 
     def test_sweep_label_validation(self):
@@ -157,8 +170,8 @@ class TestRetirement:
         (which never saw the retired scenarios at all)."""
         adaptive = AdaptiveStopping(ber_floor=1e-2)
         curve = FastsimBackend().ber_curve(
-            SPEC, GRID, np.random.default_rng(13), batch_points=True,
-            adaptive=adaptive, **BUDGET)
+            SPEC, GRID, np.random.default_rng(13), adaptive=adaptive,
+            **BUDGET)
         standalone = _pointwise(SPEC, GRID, 13, adaptive=adaptive,
                                 **BUDGET)
         # the policy actually retired something mid-sweep (low-SNR
@@ -173,11 +186,9 @@ class TestRetirement:
         survivors: a sweep over a sub-grid equals the matching rows of
         the full-grid sweep."""
         full = FastsimBackend().ber_curve(
-            SPEC, GRID, np.random.default_rng(7), batch_points=True,
-            **BUDGET)
+            SPEC, GRID, np.random.default_rng(7), **BUDGET)
         sub = FastsimBackend().ber_curve(
-            SPEC, GRID[1:3], np.random.default_rng(7),
-            batch_points=True, **BUDGET)
+            SPEC, GRID[1:3], np.random.default_rng(7), **BUDGET)
         assert np.array_equal(sub.errors, full.errors[1:3])
         assert np.array_equal(sub.bits, full.bits[1:3])
 
@@ -227,9 +238,8 @@ class TestValidation:
         for bad in ("0", "-3", "many"):
             with pytest.raises(SystemExit):
                 parser.parse_args(["run", "fig6", "--chunk-bits", bad])
-        args = parser.parse_args(["run", "fig6", "--chunk-bits", "250",
-                                  "--no-batch-points"])
-        assert args.chunk_bits == 250 and args.batch_points is False
+        args = parser.parse_args(["run", "fig6", "--chunk-bits", "250"])
+        assert args.chunk_bits == 250
         capsys.readouterr()
 
 

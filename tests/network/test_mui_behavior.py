@@ -173,28 +173,3 @@ class TestBackendSurface:
     def test_ops_mui_rejects_plain_link(self):
         with pytest.raises(TypeError, match="NetworkSpec"):
             ops.mui_ber_curve(SPEC, (8.0,), np.random.default_rng(1))
-
-    def test_curve_workers_consistent_with_serial_spawning(self):
-        """The network curve honors the spawned-stream seeding
-        contract: workers>1 equals the spawned serial execution."""
-        network = NetworkSpec(victim=SPEC, interferers=(
-            InterfererSpec(rel_power_db=0.0,
-                           timing_offset=_offset(0.3)),))
-        backend = FastsimBackend()
-        kwargs = dict(target_errors=30, max_bits=2_000, min_bits=1_000)
-        parallel = backend.ber_curve(network, (6.0, 10.0),
-                                     np.random.default_rng(3),
-                                     workers=2, **kwargs)
-        # Serial spawned replay: one child stream per point.
-        from repro.link import build_interferer_paths
-        from repro.uwb.fastsim import _simulate_ber_point
-
-        rng = np.random.default_rng(3)
-        paths = build_interferer_paths(network)
-        cache = calibrate(SPEC)
-        for i, (point, child) in enumerate(zip((6.0, 10.0),
-                                               rng.spawn(2))):
-            e, b = _simulate_ber_point(
-                TEST_CONFIG, IdealIntegrator(), point, child,
-                interferers=paths, _cache=cache, **kwargs)
-            assert (parallel.errors[i], parallel.bits[i]) == (e, b)

@@ -1,11 +1,13 @@
 """Bit-identity of the staged pipeline against the pre-refactor loop.
 
 The staged ``repro.link.pipeline`` replaced the monolithic chunk loop
-inside ``_simulate_ber_point``; cached campaign results and committed
-BENCH artifacts are only valid if the refactor changed *nothing* about
-the numbers.  ``_legacy_simulate_ber_point`` below is a verbatim copy
-of the pre-refactor loop (PR 3 state); every test asserts exact
-equality of the ``(errors, bits)`` counters at fixed seeds.
+inside ``_simulate_ber_point``, which is now the 1x1 case of the
+batched sweep; cached campaign results and committed BENCH artifacts
+are only valid if neither step changed *anything* about the numbers.
+``_legacy_simulate_ber_point`` below is a verbatim copy of the
+pre-refactor loop, kept as the sweep's independent reference
+implementation; every test asserts exact equality of the
+``(errors, bits)`` counters at fixed seeds.
 """
 
 import numpy as np
@@ -142,25 +144,3 @@ class TestBitIdentity:
         network = backend.ber_point(NetworkSpec(victim=spec), 8.0,
                                     np.random.default_rng(5), **BUDGET)
         assert network == plain
-
-    def test_curve_matches_legacy_pointwise(self):
-        """The serial curve draws every point from one stream, exactly
-        as before the refactor."""
-        config = TEST_CONFIG
-        grid = (4.0, 8.0, 12.0)
-        rng = np.random.default_rng(13)
-        # The curve path keeps the point loop's default chunk size, so
-        # the oracle must too (chunk_bits is not a curve knob).
-        point_budget = {k: v for k, v in BUDGET.items()
-                        if k != "chunk_bits"}
-        expected = []
-        cache = _LinkCache(config, None, None)
-        for point in grid:
-            expected.append(_legacy_simulate_ber_point(
-                config, IdealIntegrator(), point, rng,
-                _cache=cache, **point_budget))
-        curve = FastsimBackend().ber_curve(
-            LinkSpec(config=config), grid, np.random.default_rng(13),
-            batch_points=False, **point_budget)
-        got = list(zip(curve.errors.tolist(), curve.bits.tolist()))
-        assert got == expected

@@ -2,24 +2,21 @@
 
 Two acceptance properties of repro.obs:
 
-* **Disabled cost.** The instrumented chunk loop with tracing off
-  must cost within 2% of the bare stage loop - the dual-path in
-  ``SignalPipeline.run_chunk`` reduces the disabled overhead to one
-  module attribute load and one branch per chunk.
+* **Disabled cost.** With tracing off, ``SignalPipeline.run_chunk``
+  runs the bare stage loop and never enters a span - the disabled
+  overhead is one module attribute load and one branch per chunk.
+  (Checked structurally: Tier-1 asserts no wall-clock budgets.)
 * **Enabled coverage.** A traced fig6 fast-scale run must produce a
   span tree whose leaf (per-stage) walls sum to within 10% of the
   traced total wall - the instrumentation actually covers the hot
   path, not a corner of it.
 """
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.experiments import run_fig6
 from repro.link import LinkSpec, build_link_pipeline, calibrate
-from repro.link.pipeline import LinkState
 from repro.obs import trace
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.integrator import IdealIntegrator
@@ -41,51 +38,19 @@ def _pipeline():
         sigma=0.4, scale=1.0)
 
 
-def _bare_chunk(pipeline, n, rng):
-    """The uninstrumented chunk loop: exactly ``run_chunk`` minus the
-    ``trace.ENABLED`` dual-path (the overhead being measured)."""
-    state = LinkState(n=n, rng=rng, sigmas=None)
-    for stage in pipeline.stages:
-        stage.process(state)
-    return state
-
-
-def _best_of(fn, repeats, chunks, n, pipeline):
-    """Min wall over *repeats* timed runs of *chunks* chunks each.
-
-    The min filters scheduler noise; identical per-run seeding keeps
-    the arithmetic identical between the two variants."""
-    best = float("inf")
-    for rep in range(repeats):
-        rng = np.random.default_rng(1234 + rep)
-        start = time.perf_counter()
-        for _ in range(chunks):
-            fn(pipeline, n, rng)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class TestDisabledOverhead:
-    def test_disabled_chunk_loop_overhead_under_2_percent(self):
-        """The pinned microbenchmark: ``run_chunk`` with tracing
-        disabled vs the bare stage loop, interleaved best-of-k."""
+    def test_disabled_chunk_loop_never_enters_span(self, monkeypatch):
+        """With tracing off, ``run_chunk`` takes the bare stage loop:
+        a ``trace.span`` that raises is never reached."""
         assert not trace.ENABLED
         pipeline = _pipeline()
-        n, chunks, repeats = 400, 4, 5
-        # Warm both paths (filter design, allocator, caches).
-        _bare_chunk(pipeline, n, np.random.default_rng(0))
-        pipeline.run_chunk(n, np.random.default_rng(0))
-        bare = _best_of(_bare_chunk, repeats, chunks, n, pipeline)
-        instrumented = _best_of(
-            lambda p, n_, rng: p.run_chunk(n_, rng),
-            repeats, chunks, n, pipeline)
-        # One attribute load + one branch per chunk against ~ms of
-        # numpy work; 2% relative with a 100 us jitter floor so the
-        # assert pins the contract without flaking on a busy box.
-        budget = max(bare * 1.02, bare + 100e-6)
-        assert instrumented <= budget, (
-            f"disabled-tracing chunk loop cost {instrumented * 1e3:.3f} ms "
-            f"vs bare {bare * 1e3:.3f} ms (budget {budget * 1e3:.3f} ms)")
+
+        def no_span(name):
+            raise AssertionError(f"disabled chunk loop entered {name!r}")
+
+        monkeypatch.setattr(trace, "span", no_span)
+        state = pipeline.run_chunk(64, np.random.default_rng(3))
+        assert state.decisions.shape == (64,)
 
     def test_disabled_run_records_no_spans(self):
         pipeline = _pipeline()

@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.uwb import (
-    AdaptiveStopping,
-    IdealIntegrator,
-    UwbConfig,
-    ber_curve,
-    simulate_ber_point,
-    wilson_interval,
-)
+from repro.link import FastsimBackend, LinkSpec
+from repro.uwb import AdaptiveStopping, UwbConfig, wilson_interval
 
 FAST = UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
                  pulse_order=5, integration_window=2e-9)
+SPEC = LinkSpec(config=FAST)
+
+
+def ber_point(ebn0_db, rng, **kwargs):
+    return FastsimBackend().ber_point(SPEC, ebn0_db, rng, **kwargs)
+
+
+def ber_curve(grid, rng, **kwargs):
+    return FastsimBackend().ber_curve(SPEC, grid, rng, **kwargs)
 
 
 class TestWilsonInterval:
@@ -72,9 +75,9 @@ class TestAdaptiveSimulation:
 
     def test_deep_snr_point_stops_early(self):
         rng = np.random.default_rng(3)
-        e, b = simulate_ber_point(
-            FAST, IdealIntegrator(), 14.0, rng,
-            adaptive=AdaptiveStopping(ber_floor=1e-3), **self.BUDGET)
+        e, b = ber_point(14.0, rng,
+                         adaptive=AdaptiveStopping(ber_floor=1e-3),
+                         **self.BUDGET)
         assert b < self.BUDGET["max_bits"]
         lo, hi = wilson_interval(e, b)
         assert hi < 1e-3 or e >= 8
@@ -82,26 +85,22 @@ class TestAdaptiveSimulation:
     def test_fixed_rule_unchanged_without_policy(self):
         """adaptive=None bit-reproduces the historic stopping rule."""
         budget = dict(target_errors=15, max_bits=2000, min_bits=400)
-        a = simulate_ber_point(FAST, IdealIntegrator(), 8.0,
-                               np.random.default_rng(1), **budget)
-        b = simulate_ber_point(FAST, IdealIntegrator(), 8.0,
-                               np.random.default_rng(1), adaptive=None,
-                               **budget)
+        a = ber_point(8.0, np.random.default_rng(1), **budget)
+        b = ber_point(8.0, np.random.default_rng(1), adaptive=None,
+                      **budget)
         assert a == b
 
     def test_reproducible(self):
         policy = AdaptiveStopping(ber_floor=1e-3)
-        runs = [simulate_ber_point(FAST, IdealIntegrator(), 12.0,
-                                   np.random.default_rng(9),
-                                   adaptive=policy, **self.BUDGET)
+        runs = [ber_point(12.0, np.random.default_rng(9),
+                          adaptive=policy, **self.BUDGET)
                 for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_hard_caps_still_hold(self):
-        e, b = simulate_ber_point(
-            FAST, IdealIntegrator(), 0.0, np.random.default_rng(2),
-            target_errors=5, max_bits=3000, min_bits=500,
-            adaptive=AdaptiveStopping(rel_half_width=1e-6))
+        e, b = ber_point(0.0, np.random.default_rng(2),
+                         target_errors=5, max_bits=3000, min_bits=500,
+                         adaptive=AdaptiveStopping(rel_half_width=1e-6))
         assert b <= 3000
 
 
@@ -109,8 +108,8 @@ class TestBerCurveBounds:
     BUDGET = dict(target_errors=15, max_bits=2000, min_bits=400)
 
     def test_curve_records_wilson_bounds(self):
-        curve = ber_curve(FAST, IdealIntegrator(), [4.0, 8.0],
-                          np.random.default_rng(3), **self.BUDGET)
+        curve = ber_curve([4.0, 8.0], np.random.default_rng(3),
+                          **self.BUDGET)
         assert curve.ci_low.shape == curve.ber.shape
         assert np.all(curve.ci_low <= curve.ber + 1e-12)
         assert np.all(curve.ber <= curve.ci_high + 1e-12)
@@ -118,27 +117,12 @@ class TestBerCurveBounds:
 
     def test_adaptive_curve_uses_policy_confidence(self):
         policy = AdaptiveStopping(confidence=0.99, ber_floor=1e-3)
-        curve = ber_curve(FAST, IdealIntegrator(), [8.0],
-                          np.random.default_rng(3), adaptive=policy,
-                          **self.BUDGET)
+        curve = ber_curve([8.0], np.random.default_rng(3),
+                          adaptive=policy, **self.BUDGET)
         assert curve.confidence == 0.99
 
-    def test_parallel_adaptive_matches_serial_spawn(self):
-        policy = AdaptiveStopping(ber_floor=1e-2)
-        grid = [6.0, 10.0]
-        parallel = ber_curve(FAST, IdealIntegrator(), grid,
-                             np.random.default_rng(9), workers=2,
-                             adaptive=policy, **self.BUDGET)
-        children = np.random.default_rng(9).spawn(len(grid))
-        for i, (point, child) in enumerate(zip(grid, children)):
-            e, b = simulate_ber_point(FAST, IdealIntegrator(), point,
-                                      child, adaptive=policy,
-                                      **self.BUDGET)
-            assert (parallel.errors[i], parallel.bits[i]) == (e, b)
-
     def test_format_table_shows_bounds(self):
-        curve = ber_curve(FAST, IdealIntegrator(), [8.0],
-                          np.random.default_rng(3), **self.BUDGET)
+        curve = ber_curve([8.0], np.random.default_rng(3), **self.BUDGET)
         text = curve.format_table()
         assert "errors" in text and "[" in text
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.uwb import ChannelRealization, UwbConfig, ber_curve, \
-    simulate_ber_point
+from repro.link import FastsimBackend, LinkSpec, ops
+from repro.link.registry import resolve_integrator
+from repro.uwb import ChannelRealization, UwbConfig
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.fastsim import _LinkCache, theoretical_ppm_awgn_ber
 from repro.uwb.integrator import (
@@ -13,57 +14,59 @@ from repro.uwb.integrator import (
     TwoPoleIntegrator,
 )
 from repro.uwb.modulation import ppm_waveform, random_bits
-from repro.uwb.system import make_integrator, run_ams_receiver
 
 FAST = UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
                  pulse_order=5, integration_window=2e-9)
+SPEC = LinkSpec(config=FAST)
 
 
 class TestFastsim:
     def test_ber_decreases_with_snr(self):
-        res = ber_curve(FAST, IdealIntegrator(), [2.0, 8.0, 14.0],
-                        np.random.default_rng(3),
-                        target_errors=40, max_bits=8000, min_bits=800)
+        res = FastsimBackend().ber_curve(
+            SPEC, [2.0, 8.0, 14.0], np.random.default_rng(3),
+            target_errors=40, max_bits=8000, min_bits=800)
         assert res.ber[0] > res.ber[1] > res.ber[2]
 
     def test_high_snr_nearly_clean(self):
-        errors, bits = simulate_ber_point(
-            FAST, IdealIntegrator(), 25.0, np.random.default_rng(4),
+        errors, bits = FastsimBackend().ber_point(
+            SPEC, 25.0, np.random.default_rng(4),
             target_errors=10, max_bits=3000, min_bits=1000)
         assert errors / bits < 0.01
 
     def test_paired_seed_reproducible(self):
         kwargs = dict(target_errors=20, max_bits=3000, min_bits=500)
-        a = simulate_ber_point(FAST, IdealIntegrator(), 8.0,
-                               np.random.default_rng(5), **kwargs)
-        b = simulate_ber_point(FAST, IdealIntegrator(), 8.0,
-                               np.random.default_rng(5), **kwargs)
+        a = FastsimBackend().ber_point(SPEC, 8.0,
+                                       np.random.default_rng(5), **kwargs)
+        b = FastsimBackend().ber_point(SPEC, 8.0,
+                                       np.random.default_rng(5), **kwargs)
         assert a == b
 
     def test_two_pole_close_to_ideal_at_drive(self):
-        kwargs = dict(target_errors=50, max_bits=6000, min_bits=2000,
-                      squarer_drive=0.05)
-        e_i, n_i = simulate_ber_point(FAST, IdealIntegrator(), 10.0,
-                                      np.random.default_rng(6), **kwargs)
-        e_t, n_t = simulate_ber_point(FAST, TwoPoleIntegrator(), 10.0,
-                                      np.random.default_rng(6), **kwargs)
+        kwargs = dict(target_errors=50, max_bits=6000, min_bits=2000)
+        spec = SPEC.with_frontend(squarer_drive=0.05)
+        e_i, n_i = FastsimBackend().ber_point(
+            spec, 10.0, np.random.default_rng(6),
+            integrator=IdealIntegrator(), **kwargs)
+        e_t, n_t = FastsimBackend().ber_point(
+            spec, 10.0, np.random.default_rng(6),
+            integrator=TwoPoleIntegrator(), **kwargs)
         assert abs(e_i / n_i - e_t / n_t) < 0.05
 
     def test_overdrive_degrades_circuit_ber(self):
-        kwargs = dict(target_errors=60, max_bits=8000, min_bits=3000)
-        e_lin, n_lin = simulate_ber_point(
-            FAST, CircuitSurrogateIntegrator(), 10.0,
-            np.random.default_rng(7), squarer_drive=0.05, **kwargs)
-        e_sat, n_sat = simulate_ber_point(
-            FAST, CircuitSurrogateIntegrator(), 10.0,
-            np.random.default_rng(7), squarer_drive=0.35, **kwargs)
+        kwargs = dict(target_errors=60, max_bits=8000, min_bits=3000,
+                      integrator=CircuitSurrogateIntegrator())
+        e_lin, n_lin = FastsimBackend().ber_point(
+            SPEC.with_frontend(squarer_drive=0.05), 10.0,
+            np.random.default_rng(7), **kwargs)
+        e_sat, n_sat = FastsimBackend().ber_point(
+            SPEC.with_frontend(squarer_drive=0.35), 10.0,
+            np.random.default_rng(7), **kwargs)
         assert e_sat / n_sat > e_lin / n_lin
 
     def test_result_rows(self):
-        res = ber_curve(FAST, IdealIntegrator(), [5.0],
-                        np.random.default_rng(8),
-                        target_errors=10, max_bits=1000, min_bits=500,
-                        label="x")
+        res = FastsimBackend().ber_curve(
+            SPEC, [5.0], np.random.default_rng(8),
+            target_errors=10, max_bits=1000, min_bits=500, label="x")
         rows = res.as_rows()
         assert len(rows) == 1
         assert rows[0][3] >= 500
@@ -78,7 +81,7 @@ class TestFastsim:
 
 class TestLinkCachePilot:
     """The cached Eb/peak pilot must see exactly the data-path
-    processing of simulate_ber_point (delay trim + whole-symbol
+    processing of the BER sweep (delay trim + whole-symbol
     truncation)."""
 
     def _channel(self, delay: int) -> ChannelRealization:
@@ -136,27 +139,27 @@ class TestAmsReceiver:
         bits = np.array([1, 0, 0, 1, 1, 0], dtype=np.int8)
         sig = self._clean_signal(bits)
         for kind in ("ideal", "two_pole", "surrogate"):
-            res = run_ams_receiver(FAST, kind, sig)
+            res = ops.run_testbench(SPEC.with_(integrator=kind), sig)
             assert np.array_equal(res.bits, bits), kind
 
     def test_cosim_demodulation(self):
         bits = np.array([1, 0, 1], dtype=np.int8)
         sig = self._clean_signal(bits)
-        res = run_ams_receiver(FAST, "circuit", sig)
+        res = ops.run_testbench(SPEC.with_(integrator="circuit"), sig)
         assert np.array_equal(res.bits, bits)
         assert res.cpu_time > 0
 
     def test_cosim_slower_than_behavioral(self):
         bits = np.array([1, 0], dtype=np.int8)
         sig = self._clean_signal(bits)
-        fast = run_ams_receiver(FAST, "ideal", sig)
-        slow = run_ams_receiver(FAST, "circuit", sig)
+        fast = ops.run_testbench(SPEC, sig)
+        slow = ops.run_testbench(SPEC.with_(integrator="circuit"), sig)
         assert slow.cpu_time > 2.0 * fast.cpu_time
 
     def test_recorder_attached(self):
         bits = np.array([0, 1], dtype=np.int8)
         sig = self._clean_signal(bits)
-        res = run_ams_receiver(FAST, "ideal", sig, record=True)
+        res = ops.run_testbench(SPEC, sig, record=True)
         assert res.recorder is not None
         trace = res.recorder.trace("int_out")
         assert trace.maximum() > 0
@@ -164,16 +167,19 @@ class TestAmsReceiver:
     def test_slot_values_shape(self):
         bits = np.zeros(4, dtype=np.int8)
         sig = self._clean_signal(bits)
-        res = run_ams_receiver(FAST, "ideal", sig)
+        res = ops.run_testbench(SPEC, sig)
         assert res.slot_values.shape == (4, 2)
         # preamble-like zeros: slot 0 collects the energy
         assert np.all(res.slot_values[:, 0] > res.slot_values[:, 1])
 
     def test_make_integrator_resolution(self):
-        assert isinstance(make_integrator("ideal"), IdealIntegrator)
-        assert isinstance(make_integrator("two_pole"), TwoPoleIntegrator)
-        assert make_integrator("circuit") == "circuit"
+        def resolve(kind):
+            return resolve_integrator(kind, cosim=True)
+
+        assert isinstance(resolve("ideal"), IdealIntegrator)
+        assert isinstance(resolve("two_pole"), TwoPoleIntegrator)
+        assert resolve("circuit") == "circuit"
         inst = TwoPoleIntegrator()
-        assert make_integrator(inst) is inst
+        assert resolve(inst) is inst
         with pytest.raises(ValueError):
-            make_integrator("quantum")
+            resolve("quantum")
