@@ -5,17 +5,16 @@ enough for large design-space exploration; this subsystem makes such
 campaigns *incremental* and *scale-out*:
 
 * :mod:`repro.campaign.store` - a content-addressed result store
-  (append-journal index + NPZ payloads) keyed by a stable hash of
-  ``(fn qualname, params, seed, code-version salt)``,
-* :mod:`repro.campaign.shard` - the same contract sharded by key
-  prefix with per-shard file locks, safe for fleets of concurrent
-  writer processes, plus ``merge`` (union caches computed on
-  independent machines) and ``gc`` (size/age eviction),
-* :mod:`repro.campaign.objects` - the object codec both stores share,
-* :mod:`repro.campaign.locking` - the advisory file-lock primitive,
+  (one object file pair per result, atomic renames, no locks) keyed
+  by a stable hash of ``(fn qualname, params, seed, code-version
+  salt)``, safe for concurrent writer processes, with ``merge``
+  (union caches computed on independent machines, and import caches
+  in the retired ``shards/`` layout) and ``gc`` (size/age eviction),
+* :mod:`repro.campaign.objects` - the store's object codec,
 * :mod:`repro.campaign.runner` - a resumable drop-in
-  :class:`~repro.core.scenario.SweepRunner` that checkpoints every
-  scenario result as it completes, re-runs only what is missing, and
+  :class:`~repro.core.scenario.SweepRunner` that serves cached
+  scenarios, fans the rest out through the same loop, checkpoints
+  every result as it completes, re-runs only what is missing, and
   reports progress/honors preemption for the queue,
 * :mod:`repro.campaign.queue` - a durable job queue + work-stealing
   worker loop turning ``repro run`` campaigns into a service
@@ -24,7 +23,6 @@ campaigns *incremental* and *scale-out*:
   driving all experiment harnesses through the campaign layer.
 """
 
-from repro.campaign.locking import FileLock, LockTimeout
 from repro.campaign.queue import JobQueue, JobSpec, default_queue_dir
 from repro.campaign.runner import (
     CampaignError,
@@ -33,7 +31,6 @@ from repro.campaign.runner import (
     CampaignReport,
     CampaignRunner,
 )
-from repro.campaign.shard import ShardedResultStore, is_sharded_layout
 from repro.campaign.store import (
     ResultStore,
     StoreEntry,
@@ -47,15 +44,11 @@ __all__ = [
     "CampaignProgress",
     "CampaignReport",
     "CampaignRunner",
-    "FileLock",
     "JobQueue",
     "JobSpec",
-    "LockTimeout",
     "ResultStore",
-    "ShardedResultStore",
     "StoreEntry",
     "default_cache_dir",
     "default_queue_dir",
     "default_salt",
-    "is_sharded_layout",
 ]

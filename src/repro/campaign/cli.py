@@ -17,7 +17,7 @@ runs are cached, resumable and scriptable:
     python -m repro queue drain              # empty the queue
     python -m repro cache ls                 # stored results
     python -m repro cache clear              # drop stored results
-    python -m repro cache gc --max-bytes N   # evict oldest (sharded)
+    python -m repro cache gc --max-bytes N   # evict oldest entries
     python -m repro cache merge SRC          # union another cache in
     python -m repro report                   # re-print saved reports
     python -m repro trace fig6 --fast        # span tree of one run
@@ -29,10 +29,11 @@ runnable here with no CLI change.  Common flags: ``--fast`` (default)
 / ``--full`` select the Monte-Carlo budget, ``--processes`` fans
 scenarios out over a process pool, ``--seed`` overrides the
 experiment's default seed, ``--chunk-bits`` sizes the Monte-Carlo
-chunks, and ``--cache-dir`` / ``--no-cache`` / ``--sharded`` control
-the result store (the flavor is autodetected from an existing layout;
-fresh directories are classic for ``run`` and sharded for ``queue
-work``).
+chunks, and ``--cache-dir`` / ``--no-cache`` control the result store.
+A cache directory that still holds results in the retired ``shards/``
+layout gets a one-line stderr notice naming the import command
+(``repro cache merge DIR --cache-dir DIR``) instead of silently
+re-executing those campaigns.
 Re-running a completed campaign executes zero scenarios; an
 interrupted campaign resumes from its checkpoints.  ``queue work``
 converts SIGINT/SIGTERM into graceful preemption: the in-flight job
@@ -168,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     clear_p = cache_sub.add_parser("clear", help="delete stored results")
     _add_cache_flags(clear_p)
     gc_p = cache_sub.add_parser(
-        "gc", help="evict stored results by total size and/or age "
-                   "(sharded store)")
+        "gc", help="evict stored results by total size and/or age")
     _add_cache_flags(gc_p)
     gc_p.add_argument("--max-bytes", type=int, default=None, metavar="N",
                       help="evict oldest entries until the store is "
@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
         "merge", help="union another store's results into this one "
                       "(newest wins per key)")
     merge_p.add_argument("source", metavar="SRC",
-                         help="source store directory (either flavor)")
+                         help="source store directory (the retired "
+                              "shards/ layout is read too)")
     _add_cache_flags(merge_p)
 
     report_p = sub.add_parser(
@@ -236,12 +237,6 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result-store directory (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    parser.add_argument("--sharded",
-                        action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="force the sharded (or classic) store "
-                             "flavor; default: autodetect from the "
-                             "existing layout")
 
 
 def _add_queue_flags(parser: argparse.ArgumentParser) -> None:
@@ -250,13 +245,15 @@ def _add_queue_flags(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_QUEUE_DIR or <cache root>/queue)")
 
 
-def _make_store(args: argparse.Namespace, *,
-                default_sharded: bool = False) -> ResultStore:
-    from repro.campaign.queue import open_store
-
-    return open_store(args.cache_dir,
-                      sharded=getattr(args, "sharded", None),
-                      default_sharded=default_sharded)
+def _make_store(args: argparse.Namespace) -> ResultStore:
+    store = ResultStore(args.cache_dir)
+    retired = store.retired_count()
+    if retired and getattr(args, "cache_command", None) != "merge":
+        print(f"note: {store.root} holds {retired} result(s) in the "
+              f"retired shards/ layout, which this store does not read; "
+              f"import them once with: python -m repro cache merge "
+              f"{store.root} --cache-dir {store.root}", file=sys.stderr)
+    return store
 
 
 def cmd_list() -> int:
@@ -468,7 +465,7 @@ def _queue_work(queue, args: argparse.Namespace, work_loop) -> int:
     import socket
     import threading
 
-    store = _make_store(args, default_sharded=True)
+    store = _make_store(args)
     worker = args.worker_id or f"{socket.gethostname()}-{os.getpid()}"
     stop = threading.Event()
 
@@ -542,14 +539,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cache_gc(store, args: argparse.Namespace) -> int:
-    from repro.campaign.shard import ShardedResultStore
     from repro.obs.export import format_bytes
 
-    if not isinstance(store, ShardedResultStore):
-        print(f"cache gc needs the sharded store; {store.root} holds "
-              f"a classic layout (use `repro cache clear`, or migrate "
-              f"with `repro cache merge` into a sharded directory)")
-        return 2
     if args.max_bytes is None and args.max_age is None:
         print("nothing to do: give --max-bytes and/or --max-age")
         return 2
@@ -561,15 +552,7 @@ def _cache_gc(store, args: argparse.Namespace) -> int:
 
 
 def _cache_merge(store, args: argparse.Namespace) -> int:
-    from repro.campaign.queue import open_store
-    from repro.campaign.shard import ShardedResultStore
-
-    if not isinstance(store, ShardedResultStore):
-        print(f"cache merge needs a sharded destination; {store.root} "
-              f"holds a classic layout (pass --sharded with a fresh "
-              f"--cache-dir to migrate into)")
-        return 2
-    source = open_store(args.source, default_sharded=False)
+    source = ResultStore(args.source)
     adopted = store.merge(source)
     print(f"merged {adopted} entr{'y' if adopted == 1 else 'ies'} "
           f"from {source.root} into {store.root}")

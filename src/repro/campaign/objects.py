@@ -1,16 +1,14 @@
-"""Shared object codec of the campaign result stores.
+"""Object codec of the campaign result store.
 
-Both store flavors - the classic single-directory
-:class:`~repro.campaign.store.ResultStore` and the concurrent
-:class:`~repro.campaign.shard.ShardedResultStore` - persist one
-*object* per content address: a ``<key>.json`` record (scenario echo,
-encoded value, timings, format marker) plus an optional ``<key>.npz``
-array payload.  This module is the single implementation of that file
-format, so the two stores can read each other's objects byte-for-byte
-(which is what makes :meth:`ShardedResultStore.merge` a plain file
-copy) and so torn or truncated files are classified identically
-everywhere: any object that fails to decode is a cache *miss*, never
-an error.
+:class:`~repro.campaign.store.ResultStore` persists one *object* per
+content address: a ``<key>.json`` record (scenario echo, encoded
+value, timings, format marker) plus an optional ``<key>.npz`` array
+payload.  This module is the single implementation of that file
+format, so every cache - including one in the retired ``shards/``
+layout - holds byte-identical objects (which is what makes
+:meth:`ResultStore.merge` a plain file copy), and torn or truncated
+files are classified identically everywhere: any object that fails to
+decode is a cache *miss*, never an error.
 
 All writes go through :func:`atomic_write` (temp file + ``os.replace``)
 - readers therefore only ever observe complete files, with no locking
@@ -171,12 +169,6 @@ def read_entry(object_path: Path, payload_path: Path) -> StoreEntry | None:
         created=float(record.get("created", 0.0)),
         size_bytes=size,
         has_arrays=bool(record.get("has_arrays")))
-
-
-def entry_meta(entry: StoreEntry) -> dict:
-    """Index-journal line payload for *entry*."""
-    return {"name": entry.name, "fn": entry.fn,
-            "wall_time": entry.wall_time, "created": entry.created}
 
 
 def delete_object(object_path: Path, payload_path: Path) -> tuple[int, int]:

@@ -5,7 +5,7 @@ module turns campaigns into a *service*: submit N of them as durable
 JSON job specs, then run any number of worker processes - on one
 machine or many sharing a filesystem - that steal jobs from the queue,
 execute them through the campaign layer (so every scenario checkpoint
-lands in the shared :class:`~repro.campaign.shard.ShardedResultStore`)
+lands in the shared :class:`~repro.campaign.store.ResultStore`)
 and report heartbeat progress/ETA while they run.
 
 Queue layout (all records are format-tagged JSON, written atomically)::
@@ -50,7 +50,6 @@ from repro.campaign.runner import (
     CampaignPreempted,
     CampaignProgress,
 )
-from repro.campaign.shard import ShardedResultStore, is_sharded_layout
 from repro.campaign.store import ResultStore, default_cache_dir
 from repro.campaign.objects import atomic_write
 from repro.core.serialization import dump_tagged, load_tagged
@@ -58,8 +57,8 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
 __all__ = ["JOB_FORMAT", "HEARTBEAT_FORMAT", "OUTCOME_FORMAT",
-           "JobQueue", "JobSpec", "default_queue_dir", "open_store",
-           "run_job", "work_loop"]
+           "JobQueue", "JobSpec", "default_queue_dir", "run_job",
+           "work_loop"]
 
 #: format markers of the queue's on-disk records.
 JOB_FORMAT = "repro.job/1"
@@ -80,31 +79,6 @@ def default_queue_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return default_cache_dir() / "queue"
-
-
-def open_store(root: str | os.PathLike | None, *,
-               sharded: bool | None = None,
-               default_sharded: bool = True,
-               salt: str | None = None) -> ResultStore:
-    """Open the right store flavor for *root*.
-
-    ``sharded=None`` autodetects: an existing sharded layout opens
-    sharded, an existing classic layout opens classic, and a fresh
-    directory follows *default_sharded* - ``True`` for the queue
-    (concurrent workers are the expected case there), ``False`` for
-    the single-process ``repro run``/``cache`` commands.
-    """
-    if sharded is None:
-        probe = Path(root).expanduser() if root is not None \
-            else default_cache_dir()
-        if is_sharded_layout(probe):
-            sharded = True
-        elif (probe / "objects").is_dir():
-            sharded = False
-        else:
-            sharded = default_sharded
-    cls = ShardedResultStore if sharded else ResultStore
-    return cls(root, salt=salt) if salt is not None else cls(root)
 
 
 @dataclass(frozen=True)
@@ -449,7 +423,8 @@ def work_loop(queue: JobQueue, store: ResultStore, *,
         queue / store: the queue to steal from and the (shared) result
             store to campaign through.  Run several ``work_loop``
             processes against the same pair for a worker fleet - the
-            sharded store and the rename-based claim make that safe.
+            store's atomic object renames and the rename-based claim
+            make that safe.
         worker: id stamped into heartbeats and outcomes.
         follow: keep polling for new jobs after the queue drains
             (a resident worker) instead of returning.

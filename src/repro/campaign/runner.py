@@ -1,20 +1,21 @@
 """Resumable campaign execution on top of :class:`SweepRunner`.
 
 A :class:`CampaignRunner` is a drop-in :class:`SweepRunner` that,
-when given a result store (either flavor -
-:class:`~repro.campaign.store.ResultStore` or
-:class:`~repro.campaign.shard.ShardedResultStore`),
+when given a :class:`~repro.campaign.store.ResultStore`,
 
 * serves already-computed scenarios straight from the store (their
   :class:`SweepResult` comes back with ``cached=True``),
-* executes only the missing ones, **checkpointing each result the
-  moment it completes** - an interrupted sweep therefore loses at most
-  the scenario in flight, and re-running the identical campaign
-  completes only what is missing,
+* executes only the missing ones through the same
+  :func:`~repro.core.scenario.fan_out` loop as ``SweepRunner``,
+  **checkpointing each result the moment it completes** - an
+  interrupted sweep therefore loses at most the scenario in flight,
+  and re-running the identical campaign completes only what is
+  missing,
 * merges cached and fresh results into one report in submission order.
 
-With ``store=None`` it behaves exactly like a plain ``SweepRunner``,
-so harnesses can route through it unconditionally.
+With ``store=None`` nothing is cached and a failing scenario's
+exception propagates unwrapped, as from a plain ``SweepRunner``, so
+harnesses can route through it unconditionally.
 
 The queue worker (:mod:`repro.campaign.queue`) attaches two hooks to
 the store it hands the harness, and the runner honors them:
@@ -46,7 +47,7 @@ from repro.core.scenario import (
     SweepReport,
     SweepResult,
     SweepRunner,
-    _execute,
+    fan_out,
 )
 from repro.campaign.store import ResultStore
 from repro.obs import metrics as _metrics
@@ -207,8 +208,7 @@ class CampaignRunner(SweepRunner):
     Args:
         scenarios: initial scenarios (more can be :meth:`add`-ed).
         processes: fan-out degree (see :class:`SweepRunner`).
-        store: result store, either flavor; ``None`` disables caching
-            entirely.
+        store: result store; ``None`` disables caching entirely.
         progress: optional progress callback; defaults to the store's
             ``progress_hook`` (the queue worker's channel).
         preempt: optional zero-argument callable polled between
@@ -243,93 +243,48 @@ class CampaignRunner(SweepRunner):
             CampaignPreempted: the store's ``preempt_hook`` fired; the
                 remainder should be requeued.
         """
-        if self.store is None:
-            plain = super().run()
-            return CampaignReport(results=plain.results,
-                                  executed=len(plain.results), cached=0)
+        store = self.store
         progress, preempt = self._hooks()
         tracker = _ProgressTracker(len(self.scenarios), progress)
         slots: list[SweepResult | None] = [None] * len(self.scenarios)
         pending: list[tuple[int, str | None, Scenario]] = []
         for i, scenario in enumerate(self.scenarios):
-            # The key is computed once and reused for the checkpoint:
-            # execution may mutate lazy caches inside param objects,
-            # which must not move the content address.
-            key = self.store.scenario_key(scenario)
-            hit = self.store.get(scenario, key)
+            key = hit = None
+            if store is not None:
+                # The key is computed once and reused for the
+                # checkpoint: execution may mutate lazy caches inside
+                # param objects, which must not move the content
+                # address.
+                key = store.scenario_key(scenario)
+                hit = store.get(scenario, key)
             if hit is not None:
                 slots[i] = hit
                 tracker.tick(hit, cached=True)
             else:
                 pending.append((i, key, scenario))
-        if pending:
-            self._execute_pending(pending, slots, tracker, preempt)
-        return CampaignReport(results=[r for r in slots if r is not None],
+
+        def checkpoint(j: int, result: SweepResult) -> None:
+            i, key, scenario = pending[j]
+            if store is not None:
+                store.put(scenario, result, key)
+            slots[i] = result
+            tracker.tick(result, cached=False)
+
+        failures, stopped = fan_out([s for _i, _k, s in pending],
+                                    self.processes, checkpoint, preempt)
+        checkpointed = tracker.executed
+        named = [(pending[j][2].name, exc) for j, exc in failures]
+        failed = [name for name, _exc in named]
+        if stopped:
+            remaining = [s.name for i, _k, s in pending
+                         if slots[i] is None and s.name not in failed]
+            raise CampaignPreempted(checkpointed=checkpointed,
+                                    remaining=remaining + failed)
+        if failures:
+            if store is None:
+                raise failures[0][1]
+            raise CampaignError(named, checkpointed=checkpointed) \
+                from failures[0][1]
+        return CampaignReport(results=slots,
                               executed=len(pending),
                               cached=len(self.scenarios) - len(pending))
-
-    def _execute_pending(self, pending, slots, tracker, preempt) -> None:
-        if self.processes is None or self.processes <= 1:
-            for n, (i, key, scenario) in enumerate(pending):
-                if preempt is not None and preempt():
-                    raise CampaignPreempted(
-                        checkpointed=n,
-                        remaining=[s.name for _i, _k, s in pending[n:]])
-                try:
-                    # One interior span per scenario: the pipeline's
-                    # leaf spans nest under it, so a trace of a whole
-                    # campaign reads scenario by scenario.
-                    with _trace.span(f"scenario:{scenario.name}"):
-                        result = _execute(scenario)
-                except Exception as exc:
-                    # Serial execution fails fast: everything before
-                    # this scenario is already checkpointed.
-                    raise CampaignError([(scenario.name, exc)],
-                                        checkpointed=n) from exc
-                self.store.put(scenario, result, key)
-                slots[i] = result
-                tracker.tick(result, cached=False)
-            return
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        workers = min(self.processes, len(pending))
-        failures: list[tuple[str, BaseException]] = []
-        checkpointed = 0
-        preempted = False
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_execute, scenario): (i, key, scenario)
-                       for i, key, scenario in pending}
-            for future in as_completed(futures):
-                if future.cancelled():
-                    continue
-                i, key, scenario = futures[future]
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    # Keep draining: sibling scenarios that completed
-                    # must still be checkpointed, or one failure would
-                    # throw away every other worker's finished result.
-                    failures.append((scenario.name, exc))
-                    continue
-                # Checkpoint from the parent as each worker finishes,
-                # so an interrupt mid-sweep keeps completed scenarios.
-                self.store.put(scenario, result, key)
-                slots[i] = result
-                checkpointed += 1
-                tracker.tick(result, cached=False)
-                if not preempted and preempt is not None and preempt():
-                    # Stop feeding the pool; in-flight futures keep
-                    # running and are drained/checkpointed above.
-                    preempted = True
-                    for f in futures:
-                        f.cancel()
-        if preempted:
-            remaining = [s.name for i, _k, s in pending
-                         if slots[i] is None
-                         and s.name not in [n for n, _ in failures]]
-            raise CampaignPreempted(checkpointed=checkpointed,
-                                    remaining=remaining + [
-                                        n for n, _ in failures])
-        if failures:
-            raise CampaignError(failures,
-                                checkpointed=checkpointed) from failures[0][1]

@@ -1,313 +1,11 @@
-"""Prefix-sharded result store for concurrent writer fleets.
+"""Import-compatibility alias: ``ShardedResultStore`` is
+:class:`~repro.campaign.store.ResultStore`.
 
-:class:`ShardedResultStore` implements the exact
-get/put/entries/clear contract of
-:class:`~repro.campaign.store.ResultStore` over a sharded layout::
-
-    <cache root>/
-        shards/<hh>/
-            index.jsonl         per-shard append journal
-            .lock               advisory lock (journal + GC swaps)
-            objects/<key>.json  same object format as ResultStore
-            objects/<key>.npz
-        reports/<name>.txt      shared with the classic layout
-
-Objects are bucketed by the first two hex characters of their content
-address (256 shards), so concurrent campaign workers - each
-checkpointing through its own store instance - contend only on the
-shard their key happens to land in, and only for the microseconds it
-takes to append one journal line under the shard's
-:class:`~repro.campaign.locking.FileLock`.  Object writes themselves
-need no lock at all (atomic rename; identical keys produce identical
-bytes), so the read path is wait-free.
-
-On top of the shared contract the sharded store adds the two
-operations a scale-out campaign needs:
-
-* :meth:`merge` - union another store's objects into this one (either
-  flavor: the object format is identical), newest-``created`` wins on
-  key collisions, records failing the format-marker check or missing
-  their array payload are skipped.  Running shards of a campaign on
-  independent machines and merging their caches yields a store whose
-  re-run executes zero scenarios.
-* :meth:`gc` - evict by age and/or total size, oldest-``created``
-  first.  Eviction deletes the JSON record before the payload, so a
-  concurrent reader observes either a complete object or a plain miss,
-  never a torn one.
+The key-prefix sharded layout is retired; the one store handles
+concurrent writers, ``merge`` and ``gc`` itself.  This name stays
+importable for code that still spells it.
 """
 
-from __future__ import annotations
+from repro.campaign.store import ResultStore as ShardedResultStore
 
-import json
-import os
-import shutil
-import time
-from pathlib import Path
-from typing import Iterator
-
-from repro.campaign.locking import FileLock
-from repro.campaign.objects import (
-    StoreEntry,
-    atomic_write,
-    delete_object,
-    entry_meta,
-    read_entry,
-    read_record,
-)
-from repro.campaign.store import INDEX_FORMAT, ResultStore
-from repro.obs import metrics as _metrics
-
-__all__ = ["ShardedResultStore", "is_sharded_layout"]
-
-# Shard-layer traffic (get/put counters live in the base store).
-_APPENDS = _metrics.REGISTRY.counter("campaign.shard.journal_appends")
-_ADOPTED = _metrics.REGISTRY.counter("campaign.shard.merge_adopted")
-_EVICTED = _metrics.REGISTRY.counter("campaign.shard.gc_evicted")
-
-
-def is_sharded_layout(root: str | os.PathLike) -> bool:
-    """True when *root* holds (or held) a sharded store - the CLI uses
-    this to autodetect which flavor to open."""
-    return (Path(root).expanduser() / "shards").is_dir()
-
-
-class ShardedResultStore(ResultStore):
-    """A :class:`ResultStore` sharded by key prefix for concurrent use.
-
-    Args:
-        root / salt: as for :class:`ResultStore`.
-
-    The constructor does not touch the filesystem; directories appear
-    on first write, so speculatively opening a store is free.
-    """
-
-    #: hex characters of the key that select a shard (2 -> 256 shards).
-    PREFIX = 2
-
-    # -- layout -------------------------------------------------------
-
-    @property
-    def shards_dir(self) -> Path:
-        return self.root / "shards"
-
-    def shard_dir(self, key: str) -> Path:
-        return self.shards_dir / key[:self.PREFIX]
-
-    def _shard_lock(self, shard: Path) -> FileLock:
-        return FileLock(shard / ".lock")
-
-    def _shard_dirs(self) -> Iterator[Path]:
-        if not self.shards_dir.is_dir():
-            return
-        yield from sorted(p for p in self.shards_dir.iterdir()
-                          if p.is_dir())
-
-    def _object_path(self, key: str) -> Path:
-        return self.shard_dir(key) / "objects" / f"{key}.json"
-
-    def _payload_path(self, key: str) -> Path:
-        return self.shard_dir(key) / "objects" / f"{key}.npz"
-
-    def _object_files(self) -> Iterator[Path]:
-        for shard in self._shard_dirs():
-            objects = shard / "objects"
-            if objects.is_dir():
-                yield from sorted(objects.glob("*.json"))
-
-    # -- index journals (one per shard, lock-guarded) -----------------
-
-    def _index_add(self, key: str, meta: dict) -> None:
-        shard = self.shard_dir(key)
-        index = shard / "index.jsonl"
-        line = json.dumps({"key": key, **meta}, sort_keys=True)
-        _APPENDS.inc()
-        with self._shard_lock(shard):
-            header = ""
-            if not index.exists():
-                header = json.dumps({"format": INDEX_FORMAT,
-                                     "salt": self.salt}) + "\n"
-            with open(index, "a", encoding="utf-8") as fh:
-                fh.write(header + line + "\n")
-
-    def index_entries(self) -> dict[str, dict]:
-        out: dict[str, dict] = {}
-        for shard in self._shard_dirs():
-            out.update(self._read_journal(shard / "index.jsonl"))
-        return out
-
-    @staticmethod
-    def _read_journal(path: Path) -> dict[str, dict]:
-        out: dict[str, dict] = {}
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return out
-        for line in text.splitlines():
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict) or "key" not in record:
-                continue
-            meta = dict(record)
-            out[meta.pop("key")] = meta
-        return out
-
-    def _compact_shard(self, shard: Path,
-                       entries: list[StoreEntry]) -> None:
-        lines = [json.dumps({"format": INDEX_FORMAT, "salt": self.salt})]
-        lines += [json.dumps({"key": e.key, **entry_meta(e)},
-                             sort_keys=True) for e in entries]
-        with self._shard_lock(shard):
-            atomic_write(shard / "index.jsonl", lambda path:
-                         path.write_text("\n".join(lines) + "\n",
-                                         encoding="utf-8"))
-
-    # -- maintenance --------------------------------------------------
-
-    def entries(self) -> list[StoreEntry]:
-        """All stored results across shards; compacts each shard's
-        journal (under its lock) as a side effect."""
-        out: list[StoreEntry] = []
-        for shard in self._shard_dirs():
-            shard_entries: list[StoreEntry] = []
-            objects = shard / "objects"
-            if objects.is_dir():
-                for path in sorted(objects.glob("*.json")):
-                    entry = read_entry(path, path.with_suffix(".npz"))
-                    if entry is not None:
-                        shard_entries.append(entry)
-            if (shard / "index.jsonl").exists():
-                self._compact_shard(shard, shard_entries)
-            out.extend(shard_entries)
-        return out
-
-    def clear(self) -> tuple[int, int]:
-        """Delete all stored results (reports are kept); returns
-        ``(entries, bytes)`` removed/freed."""
-        removed = 0
-        freed = 0
-        for shard in list(self._shard_dirs()):
-            objects = shard / "objects"
-            if objects.is_dir():
-                for path in list(sorted(objects.glob("*.json"))):
-                    n, b = delete_object(path, path.with_suffix(".npz"))
-                    removed += n
-                    freed += b
-                # Stray payloads whose record is already gone.
-                for path in list(objects.glob("*.npz")):
-                    try:
-                        freed += path.stat().st_size
-                        path.unlink()
-                    except OSError:
-                        pass
-            index = shard / "index.jsonl"
-            try:
-                freed += index.stat().st_size
-            except OSError:
-                pass
-            shutil.rmtree(shard, ignore_errors=True)
-        return removed, freed
-
-    # -- scale-out operations -----------------------------------------
-
-    def merge(self, other: ResultStore) -> int:
-        """Union *other*'s objects into this store; returns the number
-        of entries adopted.
-
-        Either store flavor can be merged from (the object format is
-        shared).  On a key collision the newest ``created`` stamp
-        wins; merging the same store twice therefore adopts nothing
-        the second time.  Records that fail the format-marker check,
-        or whose array payload is missing/torn, are skipped - a
-        corrupted source entry must not evict a good local one.
-        """
-        adopted = 0
-        for src in other._object_files():
-            key = src.stem
-            record = read_record(src)
-            if record is None:
-                continue
-            src_payload = other._payload_path(key)
-            if record.get("has_arrays") and not src_payload.exists():
-                continue
-            dst = self._object_path(key)
-            ours = read_record(dst)
-            if ours is not None and float(ours.get("created", 0.0)) >= \
-                    float(record.get("created", 0.0)):
-                continue
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            # Payload first, record second: a reader that can see the
-            # record must be able to see its payload.
-            if record.get("has_arrays"):
-                atomic_write(self._payload_path(key),
-                             lambda tmp: shutil.copyfile(src_payload, tmp))
-            atomic_write(dst, lambda tmp: shutil.copyfile(src, tmp))
-            self._index_add(key, {
-                "name": record.get("scenario", {}).get("name", "?"),
-                "fn": record.get("scenario", {}).get("fn", "?"),
-                "wall_time": float(record.get("wall_time", 0.0)),
-                "created": float(record.get("created", 0.0))})
-            adopted += 1
-        _ADOPTED.inc(adopted)
-        return adopted
-
-    def gc(self, *, max_bytes: int | None = None,
-           max_age: float | None = None,
-           now: float | None = None) -> tuple[int, int]:
-        """Evict stored results by age and/or total size.
-
-        Args:
-            max_bytes: evict oldest-``created`` entries until the
-                store's total object size is at most this.
-            max_age: evict every entry whose ``created`` stamp is more
-                than this many seconds before *now*.
-            now: reference time (defaults to ``time.time()``; tests
-                pin it).
-
-        Returns:
-            ``(entries, bytes)`` evicted/freed.  With neither limit
-            given this is a no-op.
-        """
-        if max_bytes is None and max_age is None:
-            return 0, 0
-        if now is None:
-            now = time.time()
-        entries = self.entries()
-        victims: dict[str, StoreEntry] = {}
-        if max_age is not None:
-            for e in entries:
-                if now - e.created > max_age:
-                    victims[e.key] = e
-        if max_bytes is not None:
-            live = [e for e in entries if e.key not in victims]
-            total = sum(e.size_bytes for e in live)
-            # Oldest first: created is the store's LRU ordering (a put
-            # refreshes it; reads do not, by design - re-deriving a
-            # result is cheap exactly when it was cheap to compute).
-            for e in sorted(live, key=lambda e: (e.created, e.key)):
-                if total <= max_bytes:
-                    break
-                victims[e.key] = e
-                total -= e.size_bytes
-        evicted = 0
-        freed = 0
-        touched: set[Path] = set()
-        for e in victims.values():
-            n, b = delete_object(self._object_path(e.key),
-                                 self._payload_path(e.key))
-            evicted += n
-            freed += b
-            touched.add(self.shard_dir(e.key))
-        survivors: dict[Path, list[StoreEntry]] = {s: [] for s in touched}
-        for e in entries:
-            if e.key in victims:
-                continue
-            shard = self.shard_dir(e.key)
-            if shard in survivors:
-                survivors[shard].append(e)
-        for shard, shard_entries in survivors.items():
-            if (shard / "index.jsonl").exists():
-                self._compact_shard(shard, shard_entries)
-        _EVICTED.inc(evicted)
-        return evicted, freed
+__all__ = ["ShardedResultStore"]

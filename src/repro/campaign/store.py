@@ -12,18 +12,16 @@ partition a campaign).  Results are stored one file pair per key:
 .. code-block:: text
 
     <cache root>/
-        index.jsonl             append-only journal (rebuildable)
         objects/<key>.json      scenario echo + encoded value + timings
         objects/<key>.npz       NumPy array payloads (only if any)
         reports/<name>.txt      rendered experiment reports (CLI)
 
-The object files are the source of truth; ``index.jsonl`` is a derived
-convenience view for ``repro cache ls``.  Each checkpoint *appends*
-one line to the journal (an O(1) write - checkpoint cost does not grow
-with the store size), and :meth:`ResultStore.entries` compacts the
-journal back to one line per live key.  All object writes are atomic
-renames, so a campaign interrupted mid-write never corrupts previously
-stored results.
+The object files are the whole store: listing, merge and GC scan
+them, and no other file is written on a checkpoint.  All object writes
+are atomic renames, so a campaign interrupted mid-write never corrupts
+previously stored results, and any number of writer processes (queue
+workers sharing one cache) can checkpoint concurrently without locks -
+identical keys produce identical bytes and the last rename wins.
 
 Scenarios are only cacheable when they are *deterministic on paper*:
 a scenario that injects entropy (``rng_param``/``seed_param`` with
@@ -33,17 +31,19 @@ is silently treated as uncacheable and simply always executes.
 The cache root resolves, in order: explicit argument, the
 ``REPRO_CACHE_DIR`` environment variable, ``~/.cache/repro``.
 
-For many concurrent writer processes (queue workers sharing one
-cache), use :class:`repro.campaign.shard.ShardedResultStore` - the
-same contract over a prefix-sharded layout with per-shard locking.
+Caches written in the retired key-prefix layout
+(``shards/<hh>/objects/``) are not read by :meth:`ResultStore.get`;
+:meth:`ResultStore.merge` imports them once
+(``repro cache merge DIR --cache-dir DIR``).
 """
 
 from __future__ import annotations
 
-import json
 import os
+import shutil
+import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro import __version__
 from repro.campaign.objects import (
@@ -52,9 +52,9 @@ from repro.campaign.objects import (
     atomic_write,
     delete_object,
     encode_record,
-    entry_meta,
     load_result,
     read_entry,
+    read_record,
     write_object,
 )
 from repro.core.scenario import Scenario, SweepResult
@@ -71,12 +71,15 @@ from repro.obs import metrics as _metrics
 _HITS = _metrics.REGISTRY.counter("campaign.store.hits")
 _MISSES = _metrics.REGISTRY.counter("campaign.store.misses")
 _PUTS = _metrics.REGISTRY.counter("campaign.store.puts")
+_ADOPTED = _metrics.REGISTRY.counter("campaign.store.merge_adopted")
+_EVICTED = _metrics.REGISTRY.counter("campaign.store.gc_evicted")
 
-__all__ = ["OBJECT_FORMAT", "INDEX_FORMAT", "ResultStore", "StoreEntry",
+__all__ = ["OBJECT_FORMAT", "ResultStore", "StoreEntry",
            "default_cache_dir", "default_salt"]
 
-#: format marker of the index journal's header line.
-INDEX_FORMAT = "repro.index/2"
+#: object records of the retired key-prefix layout, relative to a
+#: cache root; only :meth:`ResultStore.merge` reads them.
+RETIRED_OBJECTS = "shards/*/objects/*.json"
 
 
 def default_cache_dir() -> Path:
@@ -133,10 +136,6 @@ class ResultStore:
     def reports_dir(self) -> Path:
         return self.root / "reports"
 
-    @property
-    def index_path(self) -> Path:
-        return self.root / "index.jsonl"
-
     def _object_path(self, key: str) -> Path:
         return self.objects_dir / f"{key}.json"
 
@@ -177,10 +176,6 @@ class ResultStore:
 
     # -- read path ----------------------------------------------------
 
-    def contains(self, scenario: Scenario) -> bool:
-        key = self.scenario_key(scenario)
-        return key is not None and self._object_path(key).exists()
-
     def get(self, scenario: Scenario,
             key: str | None = None) -> SweepResult | None:
         """Stored result of *scenario*, or ``None`` (counted as a
@@ -219,70 +214,18 @@ class ResultStore:
         write_object(self._object_path(key), self._payload_path(key),
                      record, arrays)
         _PUTS.inc()
-        self._index_add(key, {"name": scenario.name,
-                              "fn": record["scenario"]["fn"],
-                              "wall_time": result.wall_time,
-                              "created": record["created"]})
         return key
-
-    # -- index journal ------------------------------------------------
-    #
-    # One line per checkpoint, appended - never rewritten - so the
-    # cost of a checkpoint is O(1) regardless of how many results the
-    # store already holds.  entries() compacts the journal (dedup by
-    # key, drop evicted keys) from the object files, which are the
-    # source of truth.
-
-    def _index_add(self, key: str, meta: dict) -> None:
-        line = json.dumps({"key": key, **meta}, sort_keys=True)
-        self.root.mkdir(parents=True, exist_ok=True)
-        header = ""
-        if not self.index_path.exists():
-            header = json.dumps({"format": INDEX_FORMAT,
-                                 "salt": self.salt}) + "\n"
-        with open(self.index_path, "a", encoding="utf-8") as fh:
-            fh.write(header + line + "\n")
-
-    def index_entries(self) -> dict[str, dict]:
-        """Journal view ``{key: meta}`` (last write per key wins);
-        torn or foreign lines are skipped."""
-        out: dict[str, dict] = {}
-        try:
-            text = self.index_path.read_text(encoding="utf-8")
-        except OSError:
-            return out
-        for line in text.splitlines():
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict) or "key" not in record:
-                continue
-            meta = dict(record)
-            out[meta.pop("key")] = meta
-        return out
-
-    def _compact_index(self, entries: Iterable[StoreEntry]) -> None:
-        """Rewrite the journal as one line per live entry."""
-        lines = [json.dumps({"format": INDEX_FORMAT, "salt": self.salt})]
-        lines += [json.dumps({"key": e.key, **entry_meta(e)},
-                             sort_keys=True) for e in entries]
-        self.root.mkdir(parents=True, exist_ok=True)
-        atomic_write(self.index_path, lambda path: path.write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"))
 
     # -- maintenance --------------------------------------------------
 
     def entries(self) -> list[StoreEntry]:
-        """All stored results (scanned from the object files); as a
-        side effect the index journal is compacted to match."""
+        """All stored results, scanned from the object files (a pure
+        read: listing a store writes nothing)."""
         out = []
         for path in self._object_files():
             entry = read_entry(path, self._payload_path(path.stem))
             if entry is not None:
                 out.append(entry)
-        if self.index_path.exists():
-            self._compact_index(out)
         return out
 
     def clear(self) -> tuple[int, int]:
@@ -290,8 +233,8 @@ class ResultStore:
 
         Returns:
             ``(entries, bytes)`` - the number of results removed and
-            the total bytes freed (object records, array payloads and
-            the index journal).
+            the total bytes freed (object records and array payloads,
+            including payloads whose record was never written).
         """
         removed = 0
         freed = 0
@@ -299,12 +242,114 @@ class ResultStore:
             n, b = delete_object(path, self._payload_path(path.stem))
             removed += n
             freed += b
-        try:
-            freed += self.index_path.stat().st_size
-            self.index_path.unlink()
-        except OSError:
-            pass
+        # A crash between the payload and record writes of
+        # write_object leaves a payload with no record: garbage too.
+        if self.objects_dir.is_dir():
+            for path in list(self.objects_dir.glob("*.npz")):
+                try:
+                    size = path.stat().st_size
+                    path.unlink()
+                except OSError:
+                    continue
+                freed += size
         return removed, freed
+
+    def retired_count(self) -> int:
+        """Records in the retired ``shards/`` layout under this root
+        that :meth:`merge` has not imported yet (the CLI warns about
+        them instead of silently re-executing their campaigns)."""
+        return sum(not self._object_path(path.stem).exists()
+                   for path in self.root.glob(RETIRED_OBJECTS))
+
+    def merge(self, other: "ResultStore") -> int:
+        """Union *other*'s objects into this store; returns the number
+        of entries adopted.
+
+        The source is read from both the current layout and the
+        retired ``shards/<hh>/objects/`` one, so an old cache imports
+        into itself with ``repro cache merge DIR --cache-dir DIR``.
+        On a key collision the newest ``created`` stamp wins; merging
+        the same store twice therefore adopts nothing the second time.
+        Records that fail the format-marker check, or whose array
+        payload is missing, are skipped - a corrupted source entry
+        must not evict a good local one.
+        """
+        adopted = 0
+        sources = [*other._object_files(),
+                   *sorted(other.root.glob(RETIRED_OBJECTS))]
+        for src in sources:
+            key = src.stem
+            record = read_record(src)
+            if record is None:
+                continue
+            src_payload = src.with_suffix(".npz")
+            if record.get("has_arrays") and not src_payload.exists():
+                continue
+            dst = self._object_path(key)
+            ours = read_record(dst)
+            if ours is not None and float(ours.get("created", 0.0)) >= \
+                    float(record.get("created", 0.0)):
+                continue
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            # Payload first, record second: a reader that can see the
+            # record must be able to see its payload.
+            if record.get("has_arrays"):
+                atomic_write(self._payload_path(key),
+                             lambda tmp: shutil.copyfile(src_payload, tmp))
+            atomic_write(dst, lambda tmp: shutil.copyfile(src, tmp))
+            adopted += 1
+        _ADOPTED.inc(adopted)
+        return adopted
+
+    def gc(self, *, max_bytes: int | None = None,
+           max_age: float | None = None,
+           now: float | None = None) -> tuple[int, int]:
+        """Evict stored results by age and/or total size.
+
+        Args:
+            max_bytes: evict oldest-``created`` entries until the
+                store's total object size is at most this.
+            max_age: evict every entry whose ``created`` stamp is more
+                than this many seconds before *now*.
+            now: reference time (defaults to ``time.time()``; tests
+                pin it).
+
+        Returns:
+            ``(entries, bytes)`` evicted/freed.  With neither limit
+            given this is a no-op.  Each eviction deletes the record
+            before the payload, so a concurrent reader observes either
+            a complete object or a plain miss, never a torn one.
+        """
+        if max_bytes is None and max_age is None:
+            return 0, 0
+        if now is None:
+            now = time.time()
+        entries = self.entries()
+        victims: dict[str, StoreEntry] = {}
+        if max_age is not None:
+            for e in entries:
+                if now - e.created > max_age:
+                    victims[e.key] = e
+        if max_bytes is not None:
+            live = [e for e in entries if e.key not in victims]
+            total = sum(e.size_bytes for e in live)
+            # Oldest first: created is the store's LRU ordering (a put
+            # refreshes it; reads do not, by design - re-deriving a
+            # result is cheap exactly when it was cheap to compute).
+            for e in sorted(live, key=lambda e: (e.created, e.key)):
+                if total <= max_bytes:
+                    break
+                victims[e.key] = e
+                total -= e.size_bytes
+        evicted = 0
+        freed = 0
+        for e in victims.values():
+            n, b = delete_object(self._object_path(e.key),
+                                 self._payload_path(e.key))
+            evicted += n
+            freed += b
+        _EVICTED.inc(evicted)
+        return evicted, freed
 
     # -- rendered reports (CLI) ---------------------------------------
 

@@ -9,6 +9,8 @@ This module gives that pattern one vocabulary:
   parameters + reproducible seeding policy),
 * :class:`SweepRunner` - runs a batch of scenarios serially or fanned
   out over processes, timing each one,
+* :func:`fan_out` - the one execution loop behind it (and behind
+  :class:`repro.campaign.runner.CampaignRunner`),
 * :meth:`SweepRunner.sweep` - builds the cartesian product of parameter
   axes with deterministic per-run seeds spawned from one base seed.
 
@@ -27,6 +29,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+
+from repro.obs import trace as _trace
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,58 @@ def _execute(scenario: Scenario) -> SweepResult:
     value = scenario.run()
     return SweepResult(scenario=scenario, value=value,
                        wall_time=time.perf_counter() - start)
+
+
+def fan_out(scenarios: Sequence[Scenario], processes: int | None,
+            on_result: Callable[[int, SweepResult], None],
+            stop: Callable[[], bool] | None = None,
+            ) -> tuple[list[tuple[int, Exception]], bool]:
+    """Execute *scenarios* serially (``processes`` of ``None``/``0``/
+    ``1``) or over a process pool, calling ``on_result(index, result)``
+    in this process the moment each one completes.
+
+    The optional *stop* poll runs before each serial scenario, or after
+    each pooled result; once true no queued scenario starts (in-flight
+    ones still complete and reach *on_result*).  Returns ``(failures,
+    stopped)``: ``(index, exception)`` pairs in completion order and
+    whether *stop* fired.  Serial execution fails fast; the pool keeps
+    draining so every completed sibling still reaches *on_result*.
+    """
+    if processes is None or processes <= 1 or not scenarios:
+        for i, scenario in enumerate(scenarios):
+            if stop is not None and stop():
+                return [], True
+            try:
+                # Interior span: the pipeline's leaf spans nest under
+                # it, so a trace reads scenario by scenario.
+                with _trace.span(f"scenario:{scenario.name}"):
+                    result = _execute(scenario)
+            except Exception as exc:
+                return [(i, exc)], False
+            on_result(i, result)
+        return [], False
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    failures: list[tuple[int, Exception]] = []
+    stopped = False
+    workers = min(processes, len(scenarios))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(_execute, scenario): i
+                   for i, scenario in enumerate(scenarios)}
+        for future in as_completed(futures):
+            if future.cancelled():
+                continue
+            try:
+                result = future.result()
+            except Exception as exc:
+                failures.append((futures[future], exc))
+                continue
+            on_result(futures[future], result)
+            if not stopped and stop is not None and stop():
+                stopped = True
+                for f in futures:
+                    f.cancel()
+    return failures, stopped
 
 
 @dataclass
@@ -268,15 +324,12 @@ class SweepRunner:
 
     def run(self) -> SweepReport:
         """Execute all scenarios; results come back in submission
-        order regardless of completion order."""
-        if not self.scenarios:
-            return SweepReport(results=[])
-        if self.processes is None or self.processes <= 1:
-            return SweepReport(results=[_execute(s)
-                                        for s in self.scenarios])
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(self.processes, len(self.scenarios))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute, self.scenarios))
+        order regardless of completion order.  A failing scenario's
+        exception propagates (over a pool, once the siblings have
+        drained)."""
+        results: list[Any] = [None] * len(self.scenarios)
+        failures, _stopped = fan_out(self.scenarios, self.processes,
+                                     results.__setitem__)
+        if failures:
+            raise failures[0][1]
         return SweepReport(results=results)

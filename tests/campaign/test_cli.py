@@ -38,19 +38,13 @@ class TestCacheGcAndMerge:
         run_cli(capsys, "run", "table2", "--fast",
                 "--cache-dir", str(cache_dir), *extra)
 
-    def test_gc_requires_sharded_store(self, tmp_path, capsys):
-        self._fill(capsys, tmp_path)  # classic layout
-        code, out = run_cli(capsys, "cache", "gc", "--max-bytes", "0",
-                            "--cache-dir", str(tmp_path))
-        assert code == 2 and "sharded" in out
-
     def test_gc_requires_a_limit(self, tmp_path, capsys):
         code, out = run_cli(capsys, "cache", "gc",
-                            "--cache-dir", str(tmp_path), "--sharded")
+                            "--cache-dir", str(tmp_path))
         assert code == 2 and "--max-bytes" in out
 
     def test_gc_evicts_and_reports(self, tmp_path, capsys):
-        self._fill(capsys, tmp_path, "--sharded")
+        self._fill(capsys, tmp_path)
         code, out = run_cli(capsys, "cache", "gc", "--max-bytes", "0",
                             "--cache-dir", str(tmp_path))
         assert code == 0 and "evicted 2 stored results" in out
@@ -59,23 +53,15 @@ class TestCacheGcAndMerge:
         assert "empty" in out
 
     def test_merge_unions_another_cache(self, tmp_path, capsys):
-        self._fill(capsys, tmp_path / "src")  # classic source
+        self._fill(capsys, tmp_path / "src")
         code, out = run_cli(capsys, "cache", "merge",
                             str(tmp_path / "src"),
-                            "--cache-dir", str(tmp_path / "dst"),
-                            "--sharded")
+                            "--cache-dir", str(tmp_path / "dst"))
         assert code == 0 and "merged 2 entries" in out
         # the merged store satisfies a re-run outright
         code, out = run_cli(capsys, "run", "table2", "--fast",
                             "--cache-dir", str(tmp_path / "dst"))
         assert code == 0 and "executed=0 cached=2" in out
-
-    def test_merge_needs_sharded_destination(self, tmp_path, capsys):
-        self._fill(capsys, tmp_path / "dst")  # classic destination
-        code, out = run_cli(capsys, "cache", "merge",
-                            str(tmp_path / "src"),
-                            "--cache-dir", str(tmp_path / "dst"))
-        assert code == 2 and "sharded destination" in out
 
     def test_clear_reports_entries_and_bytes(self, tmp_path, capsys):
         self._fill(capsys, tmp_path)
@@ -83,6 +69,47 @@ class TestCacheGcAndMerge:
                             "--cache-dir", str(tmp_path))
         assert code == 0
         assert "removed 2 stored results" in out and "KiB" in out
+
+
+class TestRetiredLayout:
+    """A cache in the retired ``shards/<hh>/objects/`` layout is never
+    silently re-executed: the CLI names the one-time import."""
+
+    def _retire(self, capsys, root):
+        """Fill *root* via the CLI, then move its objects into the
+        retired key-prefix layout."""
+        run_cli(capsys, "run", "table2", "--fast", "--cache-dir", str(root))
+        for path in sorted((root / "objects").iterdir()):
+            shard = root / "shards" / path.name[:2] / "objects"
+            shard.mkdir(parents=True, exist_ok=True)
+            path.rename(shard / path.name)
+
+    def test_notice_names_count_and_import_command(self, tmp_path,
+                                                   capsys):
+        self._retire(capsys, tmp_path)
+        command = (f"repro cache merge {tmp_path} "
+                   f"--cache-dir {tmp_path}")
+        # (run goes last: it re-executes, which refills objects/)
+        for argv in (("cache", "ls"), ("stats",),
+                     ("queue", "work", "--queue-dir",
+                      str(tmp_path / "q")),
+                     ("run", "table2", "--fast")):
+            main([*argv, "--cache-dir", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1, argv
+            assert "2 result(s)" in err and command in err, argv
+
+    def test_import_silences_notice_and_serves_cache(self, tmp_path,
+                                                     capsys):
+        self._retire(capsys, tmp_path)
+        code, out = run_cli(capsys, "cache", "merge", str(tmp_path),
+                            "--cache-dir", str(tmp_path))
+        assert code == 0 and "merged 2 entries" in out
+        code = main(["run", "table2", "--fast",
+                     "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "executed=0 cached=2" in captured.out
 
 
 class TestQueueCommands:
@@ -118,8 +145,9 @@ class TestQueueCommands:
         assert code == 0
         assert "done executed=2 cached=0" in out
         assert "worker t: 1 job(s) (done=1 failed=0 preempted=0)" in out
-        # queue work defaults fresh cache dirs to the sharded flavor
-        assert (tmp_path / "cache" / "shards").is_dir()
+        # the worker checkpoints into the one store layout
+        assert len(list((tmp_path / "cache" / "objects").glob(
+            "*.json"))) == 2
         code, out = run_cli(capsys, "queue", "status",
                             *("--queue-dir", str(tmp_path / "q")))
         assert "done: 1" in out and "executed=2" in out
@@ -474,10 +502,10 @@ class TestFormatBytes:
         assert code == 0
         assert "removed 2 stored results (" in out
         assert "KiB)" in out
-        run_cli(capsys, "run", "table2", "--fast", "--sharded",
-                "--cache-dir", str(tmp_path / "sharded"))
+        run_cli(capsys, "run", "table2", "--fast",
+                "--cache-dir", str(tmp_path / "gc"))
         code, out = run_cli(capsys, "cache", "gc", "--max-bytes", "0",
-                            "--cache-dir", str(tmp_path / "sharded"))
+                            "--cache-dir", str(tmp_path / "gc"))
         assert code == 0
         assert "evicted 2 stored results (" in out
         assert "KiB)" in out

@@ -11,16 +11,14 @@ import time
 
 import pytest
 
-from repro.campaign import JobQueue, JobSpec, ShardedResultStore
+from repro.campaign import JobQueue, JobSpec, ResultStore
 from repro.campaign.queue import (
     JOB_FORMAT,
     default_queue_dir,
-    open_store,
     run_job,
     work_loop,
 )
 from repro.campaign.runner import CampaignProgress
-from repro.campaign.store import ResultStore
 from repro.core.serialization import dump_tagged
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -49,30 +47,6 @@ class TestJobSpec:
         monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "qq"))
         assert default_queue_dir() == tmp_path / "qq"
         assert JobQueue().root == tmp_path / "qq"
-
-
-class TestOpenStore:
-    def test_fresh_dir_follows_default(self, tmp_path):
-        assert isinstance(
-            open_store(tmp_path / "a", default_sharded=True),
-            ShardedResultStore)
-        classic = open_store(tmp_path / "b", default_sharded=False)
-        assert isinstance(classic, ResultStore)
-        assert not isinstance(classic, ShardedResultStore)
-
-    def test_existing_layouts_autodetect(self, tmp_path):
-        (tmp_path / "a" / "shards").mkdir(parents=True)
-        (tmp_path / "b" / "objects").mkdir(parents=True)
-        assert isinstance(open_store(tmp_path / "a", default_sharded=False),
-                          ShardedResultStore)
-        assert not isinstance(
-            open_store(tmp_path / "b", default_sharded=True),
-            ShardedResultStore)
-
-    def test_explicit_flag_beats_autodetect(self, tmp_path):
-        (tmp_path / "objects").mkdir(parents=True)
-        assert isinstance(open_store(tmp_path, sharded=True),
-                          ShardedResultStore)
 
 
 class TestLifecycle:
@@ -200,7 +174,7 @@ def claim_all(queue_root, worker, barrier, out_queue):
 def fleet_worker(queue_root, store_root, worker):
     """End-to-end fleet worker: claim, run campaigns, conclude."""
     queue = JobQueue(queue_root)
-    store = open_store(store_root, default_sharded=True)
+    store = ResultStore(store_root)
     work_loop(queue, store, worker=worker)
 
 
@@ -229,7 +203,7 @@ class TestContention:
 class TestRunJob:
     def test_end_to_end_then_cached_rerun(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
-        store = ShardedResultStore(tmp_path / "cache")
+        store = ResultStore(tmp_path / "cache")
         job_id = queue.submit(spec("table2"))
         _, job_spec = queue.claim("w")
         outcome = run_job(queue, job_id, job_spec, store, worker="w")
@@ -248,7 +222,7 @@ class TestRunJob:
         """A job document written while ``batch_points`` was still a
         JobSpec field decodes (the stale field is dropped) and runs."""
         queue = JobQueue(tmp_path / "q")
-        store = ShardedResultStore(tmp_path / "cache")
+        store = ResultStore(tmp_path / "cache")
         pending = queue.state_dir("pending")
         pending.mkdir(parents=True)
         (pending / "0000000000001-table2-0000abcd.json").write_text(
@@ -274,7 +248,7 @@ class TestRunJob:
 
     def test_unknown_experiment_fails_job(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
-        store = ShardedResultStore(tmp_path / "cache")
+        store = ResultStore(tmp_path / "cache")
         job_id = queue.submit(spec("no_such_experiment"))
         _, job_spec = queue.claim("w")
         outcome = run_job(queue, job_id, job_spec, store, worker="w")
@@ -284,7 +258,7 @@ class TestRunJob:
 
     def test_work_loop_runs_all_jobs_and_logs(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
-        store = ShardedResultStore(tmp_path / "cache")
+        store = ResultStore(tmp_path / "cache")
         queue.submit(spec("table2", seed=1))
         queue.submit(spec("table2", seed=2))
         lines = []
@@ -298,7 +272,7 @@ class TestRunJob:
 
     def test_work_loop_preempt_before_claiming(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
-        store = ShardedResultStore(tmp_path / "cache")
+        store = ResultStore(tmp_path / "cache")
         queue.submit(spec("table2"))
         outcomes = work_loop(queue, store, worker="w",
                              preempt=lambda: True)
@@ -307,7 +281,7 @@ class TestRunJob:
 
     def test_work_loop_max_jobs(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
-        store = ShardedResultStore(tmp_path / "cache")
+        store = ResultStore(tmp_path / "cache")
         queue.submit(spec("table2", seed=1))
         queue.submit(spec("table2", seed=2))
         outcomes = work_loop(queue, store, worker="w", max_jobs=1)
@@ -340,7 +314,7 @@ class TestFleet:
         # 2 scenarios per seeded campaign, each executed exactly once
         assert sum(o["executed"] for o in outcomes) == 4
         assert sum(o["cached"] for o in outcomes) == 0
-        store = open_store(store_root)
+        store = ResultStore(store_root)
         assert len(store.entries()) == 4
 
         # resubmission: the shared store satisfies everything
@@ -424,7 +398,7 @@ class TestGracefulPreemption:
         # the job went back to pending with its progress checkpointed
         assert queue.counts() == {"pending": 1, "claimed": 0,
                                   "done": 0, "failed": 0}
-        store = open_store(store_root)
+        store = ResultStore(store_root)
         checkpointed = len(store.entries())
         assert 1 <= checkpointed < 8  # something done, not everything
 

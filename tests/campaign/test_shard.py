@@ -1,12 +1,15 @@
-"""ShardedResultStore: contract parity, concurrency, merge, GC."""
+"""Scale-out operations of the result store - concurrent writers,
+merge (including the one-time import of the retired ``shards/``
+layout) and GC - plus the ``repro.campaign.shard`` import alias."""
 
 import json
 import multiprocessing
+import shutil
 
 import numpy as np
 
-from repro.campaign import ResultStore, ShardedResultStore
-from repro.campaign.shard import is_sharded_layout
+from repro.campaign import CampaignRunner, ResultStore
+from repro.campaign.shard import ShardedResultStore
 from repro.core.scenario import Scenario, _execute
 from repro.uwb.modulation import random_bits
 
@@ -25,8 +28,20 @@ def fill(store, ns):
     return keys
 
 
+def rerun(store, ns):
+    """Re-run the fill() scenarios as a campaign over *store*."""
+    runner = CampaignRunner(store=store)
+    for n in ns:
+        runner.add(bits_scenario(n=n, name=f"bits{n}"))
+    return runner.run()
+
+
 class TestContractParity:
-    """The sharded store honors the exact ResultStore contract."""
+    """The ``ShardedResultStore`` alias, kept for existing imports, is
+    the one store and honors its whole contract."""
+
+    def test_alias_is_the_result_store(self):
+        assert ShardedResultStore is ResultStore
 
     def test_put_get_round_trip(self, tmp_path):
         store = ShardedResultStore(tmp_path, salt="s")
@@ -34,29 +49,10 @@ class TestContractParity:
         result = _execute(sc)
         key = store.put(sc, result)
         assert key is not None
-        assert store.contains(sc)
         back = store.get(bits_scenario())
         assert back is not None and back.cached
         assert np.array_equal(back.value, result.value)
         assert store.hits == 1
-
-    def test_keys_match_classic_store(self, tmp_path):
-        """Same salt -> same content address in both flavors, so a
-        campaign can switch store flavor without losing its cache."""
-        classic = ResultStore(tmp_path / "a", salt="s")
-        sharded = ShardedResultStore(tmp_path / "b", salt="s")
-        sc = bits_scenario()
-        assert classic.scenario_key(sc) == sharded.scenario_key(sc)
-
-    def test_objects_bucketed_by_key_prefix(self, tmp_path):
-        store = ShardedResultStore(tmp_path, salt="s")
-        sc = bits_scenario()
-        key = store.put(sc, _execute(sc))
-        expected = tmp_path / "shards" / key[:2] / "objects"
-        assert (expected / f"{key}.json").exists()
-        assert (expected / f"{key}.npz").exists()
-        assert (tmp_path / "shards" / key[:2] / "index.jsonl").exists()
-        assert is_sharded_layout(tmp_path)
 
     def test_entries_and_clear(self, tmp_path):
         store = ShardedResultStore(tmp_path, salt="s")
@@ -69,18 +65,10 @@ class TestContractParity:
         assert store.entries() == []
 
     def test_runner_accepts_sharded_store(self, tmp_path):
-        from repro.campaign import CampaignRunner
-
         store = ShardedResultStore(tmp_path, salt="s")
-        runner = CampaignRunner(store=store)
-        for n in (4, 8):
-            runner.add(bits_scenario(n=n, name=f"bits{n}"))
-        first = runner.run()
+        first = rerun(store, (4, 8))
         assert (first.executed, first.cached) == (2, 0)
-        runner2 = CampaignRunner(store=store)
-        for n in (4, 8):
-            runner2.add(bits_scenario(n=n, name=f"bits{n}"))
-        second = runner2.run()
+        second = rerun(store, (4, 8))
         assert (second.executed, second.cached) == (0, 2)
 
     def test_truncated_object_is_a_miss(self, tmp_path):
@@ -99,15 +87,10 @@ class TestContractParity:
         payload.write_bytes(payload.read_bytes()[:8])
         assert store.get(sc) is None
 
-    def test_reports_shared_with_classic_layout(self, tmp_path):
-        ShardedResultStore(tmp_path, salt="s").save_report("fig6", "hi")
-        assert list(ResultStore(tmp_path, salt="s").load_reports()) == \
-            [("fig6", "hi")]
-
 
 def put_batch(root, salt, ns, barrier):
     """Concurrent-writer worker: waits on the barrier, then puts."""
-    store = ShardedResultStore(root, salt=salt)
+    store = ResultStore(root, salt=salt)
     barrier.wait(timeout=10.0)
     for n in ns:
         sc = bits_scenario(n=n, name=f"bits{n}")
@@ -129,27 +112,23 @@ class TestConcurrency:
         assert all(p.exitcode == 0 for p in procs)
 
     def test_concurrent_puts_distinct_keys(self, tmp_path):
-        """Four processes, disjoint keys: no lost entries, no torn
-        per-shard index."""
+        """Four processes, disjoint keys: no lost or torn entries."""
         per_worker = [range(10 + 10 * w, 20 + 10 * w)
                       for w in range(self.N_WORKERS)]
         self._run_workers(tmp_path, per_worker)
-        store = ShardedResultStore(tmp_path, salt="s")
+        store = ResultStore(tmp_path, salt="s")
         assert len(store.entries()) == 10 * self.N_WORKERS
-        # every journal line across every shard is intact JSON
-        journal_keys = set(store.index_entries())
-        assert len(journal_keys) == 10 * self.N_WORKERS
-        # and every entry is readable
+        # every entry is readable
         for w in range(self.N_WORKERS):
             for n in per_worker[w]:
                 assert store.get(bits_scenario(n=n)) is not None
 
     def test_concurrent_puts_same_keys(self, tmp_path):
-        """Four processes hammering the SAME keys: last write wins,
-        the store stays readable, the index is not torn."""
+        """Four processes hammering the SAME keys: last write wins
+        and every entry stays readable."""
         per_worker = [range(4, 12)] * self.N_WORKERS
         self._run_workers(tmp_path, per_worker)
-        store = ShardedResultStore(tmp_path, salt="s")
+        store = ResultStore(tmp_path, salt="s")
         assert len(store.entries()) == 8
         for n in range(4, 12):
             back = store.get(bits_scenario(n=n))
@@ -159,8 +138,8 @@ class TestConcurrency:
 
 class TestMerge:
     def test_merge_unions_disjoint_stores(self, tmp_path):
-        a = ShardedResultStore(tmp_path / "a", salt="s")
-        b = ShardedResultStore(tmp_path / "b", salt="s")
+        a = ResultStore(tmp_path / "a", salt="s")
+        b = ResultStore(tmp_path / "b", salt="s")
         fill(a, (4, 8))
         fill(b, (16, 32))
         assert a.merge(b) == 2
@@ -170,31 +149,26 @@ class TestMerge:
 
     def test_merged_store_reruns_zero(self, tmp_path):
         """The acceptance contract: merging two independently-filled
-        shard stores yields a store whose re-run executes nothing."""
-        from repro.campaign import CampaignRunner
-
-        a = ShardedResultStore(tmp_path / "a", salt="s")
-        b = ShardedResultStore(tmp_path / "b", salt="s")
+        stores yields a store whose re-run executes nothing."""
+        a = ResultStore(tmp_path / "a", salt="s")
+        b = ResultStore(tmp_path / "b", salt="s")
         fill(a, (4, 8))
         fill(b, (16, 32))
         a.merge(b)
-        runner = CampaignRunner(store=a)
-        for n in (4, 8, 16, 32):
-            runner.add(bits_scenario(n=n, name=f"bits{n}"))
-        report = runner.run()
+        report = rerun(a, (4, 8, 16, 32))
         assert (report.executed, report.cached) == (0, 4)
 
     def test_merge_is_idempotent(self, tmp_path):
-        a = ShardedResultStore(tmp_path / "a", salt="s")
-        b = ShardedResultStore(tmp_path / "b", salt="s")
+        a = ResultStore(tmp_path / "a", salt="s")
+        b = ResultStore(tmp_path / "b", salt="s")
         fill(b, (4, 8))
         assert a.merge(b) == 2
         assert a.merge(b) == 0  # second merge adopts nothing
         assert len(a.entries()) == 2
 
     def test_merge_newest_created_wins(self, tmp_path):
-        a = ShardedResultStore(tmp_path / "a", salt="s")
-        b = ShardedResultStore(tmp_path / "b", salt="s")
+        a = ResultStore(tmp_path / "a", salt="s")
+        b = ResultStore(tmp_path / "b", salt="s")
         (key,) = fill(a, (4,))
         fill(b, (4,))
 
@@ -213,16 +187,45 @@ class TestMerge:
         assert a.merge(b) == 0  # b is older -> kept ours
 
     def test_merge_from_classic_store(self, tmp_path):
+        """A cache written before the index journal was dropped still
+        carries ``index.jsonl``; merge ignores it and imports the
+        objects."""
         classic = ResultStore(tmp_path / "classic", salt="s")
-        sc = bits_scenario()
-        classic.put(sc, _execute(sc))
-        sharded = ShardedResultStore(tmp_path / "sharded", salt="s")
-        assert sharded.merge(classic) == 1
-        assert sharded.get(bits_scenario()) is not None
+        fill(classic, (4, 8))
+        (classic.root / "index.jsonl").write_text(
+            '{"format": "repro.index/2", "salt": "s"}\n{ torn')
+        merged = ResultStore(tmp_path / "merged", salt="s")
+        assert merged.merge(classic) == 2
+        report = rerun(merged, (4, 8))
+        assert (report.executed, report.cached) == (0, 2)
+
+    def test_merge_imports_retired_shard_layout(self, tmp_path):
+        """A hand-built ``shards/<hh>/objects/`` cache (journal and
+        lock file included) imports into itself once; the re-run then
+        executes nothing and a second import adopts nothing."""
+        source = ResultStore(tmp_path / "build", salt="s")
+        keys = fill(source, (4, 8, 16))
+        root = tmp_path / "old"
+        for key in keys:
+            shard = root / "shards" / key[:2]
+            (shard / "objects").mkdir(parents=True, exist_ok=True)
+            (shard / "index.jsonl").write_text(f'{{"key": "{key}"}}\n')
+            (shard / ".lock").touch()
+            for path in (source._object_path(key),
+                         source._payload_path(key)):
+                shutil.copy(path, shard / "objects" / path.name)
+        store = ResultStore(root, salt="s")
+        assert store.retired_count() == 3
+        assert store.get(bits_scenario(n=4)) is None  # not read in place
+        assert store.merge(ResultStore(root, salt="s")) == 3
+        assert store.retired_count() == 0
+        report = rerun(store, (4, 8, 16))
+        assert (report.executed, report.cached) == (0, 3)
+        assert store.merge(ResultStore(root, salt="s")) == 0
 
     def test_merge_skips_torn_source_records(self, tmp_path):
-        a = ShardedResultStore(tmp_path / "a", salt="s")
-        b = ShardedResultStore(tmp_path / "b", salt="s")
+        a = ResultStore(tmp_path / "a", salt="s")
+        b = ResultStore(tmp_path / "b", salt="s")
         keys = fill(b, (4, 8))
         b._object_path(keys[0]).write_text("{ torn")
         b._payload_path(keys[1]).unlink()  # record without its arrays
@@ -233,7 +236,7 @@ class TestMerge:
 class TestGc:
     def _aged_store(self, root, stamps):
         """A store whose entries carry pinned created stamps."""
-        store = ShardedResultStore(root, salt="s")
+        store = ResultStore(root, salt="s")
         keys = fill(store, sorted(stamps))
         for n, key in zip(sorted(stamps), keys):
             path = store._object_path(key)
@@ -243,7 +246,7 @@ class TestGc:
         return store, keys
 
     def test_gc_noop_without_limits(self, tmp_path):
-        store = ShardedResultStore(tmp_path, salt="s")
+        store = ResultStore(tmp_path, salt="s")
         fill(store, (4, 8))
         assert store.gc() == (0, 0)
         assert len(store.entries()) == 2
@@ -255,8 +258,6 @@ class TestGc:
         assert evicted == 2 and freed > 0
         remaining = store.entries()
         assert [e.name for e in remaining] == ["bits16"]
-        # journals compacted: no ghost keys left behind
-        assert set(store.index_entries()) == {remaining[0].key}
 
     def test_gc_max_bytes_evicts_oldest_first(self, tmp_path):
         store, _ = self._aged_store(
@@ -271,7 +272,7 @@ class TestGc:
         assert total <= budget
 
     def test_gc_to_zero_bytes_empties_the_store(self, tmp_path):
-        store = ShardedResultStore(tmp_path, salt="s")
+        store = ResultStore(tmp_path, salt="s")
         fill(store, (4, 8))
         evicted, _freed = store.gc(max_bytes=0)
         assert evicted == 2
@@ -280,7 +281,7 @@ class TestGc:
     def test_evicted_entry_reads_as_clean_miss(self, tmp_path):
         """A reader racing GC sees a miss, never a torn object: the
         record is deleted before the payload."""
-        store = ShardedResultStore(tmp_path, salt="s")
+        store = ResultStore(tmp_path, salt="s")
         sc = bits_scenario()
         store.put(sc, _execute(sc))
         store.gc(max_bytes=0)
@@ -295,9 +296,9 @@ class TestGc:
         only ever missing because GC evicted it."""
         import threading
 
-        store = ShardedResultStore(tmp_path, salt="s")
+        store = ResultStore(tmp_path, salt="s")
         fill(store, range(4, 24))
-        reader = ShardedResultStore(tmp_path, salt="s")
+        reader = ResultStore(tmp_path, salt="s")
         failures = []
 
         def read_loop():

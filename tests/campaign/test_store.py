@@ -54,6 +54,13 @@ class TestKeys:
             name="t", fn=random_bits, seed=1, rng_param="rng",
             params={"n": 4}, cache=False)) is None
 
+    def test_content_address_is_pinned(self, tmp_path):
+        """A literal key: layout changes must never move addresses
+        (every existing cache would silently miss)."""
+        assert ResultStore(tmp_path, salt="s").scenario_key(
+            bits_scenario()) == ("a8ea8893a606b9101010169479dd4213"
+                                 "6de2590f9a2bc39cf725c2f940dc7d81")
+
     def test_deterministic_seedless_scenario_is_cacheable(self, tmp_path):
         """seed=None without rng/seed injection is deterministic on
         paper (the Table-1 convention) and caches."""
@@ -72,7 +79,6 @@ class TestRoundTrip:
         result = _execute(sc)
         key = store.put(sc, result)
         assert key is not None
-        assert store.contains(sc)
         back = store.get(bits_scenario())
         assert back is not None and back.cached
         assert np.array_equal(back.value, result.value)
@@ -90,7 +96,8 @@ class TestRoundTrip:
         key = store.put(sc, _execute(sc))
         assert (store.objects_dir / f"{key}.json").exists()
         assert (store.objects_dir / f"{key}.npz").exists()
-        assert store.index_path.exists()
+        # the object pair is the whole store: no journal, no lock file
+        assert [p.name for p in tmp_path.iterdir()] == ["objects"]
 
     def test_scalar_value_has_no_npz(self, tmp_path):
         from repro.uwb.channel.ieee802154a import path_loss_db
@@ -112,15 +119,42 @@ class TestRoundTrip:
         assert len(entries) == 2
         assert all(e.has_arrays for e in entries)
         # clear() accounts for every byte it frees: the object
-        # records, the npz payloads and the index journal.
-        expected = sum(e.size_bytes for e in entries) \
-            + store.index_path.stat().st_size
+        # records and the npz payloads.
+        expected = sum(e.size_bytes for e in entries)
         removed, freed = store.clear()
         assert removed == 2
         assert freed == expected
         assert store.entries() == []
-        assert not store.index_path.exists()
         assert store.clear() == (0, 0)
+
+    def test_clear_removes_orphan_payloads(self, tmp_path):
+        """A crash between the payload and record writes leaves a
+        payload with no record; clear() deletes and counts it too."""
+        store = ResultStore(tmp_path, salt="s")
+        sc = bits_scenario()
+        key = store.put(sc, _execute(sc))
+        orphan = store.objects_dir / ("f" * 64 + ".npz")
+        orphan.write_bytes((store.objects_dir / f"{key}.npz").read_bytes())
+        expected = sum(e.size_bytes for e in store.entries()) \
+            + orphan.stat().st_size
+        assert store.clear() == (1, expected)
+        assert list(store.objects_dir.iterdir()) == []
+
+    def test_entries_writes_nothing(self, tmp_path):
+        """Listing the store (``repro cache ls``) is a pure read: the
+        file set and every mtime under the root stay unchanged."""
+        store = ResultStore(tmp_path, salt="s")
+        for n in (4, 8):
+            sc = bits_scenario(n=n)
+            store.put(sc, _execute(sc))
+
+        def snapshot():
+            return {p: p.stat().st_mtime_ns
+                    for p in sorted(tmp_path.rglob("*"))}
+
+        before = snapshot()
+        assert len(store.entries()) == 2
+        assert snapshot() == before
 
 
 class TestRobustness:
@@ -150,63 +184,6 @@ class TestRobustness:
                            "fields": {}}
         path.write_text(json.dumps(record))
         assert store.get(sc) is None
-
-    def test_index_journal_appends_only(self, tmp_path):
-        """A checkpoint appends one journal line - it never rewrites
-        what is already there, so its cost cannot grow with the store
-        size (the O(1)-checkpoint contract)."""
-        store = ResultStore(tmp_path, salt="s")
-        previous = ""
-        for n in (4, 8, 16, 32):
-            sc = bits_scenario(n=n)
-            store.put(sc, _execute(sc))
-            text = store.index_path.read_text()
-            assert text.startswith(previous)  # strict append
-            previous = text
-        lines = previous.splitlines()
-        assert len(lines) == 5  # header + one line per checkpoint
-        assert json.loads(lines[0])["format"] == "repro.index/2"
-        assert len(store.index_entries()) == 4
-
-    def test_index_extended_across_instances(self, tmp_path):
-        store = ResultStore(tmp_path, salt="s")
-        for n in (4, 8):
-            sc = bits_scenario(n=n)
-            store.put(sc, _execute(sc))
-        # a fresh store instance keeps extending the on-disk journal
-        other = ResultStore(tmp_path, salt="s")
-        sc = bits_scenario(n=16)
-        other.put(sc, _execute(sc))
-        assert len(store.index_entries()) == 3
-
-    def test_corrupt_index_lines_skipped_and_compacted(self, tmp_path):
-        store = ResultStore(tmp_path, salt="s")
-        sc = bits_scenario(n=4)
-        store.put(sc, _execute(sc))
-        with open(store.index_path, "a") as fh:
-            fh.write("{ torn li")  # no trailing newline: a torn write
-        other = ResultStore(tmp_path, salt="s")
-        sc2 = bits_scenario(n=8)
-        other.put(sc2, _execute(sc2))
-        # the reader skips garbage (and the line it damaged) ...
-        assert len(store.index_entries()) >= 1
-        # ... and entries() compacts the journal back to pristine
-        entries = store.entries()
-        assert len(entries) == 2
-        assert len(store.index_entries()) == 2
-        for line in store.index_path.read_text().splitlines():
-            json.loads(line)
-
-    def test_entries_compacts_duplicate_checkpoints(self, tmp_path):
-        """Re-putting a key appends another journal line; compaction
-        folds them back to one line per live object."""
-        store = ResultStore(tmp_path, salt="s")
-        sc = bits_scenario(n=4)
-        for _ in range(3):
-            store.put(sc, _execute(sc))
-        assert len(store.index_path.read_text().splitlines()) == 4
-        assert len(store.entries()) == 1
-        assert len(store.index_path.read_text().splitlines()) == 2
 
     def test_reexecution_repairs_entry(self, tmp_path):
         store = ResultStore(tmp_path, salt="s")
