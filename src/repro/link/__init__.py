@@ -81,7 +81,6 @@ from repro.link.backends import (
     build_receiver,
     calibrate,
     get_backend,
-    register_backend,
     split_network,
 )
 from repro.link.equivalence import EquivalenceResult, run_equivalence
@@ -126,7 +125,6 @@ __all__ = [
     "integrator_names",
     "link_registry",
     "ops",
-    "register_backend",
     "register_integrator",
     "resolve_integrator",
     "run_ber_point",

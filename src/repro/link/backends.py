@@ -34,7 +34,18 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.link.pipeline import InterfererPath, keeps_sampling
+from repro.link.pipeline import (
+    AnalogFrontEndStage,
+    ChannelStage,
+    CombineStage,
+    DecisionStage,
+    InterfererPath,
+    SignalPipeline,
+    TxStage,
+    check_budget,
+    keeps_sampling,
+    run_ber_sweep,
+)
 from repro.link.registry import resolve_integrator
 from repro.link.spec import InterfererSpec, LinkSpec, NetworkSpec
 from repro.uwb.adc import Adc
@@ -45,15 +56,11 @@ from repro.uwb.channel.ieee802154a import ChannelRealization, Cm1Channel
 from repro.uwb.fastsim import (
     AdaptiveStopping,
     BerResult,
-    _ber_curve,
-    _ber_sweep,
     _curve_result,
     _LinkCache,
-    _simulate_ber_point,
 )
 from repro.uwb.frontend import Vga
 from repro.uwb.integrator import WindowIntegrator, nominal_gain
-from repro.uwb.modulation import ppm_waveform, random_bits
 from repro.uwb.ranging import RangingResult, TwoWayRanging
 from repro.uwb.receiver import EnergyDetectionReceiver
 from repro.uwb.system import AmsRunResult, build_ams_receiver
@@ -116,21 +123,17 @@ def _memoized(memo: dict, key, build):
     return hit
 
 
-def build_channel_realization(spec: LinkSpec,
-                              rng: np.random.Generator | None = None
+def build_channel_realization(spec: LinkSpec
                               ) -> ChannelRealization | None:
-    """One deterministic channel realization for BER sweeps (seeded by
-    ``spec.channel.realization_seed`` unless *rng* is given).
+    """One deterministic channel realization for BER sweeps, seeded by
+    ``spec.channel.realization_seed``.
 
-    The seeded (``rng=None``) path is memoized per
-    ``(channel spec, fs)``: identical specs share one realization
-    object across points, curves and campaigns.
+    Memoized per ``(channel spec, fs)``: identical specs share one
+    realization object across points, curves and campaigns.
     """
     model = build_channel_model(spec)
     if model is None:
         return None
-    if rng is not None:
-        return model.realize(spec.channel.distance, rng)
     return _memoized(
         _REALIZATION_MEMO, (spec.channel, spec.config.fs),
         lambda: model.realize(
@@ -171,20 +174,16 @@ def build_receiver(spec: LinkSpec, *,
         toa_threshold_fraction=fe.toa_threshold_fraction)
 
 
-def calibrate(spec: LinkSpec, *,
-              channel: ChannelRealization | None = None) -> _LinkCache:
+def calibrate(spec: LinkSpec) -> _LinkCache:
     """Pilot calibration of *spec*: per-bit received energy ``eb`` and
     clean peak amplitude ``peak`` after channel + band-pass (the
     quantities every BER point needs for noise sizing and drive
     scaling).
 
-    Without an explicit *channel*, the calibration is memoized per
-    ``(config, channel spec, front end)``: every Eb/N0 point - and
-    every curve of a campaign over the same link - shares one pilot
-    measurement instead of re-filtering an identical pilot.
+    Memoized per ``(config, channel spec, front end)``: every Eb/N0
+    point - and every curve of a campaign over the same link - shares
+    one pilot measurement instead of re-filtering an identical pilot.
     """
-    if channel is not None:
-        return _LinkCache(spec.config, channel, build_bpf(spec))
     return _memoized(
         _CALIBRATION_MEMO, (spec.config, spec.channel, spec.frontend),
         lambda: _LinkCache(spec.config, build_channel_realization(spec),
@@ -246,6 +245,33 @@ def build_interferer_paths(network: NetworkSpec, *,
             offset_samples=int(round(intf.timing_offset * cfg.fs)),
             channel=realization))
     return tuple(paths)
+
+
+def draw_stimulus(spec: LinkSpec, ebn0_db: float, n: int,
+                  rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One seeded noisy burst of *n* symbols at the squarer input.
+
+    The pipeline's Tx -> Channel -> Combine front draws the bits and
+    the AWGN at *ebn0_db* (in that order, from *rng*); the band-pass
+    and drive scaling of the calibrated *spec* follow.  This is the
+    stimulus of every decision the kernel backend grades.
+
+    Returns:
+        ``(bits, driven)``: the transmitted bits and the waveform to
+        hand to :meth:`Backend.packet`.
+    """
+    cfg = spec.config
+    cache = calibrate(spec)
+    sigma = noise_sigma_for_ebn0(cache.eb, float(ebn0_db), cfg.fs)
+    state = SignalPipeline(stages=(
+        TxStage(cfg),
+        ChannelStage(cfg, cache.channel),
+        CombineStage(cfg, sigma),
+    )).run_chunk(n, rng)
+    scale = spec.frontend.squarer_drive / cache.peak
+    return state.bits, scale * cache.bpf(state.noisy)[
+        :n * cfg.samples_per_symbol]
 
 
 def _as_link_spec(spec: LinkSpec | NetworkSpec,
@@ -388,56 +414,27 @@ class FastsimBackend(Backend):
     def ber_point(self, spec: LinkSpec | NetworkSpec, ebn0_db: float,
                   rng: np.random.Generator, *,
                   integrator: str | WindowIntegrator | None = None,
-                  target_errors: int = 100,
-                  max_bits: int = 200_000,
-                  min_bits: int = 2_000,
-                  chunk_bits: int = 1_000,
-                  adaptive: AdaptiveStopping | None = None
-                  ) -> tuple[int, int]:
-        victim, network = split_network(spec)
-        resolved = self._integrator(victim, integrator, cosim=False)
-        # One (memoized) calibration drives the noise sizing, any
-        # interferer SIR amplitudes and the point's channel/BPF.
-        cache = calibrate(victim)
-        extra: dict[str, Any] = dict(_cache=cache)
-        if network is not None and network.interferers:
-            extra["interferers"] = build_interferer_paths(network,
-                                                          cache=cache)
-        return _simulate_ber_point(
-            victim.config, resolved, float(ebn0_db), rng,
-            channel=cache.channel, bpf=cache.bpf,
-            squarer_drive=victim.frontend.squarer_drive,
-            adc=self._ber_adc(victim),
-            target_errors=target_errors, max_bits=max_bits,
-            min_bits=min_bits, chunk_bits=chunk_bits,
-            adaptive=adaptive, **extra)
+                  **budget: Any) -> tuple[int, int]:
+        """The 1x1 :meth:`sweep` (same budget keywords)."""
+        (curve,) = self.sweep(spec, (float(ebn0_db),), rng,
+                              integrators=(integrator,),
+                              **budget).values()
+        return int(curve.errors[0]), int(curve.bits[0])
 
     def ber_curve(self, spec: LinkSpec | NetworkSpec, ebn0_grid,
                   rng: np.random.Generator, *,
                   label: str | None = None,
                   integrator: str | WindowIntegrator | None = None,
-                  target_errors: int = 100,
-                  max_bits: int = 200_000,
-                  min_bits: int = 2_000,
-                  chunk_bits: int = 1_000,
-                  adaptive: AdaptiveStopping | None = None) -> BerResult:
-        victim, network = split_network(spec)
+                  **budget: Any) -> BerResult:
+        """A one-integrator :meth:`sweep` (same budget keywords),
+        labelled *label* or the resolved model's name."""
+        victim, _ = split_network(spec)
         resolved = self._integrator(victim, integrator, cosim=False)
-        # One (memoized) calibration drives the noise sizing, any
-        # interferer SIR amplitudes and every point of the curve.
-        cache = calibrate(victim)
-        extra: dict[str, Any] = dict(_cache=cache)
-        if network is not None and network.interferers:
-            extra["interferers"] = build_interferer_paths(network,
-                                                          cache=cache)
-        return _ber_curve(
-            victim.config, resolved, ebn0_grid, rng,
-            channel=cache.channel, bpf=cache.bpf,
-            squarer_drive=victim.frontend.squarer_drive,
-            adc=self._ber_adc(victim),
-            target_errors=target_errors, max_bits=max_bits,
-            min_bits=min_bits, chunk_bits=chunk_bits, label=label,
-            adaptive=adaptive, **extra)
+        (curve,) = self.sweep(spec, ebn0_grid, rng,
+                              integrators=(resolved,),
+                              labels=(label or resolved.name,),
+                              **budget).values()
+        return curve
 
     def sweep(self, spec: LinkSpec | NetworkSpec, ebn0_grid,
               rng: np.random.Generator, *,
@@ -453,15 +450,26 @@ class FastsimBackend(Backend):
         decision stage per integrator, every (integrator, Eb/N0) cell
         graded from the same bit/noise draws.
 
-        Each returned curve is bit-identical to :meth:`ber_curve`
-        called with a generator seeded like *rng* - the batch only
+        The only place the golden-model BER pipeline is built:
+        ``Tx -> Channel -> Combine -> AnalogFrontEnd`` from the
+        (memoized) pilot calibration of the victim, any interferers
+        SIR-calibrated against it, then
+        :func:`~repro.link.pipeline.run_ber_sweep`.  Curve ``k`` is
+        bit-identical to a one-integrator sweep of ``integrators[k]``
+        with a generator seeded like *rng* - the batch only
         reorganizes the arithmetic, never the entropy stream.
 
         Args:
-            integrators: registry names or model instances; their
-                decision stages share the Tx/channel/AFE work.
+            integrators: registry names or model instances (``None``
+                selects the spec's integrator); their decision stages
+                share the Tx/channel/AFE work.
             labels: one result key per integrator (defaults to the
                 registry name / model name).
+            target_errors / max_bits / min_bits: stopping rule.
+            chunk_bits: symbols per vectorized chunk.
+            adaptive: optional sequential policy ending a cell as soon
+                as its estimate is resolved; its confidence level also
+                sets the curves' Wilson bounds.
         """
         victim, network = split_network(spec)
         resolved = [self._integrator(victim, integ, cosim=False)
@@ -476,19 +484,27 @@ class FastsimBackend(Backend):
                 f"labels, got {len(labels)}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate sweep labels: {labels!r}")
+        cfg = victim.config
         cache = calibrate(victim)
-        extra: dict[str, Any] = {}
-        if network is not None and network.interferers:
-            extra["interferers"] = build_interferer_paths(network,
-                                                          cache=cache)
+        interferers = (build_interferer_paths(network, cache=cache)
+                       if network is not None else ())
         ebn0_grid = np.asarray(ebn0_grid, dtype=float)
-        errors, bits = _ber_sweep(
-            victim.config, tuple(resolved), ebn0_grid, rng,
-            squarer_drive=victim.frontend.squarer_drive,
-            adc=self._ber_adc(victim),
-            target_errors=target_errors, max_bits=max_bits,
-            min_bits=min_bits, chunk_bits=chunk_bits,
-            adaptive=adaptive, _cache=cache, **extra)
+        sigmas = np.array([noise_sigma_for_ebn0(cache.eb, float(p), cfg.fs)
+                           for p in ebn0_grid])
+        front = SignalPipeline(stages=(
+            TxStage(cfg),
+            ChannelStage(cfg, cache.channel),
+            CombineStage(cfg, 0.0, interferers),
+            AnalogFrontEndStage(cfg, cache.bpf,
+                                victim.frontend.squarer_drive
+                                / cache.peak),
+        ))
+        adc = self._ber_adc(victim)
+        deciders = [DecisionStage(cfg, r, adc) for r in resolved]
+        errors, bits = run_ber_sweep(
+            front, deciders, sigmas, rng, target_errors=target_errors,
+            max_bits=max_bits, min_bits=min_bits, chunk_bits=chunk_bits,
+            adaptive=adaptive)
         return {
             label: _curve_result(ebn0_grid, errors[k], bits[k],
                                  label, adaptive)
@@ -605,33 +621,22 @@ class KernelBackend(Backend):
                   ) -> tuple[int, int]:
         """Monte-Carlo BER with kernel-demodulated decisions.
 
-        The stimulus pipeline (pilot calibration, noise sizing, BPF,
-        drive scaling) is identical to the golden model's; only the
-        decision path runs through the event-driven testbench.  The
-        default budget is far smaller than fastsim's - each chunk is a
-        full kernel simulation.
+        Each chunk's stimulus comes from :func:`draw_stimulus` (the
+        golden model's Tx/channel/noise front, band-pass and drive
+        scaling); only the decision path runs through the event-driven
+        testbench.  The default budget is far smaller than fastsim's -
+        each chunk is a full kernel simulation.
         """
         spec = _as_link_spec(spec, "KernelBackend.ber_point")
-        cfg = spec.config
-        channel = build_channel_realization(spec)
-        cache = calibrate(spec, channel=channel)
-        sigma = noise_sigma_for_ebn0(cache.eb, float(ebn0_db), cfg.fs)
-        scale = spec.frontend.squarer_drive / cache.peak
-        n_sym = cfg.samples_per_symbol
+        check_budget(target_errors=target_errors, max_bits=max_bits,
+                     min_bits=min_bits, chunk_bits=chunk_bits)
         rule = dict(target_errors=target_errors, max_bits=max_bits,
                     min_bits=min_bits, adaptive=adaptive)
         errors = 0
         bits_done = 0
         while keeps_sampling(errors, bits_done, **rule):
             n = min(chunk_bits, max_bits - bits_done)
-            bits = random_bits(n, rng)
-            wave = ppm_waveform(bits, cfg)
-            if cache.channel is not None:
-                wave = cache.channel.apply(wave)[
-                    cache.channel.delay_samples:
-                    cache.channel.delay_samples + n * n_sym]
-            noisy = wave + rng.normal(0.0, sigma, size=len(wave))
-            driven = scale * cache.bpf(noisy)[:n * n_sym]
+            bits, driven = draw_stimulus(spec, ebn0_db, n, rng)
             decided = self.packet(spec, driven,
                                   integrator=integrator).bits
             errors += int(np.count_nonzero(decided != bits[:len(decided)]))
@@ -669,19 +674,11 @@ class KernelBackend(Backend):
 # backend registry
 # ----------------------------------------------------------------------
 
-#: backend name -> constructor (extensible via :func:`register_backend`).
+#: backend name -> constructor.
 BACKENDS: dict[str, Callable[..., Backend]] = {
     FastsimBackend.name: FastsimBackend,
     KernelBackend.name: KernelBackend,
 }
-
-
-def register_backend(name: str,
-                     factory: Callable[..., Backend]) -> None:
-    """Register a new backend constructor under *name*."""
-    if name in BACKENDS:
-        raise KeyError(f"backend {name!r} is already registered")
-    BACKENDS[name] = factory
 
 
 def get_backend(name: str | Backend, **kwargs: Any) -> Backend:

@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.link.backends import FastsimBackend, KernelBackend, calibrate
+from repro.link.backends import FastsimBackend, KernelBackend, draw_stimulus
 from repro.link.spec import LinkSpec
-from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.config import UwbConfig
 from repro.uwb.fastsim import wilson_interval
-from repro.uwb.modulation import ppm_waveform, random_bits
 
 #: default spec of the equivalence experiment: a light configuration
 #: (the check is decision-level, not spectral) with the ideal
@@ -109,26 +107,15 @@ def run_equivalence(spec: LinkSpec | None = None,
                     confidence: float = 0.95) -> EquivalenceResult:
     """Demodulate one seeded noisy burst on every backend.
 
-    The stimulus (bits, noise, band-pass, drive scaling) is generated
-    once, so all arms decide on the *same* samples - the comparison is
-    substitute-and-play at the decision level, not merely statistical
-    across independent runs.
+    The stimulus (bits, noise, band-pass, drive scaling) is drawn once
+    by :func:`~repro.link.backends.draw_stimulus` - the kernel
+    backend's own BER stimulus - so all arms decide on the *same*
+    samples: the comparison is substitute-and-play at the decision
+    level, not merely statistical across independent runs.
     """
     spec = spec if spec is not None else DEFAULT_SPEC
-    cfg = spec.config
-    cache = calibrate(spec)
-    rng = np.random.default_rng(seed)
-    tx = random_bits(bits, rng)
-    n_sym = cfg.samples_per_symbol
-    wave = ppm_waveform(tx, cfg)
-    if cache.channel is not None:
-        wave = cache.channel.apply(wave)[
-            cache.channel.delay_samples:
-            cache.channel.delay_samples + bits * n_sym]
-    sigma = noise_sigma_for_ebn0(cache.eb, float(ebn0_db), cfg.fs)
-    noisy = wave + rng.normal(0.0, sigma, size=len(wave))
-    driven = (spec.frontend.squarer_drive / cache.peak) \
-        * cache.bpf(noisy)[:bits * n_sym]
+    tx, driven = draw_stimulus(spec, ebn0_db, bits,
+                               np.random.default_rng(seed))
 
     golden = FastsimBackend().packet(spec, driven)
     result = EquivalenceResult(

@@ -38,25 +38,6 @@ def _budget(**candidates: Any) -> dict[str, Any]:
     return {k: v for k, v in candidates.items() if v is not None}
 
 
-def ber_point(spec: LinkSpec, ebn0_db: float,
-              rng: np.random.Generator, *,
-              backend: str = "fastsim",
-              engine: str | None = None,
-              integrator: str | WindowIntegrator | None = None,
-              target_errors: int | None = None,
-              max_bits: int | None = None,
-              min_bits: int | None = None,
-              chunk_bits: int | None = None,
-              adaptive: AdaptiveStopping | None = None
-              ) -> tuple[int, int]:
-    """Monte-Carlo ``(errors, bits)`` at one Eb/N0 point."""
-    return _backend(backend, engine).ber_point(
-        spec, float(ebn0_db), rng, integrator=integrator,
-        adaptive=adaptive,
-        **_budget(target_errors=target_errors, max_bits=max_bits,
-                  min_bits=min_bits, chunk_bits=chunk_bits))
-
-
 def ber_curve(spec: LinkSpec, ebn0_grid,
               rng: np.random.Generator, *,
               backend: str = "fastsim",

@@ -1,7 +1,7 @@
 """Staged signal-path pipeline of the golden-model link simulation.
 
-The vectorized BER engine used to be one monolithic loop
-(``repro.uwb.fastsim._simulate_ber_point``): pulse train, channel,
+The vectorized BER engine used to be one monolithic loop (the
+historic ``repro.uwb.fastsim`` point function): pulse train, channel,
 noise, band-pass, squarer, integrator and decision fused into a single
 function body.  That shape made the single-transmitter assumption
 structural - there was no seam where a second transmitter's waveform
@@ -51,7 +51,7 @@ calibration needs the pilot energies, which live with the backends).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,12 +60,9 @@ from repro.uwb.adc import Adc
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.channel.ieee802154a import ChannelRealization
 from repro.uwb.config import UwbConfig
+from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import WindowIntegrator
 from repro.uwb.modulation import ppm_waveform, random_bits
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fastsim
-    # imports this module lazily inside its point loop).
-    from repro.uwb.fastsim import AdaptiveStopping
 
 
 @dataclass
@@ -463,9 +460,23 @@ def _prime_allocator(block_bytes: int, live_blocks: int = 4) -> None:
     del blocks
 
 
+def check_budget(*, target_errors: int, max_bits: int, min_bits: int,
+                 chunk_bits: int) -> None:
+    """Reject a Monte-Carlo budget no chunk loop can honour (checked
+    by both the sweep and the kernel backend's point loop)."""
+    if chunk_bits < 1:
+        raise ValueError("chunk_bits must be >= 1")
+    if max_bits < 1:
+        raise ValueError("max_bits must be >= 1")
+    if min_bits < 0:
+        raise ValueError("min_bits must be >= 0")
+    if target_errors < 1:
+        raise ValueError("target_errors must be >= 1")
+
+
 def keeps_sampling(errors: int, bits: int, *, target_errors: int,
                    max_bits: int, min_bits: int,
-                   adaptive: "AdaptiveStopping | None") -> bool:
+                   adaptive: AdaptiveStopping | None) -> bool:
     """The Monte-Carlo stopping rule of one cell: does a cell at
     ``errors/bits`` need another chunk?  The hard ``target_errors`` /
     ``max_bits`` caps come first, then the optional sequential
@@ -485,7 +496,7 @@ def run_ber_sweep(front: SignalPipeline,
                   max_bits: int = 200_000,
                   min_bits: int = 2_000,
                   chunk_bits: int = 1_000,
-                  adaptive: "AdaptiveStopping | None" = None
+                  adaptive: AdaptiveStopping | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo sweep over a whole scenario batch in one chunk loop.
 
@@ -526,14 +537,8 @@ def run_ber_sweep(front: SignalPipeline,
         ``(errors, bits)`` int64 arrays of shape
         ``(len(deciders), len(sigmas))``.
     """
-    if chunk_bits < 1:
-        raise ValueError("chunk_bits must be >= 1")
-    if max_bits < 1:
-        raise ValueError("max_bits must be >= 1")
-    if min_bits < 0:
-        raise ValueError("min_bits must be >= 0")
-    if target_errors < 1:
-        raise ValueError("target_errors must be >= 1")
+    check_budget(target_errors=target_errors, max_bits=max_bits,
+                 min_bits=min_bits, chunk_bits=chunk_bits)
     sigmas = np.asarray(sigmas, dtype=float)
     deciders = tuple(deciders)
     n_dec, n_pts = len(deciders), len(sigmas)

@@ -14,16 +14,14 @@ The signal chain per chunk of symbols:
     AWGN (per Eb/N0) -> BPF -> drive scaling -> squarer ->
     integrator model per slot -> [ADC] -> larger-slot decision
 
-The chunk computation itself lives in the staged
-:mod:`repro.link.pipeline` (Tx -> Channel -> Combine -> AnalogFrontEnd
--> Decision) and its one chunk loop is
-:func:`repro.link.pipeline.run_ber_sweep`; this module keeps the
-Monte-Carlo bookkeeping (the adaptive stopping policy, Wilson
-intervals, curve assembly) and the pilot calibration.
-Multi-user scenarios enter through the ``interferers`` argument
-(resolved :class:`repro.link.pipeline.InterfererPath` values, normally
-produced from a :class:`repro.link.spec.NetworkSpec` by the fastsim
-backend).
+The chunk computation lives in the staged :mod:`repro.link.pipeline`
+(Tx -> Channel -> Combine -> AnalogFrontEnd -> Decision), whose one
+chunk loop is :func:`repro.link.pipeline.run_ber_sweep`; the one place
+that assembles that pipeline from a spec - multi-user interferers
+included - is :meth:`repro.link.backends.FastsimBackend.sweep`.  This
+module keeps the Monte-Carlo bookkeeping around it: the adaptive
+stopping policy, Wilson intervals, curve assembly, the pilot
+calibration and the theoretical reference curve.
 
 Swapping the integrator model (ideal / two-pole / circuit surrogate)
 reproduces the paper's ideal-versus-ELDO BER comparison.
@@ -31,19 +29,15 @@ reproduces the paper's ideal-versus-ELDO BER comparison.
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.obs import trace as _trace
-from repro.uwb.adc import Adc
 from repro.uwb.bpf import BandPassFilter
-from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.channel.ieee802154a import ChannelRealization
 from repro.uwb.config import UwbConfig
-from repro.uwb.integrator import WindowIntegrator
 from repro.uwb.modulation import ppm_waveform
 
 
@@ -57,21 +51,6 @@ _Z_SCORES: dict[float, float] = {}
 #: ``float(scipy.special.ndtri(0.975))`` verbatim, so both code paths
 #: produce bit-identical intervals.
 _Z_FALLBACK = {0.95: 1.959963984540054}
-
-#: lazily-bound repro.link.pipeline module.  It cannot be imported at
-#: module top (repro.link.backends imports this module, so a top-level
-#: import of repro.link would cycle), and re-importing per BER point
-#: re-enters the import machinery for nothing - so the module object
-#: is resolved once and memoized here.
-_PIPELINE = None
-
-
-def _link_pipeline():
-    """The :mod:`repro.link.pipeline` module, imported once."""
-    global _PIPELINE
-    if _PIPELINE is None:
-        _PIPELINE = importlib.import_module("repro.link.pipeline")
-    return _PIPELINE
 
 
 def _wilson_z(confidence: float) -> float:
@@ -251,93 +230,6 @@ class _LinkCache:
             raise ValueError("degenerate link: zero received energy")
 
 
-def _simulate_ber_point(config: UwbConfig, integrator: WindowIntegrator,
-                        ebn0_db: float, rng: np.random.Generator,
-                        **kwargs) -> tuple[int, int]:
-    """Monte-Carlo BER at one Eb/N0 point: the 1x1 case of
-    :func:`_ber_sweep` (same keyword arguments).
-
-    Returns:
-        ``(errors, bits)`` counters.
-    """
-    errors, bits = _ber_sweep(config, (integrator,), (ebn0_db,), rng,
-                              **kwargs)
-    return int(errors[0, 0]), int(bits[0, 0])
-
-
-def _ber_sweep(config: UwbConfig, integrators, ebn0_grid,
-               rng: np.random.Generator, *,
-               channel: ChannelRealization | None = None,
-               bpf: BandPassFilter | None = None,
-               squarer_drive: float = 0.05,
-               adc: Adc | None = None,
-               target_errors: int = 100,
-               max_bits: int = 200_000,
-               min_bits: int = 2_000,
-               chunk_bits: int = 1_000,
-               adaptive: AdaptiveStopping | None = None,
-               interferers: tuple = (),
-               _cache: _LinkCache | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Scenario-batched Monte-Carlo sweep: every Eb/N0 point of the
-    grid x every integrator variant in one chunk loop.
-
-    All scenarios share one generator and one front-end computation
-    per chunk (the points of a curve differ only in their noise scale;
-    integrator variants differ only past the squarer), so the whole
-    sweep runs as a handful of large array ops.  Cell ``(k, j)`` is
-    bit-identical to a lone ``(integrators[k], ebn0_grid[j])`` sweep
-    with a generator freshly seeded like *rng* - the per-run seeding
-    convention under which draws are shared (see
-    :func:`repro.link.pipeline.run_ber_sweep`).
-
-    Args:
-        config: link configuration (ideal synchronizer assumed).
-        integrators: integrator models deciding the slot energies.
-        ebn0_grid: received Eb/N0 points in dB.
-        channel: optional multipath realization (applied per chunk).
-        squarer_drive: peak voltage at the squarer *input*; the signal
-            is scaled so the clean filtered peak equals this value.
-            This is the AGC operating point: raising it beyond the
-            circuit's ~0.1 V linear input range exposes compression.
-        adc: optional ADC in the decision path.
-        target_errors / max_bits / min_bits: stopping rule.
-        chunk_bits: symbols per vectorized chunk.
-        adaptive: optional sequential policy ending a cell as soon as
-            its estimate is resolved (checked after each chunk once
-            ``min_bits`` have been simulated); ``target_errors`` /
-            ``max_bits`` remain hard caps.
-        interferers: resolved
-            :class:`repro.link.pipeline.InterfererPath` transmitters
-            summed into the chunk before the noise (multi-user
-            scenarios; see ``FastsimBackend.ber_curve`` over a
-            ``NetworkSpec``).
-
-    Returns:
-        ``(errors, bits)`` int64 arrays of shape
-        ``(len(integrators), len(ebn0_grid))``.
-    """
-    pipe = _link_pipeline()
-    config.validate()
-    cache = _cache or _LinkCache(config, channel, bpf)
-    ebn0_grid = np.asarray(ebn0_grid, dtype=float)
-    sigmas = np.array([noise_sigma_for_ebn0(cache.eb, float(p), config.fs)
-                       for p in ebn0_grid])
-    scale = squarer_drive / cache.peak
-    front = pipe.SignalPipeline(stages=(
-        pipe.TxStage(config),
-        pipe.ChannelStage(config, cache.channel),
-        pipe.CombineStage(config, 0.0, tuple(interferers)),
-        pipe.AnalogFrontEndStage(config, cache.bpf, scale),
-    ))
-    deciders = [pipe.DecisionStage(config, integrator, adc)
-                for integrator in integrators]
-    return pipe.run_ber_sweep(front, deciders, sigmas, rng,
-                              target_errors=target_errors,
-                              max_bits=max_bits, min_bits=min_bits,
-                              chunk_bits=chunk_bits, adaptive=adaptive)
-
-
 def _curve_result(ebn0_grid: np.ndarray, errors: np.ndarray,
                   bits: np.ndarray, label: str,
                   adaptive: AdaptiveStopping | None) -> BerResult:
@@ -352,21 +244,6 @@ def _curve_result(ebn0_grid: np.ndarray, errors: np.ndarray,
     return BerResult(ebn0_db=ebn0_grid, ber=ber, errors=errors,
                      bits=bits, label=label, ci_low=ci_low,
                      ci_high=ci_high, confidence=confidence)
-
-
-def _ber_curve(config: UwbConfig, integrator: WindowIntegrator,
-               ebn0_grid, rng: np.random.Generator, *,
-               label: str | None = None,
-               adaptive: AdaptiveStopping | None = None,
-               **kwargs) -> BerResult:
-    """BER versus Eb/N0 for one integrator model (figure-6 workload):
-    a one-integrator :func:`_ber_sweep` (same keyword arguments) whose
-    Wilson bounds use *adaptive*'s confidence level."""
-    ebn0_grid = np.asarray(ebn0_grid, dtype=float)
-    errors, bits = _ber_sweep(config, (integrator,), ebn0_grid, rng,
-                              adaptive=adaptive, **kwargs)
-    return _curve_result(ebn0_grid, errors[0], bits[0],
-                         label or integrator.name, adaptive)
 
 
 #: memoized scipy.special.erfc (resolved on first use so the module

@@ -12,21 +12,23 @@ from repro.link import (
     LinkSpec,
     build_bpf,
     build_channel_realization,
+    build_link_pipeline,
     build_receiver,
     calibrate,
     get_backend,
     ops,
-    register_backend,
+    run_ber_point,
 )
 from repro.uwb.agc import Agc, TwoStageAgc
+from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.config import UwbConfig
+from repro.uwb.fastsim import _LinkCache
 from repro.uwb.integrator import (
-    CircuitSurrogateIntegrator,
     IdealIntegrator,
     TwoPoleIntegrator,
     WindowIntegrator,
 )
-from repro.uwb.modulation import ppm_waveform, random_bits
+from repro.uwb.modulation import ppm_waveform
 
 FAST = UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
                  pulse_order=5, integration_window=2e-9)
@@ -47,10 +49,6 @@ class TestGetBackend:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("eldo")
-
-    def test_register_backend_duplicate_rejected(self):
-        with pytest.raises(KeyError):
-            register_backend("fastsim", FastsimBackend)
 
 
 class TestBuilders:
@@ -104,17 +102,19 @@ class TestBuilders:
 
 class TestFastsimBackend:
     def test_ber_point_matches_legacy_entry_point(self):
-        """The backend and the config-level engine entry are the same
+        """The backend and the config-level pipeline entry are the same
         computation: identical seed, identical counters."""
-        from repro.uwb.fastsim import _simulate_ber_point
-
         budget = dict(target_errors=20, max_bits=3000, min_bits=500)
         spec = SPEC.with_frontend(band=(1.0e9, 3.5e9))
         via_backend = FastsimBackend().ber_point(
             spec, 8.0, np.random.default_rng(5), **budget)
-        direct = _simulate_ber_point(
-            FAST, IdealIntegrator(), 8.0, np.random.default_rng(5),
-            bpf=build_bpf(spec), **budget)
+        cache = _LinkCache(FAST, None, build_bpf(spec))
+        pipeline = build_link_pipeline(
+            FAST, integrator=IdealIntegrator(), bpf=cache.bpf,
+            sigma=noise_sigma_for_ebn0(cache.eb, 8.0, FAST.fs),
+            scale=0.05 / cache.peak)
+        direct = run_ber_point(pipeline, np.random.default_rng(5),
+                               **budget)
         assert via_backend == direct
 
     def test_ber_curve_decreases_with_snr(self):
@@ -123,6 +123,19 @@ class TestFastsimBackend:
             target_errors=40, max_bits=8000, min_bits=800)
         assert curve.ber[0] > curve.ber[1] > curve.ber[2]
         assert curve.label == "ideal"
+
+    def test_ber_curve_labels_surrogate_by_model_name(self):
+        """``ber_curve`` labels by the resolved model (the surrogate is
+        the "circuit" model); ``sweep`` labels by the requested name."""
+        budget = dict(target_errors=5, max_bits=200, min_bits=100)
+        curve = FastsimBackend().ber_curve(
+            SPEC, [8.0], np.random.default_rng(1),
+            integrator="surrogate", **budget)
+        assert curve.label == "circuit"
+        sweep = FastsimBackend().sweep(
+            SPEC, [8.0], np.random.default_rng(1),
+            integrators=("surrogate",), **budget)
+        assert list(sweep) == ["surrogate"]
 
     def test_integrator_params_reach_model(self):
         spec = SPEC.with_(integrator="two_pole",
@@ -216,6 +229,37 @@ class TestKernelBackend:
         b = KernelBackend().ber_point(SPEC, 8.0,
                                       np.random.default_rng(7), **budget)
         assert a == b and a[1] >= 30
+
+    @pytest.mark.parametrize("spec, ebn0, expected", [
+        pytest.param(SPEC, 6.0, (9, 90), id="awgn"),
+        pytest.param(SPEC.with_channel(kind="cm1", distance=3.0), 14.0,
+                     (6, 90), id="cm1"),
+    ])
+    def test_ber_point_pinned_counters(self, spec, ebn0, expected):
+        """Counters recorded before the kernel stimulus moved onto the
+        shared pipeline front (three chunks each)."""
+        counters = KernelBackend(engine="compiled").ber_point(
+            spec, ebn0, np.random.default_rng(7), target_errors=5,
+            max_bits=90, min_bits=30, chunk_bits=30)
+        assert counters == expected
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(max_bits=0), "max_bits must be >= 1"),
+        (dict(chunk_bits=0), "chunk_bits must be >= 1"),
+        (dict(target_errors=0), "target_errors must be >= 1"),
+        (dict(min_bits=-1), "min_bits must be >= 0"),
+    ], ids=["max_bits", "chunk_bits", "target_errors", "min_bits"])
+    @pytest.mark.parametrize("backend", [FastsimBackend, KernelBackend],
+                             ids=["fastsim", "kernel"])
+    def test_ber_point_rejects_bad_budget(self, backend, bad, message):
+        """Both BER loops check the budget up front, with the same
+        errors (the kernel loop used to return (0, 0) or crash)."""
+        budget = dict(target_errors=5, max_bits=60, min_bits=30,
+                      chunk_bits=30)
+        budget.update(bad)
+        with pytest.raises(ValueError, match=message):
+            backend().ber_point(SPEC, 8.0, np.random.default_rng(7),
+                                **budget)
 
     def test_ber_curve_shape(self):
         curve = KernelBackend().ber_curve(

@@ -47,6 +47,14 @@ class TestEquivalenceHarness:
         assert again.fastsim_errors == result.fastsim_errors
         assert again.kernel_errors == result.kernel_errors
 
+    def test_pinned_error_counts(self, result):
+        """Counters recorded before the stimulus moved onto the shared
+        pipeline front; the draw order (bits, then noise) must not
+        move them."""
+        assert result.bits == 150
+        assert result.fastsim_errors == 18
+        assert result.kernel_errors == {"compiled": 16, "reference": 16}
+
     def test_different_seed_changes_noise(self, result):
         other = run_equivalence(bits=150, seed=24)
         assert (other.fastsim_errors != result.fastsim_errors

@@ -1,11 +1,12 @@
 """Bit-identity of the staged pipeline against the pre-refactor loop.
 
-The staged ``repro.link.pipeline`` replaced the monolithic chunk loop
-inside ``_simulate_ber_point``, which is now the 1x1 case of the
-batched sweep; cached campaign results and committed BENCH artifacts
-are only valid if neither step changed *anything* about the numbers.
-``_legacy_simulate_ber_point`` below is a verbatim copy of the
-pre-refactor loop, kept as the sweep's independent reference
+The staged ``repro.link.pipeline`` replaced the historic monolithic
+chunk loop of the golden model, and a single operating point is now the
+1x1 case of the batched sweep (``run_ber_point`` over a canonical
+``build_link_pipeline``); cached campaign results and committed BENCH
+artifacts are only valid if neither step changed *anything* about the
+numbers.  ``_legacy_simulate_ber_point`` below is a verbatim copy of
+the pre-refactor loop, kept as the sweep's independent reference
 implementation; every test asserts exact equality of the
 ``(errors, bits)`` counters at fixed seeds.
 """
@@ -14,15 +15,12 @@ import numpy as np
 import pytest
 
 from repro.link import FastsimBackend, LinkSpec, NetworkSpec
+from repro.link.pipeline import build_link_pipeline, run_ber_point
 from repro.uwb.adc import Adc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.channel.ieee802154a import Cm1Channel
 from repro.uwb.config import TEST_CONFIG
-from repro.uwb.fastsim import (
-    AdaptiveStopping,
-    _LinkCache,
-    _simulate_ber_point,
-)
+from repro.uwb.fastsim import AdaptiveStopping, _LinkCache
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
     IdealIntegrator,
@@ -72,6 +70,19 @@ def _legacy_simulate_ber_point(config, integrator, ebn0_db, rng, *,
     return errors, bits_done
 
 
+def _staged_ber_point(config, integrator, ebn0_db, rng, *, channel=None,
+                      adc=None, squarer_drive=0.05, **rule):
+    """The staged entry at one operating point: the canonical pipeline
+    through the sweep's 1x1 case, sized from the same pilot."""
+    cache = _LinkCache(config, channel, None)
+    pipeline = build_link_pipeline(
+        config, integrator=integrator, bpf=cache.bpf,
+        sigma=noise_sigma_for_ebn0(cache.eb, ebn0_db, config.fs),
+        scale=squarer_drive / cache.peak, channel=cache.channel,
+        adc=adc)
+    return run_ber_point(pipeline, rng, **rule)
+
+
 def _integrators():
     return [
         pytest.param(IdealIntegrator, id="ideal"),
@@ -103,7 +114,7 @@ class TestBitIdentity:
             legacy = _legacy_simulate_ber_point(
                 config, integrator, ebn0, np.random.default_rng(7),
                 channel=channel, adc=adc, **BUDGET)
-            staged = _simulate_ber_point(
+            staged = _staged_ber_point(
                 config, integrator, ebn0, np.random.default_rng(7),
                 channel=channel, adc=adc, **BUDGET)
             assert staged == legacy
@@ -117,7 +128,7 @@ class TestBitIdentity:
         legacy = _legacy_simulate_ber_point(
             config, IdealIntegrator(), 12.0, np.random.default_rng(3),
             adaptive=adaptive, **BUDGET)
-        staged = _simulate_ber_point(
+        staged = _staged_ber_point(
             config, IdealIntegrator(), 12.0, np.random.default_rng(3),
             adaptive=adaptive, **BUDGET)
         assert staged == legacy
