@@ -63,12 +63,42 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative(kind: type):
+    """argparse type for limits that make no sense negative (e.g.
+    ``--max-age``, ``--poll``); *kind* is ``int`` or ``float``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= 0:  # also rejects NaN
+            raise argparse.ArgumentTypeError(
+                f"expected a non-negative {kind.__name__}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _registry():
     """Experiment discovery, deferred so ``cache``/``queue`` commands
     stay import-light."""
     from repro.experiments.registry import all_experiments
 
     return {e.name: e for e in all_experiments()}
+
+
+def _known_experiments(names) -> dict | None:
+    """The experiment registry when every name in *names* is
+    registered; otherwise print the unknown ones and return ``None``
+    (the caller exits with status 2)."""
+    experiments = _registry()
+    unknown = sorted(set(names) - set(experiments))
+    if unknown:
+        print(f"unknown experiment(s): {', '.join(unknown)} "
+              f"(choose from {', '.join(experiments)})")
+        return None
+    return experiments
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,13 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     work_p.add_argument("--follow", action="store_true",
                         help="keep polling after the queue drains "
                              "(resident worker)")
-    work_p.add_argument("--poll", type=float, default=0.5, metavar="S",
+    work_p.add_argument("--poll", type=_non_negative(float), default=0.5,
+                        metavar="S",
                         help="idle sleep between claims with --follow "
                              "(default: 0.5s)")
     work_p.add_argument("--max-jobs", type=_positive_int, default=None,
                         metavar="N", help="stop after N jobs")
-    work_p.add_argument("--stale-after", type=float, default=None,
-                        metavar="S",
+    work_p.add_argument("--stale-after", type=_non_negative(float),
+                        default=None, metavar="S",
                         help="reclaim claimed jobs whose heartbeat is "
                              "older than S seconds (default: 300)")
 
@@ -171,10 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     gc_p = cache_sub.add_parser(
         "gc", help="evict stored results by total size and/or age")
     _add_cache_flags(gc_p)
-    gc_p.add_argument("--max-bytes", type=int, default=None, metavar="N",
+    gc_p.add_argument("--max-bytes", type=_non_negative(int),
+                      default=None, metavar="N",
                       help="evict oldest entries until the store is "
                            "at most N bytes")
-    gc_p.add_argument("--max-age", type=float, default=None, metavar="S",
+    gc_p.add_argument("--max-age", type=_non_negative(float),
+                      default=None, metavar="S",
                       help="evict entries created more than S seconds "
                            "ago")
     merge_p = cache_sub.add_parser(
@@ -272,11 +305,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not args.experiments:
         print("no experiments given (try: python -m repro run --list)")
         return 2
-    experiments = _registry()
-    unknown = sorted(set(args.experiments) - set(experiments))
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)} "
-              f"(choose from {', '.join(experiments)})")
+    experiments = _known_experiments(args.experiments)
+    if experiments is None:
         return 2
     from repro.experiments.registry import ExperimentContext
 
@@ -396,11 +426,7 @@ def _queue_submit(queue, args: argparse.Namespace) -> int:
 
     for module in args.module:
         importlib.import_module(module)
-    experiments = _registry()
-    unknown = sorted(set(args.experiments) - set(experiments))
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)} "
-              f"(choose from {', '.join(experiments)})")
+    if _known_experiments(args.experiments) is None:
         return 2
     for name in args.experiments:
         job_id = queue.submit(JobSpec(
@@ -562,13 +588,8 @@ def _cache_merge(store, args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     store = _make_store(args)
     wanted = [e for e in args.experiments if e]
-    if wanted:
-        known = set(_registry())
-        unknown = sorted(set(wanted) - known)
-        if unknown:
-            print(f"unknown experiment(s): {', '.join(unknown)} "
-                  f"(choose from {', '.join(sorted(known))})")
-            return 2
+    if wanted and _known_experiments(wanted) is None:
+        return 2
     found = False
     for name, text in store.load_reports():
         if wanted and name not in wanted:
@@ -592,10 +613,8 @@ STATS_FORMAT = "repro.stats/1"
 def cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace <experiment>``: run once, uncached and traced,
     and print the hierarchical span tree (or its JSON document)."""
-    experiments = _registry()
-    if args.experiment not in experiments:
-        print(f"unknown experiment {args.experiment!r} "
-              f"(choose from {', '.join(experiments)})")
+    experiments = _known_experiments([args.experiment])
+    if experiments is None:
         return 2
     from repro.experiments.registry import ExperimentContext
     from repro.obs import metrics, trace

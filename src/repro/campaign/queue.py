@@ -283,7 +283,14 @@ class JobQueue:
         A job with no heartbeat at all uses its claim file's mtime, so
         a worker that died between rename and first heartbeat is still
         recovered.
+
+        Raises:
+            ValueError: a negative *stale_after* (it would requeue
+                live claimed jobs, which then run twice).
         """
+        if not stale_after >= 0:
+            raise ValueError(
+                f"stale_after must be >= 0, got {stale_after!r}")
         if now is None:
             now = time.time()
         reclaimed = []

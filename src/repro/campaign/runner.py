@@ -140,16 +140,6 @@ class CampaignReport(SweepReport):
     executed: int = 0
     cached: int = 0
 
-    @property
-    def executed_wall_time(self) -> float:
-        """Wall time spent executing (cache hits excluded)."""
-        return sum(r.wall_time for r in self.results if not r.cached)
-
-    def format_summary(self) -> str:
-        return (f"campaign: executed={self.executed} "
-                f"cached={self.cached} "
-                f"wall={self.executed_wall_time:.3f}s")
-
 
 class _ProgressTracker:
     """Wall-time history + progress fan-out for one run() invocation."""

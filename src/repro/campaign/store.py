@@ -319,7 +319,13 @@ class ResultStore:
             given this is a no-op.  Each eviction deletes the record
             before the payload, so a concurrent reader observes either
             a complete object or a plain miss, never a torn one.
+
+        Raises:
+            ValueError: a negative limit (it would evict everything).
         """
+        for flag, limit in (("max_bytes", max_bytes), ("max_age", max_age)):
+            if limit is not None and not limit >= 0:
+                raise ValueError(f"{flag} must be >= 0, got {limit!r}")
         if max_bytes is None and max_age is None:
             return 0, 0
         if now is None:

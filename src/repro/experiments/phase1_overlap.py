@@ -1,10 +1,13 @@
 """Phase-I validation: AMS-kernel BER overlaps the golden model.
 
 Paper, section 3 (Phase I): "we obtained BER curves which perfectly
-overlapped the Matlab ones."  Here the mixed-signal kernel receiver
-(block-level, event-driven timing) and the vectorized golden model
-(:mod:`repro.uwb.fastsim`) demodulate the *same* noisy waveforms, so the
-comparison is exact at the decision level, not merely statistical.
+overlapped the Matlab ones."  This is the grid form of
+:func:`~repro.link.equivalence.run_equivalence`: at every Eb/N0 point
+the mixed-signal kernel receiver (block-level, event-driven timing) and
+the vectorized golden model demodulate the *same* noisy burst through
+the same per-burst comparison (:func:`~repro.link.equivalence.decide_burst`),
+so the comparison is exact at the decision level, not merely
+statistical.
 """
 
 from __future__ import annotations
@@ -14,17 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.registry import ExperimentContext, experiment
-from repro.link import (
-    FastsimBackend,
-    LinkSpec,
-    calibrate,
-    ops,
-    run_equivalence,
-)
-from repro.link.equivalence import DEFAULT_SPEC
+from repro.link import FrontEndSpec, LinkSpec, run_equivalence
+from repro.link.backends import draw_stimulus
+from repro.link.equivalence import DEFAULT_SPEC, decide_burst
 from repro.uwb import UwbConfig
-from repro.uwb.channel.awgn import noise_sigma_for_ebn0
-from repro.uwb.modulation import ppm_waveform, random_bits
 
 
 @dataclass
@@ -56,50 +52,30 @@ def run_phase1_overlap(config: UwbConfig | None = None,
                        ebn0_grid=(6.0, 10.0),
                        bits_per_point: int = 60,
                        seed: int = 23) -> Phase1Result:
-    """Run both paths over identical waveforms and compare decisions.
+    """Run both paths over identical bursts and compare decisions.
 
-    The golden path reproduces the AMS receiver's exact decision rule
-    (slot integration from t=0 timing, auto-ranged ADC) on the same
-    samples; agreement should be essentially total.
+    One generator draws every grid point's burst with
+    :func:`~repro.link.backends.draw_stimulus` (squarer drive 0.3);
+    the golden model and the compiled-engine kernel decide each burst
+    through :func:`~repro.link.equivalence.decide_burst`, so agreement
+    should be essentially total.
     """
-    config = config or UwbConfig()
-    spec = LinkSpec(config=config, integrator="ideal")
-    # Pilot calibration: per-bit reference energy and the band-pass of
-    # the spec (the same calibration every BER backend uses).
-    cache = calibrate(spec)
-    bpf = cache.bpf
-    eb = cache.eb
-
+    spec = LinkSpec(config=config or UwbConfig(), integrator="ideal",
+                    frontend=FrontEndSpec(squarer_drive=0.3))
     rng = np.random.default_rng(seed)
     ber_ams, ber_golden = [], []
     agree = 0
-    total = 0
     for ebn0 in ebn0_grid:
-        sigma = noise_sigma_for_ebn0(eb, float(ebn0), config.fs)
-        tx = random_bits(bits_per_point, rng)
-        clean = ppm_waveform(tx, config)
-        noisy = clean + rng.normal(0.0, sigma, size=len(clean))
-        sig = bpf(noisy)
-        sig = 0.3 * sig / np.max(np.abs(bpf(clean)))
-
-        ams = ops.run_testbench(spec, sig)
-        usable = len(ams.bits)
-
-        # Golden model: the fastsim backend's packet demodulation -
-        # same slot reshaping, same Integrate & Dump gating (the spec's
-        # t_dump/t_hold), same decision rule, on the same samples.
-        golden = FastsimBackend().packet(
-            spec, sig[:usable * config.samples_per_symbol])
-        golden_bits = golden.bits
-
-        ber_ams.append(np.mean(ams.bits != tx[:usable]))
-        ber_golden.append(np.mean(golden_bits != tx[:usable]))
-        agree += int(np.count_nonzero(ams.bits == golden_bits))
-        total += usable
+        tx, driven = draw_stimulus(spec, ebn0, bits_per_point, rng)
+        golden, kernel = decide_burst(spec, driven, ("compiled",))
+        ams = kernel["compiled"]
+        ber_ams.append(np.mean(ams != tx))
+        ber_golden.append(np.mean(golden != tx))
+        agree += int(np.count_nonzero(ams == golden))
     return Phase1Result(
         ebn0_db=np.asarray(ebn0_grid, dtype=float),
         ber_ams=np.asarray(ber_ams), ber_golden=np.asarray(ber_golden),
-        decision_agreement=agree / max(total, 1),
+        decision_agreement=agree / max(bits_per_point * len(ebn0_grid), 1),
         bits_per_point=bits_per_point)
 
 

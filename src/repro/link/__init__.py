@@ -71,7 +71,6 @@ from repro.link.backends import (
     Backend,
     FastsimBackend,
     KernelBackend,
-    PacketResult,
     build_adc,
     build_bpf,
     build_channel_model,
@@ -107,7 +106,6 @@ __all__ = [
     "LinkSpec",
     "LinkState",
     "NetworkSpec",
-    "PacketResult",
     "SignalPipeline",
     "Stage",
     "TxStage",

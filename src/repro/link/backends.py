@@ -29,7 +29,6 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -48,7 +47,7 @@ from repro.link.pipeline import (
 )
 from repro.link.registry import resolve_integrator
 from repro.link.spec import InterfererSpec, LinkSpec, NetworkSpec
-from repro.uwb.adc import Adc
+from repro.uwb.adc import Adc, AutoRangingAdc
 from repro.uwb.agc import Agc, TwoStageAgc
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
@@ -88,6 +87,24 @@ def build_adc(spec: LinkSpec) -> Adc:
     path)."""
     cfg = spec.config
     return Adc(bits=cfg.adc_bits, vref=cfg.adc_vref)
+
+
+def build_quantizer(spec: LinkSpec, *, packet: bool
+                    ) -> Adc | AutoRangingAdc | None:
+    """The converter in front of the 2-PPM decision of *spec* (the
+    ``FrontEndSpec.adc`` policy, see :data:`~repro.link.spec.ADC_MODES`).
+
+    ``"config"`` is :func:`build_adc` and ``"none"`` no converter on
+    every operation; ``"auto"`` is no converter for the golden-model
+    BER sweep and an :class:`~repro.uwb.adc.AutoRangingAdc` for the
+    *packet* operations.
+    """
+    mode = spec.frontend.adc
+    if mode == "config":
+        return build_adc(spec)
+    if mode == "auto" and packet:
+        return AutoRangingAdc(spec.config.adc_bits)
+    return None
 
 
 def build_channel_model(spec: LinkSpec) -> Cm1Channel | None:
@@ -286,24 +303,6 @@ def _as_link_spec(spec: LinkSpec | NetworkSpec,
     return spec
 
 
-@dataclass
-class PacketResult:
-    """Demodulation outcome of :meth:`FastsimBackend.packet` (duck-type
-    compatible with :class:`~repro.uwb.system.AmsRunResult`).
-
-    Attributes:
-        bits: demodulated bits, one per full symbol in the waveform.
-        slot_values: integrator outputs per slot, shape (n_symbols, 2).
-        cpu_time / steps: zero placeholders (the vectorized path has no
-            kernel loop to account).
-    """
-
-    bits: np.ndarray
-    slot_values: np.ndarray
-    cpu_time: float = 0.0
-    steps: int = 0
-
-
 # ----------------------------------------------------------------------
 # the backend protocol
 # ----------------------------------------------------------------------
@@ -403,14 +402,6 @@ class FastsimBackend(Backend):
 
     name = "fastsim"
 
-    def _ber_adc(self, spec: LinkSpec) -> Adc | None:
-        # "auto" is the golden model's native choice: an unquantized
-        # decision path (the kernel harvest's "auto" is an auto-ranged
-        # converter instead - its native stand-in for a converged AGC).
-        if spec.frontend.adc == "config":
-            return build_adc(spec)
-        return None
-
     def ber_point(self, spec: LinkSpec | NetworkSpec, ebn0_db: float,
                   rng: np.random.Generator, *,
                   integrator: str | WindowIntegrator | None = None,
@@ -499,7 +490,7 @@ class FastsimBackend(Backend):
                                 victim.frontend.squarer_drive
                                 / cache.peak),
         ))
-        adc = self._ber_adc(victim)
+        adc = build_quantizer(victim, packet=False)
         deciders = [DecisionStage(cfg, r, adc) for r in resolved]
         errors, bits = run_ber_sweep(
             front, deciders, sigmas, rng, target_errors=target_errors,
@@ -512,7 +503,10 @@ class FastsimBackend(Backend):
 
     def packet(self, spec: LinkSpec, waveform: np.ndarray, *,
                integrator: str | WindowIntegrator | None = None
-               ) -> PacketResult:
+               ) -> AmsRunResult:
+        """The golden model's decision on the kernel testbench's slot
+        gating; ``slot_values`` are the compared (post-ADC) values and
+        ``cpu_time``/``steps`` are zero (no kernel loop runs)."""
         spec = _as_link_spec(spec, "FastsimBackend.packet")
         resolved = self._integrator(spec, integrator, cosim=False)
         cfg = spec.config
@@ -527,34 +521,11 @@ class FastsimBackend(Backend):
         gate0 = int(round(spec.frontend.t_dump * cfg.fs))
         gate1 = cfg.samples_per_slot - int(round(
             spec.frontend.t_hold * cfg.fs))
-        pairs = resolved.window_outputs(squared[:, :, gate0:gate1],
-                                        cfg.dt)
-        mode = spec.frontend.adc
-        if mode == "none":
-            quantized = pairs
-        else:
-            if mode == "config":
-                adc = build_adc(spec)
-            else:
-                # Auto-ranged converter, mirroring the kernel harvest:
-                # full scale tracks the observed slot peak (a converged
-                # AGC stand-in), so both backends quantize alike.
-                peak = float(np.max(pairs)) if pairs.size else 1.0
-                adc = Adc(bits=cfg.adc_bits,
-                          vref=max(peak, 1e-12) * 1.05)
-            quantized = adc.quantize(np.maximum(pairs, 0.0))
-        bits = (quantized[:, 1] > quantized[:, 0]).astype(np.int8)
-        return PacketResult(bits=bits, slot_values=pairs)
-
-
-class _NoQuantization:
-    """Identity stand-in for an :class:`Adc`: implements the harvest's
-    ``quantize`` so ``adc="none"`` really disables quantization on the
-    kernel path too."""
-
-    @staticmethod
-    def quantize(values):
-        return values
+        values, bits = DecisionStage(
+            cfg, resolved, build_quantizer(spec, packet=True)
+        ).decide(squared[:, :, gate0:gate1])
+        return AmsRunResult(bits=bits, slot_values=values,
+                            cpu_time=0.0, steps=0)
 
 
 class KernelBackend(Backend):
@@ -580,17 +551,6 @@ class KernelBackend(Backend):
         self.cosim_substeps = int(cosim_substeps)
         self.preflight = bool(preflight)
 
-    def _harvest_adc(self, spec: LinkSpec
-                     ) -> "Adc | _NoQuantization | None":
-        # "auto" -> None lets the harvest auto-range its converter;
-        # "config" -> the configuration-referred ADC; "none" disables
-        # quantization outright, exactly as on the fastsim side.
-        if spec.frontend.adc == "config":
-            return build_adc(spec)
-        if spec.frontend.adc == "none":
-            return _NoQuantization()
-        return None
-
     def packet(self, spec: LinkSpec, waveform: np.ndarray, *,
                integrator: str | WindowIntegrator | None = None,
                t_stop: float | None = None,
@@ -600,7 +560,7 @@ class KernelBackend(Backend):
         cfg = spec.config
         sim, harvest = build_ams_receiver(
             cfg, resolved, np.asarray(waveform, dtype=float),
-            adc=self._harvest_adc(spec),
+            adc=build_quantizer(spec, packet=True),
             cosim_substeps=self.cosim_substeps, record=record,
             t_hold=spec.frontend.t_hold, t_dump=spec.frontend.t_dump,
             engine=self.engine, preflight=self.preflight)

@@ -10,9 +10,15 @@ over the *same* seeded noisy waveform:
 * the two kernel engines must demodulate **bit-identical** decisions
   (they are the same testbench, differently scheduled);
 * the kernel BER must agree with the golden-model BER **within the
-  Wilson confidence interval** (the decision paths differ in slot
-  gating and ADC policy, so agreement is statistical, exactly as in
-  the paper's overlap argument).
+  Wilson confidence interval**.  Both arms take the same 2-PPM decision
+  (:func:`~repro.uwb.adc.decide_slots`) through the same converter,
+  but the kernel integrates event-driven slot samples where the golden
+  model sums the gated window, so agreement is statistical, exactly as
+  in the paper's overlap argument.
+
+:func:`decide_burst` is the per-burst comparison; the Phase-I
+experiment (:mod:`repro.experiments.phase1_overlap`) runs it over an
+Eb/N0 grid.
 """
 
 from __future__ import annotations
@@ -99,6 +105,18 @@ class EquivalenceResult:
         return "\n".join(lines)
 
 
+def decide_burst(spec: LinkSpec, driven: np.ndarray,
+                 engines: tuple[str, ...]
+                 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Every arm's decisions on one stimulus from
+    :func:`~repro.link.backends.draw_stimulus`: ``(golden, kernel)``,
+    the golden-model bits and the kernel bits per engine."""
+    golden = FastsimBackend().packet(spec, driven).bits
+    kernel = {engine: KernelBackend(engine=engine).packet(spec, driven).bits
+              for engine in engines}
+    return golden, kernel
+
+
 def run_equivalence(spec: LinkSpec | None = None,
                     ebn0_db: float = 6.0,
                     bits: int = 150,
@@ -117,18 +135,13 @@ def run_equivalence(spec: LinkSpec | None = None,
     tx, driven = draw_stimulus(spec, ebn0_db, bits,
                                np.random.default_rng(seed))
 
-    golden = FastsimBackend().packet(spec, driven)
-    result = EquivalenceResult(
+    golden, kernel = decide_burst(spec, driven, engines)
+    decisions = list(kernel.values())
+    return EquivalenceResult(
         spec=spec, ebn0_db=float(ebn0_db), bits=bits,
-        fastsim_errors=int(np.count_nonzero(golden.bits != tx)),
+        fastsim_errors=int(np.count_nonzero(golden != tx)),
+        kernel_errors={engine: int(np.count_nonzero(decided != tx))
+                       for engine, decided in kernel.items()},
+        engines_identical=all(np.array_equal(decisions[0], other)
+                              for other in decisions[1:]),
         confidence=confidence)
-    engine_bits = {}
-    for engine in engines:
-        run = KernelBackend(engine=engine).packet(spec, driven)
-        engine_bits[engine] = run.bits
-        result.kernel_errors[engine] = int(
-            np.count_nonzero(run.bits != tx[:len(run.bits)]))
-    decisions = list(engine_bits.values())
-    result.engines_identical = all(
-        np.array_equal(decisions[0], other) for other in decisions[1:])
-    return result

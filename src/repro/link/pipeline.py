@@ -50,13 +50,13 @@ calibration needs the pilot energies, which live with the backends).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.obs import trace as _trace
-from repro.uwb.adc import Adc
+from repro.uwb.adc import Adc, AutoRangingAdc, decide_slots
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.channel.ieee802154a import ChannelRealization
 from repro.uwb.config import UwbConfig
@@ -85,8 +85,6 @@ class LinkState:
         waveform: clean waveform at the antenna reference plane -
             victim only after :class:`ChannelStage`, victim plus scaled
             interferers after :class:`CombineStage`.
-        interferer_bits: payload bits drawn per interferer (diagnostic;
-            the decision only grades the victim's bits).
         noisy: waveform after AWGN (set by :class:`CombineStage`);
             ``(n_scenarios, n_samples)`` in batched mode.
         squared: squarer output reshaped to
@@ -104,23 +102,10 @@ class LinkState:
     sigmas: np.ndarray | None = None
     bits: np.ndarray | None = None
     waveform: np.ndarray | None = None
-    interferer_bits: list[np.ndarray] = field(default_factory=list)
     noisy: np.ndarray | None = None
     squared: np.ndarray | None = None
     slot_values: np.ndarray | None = None
     decisions: np.ndarray | None = None
-
-    def error_count(self) -> int:
-        """Victim bit errors decided in this chunk."""
-        if self.decisions is None or self.bits is None:
-            raise ValueError("chunk has not been decided yet")
-        return int(np.count_nonzero(self.decisions != self.bits))
-
-    def error_counts(self) -> np.ndarray:
-        """Victim bit errors per scenario row (batched mode)."""
-        if self.decisions is None or self.bits is None:
-            raise ValueError("chunk has not been decided yet")
-        return np.count_nonzero(self.decisions != self.bits, axis=-1)
 
 
 class Stage:
@@ -168,9 +153,7 @@ class InterfererPath:
         return its scaled, offset waveform (length ``n *
         samples_per_symbol``)."""
         n_sym = config.samples_per_symbol
-        bits = random_bits(state.n, state.rng)
-        state.interferer_bits.append(bits)
-        wave = ppm_waveform(bits, config)
+        wave = ppm_waveform(random_bits(state.n, state.rng), config)
         if self.channel is not None:
             wave = self.channel.apply(wave)[
                 self.channel.delay_samples:
@@ -295,7 +278,7 @@ class DecisionStage(Stage):
 
     config: UwbConfig
     integrator: WindowIntegrator
-    adc: Adc | None = None
+    adc: Adc | AutoRangingAdc | None = None
     span_name = "link.decision"
 
     def decide(self, squared: np.ndarray
@@ -304,11 +287,9 @@ class DecisionStage(Stage):
         shape ``(..., n, 2, samples_per_slot)`` (any leading batch
         axes; the batched sweep driver calls this on scenario-row
         subsets)."""
-        values = self.integrator.window_outputs(squared, self.config.dt)
-        if self.adc is not None:
-            values = self.adc.quantize(values)
-        decisions = (values[..., 1] > values[..., 0]).astype(np.int8)
-        return values, decisions
+        return decide_slots(
+            self.integrator.window_outputs(squared, self.config.dt),
+            self.adc)
 
     def process(self, state: LinkState) -> None:
         state.slot_values, state.decisions = self.decide(state.squared)

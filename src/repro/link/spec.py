@@ -35,10 +35,22 @@ from repro.uwb.config import UwbConfig
 
 #: channel selections understood by the backends.
 CHANNEL_KINDS = ("none", "cm1")
-#: ADC policies: "auto" lets the backend pick its native default
-#: (fastsim BER: unquantized; kernel harvest: auto-ranged converter),
-#: "config" builds the converter from ``UwbConfig.adc_bits/adc_vref``,
-#: "none" disables quantization outright.
+#: ADC policies - the converter in front of the 2-PPM slot decision,
+#: resolved once by :func:`repro.link.backends.build_quantizer` and
+#: applied by :func:`repro.uwb.adc.decide_slots`:
+#:
+#: * ``"auto"``: unquantized in the golden-model BER sweep
+#:   (``FastsimBackend.ber_point``/``ber_curve``/``sweep``); on
+#:   ``packet`` of both backends - and so in ``KernelBackend``'s BER,
+#:   which decides through ``packet`` - an auto-ranged converter at
+#:   ``UwbConfig.adc_bits`` whose full scale is 1.05x the burst's slot
+#:   peak (a converged-AGC stand-in);
+#: * ``"config"``: the ``UwbConfig.adc_bits``/``adc_vref`` converter
+#:   on every operation;
+#: * ``"none"``: unquantized on every operation.
+#:
+#: The packet-level receiver behind ``ranging`` always converts with
+#: the ``"config"`` ADC its AGC targets.
 ADC_MODES = ("auto", "config", "none")
 #: AGC policies of the packet-level receiver.
 AGC_MODES = ("single", "two_stage")

@@ -35,12 +35,6 @@ class OpResult:
         """Branch current of a voltage source, VCVS or inductor."""
         return self.system.branch_current(self.x, device)
 
-    @property
-    def node_voltages(self) -> dict[str, float]:
-        return {name: float(self.x[i])
-                for name, i in self.system.node_index.items()
-                if i < self.system.n_nodes}
-
     def mos_info(self) -> dict[str, dict[str, float]]:
         """Per-MOSFET bias summary: ids, vgs, vds, region, gm, gds, gmb.
 

@@ -111,10 +111,6 @@ class TransientStepper:
         """Override the value of an independent source from now on."""
         self.overrides[name.lower()] = float(value)
 
-    def set_sources(self, values: Mapping[str, float]) -> None:
-        for name, value in values.items():
-            self.set_source(name, value)
-
     def v(self, node: str) -> float:
         """Present node voltage."""
         return self.system.voltage(self.x, node)

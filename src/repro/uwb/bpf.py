@@ -58,10 +58,5 @@ class BandPassFilter:
         high = min(high, 0.90 * fs / 2.0)
         return cls((low, high), fs, order=order)
 
-    @property
-    def noise_bandwidth(self) -> float:
-        """Approximate equivalent noise bandwidth (Hz)."""
-        return self.band[1] - self.band[0]
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return _signal.sosfilt(self.sos, x, axis=-1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.uwb.adc import Adc
+from repro.uwb.adc import Adc, decide_slots
 from repro.uwb.agc import Agc, AgcDecision
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.config import UwbConfig
@@ -242,5 +242,5 @@ class EnergyDetectionReceiver:
         segment = filtered[payload_start:end]
         squared = np.square(self.vga(segment)).reshape(n_bits, 2, n_slot)
         values = self.integrator.window_outputs(squared, cfg.dt)
-        quantized = self.adc.quantize(post_gain * values)
-        return (quantized[:, 1] > quantized[:, 0]).astype(np.int8)
+        _, bits = decide_slots(post_gain * values, self.adc)
+        return bits

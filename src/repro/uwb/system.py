@@ -32,13 +32,17 @@ from repro.ams import (
 )
 from repro.circuits import IntegrateDumpDesign, build_id_testbench, \
     default_design
-from repro.uwb.adc import Adc
+from repro.uwb.adc import Adc, AutoRangingAdc, decide_slots
 from repro.uwb.config import UwbConfig
 from repro.uwb.integrator import WindowIntegrator
 
 MODE_DUMP = 0
 MODE_INTEGRATE = 1
 MODE_HOLD = 2
+
+#: ``adc=`` default of :func:`build_ams_receiver`: an
+#: :class:`~repro.uwb.adc.AutoRangingAdc` at ``config.adc_bits``.
+_AUTO_RANGED = object()
 
 
 class WaveformSource(AnalogBlock):
@@ -124,7 +128,9 @@ class AmsRunResult:
 
     Attributes:
         bits: demodulated payload bits (one per full symbol simulated).
-        slot_values: raw ADC input voltages per slot (n_symbols, 2).
+        slot_values: raw ADC input voltages per slot (n_symbols, 2);
+            the golden model's ``packet`` reports the compared
+            (post-ADC) values instead.
         cpu_time: wall-clock seconds spent in the kernel loop.
         steps: analog steps executed.
         recorder: optional waveform recorder (when tracing was enabled).
@@ -153,7 +159,7 @@ def build_ams_receiver(config: UwbConfig,
                        waveform: np.ndarray, *,
                        gain: float = 1.0,
                        design: IntegrateDumpDesign | None = None,
-                       adc: Adc | None = None,
+                       adc: Adc | AutoRangingAdc | None = _AUTO_RANGED,
                        cosim_substeps: int = 1,
                        record: bool = False,
                        t_hold: float | None = None,
@@ -171,6 +177,9 @@ def build_ams_receiver(config: UwbConfig,
             including noise/channel); it reaches the squarer through a
             fixed-gain VGA.
         gain: VGA gain (linear).
+        adc: converter the slot samples pass through before the
+            decision (default: auto-ranged at ``config.adc_bits``;
+            ``None`` decides on the raw samples).
         cosim_substeps: circuit-level steps per kernel step (Phase III).
         record: attach a waveform recorder (rx, vga, squarer, integrator).
         engine: kernel execution engine (``"compiled"`` vectorizes the
@@ -185,6 +194,8 @@ def build_ams_receiver(config: UwbConfig,
         :func:`repro.link.ops.run_testbench`.
     """
     config.validate()
+    if adc is _AUTO_RANGED:
+        adc = AutoRangingAdc(config.adc_bits)
     design = design or default_design()
     sim = Simulator(dt=config.dt, engine=engine)
 
@@ -246,10 +257,10 @@ def build_ams_receiver(config: UwbConfig,
 class _Harvest:
     """Slot timing + ADC sampling + demodulation processes."""
 
-    def __init__(self, sim: Simulator, config: UwbConfig, adc: Adc | None,
+    def __init__(self, sim: Simulator, config: UwbConfig,
+                 adc: Adc | AutoRangingAdc | None,
                  mode: Signal, int_out, t_hold: float, t_dump: float):
         self.sim = sim
-        self.config = config
         self.adc = adc
         self.mode = mode
         self.int_out = int_out
@@ -281,16 +292,7 @@ class _Harvest:
         values = np.asarray(self.slot_values, dtype=float)
         n_pairs = len(values) // 2
         pairs = values[:2 * n_pairs].reshape(n_pairs, 2)
-        adc = self.adc
-        if adc is None:
-            # Auto-ranged ADC: full scale tracks the observed slot peak,
-            # standing in for a converged AGC (the explicit AGC loop is
-            # exercised by the packet-level receiver).
-            peak = float(np.max(pairs)) if pairs.size else 1.0
-            adc = Adc(bits=self.config.adc_bits,
-                      vref=max(peak, 1e-12) * 1.05)
-        quantized = adc.quantize(np.maximum(pairs, 0.0))
-        bits = (quantized[:, 1] > quantized[:, 0]).astype(np.int8)
+        _, bits = decide_slots(pairs, self.adc)
         return AmsRunResult(bits=bits, slot_values=pairs,
                             cpu_time=self.sim.cpu_time,
                             steps=self.sim.steps,

@@ -52,6 +52,17 @@ class TestCacheGcAndMerge:
                             "--cache-dir", str(tmp_path))
         assert "empty" in out
 
+    @pytest.mark.parametrize("flag", ["--max-bytes", "--max-age"])
+    def test_gc_rejects_negative_limits(self, tmp_path, capsys, flag):
+        self._fill(capsys, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "gc", flag, "-1", "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+        code, out = run_cli(capsys, "cache", "ls",
+                            "--cache-dir", str(tmp_path))
+        assert "2 results" in out
+
     def test_merge_unions_another_cache(self, tmp_path, capsys):
         self._fill(capsys, tmp_path / "src")
         code, out = run_cli(capsys, "cache", "merge",
@@ -151,6 +162,21 @@ class TestQueueCommands:
         code, out = run_cli(capsys, "queue", "status",
                             *("--queue-dir", str(tmp_path / "q")))
         assert "done: 1" in out and "executed=2" in out
+
+    @pytest.mark.parametrize("flag", ["--stale-after", "--poll"])
+    def test_work_rejects_negative_times(self, tmp_path, capsys, flag):
+        """A negative --stale-after would requeue live claims; a
+        negative --poll would crash in time.sleep."""
+        run_cli(capsys, "queue", "submit", "table2",
+                "--queue-dir", str(tmp_path / "q"))
+        with pytest.raises(SystemExit) as exc:
+            main(["queue", "work", "--follow", flag, "-1",
+                  *self._dirs(tmp_path)])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+        code, out = run_cli(capsys, "queue", "status",
+                            "--queue-dir", str(tmp_path / "q"))
+        assert "pending: 1" in out
 
     def test_work_empty_queue(self, tmp_path, capsys):
         code, out = run_cli(capsys, "queue", "work", "--worker-id", "t",

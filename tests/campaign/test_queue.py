@@ -123,6 +123,15 @@ class TestLifecycle:
         assert reclaimed == [job_id]
         assert queue.counts()["pending"] == 1
 
+    def test_reclaim_stale_rejects_negative_age(self, tmp_path):
+        """A negative age would requeue live claims (run twice)."""
+        queue = JobQueue(tmp_path)
+        queue.submit(spec())
+        queue.claim("w")  # heartbeat stamped now
+        with pytest.raises(ValueError, match="stale_after"):
+            queue.reclaim_stale(stale_after=-1.0)
+        assert queue.counts()["claimed"] == 1
+
     def test_reclaim_stale_without_heartbeat(self, tmp_path):
         """A worker that died between claim-rename and first heartbeat
         is recovered via the claim file's mtime."""

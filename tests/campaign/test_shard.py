@@ -7,6 +7,7 @@ import multiprocessing
 import shutil
 
 import numpy as np
+import pytest
 
 from repro.campaign import CampaignRunner, ResultStore
 from repro.campaign.shard import ShardedResultStore
@@ -249,6 +250,14 @@ class TestGc:
         store = ResultStore(tmp_path, salt="s")
         fill(store, (4, 8))
         assert store.gc() == (0, 0)
+        assert len(store.entries()) == 2
+
+    @pytest.mark.parametrize("limit", ["max_bytes", "max_age"])
+    def test_gc_rejects_negative_limits(self, tmp_path, limit):
+        store = ResultStore(tmp_path, salt="s")
+        fill(store, (4, 8))
+        with pytest.raises(ValueError, match=limit):
+            store.gc(**{limit: -1})
         assert len(store.entries()) == 2
 
     def test_gc_max_age_evicts_old_entries(self, tmp_path):

@@ -134,6 +134,14 @@ class TestPhase1:
         assert res.max_ber_gap < 0.08
         assert "agreement" in res.format_report()
 
+    def test_pinned_overlap(self):
+        """The Phase-I numbers at 60 bits/point, seed 23 (the `phase1`
+        report prints these)."""
+        res = run_phase1_overlap(bits_per_point=60, seed=23)
+        assert res.ber_ams.tolist() == [0.25, 1 / 30]
+        assert res.ber_golden.tolist() == [4 / 15, 1 / 30]
+        assert res.decision_agreement == 119 / 120
+
 
 class TestAgcAblation:
     def test_two_stage_removes_offset(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.link import (
+    ADC_MODES,
     Backend,
     ChannelSpec,
     FastsimBackend,
@@ -191,21 +192,23 @@ class TestKernelBackend:
         assert np.array_equal(ref.bits, com.bits)
         assert np.array_equal(ref.slot_values, com.slot_values)
 
-    def test_adc_none_disables_quantization_on_both_backends(self):
-        """adc="none" must mean the same thing per backend: raw slot
-        values decide, no converter in the path."""
-        spec = SPEC.with_frontend(adc="none")
+    @pytest.mark.parametrize("adc", ADC_MODES)
+    def test_adc_mode_means_the_same_on_both_backends(self, adc):
+        """Every adc mode puts the same converter in front of the
+        decision on both packet paths; "none" decides on raw slots."""
+        spec = SPEC.with_frontend(adc=adc)
         bits = np.array([1, 0, 1, 0], dtype=np.int8)
         sig = _conditioned(bits)
         kernel = KernelBackend().packet(spec, sig)
         golden = FastsimBackend().packet(spec, sig)
-        assert np.array_equal(kernel.bits, bits)
-        assert np.array_equal(golden.bits, bits)
-        # Unquantized: kernel decisions equal a raw comparison of its
-        # own slot values (no ADC reconstruction in between).
-        raw = (kernel.slot_values[:, 1]
-               > kernel.slot_values[:, 0]).astype(np.int8)
-        assert np.array_equal(kernel.bits, raw)
+        assert np.array_equal(kernel.bits, golden.bits)
+        if adc == "none":
+            assert np.array_equal(kernel.bits, bits)
+            # Unquantized: kernel decisions equal a raw comparison of
+            # its own slot values (no ADC reconstruction in between).
+            raw = (kernel.slot_values[:, 1]
+                   > kernel.slot_values[:, 0]).astype(np.int8)
+            assert np.array_equal(kernel.bits, raw)
 
     def test_circuit_with_params_fails_with_intent(self):
         spec = SPEC.with_(integrator="circuit",

@@ -129,7 +129,6 @@ class TestCombineStage:
         expected = ppm_waveform(victim_bits, cfg) + 0.5 * np.roll(
             ppm_waveform(intf_bits, cfg), 37)
         assert np.array_equal(state.bits, victim_bits)
-        assert np.array_equal(state.interferer_bits[0], intf_bits)
         assert np.array_equal(state.waveform, expected)
         # sigma=0: the noise draw adds nothing.
         np.testing.assert_allclose(state.noisy, expected)
