@@ -2,7 +2,7 @@
 
 The paper's point is making mixed-signal system simulation cheap
 enough for large design-space exploration; this subsystem makes such
-campaigns *incremental* and *scale-out*:
+campaigns *incremental*:
 
 * :mod:`repro.campaign.store` - a content-addressed result store
   (one object file pair per result, atomic renames, no locks) keyed
@@ -14,20 +14,15 @@ campaigns *incremental* and *scale-out*:
 * :mod:`repro.campaign.runner` - a resumable drop-in
   :class:`~repro.core.scenario.SweepRunner` that serves cached
   scenarios, fans the rest out through the same loop, checkpoints
-  every result as it completes, re-runs only what is missing, and
-  reports progress/honors preemption for the queue,
-* :mod:`repro.campaign.queue` - a durable job queue + work-stealing
-  worker loop turning ``repro run`` campaigns into a service
-  (``repro queue submit|status|work|drain``),
+  every result as it completes, and re-runs only what is missing
+  (a killed campaign resumes by running it again),
 * :mod:`repro.campaign.cli` - the ``python -m repro`` command line
-  driving all experiment harnesses through the campaign layer.
+  driving all experiment harnesses through the campaign layer;
+  ``repro run`` is the one way to run a campaign.
 """
 
-from repro.campaign.queue import JobQueue, JobSpec, default_queue_dir
 from repro.campaign.runner import (
     CampaignError,
-    CampaignPreempted,
-    CampaignProgress,
     CampaignReport,
     CampaignRunner,
 )
@@ -40,15 +35,10 @@ from repro.campaign.store import (
 
 __all__ = [
     "CampaignError",
-    "CampaignPreempted",
-    "CampaignProgress",
     "CampaignReport",
     "CampaignRunner",
-    "JobQueue",
-    "JobSpec",
     "ResultStore",
     "StoreEntry",
     "default_cache_dir",
-    "default_queue_dir",
     "default_salt",
 ]

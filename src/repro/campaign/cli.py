@@ -11,17 +11,13 @@ runs are cached, resumable and scriptable:
     python -m repro run fig5 table2          # several experiments
     python -m repro run mui --fast           # multi-user interference
     python -m repro run ablations --full     # paper-scale budgets
-    python -m repro queue submit fig6 table2 # enqueue campaigns...
-    python -m repro queue work               # ...and run them (fleet-safe)
-    python -m repro queue status             # progress/ETA per job
-    python -m repro queue drain              # empty the queue
     python -m repro cache ls                 # stored results
     python -m repro cache clear              # drop stored results
     python -m repro cache gc --max-bytes N   # evict oldest entries
     python -m repro cache merge SRC          # union another cache in
     python -m repro report                   # re-print saved reports
     python -m repro trace fig6 --fast        # span tree of one run
-    python -m repro stats                    # aggregate store/queue stats
+    python -m repro stats                    # aggregate store stats
 
 Experiments self-register via the ``@experiment`` decorator in
 :mod:`repro.experiments.registry`; adding a harness module makes it
@@ -34,10 +30,9 @@ A cache directory that still holds results in the retired ``shards/``
 layout gets a one-line stderr notice naming the import command
 (``repro cache merge DIR --cache-dir DIR``) instead of silently
 re-executing those campaigns.
-Re-running a completed campaign executes zero scenarios; an
-interrupted campaign resumes from its checkpoints.  ``queue work``
-converts SIGINT/SIGTERM into graceful preemption: the in-flight job
-checkpoints what completed and goes back to pending.
+Re-running a completed campaign executes zero scenarios; a killed
+or interrupted ``repro run`` resumes from its checkpoints when run
+again.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ def _positive_int(text: str) -> int:
 
 def _non_negative(kind: type):
     """argparse type for limits that make no sense negative (e.g.
-    ``--max-age``, ``--poll``); *kind* is ``int`` or ``float``."""
+    ``--max-age``, ``--seed``); *kind* is ``int`` or ``float``."""
 
     def parse(text: str):
         try:
@@ -81,8 +76,8 @@ def _non_negative(kind: type):
 
 
 def _registry():
-    """Experiment discovery, deferred so ``cache``/``queue`` commands
-    stay import-light."""
+    """Experiment discovery, deferred so ``cache`` commands stay
+    import-light."""
     from repro.experiments.registry import all_experiments
 
     return {e.name: e for e in all_experiments()}
@@ -143,56 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="treat the first netlist line as content, "
                              "not a title")
 
-    queue_p = sub.add_parser(
-        "queue", help="campaign-as-a-service: durable job queue + "
-                      "work-stealing workers")
-    queue_sub = queue_p.add_subparsers(dest="queue_command",
-                                       required=True)
-    submit_p = queue_sub.add_parser(
-        "submit", help="enqueue experiment campaigns as durable jobs")
-    submit_p.add_argument("experiments", nargs="+", metavar="experiment",
-                          help="registered experiment names")
-    _add_budget_flags(submit_p)
-    submit_p.add_argument("--module", action="append", default=[],
-                          metavar="MOD",
-                          help="extra module(s) the worker imports "
-                               "before resolving the experiment "
-                               "(carries user @experiment "
-                               "registrations with the job)")
-    _add_queue_flags(submit_p)
-
-    status_p = queue_sub.add_parser(
-        "status", help="pending/claimed/done/failed jobs with "
-                       "progress and ETA")
-    _add_queue_flags(status_p)
-
-    work_p = queue_sub.add_parser(
-        "work", help="claim and run queued jobs (fleet-safe; "
-                     "SIGINT/SIGTERM preempt gracefully)")
-    _add_queue_flags(work_p)
-    _add_cache_flags(work_p)
-    work_p.add_argument("--worker-id", default=None, metavar="ID",
-                        help="worker name stamped into heartbeats "
-                             "(default: host-pid)")
-    work_p.add_argument("--follow", action="store_true",
-                        help="keep polling after the queue drains "
-                             "(resident worker)")
-    work_p.add_argument("--poll", type=_non_negative(float), default=0.5,
-                        metavar="S",
-                        help="idle sleep between claims with --follow "
-                             "(default: 0.5s)")
-    work_p.add_argument("--max-jobs", type=_positive_int, default=None,
-                        metavar="N", help="stop after N jobs")
-    work_p.add_argument("--stale-after", type=_non_negative(float),
-                        default=None, metavar="S",
-                        help="reclaim claimed jobs whose heartbeat is "
-                             "older than S seconds (default: 300)")
-
-    drain_p = queue_sub.add_parser(
-        "drain", help="empty the queue (jobs in every state; the "
-                      "result store is untouched)")
-    _add_queue_flags(drain_p)
-
     cache_p = sub.add_parser("cache", help="inspect the result store")
     cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
     ls_p = cache_sub.add_parser("ls", help="list stored results")
@@ -237,27 +182,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(trace_p)
 
     stats_p = sub.add_parser(
-        "stats", help="aggregate metrics over a result store and/or "
-                      "job queue directory")
+        "stats", help="aggregate metrics over a result store")
     stats_p.add_argument("--format", choices=("text", "json"),
                          default="text",
                          help="output format (json is a tagged "
-                              "repro.stats/1 document)")
+                              "repro.stats/2 document)")
     _add_cache_flags(stats_p)
-    _add_queue_flags(stats_p)
     return parser
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    """Execution knobs shared by ``run`` and ``queue submit``."""
+    """Execution knobs shared by ``run`` and ``trace``."""
     budget = parser.add_mutually_exclusive_group()
     budget.add_argument("--fast", action="store_true", default=True,
                         help="quick Monte-Carlo budgets (default)")
     budget.add_argument("--full", action="store_true",
                         help="paper-scale Monte-Carlo budgets")
-    parser.add_argument("--processes", type=int, default=None,
-                        help="fan scenarios out over N processes")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--processes", type=_non_negative(int),
+                        default=None, metavar="N",
+                        help="fan scenarios out over N processes "
+                             "(0 or 1: serial)")
+    parser.add_argument("--seed", type=_non_negative(int), default=None,
                         help="override the experiment's default seed")
     parser.add_argument("--chunk-bits", type=_positive_int, default=None,
                         metavar="N",
@@ -270,12 +215,6 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result-store directory (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
-
-
-def _add_queue_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="job-queue directory (default: "
-                             "$REPRO_QUEUE_DIR or <cache root>/queue)")
 
 
 def _make_store(args: argparse.Namespace) -> ResultStore:
@@ -396,144 +335,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_queue(args: argparse.Namespace) -> int:
-    """``repro queue submit|status|work|drain``."""
-    from repro.campaign.queue import JobQueue, work_loop
-
-    queue = JobQueue(args.queue_dir)
-    if args.queue_command == "submit":
-        return _queue_submit(queue, args)
-    if args.queue_command == "status":
-        return _queue_status(queue)
-    if args.queue_command == "work":
-        return _queue_work(queue, args, work_loop)
-    if args.queue_command == "drain":
-        removed = queue.drain()
-        total = sum(removed.values())
-        detail = " ".join(f"{state}={n}" for state, n in removed.items())
-        print(f"drained {total} job(s) from {queue.root} ({detail})")
-        return 0
-    raise AssertionError(f"unhandled queue command "
-                         f"{args.queue_command!r}")
-
-
-def _queue_submit(queue, args: argparse.Namespace) -> int:
-    from repro.campaign.queue import JobSpec
-
-    # User modules may register extra experiments; import them before
-    # validating the names (the worker repeats the import job-side).
-    import importlib
-
-    for module in args.module:
-        importlib.import_module(module)
-    if _known_experiments(args.experiments) is None:
-        return 2
-    for name in args.experiments:
-        job_id = queue.submit(JobSpec(
-            experiment=name, full=args.full, seed=args.seed,
-            processes=args.processes, chunk_bits=args.chunk_bits,
-            modules=tuple(args.module)))
-        print(f"submitted {job_id} [{name}]")
-    counts = queue.counts()
-    print(f"queue at {queue.root}: pending={counts['pending']} "
-          f"claimed={counts['claimed']} done={counts['done']} "
-          f"failed={counts['failed']}")
-    return 0
-
-
-def _queue_status(queue) -> int:
-    now = time.time()
-    counts = queue.counts()
-    print(f"queue at {queue.root}")
-    for state in ("pending", "claimed"):
-        print(f"{state}: {counts[state]}")
-        for job_id, spec in queue.jobs(state):
-            line = f"  {job_id} [{spec.experiment}]"
-            stages = None
-            if state == "claimed":
-                beat = queue.read_heartbeat(job_id)
-                if beat is not None:
-                    line += f" worker={beat.get('worker', '?')}"
-                    if beat.get("total"):
-                        line += (f" done={beat.get('done', 0)}"
-                                 f"/{beat.get('total')}")
-                    # No wall-time history yet (or a single sample):
-                    # the tracker reports None and we show "--" rather
-                    # than a nonsense projection.
-                    eta = beat.get("eta_seconds")
-                    line += (f" eta={eta:.1f}s" if eta is not None
-                             else " eta=--")
-                    line += f" age={now - beat.get('time', now):.1f}s"
-                    stages = beat.get("stages")
-                else:
-                    line += " (no heartbeat yet)"
-            print(line)
-            if stages:
-                print("    stages: " + _format_stages(stages))
-    # concluded jobs carry outcome records, not specs
-    for state in ("done", "failed"):
-        print(f"{state}: {counts[state]}")
-        for job_id in queue.job_ids(state):
-            outcome = queue.outcome(job_id) or {}
-            line = (f"  {job_id} [{outcome.get('experiment', '?')}]"
-                    f" executed={outcome.get('executed', 0)} "
-                    f"cached={outcome.get('cached', 0)} "
-                    f"wall={outcome.get('wall', 0.0):.3f}s")
-            if outcome.get("error"):
-                line += f" error={outcome['error']}"
-            print(line)
-    return 0
-
-
-def _queue_work(queue, args: argparse.Namespace, work_loop) -> int:
-    import os
-    import signal
-    import socket
-    import threading
-
-    store = _make_store(args)
-    worker = args.worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    stop = threading.Event()
-
-    def on_signal(signum, frame):
-        stop.set()
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, on_signal)
-        except ValueError:  # not the main thread (embedded use)
-            pass
-    from repro.campaign.queue import DEFAULT_STALE_AFTER
-
-    stale_after = args.stale_after if args.stale_after is not None \
-        else DEFAULT_STALE_AFTER
-    try:
-        outcomes = work_loop(queue, store, worker=worker,
-                             follow=args.follow, poll=args.poll,
-                             max_jobs=args.max_jobs,
-                             stale_after=stale_after,
-                             preempt=stop.is_set, log=print)
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-    executed = sum(o.get("executed", 0) for o in outcomes)
-    cached = sum(o.get("cached", 0) for o in outcomes)
-    states = [o.get("state") for o in outcomes]
-    print(f"worker {worker}: {len(outcomes)} job(s) "
-          f"(done={states.count('done')} failed={states.count('failed')} "
-          f"preempted={states.count('preempted')}) "
-          f"executed={executed} cached={cached} store={store.root}")
-    return 1 if "failed" in states else 0
-
-
-def _format_stages(stages: dict) -> str:
-    """``name=wall`` pairs, biggest wall first (heartbeat/status view)."""
-    ordered = sorted(stages.items(), key=lambda kv: -float(kv[1]))
-    return " ".join(f"{name}={float(wall):.3f}s"
-                    for name, wall in ordered)
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.obs.export import format_bytes
 
@@ -607,7 +408,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 #: format marker of the ``repro stats --format json`` document.
-STATS_FORMAT = "repro.stats/1"
+STATS_FORMAT = "repro.stats/2"
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -643,62 +444,27 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    """``repro stats``: aggregate store contents and queue outcomes
-    into one metrics view (text or a tagged JSON document)."""
-    from repro.campaign.queue import JobQueue, STATES
+    """``repro stats``: aggregate the store's contents per harness
+    function (text or a tagged JSON document)."""
     from repro.core.serialization import dump_tagged
     from repro.obs.export import format_bytes
 
     store = _make_store(args)
-    queue = JobQueue(args.queue_dir)
-
     entries = store.entries()
     by_fn: dict[str, dict] = {}
-    total_bytes = 0
-    total_wall = 0.0
     for e in entries:
-        total_bytes += e.size_bytes
-        total_wall += e.wall_time
         agg = by_fn.setdefault(e.fn, {"results": 0, "bytes": 0,
                                       "wall_s": 0.0})
         agg["results"] += 1
         agg["bytes"] += e.size_bytes
         agg["wall_s"] += e.wall_time
-
-    counts = queue.counts()
-    stage_totals: dict[str, float] = {}
-    jobs_wall = 0.0
-    jobs_executed = 0
-    jobs_cached = 0
-    for state in ("done", "failed"):
-        for job_id in queue.job_ids(state):
-            outcome = queue.outcome(job_id) or {}
-            jobs_wall += float(outcome.get("wall", 0.0))
-            jobs_executed += int(outcome.get("executed", 0))
-            jobs_cached += int(outcome.get("cached", 0))
-            for name, wall in (outcome.get("stages") or {}).items():
-                stage_totals[name] = (stage_totals.get(name, 0.0)
-                                      + float(wall))
-    workers = []
-    for job_id in queue.job_ids("claimed"):
-        beat = queue.read_heartbeat(job_id) or {}
-        workers.append({
-            "job_id": job_id,
-            "worker": beat.get("worker", "?"),
-            "done": beat.get("done", 0),
-            "total": beat.get("total", 0),
-            "eta_seconds": beat.get("eta_seconds"),
-            "stages": beat.get("stages") or {},
-        })
+    total_bytes = sum(e.size_bytes for e in entries)
+    total_wall = sum(e.wall_time for e in entries)
 
     payload = {
         "store": {"root": str(store.root), "results": len(entries),
                   "bytes": total_bytes, "wall_s": total_wall,
                   "by_fn": by_fn},
-        "queue": {"root": str(queue.root), "counts": counts,
-                  "executed": jobs_executed, "cached": jobs_cached,
-                  "wall_s": jobs_wall, "stages": stage_totals,
-                  "workers": workers},
     }
     if args.format == "json":
         print(dump_tagged(STATS_FORMAT, payload, indent=2))
@@ -711,20 +477,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"  {fn:<44s} {agg['results']:>4d} results "
               f"{format_bytes(agg['bytes']):>10s} "
               f"{agg['wall_s']:>9.3f}s")
-    print(f"queue at {queue.root}: "
-          + " ".join(f"{s}={counts[s]}" for s in STATES)
-          + f" executed={jobs_executed} cached={jobs_cached} "
-            f"wall={jobs_wall:.3f}s")
-    if stage_totals:
-        print("  stages: " + _format_stages(stage_totals))
-    for w in workers:
-        eta = w["eta_seconds"]
-        line = (f"  worker {w['worker']} [{w['job_id']}]: "
-                f"done={w['done']}/{w['total']} "
-                + (f"eta={eta:.1f}s" if eta is not None else "eta=--"))
-        print(line)
-        if w["stages"]:
-            print("    stages: " + _format_stages(w["stages"]))
     return 0
 
 
@@ -735,8 +487,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(args)
         if args.command == "lint":
             return cmd_lint(args)
-        if args.command == "queue":
-            return cmd_queue(args)
         if args.command == "cache":
             return cmd_cache(args)
         if args.command == "report":

@@ -19,9 +19,10 @@ partition a campaign).  Results are stored one file pair per key:
 The object files are the whole store: listing, merge and GC scan
 them, and no other file is written on a checkpoint.  All object writes
 are atomic renames, so a campaign interrupted mid-write never corrupts
-previously stored results, and any number of writer processes (queue
-workers sharing one cache) can checkpoint concurrently without locks -
-identical keys produce identical bytes and the last rename wins.
+previously stored results, and any number of writer processes (e.g.
+several ``repro run`` invocations sharing one cache) can checkpoint
+concurrently without locks - identical keys produce identical bytes
+and the last rename wins.
 
 Scenarios are only cacheable when they are *deterministic on paper*:
 a scenario that injects entropy (``rng_param``/``seed_param`` with
@@ -43,7 +44,7 @@ import os
 import shutil
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Iterator
 
 from repro import __version__
 from repro.campaign.objects import (
@@ -108,11 +109,6 @@ class ResultStore:
             ``misses`` equals the number of scenarios that had to
             execute, which is what the CLI's ``executed=N`` line and
             the CI cache-hit smoke job report.
-        progress_hook / preempt_hook: optional callables the queue
-            worker attaches; :class:`~repro.campaign.runner.
-            CampaignRunner` picks them up to report per-scenario
-            progress and to honor graceful preemption without every
-            harness having to thread new arguments through.
     """
 
     def __init__(self, root: str | os.PathLike | None = None, *,
@@ -122,9 +118,6 @@ class ResultStore:
         self.salt = salt if salt is not None else default_salt()
         self.hits = 0
         self.misses = 0
-        #: queue-worker hooks (see class docstring).
-        self.progress_hook: Callable[[Any], None] | None = None
-        self.preempt_hook: Callable[[], bool] | None = None
 
     # -- layout -------------------------------------------------------
 

@@ -118,54 +118,41 @@ def _execute(scenario: Scenario) -> SweepResult:
 
 def fan_out(scenarios: Sequence[Scenario], processes: int | None,
             on_result: Callable[[int, SweepResult], None],
-            stop: Callable[[], bool] | None = None,
-            ) -> tuple[list[tuple[int, Exception]], bool]:
+            ) -> list[tuple[int, Exception]]:
     """Execute *scenarios* serially (``processes`` of ``None``/``0``/
     ``1``) or over a process pool, calling ``on_result(index, result)``
     in this process the moment each one completes.
 
-    The optional *stop* poll runs before each serial scenario, or after
-    each pooled result; once true no queued scenario starts (in-flight
-    ones still complete and reach *on_result*).  Returns ``(failures,
-    stopped)``: ``(index, exception)`` pairs in completion order and
-    whether *stop* fired.  Serial execution fails fast; the pool keeps
-    draining so every completed sibling still reaches *on_result*.
+    Returns the failures as ``(index, exception)`` pairs in completion
+    order.  Serial execution fails fast; the pool keeps draining so
+    every completed sibling still reaches *on_result*.
     """
     if processes is None or processes <= 1 or not scenarios:
         for i, scenario in enumerate(scenarios):
-            if stop is not None and stop():
-                return [], True
             try:
                 # Interior span: the pipeline's leaf spans nest under
                 # it, so a trace reads scenario by scenario.
                 with _trace.span(f"scenario:{scenario.name}"):
                     result = _execute(scenario)
             except Exception as exc:
-                return [(i, exc)], False
+                return [(i, exc)]
             on_result(i, result)
-        return [], False
+        return []
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
     failures: list[tuple[int, Exception]] = []
-    stopped = False
     workers = min(processes, len(scenarios))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_execute, scenario): i
                    for i, scenario in enumerate(scenarios)}
         for future in as_completed(futures):
-            if future.cancelled():
-                continue
             try:
                 result = future.result()
             except Exception as exc:
                 failures.append((futures[future], exc))
                 continue
             on_result(futures[future], result)
-            if not stopped and stop is not None and stop():
-                stopped = True
-                for f in futures:
-                    f.cancel()
-    return failures, stopped
+    return failures
 
 
 @dataclass
@@ -328,8 +315,8 @@ class SweepRunner:
         exception propagates (over a pool, once the siblings have
         drained)."""
         results: list[Any] = [None] * len(self.scenarios)
-        failures, _stopped = fan_out(self.scenarios, self.processes,
-                                     results.__setitem__)
+        failures = fan_out(self.scenarios, self.processes,
+                           results.__setitem__)
         if failures:
             raise failures[0][1]
         return SweepReport(results=results)

@@ -236,12 +236,11 @@ def from_jsonable(obj: Any,
 def dump_tagged(tag: str, payload: Any, *, indent: int | None = None) -> str:
     """Encode *payload* as a format-tagged JSON document.
 
-    The campaign queue persists small records (job specs, heartbeats,
-    completion summaries) as single files; tagging them with an
-    explicit format marker makes version skew and foreign files a
-    clean error instead of a silent mis-parse.  The payload goes
-    through :func:`to_jsonable` (arrays inlined), so spec dataclasses
-    round-trip exactly.
+    Standalone documents (``repro trace --format json``, ``repro
+    stats --format json``) carry an explicit format marker, so version
+    skew and foreign files are a clean error instead of a silent
+    mis-parse.  The payload goes through :func:`to_jsonable` (arrays
+    inlined), so result dataclasses round-trip exactly.
     """
     return json.dumps({"format": tag, "payload": to_jsonable(payload)},
                       indent=indent, sort_keys=True)

@@ -17,7 +17,7 @@ taxonomy, metric names, and the enable/disable + overhead contract.
 
 from . import metrics, trace
 from .metrics import REGISTRY, MetricsRegistry, MetricsSnapshot
-from .trace import SpanNode, collect, span, stage_summary
+from .trace import SpanNode, collect, span
 
 # The export layer pulls repro.core.serialization, whose package
 # __init__ reaches back into repro.uwb - importing it eagerly here
@@ -54,6 +54,5 @@ __all__ = [
     "metrics",
     "render_trace",
     "span",
-    "stage_summary",
     "trace",
 ]

@@ -229,13 +229,6 @@ class MetricsRegistry:
                     name, Histogram(name, bounds))
         return inst
 
-    def counter_values(self) -> dict[str, int]:
-        """Non-zero counter values, name-sorted (the compact form
-        heartbeat files carry)."""
-        return {name: c.value
-                for name, c in sorted(self._counters.items())
-                if c.value}
-
     def snapshot(self) -> MetricsSnapshot:
         """Serializable point-in-time copy of every instrument that
         has recorded anything."""

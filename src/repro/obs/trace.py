@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 __all__ = ["ENABLED", "SpanNode", "collect", "current_root", "disable",
-           "enable", "reset", "span", "stage_summary"]
+           "enable", "reset", "span"]
 
 #: Module-level tracing switch.  Hot loops read this attribute
 #: directly (``if trace.ENABLED:``) to skip instrumentation entirely.
@@ -226,15 +226,6 @@ def collect(name: str = "trace", *, keep_enabled: bool = False):
         root.total_s += time.perf_counter() - start
         if not (was_enabled or keep_enabled):
             disable()
-
-
-def stage_summary(root: SpanNode | None = None) -> dict[str, float]:
-    """Leaf-span wall breakdown of *root* (default: the current
-    thread's tree) - the per-stage view heartbeats and bench
-    artifacts carry."""
-    if root is None:
-        root = current_root()
-    return root.leaf_walls()
 
 
 def timed(name: str) -> Callable:

@@ -102,8 +102,6 @@ class TestRetiredLayout:
                    f"--cache-dir {tmp_path}")
         # (run goes last: it re-executes, which refills objects/)
         for argv in (("cache", "ls"), ("stats",),
-                     ("queue", "work", "--queue-dir",
-                      str(tmp_path / "q")),
                      ("run", "table2", "--fast")):
             main([*argv, "--cache-dir", str(tmp_path)])
             err = capsys.readouterr().err
@@ -121,78 +119,6 @@ class TestRetiredLayout:
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
         assert "executed=0 cached=2" in captured.out
-
-
-class TestQueueCommands:
-    def _dirs(self, tmp_path):
-        return ("--queue-dir", str(tmp_path / "q"),
-                "--cache-dir", str(tmp_path / "cache"))
-
-    def test_submit_validates_names(self, tmp_path, capsys):
-        code, out = run_cli(capsys, "queue", "submit", "nope",
-                            "--queue-dir", str(tmp_path / "q"))
-        assert code == 2 and "unknown experiment" in out
-
-    def test_submit_status_drain(self, tmp_path, capsys):
-        code, out = run_cli(capsys, "queue", "submit", "table2", "fig6",
-                            "--queue-dir", str(tmp_path / "q"))
-        assert code == 0
-        assert out.count("submitted ") == 2
-        assert "pending=2" in out
-        code, out = run_cli(capsys, "queue", "status",
-                            "--queue-dir", str(tmp_path / "q"))
-        assert code == 0
-        assert "pending: 2" in out
-        assert "[table2]" in out and "[fig6]" in out
-        code, out = run_cli(capsys, "queue", "drain",
-                            "--queue-dir", str(tmp_path / "q"))
-        assert code == 0 and "drained 2 job(s)" in out
-
-    def test_work_runs_submitted_jobs(self, tmp_path, capsys):
-        run_cli(capsys, "queue", "submit", "table2",
-                "--queue-dir", str(tmp_path / "q"))
-        code, out = run_cli(capsys, "queue", "work", "--worker-id", "t",
-                            *self._dirs(tmp_path))
-        assert code == 0
-        assert "done executed=2 cached=0" in out
-        assert "worker t: 1 job(s) (done=1 failed=0 preempted=0)" in out
-        # the worker checkpoints into the one store layout
-        assert len(list((tmp_path / "cache" / "objects").glob(
-            "*.json"))) == 2
-        code, out = run_cli(capsys, "queue", "status",
-                            *("--queue-dir", str(tmp_path / "q")))
-        assert "done: 1" in out and "executed=2" in out
-
-    @pytest.mark.parametrize("flag", ["--stale-after", "--poll"])
-    def test_work_rejects_negative_times(self, tmp_path, capsys, flag):
-        """A negative --stale-after would requeue live claims; a
-        negative --poll would crash in time.sleep."""
-        run_cli(capsys, "queue", "submit", "table2",
-                "--queue-dir", str(tmp_path / "q"))
-        with pytest.raises(SystemExit) as exc:
-            main(["queue", "work", "--follow", flag, "-1",
-                  *self._dirs(tmp_path)])
-        assert exc.value.code == 2
-        assert "non-negative" in capsys.readouterr().err
-        code, out = run_cli(capsys, "queue", "status",
-                            "--queue-dir", str(tmp_path / "q"))
-        assert "pending: 1" in out
-
-    def test_work_empty_queue(self, tmp_path, capsys):
-        code, out = run_cli(capsys, "queue", "work", "--worker-id", "t",
-                            *self._dirs(tmp_path))
-        assert code == 0 and "0 job(s)" in out
-
-    def test_failed_job_exits_nonzero(self, tmp_path, capsys):
-        from repro.campaign import JobQueue, JobSpec
-
-        # a spec whose experiment only exists job-side: never importable
-        JobQueue(tmp_path / "q").submit(JobSpec(
-            experiment="ghost", modules=("no_such_module",)))
-        code, out = run_cli(capsys, "queue", "work", "--worker-id", "t",
-                            *self._dirs(tmp_path))
-        assert code == 1
-        assert "failed=1" in out and "no_such_module" in out
 
 
 class TestListCommand:
@@ -260,6 +186,25 @@ class TestRunCommand:
                        "--cache-dir", str(tmp_path / "b"))
         # different seeds must not share cache entries
         assert "executed=2" in a and "executed=2" in b
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("flag", ["--seed", "--processes"])
+    def test_rejects_negative_budget_flags(self, tmp_path, capsys,
+                                           command, flag):
+        """A negative --seed used to die in numpy with a traceback; a
+        negative --processes silently ran serially."""
+        argv = [command, "table2", flag, "-1"]
+        if command == "run":
+            argv += ["--cache-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_zero_processes_runs_serially(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "run", "table2", "--processes", "0",
+                            "--cache-dir", str(tmp_path))
+        assert code == 0 and "executed=2 cached=0" in out
 
     def test_module_invocation(self, tmp_path):
         """python -m repro works end-to-end (the acceptance path)."""
@@ -427,83 +372,40 @@ class TestTraceCommand:
 
 
 class TestStatsCommand:
+    def _fill(self, capsys, cache_dir):
+        run_cli(capsys, "run", "table2", "--fast",
+                "--cache-dir", str(cache_dir))
+
     def test_empty_stats(self, tmp_path, capsys):
         code, out = run_cli(capsys, "stats",
-                            "--cache-dir", str(tmp_path / "cache"),
-                            "--queue-dir", str(tmp_path / "q"))
+                            "--cache-dir", str(tmp_path / "cache"))
         assert code == 0
         assert "0 results" in out and "0 B" in out
-        assert "pending=0" in out
 
-    def test_stats_aggregates_store_and_queue(self, tmp_path, capsys):
+    def test_stats_aggregates_store(self, tmp_path, capsys):
         cache = ("--cache-dir", str(tmp_path / "cache"))
-        queue = ("--queue-dir", str(tmp_path / "q"))
-        run_cli(capsys, "queue", "submit", "table2", *queue)
-        run_cli(capsys, "queue", "work", "--worker-id", "t",
-                *queue, *cache)
-        code, out = run_cli(capsys, "stats", *cache, *queue)
+        self._fill(capsys, tmp_path / "cache")
+        code, out = run_cli(capsys, "stats", *cache)
         assert code == 0
-        assert "2 results" in out
+        assert "2 results" in out and "KiB" in out
         assert "repro.link.ops:ranging" in out
-        assert "done=1" in out and "executed=2" in out
 
     def test_stats_json_round_trips(self, tmp_path, capsys):
         from repro.campaign.cli import STATS_FORMAT
         from repro.core.serialization import load_tagged
 
-        run_cli(capsys, "run", "table2", "--fast",
-                "--cache-dir", str(tmp_path / "cache"))
-        capsys.readouterr()
+        self._fill(capsys, tmp_path / "cache")
         code, out = run_cli(capsys, "stats",
                             "--cache-dir", str(tmp_path / "cache"),
-                            "--queue-dir", str(tmp_path / "q"),
                             "--format", "json")
         assert code == 0
         payload = load_tagged(STATS_FORMAT, out)
+        assert set(payload) == {"store"}
         assert payload["store"]["results"] == 2
         assert payload["store"]["bytes"] > 0
         fn, = payload["store"]["by_fn"]
         assert fn == "repro.link.ops:ranging"
-        assert payload["queue"]["counts"]["pending"] == 0
-
-
-class TestQueueStatusEta:
-    def _claimed_job(self, tmp_path):
-        from repro.campaign import JobQueue, JobSpec
-
-        queue = JobQueue(tmp_path / "q")
-        queue.submit(JobSpec(experiment="table2"))
-        job_id, _spec = queue.claim("w0")
-        return queue, job_id
-
-    def test_unknown_eta_renders_dashes(self, tmp_path, capsys):
-        from repro.campaign.runner import CampaignProgress
-
-        queue, job_id = self._claimed_job(tmp_path)
-        queue.heartbeat(job_id, worker="w0",
-                        progress=CampaignProgress(
-                            done=1, total=3, executed=1, cached=0,
-                            eta_seconds=None))
-        code, out = run_cli(capsys, "queue", "status",
-                            "--queue-dir", str(queue.root))
-        assert code == 0 and "eta=--" in out
-
-    def test_known_eta_and_stages_render(self, tmp_path, capsys):
-        from repro.campaign.runner import CampaignProgress
-
-        queue, job_id = self._claimed_job(tmp_path)
-        queue.heartbeat(job_id, worker="w0",
-                        progress=CampaignProgress(
-                            done=2, total=3, executed=2, cached=0,
-                            eta_seconds=4.25,
-                            stage_walls={"link.afe": 0.5,
-                                         "link.tx": 0.125}))
-        code, out = run_cli(capsys, "queue", "status",
-                            "--queue-dir", str(queue.root))
-        assert code == 0
-        assert "eta=4.2s" in out and "done=2/3" in out
-        # stages render biggest-wall-first
-        assert "stages: link.afe=0.500s link.tx=0.125s" in out
+        assert payload["store"]["by_fn"][fn]["results"] == 2
 
 
 class TestFormatBytes:

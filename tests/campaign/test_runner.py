@@ -5,7 +5,6 @@ import pytest
 
 from repro.campaign import (
     CampaignError,
-    CampaignPreempted,
     CampaignReport,
     CampaignRunner,
     ResultStore,
@@ -45,6 +44,21 @@ class TestCaching:
         fresh = build_runner(None).run()
         for a, b in zip(resumed, fresh):
             assert np.array_equal(a.value, b.value)
+
+    def test_scenario_wall_observed_per_completed_scenario(self, tmp_path):
+        """``campaign.scenario.wall_s`` gets one sample per completed
+        scenario, cache hits (with their original wall time) included."""
+        from repro.obs.metrics import REGISTRY
+
+        hist = REGISTRY.histogram("campaign.scenario.wall_s")
+        store = ResultStore(tmp_path, salt="s")
+        count, total = hist.count, hist.total
+        first = build_runner(store).run()
+        assert hist.count == count + 3
+        build_runner(store).run()
+        assert hist.count == count + 6
+        assert hist.total - total == pytest.approx(
+            2 * first.total_wall_time)
 
     def test_no_store_passthrough(self):
         report = build_runner(None).run()
@@ -136,90 +150,6 @@ class TestFailureCheckpointing:
         store = ResultStore(tmp_path, salt="s")
         with pytest.raises(RuntimeError, match="boom"):
             self.build(store, fail_first=True).run()
-
-
-class TestProgressAndPreemption:
-    def test_progress_reported_per_scenario(self, tmp_path):
-        store = ResultStore(tmp_path, salt="s")
-        ticks = []
-        store.progress_hook = ticks.append
-        build_runner(store).run()
-        assert [t.done for t in ticks] == [1, 2, 3]
-        assert all(t.total == 3 for t in ticks)
-        assert ticks[-1].executed == 3 and ticks[-1].cached == 0
-        # one sample is no basis for a projection; from the second
-        # sample on the history yields an ETA
-        assert ticks[0].eta_seconds is None
-        assert all(t.eta_seconds is not None for t in ticks[1:])
-        assert ticks[-1].eta_seconds == 0.0
-        assert ticks[0].last_name == "bits4"
-
-    def test_cache_hits_feed_the_eta_history(self, tmp_path):
-        store = ResultStore(tmp_path, salt="s")
-        build_runner(store).run()
-        ticks = []
-        store.progress_hook = ticks.append
-        build_runner(store).run()
-        assert [t.cached for t in ticks] == [1, 2, 3]
-        # hits carry the original run's wall time into the estimate
-        # (the first tick has a single sample and stays unknown)
-        assert ticks[0].eta_seconds is None
-        assert all(t.eta_seconds is not None for t in ticks[1:])
-
-    def test_explicit_progress_argument_wins(self, tmp_path):
-        store = ResultStore(tmp_path, salt="s")
-        store.progress_hook = lambda p: (_ for _ in ()).throw(
-            AssertionError("store hook must not fire"))
-        ticks = []
-        runner = CampaignRunner(store=store, progress=ticks.append)
-        runner.add(Scenario(name="bits4", fn=random_bits, seed=5,
-                            rng_param="rng", params={"n": 4}))
-        runner.run()
-        assert len(ticks) == 1
-
-    def test_preempt_serial_checkpoints_and_requeues(self, tmp_path):
-        store = ResultStore(tmp_path, salt="s")
-        fired = []
-
-        def preempt():
-            # allow exactly one scenario through, then preempt
-            return len(fired) >= 1
-
-        store.progress_hook = fired.append
-        store.preempt_hook = preempt
-        with pytest.raises(CampaignPreempted) as info:
-            build_runner(store).run()
-        assert info.value.checkpointed == 1
-        assert info.value.remaining == ["bits8", "bits16"]
-        assert len(store.entries()) == 1
-        # resuming with hooks removed completes only the remainder
-        store.progress_hook = store.preempt_hook = None
-        resumed = build_runner(store).run()
-        assert (resumed.executed, resumed.cached) == (2, 1)
-
-    def test_preempt_parallel_drains_in_flight(self, tmp_path):
-        store = ResultStore(tmp_path, salt="s")
-        done = []
-        store.progress_hook = done.append
-        store.preempt_hook = lambda: len(done) >= 1
-        with pytest.raises(CampaignPreempted) as info:
-            build_runner(store, processes=2).run()
-        # everything the pool completed was checkpointed before raising
-        assert info.value.checkpointed == len(store.entries())
-        assert info.value.checkpointed >= 1
-        assert set(info.value.remaining) <= {"bits4", "bits8", "bits16"}
-        store.progress_hook = store.preempt_hook = None
-        resumed = build_runner(store).run()
-        assert resumed.cached == info.value.checkpointed
-        assert resumed.executed == 3 - info.value.checkpointed
-
-    def test_preempt_before_anything_runs(self, tmp_path):
-        store = ResultStore(tmp_path, salt="s")
-        store.preempt_hook = lambda: True
-        with pytest.raises(CampaignPreempted) as info:
-            build_runner(store).run()
-        assert info.value.checkpointed == 0
-        assert len(info.value.remaining) == 3
 
 
 class TestParallel:
