@@ -440,6 +440,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print("counters:")
         for name, value in report.metrics.counters.items():
             print(f"  {name:<36s} {value}")
+    if report.metrics.histograms:
+        print("histograms:")
+        for name, hist in report.metrics.histograms.items():
+            print(f"  {name:<36s} n={hist.count} "
+                  f"mean={hist.total / hist.count:.3g} "
+                  f"min={hist.min:g} max={hist.max:g}")
+            edges = [f"<={edge:g}" for edge in hist.bounds]
+            edges.append(f">{hist.bounds[-1]:g}")
+            print("    " + " ".join(f"{edge}:{n}" for edge, n
+                                    in zip(edges, hist.counts) if n))
     return 0
 
 

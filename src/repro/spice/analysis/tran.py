@@ -19,9 +19,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.obs import metrics as _metrics
+from repro.obs import trace as _trace
 from repro.spice.errors import AnalysisError, ConvergenceError
 from repro.spice.mna import MnaSystem, RhsAdditions, StampTriples
 from repro.spice.netlist import Circuit, normalize_node
+
+#: Transient steps split into sub-steps after a Newton failure.
+_SUBSTEPS = _metrics.REGISTRY.counter("spice.newton.substeps")
 
 
 @dataclass
@@ -96,16 +101,31 @@ class TransientStepper:
             self.x = self.system.solve_robust(
                 x_init, overrides=self.overrides, t=0.0)
 
+        # Companion-stamp positions (capacitors, then inductor branches)
+        # are fixed; only their values change from step to step.
+        sys = self.system
+        n1, n2, ind = sys.dyn_n1, sys.dyn_n2, sys.ind_rows
+        self._g_rows = np.concatenate([n1, n2, n1, n2, ind])
+        self._g_cols = np.concatenate([n1, n2, n2, n1, ind])
+        self._b_rows = np.concatenate([n1, n2, ind])
         self._refresh_caps()
         self.i_cap = np.zeros(len(self.c_val))
+        #: Newton iterations of every accepted step and sub-step.
         self.newton_iterations = 0
         self.steps_taken = 0
 
     # ------------------------------------------------------------------
     def _refresh_caps(self) -> None:
-        x_full = self.system.full_vector(self.x)
-        self.c_n1, self.c_n2, self.c_val = self.system.dynamic_caps(x_full)
-        self.v_cap = x_full[self.c_n1] - x_full[self.c_n2]
+        """Re-derive the state that depends on :attr:`x`: the MOSFET
+        evaluation (shared by the device capacitances and the first
+        Newton iteration of the next step), the capacitance values and
+        the capacitor voltages."""
+        sys = self.system
+        x_full = sys.full_vector(self.x)
+        self._mos_eval = (sys.mos_group.evaluate(x_full)
+                          if sys.mos_group is not None else None)
+        self.c_val = sys.dynamic_caps(x_full, self._mos_eval)
+        self.v_cap = x_full[sys.dyn_n1] - x_full[sys.dyn_n2]
 
     def set_source(self, name: str, value: float) -> None:
         """Override the value of an independent source from now on."""
@@ -122,6 +142,7 @@ class TransientStepper:
         return self.system.branch_current(self.x, device)
 
     # ------------------------------------------------------------------
+    @_trace.timed("spice.step")
     def step(self) -> None:
         """Advance the solution by one ``dt`` (with sub-stepping on
         convergence failure)."""
@@ -135,7 +156,7 @@ class TransientStepper:
 
     def _advance(self, h: float, depth: int) -> None:
         t_new = self.t + h
-        n1, n2, c = self.c_n1, self.c_n2, self.c_val
+        c = self.c_val
         if self.method == "trap":
             geq = 2.0 * c / h
             ieq = -(geq * self.v_cap + self.i_cap)
@@ -143,45 +164,38 @@ class TransientStepper:
             geq = c / h
             ieq = -geq * self.v_cap
 
-        rows = np.concatenate([n1, n2, n1, n2])
-        cols = np.concatenate([n1, n2, n2, n1])
-        vals = np.concatenate([geq, geq, -geq, -geq])
-        b_rows = np.concatenate([n1, n2])
-        b_vals = np.concatenate([-ieq, ieq])
-
         sys = self.system
-        if len(sys.ind_rows):
-            leq = sys.ind_val / h  # backward Euler for inductor branches
-            i_old = self.x[sys.ind_rows]
-            rows = np.concatenate([rows, sys.ind_rows])
-            cols = np.concatenate([cols, sys.ind_rows])
-            vals = np.concatenate([vals, -leq])
-            b_rows = np.concatenate([b_rows, sys.ind_rows])
-            b_vals = np.concatenate([b_vals, -leq * i_old])
-
-        extra_g = StampTriples(rows=rows, cols=cols, vals=vals)
-        extra_b = RhsAdditions(rows=b_rows, vals=b_vals)
+        leq = sys.ind_val / h  # backward Euler for inductor branches
+        i_old = self.x[sys.ind_rows]
+        extra_g = StampTriples(
+            rows=self._g_rows, cols=self._g_cols,
+            vals=np.concatenate([geq, geq, -geq, -geq, -leq]))
+        extra_b = RhsAdditions(
+            rows=self._b_rows,
+            vals=np.concatenate([-ieq, ieq, -leq * i_old]))
         try:
             x_new = sys.newton(self.x, t=t_new, overrides=self.overrides,
-                               extra_g=extra_g, extra_b=extra_b)
-        except ConvergenceError:
+                               extra_g=extra_g, extra_b=extra_b,
+                               mos_eval=self._mos_eval)
+        except ConvergenceError as exc:
             if depth >= 3:
-                raise
+                raise ConvergenceError(
+                    f"transient step from t={self.t:.6g} s failed at "
+                    f"sub-step h={h:.3g} s (dt/{4 ** depth}): {exc}",
+                    iterations=exc.iterations, residual=exc.residual,
+                    t=exc.t, node=exc.node) from exc
+            _SUBSTEPS.inc()
             for _ in range(4):
                 self._advance(h / 4.0, depth + 1)
             return
 
-        x_full = sys.full_vector(x_new)
-        v_new = x_full[n1] - x_full[n2]
-        self.i_cap = geq * v_new + ieq
-        self.v_cap = v_new
+        self.newton_iterations += sys.last_iterations
         self.x = x_new
         self.t = t_new
-        # Re-evaluate device capacitances for the next step (frozen within
-        # a step); the concatenation order is deterministic so the state
-        # arrays stay aligned.
-        c_n1, c_n2, c_val = sys.dynamic_caps(x_full)
-        self.c_val = c_val
+        # Device capacitances are frozen within a step and re-evaluated
+        # at each accepted point.
+        self._refresh_caps()
+        self.i_cap = geq * self.v_cap + ieq
 
 
 def transient(circuit: Circuit, t_stop: float, dt: float,

@@ -19,19 +19,20 @@ Model features:
   junction capacitances, used by AC analysis and by the transient
   companion models.
 
-Known simplifications versus a production BSIM model (documented in
-DESIGN.md): no subthreshold conduction (cutoff is abrupt, with the global
-``gmin`` providing leakage), junction capacitances evaluated at zero bias,
-Meyer capacitances are not charge-conserving.
+Known simplifications versus a production BSIM model: no subthreshold
+conduction (cutoff is abrupt, with the global ``gmin`` providing
+leakage), junction capacitances evaluated at zero bias, Meyer
+capacitances are not charge-conserving.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from repro.obs import trace as _trace
 from repro.spice.devices.base import Device
 from repro.spice.errors import NetlistError
 from repro.spice.units import parse_value
@@ -151,6 +152,12 @@ class Mosfet(Device):
         )
 
 
+#: Rows of :attr:`MosEval.v_eff` (drain, gate, source, bulk in the
+#: effective frame) whose differences are ``vgs``, ``vds``, ``vsb``.
+_HI = np.array([1, 0, 2])
+_LO = np.array([2, 2, 3])
+
+
 @dataclass
 class MosEval:
     """Result of a vectorized large-signal evaluation.
@@ -166,11 +173,29 @@ class MosEval:
     gm: np.ndarray
     gds: np.ndarray
     gmb: np.ndarray
-    d_eff: np.ndarray
-    s_eff: np.ndarray
+    #: (4, count) node indices of drain, gate, source, bulk, effective frame.
+    terminals: np.ndarray
+    #: (4, count) voltages at :attr:`terminals`.
+    v_eff: np.ndarray
+    #: devices whose drain and source are swapped (``VDS < 0``).
+    reversed: np.ndarray
     vgs: np.ndarray
     vds: np.ndarray
-    region: np.ndarray  # 0 = cutoff, 1 = triode, 2 = saturation
+    cutoff: np.ndarray
+    triode: np.ndarray
+
+    @property
+    def d_eff(self) -> np.ndarray:
+        return self.terminals[0]
+
+    @property
+    def s_eff(self) -> np.ndarray:
+        return self.terminals[2]
+
+    @property
+    def region(self) -> np.ndarray:
+        """0 = cutoff, 1 = triode, 2 = saturation."""
+        return np.where(self.cutoff, 0, np.where(self.triode, 1, 2))
 
 
 class MosGroup:
@@ -193,6 +218,10 @@ class MosGroup:
         self.ng = np.array([get(dev.g) for dev in self.devices], dtype=np.intp)
         self.ns = np.array([get(dev.s) for dev in self.devices], dtype=np.intp)
         self.nb = np.array([get(dev.b) for dev in self.devices], dtype=np.intp)
+        # Terminal indices in the forward and the drain/source-swapped
+        # frame, gathered with one fancy index per evaluation.
+        self.terminals = np.stack([self.nd, self.ng, self.ns, self.nb])
+        self.terminals_rev = np.stack([self.ns, self.ng, self.nd, self.nb])
 
         def model_of(dev: Mosfet) -> MosModel:
             try:
@@ -211,9 +240,16 @@ class MosGroup:
         self.gamma = np.array([mod.gamma for mod in mods])
         self.phi = np.array([mod.phi for mod in mods])
         self.lambd = np.array([mod.lambd for mod in mods])
+        # Bias-independent terms of the evaluation.
+        self.half_beta = 0.5 * self.beta
+        self.sign_vto = self.sign * self.vto
+        self.sqrt_phi = np.sqrt(self.phi)
+        self.phi_floor = 0.02 * self.phi
         # Charge-model constants.
         cox_tot = np.array([mod.cox for mod in mods]) * width * leff
         self.cox_tot = cox_tot
+        self.half_cox = 0.5 * cox_tot
+        self.two_thirds_cox = (2.0 / 3.0) * cox_tot
         self.c_ov_gs = np.array([mod.cgso for mod in mods]) * width
         self.c_ov_gd = np.array([mod.cgdo for mod in mods]) * width
         self.c_ov_gb = np.array([mod.cgbo for mod in mods]) * leff
@@ -222,33 +258,25 @@ class MosGroup:
         self.c_jxn = (np.array([mod.cj for mod in mods]) * area
                       + np.array([mod.cjsw for mod in mods]) * perim)
 
+    @_trace.timed("spice.mos_eval")
     def evaluate(self, v: np.ndarray) -> MosEval:
         """Vectorized large-signal evaluation at node-voltage vector *v*.
 
         *v* must include the sentinel ground entry (value 0) so that plain
         fancy indexing works for grounded terminals.
         """
-        vd = v[self.nd]
-        vg = v[self.ng]
-        vs = v[self.ns]
-        vb = v[self.nb]
+        vd, vs = v[self.terminals[::2]]
         sign = self.sign
 
         # Work in the NMOS-equivalent frame.
-        vds_raw = sign * (vd - vs)
-        reversed_mode = vds_raw < 0.0
-        d_eff = np.where(reversed_mode, self.ns, self.nd)
-        s_eff = np.where(reversed_mode, self.nd, self.ns)
-        vs_eff = np.where(reversed_mode, vd, vs)
-        vd_eff = np.where(reversed_mode, vs, vd)
+        reversed_mode = sign * (vd - vs) < 0.0
+        terminals = np.where(reversed_mode, self.terminals_rev,
+                             self.terminals)
+        v_eff = v[terminals]
+        vgs, vds, vsb = sign * (v_eff[_HI] - v_eff[_LO])
 
-        vgs = sign * (vg - vs_eff)
-        vds = sign * (vd_eff - vs_eff)
-        vsb = sign * (vs_eff - vb)
-
-        sqrt_arg = np.maximum(self.phi + vsb, 0.02 * self.phi)
-        sqrt_term = np.sqrt(sqrt_arg)
-        vt = sign * self.vto + self.gamma * (sqrt_term - np.sqrt(self.phi))
+        sqrt_term = np.sqrt(np.maximum(self.phi + vsb, self.phi_floor))
+        vt = self.sign_vto + self.gamma * (sqrt_term - self.sqrt_phi)
         dvt_dvsb = self.gamma / (2.0 * sqrt_term)
 
         vov = vgs - vt
@@ -256,36 +284,24 @@ class MosGroup:
 
         cutoff = vov <= 0.0
         triode = (~cutoff) & (vds < vov)
-        sat = (~cutoff) & (~triode)
-
-        ids = np.zeros(self.count)
-        gm = np.zeros(self.count)
-        gds = np.zeros(self.count)
 
         beta = self.beta
         # Triode region.
-        if np.any(triode):
-            idx = triode
-            ids_t = beta * (vov * vds - 0.5 * vds * vds) * clm
-            gm_t = beta * vds * clm
-            gds_t = (beta * (vov - vds) * clm
-                     + beta * (vov * vds - 0.5 * vds * vds) * self.lambd)
-            ids[idx] = ids_t[idx]
-            gm[idx] = gm_t[idx]
-            gds[idx] = gds_t[idx]
+        q_t = beta * (vov * vds - 0.5 * vds * vds)
+        ids_t = q_t * clm
+        gm_t = beta * vds * clm
+        gds_t = beta * (vov - vds) * clm + q_t * self.lambd
         # Saturation region.
-        if np.any(sat):
-            idx = sat
-            ids_s = 0.5 * beta * vov * vov * clm
-            gm_s = beta * vov * clm
-            gds_s = 0.5 * beta * vov * vov * self.lambd
-            ids[idx] = ids_s[idx]
-            gm[idx] = gm_s[idx]
-            gds[idx] = gds_s[idx]
+        q_s = self.half_beta * vov * vov
+        ids_s = q_s * clm
+        gm_s = beta * vov * clm
+        gds_s = q_s * self.lambd
 
+        ids = np.where(triode, ids_t, np.where(cutoff, 0.0, ids_s))
+        gm = np.where(triode, gm_t, np.where(cutoff, 0.0, gm_s))
+        gds = np.where(triode, gds_t, np.where(cutoff, 0.0, gds_s))
         gmb = gm * dvt_dvsb
 
-        region = np.where(cutoff, 0, np.where(triode, 1, 2))
         # Map back to physical current: in the NMOS frame ids flows from
         # effective drain to effective source; multiply by sign for PMOS.
         return MosEval(
@@ -293,38 +309,36 @@ class MosGroup:
             gm=gm,
             gds=gds,
             gmb=gmb,
-            d_eff=d_eff,
-            s_eff=s_eff,
+            terminals=terminals,
+            v_eff=v_eff,
+            reversed=reversed_mode,
             vgs=vgs,
             vds=vds,
-            region=region,
+            cutoff=cutoff,
+            triode=triode,
         )
 
-    def capacitances(self, v: np.ndarray) -> dict[str, np.ndarray]:
+    def capacitances(self, v: np.ndarray,
+                     ev: MosEval | None = None) -> dict[str, np.ndarray]:
         """Meyer gate capacitances + overlaps + zero-bias junctions.
 
-        Returns arrays ``cgs, cgd, cgb, cbd, cbs`` (F), in the *physical*
-        terminal frame (swap handled internally).
+        *ev* is the evaluation at *v* when the caller already has it;
+        otherwise *v* is evaluated here.  Returns arrays ``cgs, cgd,
+        cgb, cbd, cbs`` (F), in the *physical* terminal frame (swap
+        handled internally).
         """
-        ev = self.evaluate(v)
-        cgs_i = np.zeros(self.count)
-        cgd_i = np.zeros(self.count)
-        cgb_i = np.zeros(self.count)
-        cox = self.cox_tot
-
-        cutoff = ev.region == 0
-        triode = ev.region == 1
-        sat = ev.region == 2
-        cgb_i[cutoff] = cox[cutoff]
-        cgs_i[triode] = 0.5 * cox[triode]
-        cgd_i[triode] = 0.5 * cox[triode]
-        cgs_i[sat] = (2.0 / 3.0) * cox[sat]
+        if ev is None:
+            ev = self.evaluate(v)
+        cutoff, triode = ev.cutoff, ev.triode
+        cgb_i = np.where(cutoff, self.cox_tot, 0.0)
+        cgd_i = np.where(triode, self.half_cox, 0.0)
+        cgs_i = np.where(triode, self.half_cox,
+                         np.where(cutoff, 0.0, self.two_thirds_cox))
 
         # Meyer "cgs"/"cgd" are referenced to the effective source/drain;
         # when the device is reversed, swap them back to physical terms.
-        swapped = ev.d_eff != self.nd
-        cgs = np.where(swapped, cgd_i, cgs_i) + self.c_ov_gs
-        cgd = np.where(swapped, cgs_i, cgd_i) + self.c_ov_gd
+        cgs = np.where(ev.reversed, cgd_i, cgs_i) + self.c_ov_gs
+        cgd = np.where(ev.reversed, cgs_i, cgd_i) + self.c_ov_gd
         cgb = cgb_i + self.c_ov_gb
         cbd = self.c_jxn.copy()
         cbs = self.c_jxn.copy()

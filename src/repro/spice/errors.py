@@ -46,12 +46,22 @@ class AnalysisError(SpiceError):
 
 
 class ConvergenceError(AnalysisError):
-    """Newton-Raphson iteration failed to converge."""
+    """Newton-Raphson iteration failed to converge.
+
+    Attributes:
+        iterations: iterations spent before giving up.
+        residual: largest node-voltage update of the last iteration (V).
+        t: simulation time of the failed solve (``None`` at DC).
+        node: the node with the largest last update.
+    """
 
     def __init__(self, message: str, iterations: int | None = None,
-                 residual: float | None = None):
+                 residual: float | None = None, t: float | None = None,
+                 node: str | None = None):
         self.iterations = iterations
         self.residual = residual
+        self.t = t
+        self.node = node
         super().__init__(message)
 
 

@@ -27,9 +27,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.obs import metrics as _metrics
+from repro.obs import trace as _trace
 from repro.spice.devices.controlled import Vccs, Vcvs
 from repro.spice.devices.diode import Diode, DiodeGroup, DiodeModel
-from repro.spice.devices.mosfet import MosGroup, Mosfet, MosModel
+from repro.spice.devices.mosfet import MosEval, MosGroup, Mosfet, MosModel
 from repro.spice.devices.passives import Capacitor, Inductor, Resistor
 from repro.spice.devices.sources import CurrentSource, VoltageSource
 from repro.spice.devices.switch import SwitchGroup, SwitchModel, VSwitch
@@ -38,7 +40,12 @@ from repro.spice.errors import (
     NetlistError,
     SingularMatrixError,
 )
-from repro.spice.netlist import Circuit
+from repro.spice.netlist import Circuit, normalize_node
+
+#: Newton iterations per converged :meth:`MnaSystem.newton` call.
+_ITERATIONS = _metrics.REGISTRY.histogram(
+    "spice.newton.iterations",
+    bounds=(1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 50, 100))
 
 
 @dataclass
@@ -90,6 +97,7 @@ class MnaSystem:
         self.n_nodes = len(self.nodes)
 
         self.vsources: list[VoltageSource] = circuit.devices_of(VoltageSource)
+        self.isources: list[CurrentSource] = circuit.devices_of(CurrentSource)
         self.vcvs: list[Vcvs] = circuit.devices_of(Vcvs)
         self.inductors: list[Inductor] = circuit.devices_of(Inductor)
         self.n_branch = (len(self.vsources) + len(self.vcvs)
@@ -110,6 +118,17 @@ class MnaSystem:
         self._compile_groups()
         self._compile_static()
         self._compile_dynamic()
+
+        # Newton loop constants.
+        self._is_linear = (self.mos_group is None
+                           and self.diode_group is None
+                           and self.switch_group is None)
+        self._diag = np.arange(self.n_nodes)
+        self._tol_floor = np.concatenate([
+            np.full(self.n_nodes, self.vntol),
+            np.full(self.n_branch, self.abstol)])
+        #: Newton iterations of the last converged :meth:`newton` call.
+        self.last_iterations = 0
 
     # ------------------------------------------------------------------
     # compilation
@@ -134,6 +153,19 @@ class MnaSystem:
                             if diodes else None)
         self.switch_group = (SwitchGroup(switches, sw_models, self.node_index)
                              if switches else None)
+        if self.mos_group is not None:
+            # Flat matrix positions of the 8 MOSFET conductance stamps,
+            # for the forward and the drain/source-swapped orientation.
+            grp = self.mos_group
+            width = self.size + 1
+
+            def pattern(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+                rows = np.stack([d, d, d, d, s, s, s, s])
+                cols = np.stack([d, grp.ng, grp.nb, s] * 2)
+                return rows * width + cols
+
+            self._mos_stamp = pattern(grp.nd, grp.ns)
+            self._mos_stamp_rev = pattern(grp.ns, grp.nd)
 
     def _compile_static(self) -> None:
         """Static linear stamps: R, VCCS, and V-source/VCVS/L topology."""
@@ -192,6 +224,17 @@ class MnaSystem:
         self.ind_val = np.array([i.value for i in self.inductors])
         self.ind_rows = np.array(
             [self.branch_index[i.name] for i in self.inductors], dtype=np.intp)
+        # Terminals of every capacitance the transient companions see:
+        # the linear capacitors, then cgs, cgd, cgb, cbd, cbs of each
+        # MOSFET (the value order of :meth:`dynamic_caps`).
+        n1 = [self.cap_n1]
+        n2 = [self.cap_n2]
+        grp = self.mos_group
+        if grp is not None:
+            n1 += [grp.ng, grp.ng, grp.ng, grp.nb, grp.nb]
+            n2 += [grp.ns, grp.nd, grp.nb, grp.nd, grp.ns]
+        self.dyn_n1 = np.concatenate(n1)
+        self.dyn_n2 = np.concatenate(n2)
 
     # ------------------------------------------------------------------
     # assembly helpers
@@ -223,7 +266,7 @@ class MnaSystem:
             else:
                 value = src.value_at(t)
             b[k] += value * scale
-        for src in self.circuit.devices_of(CurrentSource):
+        for src in self.isources:
             a, c = self._node(src.n1), self._node(src.n2)
             if src.name in overrides:
                 value = overrides[src.name]
@@ -235,26 +278,30 @@ class MnaSystem:
             b[c] += value * scale
         return b
 
+    @_trace.timed("spice.stamp")
     def stamp_nonlinear(self, a_mat: np.ndarray, b: np.ndarray,
-                        x_full: np.ndarray) -> None:
+                        x_full: np.ndarray,
+                        mos_eval: MosEval | None = None) -> None:
         """Companion-linearize all nonlinear groups at *x_full* and stamp
-        them into matrix *a_mat* and RHS *b* (both oversized)."""
+        them into matrix *a_mat* and RHS *b* (both oversized, *a_mat*
+        C-contiguous).  *mos_eval* is the MOSFET evaluation at *x_full*
+        when the caller already has it."""
         if self.mos_group is not None:
-            ev = self.mos_group.evaluate(x_full)
-            d, s = ev.d_eff, ev.s_eff
-            g_node, b_node = self.mos_group.ng, self.mos_group.nb
+            ev = (self.mos_group.evaluate(x_full) if mos_eval is None
+                  else mos_eval)
             gm, gds, gmb = ev.gm, ev.gds, ev.gmb
             gss = gm + gds + gmb
-            rows = np.concatenate([d, d, d, d, s, s, s, s])
-            cols = np.concatenate([d, g_node, b_node, s] * 2)
+            flat = np.where(ev.reversed, self._mos_stamp_rev,
+                            self._mos_stamp)
             vals = np.concatenate(
                 [gds, gm, gmb, -gss, -gds, -gm, -gmb, gss])
-            np.add.at(a_mat, (rows, cols), vals)
-            i_lin = (gds * x_full[d] + gm * x_full[g_node]
-                     + gmb * x_full[b_node] - gss * x_full[s])
+            np.add.at(a_mat.reshape(-1), flat.reshape(-1), vals)
+            vd, vg, vs, vb = ev.v_eff
+            i_lin = gds * vd + gm * vg + gmb * vb - gss * vs
             i_eq = ev.ids - i_lin
-            np.add.at(b, d, -i_eq)
-            np.add.at(b, s, i_eq)
+            # Effective drains, then effective sources.
+            np.add.at(b, ev.terminals[::2].reshape(-1),
+                      np.concatenate([-i_eq, i_eq]))
         if self.diode_group is not None:
             grp = self.diode_group
             current, cond = grp.evaluate(x_full)
@@ -285,14 +332,13 @@ class MnaSystem:
     # ------------------------------------------------------------------
     # Newton solution
     # ------------------------------------------------------------------
-    def _converged(self, x_new: np.ndarray, x_old: np.ndarray) -> bool:
-        dx = np.abs(x_new - x_old)
+    def _converged(self, dx: np.ndarray, x_new: np.ndarray,
+                   x_old: np.ndarray) -> bool:
         xmag = np.maximum(np.abs(x_new), np.abs(x_old))
-        tol = np.empty(self.size)
-        tol[: self.n_nodes] = self.vntol + self.reltol * xmag[: self.n_nodes]
-        tol[self.n_nodes:] = self.abstol + self.reltol * xmag[self.n_nodes:]
-        return bool(np.all(dx <= tol))
+        return bool((np.abs(dx) <= self._tol_floor
+                     + self.reltol * xmag).all())
 
+    @_trace.timed("spice.newton")
     def newton(self, x0: np.ndarray | None = None,
                t: float | None = None,
                overrides: Mapping[str, float] | None = None,
@@ -301,7 +347,8 @@ class MnaSystem:
                gmin: float | None = None,
                source_scale: float = 1.0,
                max_iter: int = 100,
-               damping: float = 2.0) -> np.ndarray:
+               damping: float = 2.0,
+               mos_eval: MosEval | None = None) -> np.ndarray:
         """Solve the (possibly nonlinear) MNA system by damped Newton.
 
         Args:
@@ -313,58 +360,76 @@ class MnaSystem:
             source_scale: multiplies independent sources (source stepping).
             max_iter: Newton iteration limit.
             damping: maximum per-iteration node-voltage change (V).
+            mos_eval: the MOSFET evaluation at *x0*, used by the first
+                iteration instead of evaluating *x0* again.
 
         Returns:
             The solution vector (node voltages then branch currents).
+            :attr:`last_iterations` holds the iterations it took.
 
         Raises:
             ConvergenceError: Newton failed to converge.
             SingularMatrixError: structurally singular system.
         """
-        x = np.zeros(self.size) if x0 is None else np.asarray(x0, float).copy()
+        n, n_nodes = self.size, self.n_nodes
+        x = np.zeros(n) if x0 is None else np.asarray(x0, float)
         gmin_val = self.gmin if gmin is None else gmin
-        b_src = self.source_vector(t=t, overrides=overrides,
-                                   scale=source_scale)
-        n = self.size
-        is_linear = (self.mos_group is None and self.diode_group is None
-                     and self.switch_group is None)
-        diag = np.arange(self.n_nodes)
+        diag = self._diag
+        # Everything but the nonlinear stamps is the same in every
+        # iteration: stamp it once.
+        a_base = self.g_static.copy()
+        b_base = self.source_vector(t=t, overrides=overrides,
+                                    scale=source_scale)
+        if extra_g is not None:
+            np.add.at(a_base, (extra_g.rows, extra_g.cols), extra_g.vals)
+        if extra_b is not None:
+            np.add.at(b_base, extra_b.rows, extra_b.vals)
+        x_full = np.zeros(n + 1)  # the last entry is the 0 V ground
+        max_dv, dx = 0.0, None
 
         for iteration in range(max_iter):
-            a_mat = self.g_static.copy()
-            b = b_src.copy()
-            if extra_g is not None:
-                np.add.at(a_mat, (extra_g.rows, extra_g.cols), extra_g.vals)
-            if extra_b is not None:
-                np.add.at(b, extra_b.rows, extra_b.vals)
-            x_full = self.full_vector(x)
-            self.stamp_nonlinear(a_mat, b, x_full)
-            a_red = a_mat[:n, :n].copy()
+            a_mat = a_base.copy()
+            b = b_base.copy()
+            x_full[:n] = x
+            self.stamp_nonlinear(a_mat, b, x_full, mos_eval)
+            mos_eval = None
+            a_red = a_mat[:n, :n]
             a_red[diag, diag] += gmin_val
-            try:
-                x_new = np.linalg.solve(a_red, b[:n])
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"singular MNA matrix for {self.circuit!r}: {exc}"
-                ) from exc
-            if not np.all(np.isfinite(x_new)):
+            with _trace.span("spice.solve"):
+                try:
+                    x_new = np.linalg.solve(a_red, b[:n])
+                except np.linalg.LinAlgError as exc:
+                    raise SingularMatrixError(
+                        f"singular MNA matrix for {self.circuit!r}: {exc}"
+                    ) from exc
+            if not np.isfinite(x_new).all():
                 raise SingularMatrixError(
                     f"non-finite solution for {self.circuit!r} "
                     "(check for floating nodes)")
-            if is_linear:
-                return x_new
+            if self._is_linear:
+                return self._accept(iteration, x_new)
             dx = x_new - x
-            dv = dx[: self.n_nodes]
-            max_dv = np.max(np.abs(dv)) if self.n_nodes else 0.0
+            max_dv = np.abs(dx[:n_nodes]).max() if n_nodes else 0.0
             if max_dv > damping:
                 dx = dx * (damping / max_dv)
                 x_new = x + dx
-            if self._converged(x_new, x) and max_dv <= damping:
-                return x_new
+            elif self._converged(dx, x_new, x):
+                return self._accept(iteration, x_new)
             x = x_new
+        when = "at DC" if t is None else f"at t={t:.6g} s"
+        node = (self.nodes[int(np.argmax(np.abs(dx[:n_nodes])))]
+                if dx is not None and n_nodes else None)
         raise ConvergenceError(
-            f"Newton did not converge in {max_iter} iterations "
-            f"for {self.circuit!r}", iterations=max_iter)
+            f"Newton did not converge in {max_iter} iterations {when} "
+            f"for {self.circuit!r}: last update {float(max_dv):.3g} V, "
+            f"largest at node {node!r}",
+            iterations=max_iter, residual=float(max_dv), t=t, node=node)
+
+    def _accept(self, iteration: int, x: np.ndarray) -> np.ndarray:
+        """Record a call that converged at 0-based *iteration*."""
+        self.last_iterations = iteration + 1
+        _ITERATIONS.observe(iteration + 1)
+        return x
 
     def solve_robust(self, x0: np.ndarray | None = None,
                      overrides: Mapping[str, float] | None = None,
@@ -442,27 +507,24 @@ class MnaSystem:
         yield grp.nb, grp.nd, caps["cbd"]
         yield grp.nb, grp.ns, caps["cbs"]
 
-    def dynamic_caps(self, x_full: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All capacitances (linear + device) as ``(n1, n2, value)`` arrays,
-        evaluated at *x_full*.  Used by the transient companion models."""
-        n1_list = [self.cap_n1]
-        n2_list = [self.cap_n2]
-        val_list = [self.cap_val]
-        for pair_n1, pair_n2, vals in self._mos_cap_pairs(x_full):
-            n1_list.append(pair_n1)
-            n2_list.append(pair_n2)
-            val_list.append(vals)
-        return (np.concatenate(n1_list), np.concatenate(n2_list),
-                np.concatenate(val_list))
+    @_trace.timed("spice.caps")
+    def dynamic_caps(self, x_full: np.ndarray,
+                     mos_eval: MosEval | None = None) -> np.ndarray:
+        """Values of all capacitances (linear + device) at *x_full*,
+        between the terminals :attr:`dyn_n1` / :attr:`dyn_n2`.  Used by
+        the transient companion models.  *mos_eval* is the MOSFET
+        evaluation at *x_full* when the caller already has it."""
+        if self.mos_group is None:
+            return self.cap_val.copy()
+        caps = self.mos_group.capacitances(x_full, mos_eval)
+        return np.concatenate([self.cap_val, caps["cgs"], caps["cgd"],
+                               caps["cgb"], caps["cbd"], caps["cbs"]])
 
     # ------------------------------------------------------------------
     # result helpers
     # ------------------------------------------------------------------
     def voltage(self, x: np.ndarray, node: str) -> float:
         """Node voltage from a solution vector (ground returns 0)."""
-        from repro.spice.netlist import normalize_node
-
         node = normalize_node(node)
         if node == "0":
             return 0.0

@@ -370,6 +370,17 @@ class TestTraceCommand:
         run_cli(capsys, "trace", "table2", "--fast")
         assert not trace.ENABLED
 
+    def test_text_trace_prints_histograms(self, capsys):
+        code, out = run_cli(capsys, "trace", "table2", "--fast")
+        assert code == 0
+        section = out.split("histograms:\n", 1)[1].splitlines()
+        # table2 runs two scenarios: one wall histogram with n=2 and
+        # its non-empty buckets on the next line.
+        assert section[0].split()[:2] == ["campaign.scenario.wall_s",
+                                          "n=2"]
+        assert sum(int(b.rsplit(":", 1)[1])
+                   for b in section[1].split()) == 2
+
 
 class TestStatsCommand:
     def _fill(self, capsys, cache_dir):
