@@ -10,10 +10,10 @@ Timing-relevant benchmarks additionally write machine-readable
 the performance trajectory is tracked PR-over-PR.  By default they land
 in the gitignored ``.benchmarks/`` directory, keeping plain test runs
 from dirtying the tracked ``BENCH_*.json`` copies at the repo root; to
-refresh those intentionally, run with ``REPRO_BENCH_DIR=.``.  The
-artifacts record wall times but nothing here asserts on them: wall
-clocks are not deterministic, so speed regressions are gated by the
-repeated-run ``perfbench`` harness instead.
+refresh those intentionally, run with ``REPRO_BENCH_DIR=.``.  The BER
+artifacts (fig6, mui) record result numbers only; speed is measured
+and gated by the repeated-run ``perfbench`` harness, not by one
+wall-clock sample here.
 """
 
 import json

@@ -4,7 +4,7 @@
 Run:  python examples/network_study.py [--full]
 
 Builds a victim link plus interferers declaratively, runs one curve by
-hand through the fastsim backend, then the packaged ``mui`` study
+hand through ``ops.mui_ber_curve``, then the packaged ``mui`` study
 (interferer-count sweep + near-far) through the campaign harness.
 
 ``REPRO_SMOKE=1`` shrinks the grids so CI can smoke-test the script
@@ -17,11 +17,7 @@ import sys
 import numpy as np
 
 from repro.experiments import default_victim, run_mui
-from repro.link import (
-    FastsimBackend,
-    InterfererSpec,
-    NetworkSpec,
-)
+from repro.link import InterfererSpec, NetworkSpec, ops
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 
@@ -38,11 +34,10 @@ def main() -> None:
     grid = (6.0, 14.0) if SMOKE else (2.0, 6.0, 10.0, 14.0)
     budget = dict(target_errors=40, max_bits=8_000, min_bits=2_000) \
         if SMOKE else {}
-    backend = FastsimBackend()
-    clean = backend.ber_curve(NetworkSpec(victim=victim), grid,
+    clean = ops.mui_ber_curve(NetworkSpec(victim=victim), grid,
                               np.random.default_rng(7),
                               label="victim alone", **budget)
-    jammed = backend.ber_curve(network, grid, np.random.default_rng(7),
+    jammed = ops.mui_ber_curve(network, grid, np.random.default_rng(7),
                                label="one 0dB interferer", **budget)
     print("Single network - victim vs one equal-power interferer")
     print(clean.format_table())

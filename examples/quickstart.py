@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.circuits import build_integrate_dump, count_transistors
 from repro.core.characterize import build_surrogate, characterize_integrator
-from repro.link import FastsimBackend, LinkSpec
+from repro.link import LinkSpec, ops
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 
@@ -42,21 +42,20 @@ def main() -> None:
 
     # --- 4. BER comparison --------------------------------------------
     # One front door: the link is declared once as a LinkSpec and the
-    # backend swaps integrator models (substitute-and-play).  The
+    # BER op swaps integrator models (substitute-and-play).  The
     # extracted surrogate overrides the registry's analytic circuit
     # model.
     grid = [4.0, 8.0] if SMOKE else [4.0, 8.0, 12.0]
     budget = (dict(target_errors=20, max_bits=4_000, min_bits=1_000)
               if SMOKE else
               dict(target_errors=40, max_bits=20_000, min_bits=2_000))
-    backend = FastsimBackend()
     spec = LinkSpec(integrator="ideal")
-    ideal = backend.ber_curve(spec, grid, np.random.default_rng(1),
-                              label="ideal", **budget)
-    circuit = backend.ber_curve(spec.with_(integrator="circuit"), grid,
-                                np.random.default_rng(1),
-                                integrator=surrogate, label="circuit",
-                                **budget)
+    ideal = ops.ber_curve(spec, grid, np.random.default_rng(1),
+                          label="ideal", **budget)
+    circuit = ops.ber_curve(spec.with_(integrator="circuit"), grid,
+                            np.random.default_rng(1),
+                            integrator=surrogate, label="circuit",
+                            **budget)
     print(f"{'Eb/N0':>7s} {'ideal':>10s} {'circuit':>10s}")
     for e, a, b in zip(grid, ideal.ber, circuit.ber):
         print(f"{e:>7.1f} {a:>10.4f} {b:>10.4f}")

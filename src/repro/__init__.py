@@ -21,9 +21,10 @@ Subpackages
     packets, IEEE 802.15.4a CM1 channel, front end, AGC, synchronizer,
     demodulator, two-way ranging, and a vectorized BER engine.
 ``repro.link``
-    The one front door: declarative ``LinkSpec`` + pluggable
-    ``Backend`` (vectorized golden model / AMS-kernel testbench) with
-    integrator selection routed through the model registry.
+    The one front door: declarative ``LinkSpec`` + the ``ops``
+    functions (vectorized golden-model BER, ranging, AMS-kernel
+    testbench) with integrator selection routed through the model
+    registry.
 ``repro.experiments``
     Harnesses that regenerate every table and figure of the paper,
     self-registered for ``python -m repro run``.

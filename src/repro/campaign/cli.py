@@ -207,8 +207,8 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chunk-bits", type=_positive_int, default=None,
                         metavar="N",
                         help="Monte-Carlo chunk size (bits per "
-                             "vectorized chunk; default: backend "
-                             "native)")
+                             "vectorized chunk; default: the BER "
+                             "op's native size)")
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:

@@ -38,7 +38,7 @@ class ExperimentContext:
         seed: seed override (``None`` keeps the harness default).
         store: campaign result store (``None`` disables caching).
         chunk_bits: Monte-Carlo chunk size override (``None`` keeps
-            each backend's native default).
+            the BER ops' native default).
     """
 
     full: bool = False

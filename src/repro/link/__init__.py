@@ -1,4 +1,4 @@
-"""One front door to the simulated link: ``LinkSpec`` + ``Backend``.
+"""One front door to the simulated link: ``LinkSpec`` + ``ops``.
 
 The paper's whole point is that *one unchanged testbench* drives every
 refinement phase by substituting implementations.  This package is
@@ -8,30 +8,31 @@ that front door for the repository:
   serializable description of the link (configuration, channel, front
   end, integrator selection by registry name), plus the multi-user
   vocabulary: :class:`InterfererSpec` and :class:`NetworkSpec`,
+* :mod:`repro.link.ops` - one function per operation, each the only
+  implementation of it: ``ber_sweep`` / ``ber_curve`` /
+  ``mui_ber_curve`` (vectorized golden model), ``ranging``
+  (packet-level receiver), ``run_testbench`` (AMS-kernel testbench,
+  reference or compiled engine, optional transistor co-simulation)
+  and ``golden_packet``; all picklable campaign scenario functions,
 * :mod:`repro.link.pipeline` - the staged signal-path pipeline the
   golden model executes chunk by chunk (Tx -> Channel -> Combine ->
   AnalogFrontEnd -> Decision over a batched :class:`LinkState`), with
   interferers entering at the :class:`CombineStage`,
 * :mod:`repro.link.registry` - integrator construction routed through
-  the :class:`~repro.core.registry.ModelRegistry` (absorbing the old
-  ``make_integrator`` string dispatch),
-* :mod:`repro.link.backends` - the :class:`Backend` protocol with two
-  implementations: :class:`FastsimBackend` (vectorized golden model)
-  and :class:`KernelBackend` (AMS-kernel testbench, reference or
-  compiled engine, optional transistor co-simulation),
-* :mod:`repro.link.ops` - picklable top-level operations for campaign
-  scenarios (``ber_curve`` / ``ranging`` / ``run_testbench``),
-* :mod:`repro.link.equivalence` - the cross-backend Phase-I
-  validation harness (fastsim vs kernel, fixed seed).
+  the :class:`~repro.core.registry.ModelRegistry`,
+* :mod:`repro.link.backends` - the spec -> component builders every
+  operation shares (integrator, band-pass, converter, channel,
+  receiver, pilot calibration, interferer paths),
+* :mod:`repro.link.equivalence` - the golden-model versus kernel
+  Phase-I validation harness (fixed seed).
 
 Quick start::
 
-    from repro.link import FastsimBackend, LinkSpec
+    from repro.link import LinkSpec, ops
     import numpy as np
 
     spec = LinkSpec(integrator="two_pole")
-    curve = FastsimBackend().ber_curve(spec, [4, 8, 12],
-                                       np.random.default_rng(7))
+    curve = ops.ber_curve(spec, [4, 8, 12], np.random.default_rng(7))
 """
 
 from repro.link.spec import (
@@ -67,19 +68,15 @@ from repro.link.registry import (
     resolve_integrator,
 )
 from repro.link.backends import (
-    BACKENDS,
-    Backend,
-    FastsimBackend,
-    KernelBackend,
     build_adc,
     build_bpf,
     build_channel_model,
     build_channel_realization,
+    build_integrator,
     build_interferer_paths,
     build_interferer_realization,
     build_receiver,
     calibrate,
-    get_backend,
     split_network,
 )
 from repro.link.equivalence import EquivalenceResult, run_equivalence
@@ -88,9 +85,7 @@ from repro.link import ops
 __all__ = [
     "ADC_MODES",
     "AGC_MODES",
-    "BACKENDS",
     "AnalogFrontEndStage",
-    "Backend",
     "CHANNEL_KINDS",
     "COSIM",
     "ChannelSpec",
@@ -98,11 +93,9 @@ __all__ = [
     "CombineStage",
     "DecisionStage",
     "EquivalenceResult",
-    "FastsimBackend",
     "FrontEndSpec",
     "InterfererPath",
     "InterfererSpec",
-    "KernelBackend",
     "LinkSpec",
     "LinkState",
     "NetworkSpec",
@@ -113,13 +106,13 @@ __all__ = [
     "build_bpf",
     "build_channel_model",
     "build_channel_realization",
+    "build_integrator",
     "build_interferer_paths",
     "build_interferer_realization",
     "build_link_pipeline",
     "build_receiver",
     "calibrate",
     "default_link_registry",
-    "get_backend",
     "integrator_names",
     "link_registry",
     "ops",

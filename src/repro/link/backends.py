@@ -1,49 +1,38 @@
-"""Pluggable execution backends behind the one front door.
+"""Spec -> component builders: the one place a link is assembled.
 
-A :class:`Backend` turns a :class:`~repro.link.spec.LinkSpec` into
-results through four uniform operations:
+Every operation of :mod:`repro.link.ops` builds its components from a
+:class:`~repro.link.spec.LinkSpec` through the functions here:
 
-* :meth:`Backend.ber_point` / :meth:`Backend.ber_curve` - Monte-Carlo
-  BER (the figure-6 workload),
-* :meth:`Backend.packet` - demodulate an already-conditioned waveform
-  with ideal symbol alignment (the Table-1 / Phase-I workload),
-* :meth:`Backend.ranging` - two-way ranging through the full
-  packet-level receiver (the table-2 workload).
+* :func:`build_integrator` - the integrator model (registry name or
+  substitute instance, see :mod:`repro.link.registry`),
+* :func:`build_bpf` / :func:`build_adc` / :func:`build_quantizer` /
+  :func:`build_receiver` - the band-pass, converter and packet-level
+  receiver wiring,
+* :func:`build_channel_model` / :func:`build_channel_realization` -
+  the channel generator and the memoized deterministic draw,
+* :func:`calibrate` / :func:`build_interferer_paths` - the pilot
+  calibration and the SIR-calibrated multi-user paths,
+* :func:`draw_stimulus` - one seeded noisy burst at the squarer input
+  (the Phase-I stimulus graded by golden model and kernel alike).
 
-Two implementations ship:
-
-* :class:`FastsimBackend` - the vectorized NumPy golden model
-  (Phase I; "the Matlab description" of the paper),
-* :class:`KernelBackend` - the mixed-signal testbench on the AMS
-  kernel's reference or compiled engine (Phases II-IV, including
-  transistor-netlist co-simulation for ``integrator="circuit"``).
-
-Both resolve components from the spec the same way (integrators via
-the :mod:`repro.link.registry`, BPF/ADC/receiver via the builders
-below), which is what makes the cross-backend equivalence harness in
-:mod:`repro.link.equivalence` a pure substitute-and-play comparison.
+Sharing the builders is what makes the golden-model versus kernel
+comparison of :mod:`repro.link.equivalence` a pure substitute-and-play
+comparison.
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import math
-from typing import Any, Callable
 
 import numpy as np
 
 from repro.link.pipeline import (
-    AnalogFrontEndStage,
     ChannelStage,
     CombineStage,
-    DecisionStage,
     InterfererPath,
     SignalPipeline,
     TxStage,
-    check_budget,
-    keeps_sampling,
-    run_ber_sweep,
 )
 from repro.link.registry import resolve_integrator
 from repro.link.spec import InterfererSpec, LinkSpec, NetworkSpec
@@ -52,23 +41,34 @@ from repro.uwb.agc import Agc, TwoStageAgc
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.channel.ieee802154a import ChannelRealization, Cm1Channel
-from repro.uwb.fastsim import (
-    AdaptiveStopping,
-    BerResult,
-    _curve_result,
-    _LinkCache,
-)
+from repro.uwb.fastsim import _LinkCache
 from repro.uwb.frontend import Vga
 from repro.uwb.integrator import WindowIntegrator, nominal_gain
-from repro.uwb.ranging import RangingResult, TwoWayRanging
 from repro.uwb.receiver import EnergyDetectionReceiver
-from repro.uwb.system import AmsRunResult, build_ams_receiver
 
 
 # ----------------------------------------------------------------------
-# component builders (the only place BPF / ADC / VGA / receiver wiring
-# is assembled from a spec)
+# component builders (the only place integrator / BPF / ADC / VGA /
+# receiver wiring is assembled from a spec)
 # ----------------------------------------------------------------------
+
+def build_integrator(spec: LinkSpec,
+                     integrator: str | WindowIntegrator | None = None,
+                     *, cosim: bool = False) -> WindowIntegrator | str:
+    """The integrator model of *spec*: *integrator* (a registry name
+    or a substitute instance, e.g. a characterized surrogate from
+    :func:`repro.core.characterize.build_surrogate`) or, when ``None``,
+    the spec's registry selection at ``spec.phase`` with
+    ``spec.integrator_params``.
+
+    With ``cosim=True`` the ``"circuit"`` name resolves to the
+    co-simulation marker (the kernel testbench hosts the netlist);
+    otherwise to its behavioral ``"surrogate"`` stand-in.
+    """
+    return resolve_integrator(
+        integrator if integrator is not None else spec.integrator,
+        phase=spec.phase, params=spec.integrator_params, cosim=cosim)
+
 
 def build_bpf(spec: LinkSpec) -> BandPassFilter:
     """The receiver band-pass of *spec* (explicit band or
@@ -163,15 +163,10 @@ def build_receiver(spec: LinkSpec, *,
                    ) -> EnergyDetectionReceiver:
     """The packet-level receiver of *spec*: VGA, ADC and AGC built
     from the configuration, the band-pass and AGC policy from the
-    front-end spec, the integrator from the registry."""
+    front-end spec, the integrator from :func:`build_integrator`."""
     cfg = spec.config
     fe = spec.frontend
-    if integrator is None:
-        resolved = resolve_integrator(spec.integrator, phase=spec.phase,
-                                      params=spec.integrator_params,
-                                      cosim=False)
-    else:
-        resolved = integrator
+    resolved = build_integrator(spec, integrator)
     vga = Vga(step_db=cfg.agc_steps_db, max_db=cfg.agc_range_db)
     adc = build_adc(spec)
     k = nominal_gain(resolved)
@@ -272,11 +267,13 @@ def draw_stimulus(spec: LinkSpec, ebn0_db: float, n: int,
     The pipeline's Tx -> Channel -> Combine front draws the bits and
     the AWGN at *ebn0_db* (in that order, from *rng*); the band-pass
     and drive scaling of the calibrated *spec* follow.  This is the
-    stimulus of every decision the kernel backend grades.
+    stimulus the Phase-I comparison grades on both the golden model and
+    the kernel testbench.
 
     Returns:
         ``(bits, driven)``: the transmitted bits and the waveform to
-        hand to :meth:`Backend.packet`.
+        hand to :func:`~repro.link.ops.golden_packet` /
+        :func:`~repro.link.ops.run_testbench`.
     """
     cfg = spec.config
     cache = calibrate(spec)
@@ -291,98 +288,6 @@ def draw_stimulus(spec: LinkSpec, ebn0_db: float, n: int,
         :n * cfg.samples_per_symbol]
 
 
-def _as_link_spec(spec: LinkSpec | NetworkSpec,
-                  operation: str) -> LinkSpec:
-    """Reject :class:`NetworkSpec` where only single links run."""
-    if isinstance(spec, NetworkSpec):
-        raise TypeError(
-            f"{operation} runs single links only; multi-user "
-            "NetworkSpec is supported by FastsimBackend.ber_point / "
-            "ber_curve (the golden model synthesizes and sums the "
-            "per-transmitter waveforms)")
-    return spec
-
-
-# ----------------------------------------------------------------------
-# the backend protocol
-# ----------------------------------------------------------------------
-
-class Backend(abc.ABC):
-    """Uniform execution interface over a :class:`LinkSpec`.
-
-    Every operation takes the spec first and an explicit NumPy
-    generator where entropy is consumed; the optional ``integrator=``
-    override substitutes a concrete model instance (e.g. a
-    characterized surrogate from
-    :func:`repro.core.characterize.build_surrogate`) for the spec's
-    registry selection - the substitute-and-play escape hatch.
-    """
-
-    #: registry name of the backend (see :func:`get_backend`).
-    name: str = "backend"
-
-    def _integrator(self, spec: LinkSpec,
-                    override: str | WindowIntegrator | None,
-                    cosim: bool) -> WindowIntegrator | str:
-        return resolve_integrator(
-            override if override is not None else spec.integrator,
-            phase=spec.phase, params=spec.integrator_params,
-            cosim=cosim)
-
-    @abc.abstractmethod
-    def ber_point(self, spec: LinkSpec, ebn0_db: float,
-                  rng: np.random.Generator, *,
-                  integrator: str | WindowIntegrator | None = None,
-                  **budget: Any) -> tuple[int, int]:
-        """Monte-Carlo ``(errors, bits)`` at one Eb/N0 point."""
-
-    @abc.abstractmethod
-    def ber_curve(self, spec: LinkSpec, ebn0_grid,
-                  rng: np.random.Generator, *,
-                  label: str | None = None,
-                  integrator: str | WindowIntegrator | None = None,
-                  **budget: Any) -> BerResult:
-        """BER versus Eb/N0 (returns Wilson-bounded counters)."""
-
-    @abc.abstractmethod
-    def packet(self, spec: LinkSpec, waveform: np.ndarray, *,
-               integrator: str | WindowIntegrator | None = None,
-               **options: Any):
-        """Demodulate an already-conditioned waveform (post band-pass,
-        at squarer drive) with ideal symbol alignment from t=0.
-
-        Returns an object exposing ``bits`` and ``slot_values``.
-        """
-
-    def ranging(self, spec: LinkSpec, iterations: int,
-                rng: np.random.Generator, *,
-                integrator: str | WindowIntegrator | None = None,
-                noise_sigma: float = 1e-4,
-                tx_amplitude: float = 1.0) -> RangingResult:
-        """Two-way ranging at ``spec.channel.distance``.
-
-        The exchange runs through the full packet-level receiver
-        (NE -> PS -> AGC -> sync -> demod) built by
-        :func:`build_receiver`; backends share this waveform-level
-        implementation and differ only through the integrator model
-        the spec installs.
-        """
-        spec = _as_link_spec(spec, "ranging")
-        resolved = self._integrator(spec, integrator, cosim=False)
-        if not isinstance(resolved, WindowIntegrator):
-            raise ValueError("ranging needs a behavioral integrator "
-                             "model (co-simulation is not supported in "
-                             "the packet-level receiver)")
-        twr = TwoWayRanging(
-            spec.config,
-            lambda: build_receiver(spec, integrator=resolved),
-            distance=spec.channel.distance,
-            tx_amplitude=tx_amplitude,
-            noise_sigma=noise_sigma,
-            channel=build_channel_model(spec))
-        return twr.run(iterations, rng)
-
-
 def split_network(spec: LinkSpec | NetworkSpec
                   ) -> tuple[LinkSpec, NetworkSpec | None]:
     """``(victim, network)`` of a spec that may be multi-user
@@ -390,268 +295,3 @@ def split_network(spec: LinkSpec | NetworkSpec
     if isinstance(spec, NetworkSpec):
         return spec.victim, spec
     return spec, None
-
-
-class FastsimBackend(Backend):
-    """The vectorized Monte-Carlo golden model (Phase I).
-
-    The BER operations additionally accept a
-    :class:`~repro.link.spec.NetworkSpec`: the staged pipeline
-    synthesizes one waveform per transmitter, sums the interferers at
-    their calibrated amplitudes, and grades the victim's bits."""
-
-    name = "fastsim"
-
-    def ber_point(self, spec: LinkSpec | NetworkSpec, ebn0_db: float,
-                  rng: np.random.Generator, *,
-                  integrator: str | WindowIntegrator | None = None,
-                  **budget: Any) -> tuple[int, int]:
-        """The 1x1 :meth:`sweep` (same budget keywords)."""
-        (curve,) = self.sweep(spec, (float(ebn0_db),), rng,
-                              integrators=(integrator,),
-                              **budget).values()
-        return int(curve.errors[0]), int(curve.bits[0])
-
-    def ber_curve(self, spec: LinkSpec | NetworkSpec, ebn0_grid,
-                  rng: np.random.Generator, *,
-                  label: str | None = None,
-                  integrator: str | WindowIntegrator | None = None,
-                  **budget: Any) -> BerResult:
-        """A one-integrator :meth:`sweep` (same budget keywords),
-        labelled *label* or the resolved model's name."""
-        victim, _ = split_network(spec)
-        resolved = self._integrator(victim, integrator, cosim=False)
-        (curve,) = self.sweep(spec, ebn0_grid, rng,
-                              integrators=(resolved,),
-                              labels=(label or resolved.name,),
-                              **budget).values()
-        return curve
-
-    def sweep(self, spec: LinkSpec | NetworkSpec, ebn0_grid,
-              rng: np.random.Generator, *,
-              integrators: tuple = ("ideal", "circuit"),
-              labels: tuple | None = None,
-              target_errors: int = 100,
-              max_bits: int = 200_000,
-              min_bits: int = 2_000,
-              chunk_bits: int = 1_000,
-              adaptive: AdaptiveStopping | None = None
-              ) -> dict[str, BerResult]:
-        """Batched multi-curve BER sweep: one shared front end, one
-        decision stage per integrator, every (integrator, Eb/N0) cell
-        graded from the same bit/noise draws.
-
-        The only place the golden-model BER pipeline is built:
-        ``Tx -> Channel -> Combine -> AnalogFrontEnd`` from the
-        (memoized) pilot calibration of the victim, any interferers
-        SIR-calibrated against it, then
-        :func:`~repro.link.pipeline.run_ber_sweep`.  Curve ``k`` is
-        bit-identical to a one-integrator sweep of ``integrators[k]``
-        with a generator seeded like *rng* - the batch only
-        reorganizes the arithmetic, never the entropy stream.
-
-        Args:
-            integrators: registry names or model instances (``None``
-                selects the spec's integrator); their decision stages
-                share the Tx/channel/AFE work.
-            labels: one result key per integrator (defaults to the
-                registry name / model name).
-            target_errors / max_bits / min_bits: stopping rule.
-            chunk_bits: symbols per vectorized chunk.
-            adaptive: optional sequential policy ending a cell as soon
-                as its estimate is resolved; its confidence level also
-                sets the curves' Wilson bounds.
-        """
-        victim, network = split_network(spec)
-        resolved = [self._integrator(victim, integ, cosim=False)
-                    for integ in integrators]
-        if labels is None:
-            labels = tuple(
-                integ if isinstance(integ, str) else r.name
-                for integ, r in zip(integrators, resolved))
-        if len(labels) != len(resolved):
-            raise ValueError(
-                f"{len(resolved)} integrators need {len(resolved)} "
-                f"labels, got {len(labels)}")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate sweep labels: {labels!r}")
-        cfg = victim.config
-        cache = calibrate(victim)
-        interferers = (build_interferer_paths(network, cache=cache)
-                       if network is not None else ())
-        ebn0_grid = np.asarray(ebn0_grid, dtype=float)
-        sigmas = np.array([noise_sigma_for_ebn0(cache.eb, float(p), cfg.fs)
-                           for p in ebn0_grid])
-        front = SignalPipeline(stages=(
-            TxStage(cfg),
-            ChannelStage(cfg, cache.channel),
-            CombineStage(cfg, 0.0, interferers),
-            AnalogFrontEndStage(cfg, cache.bpf,
-                                victim.frontend.squarer_drive
-                                / cache.peak),
-        ))
-        adc = build_quantizer(victim, packet=False)
-        deciders = [DecisionStage(cfg, r, adc) for r in resolved]
-        errors, bits = run_ber_sweep(
-            front, deciders, sigmas, rng, target_errors=target_errors,
-            max_bits=max_bits, min_bits=min_bits, chunk_bits=chunk_bits,
-            adaptive=adaptive)
-        return {
-            label: _curve_result(ebn0_grid, errors[k], bits[k],
-                                 label, adaptive)
-            for k, label in enumerate(labels)}
-
-    def packet(self, spec: LinkSpec, waveform: np.ndarray, *,
-               integrator: str | WindowIntegrator | None = None
-               ) -> AmsRunResult:
-        """The golden model's decision on the kernel testbench's slot
-        gating; ``slot_values`` are the compared (post-ADC) values and
-        ``cpu_time``/``steps`` are zero (no kernel loop runs)."""
-        spec = _as_link_spec(spec, "FastsimBackend.packet")
-        resolved = self._integrator(spec, integrator, cosim=False)
-        cfg = spec.config
-        waveform = np.asarray(waveform, dtype=float)
-        n = len(waveform) // cfg.samples_per_symbol
-        squared = np.square(
-            waveform[:n * cfg.samples_per_symbol]
-        ).reshape(n, 2, cfg.samples_per_slot)
-        # Honor the spec's Integrate & Dump gate: the kernel testbench
-        # dumps for t_dump and holds for t_hold within every slot, so
-        # the golden decision integrates the same sample window.
-        gate0 = int(round(spec.frontend.t_dump * cfg.fs))
-        gate1 = cfg.samples_per_slot - int(round(
-            spec.frontend.t_hold * cfg.fs))
-        values, bits = DecisionStage(
-            cfg, resolved, build_quantizer(spec, packet=True)
-        ).decide(squared[:, :, gate0:gate1])
-        return AmsRunResult(bits=bits, slot_values=values,
-                            cpu_time=0.0, steps=0)
-
-
-class KernelBackend(Backend):
-    """The mixed-signal AMS-kernel testbench (Phases II-IV).
-
-    Args:
-        engine: kernel execution engine - ``"compiled"`` (segment
-            vectorized) or ``"reference"`` (the lock-step oracle).
-        cosim_substeps: circuit-level steps per kernel step when the
-            spec selects the co-simulated netlist.
-        preflight: statically lint a co-simulated netlist (error-level
-            rules) before any MNA assembly; a broken circuit raises
-            :class:`~repro.spice.errors.NetlistLintError` naming the
-            rule and nodes.  ``False`` opts out.
-    """
-
-    name = "kernel"
-
-    def __init__(self, engine: str = "compiled",
-                 cosim_substeps: int = 1,
-                 preflight: bool = True):
-        self.engine = engine
-        self.cosim_substeps = int(cosim_substeps)
-        self.preflight = bool(preflight)
-
-    def packet(self, spec: LinkSpec, waveform: np.ndarray, *,
-               integrator: str | WindowIntegrator | None = None,
-               t_stop: float | None = None,
-               record: bool = False) -> AmsRunResult:
-        spec = _as_link_spec(spec, "KernelBackend.packet")
-        resolved = self._integrator(spec, integrator, cosim=True)
-        cfg = spec.config
-        sim, harvest = build_ams_receiver(
-            cfg, resolved, np.asarray(waveform, dtype=float),
-            adc=build_quantizer(spec, packet=True),
-            cosim_substeps=self.cosim_substeps, record=record,
-            t_hold=spec.frontend.t_hold, t_dump=spec.frontend.t_dump,
-            engine=self.engine, preflight=self.preflight)
-        if t_stop is None:
-            n_symbols = len(waveform) // cfg.samples_per_symbol
-            t_stop = n_symbols * cfg.symbol_period
-        sim.run(t_stop)
-        return harvest.result()
-
-    def ber_point(self, spec: LinkSpec, ebn0_db: float,
-                  rng: np.random.Generator, *,
-                  integrator: str | WindowIntegrator | None = None,
-                  target_errors: int = 25,
-                  max_bits: int = 1_500,
-                  min_bits: int = 200,
-                  chunk_bits: int = 100,
-                  adaptive: AdaptiveStopping | None = None
-                  ) -> tuple[int, int]:
-        """Monte-Carlo BER with kernel-demodulated decisions.
-
-        Each chunk's stimulus comes from :func:`draw_stimulus` (the
-        golden model's Tx/channel/noise front, band-pass and drive
-        scaling); only the decision path runs through the event-driven
-        testbench.  The default budget is far smaller than fastsim's -
-        each chunk is a full kernel simulation.
-        """
-        spec = _as_link_spec(spec, "KernelBackend.ber_point")
-        check_budget(target_errors=target_errors, max_bits=max_bits,
-                     min_bits=min_bits, chunk_bits=chunk_bits)
-        rule = dict(target_errors=target_errors, max_bits=max_bits,
-                    min_bits=min_bits, adaptive=adaptive)
-        errors = 0
-        bits_done = 0
-        while keeps_sampling(errors, bits_done, **rule):
-            n = min(chunk_bits, max_bits - bits_done)
-            bits, driven = draw_stimulus(spec, ebn0_db, n, rng)
-            decided = self.packet(spec, driven,
-                                  integrator=integrator).bits
-            errors += int(np.count_nonzero(decided != bits[:len(decided)]))
-            bits_done += n
-        return errors, bits_done
-
-    def ber_curve(self, spec: LinkSpec, ebn0_grid,
-                  rng: np.random.Generator, *,
-                  label: str | None = None,
-                  integrator: str | WindowIntegrator | None = None,
-                  target_errors: int = 25,
-                  max_bits: int = 1_500,
-                  min_bits: int = 200,
-                  chunk_bits: int = 100,
-                  adaptive: AdaptiveStopping | None = None) -> BerResult:
-        """Serial BER sweep, one kernel-demodulated :meth:`ber_point`
-        per Eb/N0 point (fan-out belongs at the campaign layer)."""
-        ebn0_grid = np.asarray(ebn0_grid, dtype=float)
-        points = [self.ber_point(spec, float(point), rng,
-                                 integrator=integrator,
-                                 target_errors=target_errors,
-                                 max_bits=max_bits, min_bits=min_bits,
-                                 chunk_bits=chunk_bits, adaptive=adaptive)
-                  for point in ebn0_grid]
-        errors = np.array([e for e, _ in points], dtype=np.int64)
-        bits = np.array([b for _, b in points], dtype=np.int64)
-        if label is None:
-            resolved = self._integrator(spec, integrator, cosim=True)
-            label = resolved if isinstance(resolved, str) \
-                else resolved.name
-        return _curve_result(ebn0_grid, errors, bits, label, adaptive)
-
-
-# ----------------------------------------------------------------------
-# backend registry
-# ----------------------------------------------------------------------
-
-#: backend name -> constructor.
-BACKENDS: dict[str, Callable[..., Backend]] = {
-    FastsimBackend.name: FastsimBackend,
-    KernelBackend.name: KernelBackend,
-}
-
-
-def get_backend(name: str | Backend, **kwargs: Any) -> Backend:
-    """Instantiate a backend by name (instances pass through).
-
-    Extra keyword arguments go to the constructor, e.g.
-    ``get_backend("kernel", engine="reference")``.
-    """
-    if isinstance(name, Backend):
-        return name
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}; registered: "
-                         f"{', '.join(sorted(BACKENDS))}") from None
-    return factory(**kwargs)

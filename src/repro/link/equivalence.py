@@ -1,11 +1,11 @@
-"""Cross-backend equivalence: the Phase-I validation, mechanized.
+"""Golden model versus kernel: the Phase-I validation, mechanized.
 
 The paper validates its behavioral receiver against a golden model:
 "we obtained BER curves which perfectly overlapped the Matlab ones".
-This harness performs that check between this repository's backends -
-the vectorized golden model (:class:`FastsimBackend`) and the AMS
-kernel testbench (:class:`KernelBackend` on each execution engine) -
-over the *same* seeded noisy waveform:
+This harness performs that check between the vectorized golden model
+(:func:`~repro.link.ops.golden_packet`) and the AMS kernel testbench
+(:func:`~repro.link.ops.run_testbench` on each execution engine) over
+the *same* seeded noisy waveform:
 
 * the two kernel engines must demodulate **bit-identical** decisions
   (they are the same testbench, differently scheduled);
@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.link.backends import FastsimBackend, KernelBackend, draw_stimulus
+from repro.link.backends import draw_stimulus
+from repro.link.ops import golden_packet, run_testbench
 from repro.link.spec import LinkSpec
 from repro.uwb.config import UwbConfig
 from repro.uwb.fastsim import wilson_interval
@@ -43,7 +44,7 @@ DEFAULT_SPEC = LinkSpec(
 
 @dataclass
 class EquivalenceResult:
-    """Outcome of one cross-backend comparison.
+    """Outcome of one golden-model versus kernel comparison.
 
     Attributes:
         spec: the link under test.
@@ -111,8 +112,8 @@ def decide_burst(spec: LinkSpec, driven: np.ndarray,
     """Every arm's decisions on one stimulus from
     :func:`~repro.link.backends.draw_stimulus`: ``(golden, kernel)``,
     the golden-model bits and the kernel bits per engine."""
-    golden = FastsimBackend().packet(spec, driven).bits
-    kernel = {engine: KernelBackend(engine=engine).packet(spec, driven).bits
+    golden = golden_packet(spec, driven).bits
+    kernel = {engine: run_testbench(spec, driven, engine=engine).bits
               for engine in engines}
     return golden, kernel
 
@@ -123,13 +124,13 @@ def run_equivalence(spec: LinkSpec | None = None,
                     seed: int = 23,
                     engines: tuple[str, ...] = ("compiled", "reference"),
                     confidence: float = 0.95) -> EquivalenceResult:
-    """Demodulate one seeded noisy burst on every backend.
+    """Demodulate one seeded noisy burst on every arm.
 
     The stimulus (bits, noise, band-pass, drive scaling) is drawn once
-    by :func:`~repro.link.backends.draw_stimulus` - the kernel
-    backend's own BER stimulus - so all arms decide on the *same*
-    samples: the comparison is substitute-and-play at the decision
-    level, not merely statistical across independent runs.
+    by :func:`~repro.link.backends.draw_stimulus`, so all arms decide
+    on the *same* samples: the comparison is substitute-and-play at
+    the decision level, not merely statistical across independent
+    runs.
     """
     spec = spec if spec is not None else DEFAULT_SPEC
     tx, driven = draw_stimulus(spec, ebn0_db, bits,

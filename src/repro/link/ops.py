@@ -1,16 +1,25 @@
-"""Top-level spec-driven operations for campaigns and sweeps.
+"""The link operations: one function per unit of work.
 
-:class:`~repro.core.scenario.Scenario` needs importable, picklable
-functions whose keyword arguments content-address cleanly.  These
-wrappers are exactly that: each takes a
-:class:`~repro.link.spec.LinkSpec` plus a backend name and delegates
-to the resolved :class:`~repro.link.backends.Backend` - so every
-experiment harness fans out, caches and resumes the same way
-regardless of the backend executing it.
+Every operation takes a :class:`~repro.link.spec.LinkSpec` (or, for
+the BER operations, a multi-user :class:`~repro.link.spec.NetworkSpec`)
+and builds its components through :mod:`repro.link.backends`:
 
-Budget keywords default to ``None`` and are forwarded only when set,
-letting each backend keep its own native defaults (the kernel's
-Monte-Carlo budget is orders of magnitude smaller than fastsim's).
+======================  ==============================================
+operation               unit of work
+======================  ==============================================
+:func:`ber_sweep`       batched multi-integrator BER sweep (fig6)
+:func:`ber_curve`       one-integrator BER curve (ablations)
+:func:`mui_ber_curve`   multi-user BER curve over a ``NetworkSpec``
+:func:`ranging`         two-way ranging through the packet receiver
+:func:`run_testbench`   AMS-kernel receiver testbench (table1)
+:func:`golden_packet`   golden-model decision on a conditioned burst
+======================  ==============================================
+
+The functions are importable, picklable and take plain keyword
+arguments, so :class:`~repro.core.scenario.Scenario` content-addresses
+them by ``module:qualname`` plus keywords: every experiment harness
+fans out, caches and resumes the same way.  The BER operations share
+one chunk loop, :func:`~repro.link.pipeline.run_ber_sweep`.
 """
 
 from __future__ import annotations
@@ -19,55 +28,139 @@ from typing import Any
 
 import numpy as np
 
-from repro.link.backends import get_backend
+from repro.link.backends import (
+    build_channel_model,
+    build_integrator,
+    build_interferer_paths,
+    build_quantizer,
+    build_receiver,
+    calibrate,
+    split_network,
+)
+from repro.link.pipeline import (
+    AnalogFrontEndStage,
+    ChannelStage,
+    CombineStage,
+    DecisionStage,
+    SignalPipeline,
+    TxStage,
+    run_ber_sweep,
+)
 from repro.link.spec import LinkSpec, NetworkSpec
-from repro.uwb.fastsim import AdaptiveStopping, BerResult
+from repro.uwb.channel.awgn import noise_sigma_for_ebn0
+from repro.uwb.fastsim import AdaptiveStopping, BerResult, _curve_result
 from repro.uwb.integrator import WindowIntegrator
-from repro.uwb.ranging import RangingResult
-from repro.uwb.system import AmsRunResult
+from repro.uwb.ranging import RangingResult, TwoWayRanging
+from repro.uwb.system import AmsRunResult, build_ams_receiver
 
 
-def _backend(name: str, engine: str | None):
-    kwargs: dict[str, Any] = {}
-    if engine is not None:
-        kwargs["engine"] = engine
-    return get_backend(name, **kwargs)
+def _as_link_spec(spec: LinkSpec | NetworkSpec,
+                  operation: str) -> LinkSpec:
+    """Reject :class:`NetworkSpec` where only single links run."""
+    if isinstance(spec, NetworkSpec):
+        raise TypeError(
+            f"{operation} runs single links only; multi-user "
+            "NetworkSpec is supported by the BER ops ber_curve / "
+            "mui_ber_curve / ber_sweep (the golden model synthesizes "
+            "and sums the per-transmitter waveforms)")
+    return spec
 
 
-def _budget(**candidates: Any) -> dict[str, Any]:
-    return {k: v for k, v in candidates.items() if v is not None}
-
-
-def ber_curve(spec: LinkSpec, ebn0_grid,
+def ber_sweep(spec: LinkSpec | NetworkSpec, ebn0_grid,
               rng: np.random.Generator, *,
-              backend: str = "fastsim",
-              engine: str | None = None,
+              integrators: tuple = ("ideal", "circuit"),
+              labels: tuple | None = None,
+              target_errors: int = 100,
+              max_bits: int = 200_000,
+              min_bits: int = 2_000,
+              chunk_bits: int = 1_000,
+              adaptive: AdaptiveStopping | None = None
+              ) -> dict[str, BerResult]:
+    """Batched multi-curve BER sweep: one shared front end, one
+    decision stage per integrator, every (integrator, Eb/N0) cell
+    graded from the same bit/noise draws.
+
+    The only place the golden-model BER pipeline is built:
+    ``Tx -> Channel -> Combine -> AnalogFrontEnd`` from the
+    (memoized) pilot calibration of the victim, any interferers
+    SIR-calibrated against it, then
+    :func:`~repro.link.pipeline.run_ber_sweep`.  Curve ``k`` is
+    bit-identical to a one-integrator sweep of ``integrators[k]``
+    with a generator seeded like *rng* - the batch only
+    reorganizes the arithmetic, never the entropy stream.
+
+    Args:
+        spec: a single link, or a multi-user network whose victim's
+            bits are graded.
+        integrators: registry names or model instances (``None``
+            selects the spec's integrator); their decision stages
+            share the Tx/channel/AFE work.
+        labels: one result key per integrator (defaults to the
+            registry name / model name).
+        target_errors / max_bits / min_bits: stopping rule.
+        chunk_bits: symbols per vectorized chunk.
+        adaptive: optional sequential policy ending a cell as soon
+            as its estimate is resolved; its confidence level also
+            sets the curves' Wilson bounds.
+    """
+    victim, network = split_network(spec)
+    resolved = [build_integrator(victim, integ) for integ in integrators]
+    if labels is None:
+        labels = tuple(
+            integ if isinstance(integ, str) else r.name
+            for integ, r in zip(integrators, resolved))
+    if len(labels) != len(resolved):
+        raise ValueError(
+            f"{len(resolved)} integrators need {len(resolved)} "
+            f"labels, got {len(labels)}")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate sweep labels: {labels!r}")
+    cfg = victim.config
+    cache = calibrate(victim)
+    interferers = (build_interferer_paths(network, cache=cache)
+                   if network is not None else ())
+    ebn0_grid = np.asarray(ebn0_grid, dtype=float)
+    sigmas = np.array([noise_sigma_for_ebn0(cache.eb, float(p), cfg.fs)
+                       for p in ebn0_grid])
+    front = SignalPipeline(stages=(
+        TxStage(cfg),
+        ChannelStage(cfg, cache.channel),
+        CombineStage(cfg, 0.0, interferers),
+        AnalogFrontEndStage(cfg, cache.bpf,
+                            victim.frontend.squarer_drive / cache.peak),
+    ))
+    adc = build_quantizer(victim, packet=False)
+    deciders = [DecisionStage(cfg, r, adc) for r in resolved]
+    errors, bits = run_ber_sweep(
+        front, deciders, sigmas, rng, target_errors=target_errors,
+        max_bits=max_bits, min_bits=min_bits, chunk_bits=chunk_bits,
+        adaptive=adaptive)
+    return {
+        label: _curve_result(ebn0_grid, errors[k], bits[k], label,
+                             adaptive)
+        for k, label in enumerate(labels)}
+
+
+def ber_curve(spec: LinkSpec | NetworkSpec, ebn0_grid,
+              rng: np.random.Generator, *,
               label: str | None = None,
               integrator: str | WindowIntegrator | None = None,
-              target_errors: int | None = None,
-              max_bits: int | None = None,
-              min_bits: int | None = None,
-              chunk_bits: int | None = None,
-              adaptive: AdaptiveStopping | None = None) -> BerResult:
-    """BER versus Eb/N0 through the selected backend."""
-    return _backend(backend, engine).ber_curve(
-        spec, ebn0_grid, rng, label=label, integrator=integrator,
-        adaptive=adaptive,
-        **_budget(target_errors=target_errors, max_bits=max_bits,
-                  min_bits=min_bits, chunk_bits=chunk_bits))
+              **budget: Any) -> BerResult:
+    """BER versus Eb/N0: the one-integrator :func:`ber_sweep` (same
+    budget keywords), labelled *label* or the resolved model's name."""
+    victim, _ = split_network(spec)
+    resolved = build_integrator(victim, integrator)
+    (curve,) = ber_sweep(spec, ebn0_grid, rng, integrators=(resolved,),
+                         labels=(label or resolved.name,),
+                         **budget).values()
+    return curve
 
 
 def mui_ber_curve(network: NetworkSpec, ebn0_grid,
                   rng: np.random.Generator, *,
-                  backend: str = "fastsim",
-                  engine: str | None = None,
                   label: str | None = None,
                   integrator: str | WindowIntegrator | None = None,
-                  target_errors: int | None = None,
-                  max_bits: int | None = None,
-                  min_bits: int | None = None,
-                  chunk_bits: int | None = None,
-                  adaptive: AdaptiveStopping | None = None) -> BerResult:
+                  **budget: Any) -> BerResult:
     """Multi-user BER versus Eb/N0 over a :class:`NetworkSpec`.
 
     The campaign-facing twin of :func:`ber_curve` for multi-user
@@ -81,57 +174,37 @@ def mui_ber_curve(network: NetworkSpec, ebn0_grid,
         raise TypeError("mui_ber_curve needs a NetworkSpec; wrap a "
                         "plain LinkSpec in NetworkSpec(victim=spec) "
                         "for the zero-interferer baseline")
-    return _backend(backend, engine).ber_curve(
-        network, ebn0_grid, rng, label=label, integrator=integrator,
-        adaptive=adaptive,
-        **_budget(target_errors=target_errors, max_bits=max_bits,
-                  min_bits=min_bits, chunk_bits=chunk_bits))
-
-
-def ber_sweep(spec: LinkSpec | NetworkSpec, ebn0_grid,
-              rng: np.random.Generator, *,
-              backend: str = "fastsim",
-              engine: str | None = None,
-              integrators: tuple = ("ideal", "circuit"),
-              labels: tuple | None = None,
-              target_errors: int | None = None,
-              max_bits: int | None = None,
-              min_bits: int | None = None,
-              chunk_bits: int | None = None,
-              adaptive: AdaptiveStopping | None = None
-              ) -> dict[str, BerResult]:
-    """Batched multi-curve BER sweep: every (integrator, Eb/N0) cell
-    of the campaign graded from one shared front-end pass.
-
-    The whole-campaign unit of work for experiments like fig6 whose
-    curves share a seed: one :class:`Scenario` instead of one per
-    curve, with each returned curve bit-identical to a standalone
-    :func:`ber_curve` run.  Only backends exposing a batched
-    ``sweep`` support it (fastsim today).
-    """
-    b = _backend(backend, engine)
-    if not hasattr(b, "sweep"):
-        raise TypeError(
-            f"backend {backend!r} has no batched sweep path; use "
-            "ber_curve per integrator instead")
-    return b.sweep(
-        spec, ebn0_grid, rng, integrators=integrators, labels=labels,
-        adaptive=adaptive,
-        **_budget(target_errors=target_errors, max_bits=max_bits,
-                  min_bits=min_bits, chunk_bits=chunk_bits))
+    return ber_curve(network, ebn0_grid, rng, label=label,
+                     integrator=integrator, **budget)
 
 
 def ranging(spec: LinkSpec, iterations: int,
             rng: np.random.Generator, *,
-            backend: str = "fastsim",
-            engine: str | None = None,
             integrator: str | WindowIntegrator | None = None,
             noise_sigma: float = 1e-4,
             tx_amplitude: float = 1.0) -> RangingResult:
-    """Two-way ranging at ``spec.channel.distance``."""
-    return _backend(backend, engine).ranging(
-        spec, iterations, rng, integrator=integrator,
-        noise_sigma=noise_sigma, tx_amplitude=tx_amplitude)
+    """Two-way ranging at ``spec.channel.distance``.
+
+    The exchange runs through the full packet-level receiver
+    (NE -> PS -> AGC -> sync -> demod) built by
+    :func:`~repro.link.backends.build_receiver`, with the behavioral
+    integrator model the spec installs (``"circuit"`` is its
+    surrogate).
+    """
+    spec = _as_link_spec(spec, "ranging")
+    resolved = build_integrator(spec, integrator)
+    if not isinstance(resolved, WindowIntegrator):
+        raise ValueError("ranging needs a behavioral integrator "
+                         "model (co-simulation is not supported in "
+                         "the packet-level receiver)")
+    twr = TwoWayRanging(
+        spec.config,
+        lambda: build_receiver(spec, integrator=resolved),
+        distance=spec.channel.distance,
+        tx_amplitude=tx_amplitude,
+        noise_sigma=noise_sigma,
+        channel=build_channel_model(spec))
+    return twr.run(iterations, rng)
 
 
 def run_testbench(spec: LinkSpec, waveform, *,
@@ -142,8 +215,61 @@ def run_testbench(spec: LinkSpec, waveform, *,
                   integrator: str | WindowIntegrator | None = None
                   ) -> AmsRunResult:
     """One mixed-signal testbench run over *waveform* (the Table-1
-    unit of work) on the AMS kernel backend."""
-    kernel = get_backend("kernel", engine=engine,
-                         cosim_substeps=cosim_substeps)
-    return kernel.packet(spec, waveform, integrator=integrator,
-                         t_stop=t_stop, record=record)
+    unit of work): demodulate an already-conditioned waveform (post
+    band-pass, at squarer drive) with ideal symbol alignment from t=0.
+
+    Args:
+        engine: kernel execution engine - ``"compiled"`` (segment
+            vectorized) or ``"reference"`` (the lock-step oracle).
+        cosim_substeps: circuit-level steps per kernel step when the
+            spec selects the co-simulated ``"circuit"`` netlist (whose
+            error-level lint rules run before any MNA assembly).
+        t_stop: simulated span (default: every whole symbol).
+        record: attach a waveform recorder to the result.
+        integrator: model override (see
+            :func:`~repro.link.backends.build_integrator`).
+    """
+    spec = _as_link_spec(spec, "run_testbench")
+    resolved = build_integrator(spec, integrator, cosim=True)
+    cfg = spec.config
+    sim, harvest = build_ams_receiver(
+        cfg, resolved, np.asarray(waveform, dtype=float),
+        adc=build_quantizer(spec, packet=True),
+        cosim_substeps=cosim_substeps, record=record,
+        t_hold=spec.frontend.t_hold, t_dump=spec.frontend.t_dump,
+        engine=engine)
+    if t_stop is None:
+        n_symbols = len(waveform) // cfg.samples_per_symbol
+        t_stop = n_symbols * cfg.symbol_period
+    sim.run(t_stop)
+    return harvest.result()
+
+
+def golden_packet(spec: LinkSpec, waveform, *,
+                  integrator: str | WindowIntegrator | None = None
+                  ) -> AmsRunResult:
+    """The golden model's decision on the kernel testbench's slot
+    gating over the waveform :func:`run_testbench` takes.
+
+    ``slot_values`` are the compared (post-ADC) values and
+    ``cpu_time``/``steps`` are zero (no kernel loop runs).
+    """
+    spec = _as_link_spec(spec, "golden_packet")
+    resolved = build_integrator(spec, integrator)
+    cfg = spec.config
+    waveform = np.asarray(waveform, dtype=float)
+    n = len(waveform) // cfg.samples_per_symbol
+    squared = np.square(
+        waveform[:n * cfg.samples_per_symbol]
+    ).reshape(n, 2, cfg.samples_per_slot)
+    # Honor the spec's Integrate & Dump gate: the kernel testbench
+    # dumps for t_dump and holds for t_hold within every slot, so
+    # the golden decision integrates the same sample window.
+    gate0 = int(round(spec.frontend.t_dump * cfg.fs))
+    gate1 = cfg.samples_per_slot - int(round(
+        spec.frontend.t_hold * cfg.fs))
+    values, bits = DecisionStage(
+        cfg, resolved, build_quantizer(spec, packet=True)
+    ).decide(squared[:, :, gate0:gate1])
+    return AmsRunResult(bits=bits, slot_values=values,
+                        cpu_time=0.0, steps=0)

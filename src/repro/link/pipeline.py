@@ -45,7 +45,7 @@ run at ``sigmas[i]`` from the same generator state - the invariant
 Stages are deliberately dependency-light (uwb building blocks only);
 :mod:`repro.link.backends` resolves :class:`~repro.link.spec.NetworkSpec`
 interference descriptions into :class:`InterfererPath` values (SIR
-calibration needs the pilot energies, which live with the backends).
+calibration needs the pilot energies, which live with the builders).
 """
 
 from __future__ import annotations
@@ -259,13 +259,11 @@ class AnalogFrontEndStage(Stage):
         # Filtering, scaling and squaring act along the last (sample)
         # axis, so the optional scenario batch axis passes through
         # untouched: each row is processed exactly as a lone chunk.
-        # The filter output is ours alone (sosfilt copies its input),
-        # so drive scaling and squaring run in place - two fewer
-        # full-size temporaries per chunk, identical arithmetic.
+        # The filter output is a fresh array (sosfilt never returns
+        # its input), so drive scaling and squaring run in place - two
+        # fewer full-size temporaries per chunk, identical arithmetic.
         filtered = self.bpf(state.noisy)[
             ..., :state.n * cfg.samples_per_symbol]
-        if not filtered.flags.writeable:  # pragma: no cover - guard
-            filtered = filtered.copy()
         np.multiply(filtered, self.scale, out=filtered)
         np.square(filtered, out=filtered)
         state.squared = filtered.reshape(
@@ -441,20 +439,6 @@ def _prime_allocator(block_bytes: int, live_blocks: int = 4) -> None:
     del blocks
 
 
-def check_budget(*, target_errors: int, max_bits: int, min_bits: int,
-                 chunk_bits: int) -> None:
-    """Reject a Monte-Carlo budget no chunk loop can honour (checked
-    by both the sweep and the kernel backend's point loop)."""
-    if chunk_bits < 1:
-        raise ValueError("chunk_bits must be >= 1")
-    if max_bits < 1:
-        raise ValueError("max_bits must be >= 1")
-    if min_bits < 0:
-        raise ValueError("min_bits must be >= 0")
-    if target_errors < 1:
-        raise ValueError("target_errors must be >= 1")
-
-
 def keeps_sampling(errors: int, bits: int, *, target_errors: int,
                    max_bits: int, min_bits: int,
                    adaptive: AdaptiveStopping | None) -> bool:
@@ -518,8 +502,14 @@ def run_ber_sweep(front: SignalPipeline,
         ``(errors, bits)`` int64 arrays of shape
         ``(len(deciders), len(sigmas))``.
     """
-    check_budget(target_errors=target_errors, max_bits=max_bits,
-                 min_bits=min_bits, chunk_bits=chunk_bits)
+    if chunk_bits < 1:
+        raise ValueError("chunk_bits must be >= 1")
+    if max_bits < 1:
+        raise ValueError("max_bits must be >= 1")
+    if min_bits < 0:
+        raise ValueError("min_bits must be >= 0")
+    if target_errors < 1:
+        raise ValueError("target_errors must be >= 1")
     sigmas = np.asarray(sigmas, dtype=float)
     deciders = tuple(deciders)
     n_dec, n_pts = len(deciders), len(sigmas)

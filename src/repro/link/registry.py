@@ -4,9 +4,8 @@ The paper re-binds one entity (the Integrate & Dump) to a different
 architecture per refinement phase without touching the testbench.  This
 module gives that discipline one implementation: integrator *names*
 map to ``(block, phase)`` bindings in a :class:`ModelRegistry`, and
-every backend resolves :attr:`LinkSpec.integrator` through it — the
-ad-hoc string dispatch that used to live in ``uwb/system.py``
-(``make_integrator``) is absorbed here.
+every link operation resolves :attr:`LinkSpec.integrator` through it
+(via :func:`repro.link.backends.build_integrator`).
 
 Default bindings:
 
@@ -17,8 +16,8 @@ name            phase    implementation
 ``two_pole``    IV       :class:`~repro.uwb.integrator.TwoPoleIntegrator`
 ``surrogate``   III      :class:`~repro.uwb.integrator.CircuitSurrogateIntegrator`
 ``circuit``     III      the transistor netlist co-simulated in the
-                         loop (kernel backend); behavioral backends
-                         substitute the ``surrogate`` stand-in
+                         loop (``ops.run_testbench``); the behavioral
+                         operations substitute the ``surrogate``
 ==============  =======  ==============================================
 
 Custom models register with :func:`register_integrator` and are then
@@ -37,14 +36,10 @@ from repro.uwb.integrator import (
     TwoPoleIntegrator,
     WindowIntegrator,
 )
+from repro.uwb.system import COSIM
 
 #: registry block namespace of integrator bindings.
 INTEGRATOR_BLOCK_PREFIX = "integrator."
-
-#: sentinel returned for the co-simulated transistor netlist: the AMS
-#: testbench replaces it with a :class:`~repro.ams.cosim.SpiceBlock`.
-COSIM = "circuit"
-
 
 def cosim_netlist() -> str:
     """Factory of the ``circuit`` binding (the co-simulation marker)."""

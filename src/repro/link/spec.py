@@ -5,18 +5,18 @@ across refinement phases by substituting implementations.  A
 :class:`LinkSpec` is that testbench's declarative description for this
 repository: the link configuration, the channel, the analog front end
 and the integrator selection (by registry name) in one frozen,
-hashable, serializable value.  Every backend
-(:mod:`repro.link.backends`) consumes the same spec, so an experiment
-written against a spec runs unchanged on the vectorized golden model,
-the AMS kernel testbench, or any future backend.
+hashable, serializable value.  Every operation of
+:mod:`repro.link.ops` consumes the same spec, so an experiment written
+against a spec runs unchanged on the vectorized golden model or the
+AMS kernel testbench.
 
 Multi-user scenarios compose on top: an :class:`InterfererSpec`
 describes one interfering transmitter (received power relative to the
 victim, timing offset, its own channel), and a :class:`NetworkSpec`
 bundles a victim :class:`LinkSpec` with any number of interferers -
 the declarative input of the multi-user-interference / coexistence
-workloads (``FastsimBackend.ber_point`` / ``ber_curve`` accept it
-wherever they accept a ``LinkSpec``).
+workloads (the BER operations ``ops.ber_sweep`` / ``ops.ber_curve`` /
+``ops.mui_ber_curve`` accept it wherever they accept a ``LinkSpec``).
 
 Specs round-trip through :mod:`repro.core.serialization` (they are
 plain frozen dataclasses), so campaign content addresses and cache
@@ -33,18 +33,17 @@ from typing import Any, Mapping
 from repro.core.phases import Phase
 from repro.uwb.config import UwbConfig
 
-#: channel selections understood by the backends.
+#: channel selections understood by the builders.
 CHANNEL_KINDS = ("none", "cm1")
 #: ADC policies - the converter in front of the 2-PPM slot decision,
 #: resolved once by :func:`repro.link.backends.build_quantizer` and
 #: applied by :func:`repro.uwb.adc.decide_slots`:
 #:
-#: * ``"auto"``: unquantized in the golden-model BER sweep
-#:   (``FastsimBackend.ber_point``/``ber_curve``/``sweep``); on
-#:   ``packet`` of both backends - and so in ``KernelBackend``'s BER,
-#:   which decides through ``packet`` - an auto-ranged converter at
-#:   ``UwbConfig.adc_bits`` whose full scale is 1.05x the burst's slot
-#:   peak (a converged-AGC stand-in);
+#: * ``"auto"``: unquantized in the golden-model BER operations
+#:   (``ops.ber_sweep``/``ber_curve``/``mui_ber_curve``); on the packet
+#:   operations ``ops.run_testbench`` and ``ops.golden_packet`` an
+#:   auto-ranged converter at ``UwbConfig.adc_bits`` whose full scale
+#:   is 1.05x the burst's slot peak (a converged-AGC stand-in);
 #: * ``"config"``: the ``UwbConfig.adc_bits``/``adc_vref`` converter
 #:   on every operation;
 #: * ``"none"``: unquantized on every operation.
@@ -308,9 +307,8 @@ class NetworkSpec(SpecCodec):
     """A victim link plus N interfering transmitters.
 
     The declarative input of the multi-user-interference and
-    coexistence workloads: ``FastsimBackend.ber_point`` /
-    ``ber_curve`` (and the campaign op
-    :func:`repro.link.ops.mui_ber_curve`) accept a ``NetworkSpec``
+    coexistence workloads: :func:`repro.link.ops.mui_ber_curve` (and
+    ``ops.ber_curve`` / ``ops.ber_sweep``) accept a ``NetworkSpec``
     wherever they accept a :class:`LinkSpec`, grading the victim's
     bits while every interferer's waveform is summed into the chunk.
     With an empty interferer tuple the network degenerates to its

@@ -18,10 +18,10 @@ The chunk computation lives in the staged :mod:`repro.link.pipeline`
 (Tx -> Channel -> Combine -> AnalogFrontEnd -> Decision), whose one
 chunk loop is :func:`repro.link.pipeline.run_ber_sweep`; the one place
 that assembles that pipeline from a spec - multi-user interferers
-included - is :meth:`repro.link.backends.FastsimBackend.sweep`.  This
-module keeps the Monte-Carlo bookkeeping around it: the adaptive
-stopping policy, Wilson intervals, curve assembly, the pilot
-calibration and the theoretical reference curve.
+included - is :func:`repro.link.ops.ber_sweep`.  This module keeps the
+Monte-Carlo bookkeeping around it: the adaptive stopping policy,
+Wilson intervals, curve assembly, the pilot calibration and the
+theoretical reference curve.
 
 Swapping the integrator model (ideal / two-pole / circuit surrogate)
 reproduces the paper's ideal-versus-ELDO BER comparison.
@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc, ndtri
 
 from repro.obs import trace as _trace
 from repro.uwb.bpf import BandPassFilter
@@ -43,33 +44,15 @@ from repro.uwb.modulation import ppm_waveform
 
 #: memoized two-sided z-scores per confidence level: wilson_interval
 #: sits inside the adaptive-stopping hot loop (called after every
-#: Monte-Carlo chunk), so the inverse-normal lookup must not re-enter
-#: scipy's import machinery per call.
+#: Monte-Carlo chunk), so the inverse-normal CDF runs once per level.
 _Z_SCORES: dict[float, float] = {}
-
-#: scipy-free fallback for the default confidence level; the value is
-#: ``float(scipy.special.ndtri(0.975))`` verbatim, so both code paths
-#: produce bit-identical intervals.
-_Z_FALLBACK = {0.95: 1.959963984540054}
 
 
 def _wilson_z(confidence: float) -> float:
     """Two-sided z-score of *confidence*, memoized per level."""
     z = _Z_SCORES.get(confidence)
     if z is None:
-        try:
-            from scipy.special import ndtri
-        except ImportError:
-            z = _Z_FALLBACK.get(confidence)
-            if z is None:
-                raise RuntimeError(
-                    f"confidence {confidence} needs scipy for the "
-                    "inverse normal CDF (only "
-                    f"{sorted(_Z_FALLBACK)} ship a built-in z-score)"
-                ) from None
-        else:
-            z = float(ndtri(0.5 + confidence / 2.0))
-        _Z_SCORES[confidence] = z
+        z = _Z_SCORES[confidence] = float(ndtri(0.5 + confidence / 2.0))
     return z
 
 
@@ -246,22 +229,11 @@ def _curve_result(ebn0_grid: np.ndarray, errors: np.ndarray,
                      ci_high=ci_high, confidence=confidence)
 
 
-#: memoized scipy.special.erfc (resolved on first use so the module
-#: stays importable without eagerly touching scipy.special, but never
-#: re-entered per call).
-_ERFC = None
-
-
 def theoretical_ppm_awgn_ber(ebn0_db) -> np.ndarray:
     """Coherent orthogonal 2-PPM reference curve ``Q(sqrt(Eb/N0))``.
 
     Energy detection is noncoherent and sits to the right of this curve;
     it is plotted as a sanity reference, not as the expected result.
     """
-    global _ERFC
-    if _ERFC is None:
-        from scipy.special import erfc
-        _ERFC = erfc
-
     ebn0 = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
-    return 0.5 * _ERFC(np.sqrt(ebn0 / 2.0))
+    return 0.5 * erfc(np.sqrt(ebn0 / 2.0))

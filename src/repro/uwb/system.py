@@ -2,14 +2,16 @@
 
 This is the system-level testbench of the methodology: the receiver
 back end (VGA -> squarer -> Integrate & Dump -> ADC -> demodulator) built
-from kernel blocks, with the integrator slot accepting any of:
+from kernel blocks, with the integrator slot accepting either:
 
-* ``"ideal"``       - Phase II behavioral model,
-* ``"two_pole"``    - Phase IV behavioral model (optionally with the
-  extracted nonlinearity),
-* ``"circuit"``     - Phase III: the transistor netlist co-simulated in
-  the loop (the ADMS/Eldo substitute-and-play),
-* any :class:`~repro.uwb.integrator.WindowIntegrator` instance.
+* any :class:`~repro.uwb.integrator.WindowIntegrator` instance - the
+  Phase II ideal, Phase IV two-pole or circuit-surrogate behavioral
+  models,
+* the :data:`COSIM` marker ``"circuit"`` - Phase III: the transistor
+  netlist co-simulated in the loop (the ADMS/Eldo substitute-and-play).
+
+Registry names are resolved one layer up, by
+:func:`repro.link.ops.run_testbench`.
 
 The same testbench, waveform and timing are reused across phases, which
 is exactly the property the paper exploits to compare implementations -
@@ -35,6 +37,10 @@ from repro.circuits import IntegrateDumpDesign, build_id_testbench, \
 from repro.uwb.adc import Adc, AutoRangingAdc, decide_slots
 from repro.uwb.config import UwbConfig
 from repro.uwb.integrator import WindowIntegrator
+
+#: integrator selection that co-simulates the transistor netlist in
+#: the loop (a :class:`~repro.ams.cosim.SpiceBlock`).
+COSIM = "circuit"
 
 MODE_DUMP = 0
 MODE_INTEGRATE = 1
@@ -143,17 +149,6 @@ class AmsRunResult:
     recorder: Recorder | None = None
 
 
-def _resolve_integrator(kind: str | WindowIntegrator
-                        ) -> WindowIntegrator | str:
-    """Resolve an integrator spec through the link registry: pass
-    through instances, build registered names, keep ``"circuit"``
-    symbolic (it becomes a co-simulation block)."""
-    # Imported lazily: repro.link's backends import this module.
-    from repro.link.registry import resolve_integrator
-
-    return resolve_integrator(kind, cosim=True)
-
-
 def build_ams_receiver(config: UwbConfig,
                        integrator: str | WindowIntegrator,
                        waveform: np.ndarray, *,
@@ -165,14 +160,14 @@ def build_ams_receiver(config: UwbConfig,
                        t_hold: float | None = None,
                        t_dump: float | None = None,
                        engine: str = "compiled",
-                       preflight: bool = True,
                        ) -> tuple[Simulator, "_Harvest"]:
     """Assemble the receiver testbench over *waveform*.
 
     Args:
         config: link configuration (sets the kernel dt = 1/fs).
-        integrator: ``"ideal"`` / ``"two_pole"`` / ``"surrogate"`` /
-            ``"circuit"`` or a model instance.
+        integrator: a behavioral model instance or the :data:`COSIM`
+            marker ``"circuit"`` (the netlist runs in the loop after
+            its error-level lint rules pass).
         waveform: received waveform samples at ``config.fs`` (already
             including noise/channel); it reaches the squarer through a
             fixed-gain VGA.
@@ -194,6 +189,12 @@ def build_ams_receiver(config: UwbConfig,
         :func:`repro.link.ops.run_testbench`.
     """
     config.validate()
+    if not (integrator == COSIM
+            or isinstance(integrator, WindowIntegrator)):
+        raise ValueError(
+            f"build_ams_receiver takes a WindowIntegrator or the "
+            f"{COSIM!r} co-simulation marker, not {integrator!r}; "
+            "resolve registry names through repro.link.ops.run_testbench")
     if adc is _AUTO_RANGED:
         adc = AutoRangingAdc(config.adc_bits)
     design = design or default_design()
@@ -213,8 +214,7 @@ def build_ams_receiver(config: UwbConfig,
                                 inputs=[vga_out], outputs=[sq_out],
                                 vectorized=True))
 
-    resolved = _resolve_integrator(integrator)
-    if resolved == "circuit":
+    if integrator == COSIM:
         tb = build_id_testbench(design, mode="hold")
         cm = design.input_cm
         vdd = design.vdd
@@ -237,12 +237,12 @@ def build_ams_receiver(config: UwbConfig,
             substeps=cosim_substeps,
             initial_guess={"x1.outp": 0.9, "x1.outm": 0.9,
                            "out_intp": 0.9, "out_intm": 0.9,
-                           "vdd": vdd, "inp": cm, "inm": cm},
-            preflight=preflight)
+                           "vdd": vdd, "inp": cm, "inm": cm})
         sim.add_block(block)
     else:
         sim.add_block(BehavioralIntegratorBlock(
-            "integrate_dump", resolved.make_state(), sq_out, int_out, mode))
+            "integrate_dump", integrator.make_state(), sq_out, int_out,
+            mode))
 
     harvest = _Harvest(sim, config, adc, mode, int_out,
                        t_hold=t_hold if t_hold is not None else 2e-9,

@@ -222,6 +222,7 @@ class TestReset:
         import numpy as np
 
         from repro.uwb.config import UwbConfig
+        from repro.uwb.integrator import IdealIntegrator
         from repro.uwb.modulation import ppm_waveform
         from repro.uwb.system import build_ams_receiver
 
@@ -230,7 +231,7 @@ class TestReset:
                            integration_window=2e-9)
         bits = np.array([1, 0, 1, 1], dtype=np.int8)
         sig = ppm_waveform(bits, config, amplitude=0.1)
-        sim, harvest = build_ams_receiver(config, "ideal", sig)
+        sim, harvest = build_ams_receiver(config, IdealIntegrator(), sig)
         t_stop = len(bits) * config.symbol_period
         sim.run(t_stop)
         first = harvest.result()

@@ -1,25 +1,25 @@
-"""Backend protocol: construction, operations, builder fidelity."""
+"""The link operations and the spec -> component builders behind them:
+golden-model BER, packet decisions, ranging, builder fidelity."""
 
 import numpy as np
 import pytest
 
 from repro.link import (
     ADC_MODES,
-    Backend,
     ChannelSpec,
-    FastsimBackend,
     FrontEndSpec,
-    KernelBackend,
     LinkSpec,
+    NetworkSpec,
     build_bpf,
     build_channel_realization,
+    build_integrator,
     build_link_pipeline,
     build_receiver,
     calibrate,
-    get_backend,
     ops,
     run_ber_point,
 )
+from repro.link.backends import draw_stimulus
 from repro.uwb.agc import Agc, TwoStageAgc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.config import UwbConfig
@@ -36,20 +36,10 @@ FAST = UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
 SPEC = LinkSpec(config=FAST)
 
 
-class TestGetBackend:
-    def test_by_name(self):
-        assert isinstance(get_backend("fastsim"), FastsimBackend)
-        kernel = get_backend("kernel", engine="reference")
-        assert isinstance(kernel, KernelBackend)
-        assert kernel.engine == "reference"
-
-    def test_instance_passthrough(self):
-        b = FastsimBackend()
-        assert get_backend(b) is b
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("eldo")
+def ber_point(spec, ebn0_db, rng, **budget):
+    """``(errors, bits)`` of a one-point :func:`ops.ber_curve`."""
+    curve = ops.ber_curve(spec, [ebn0_db], rng, **budget)
+    return int(curve.errors[0]), int(curve.bits[0])
 
 
 class TestBuilders:
@@ -89,6 +79,20 @@ class TestBuilders:
         rx = build_receiver(SPEC, integrator=model)
         assert rx.integrator is model
 
+    def test_integrator_resolution(self):
+        """One resolution rule for every op: spec selection with its
+        params, name or instance overrides, and "circuit" as the
+        behavioral surrogate unless the caller hosts co-simulation."""
+        spec = SPEC.with_(integrator="two_pole",
+                          integrator_params={"fp2_hz": 2.5e9})
+        assert build_integrator(spec).fp2_hz == 2.5e9
+        model = TwoPoleIntegrator()
+        assert build_integrator(spec, model) is model
+        circuit = SPEC.with_(integrator="circuit")
+        assert build_integrator(circuit).name == "circuit"
+        assert not isinstance(build_integrator(circuit), str)
+        assert build_integrator(circuit, cosim=True) == "circuit"
+
     def test_receiver_rejects_gainless_integrator(self):
         class Opaque(WindowIntegrator):
             def window_outputs(self, x, dt):
@@ -102,13 +106,14 @@ class TestBuilders:
 
 
 class TestFastsimBackend:
+    """The golden-model operations: BER, packet decisions, ranging."""
+
     def test_ber_point_matches_legacy_entry_point(self):
-        """The backend and the config-level pipeline entry are the same
-        computation: identical seed, identical counters."""
+        """The spec-level op and the config-level pipeline entry are
+        the same computation: identical seed, identical counters."""
         budget = dict(target_errors=20, max_bits=3000, min_bits=500)
         spec = SPEC.with_frontend(band=(1.0e9, 3.5e9))
-        via_backend = FastsimBackend().ber_point(
-            spec, 8.0, np.random.default_rng(5), **budget)
+        via_op = ber_point(spec, 8.0, np.random.default_rng(5), **budget)
         cache = _LinkCache(FAST, None, build_bpf(spec))
         pipeline = build_link_pipeline(
             FAST, integrator=IdealIntegrator(), bpf=cache.bpf,
@@ -116,10 +121,10 @@ class TestFastsimBackend:
             scale=0.05 / cache.peak)
         direct = run_ber_point(pipeline, np.random.default_rng(5),
                                **budget)
-        assert via_backend == direct
+        assert via_op == direct
 
     def test_ber_curve_decreases_with_snr(self):
-        curve = FastsimBackend().ber_curve(
+        curve = ops.ber_curve(
             SPEC, [2.0, 8.0, 14.0], np.random.default_rng(3),
             target_errors=40, max_bits=8000, min_bits=800)
         assert curve.ber[0] > curve.ber[1] > curve.ber[2]
@@ -129,11 +134,11 @@ class TestFastsimBackend:
         """``ber_curve`` labels by the resolved model (the surrogate is
         the "circuit" model); ``sweep`` labels by the requested name."""
         budget = dict(target_errors=5, max_bits=200, min_bits=100)
-        curve = FastsimBackend().ber_curve(
+        curve = ops.ber_curve(
             SPEC, [8.0], np.random.default_rng(1),
             integrator="surrogate", **budget)
         assert curve.label == "circuit"
-        sweep = FastsimBackend().sweep(
+        sweep = ops.ber_sweep(
             SPEC, [8.0], np.random.default_rng(1),
             integrators=("surrogate",), **budget)
         assert list(sweep) == ["surrogate"]
@@ -141,22 +146,21 @@ class TestFastsimBackend:
     def test_integrator_params_reach_model(self):
         spec = SPEC.with_(integrator="two_pole",
                           integrator_params={"fp2_hz": 2.5e9})
-        curve = FastsimBackend().ber_curve(
+        curve = ops.ber_curve(
             spec, [8.0], np.random.default_rng(3),
             target_errors=10, max_bits=1000, min_bits=400)
         assert curve.label == "two_pole"
 
     def test_circuit_resolves_to_surrogate(self):
         spec = SPEC.with_(integrator="circuit")
-        e, b = FastsimBackend().ber_point(
-            spec, 10.0, np.random.default_rng(4),
-            target_errors=10, max_bits=1000, min_bits=400)
+        e, b = ber_point(spec, 10.0, np.random.default_rng(4),
+                         target_errors=10, max_bits=1000, min_bits=400)
         assert b >= 400
 
     def test_packet_demodulates_clean_burst(self):
         bits = np.array([1, 0, 0, 1, 1, 0], dtype=np.int8)
         sig = _conditioned(bits)
-        res = FastsimBackend().packet(SPEC, sig)
+        res = ops.golden_packet(SPEC, sig)
         assert np.array_equal(res.bits, bits)
         assert res.slot_values.shape == (len(bits), 2)
 
@@ -168,27 +172,28 @@ class TestFastsimBackend:
             frontend=FrontEndSpec(detection_factor=8.0,
                                   toa_threshold_fraction=0.5),
             integrator="ideal")
-        res = FastsimBackend().ranging(spec, 2,
-                                       np.random.default_rng(1),
-                                       noise_sigma=9e-5)
+        res = ops.ranging(spec, 2, np.random.default_rng(1),
+                          noise_sigma=9e-5)
         assert len(res.distances) == 2
         assert 1.0 < res.mean < 6.0
 
 
 class TestKernelBackend:
+    """The AMS-kernel testbench op against the golden model."""
+
     def test_packet_matches_fastsim_on_clean_burst(self):
         bits = np.array([1, 0, 1, 1, 0], dtype=np.int8)
         sig = _conditioned(bits)
-        kernel = KernelBackend().packet(SPEC, sig)
-        golden = FastsimBackend().packet(SPEC, sig)
+        kernel = ops.run_testbench(SPEC, sig)
+        golden = ops.golden_packet(SPEC, sig)
         assert np.array_equal(kernel.bits, bits)
         assert np.array_equal(golden.bits, bits)
 
     def test_packet_engines_bit_identical(self):
         bits = np.array([0, 1, 1, 0], dtype=np.int8)
         sig = _conditioned(bits)
-        ref = KernelBackend(engine="reference").packet(SPEC, sig)
-        com = KernelBackend(engine="compiled").packet(SPEC, sig)
+        ref = ops.run_testbench(SPEC, sig, engine="reference")
+        com = ops.run_testbench(SPEC, sig, engine="compiled")
         assert np.array_equal(ref.bits, com.bits)
         assert np.array_equal(ref.slot_values, com.slot_values)
 
@@ -199,8 +204,8 @@ class TestKernelBackend:
         spec = SPEC.with_frontend(adc=adc)
         bits = np.array([1, 0, 1, 0], dtype=np.int8)
         sig = _conditioned(bits)
-        kernel = KernelBackend().packet(spec, sig)
-        golden = FastsimBackend().packet(spec, sig)
+        kernel = ops.run_testbench(spec, sig)
+        golden = ops.golden_packet(spec, sig)
         assert np.array_equal(kernel.bits, golden.bits)
         if adc == "none":
             assert np.array_equal(kernel.bits, bits)
@@ -210,28 +215,26 @@ class TestKernelBackend:
                    > kernel.slot_values[:, 0]).astype(np.int8)
             assert np.array_equal(kernel.bits, raw)
 
+    def test_testbench_builder_takes_models_not_names(self):
+        """Names resolve in ops.run_testbench; the uwb-level builder
+        takes a model instance or the co-simulation marker only."""
+        from repro.uwb.system import build_ams_receiver
+
+        with pytest.raises(ValueError, match="WindowIntegrator"):
+            build_ams_receiver(FAST, "ideal", np.zeros(32))
+        sim, _ = build_ams_receiver(FAST, IdealIntegrator(), np.zeros(32))
+        assert sim is not None
+
     def test_circuit_with_params_fails_with_intent(self):
         spec = SPEC.with_(integrator="circuit",
                           integrator_params={"fp2_hz": 3e9})
         with pytest.raises(ValueError, match="no integrator_params"):
-            KernelBackend().packet(
-                SPEC.with_(integrator="circuit",
-                           integrator_params={"fp2_hz": 3e9}),
-                _conditioned(np.array([1, 0], dtype=np.int8)))
+            ops.run_testbench(
+                spec, _conditioned(np.array([1, 0], dtype=np.int8)))
         # the behavioral stand-in accepts the same spec
-        e, b = FastsimBackend().ber_point(
-            spec, 10.0, np.random.default_rng(4),
-            target_errors=5, max_bits=500, min_bits=200)
+        e, b = ber_point(spec, 10.0, np.random.default_rng(4),
+                         target_errors=5, max_bits=500, min_bits=200)
         assert b >= 200
-
-    def test_ber_point_reproducible(self):
-        budget = dict(target_errors=5, max_bits=60, min_bits=30,
-                      chunk_bits=30)
-        a = KernelBackend().ber_point(SPEC, 8.0,
-                                      np.random.default_rng(7), **budget)
-        b = KernelBackend().ber_point(SPEC, 8.0,
-                                      np.random.default_rng(7), **budget)
-        assert a == b and a[1] >= 30
 
     @pytest.mark.parametrize("spec, ebn0, expected", [
         pytest.param(SPEC, 6.0, (9, 90), id="awgn"),
@@ -239,12 +242,17 @@ class TestKernelBackend:
                      (6, 90), id="cm1"),
     ])
     def test_ber_point_pinned_counters(self, spec, ebn0, expected):
-        """Counters recorded before the kernel stimulus moved onto the
-        shared pipeline front (three chunks each)."""
-        counters = KernelBackend(engine="compiled").ber_point(
-            spec, ebn0, np.random.default_rng(7), target_errors=5,
-            max_bits=90, min_bits=30, chunk_bits=30)
-        assert counters == expected
+        """Kernel decisions on three consecutive 30-symbol Phase-I
+        stimuli from one generator; counters recorded when a kernel
+        BER loop still graded exactly these bursts."""
+        rng = np.random.default_rng(7)
+        errors = bits_done = 0
+        for _ in range(3):
+            tx, driven = draw_stimulus(spec, ebn0, 30, rng)
+            decided = ops.run_testbench(spec, driven).bits
+            errors += int(np.count_nonzero(decided != tx))
+            bits_done += len(tx)
+        assert (errors, bits_done) == expected
 
     @pytest.mark.parametrize("bad, message", [
         (dict(max_bits=0), "max_bits must be >= 1"),
@@ -252,24 +260,14 @@ class TestKernelBackend:
         (dict(target_errors=0), "target_errors must be >= 1"),
         (dict(min_bits=-1), "min_bits must be >= 0"),
     ], ids=["max_bits", "chunk_bits", "target_errors", "min_bits"])
-    @pytest.mark.parametrize("backend", [FastsimBackend, KernelBackend],
-                             ids=["fastsim", "kernel"])
+    @pytest.mark.parametrize("backend", ["fastsim"])
     def test_ber_point_rejects_bad_budget(self, backend, bad, message):
-        """Both BER loops check the budget up front, with the same
-        errors (the kernel loop used to return (0, 0) or crash)."""
+        """The BER chunk loop checks the budget up front."""
         budget = dict(target_errors=5, max_bits=60, min_bits=30,
                       chunk_bits=30)
         budget.update(bad)
         with pytest.raises(ValueError, match=message):
-            backend().ber_point(SPEC, 8.0, np.random.default_rng(7),
-                                **budget)
-
-    def test_ber_curve_shape(self):
-        curve = KernelBackend().ber_curve(
-            SPEC, [4.0, 12.0], np.random.default_rng(9),
-            target_errors=5, max_bits=40, min_bits=20, chunk_bits=20)
-        assert len(curve.ber) == 2
-        assert curve.ci_high[0] >= curve.ber[0] >= curve.ci_low[0]
+            ber_point(SPEC, 8.0, np.random.default_rng(7), **budget)
 
     def test_ranging_uses_behavioral_model(self):
         # "circuit" in the packet-level receiver means the surrogate.
@@ -280,9 +278,8 @@ class TestKernelBackend:
             frontend=FrontEndSpec(detection_factor=8.0,
                                   toa_threshold_fraction=0.5),
             integrator="circuit")
-        res = KernelBackend().ranging(spec, 1,
-                                      np.random.default_rng(2),
-                                      noise_sigma=9e-5)
+        res = ops.ranging(spec, 1, np.random.default_rng(2),
+                          noise_sigma=9e-5)
         assert len(res.distances) == 1
 
 
@@ -312,9 +309,16 @@ class TestOps:
         assert np.array_equal(res.bits, bits)
         assert res.cpu_time > 0
 
-    def test_backend_is_abstract(self):
-        with pytest.raises(TypeError):
-            Backend()
+    @pytest.mark.parametrize("op", [ops.ber_curve, ops.mui_ber_curve,
+                                    ops.ranging])
+    @pytest.mark.parametrize("knob", ["backend", "engine"])
+    def test_no_backend_or_engine_knob(self, op, knob):
+        """Only run_testbench selects an engine; no op selects a
+        backend."""
+        spec = NetworkSpec(victim=SPEC) if op is ops.mui_ber_curve \
+            else SPEC
+        with pytest.raises(TypeError, match=knob):
+            op(spec, [8.0], np.random.default_rng(1), **{knob: "kernel"})
 
 
 def _conditioned(bits: np.ndarray) -> np.ndarray:
@@ -347,19 +351,5 @@ class TestKernelPreflight:
         sig = _conditioned(np.array([1, 0], dtype=np.int8))
         spec = SPEC.with_(integrator="circuit")
         with pytest.raises(NetlistLintError, match="SP-FLOAT-001") as exc:
-            KernelBackend(cosim_substeps=1).packet(spec, sig)
+            ops.run_testbench(spec, sig, cosim_substeps=1)
         assert "mut_dangling" in str(exc.value)
-
-    def test_opt_out_builds_the_sim(self, monkeypatch):
-        import repro.uwb.system as system
-
-        monkeypatch.setattr(system, "build_id_testbench",
-                            self._sabotaged_testbench)
-        config = FAST
-        sim, _harvest = system.build_ams_receiver(
-            config, "circuit", np.zeros(32), preflight=False)
-        assert sim is not None
-
-    def test_flag_threads_through_constructor(self):
-        assert KernelBackend().preflight is True
-        assert KernelBackend(preflight=False).preflight is False

@@ -1,4 +1,4 @@
-"""The harnesses and backends run warning-free.
+"""The harnesses and link operations run warning-free.
 
 The CI deprecation job runs the whole Tier-1 suite under
 ``-W error::DeprecationWarning``; these tests additionally prove the
@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 
-from repro.link import FastsimBackend, LinkSpec, build_bpf
+from repro.link import LinkSpec, build_bpf, ops
 from repro.uwb.config import UwbConfig
 from repro.uwb.modulation import ppm_waveform
 
@@ -45,13 +45,11 @@ class TestInternalPipelineIsWarningFree:
             run_phase1_overlap(ebn0_grid=(8.0,), bits_per_point=20)
 
     def test_backends_emit_no_deprecation_warnings(self):
-        from repro.link import KernelBackend, run_equivalence
+        from repro.link import run_equivalence
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            FastsimBackend().ber_point(SPEC, 8.0,
-                                       np.random.default_rng(1),
-                                       **BUDGET)
-            KernelBackend().packet(
+            ops.ber_curve(SPEC, [8.0], np.random.default_rng(1), **BUDGET)
+            ops.run_testbench(
                 SPEC, clean_signal(np.array([1, 0], dtype=np.int8)))
             run_equivalence(bits=20, seed=3)

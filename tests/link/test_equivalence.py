@@ -1,5 +1,4 @@
-"""Cross-backend agreement: the Phase-I validation (satellite of the
-front-door redesign).
+"""Golden model versus AMS kernel: the Phase-I validation.
 
 One seeded BER point must agree between the golden model and the AMS
 kernel testbench within the Wilson interval, and the two kernel
@@ -9,13 +8,9 @@ engines must demodulate bit-identical decisions.
 import numpy as np
 import pytest
 
-from repro.link import (
-    FastsimBackend,
-    KernelBackend,
-    LinkSpec,
-    run_equivalence,
-)
-from repro.link.equivalence import DEFAULT_SPEC
+from repro.link import ops, run_equivalence
+from repro.link.backends import draw_stimulus
+from repro.link.equivalence import DEFAULT_SPEC, decide_burst
 from repro.uwb.fastsim import wilson_interval
 
 
@@ -63,35 +58,33 @@ class TestEquivalenceHarness:
 
 class TestBerPointAgreement:
     def test_seeded_phase12_point_agrees(self):
-        """One seeded Phase-I/II BER point: FastsimBackend and
-        KernelBackend (both engines) agree within the Wilson
-        interval."""
+        """One seeded Phase-I/II BER point: the golden-model BER op and
+        the kernel testbench (both engines, on an independently drawn
+        400-bit burst) agree within the Wilson interval."""
         spec = DEFAULT_SPEC
         ebn0 = 8.0
-        fast_e, fast_b = FastsimBackend().ber_point(
-            spec, ebn0, np.random.default_rng(11),
+        curve = ops.ber_curve(
+            spec, [ebn0], np.random.default_rng(11),
             target_errors=10 ** 9, max_bits=400, min_bits=400,
             chunk_bits=100)
+        fast_e, fast_b = int(curve.errors[0]), int(curve.bits[0])
         lo_f, hi_f = wilson_interval(fast_e, fast_b)
-        for engine in ("compiled", "reference"):
-            kern_e, kern_b = KernelBackend(engine=engine).ber_point(
-                spec, ebn0, np.random.default_rng(11),
-                target_errors=10 ** 9, max_bits=400, min_bits=400,
-                chunk_bits=100)
-            lo_k, hi_k = wilson_interval(kern_e, kern_b)
+        tx, driven = draw_stimulus(spec, ebn0, 400,
+                                   np.random.default_rng(11))
+        _, kernel = decide_burst(spec, driven, ("compiled", "reference"))
+        for engine, decided in kernel.items():
+            kern_e = int(np.count_nonzero(decided != tx))
+            lo_k, hi_k = wilson_interval(kern_e, len(tx))
             assert lo_f <= hi_k and lo_k <= hi_f, (
                 f"{engine}: fastsim {fast_e}/{fast_b} vs kernel "
-                f"{kern_e}/{kern_b}")
+                f"{kern_e}/{len(tx)}")
 
     def test_kernel_engines_identical_counters(self):
-        spec = DEFAULT_SPEC
-        counts = [
-            KernelBackend(engine=engine).ber_point(
-                spec, 8.0, np.random.default_rng(11),
-                target_errors=10 ** 9, max_bits=200, min_bits=200,
-                chunk_bits=100)
-            for engine in ("compiled", "reference")]
-        assert counts[0] == counts[1]
+        _, driven = draw_stimulus(DEFAULT_SPEC, 8.0, 200,
+                                  np.random.default_rng(11))
+        _, kernel = decide_burst(DEFAULT_SPEC, driven,
+                                 ("compiled", "reference"))
+        assert np.array_equal(kernel["compiled"], kernel["reference"])
 
 
 class TestEquivalenceAcrossModels:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from test_pipeline_parity import _legacy_simulate_ber_point
 
-from repro.link import FastsimBackend, LinkSpec, NetworkSpec, ops
+from repro.link import LinkSpec, NetworkSpec, ops
 from repro.link.backends import (
     _CALIBRATION_MEMO,
     _REALIZATION_MEMO,
@@ -72,7 +72,7 @@ class TestCurveParity:
                                           AdaptiveStopping(ber_floor=1e-2)],
                              ids=["fixed-n", "adaptive"])
     def test_fig6_grid_matches_pointwise(self, adaptive):
-        curve = FastsimBackend().ber_curve(
+        curve = ops.ber_curve(
             SPEC, GRID, np.random.default_rng(7), adaptive=adaptive,
             **BUDGET)
         expected = _pointwise(SPEC, GRID, 7, adaptive=adaptive,
@@ -83,7 +83,7 @@ class TestCurveParity:
     def test_cm1_channel_grid_matches_pointwise(self):
         spec = LinkSpec(config=TEST_CONFIG,
                         channel=ChannelSpec(kind="cm1", distance=3.0))
-        curve = FastsimBackend().ber_curve(
+        curve = ops.ber_curve(
             spec, GRID[:2], np.random.default_rng(3), **BUDGET)
         expected = _pointwise(spec, GRID[:2], 3, **BUDGET)
         assert list(zip(curve.errors.tolist(),
@@ -106,16 +106,16 @@ class TestCurveParity:
             adaptive=adaptive, **BUDGET)
         assert list(zip(curve.errors.tolist(),
                         curve.bits.tolist())) == MUI_COUNTERS
-        point = FastsimBackend().ber_point(
-            network, GRID[1], np.random.default_rng(11),
+        point = ops.mui_ber_curve(
+            network, GRID[1:2], np.random.default_rng(11),
             adaptive=adaptive, **BUDGET)
-        assert point == MUI_COUNTERS[1]
+        assert (point.errors[0], point.bits[0]) == MUI_COUNTERS[1]
 
     def test_batched_default_when_serial(self):
         """A curve is the one-integrator batched sweep."""
-        a = FastsimBackend().ber_curve(
+        a = ops.ber_curve(
             SPEC, GRID[:2], np.random.default_rng(7), **BUDGET)
-        b = FastsimBackend().sweep(
+        b = ops.ber_sweep(
             SPEC, GRID[:2], np.random.default_rng(7),
             integrators=("ideal",), **BUDGET)["ideal"]
         assert np.array_equal(a.errors, b.errors)
@@ -126,41 +126,41 @@ class TestMultiIntegratorSweep:
     def test_sweep_matches_standalone_curves(self):
         """One sweep over two integrators == two standalone batched
         curves: the shared front end changes nothing."""
-        sweep = FastsimBackend().sweep(
+        sweep = ops.ber_sweep(
             SPEC, GRID, np.random.default_rng(7),
             integrators=("ideal", "circuit"), **BUDGET)
         assert list(sweep) == ["ideal", "circuit"]
         for name in ("ideal", "circuit"):
-            solo = FastsimBackend().ber_curve(
+            solo = ops.ber_curve(
                 SPEC, GRID, np.random.default_rng(7), integrator=name,
                 **BUDGET)
             assert np.array_equal(sweep[name].errors, solo.errors)
             assert np.array_equal(sweep[name].bits, solo.bits)
 
     def test_ops_ber_sweep_rejects_sweepless_backend(self):
-        with pytest.raises(TypeError, match="no batched sweep"):
+        """There is one BER engine: a stale backend selection fails
+        loudly instead of silently running the golden model."""
+        with pytest.raises(TypeError, match="backend"):
             ops.ber_sweep(SPEC, GRID, np.random.default_rng(7),
                           backend="kernel")
 
     def test_kernel_curve_rejects_batch_points(self):
         """The knob is gone from every layer: a stale caller fails
         loudly instead of silently selecting nothing."""
-        from repro.link import KernelBackend
-
-        for backend in (FastsimBackend(), KernelBackend()):
+        for op in (ops.ber_curve, ops.ber_sweep):
             with pytest.raises(TypeError, match="batch_points"):
-                backend.ber_curve(SPEC, (), np.random.default_rng(7),
-                                  batch_points=False)
+                op(SPEC, (), np.random.default_rng(7),
+                   batch_points=False)
 
     def test_sweep_label_validation(self):
         with pytest.raises(ValueError, match="labels"):
-            FastsimBackend().sweep(SPEC, GRID, np.random.default_rng(7),
-                                   integrators=("ideal", "circuit"),
-                                   labels=("only-one",), **BUDGET)
+            ops.ber_sweep(SPEC, GRID, np.random.default_rng(7),
+                          integrators=("ideal", "circuit"),
+                          labels=("only-one",), **BUDGET)
         with pytest.raises(ValueError, match="duplicate"):
-            FastsimBackend().sweep(SPEC, GRID, np.random.default_rng(7),
-                                   integrators=("ideal", "circuit"),
-                                   labels=("x", "x"), **BUDGET)
+            ops.ber_sweep(SPEC, GRID, np.random.default_rng(7),
+                          integrators=("ideal", "circuit"),
+                          labels=("x", "x"), **BUDGET)
 
 
 class TestRetirement:
@@ -169,7 +169,7 @@ class TestRetirement:
         surviving cells' counters must equal their standalone runs
         (which never saw the retired scenarios at all)."""
         adaptive = AdaptiveStopping(ber_floor=1e-2)
-        curve = FastsimBackend().ber_curve(
+        curve = ops.ber_curve(
             SPEC, GRID, np.random.default_rng(13), adaptive=adaptive,
             **BUDGET)
         standalone = _pointwise(SPEC, GRID, 13, adaptive=adaptive,
@@ -185,9 +185,9 @@ class TestRetirement:
         """Removing scenarios from the batch does not move the
         survivors: a sweep over a sub-grid equals the matching rows of
         the full-grid sweep."""
-        full = FastsimBackend().ber_curve(
+        full = ops.ber_curve(
             SPEC, GRID, np.random.default_rng(7), **BUDGET)
-        sub = FastsimBackend().ber_curve(
+        sub = ops.ber_curve(
             SPEC, GRID[1:3], np.random.default_rng(7), **BUDGET)
         assert np.array_equal(sub.errors, full.errors[1:3])
         assert np.array_equal(sub.bits, full.bits[1:3])

@@ -3,7 +3,7 @@
 Physics-level expectations: interference hurts a non-coherent energy
 detector, weaker interference hurts less, SIR calibration lands exact
 received ratios, the combine stage sums what it says it sums, and the
-kernel backend refuses what it cannot synthesize.
+single-link operations refuse what they cannot synthesize.
 """
 
 import numpy as np
@@ -11,10 +11,8 @@ import pytest
 
 from repro.link import (
     CombineStage,
-    FastsimBackend,
     InterfererPath,
     InterfererSpec,
-    KernelBackend,
     LinkSpec,
     NetworkSpec,
     build_interferer_paths,
@@ -33,9 +31,9 @@ EBN0 = 14.0
 
 
 def _ber(network_or_spec, seed=21):
-    errors, bits = FastsimBackend().ber_point(
-        network_or_spec, EBN0, np.random.default_rng(seed), **BUDGET)
-    return errors / bits
+    curve = ops.ber_curve(network_or_spec, [EBN0],
+                          np.random.default_rng(seed), **BUDGET)
+    return float(curve.ber[0])
 
 
 def _offset(fraction):
@@ -145,16 +143,15 @@ class TestCombineStage:
 class TestBackendSurface:
     def test_kernel_backend_rejects_networks(self):
         network = NetworkSpec(victim=SPEC)
-        backend = KernelBackend(engine="reference")
         with pytest.raises(TypeError, match="NetworkSpec"):
-            backend.ber_point(network, 8.0, np.random.default_rng(1))
+            ops.run_testbench(network, np.zeros(64), engine="reference")
         with pytest.raises(TypeError, match="NetworkSpec"):
-            backend.packet(network, np.zeros(64))
+            ops.golden_packet(network, np.zeros(64))
 
     def test_ranging_rejects_networks(self):
         with pytest.raises(TypeError, match="NetworkSpec"):
-            FastsimBackend().ranging(NetworkSpec(victim=SPEC), 3,
-                                     np.random.default_rng(1))
+            ops.ranging(NetworkSpec(victim=SPEC), 3,
+                        np.random.default_rng(1))
 
     def test_ops_mui_ber_curve(self):
         network = NetworkSpec(victim=SPEC, interferers=(

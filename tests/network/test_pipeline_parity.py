@@ -14,7 +14,7 @@ implementation; every test asserts exact equality of the
 import numpy as np
 import pytest
 
-from repro.link import FastsimBackend, LinkSpec, NetworkSpec
+from repro.link import LinkSpec, NetworkSpec, ops
 from repro.link.pipeline import build_link_pipeline, run_ber_point
 from repro.uwb.adc import Adc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
@@ -95,6 +95,12 @@ BUDGET = dict(target_errors=40, max_bits=4_000, min_bits=1_000,
               chunk_bits=500)
 
 
+def ber_point(spec, ebn0_db, rng, **budget):
+    """``(errors, bits)`` of a one-point :func:`ops.ber_curve`."""
+    curve = ops.ber_curve(spec, [ebn0_db], rng, **budget)
+    return int(curve.errors[0]), int(curve.bits[0])
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("integrator_cls", _integrators())
     @pytest.mark.parametrize("with_adc", [False, True],
@@ -134,10 +140,10 @@ class TestBitIdentity:
         assert staged == legacy
 
     def test_backend_point_matches_legacy(self):
-        """Spec-level entry: FastsimBackend.ber_point is the legacy
+        """Spec-level entry: a one-point ops.ber_curve is the legacy
         loop for a plain LinkSpec."""
         spec = LinkSpec(config=TEST_CONFIG)
-        staged = FastsimBackend().ber_point(
+        staged = ber_point(
             spec, 8.0, np.random.default_rng(11), **BUDGET)
         legacy = _legacy_simulate_ber_point(
             TEST_CONFIG, IdealIntegrator(), 8.0,
@@ -149,9 +155,7 @@ class TestBitIdentity:
         """NetworkSpec with no interferers is the victim link,
         bit for bit (the generator sees no extra draws)."""
         spec = LinkSpec(config=TEST_CONFIG)
-        backend = FastsimBackend()
-        plain = backend.ber_point(spec, 8.0, np.random.default_rng(5),
-                                  **BUDGET)
-        network = backend.ber_point(NetworkSpec(victim=spec), 8.0,
-                                    np.random.default_rng(5), **BUDGET)
+        plain = ber_point(spec, 8.0, np.random.default_rng(5), **BUDGET)
+        network = ber_point(NetworkSpec(victim=spec), 8.0,
+                            np.random.default_rng(5), **BUDGET)
         assert network == plain

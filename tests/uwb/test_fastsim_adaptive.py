@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.link import FastsimBackend, LinkSpec
+from repro.link import LinkSpec, ops
 from repro.uwb import AdaptiveStopping, UwbConfig, wilson_interval
 
 FAST = UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
@@ -12,11 +12,12 @@ SPEC = LinkSpec(config=FAST)
 
 
 def ber_point(ebn0_db, rng, **kwargs):
-    return FastsimBackend().ber_point(SPEC, ebn0_db, rng, **kwargs)
+    curve = ops.ber_curve(SPEC, [ebn0_db], rng, **kwargs)
+    return int(curve.errors[0]), int(curve.bits[0])
 
 
 def ber_curve(grid, rng, **kwargs):
-    return FastsimBackend().ber_curve(SPEC, grid, rng, **kwargs)
+    return ops.ber_curve(SPEC, grid, rng, **kwargs)
 
 
 class TestWilsonInterval:
@@ -128,39 +129,25 @@ class TestBerCurveBounds:
 
 
 class TestWilsonZScore:
-    """Memoized z-scores + the scipy-free fallback (hot-loop hygiene:
-    wilson_interval runs after every adaptive Monte-Carlo chunk)."""
+    """Memoized z-scores (hot-loop hygiene: wilson_interval runs after
+    every adaptive Monte-Carlo chunk)."""
 
     def test_memoized_per_confidence(self, monkeypatch):
-        import sys
-
-        from repro.uwb import fastsim
-
-        monkeypatch.setattr(fastsim, "_Z_SCORES", {})
-        first = wilson_interval(3, 100, 0.8)
-        assert 0.8 in fastsim._Z_SCORES
-        # Break the import machinery: the memo must serve the second
-        # call without ever touching scipy again.
-        monkeypatch.setitem(sys.modules, "scipy.special", None)
-        assert wilson_interval(3, 100, 0.8) == first
-
-    def test_fallback_matches_scipy_exactly(self):
         from scipy.special import ndtri
 
         from repro.uwb import fastsim
 
-        assert fastsim._Z_FALLBACK[0.95] == float(ndtri(0.975))
+        calls = []
 
-    def test_scipy_free_default_confidence(self, monkeypatch):
-        import sys
-
-        from repro.uwb import fastsim
+        def counting_ndtri(p):
+            calls.append(p)
+            return ndtri(p)
 
         monkeypatch.setattr(fastsim, "_Z_SCORES", {})
-        monkeypatch.setitem(sys.modules, "scipy.special", None)
-        # 0.95 works from the built-in constant...
-        lo, hi = wilson_interval(5, 1000, 0.95)
-        assert 0.0 < lo < 5e-3 < hi
-        # ...other levels need scipy and say so.
-        with pytest.raises(RuntimeError, match="scipy"):
-            wilson_interval(5, 1000, 0.9)
+        monkeypatch.setattr(fastsim, "ndtri", counting_ndtri)
+        first = wilson_interval(3, 100, 0.8)
+        assert 0.8 in fastsim._Z_SCORES
+        # The memo serves the second call without another inverse-CDF
+        # evaluation.
+        assert wilson_interval(3, 100, 0.8) == first
+        assert len(calls) == 1

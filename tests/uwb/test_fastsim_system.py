@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.link import FastsimBackend, LinkSpec, ops
+from repro.link import LinkSpec, ops
 from repro.link.registry import resolve_integrator
 from repro.uwb import ChannelRealization, UwbConfig
 from repro.uwb.bpf import BandPassFilter
@@ -20,34 +20,40 @@ FAST = UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
 SPEC = LinkSpec(config=FAST)
 
 
+def ber_point(spec, ebn0_db, rng, **budget):
+    """``(errors, bits)`` of a one-point :func:`ops.ber_curve`."""
+    curve = ops.ber_curve(spec, [ebn0_db], rng, **budget)
+    return int(curve.errors[0]), int(curve.bits[0])
+
+
 class TestFastsim:
     def test_ber_decreases_with_snr(self):
-        res = FastsimBackend().ber_curve(
+        res = ops.ber_curve(
             SPEC, [2.0, 8.0, 14.0], np.random.default_rng(3),
             target_errors=40, max_bits=8000, min_bits=800)
         assert res.ber[0] > res.ber[1] > res.ber[2]
 
     def test_high_snr_nearly_clean(self):
-        errors, bits = FastsimBackend().ber_point(
+        errors, bits = ber_point(
             SPEC, 25.0, np.random.default_rng(4),
             target_errors=10, max_bits=3000, min_bits=1000)
         assert errors / bits < 0.01
 
     def test_paired_seed_reproducible(self):
         kwargs = dict(target_errors=20, max_bits=3000, min_bits=500)
-        a = FastsimBackend().ber_point(SPEC, 8.0,
-                                       np.random.default_rng(5), **kwargs)
-        b = FastsimBackend().ber_point(SPEC, 8.0,
-                                       np.random.default_rng(5), **kwargs)
+        a = ber_point(SPEC, 8.0,
+                      np.random.default_rng(5), **kwargs)
+        b = ber_point(SPEC, 8.0,
+                      np.random.default_rng(5), **kwargs)
         assert a == b
 
     def test_two_pole_close_to_ideal_at_drive(self):
         kwargs = dict(target_errors=50, max_bits=6000, min_bits=2000)
         spec = SPEC.with_frontend(squarer_drive=0.05)
-        e_i, n_i = FastsimBackend().ber_point(
+        e_i, n_i = ber_point(
             spec, 10.0, np.random.default_rng(6),
             integrator=IdealIntegrator(), **kwargs)
-        e_t, n_t = FastsimBackend().ber_point(
+        e_t, n_t = ber_point(
             spec, 10.0, np.random.default_rng(6),
             integrator=TwoPoleIntegrator(), **kwargs)
         assert abs(e_i / n_i - e_t / n_t) < 0.05
@@ -55,16 +61,16 @@ class TestFastsim:
     def test_overdrive_degrades_circuit_ber(self):
         kwargs = dict(target_errors=60, max_bits=8000, min_bits=3000,
                       integrator=CircuitSurrogateIntegrator())
-        e_lin, n_lin = FastsimBackend().ber_point(
+        e_lin, n_lin = ber_point(
             SPEC.with_frontend(squarer_drive=0.05), 10.0,
             np.random.default_rng(7), **kwargs)
-        e_sat, n_sat = FastsimBackend().ber_point(
+        e_sat, n_sat = ber_point(
             SPEC.with_frontend(squarer_drive=0.35), 10.0,
             np.random.default_rng(7), **kwargs)
         assert e_sat / n_sat > e_lin / n_lin
 
     def test_result_rows(self):
-        res = FastsimBackend().ber_curve(
+        res = ops.ber_curve(
             SPEC, [5.0], np.random.default_rng(8),
             target_errors=10, max_bits=1000, min_bits=500, label="x")
         rows = res.as_rows()
