@@ -30,6 +30,6 @@ Subpackages
     self-registered for ``python -m repro run``.
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = ["__version__"]

@@ -19,9 +19,11 @@ from repro.core.metrics import BerComparison, compare_ber
 from repro.core.scenario import Scenario
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.link import FrontEndSpec, LinkSpec, ops
+from repro.link.backends import build_bpf
 from repro.uwb import UwbConfig
 from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import WindowIntegrator
+from repro.uwb.theory import ideal_awgn_ber
 
 #: Wide receiver front end: squared noise extends past the integrator's
 #: second pole, activating the noise-shaping mechanism the paper cites.
@@ -37,13 +39,23 @@ class Fig6Result:
     """Paired BER curves + comparison.
 
     ``curves`` keeps the raw per-curve results (error counters and
-    Wilson confidence bounds) - the campaign artifact of record.
+    Wilson confidence bounds) - the campaign artifact of record;
+    ``spec`` is the swept link, from which the report computes the
+    exact ideal-integrator curve.
     """
 
     comparison: BerComparison
     config: UwbConfig
     drive: float
     curves: dict[str, "BerResult"] | None = None
+    spec: LinkSpec | None = None
+
+    def exact_ideal(self) -> np.ndarray:
+        """The exact ideal-integrator BER on the comparison grid
+        (:func:`repro.uwb.theory.ideal_awgn_ber`; the fig6 link is
+        AWGN with no converter in the sweep)."""
+        return ideal_awgn_ber(self.spec.config, build_bpf(self.spec),
+                              self.comparison.ebn0_db)
 
     @property
     def monotone(self) -> bool:
@@ -61,6 +73,11 @@ class Fig6Result:
                  f"  winner at high Eb/N0: "
                  f"{self.comparison.wins_at_high_snr()} "
                  "(paper: the circuit integrator)"]
+        if self.spec is not None:
+            lines += ["", "exact ideal-integrator BER (Imhof, AWGN):",
+                      f"{'Eb/N0 (dB)':>10s} {'exact':>14s}"]
+            lines += [f"{e:>10.1f} {p:>14.3e}" for e, p in
+                      zip(self.comparison.ebn0_db, self.exact_ideal())]
         if self.curves:
             for label, curve in self.curves.items():
                 lines += ["", f"{label} curve (errors / bits / "
@@ -122,7 +139,8 @@ def run_fig6(config: UwbConfig | None = None,
     curves = runner.run().by_name()["curves"]
     return Fig6Result(comparison=compare_ber(curves["ideal"],
                                              curves["circuit"]),
-                      config=config, drive=BER_DRIVE, curves=curves)
+                      config=config, drive=BER_DRIVE, curves=curves,
+                      spec=spec)
 
 
 @experiment("fig6", order=10,

@@ -265,8 +265,9 @@ def draw_stimulus(spec: LinkSpec, ebn0_db: float, n: int,
     """One seeded noisy burst of *n* symbols at the squarer input.
 
     The pipeline's Tx -> Channel -> Combine front draws the bits and
-    the AWGN at *ebn0_db* (in that order, from *rng*); the band-pass
-    and drive scaling of the calibrated *spec* follow.  This is the
+    the unit noise (in that order, from *rng*), scaled to the AWGN at
+    *ebn0_db*; the band-pass and drive scaling of the calibrated
+    *spec* follow.  This is the
     stimulus the Phase-I comparison grades on both the golden model and
     the kernel testbench.
 
@@ -284,8 +285,8 @@ def draw_stimulus(spec: LinkSpec, ebn0_db: float, n: int,
         CombineStage(cfg, sigma),
     )).run_chunk(n, rng)
     scale = spec.frontend.squarer_drive / cache.peak
-    return state.bits, scale * cache.bpf(state.noisy)[
-        :n * cfg.samples_per_symbol]
+    noisy = state.waveform + state.sigma * state.unit
+    return state.bits, scale * cache.bpf(noisy)[:n * cfg.samples_per_symbol]
 
 
 def split_network(spec: LinkSpec | NetworkSpec

@@ -47,6 +47,7 @@ from repro.link.pipeline import (
     run_ber_sweep,
 )
 from repro.link.spec import LinkSpec, NetworkSpec
+from repro.uwb.adc import decide_slots
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.fastsim import AdaptiveStopping, BerResult, _curve_result
 from repro.uwb.integrator import WindowIntegrator
@@ -268,8 +269,8 @@ def golden_packet(spec: LinkSpec, waveform, *,
     gate0 = int(round(spec.frontend.t_dump * cfg.fs))
     gate1 = cfg.samples_per_slot - int(round(
         spec.frontend.t_hold * cfg.fs))
-    values, bits = DecisionStage(
-        cfg, resolved, build_quantizer(spec, packet=True)
-    ).decide(squared[:, :, gate0:gate1])
+    values, bits = decide_slots(
+        resolved.window_outputs(squared[:, :, gate0:gate1], cfg.dt),
+        build_quantizer(spec, packet=True))
     return AmsRunResult(bits=bits, slot_values=values,
                         cpu_time=0.0, steps=0)

@@ -17,30 +17,37 @@ which synthesizes and sums one waveform per :class:`InterfererPath`
 (relative amplitude, circular timing offset, optional independent
 channel realization) before the victim's AWGN is added.
 
-**Bit-identity contract.** With no interferers the pipeline performs
-exactly the arithmetic of the historic monolithic loop, on exactly the
-same generator draw order (victim bits, then noise), so fixed-seed
-error/bit counters are bit-for-bit identical to the pre-refactor
-engine - cached campaign results and the committed ``BENCH_*`` numbers
-stay valid (``tests/network/test_pipeline_parity.py`` pins this
-against a verbatim copy of the legacy loop).  With interferers, each
-interferer's bits are drawn from the same generator *between* the
-victim bits and the noise, in interferer order.
+**Draw-order contract.** Per chunk the generator draws the victim
+bits, then each interferer's bits (in path order), then one
+unit-variance noise vector - the draw sequence of the historic
+monolithic loop, whose ``rng.normal(0, sigma, n)`` is bitwise
+``sigma * standard_normal(n)``.  Bits, interferers and the noise
+process are therefore identical to that loop at every seed.  The
+decision statistic is not computed in the same order: everything
+before the squarer is linear, so the band-pass and drive scaling run
+once on the clean waveform (``a``) and once on the unit noise
+(``b``), and each noise scale ``sigma`` grades ``a + sigma * b``.
+Slot values agree with the filter-per-row loop to about 1e-15
+relative, not bit for bit (``tests/network/test_pipeline_parity.py``
+compares them with a verbatim copy of that loop, and
+``tests/uwb/test_theory.py`` checks the counts against the exact
+energy-detection BER of :mod:`repro.uwb.theory`).
 
-**Scenario batch axis.** Beyond the per-chunk symbol batching, the
-pipeline carries an optional *scenario* axis: one :class:`LinkState`
-can hold a whole family of operating points that share every draw
-(victim bits, interferer bits, the unit noise process) and differ only
-in their noise scale.  :meth:`SignalPipeline.run_chunk` takes a
-``sigmas`` vector to activate it - the :class:`CombineStage` then
-fans the shared chunk out into an ``(n_scenarios, n_samples)`` batch
-(``waveform + sigmas[:, None] * unit_noise``), and the downstream
-stages operate on the leading axis transparently.  Because
-``rng.normal(0, sigma, n)`` draws ``sigma * standard_normal(n)``
-bitwise, scenario *i* of the batch is bit-identical to a per-point
-run at ``sigmas[i]`` from the same generator state - the invariant
-:func:`run_ber_sweep` builds the whole-curve sweep on (pinned by
-``tests/network/test_batched_sweep.py``).
+**Scenario batch axis.** One chunk can serve a whole family of
+operating points that share every draw and differ only in their noise
+scale.  The front (Tx -> Channel -> Combine -> AnalogFrontEnd) never
+fans out: it yields one filtered signal/noise pair per chunk, and the
+:class:`DecisionStage` owns the scenario axis.  For an integrator that
+is linear in its input (ideal, two-pole without an input
+nonlinearity) the slot value ``sum g (a + sigma b)^2`` is
+``sum g a^2 + 2 sigma sum g a b + sigma^2 sum g b^2``: three weighted
+reductions per slot, shared by every row, so no rows x samples array
+exists.  A nonlinear integrator squares one row at a time into a
+chunk-sized buffer.  Either way row ``i``'s arithmetic
+depends only on ``sigmas[i]``, so a row graded alone, in a sub-grid or
+after other rows retired is bit-identical to the same row in the full
+batch - the invariant :func:`run_ber_sweep` builds the whole-curve
+sweep on (pinned by ``tests/network/test_batched_sweep.py``).
 
 Stages are deliberately dependency-light (uwb building blocks only);
 :mod:`repro.link.backends` resolves :class:`~repro.link.spec.NetworkSpec`
@@ -67,7 +74,7 @@ from repro.uwb.modulation import ppm_waveform, random_bits
 
 @dataclass
 class LinkState:
-    """Batched per-chunk state flowing through the pipeline.
+    """Per-chunk state flowing through the pipeline.
 
     One state is one Monte-Carlo chunk of ``n`` symbols.  Stages
     mutate it in place, each consuming the fields of its predecessor:
@@ -76,20 +83,23 @@ class LinkState:
         n: symbols in this chunk.
         rng: the chunk's entropy source (bit draws and noise).
         sigmas: optional per-scenario noise standard deviations.  When
-            set, the :class:`CombineStage` fans the shared chunk out
-            into an ``(n_scenarios, ...)`` batch - one row per noise
-            scale over identical bit/interferer/noise draws - and
-            every downstream field grows that leading axis.
+            set, the :class:`DecisionStage` grades one row per noise
+            scale, all from the chunk's shared draws, and its outputs
+            grow that leading axis.
+        sigma: the noise standard deviation of an unbatched chunk
+            (``sigmas`` is ``None``); set by :class:`CombineStage`.
         bits: victim payload bits (set by :class:`TxStage`; shared
             across scenario rows).
         waveform: clean waveform at the antenna reference plane -
             victim only after :class:`ChannelStage`, victim plus scaled
             interferers after :class:`CombineStage`.
-        noisy: waveform after AWGN (set by :class:`CombineStage`);
-            ``(n_scenarios, n_samples)`` in batched mode.
-        squared: squarer output reshaped to
-            ``(..., n, 2, samples_per_slot)`` (set by
+        unit: the chunk's one unit-variance noise vector, as long as
+            ``waveform`` (set by :class:`CombineStage`).
+        signal: ``waveform`` band-passed and drive-scaled, shaped
+            ``(n, 2, samples_per_slot)`` (set by
             :class:`AnalogFrontEndStage`).
+        noise: ``unit`` through the same band-pass and scaling, same
+            shape; row ``i`` squares ``signal + sigmas[i] * noise``.
         slot_values: integrator outputs per slot, shape ``(..., n, 2)``,
             post-ADC when the pipeline quantizes (set by
             :class:`DecisionStage`).
@@ -100,10 +110,12 @@ class LinkState:
     n: int
     rng: np.random.Generator
     sigmas: np.ndarray | None = None
+    sigma: float = 0.0
     bits: np.ndarray | None = None
     waveform: np.ndarray | None = None
-    noisy: np.ndarray | None = None
-    squared: np.ndarray | None = None
+    unit: np.ndarray | None = None
+    signal: np.ndarray | None = None
+    noise: np.ndarray | None = None
     slot_values: np.ndarray | None = None
     decisions: np.ndarray | None = None
 
@@ -196,18 +208,19 @@ class ChannelStage(Stage):
 
 @dataclass
 class CombineStage(Stage):
-    """Sum interfering transmitters into the victim waveform, then add
-    the victim-referred AWGN.
+    """Sum interfering transmitters into the victim waveform, then draw
+    the chunk's unit-variance noise vector.
 
     Interferers are synthesized per chunk (fresh bits from the chunk's
     generator, in path order) and summed at their calibrated
-    amplitudes.  ``sigma`` is sized against the *victim's* pilot energy
-    - interference is extra disturbance on top of the thermal-noise
-    operating point, matching the standard SIR convention.
+    amplitudes.  The noise is drawn once, whatever the number of
+    scenario rows; ``sigma`` (the unbatched chunk's noise scale) is
+    sized against the *victim's* pilot energy - interference is extra
+    disturbance on top of the thermal-noise operating point, matching
+    the standard SIR convention.
 
     With no interferers the victim waveform passes through untouched
-    (not even an add of zero), preserving the single-link
-    bit-identity contract of the module docstring.
+    (not even an add of zero).
     """
 
     config: UwbConfig
@@ -224,30 +237,16 @@ class CombineStage(Stage):
         for path in self.interferers:
             state.waveform = state.waveform + path.synthesize(
                 state, self.config)
-        if state.sigmas is not None:
-            # Scenario batch: one shared unit-variance noise process,
-            # scaled per row.  ``rng.normal(0, sigma, n)`` draws
-            # ``sigma * standard_normal(n)`` bitwise, so row i equals
-            # a per-point run at sigmas[i] from this generator state.
-            # The scale and add land in one preallocated batch buffer
-            # (IEEE addition commutes bitwise, so += keeps the
-            # waveform + sigma*unit identity) - one less full-size
-            # temporary per chunk on the hottest allocation.
-            unit = state.rng.standard_normal(len(state.waveform))
-            noisy = np.multiply(
-                state.sigmas[:, None], unit[None, :],
-                out=np.empty((len(state.sigmas), unit.size)))
-            noisy += state.waveform
-            state.noisy = noisy
-        else:
-            state.noisy = state.waveform + state.rng.normal(
-                0.0, self.sigma, size=len(state.waveform))
+        state.sigma = self.sigma
+        state.unit = state.rng.standard_normal(len(state.waveform))
 
 
 @dataclass
 class AnalogFrontEndStage(Stage):
-    """Receiver analog front end: band-pass, AGC drive scaling, squarer
-    (output reshaped into per-slot windows)."""
+    """Receiver analog front end: band-pass and AGC drive scaling of the
+    clean waveform and of the unit noise, each once per chunk (output
+    reshaped into per-slot windows; the squarer runs per noise scale in
+    the :class:`DecisionStage`)."""
 
     config: UwbConfig
     bpf: BandPassFilter
@@ -255,42 +254,82 @@ class AnalogFrontEndStage(Stage):
     span_name = "link.afe"
 
     def process(self, state: LinkState) -> None:
-        cfg = self.config
-        # Filtering, scaling and squaring act along the last (sample)
-        # axis, so the optional scenario batch axis passes through
-        # untouched: each row is processed exactly as a lone chunk.
-        # The filter output is a fresh array (sosfilt never returns
-        # its input), so drive scaling and squaring run in place - two
-        # fewer full-size temporaries per chunk, identical arithmetic.
-        filtered = self.bpf(state.noisy)[
-            ..., :state.n * cfg.samples_per_symbol]
-        np.multiply(filtered, self.scale, out=filtered)
-        np.square(filtered, out=filtered)
-        state.squared = filtered.reshape(
-            filtered.shape[:-1] + (state.n, 2, cfg.samples_per_slot))
+        shape = (state.n, 2, self.config.samples_per_slot)
+        state.signal = self._drive(state.waveform, state.n).reshape(shape)
+        state.noise = self._drive(state.unit, state.n).reshape(shape)
+
+    def _drive(self, x: np.ndarray, n: int) -> np.ndarray:
+        # sosfilt never returns its input, so the drive scaling runs in
+        # place on the fresh filter output.
+        y = self.bpf(x)[:n * self.config.samples_per_symbol]
+        np.multiply(y, self.scale, out=y)
+        return y
 
 
 @dataclass
 class DecisionStage(Stage):
-    """Integrator model per slot, optional ADC, larger-slot decision."""
+    """Squarer, integrator model per slot, optional ADC, larger-slot
+    decision - per noise scale (the scenario axis lives here)."""
 
     config: UwbConfig
     integrator: WindowIntegrator
     adc: Adc | AutoRangingAdc | None = None
     span_name = "link.decision"
 
-    def decide(self, squared: np.ndarray
+    def decide(self, signal: np.ndarray, noise: np.ndarray, sigmas
                ) -> tuple[np.ndarray, np.ndarray]:
-        """``(slot_values, decisions)`` for a squared-slot array of
-        shape ``(..., n, 2, samples_per_slot)`` (any leading batch
-        axes; the batched sweep driver calls this on scenario-row
-        subsets)."""
-        return decide_slots(
-            self.integrator.window_outputs(squared, self.config.dt),
-            self.adc)
+        """``(slot_values, decisions)`` of ``signal + sigma * noise``
+        for every noise scale in *sigmas*.
+
+        Args:
+            signal / noise: the front end's drive-scaled clean and
+                unit-noise slots, shape ``(n, 2, samples_per_slot)``.
+            sigmas: noise scales of any shape ``S`` (a scalar grades
+                one chunk); the outputs have shapes ``S + (n, 2)`` and
+                ``S + (n,)``.
+        """
+        sigmas = np.asarray(sigmas, dtype=float)
+        # Substitute models without the method count as nonlinear.
+        linear_weights = getattr(self.integrator, "linear_weights", None)
+        weights = None if linear_weights is None else linear_weights(
+            signal.shape[-1], self.config.dt)
+        if weights is not None:
+            # sum g (a + s b)^2 = sum g a^2 + 2 s sum g a b
+            # + s^2 sum g b^2: three reductions for every row.
+            aa = _weighted_dot(signal, signal, weights)
+            ab2 = 2.0 * _weighted_dot(signal, noise, weights)
+            bb = _weighted_dot(noise, noise, weights)
+            s = sigmas[..., None, None]
+            values = s * ab2
+            values += aa
+            values += (s * s) * bb
+        else:
+            # One squared row at a time, built in place (fan-out, then
+            # square) in a chunk-sized buffer that stays in cache for
+            # the model's limiter and window sum.  Every row runs the
+            # same calls on the same shapes, so a row graded alone or
+            # batched rounds alike.
+            values = np.empty(sigmas.shape + signal.shape[:-1])
+            row = np.empty(signal.shape)
+            for i in np.ndindex(sigmas.shape):
+                np.multiply(noise, sigmas[i], out=row)
+                row += signal
+                np.square(row, out=row)
+                values[i] = self.integrator.window_outputs(
+                    row, self.config.dt)
+        return decide_slots(values, self.adc)
 
     def process(self, state: LinkState) -> None:
-        state.slot_values, state.decisions = self.decide(state.squared)
+        sigmas = state.sigma if state.sigmas is None else state.sigmas
+        state.slot_values, state.decisions = self.decide(
+            state.signal, state.noise, sigmas)
+
+
+def _weighted_dot(x: np.ndarray, y: np.ndarray, weights: np.ndarray
+                  ) -> np.ndarray:
+    """``sum_i x_i y_i w_i`` over the last axis, in one pass (no
+    product temporaries)."""
+    return np.einsum("...i,...i,i->...", x, y, weights)
 
 
 @dataclass
@@ -310,10 +349,9 @@ class SignalPipeline:
 
         Args:
             sigmas: optional per-scenario noise standard deviations;
-                when given, the chunk fans out into a scenario batch
-                at the :class:`CombineStage` (one row per sigma over
-                shared draws) and the downstream state fields carry
-                the leading scenario axis.
+                when given, a :class:`DecisionStage` grades one row
+                per sigma from the chunk's shared draws and its
+                outputs carry the leading scenario axis.
         """
         if n <= 0:
             raise ValueError("chunk size must be positive")
@@ -405,8 +443,9 @@ _PRIMED_BYTES = 0
 def _prime_allocator(block_bytes: int, live_blocks: int = 4) -> None:
     """Pre-adapt the process allocator to the sweep's chunk temporaries.
 
-    The batched chunk temporaries (``(rows, samples)`` float64 blocks
-    from the noise fan-out, band-pass, squarer and integrator) sit far
+    The chunk temporaries (the noise vector, the two filter outputs,
+    the reduction products and a nonlinear decider's squared row and
+    its limiter output, each one chunk of float64 samples) sit far
     above glibc's initial 128 KiB mmap threshold, so an unprimed
     process mmaps each of them fresh and munmaps it again on every
     wave - every release hands the pages back to the OS and the next
@@ -467,11 +506,12 @@ def run_ber_sweep(front: SignalPipeline,
 
     Runs the shared front of the pipeline (*front*: Tx -> Channel ->
     Combine -> AnalogFrontEnd, **without** a decision stage) once per
-    chunk with the scenario batch axis active, then grades the batch
-    through every :class:`DecisionStage` in *deciders* - so a whole
-    BER campaign (every Eb/N0 point x every integrator variant)
-    becomes a handful of large array ops per chunk instead of an
-    outer Python loop over points.
+    chunk - one filtered signal/noise pair, whatever the number of
+    rows - then grades every active noise scale through every
+    :class:`DecisionStage` in *deciders*.  A whole BER campaign (every
+    Eb/N0 point x every integrator variant) costs two filter passes
+    and a handful of array ops per chunk, not an outer Python loop
+    over points.
 
     **Seeding / sharing convention.**  All scenarios consume *one*
     generator: per chunk the driver draws the victim bits, each
@@ -480,15 +520,15 @@ def run_ber_sweep(front: SignalPipeline,
     Scenario (decider k, sigma j) is therefore bit-identical to a 1x1
     sweep of that cell (:func:`run_ber_point`) started from the *same
     generator seed*: it sees the same bits, the same interferers and
-    the same noise process scaled by its own sigma.
+    the same noise process scaled by its own sigma, and its slot
+    values depend on no other row.
 
     **Retirement.**  Each cell follows the :func:`keeps_sampling`
     stopping rule independently: a resolved cell simply stops
     accumulating while the shared draws continue for the survivors, so
     retiring a cell cannot perturb any other cell's stream (its
     counters freeze behind the shared ``bits_done``, which keeps it
-    retired).  Scenario rows with no active cell left are dropped from
-    the batch arithmetic entirely.
+    retired).  Each decider grades only its active rows.
 
     Args:
         front: the shared pipeline front (no :class:`DecisionStage`).
@@ -523,7 +563,7 @@ def run_ber_sweep(front: SignalPipeline,
     if cfg is not None:
         samples = min(chunk_bits, max_bits) * cfg.samples_per_symbol
         with _trace.span("link.prime"):
-            _prime_allocator(n_pts * samples * 8)
+            _prime_allocator(samples * 8)
     bits_done = 0
     while True:
         active = np.zeros((n_dec, n_pts), dtype=bool)
@@ -535,26 +575,23 @@ def run_ber_sweep(front: SignalPipeline,
         if not active.any():
             break
         n = min(chunk_bits, max_bits - bits_done)
-        # Only scenario rows some decider still needs enter the batch;
-        # the generator draws are row-count independent (shared bits +
-        # one unit noise vector), so retirement never moves the stream.
+        # The draws are row-count independent (shared bits + one unit
+        # noise vector), so retirement never moves the stream.
         rows = np.flatnonzero(active.any(axis=0))
         state = front.run_chunk(n, rng, sigmas=sigmas[rows])
         for k, decider in enumerate(deciders):
             cols = np.flatnonzero(active[k])
             if not len(cols):
                 continue
-            # Fancy indexing copies; the common all-rows-active wave
-            # grades the shared batch directly (decide() is read-only).
-            sub = (state.squared if len(cols) == len(rows)
-                   else state.squared[np.searchsorted(rows, cols)])
             if _trace.ENABLED:
                 with _trace.span(decider.span_name):
-                    _, decisions = decider.decide(sub)
+                    _, decisions = decider.decide(
+                        state.signal, state.noise, sigmas[cols])
                     errors[k, cols] += np.count_nonzero(
                         decisions != state.bits[None, :], axis=-1)
             else:
-                _, decisions = decider.decide(sub)
+                _, decisions = decider.decide(
+                    state.signal, state.noise, sigmas[cols])
                 errors[k, cols] += np.count_nonzero(
                     decisions != state.bits[None, :], axis=-1)
             bits[k, cols] += n

@@ -12,7 +12,8 @@ Everything the paper's case study needs, built from scratch:
 * ADC, synchronizer (NE/PS), demodulator,
 * a sampled-waveform receiver (:mod:`repro.uwb.receiver`) and a
   vectorized Monte-Carlo BER engine (:mod:`repro.uwb.fastsim`) - the
-  "Matlab golden model" of Phase I,
+  "Matlab golden model" of Phase I, and the exact ideal-integrator
+  BER it is judged against (:mod:`repro.uwb.theory`),
 * a mixed-signal receiver built on the AMS kernel
   (:mod:`repro.uwb.system`) - the Phase II-IV testbench,
 * two-way ranging (:mod:`repro.uwb.ranging`).

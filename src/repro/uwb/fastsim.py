@@ -20,8 +20,8 @@ chunk loop is :func:`repro.link.pipeline.run_ber_sweep`; the one place
 that assembles that pipeline from a spec - multi-user interferers
 included - is :func:`repro.link.ops.ber_sweep`.  This module keeps the
 Monte-Carlo bookkeeping around it: the adaptive stopping policy,
-Wilson intervals, curve assembly, the pilot calibration and the
-theoretical reference curve.
+Wilson intervals, curve assembly and the pilot calibration.  The exact
+curve it is judged against lives apart, in :mod:`repro.uwb.theory`.
 
 Swapping the integrator model (ideal / two-pole / circuit surrogate)
 reproduces the paper's ideal-versus-ELDO BER comparison.
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtri
+from scipy.special import ndtri
 
 from repro.obs import trace as _trace
 from repro.uwb.bpf import BandPassFilter
@@ -228,12 +228,3 @@ def _curve_result(ebn0_grid: np.ndarray, errors: np.ndarray,
                      bits=bits, label=label, ci_low=ci_low,
                      ci_high=ci_high, confidence=confidence)
 
-
-def theoretical_ppm_awgn_ber(ebn0_db) -> np.ndarray:
-    """Coherent orthogonal 2-PPM reference curve ``Q(sqrt(Eb/N0))``.
-
-    Energy detection is noncoherent and sits to the right of this curve;
-    it is plotted as a sanity reference, not as the expected result.
-    """
-    ebn0 = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
-    return 0.5 * erfc(np.sqrt(ebn0 / 2.0))

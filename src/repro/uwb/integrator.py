@@ -67,6 +67,14 @@ class WindowIntegrator:
         """
         raise NotImplementedError
 
+    def linear_weights(self, n: int, dt: float) -> np.ndarray | None:
+        """Weights ``g`` with ``window_outputs(x, dt) == x @ g`` over
+        *n*-sample windows, or ``None`` when the model is not linear in
+        its input.  The BER sweep grades a linear model from three
+        weighted reductions per slot instead of one squared batch per
+        noise scale (see :class:`repro.link.pipeline.DecisionStage`)."""
+        return None
+
     def response(self, x: np.ndarray, dt: float) -> np.ndarray:
         """Full output trajectory over each window (same shape as x)."""
         raise NotImplementedError
@@ -110,6 +118,9 @@ class IdealIntegrator(WindowIntegrator):
     def window_outputs(self, x: np.ndarray, dt: float) -> np.ndarray:
         return self.k * dt * np.sum(x, axis=-1)
 
+    def linear_weights(self, n: int, dt: float) -> np.ndarray:
+        return np.full(n, self.k * dt)
+
     def response(self, x: np.ndarray, dt: float) -> np.ndarray:
         return self.k * dt * np.cumsum(x, axis=-1)
 
@@ -149,7 +160,9 @@ class TwoPoleIntegrator(WindowIntegrator):
         self.fp1_hz = float(fp1_hz)
         self.fp2_hz = float(fp2_hz)
         self.input_nonlinearity = input_nonlinearity
-        self._filter_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        # Derived filter data: bilinear coefficients per sample period
+        # and window weights per (window length, sample period).
+        self._filter_cache: dict = {}
 
     @property
     def ideal_k(self) -> float:
@@ -157,10 +170,11 @@ class TwoPoleIntegrator(WindowIntegrator):
         return self.gain * 2.0 * math.pi * self.fp1_hz
 
     def __getstate__(self) -> dict:
-        # The lazily-built filter cache is derived state: dropping it
-        # keeps pickles small for process fan-out and, more
-        # importantly, keeps the campaign content hash of a model
-        # independent of whether it has been run yet.
+        # The lazily-built filter cache (coefficients and window
+        # weights) is derived state: dropping it keeps pickles small
+        # for process fan-out and, more importantly, keeps the
+        # campaign content hash of a model independent of whether it
+        # has been run yet.
         state = dict(self.__dict__)
         state["_filter_cache"] = {}
         return state
@@ -178,15 +192,34 @@ class TwoPoleIntegrator(WindowIntegrator):
         self._filter_cache[dt] = (b, a)
         return b, a
 
+    def weights(self, n: int, dt: float) -> np.ndarray:
+        """The reversed impulse response of the two-pole filter over an
+        *n*-sample window (read-only, memoized): the final value of
+        ``lfilter`` from a dumped state is ``x @ weights(n, dt)``."""
+        try:
+            return self._filter_cache[n, dt]
+        except KeyError:
+            pass
+        b, a = self._coeffs(dt)
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        g = np.ascontiguousarray(_signal.lfilter(b, a, impulse)[::-1])
+        g.setflags(write=False)
+        self._filter_cache[n, dt] = g
+        return g
+
+    def linear_weights(self, n: int, dt: float) -> np.ndarray | None:
+        if self.input_nonlinearity is not None:
+            return None
+        return self.weights(n, dt)
+
     def _pre(self, x: np.ndarray) -> np.ndarray:
         if self.input_nonlinearity is None:
             return x
         return self.input_nonlinearity(x)
 
     def window_outputs(self, x: np.ndarray, dt: float) -> np.ndarray:
-        b, a = self._coeffs(dt)
-        y = _signal.lfilter(b, a, self._pre(x), axis=-1)
-        return y[..., -1]
+        return self._pre(x) @ self.weights(x.shape[-1], dt)
 
     def response(self, x: np.ndarray, dt: float) -> np.ndarray:
         b, a = self._coeffs(dt)
@@ -215,7 +248,15 @@ class SoftLimiter:
         self.scale = float(scale)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.scale * np.tanh(np.asarray(v) / self.scale)
+        out = np.divide(v, self.scale)
+        if not isinstance(out, np.ndarray):
+            return self.scale * np.tanh(out)
+        # One fresh buffer for the whole limiter: tanh and the rescale
+        # run in place on the quotient (same arithmetic, two fewer
+        # full-size temporaries on the circuit decider's batch).
+        np.tanh(out, out=out)
+        out *= self.scale
+        return out
 
     def __repr__(self) -> str:
         return f"SoftLimiter(scale={self.scale:g})"

@@ -5,10 +5,13 @@ The batched kernel (``repro.link.pipeline.run_ber_sweep``) runs every
 victim bits, interferer bits and the unit noise wave are drawn once per
 chunk and only the noise *scale* differs per scenario row.  Under the
 repository's per-run seeding convention - every BER point starts from
-a generator freshly seeded with the run seed - that is exactly what
-the historic per-point loop computes, so cell ``(k, j)`` must equal
-that loop run at ``(integrators[k], grid[j])`` from a fresh generator
-**bit for bit**, in both fixed-n and adaptive modes.  The sweep is the
+a generator freshly seeded with the run seed - that is exactly the
+draw sequence of the historic per-point loop, and each row's
+arithmetic depends on its own noise scale only.  So a cell graded in
+the batch, alone or in a sub-grid is the same computation bit for bit,
+and at the pinned seeds cell ``(k, j)`` also counts exactly what that
+loop counts at ``(integrators[k], grid[j])`` from a fresh generator,
+in both fixed-n and adaptive modes.  The sweep is the
 only BER engine, so the oracles here are independent of it: the
 verbatim pre-refactor loop of ``test_pipeline_parity`` for
 interferer-free cells, and counters recorded before the per-point path
@@ -28,6 +31,7 @@ from repro.link.backends import (
     build_channel_realization,
     calibrate,
 )
+from repro.link import pipeline as pipe
 from repro.link.pipeline import run_ber_sweep
 from repro.link.registry import resolve_integrator
 from repro.link.spec import ChannelSpec, FrontEndSpec, InterfererSpec
@@ -192,11 +196,26 @@ class TestRetirement:
         assert np.array_equal(sub.errors, full.errors[1:3])
         assert np.array_equal(sub.bits, full.bits[1:3])
 
+    @pytest.mark.parametrize("name", ["ideal", "two_pole", "circuit"])
+    def test_each_row_grades_alone(self, name):
+        """A decision stage's row depends on its own noise scale only:
+        slot values graded in a batch, a sub-batch or alone are bitwise
+        equal (linear and nonlinear models alike)."""
+        rng = np.random.default_rng(3)
+        signal, noise = rng.normal(0.0, 0.05, (2, 37, 2, 64))
+        sigmas = np.array([0.0, 0.3, 0.7, 1.1, 1.9])
+        decider = pipe.DecisionStage(TEST_CONFIG, resolve_integrator(name))
+        batch, _ = decider.decide(signal, noise, sigmas)
+        sub, _ = decider.decide(signal, noise, sigmas[1:4])
+        assert np.array_equal(sub, batch[1:4])
+        for row, sigma in zip(batch, sigmas):
+            alone, _ = decider.decide(signal, noise, sigma)
+            assert np.array_equal(alone, row)
+
 
 class TestValidation:
     def _front_and_decider(self):
         from repro.uwb.fastsim import _LinkCache
-        from repro.link import pipeline as pipe
 
         cache = _LinkCache(TEST_CONFIG, None, None)
         front = pipe.SignalPipeline(stages=(

@@ -128,8 +128,14 @@ class TestCombineStage:
             ppm_waveform(intf_bits, cfg), 37)
         assert np.array_equal(state.bits, victim_bits)
         assert np.array_equal(state.waveform, expected)
-        # sigma=0: the noise draw adds nothing.
-        np.testing.assert_allclose(state.noisy, expected)
+        # The one unit-noise vector is drawn after every bit draw, and
+        # sigma=0 grades the clean filtered signal alone.
+        assert np.array_equal(state.unit,
+                              replay.standard_normal(expected.size))
+        assert state.sigma == 0.0
+        assert np.array_equal(
+            state.signal.ravel(),
+            calibrate(LinkSpec(config=cfg)).bpf(expected))
 
     def test_zero_interferers_leave_waveform_untouched(self):
         stage = CombineStage(TEST_CONFIG, sigma=0.0)

@@ -7,7 +7,7 @@ from repro.link import LinkSpec, ops
 from repro.link.registry import resolve_integrator
 from repro.uwb import ChannelRealization, UwbConfig
 from repro.uwb.bpf import BandPassFilter
-from repro.uwb.fastsim import _LinkCache, theoretical_ppm_awgn_ber
+from repro.uwb.fastsim import _LinkCache
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
     IdealIntegrator,
@@ -77,12 +77,6 @@ class TestFastsim:
         assert len(rows) == 1
         assert rows[0][3] >= 500
         assert res.label == "x"
-
-    def test_theoretical_reference(self):
-        ber = theoretical_ppm_awgn_ber([0.0, 10.0])
-        # Q(1) = 0.1587 at Eb/N0 = 0 dB
-        assert ber[0] == pytest.approx(0.1587, abs=1e-3)
-        assert ber[1] < ber[0]
 
 
 class TestLinkCachePilot:

@@ -1,20 +1,30 @@
 """Integrator model family and ADC."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.link.spec import FrontEndSpec
 from repro.uwb.adc import Adc
+from repro.uwb.config import UwbConfig
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
     IdealIntegrator,
+    SoftLimiter,
     TwoPoleIntegrator,
     tabulated_nonlinearity,
 )
 
 DT = 0.05e-9
+
+#: window lengths of the fig6 link at DT: a whole slot (the BER sweep)
+#: and the slot inside the default dump/hold gate (golden_packet).
+SLOT = UwbConfig().samples_per_slot
+GATED = SLOT - round(FrontEndSpec().t_dump / DT) - round(
+    FrontEndSpec().t_hold / DT)
 
 
 class TestIdeal:
@@ -80,6 +90,41 @@ class TestTwoPole:
         b2, a2 = two._coeffs(DT)
         assert b1 is b2 and a1 is a2
 
+    @pytest.mark.parametrize("n", [SLOT, GATED], ids=["slot", "gated"])
+    @pytest.mark.parametrize("cls", [TwoPoleIntegrator,
+                                     CircuitSurrogateIntegrator])
+    def test_window_dot_is_the_filter_final_value(self, cls, n):
+        """The weighted window sum equals the last sample of the full
+        lfilter trajectory."""
+        integ = cls()
+        x = np.random.default_rng(4).normal(0.0, 0.1, (30, 2, n)) ** 2
+        np.testing.assert_allclose(integ.window_outputs(x, DT),
+                                   integ.response(x, DT)[..., -1],
+                                   rtol=1e-12)
+
+    def test_weights_memoized_and_dropped_from_pickles(self):
+        """The memo is derived state: a used model pickles like a fresh
+        one, so campaign content addresses do not depend on it."""
+        two = TwoPoleIntegrator()
+        fresh = pickle.dumps(two)
+        g = two.weights(SLOT, DT)
+        assert two.weights(SLOT, DT) is g
+        assert not g.flags.writeable
+        assert pickle.dumps(two) == fresh
+        assert np.array_equal(
+            pickle.loads(pickle.dumps(two)).weights(SLOT, DT), g)
+
+    def test_linear_weights(self):
+        """Linear models expose the weights of their window sum; an
+        input nonlinearity withholds them."""
+        x = np.random.default_rng(5).random((4, SLOT))
+        for integ in (IdealIntegrator(), TwoPoleIntegrator()):
+            np.testing.assert_allclose(
+                x @ integ.linear_weights(SLOT, DT),
+                integ.window_outputs(x, DT), rtol=1e-12)
+        assert CircuitSurrogateIntegrator().linear_weights(SLOT, DT) \
+            is None
+
     def test_state_matches_vectorized(self):
         two = TwoPoleIntegrator()
         rng = np.random.default_rng(1)
@@ -99,6 +144,16 @@ class TestTwoPole:
 
 
 class TestSurrogate:
+    def test_soft_limiter_arithmetic_unchanged(self):
+        """One buffer, same operations: ``s * tanh(v / s)`` bit for bit,
+        the input untouched, scalars in and out."""
+        limiter = SoftLimiter(0.1)
+        v = np.random.default_rng(6).normal(0.0, 0.2, 1000)
+        before = v.copy()
+        assert np.array_equal(limiter(v), 0.1 * np.tanh(v / 0.1))
+        assert np.array_equal(v, before)
+        assert limiter(0.05) == 0.1 * np.tanh(0.05 / 0.1)
+
     def test_compression_reduces_output(self):
         ideal = IdealIntegrator()
         surr = CircuitSurrogateIntegrator()

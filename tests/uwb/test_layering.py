@@ -48,3 +48,32 @@ def test_uwb_does_not_import_link(path):
 ])
 def test_every_import_form_is_caught(source):
     assert link_imports(source, ("repro", "uwb"))
+
+
+#: what the exact BER oracle must not import: the Monte-Carlo loop it
+#: judges (the link pipeline and the golden model's bookkeeping).
+MONTE_CARLO = ("repro.link", "repro.uwb.fastsim")
+THEORY = SRC / "repro" / "uwb" / "theory.py"
+
+
+def monte_carlo_imports(source: str, package: tuple[str, ...]) -> list[str]:
+    return sorted(name for name in imported_modules(source, package)
+                  if any(name == root or name.startswith(root + ".")
+                         for root in MONTE_CARLO))
+
+
+def test_oracle_shares_no_code_with_the_monte_carlo_loop():
+    offending = monte_carlo_imports(THEORY.read_text(), ("repro", "uwb"))
+    assert not offending, f"theory.py imports {offending}"
+
+
+@pytest.mark.parametrize("source", [
+    "from repro.uwb.fastsim import wilson_interval\n",
+    "import repro.uwb.fastsim\n",
+    "from . import fastsim\n",
+    "from .fastsim import AdaptiveStopping\n",
+    "def f():\n    from repro.link.pipeline import DecisionStage\n",
+    "from ..link import backends\n",
+])
+def test_every_monte_carlo_import_form_is_caught(source):
+    assert monte_carlo_imports(source, ("repro", "uwb"))
