@@ -22,7 +22,7 @@ import numpy as np
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.spice.errors import AnalysisError, ConvergenceError
-from repro.spice.mna import MnaSystem, RhsAdditions, StampTriples
+from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit, normalize_node
 
 #: Transient steps split into sub-steps after a Newton failure.
@@ -101,13 +101,6 @@ class TransientStepper:
             self.x = self.system.solve_robust(
                 x_init, overrides=self.overrides, t=0.0)
 
-        # Companion-stamp positions (capacitors, then inductor branches)
-        # are fixed; only their values change from step to step.
-        sys = self.system
-        n1, n2, ind = sys.dyn_n1, sys.dyn_n2, sys.ind_rows
-        self._g_rows = np.concatenate([n1, n2, n1, n2, ind])
-        self._g_cols = np.concatenate([n1, n2, n2, n1, ind])
-        self._b_rows = np.concatenate([n1, n2, ind])
         self._refresh_caps()
         self.i_cap = np.zeros(len(self.c_val))
         #: Newton iterations of every accepted step and sub-step.
@@ -167,15 +160,10 @@ class TransientStepper:
         sys = self.system
         leq = sys.ind_val / h  # backward Euler for inductor branches
         i_old = self.x[sys.ind_rows]
-        extra_g = StampTriples(
-            rows=self._g_rows, cols=self._g_cols,
-            vals=np.concatenate([geq, geq, -geq, -geq, -leq]))
-        extra_b = RhsAdditions(
-            rows=self._b_rows,
-            vals=np.concatenate([-ieq, ieq, -leq * i_old]))
+        companions = sys.companion_stamps(geq, ieq, leq, i_old)
         try:
             x_new = sys.newton(self.x, t=t_new, overrides=self.overrides,
-                               extra_g=extra_g, extra_b=extra_b,
+                               companions=companions,
                                mos_eval=self._mos_eval)
         except ConvergenceError as exc:
             if depth >= 3:

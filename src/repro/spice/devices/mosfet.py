@@ -152,45 +152,44 @@ class Mosfet(Device):
         )
 
 
-#: Rows of :attr:`MosEval.v_eff` (drain, gate, source, bulk in the
-#: effective frame) whose differences are ``vgs``, ``vds``, ``vsb``.
-_HI = np.array([1, 0, 2])
-_LO = np.array([2, 2, 3])
+#: Differences of the terminal voltages (drain, gate, source, bulk) that
+#: give ``vgs``, ``vds``, ``vsb``: ``[0]`` as connected, ``[1]`` with
+#: drain and source swapped.
+_DIFF = np.array([[[0, 1, -1, 0], [1, 0, -1, 0], [0, 0, 1, -1]],
+                  [[-1, 1, 0, 0], [-1, 0, 1, 0], [1, 0, 0, -1]]], dtype=float)
 
 
 @dataclass
 class MosEval:
     """Result of a vectorized large-signal evaluation.
 
-    All quantities are expressed in the *effective* (possibly swapped)
-    drain/source frame; ``d_eff``/``s_eff`` give the node indices to stamp
-    against.  ``ids`` is the current flowing from ``d_eff`` to ``s_eff``
-    for NMOS sign convention already applied (i.e. it is the physical
-    terminal current into the effective drain).
+    Voltages and derivatives are expressed in the NMOS-equivalent
+    *effective* frame: drain and source are swapped where
+    :attr:`reversed` is set, and ``vgs``/``vds``/``vsb`` carry the
+    device sign (``vds >= 0``).  ``ids`` is the physical current into the
+    effective drain (sign already applied).
     """
 
     ids: np.ndarray
     gm: np.ndarray
     gds: np.ndarray
     gmb: np.ndarray
-    #: (4, count) node indices of drain, gate, source, bulk, effective frame.
-    terminals: np.ndarray
-    #: (4, count) voltages at :attr:`terminals`.
-    v_eff: np.ndarray
     #: devices whose drain and source are swapped (``VDS < 0``).
     reversed: np.ndarray
     vgs: np.ndarray
     vds: np.ndarray
-    cutoff: np.ndarray
-    triode: np.ndarray
+    vsb: np.ndarray
+    #: gate overdrive ``vgs - vt``.
+    vov: np.ndarray
 
     @property
-    def d_eff(self) -> np.ndarray:
-        return self.terminals[0]
+    def cutoff(self) -> np.ndarray:
+        return self.vov <= 0.0
 
     @property
-    def s_eff(self) -> np.ndarray:
-        return self.terminals[2]
+    def triode(self) -> np.ndarray:
+        # vds >= 0, so a device in cutoff is never in triode.
+        return self.vds < self.vov
 
     @property
     def region(self) -> np.ndarray:
@@ -218,10 +217,8 @@ class MosGroup:
         self.ng = np.array([get(dev.g) for dev in self.devices], dtype=np.intp)
         self.ns = np.array([get(dev.s) for dev in self.devices], dtype=np.intp)
         self.nb = np.array([get(dev.b) for dev in self.devices], dtype=np.intp)
-        # Terminal indices in the forward and the drain/source-swapped
-        # frame, gathered with one fancy index per evaluation.
+        # Terminal indices, gathered with one fancy index per evaluation.
         self.terminals = np.stack([self.nd, self.ng, self.ns, self.nb])
-        self.terminals_rev = np.stack([self.ns, self.ng, self.nd, self.nb])
 
         def model_of(dev: Mosfet) -> MosModel:
             try:
@@ -240,11 +237,12 @@ class MosGroup:
         self.gamma = np.array([mod.gamma for mod in mods])
         self.phi = np.array([mod.phi for mod in mods])
         self.lambd = np.array([mod.lambd for mod in mods])
-        # Bias-independent terms of the evaluation.
-        self.half_beta = 0.5 * self.beta
-        self.sign_vto = self.sign * self.vto
-        self.sqrt_phi = np.sqrt(self.phi)
+        # Bias-independent terms of the evaluation:
+        # vt = vt0 + gamma * sqrt(max(phi + vsb, phi_floor)).
+        self.vt0 = self.sign * self.vto - self.gamma * np.sqrt(self.phi)
         self.phi_floor = 0.02 * self.phi
+        self.half_gamma = 0.5 * self.gamma
+        self.beta_lambd = self.beta * self.lambd
         # Charge-model constants.
         cox_tot = np.array([mod.cox for mod in mods]) * width * leff
         self.cox_tot = cox_tot
@@ -265,57 +263,39 @@ class MosGroup:
         *v* must include the sentinel ground entry (value 0) so that plain
         fancy indexing works for grounded terminals.
         """
-        vd, vs = v[self.terminals[::2]]
         sign = self.sign
-
-        # Work in the NMOS-equivalent frame.
-        reversed_mode = sign * (vd - vs) < 0.0
-        terminals = np.where(reversed_mode, self.terminals_rev,
-                             self.terminals)
-        v_eff = v[terminals]
-        vgs, vds, vsb = sign * (v_eff[_HI] - v_eff[_LO])
+        # Work in the NMOS-equivalent frame, drain and source swapped
+        # where the device conducts backwards.
+        dv = sign * (_DIFF @ v[self.terminals])
+        reversed_mode = dv[0, 1] < 0.0
+        dv = np.where(reversed_mode, dv[1], dv[0])
+        vgs, vds, vsb = dv[0], dv[1], dv[2]
 
         sqrt_term = np.sqrt(np.maximum(self.phi + vsb, self.phi_floor))
-        vt = self.sign_vto + self.gamma * (sqrt_term - self.sqrt_phi)
-        dvt_dvsb = self.gamma / (2.0 * sqrt_term)
-
-        vov = vgs - vt
-        clm = 1.0 + self.lambd * vds
-
-        cutoff = vov <= 0.0
-        triode = (~cutoff) & (vds < vov)
-
-        beta = self.beta
-        # Triode region.
-        q_t = beta * (vov * vds - 0.5 * vds * vds)
-        ids_t = q_t * clm
-        gm_t = beta * vds * clm
-        gds_t = beta * (vov - vds) * clm + q_t * self.lambd
-        # Saturation region.
-        q_s = self.half_beta * vov * vov
-        ids_s = q_s * clm
-        gm_s = beta * vov * clm
-        gds_s = q_s * self.lambd
-
-        ids = np.where(triode, ids_t, np.where(cutoff, 0.0, ids_s))
-        gm = np.where(triode, gm_t, np.where(cutoff, 0.0, gm_s))
-        gds = np.where(triode, gds_t, np.where(cutoff, 0.0, gds_s))
-        gmb = gm * dvt_dvsb
+        vov = vgs - self.vt0 - self.gamma * sqrt_term
+        # One square law for every region: the channel conducts over
+        # v_eff = min(vds, max(vov, 0)), so ids = beta * v_eff *
+        # (vov - v_eff / 2) * (1 + lambda * vds) is the triode law below
+        # saturation, the saturation law above it and 0 in cutoff.
+        v_on = np.maximum(vov, 0.0)
+        v_eff = np.minimum(vds, v_on)
+        u = v_on - 0.5 * v_eff
+        beta_clm = self.beta + self.beta_lambd * vds
+        gm = beta_clm * v_eff
+        gds = beta_clm * (v_on - v_eff) + self.beta_lambd * v_eff * u
 
         # Map back to physical current: in the NMOS frame ids flows from
         # effective drain to effective source; multiply by sign for PMOS.
         return MosEval(
-            ids=sign * ids,
+            ids=sign * (gm * u),
             gm=gm,
             gds=gds,
-            gmb=gmb,
-            terminals=terminals,
-            v_eff=v_eff,
+            gmb=gm * self.half_gamma / sqrt_term,
             reversed=reversed_mode,
             vgs=vgs,
             vds=vds,
-            cutoff=cutoff,
-            triode=triode,
+            vsb=vsb,
+            vov=vov,
         )
 
     def capacitances(self, v: np.ndarray,

@@ -8,10 +8,17 @@ into:
 * packed linear-capacitor / inductor arrays for the dynamic part,
 * vectorized nonlinear device groups (MOSFETs, diodes, switches).
 
-Ground handling uses the sentinel trick: ground maps to an extra row and
-column (index ``size``) of an oversized matrix, so stamping never needs
-branching on grounded terminals; the solver simply drops the last
-row/column.
+Ground handling uses the sentinel trick: ground maps to an extra index
+(``size``) of every node-index array, so stamping never needs branching
+on grounded terminals.
+
+Each Newton iteration is stamped as one flat *augmented* array ``[A | b]``
+of :attr:`MnaSystem.aug_len` entries: the matrix ``A`` in column-major
+order, then the right-hand side ``b``, then one discard slot that takes
+every stamp on a ground row or column.  The flat positions of every
+stamp are compiled once per system, so an iteration's stamps are one
+``np.bincount`` and its solve is one LAPACK ``dgesv`` on views of that
+array (:meth:`MnaSystem.split` gives them).
 
 The Newton loop (:meth:`MnaSystem.newton`) implements standard Spice
 practice: companion linearization of each nonlinear device, per-entry
@@ -22,10 +29,10 @@ point analysis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -46,23 +53,6 @@ from repro.spice.netlist import Circuit, normalize_node
 _ITERATIONS = _metrics.REGISTRY.histogram(
     "spice.newton.iterations",
     bounds=(1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 50, 100))
-
-
-@dataclass
-class StampTriples:
-    """Sparse additions (rows, cols, vals) applied on top of ``G0``."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-
-@dataclass
-class RhsAdditions:
-    """Sparse additions (rows, vals) applied on top of the source vector."""
-
-    rows: np.ndarray
-    vals: np.ndarray
 
 
 class MnaSystem:
@@ -118,12 +108,12 @@ class MnaSystem:
         self._compile_groups()
         self._compile_static()
         self._compile_dynamic()
+        self._compile_stamps()
 
         # Newton loop constants.
         self._is_linear = (self.mos_group is None
                            and self.diode_group is None
                            and self.switch_group is None)
-        self._diag = np.arange(self.n_nodes)
         self._tol_floor = np.concatenate([
             np.full(self.n_nodes, self.vntol),
             np.full(self.n_branch, self.abstol)])
@@ -153,19 +143,6 @@ class MnaSystem:
                             if diodes else None)
         self.switch_group = (SwitchGroup(switches, sw_models, self.node_index)
                              if switches else None)
-        if self.mos_group is not None:
-            # Flat matrix positions of the 8 MOSFET conductance stamps,
-            # for the forward and the drain/source-swapped orientation.
-            grp = self.mos_group
-            width = self.size + 1
-
-            def pattern(d: np.ndarray, s: np.ndarray) -> np.ndarray:
-                rows = np.stack([d, d, d, d, s, s, s, s])
-                cols = np.stack([d, grp.ng, grp.nb, s] * 2)
-                return rows * width + cols
-
-            self._mos_stamp = pattern(grp.nd, grp.ns)
-            self._mos_stamp_rev = pattern(grp.ns, grp.nd)
 
     def _compile_static(self) -> None:
         """Static linear stamps: R, VCCS, and V-source/VCVS/L topology."""
@@ -236,6 +213,55 @@ class MnaSystem:
         self.dyn_n1 = np.concatenate(n1)
         self.dyn_n2 = np.concatenate(n2)
 
+    def _compile_stamps(self) -> None:
+        """Flat ``[A | b]`` positions of every stamp (see :meth:`split`)."""
+        n = self.size
+        self.aug_len = n * n + n + 1
+        discard = self.aug_len - 1
+        idx = np.arange(n + 1)
+        # _mat[r, c] is entry (r, c) of the column-major matrix and
+        # _rhs[r] entry r of the right-hand side; ground goes to discard.
+        self._mat = idx[None, :] * n + idx[:, None]
+        self._mat[n, :] = discard
+        self._mat[:, n] = discard
+        self._rhs = np.append(n * n + idx[:n], discard)
+        self._aug_static = np.zeros(self.aug_len)
+        self._aug_static[:n * n] = self.g_static[:n, :n].ravel(order="F")
+        node = np.arange(self.n_nodes)
+        self._gmin_pos = self._mat[node, node]
+
+        grp = self.mos_group
+        if grp is not None:
+            # Both drain/source orientations: rows of the effective drain,
+            # columns in the order d, g, b, s of the values in
+            # :meth:`stamp_nonlinear`.
+            self._mos_fwd = self._mirror(grp.nd, grp.ns,
+                                         (grp.nd, grp.ng, grp.nb, grp.ns))
+            self._mos_rev = self._mirror(grp.ns, grp.nd,
+                                         (grp.ns, grp.ng, grp.nb, grp.nd))
+        grp = self.diode_group
+        if grp is not None:
+            self._diode_pos = self._mirror(grp.na, grp.nc, (grp.na, grp.nc))
+        grp = self.switch_group
+        if grp is not None:
+            self._switch_pos = self._mirror(grp.n1, grp.n2,
+                                            (grp.n1, grp.n2, grp.c1, grp.c2))
+        ind = self.ind_rows
+        self._companion_pos = np.concatenate([
+            self._mirror(self.dyn_n1, self.dyn_n2, (self.dyn_n1, self.dyn_n2)),
+            self._mat[ind, ind], self._rhs[ind]], axis=None)
+
+    def _mirror(self, p: np.ndarray, m: np.ndarray,
+                cols: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Flat positions of a stamp that adds one value per column of
+        *cols*, then one on the RHS, to row *p*, and their negatives to
+        row *m*.  The result has shape ``(2 * (len(cols) + 1), count)``:
+        raveled, it lines up with ``np.concatenate([pos, -pos])`` where
+        ``pos`` concatenates the ``len(cols) + 1`` value arrays."""
+        mat, rhs = self._mat, self._rhs
+        return np.stack([*(mat[p, c] for c in cols), rhs[p],
+                         *(mat[m, c] for c in cols), rhs[m]])
+
     # ------------------------------------------------------------------
     # assembly helpers
     # ------------------------------------------------------------------
@@ -278,56 +304,80 @@ class MnaSystem:
             b[c] += value * scale
         return b
 
+    def split(self, aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the matrix (``size x size``, column-major) and the
+        right-hand side (``size``) of a flat ``[A | b]`` array."""
+        n = self.size
+        return aug[:n * n].reshape((n, n), order="F"), aug[n * n:n * n + n]
+
+    def linear_stamps(self, t: float | None = None,
+                      overrides: Mapping[str, float] | None = None,
+                      source_scale: float = 1.0,
+                      gmin: float | None = None,
+                      companions: np.ndarray | None = None) -> np.ndarray:
+        """The flat ``[A | b]`` part that is the same in every Newton
+        iteration: static stamps, ``gmin`` on every node, the sources
+        (see :meth:`source_vector`) and *companions*."""
+        aug = (self._aug_static.copy() if companions is None
+               else self._aug_static + companions)
+        aug[self._gmin_pos] += self.gmin if gmin is None else gmin
+        n = self.size
+        aug[n * n:n * n + n] += self.source_vector(
+            t=t, overrides=overrides, scale=source_scale)[:n]
+        return aug
+
+    def companion_stamps(self, geq: np.ndarray, ieq: np.ndarray,
+                         leq: np.ndarray, i_old: np.ndarray) -> np.ndarray:
+        """Transient companions as a flat ``[A | b]`` array: conductance
+        *geq* in parallel with current source *ieq* across every
+        capacitance of :meth:`dynamic_caps`, and ``-leq`` (with
+        ``-leq * i_old`` on the RHS) on every inductor branch."""
+        vals = np.concatenate([geq, -geq, -ieq, -geq, geq, ieq,
+                               -leq, -leq * i_old])
+        return np.bincount(self._companion_pos, vals,
+                           minlength=self.aug_len)
+
     @_trace.timed("spice.stamp")
-    def stamp_nonlinear(self, a_mat: np.ndarray, b: np.ndarray,
-                        x_full: np.ndarray,
-                        mos_eval: MosEval | None = None) -> None:
-        """Companion-linearize all nonlinear groups at *x_full* and stamp
-        them into matrix *a_mat* and RHS *b* (both oversized, *a_mat*
-        C-contiguous).  *mos_eval* is the MOSFET evaluation at *x_full*
-        when the caller already has it."""
+    def stamp_nonlinear(self, x_full: np.ndarray,
+                        mos_eval: MosEval | None = None) -> np.ndarray:
+        """Companion-linearize all nonlinear groups at *x_full* (which
+        includes the 0 V ground entry) and return their stamps as a flat
+        ``[A | b]`` array.  *mos_eval* is the MOSFET evaluation at
+        *x_full* when the caller already has it."""
+        # Each group stamps pos at rows of one terminal and -pos at rows
+        # of the other (see _mirror).
+        positions, values = [], []
         if self.mos_group is not None:
             ev = (self.mos_group.evaluate(x_full) if mos_eval is None
                   else mos_eval)
             gm, gds, gmb = ev.gm, ev.gds, ev.gmb
-            gss = gm + gds + gmb
-            flat = np.where(ev.reversed, self._mos_stamp_rev,
-                            self._mos_stamp)
-            vals = np.concatenate(
-                [gds, gm, gmb, -gss, -gds, -gm, -gmb, gss])
-            np.add.at(a_mat.reshape(-1), flat.reshape(-1), vals)
-            vd, vg, vs, vb = ev.v_eff
-            i_lin = gds * vd + gm * vg + gmb * vb - gss * vs
-            i_eq = ev.ids - i_lin
-            # Effective drains, then effective sources.
-            np.add.at(b, ev.terminals[::2].reshape(-1),
-                      np.concatenate([-i_eq, i_eq]))
+            # ids minus its linearization, in the physical frame.
+            i_lin = self.mos_group.sign * (gm * ev.vgs + gds * ev.vds
+                                           - gmb * ev.vsb)
+            pos = np.concatenate([gds, gm, gmb, -(gm + gds + gmb),
+                                  i_lin - ev.ids])
+            positions.append(np.where(ev.reversed, self._mos_rev,
+                                      self._mos_fwd))
+            values += [pos, -pos]
         if self.diode_group is not None:
             grp = self.diode_group
             current, cond = grp.evaluate(x_full)
-            na, nc = grp.na, grp.nc
-            rows = np.concatenate([na, na, nc, nc])
-            cols = np.concatenate([na, nc, na, nc])
-            vals = np.concatenate([cond, -cond, -cond, cond])
-            np.add.at(a_mat, (rows, cols), vals)
-            i_eq = current - cond * (x_full[na] - x_full[nc])
-            np.add.at(b, na, -i_eq)
-            np.add.at(b, nc, i_eq)
+            i_lin = cond * (x_full[grp.na] - x_full[grp.nc])
+            pos = np.concatenate([cond, -cond, i_lin - current])
+            positions.append(self._diode_pos)
+            values += [pos, -pos]
         if self.switch_group is not None:
             grp = self.switch_group
             g, dg_dvc, v12 = grp.evaluate(x_full)
-            n1, n2, c1, c2 = grp.n1, grp.n2, grp.c1, grp.c2
-            rows = np.concatenate([n1, n1, n1, n1, n2, n2, n2, n2])
-            cols = np.concatenate([n1, n2, c1, c2] * 2)
             gc = dg_dvc * v12
-            vals = np.concatenate([g, -g, gc, -gc, -g, g, -gc, gc])
-            np.add.at(a_mat, (rows, cols), vals)
-            vc = x_full[c1] - x_full[c2]
-            i0 = g * v12
-            i_lin = g * v12 + gc * vc
-            i_eq = i0 - i_lin
-            np.add.at(b, n1, -i_eq)
-            np.add.at(b, n2, i_eq)
+            vc = x_full[grp.c1] - x_full[grp.c2]
+            pos = np.concatenate([g, -g, gc, -gc, gc * vc])
+            positions.append(self._switch_pos)
+            values += [pos, -pos]
+        if not positions:
+            return np.zeros(self.aug_len)
+        return np.bincount(np.concatenate(positions, axis=None),
+                           np.concatenate(values), minlength=self.aug_len)
 
     # ------------------------------------------------------------------
     # Newton solution
@@ -342,8 +392,7 @@ class MnaSystem:
     def newton(self, x0: np.ndarray | None = None,
                t: float | None = None,
                overrides: Mapping[str, float] | None = None,
-               extra_g: StampTriples | None = None,
-               extra_b: RhsAdditions | None = None,
+               companions: np.ndarray | None = None,
                gmin: float | None = None,
                source_scale: float = 1.0,
                max_iter: int = 100,
@@ -355,7 +404,9 @@ class MnaSystem:
             x0: initial guess (size ``self.size``); zeros if omitted.
             t: waveform evaluation time (``None`` = DC values).
             overrides: independent-source value overrides.
-            extra_g / extra_b: additional stamps (transient companions).
+            companions: additional flat ``[A | b]`` stamps, the same in
+                every iteration (transient companions, see
+                :meth:`companion_stamps`).
             gmin: overrides the instance ``gmin`` (gmin stepping).
             source_scale: multiplies independent sources (source stepping).
             max_iter: Newton iteration limit.
@@ -373,35 +424,28 @@ class MnaSystem:
         """
         n, n_nodes = self.size, self.n_nodes
         x = np.zeros(n) if x0 is None else np.asarray(x0, float)
-        gmin_val = self.gmin if gmin is None else gmin
-        diag = self._diag
         # Everything but the nonlinear stamps is the same in every
         # iteration: stamp it once.
-        a_base = self.g_static.copy()
-        b_base = self.source_vector(t=t, overrides=overrides,
-                                    scale=source_scale)
-        if extra_g is not None:
-            np.add.at(a_base, (extra_g.rows, extra_g.cols), extra_g.vals)
-        if extra_b is not None:
-            np.add.at(b_base, extra_b.rows, extra_b.vals)
+        base = self.linear_stamps(t=t, overrides=overrides,
+                                  source_scale=source_scale, gmin=gmin,
+                                  companions=companions)
         x_full = np.zeros(n + 1)  # the last entry is the 0 V ground
         max_dv, dx = 0.0, None
 
         for iteration in range(max_iter):
-            a_mat = a_base.copy()
-            b = b_base.copy()
             x_full[:n] = x
-            self.stamp_nonlinear(a_mat, b, x_full, mos_eval)
+            aug = self.stamp_nonlinear(x_full, mos_eval)
+            aug += base
             mos_eval = None
-            a_red = a_mat[:n, :n]
-            a_red[diag, diag] += gmin_val
             with _trace.span("spice.solve"):
-                try:
-                    x_new = np.linalg.solve(a_red, b[:n])
-                except np.linalg.LinAlgError as exc:
-                    raise SingularMatrixError(
-                        f"singular MNA matrix for {self.circuit!r}: {exc}"
-                    ) from exc
+                # aug is this iteration's own: factor and solve in place.
+                _lu, _piv, x_new, info = dgesv(*self.split(aug),
+                                               overwrite_a=True,
+                                               overwrite_b=True)
+            if info > 0:
+                raise SingularMatrixError(
+                    f"singular MNA matrix for {self.circuit!r}: "
+                    f"zero pivot in column {info}")
             if not np.isfinite(x_new).all():
                 raise SingularMatrixError(
                     f"non-finite solution for {self.circuit!r} "
@@ -467,45 +511,14 @@ class MnaSystem:
                               ) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(G, C)`` linearized at the operating point *x_op*,
         both reduced to ``size x size`` (ground dropped)."""
-        n = self.size
-        a_mat = self.g_static.copy()
-        b = np.zeros(self.size + 1)
         x_full = self.full_vector(x_op)
-        self.stamp_nonlinear(a_mat, b, x_full)
-        g_red = a_mat[:n, :n].copy()
-        diag = np.arange(self.n_nodes)
-        g_red[diag, diag] += self.gmin
-
-        c_mat = np.zeros((n + 1, n + 1))
-        self._stamp_caps(c_mat, self.cap_n1, self.cap_n2, self.cap_val)
-        for pair_n1, pair_n2, vals in self._mos_cap_pairs(x_full):
-            self._stamp_caps(c_mat, pair_n1, pair_n2, vals)
-        # Inductor branches: v1 - v2 - jwL i = 0 -> C[k, k] = -L.
-        if len(self.ind_rows):
-            c_mat[self.ind_rows, self.ind_rows] -= self.ind_val
-        return g_red, c_mat[:n, :n]
-
-    @staticmethod
-    def _stamp_caps(c_mat: np.ndarray, n1: np.ndarray, n2: np.ndarray,
-                    vals: np.ndarray) -> None:
-        if len(vals) == 0:
-            return
-        np.add.at(c_mat, (n1, n1), vals)
-        np.add.at(c_mat, (n2, n2), vals)
-        np.add.at(c_mat, (n1, n2), -vals)
-        np.add.at(c_mat, (n2, n1), -vals)
-
-    def _mos_cap_pairs(self, x_full: np.ndarray):
-        """Yield ``(n1, n2, value)`` arrays for every MOSFET capacitance."""
-        if self.mos_group is None:
-            return
-        grp = self.mos_group
-        caps = grp.capacitances(x_full)
-        yield grp.ng, grp.ns, caps["cgs"]
-        yield grp.ng, grp.nd, caps["cgd"]
-        yield grp.ng, grp.nb, caps["cgb"]
-        yield grp.nb, grp.nd, caps["cbd"]
-        yield grp.nb, grp.ns, caps["cbs"]
+        g_aug = self.linear_stamps() + self.stamp_nonlinear(x_full)
+        # The C matrix is the companion matrix of unit conductance per
+        # farad, with -L on every inductor branch (v1 - v2 - jwL i = 0).
+        c_aug = self.companion_stamps(
+            self.dynamic_caps(x_full), np.zeros(len(self.dyn_n1)),
+            self.ind_val, np.zeros(len(self.ind_val)))
+        return self.split(g_aug)[0], self.split(c_aug)[0]
 
     @_trace.timed("spice.caps")
     def dynamic_caps(self, x_full: np.ndarray,

@@ -1,11 +1,18 @@
-"""Exactness pin of the Table-1 ELDO row's embedded transient.
+"""Tolerance oracle of the Table-1 ELDO row's embedded transient.
 
 A short span of the Table-1 stimulus (2 symbols, seed 1) runs through
 the co-simulation row.  The integrator's differential output after every
 transient step, the number of Newton calls and the number of Newton
-iterations are compared against a golden file recorded from the code
-before the Newton hot path was reworked.  Any change that reorders the
-floating-point work of a Newton step shows up here.
+iterations are compared against a golden file recorded before the
+Newton step was fused (fewer numpy calls, one ``bincount`` stamp and a
+LAPACK solve per iteration, which reorder the floating-point work).
+
+The acceptance rule is not bit-identity:
+
+* Newton calls equal exactly;
+* total Newton iterations within 1% of the golden count;
+* every out-node sample within ``VTOL`` of the golden sample, one tenth
+  of the solver's own node-voltage tolerance ``vntol``.
 
 Re-record (only for a deliberate numerical change, noted in CHANGES.md)::
 
@@ -23,12 +30,20 @@ import numpy as np
 GOLDEN = pathlib.Path(__file__).with_name("data") / "eldo_table1_seed1.json"
 SEED = 1
 N_SYMBOLS = 2
+#: Out-node tolerance (V): a tenth of MnaSystem's default vntol.
+VTOL = 1e-7
+#: Relative tolerance on the total Newton iteration count.
+ITER_RTOL = 0.01
 
 
 def run_eldo_span() -> dict:
     """Run the ELDO row over the pinned span; return the out-node
     waveform and the Newton counts, gathered by wrapping the stepper
-    and the MNA entry points from outside."""
+    and the MNA entry point from outside.
+
+    ``iterations`` counts the initial DC solve's iterations plus the
+    stepper's :attr:`~TransientStepper.newton_iterations`.
+    """
     from repro.experiments.table1_cpu import make_table1_waveform
     from repro.link import LinkSpec, ops
     from repro.spice.analysis.tran import TransientStepper
@@ -38,25 +53,23 @@ def run_eldo_span() -> dict:
     config = UwbConfig()
     waveform, _bits = make_table1_waveform(config, N_SYMBOLS, SEED)
     out: list[float] = []
-    counts = {"newton_calls": 0, "iterations": 0}
-    originals = {}
+    steppers: dict[TransientStepper, int] = {}
+    calls = [0]
+    newton = MnaSystem.newton
+    step = TransientStepper.step
 
-    def counted(name, key):
-        original = originals[name] = getattr(MnaSystem, name)
-
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    step = originals["step"] = TransientStepper.step
+    def counted_newton(*args, **kwargs):
+        calls[0] += 1
+        return newton(*args, **kwargs)
 
     def recording_step(self):
+        # Before its first step, the system's last Newton call is the
+        # stepper's initial DC solve.
+        steppers.setdefault(self, self.system.last_iterations)
         step(self)
         out.append(self.vdiff("out_intp", "out_intm"))
 
-    MnaSystem.newton = counted("newton", "newton_calls")
-    MnaSystem.stamp_nonlinear = counted("stamp_nonlinear", "iterations")
+    MnaSystem.newton = counted_newton
     TransientStepper.step = recording_step
     try:
         ops.run_testbench(
@@ -64,18 +77,22 @@ def run_eldo_span() -> dict:
             t_stop=N_SYMBOLS * config.symbol_period, engine="compiled")
     finally:
         TransientStepper.step = step
-        for name in ("newton", "stamp_nonlinear"):
-            setattr(MnaSystem, name, originals[name])
-    return {"seed": SEED, "n_symbols": N_SYMBOLS, **counts, "out": out}
+        MnaSystem.newton = newton
+    iterations = sum(dc + stepper.newton_iterations
+                     for stepper, dc in steppers.items())
+    return {"seed": SEED, "n_symbols": N_SYMBOLS,
+            "newton_calls": calls[0], "iterations": iterations, "out": out}
 
 
 def test_eldo_span_matches_golden():
     golden = json.loads(GOLDEN.read_text())
     run = run_eldo_span()
-    assert run["newton_calls"] == golden["newton_calls"]
-    assert run["iterations"] == golden["iterations"]
-    np.testing.assert_allclose(run["out"], golden["out"], rtol=1e-12,
-                               atol=0.0)
+    assert run["newton_calls"] == golden["newton_calls"] == 641
+    assert abs(run["iterations"] - golden["iterations"]) <= (
+        ITER_RTOL * golden["iterations"]), run["iterations"]
+    assert len(run["out"]) == len(golden["out"])
+    np.testing.assert_allclose(run["out"], golden["out"], rtol=0.0,
+                               atol=VTOL)
 
 
 if __name__ == "__main__":

@@ -128,3 +128,69 @@ class TestCapacitances:
         caps = self._caps(vg=0.9, vd=0.9)
         for arr in caps.values():
             assert np.all(arr >= 0)
+
+
+class TestDerivativeOracle:
+    """``gm``, ``gds`` and ``gmb`` of :meth:`MosGroup.evaluate` against
+    central finite differences of ``ids`` in ``vgs``, ``vds`` and
+    ``vsb`` (effective NMOS frame), away from region edges."""
+
+    STEP = 1e-6
+    #: (model, vgs, vds, vsb, reversed, region) in the effective frame.
+    CASES = {
+        "cutoff": ("nch", 0.2, 0.5, 0.0, False, 0),
+        "triode": ("nch", 1.2, 0.2, 0.0, False, 1),
+        "saturation": ("nch", 0.9, 1.0, 0.0, False, 2),
+        "reversed-triode": ("nch", 1.2, 0.3, 0.0, True, 1),
+        "reversed-saturation": ("nch", 0.9, 1.0, 0.2, True, 2),
+        "pmos-triode": ("pch", 1.3, 0.25, 0.0, False, 1),
+        "pmos-saturation": ("pch", 1.0, 1.2, 0.0, False, 2),
+        "pmos-reversed": ("pch", 1.0, 1.2, 0.3, True, 2),
+        "forward-body-bias": ("nch", 0.9, 1.0, -0.3, False, 2),
+        "reverse-body-bias": ("nch", 1.4, 0.3, 0.6, False, 1),
+        "pmos-forward-body-bias": ("pch", 1.3, 0.25, -0.3, False, 1),
+    }
+
+    @staticmethod
+    def group(model):
+        from repro.spice.devices.mosfet import MosGroup
+
+        nodes = {"d": 0, "g": 1, "s": 2, "b": 3, "0": 4}
+        dev = Mosfet("m1", "d", "g", "s", "b", model, w=2e-6, l=0.5e-6)
+        return MosGroup([dev], CARDS, nodes)
+
+    @staticmethod
+    def evaluate(group, vgs, vds, vsb, reversed_):
+        """Evaluate at effective-frame voltages; the physical drain and
+        source trade places when *reversed_*."""
+        sign = group.sign[0]
+        v_src = 0.4
+        v_drn = v_src + sign * vds
+        d, s = (v_src, v_drn) if reversed_ else (v_drn, v_src)
+        v = np.array([d, v_src + sign * vgs, s, v_src - sign * vsb, 0.0])
+        ev = group.evaluate(v)
+        # NMOS-frame current: ev.ids carries the device sign.
+        return ev, sign * ev.ids[0]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_conductances_match_finite_differences(self, case):
+        model, vgs, vds, vsb, reversed_, region = self.CASES[case]
+        grp = self.group(model)
+        ev, _ids = self.evaluate(grp, vgs, vds, vsb, reversed_)
+        assert bool(ev.reversed[0]) is reversed_
+        assert int(ev.region[0]) == region
+        h = self.STEP
+
+        def slope(dvgs=0.0, dvds=0.0, dvsb=0.0):
+            hi = self.evaluate(grp, vgs + dvgs, vds + dvds, vsb + dvsb,
+                               reversed_)[1]
+            lo = self.evaluate(grp, vgs - dvgs, vds - dvds, vsb - dvsb,
+                               reversed_)[1]
+            return (hi - lo) / (2 * h)
+
+        scale = max(abs(ev.gm[0]), abs(ev.gds[0]), 1e-12)
+        for name, fd in (("gm", slope(dvgs=h)), ("gds", slope(dvds=h)),
+                         # vt rises with vsb, so ids falls: gmb = -dids/dvsb
+                         ("gmb", -slope(dvsb=h))):
+            assert getattr(ev, name)[0] == pytest.approx(
+                fd, rel=1e-6, abs=1e-9 * scale), name

@@ -105,12 +105,10 @@ class TestConvergenceDiagnostics:
             system.newton(None, t=1.5e-9, max_iter=1)
         # The one iteration from zero: assemble and solve it by hand.
         n = system.size
-        a_mat = system.g_static.copy()
-        b = system.source_vector(t=1.5e-9)
-        system.stamp_nonlinear(a_mat, b, np.zeros(n + 1))
-        a_red = a_mat[:n, :n] + system.gmin * np.diag(
-            np.r_[np.ones(system.n_nodes), np.zeros(n - system.n_nodes)])
-        update = np.abs(np.linalg.solve(a_red, b[:n])[:system.n_nodes])
+        aug = (system.linear_stamps(t=1.5e-9)
+               + system.stamp_nonlinear(np.zeros(n + 1)))
+        a_red, b = system.split(aug)
+        update = np.abs(np.linalg.solve(a_red, b)[:system.n_nodes])
         assert info.value.residual == pytest.approx(update.max(),
                                                     rel=1e-9)
         assert info.value.node == system.nodes[int(np.argmax(update))]
