@@ -8,8 +8,8 @@ campaigns *incremental*:
   (one object file pair per result, atomic renames, no locks) keyed
   by a stable hash of ``(fn qualname, params, seed, code-version
   salt)``, safe for concurrent writer processes, with ``merge``
-  (union caches computed on independent machines, and import caches
-  in the retired ``shards/`` layout) and ``gc`` (size/age eviction),
+  (union caches computed on independent machines) and ``gc``
+  (size/age eviction),
 * :mod:`repro.campaign.objects` - the store's object codec,
 * :mod:`repro.campaign.runner` - a resumable drop-in
   :class:`~repro.core.scenario.SweepRunner` that serves cached

@@ -26,10 +26,6 @@ runnable here with no CLI change.  Common flags: ``--fast`` (default)
 scenarios out over a process pool, ``--seed`` overrides the
 experiment's default seed, ``--chunk-bits`` sizes the Monte-Carlo
 chunks, and ``--cache-dir`` / ``--no-cache`` control the result store.
-A cache directory that still holds results in the retired ``shards/``
-layout gets a one-line stderr notice naming the import command
-(``repro cache merge DIR --cache-dir DIR``) instead of silently
-re-executing those campaigns.
 Re-running a completed campaign executes zero scenarios; a killed
 or interrupted ``repro run`` resumes from its checkpoints when run
 again.
@@ -159,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "merge", help="union another store's results into this one "
                       "(newest wins per key)")
     merge_p.add_argument("source", metavar="SRC",
-                         help="source store directory (the retired "
-                              "shards/ layout is read too)")
+                         help="source store directory")
     _add_cache_flags(merge_p)
 
     report_p = sub.add_parser(
@@ -217,17 +212,6 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
 
 
-def _make_store(args: argparse.Namespace) -> ResultStore:
-    store = ResultStore(args.cache_dir)
-    retired = store.retired_count()
-    if retired and getattr(args, "cache_command", None) != "merge":
-        print(f"note: {store.root} holds {retired} result(s) in the "
-              f"retired shards/ layout, which this store does not read; "
-              f"import them once with: python -m repro cache merge "
-              f"{store.root} --cache-dir {store.root}", file=sys.stderr)
-    return store
-
-
 def cmd_list() -> int:
     experiments = _registry()
     print("registered experiments:")
@@ -249,7 +233,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     from repro.experiments.registry import ExperimentContext
 
-    store = None if getattr(args, "no_cache", False) else _make_store(args)
+    store = (None if getattr(args, "no_cache", False)
+             else ResultStore(args.cache_dir))
     for name in args.experiments:
         ctx = ExperimentContext(full=args.full,
                                 processes=args.processes,
@@ -338,7 +323,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.obs.export import format_bytes
 
-    store = _make_store(args)
+    store = ResultStore(args.cache_dir)
     if args.cache_command == "clear":
         removed, freed = store.clear()
         print(f"removed {removed} stored results "
@@ -387,7 +372,7 @@ def _cache_merge(store, args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    store = _make_store(args)
+    store = ResultStore(args.cache_dir)
     wanted = [e for e in args.experiments if e]
     if wanted and _known_experiments(wanted) is None:
         return 2
@@ -459,7 +444,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.core.serialization import dump_tagged
     from repro.obs.export import format_bytes
 
-    store = _make_store(args)
+    store = ResultStore(args.cache_dir)
     entries = store.entries()
     by_fn: dict[str, dict] = {}
     for e in entries:

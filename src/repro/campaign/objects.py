@@ -4,9 +4,8 @@
 content address: a ``<key>.json`` record (scenario echo, encoded
 value, timings, format marker) plus an optional ``<key>.npz`` array
 payload.  This module is the single implementation of that file
-format, so every cache - including one in the retired ``shards/``
-layout - holds byte-identical objects (which is what makes
-:meth:`ResultStore.merge` a plain file copy), and torn or truncated
+format, so every cache holds byte-identical objects (which is what
+makes :meth:`ResultStore.merge` a plain file copy), and torn or truncated
 files are classified identically everywhere: any object that fails to
 decode is a cache *miss*, never an error.
 

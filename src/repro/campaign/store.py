@@ -31,11 +31,6 @@ is silently treated as uncacheable and simply always executes.
 
 The cache root resolves, in order: explicit argument, the
 ``REPRO_CACHE_DIR`` environment variable, ``~/.cache/repro``.
-
-Caches written in the retired key-prefix layout
-(``shards/<hh>/objects/``) are not read by :meth:`ResultStore.get`;
-:meth:`ResultStore.merge` imports them once
-(``repro cache merge DIR --cache-dir DIR``).
 """
 
 from __future__ import annotations
@@ -77,11 +72,6 @@ _EVICTED = _metrics.REGISTRY.counter("campaign.store.gc_evicted")
 
 __all__ = ["OBJECT_FORMAT", "ResultStore", "StoreEntry",
            "default_cache_dir", "default_salt"]
-
-#: object records of the retired key-prefix layout, relative to a
-#: cache root; only :meth:`ResultStore.merge` reads them.
-RETIRED_OBJECTS = "shards/*/objects/*.json"
-
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
@@ -247,20 +237,10 @@ class ResultStore:
                 freed += size
         return removed, freed
 
-    def retired_count(self) -> int:
-        """Records in the retired ``shards/`` layout under this root
-        that :meth:`merge` has not imported yet (the CLI warns about
-        them instead of silently re-executing their campaigns)."""
-        return sum(not self._object_path(path.stem).exists()
-                   for path in self.root.glob(RETIRED_OBJECTS))
-
     def merge(self, other: "ResultStore") -> int:
         """Union *other*'s objects into this store; returns the number
         of entries adopted.
 
-        The source is read from both the current layout and the
-        retired ``shards/<hh>/objects/`` one, so an old cache imports
-        into itself with ``repro cache merge DIR --cache-dir DIR``.
         On a key collision the newest ``created`` stamp wins; merging
         the same store twice therefore adopts nothing the second time.
         Records that fail the format-marker check, or whose array
@@ -268,9 +248,7 @@ class ResultStore:
         must not evict a good local one.
         """
         adopted = 0
-        sources = [*other._object_files(),
-                   *sorted(other.root.glob(RETIRED_OBJECTS))]
-        for src in sources:
+        for src in other._object_files():
             key = src.stem
             record = read_record(src)
             if record is None:

@@ -13,9 +13,9 @@ composable stages operating on a batched :class:`LinkState`,
     -> :class:`AnalogFrontEndStage` -> :class:`DecisionStage`
 
 with multi-user interference entering at the :class:`CombineStage`,
-which synthesizes and sums one waveform per :class:`InterfererPath`
-(relative amplitude, circular timing offset, optional independent
-channel realization) before the victim's AWGN is added.
+which adds one pulse train per :class:`InterfererPath` (relative
+amplitude, circular timing offset, optional independent channel
+realization) before the victim's AWGN is added.
 
 **Draw-order contract.** Per chunk the generator draws the victim
 bits, then each interferer's bits (in path order), then one
@@ -32,6 +32,22 @@ relative, not bit for bit (``tests/network/test_pipeline_parity.py``
 compares them with a verbatim copy of that loop, and
 ``tests/uwb/test_theory.py`` checks the counts against the exact
 energy-detection BER of :mod:`repro.uwb.theory`).
+
+**One helper thread.** Each process keeps one helper thread, and a
+chunk runs its halves that share no data on it and on the calling
+thread at once (the kernels involved release the GIL).  Once the
+:class:`CombineStage` has drawn the chunk's last bits, the helper
+draws the unit noise and the :class:`AnalogFrontEndStage` has it
+band-pass that noise, while the calling thread adds in the
+interferers and band-passes the clean waveform.  Nothing else touches
+the generator in that window, and every helper job is joined before
+:meth:`SignalPipeline.run_chunk` returns (also when a stage raises),
+so the draw order above - and every sample - is the serial one.  A
+nonlinear :class:`DecisionStage` splits its rows between the two
+threads; each row's arithmetic is unchanged.  A forked child makes
+its own helper.  A trace shows the calling thread's joins as
+``link.wait`` spans beside the stage they interrupt; the helper's own
+work is in no collected span tree.
 
 **Scenario batch axis.** One chunk can serve a whole family of
 operating points that share every draw and differ only in their noise
@@ -57,8 +73,10 @@ calibration needs the pilot energies, which live with the builders).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import os
+from concurrent import futures
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,7 +87,39 @@ from repro.uwb.channel.ieee802154a import ChannelRealization
 from repro.uwb.config import UwbConfig
 from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import WindowIntegrator
-from repro.uwb.modulation import ppm_waveform, random_bits
+from repro.uwb.modulation import ppm_pulse_samples, ppm_waveform, random_bits
+
+_HELPER: futures.ThreadPoolExecutor | None = None
+
+
+def _helper() -> futures.ThreadPoolExecutor:
+    """The process's one helper thread (started on first use)."""
+    global _HELPER
+    if _HELPER is None:
+        _HELPER = futures.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-link-helper")
+    return _HELPER
+
+
+def _forget_helper() -> None:
+    # A forked child inherits the executor but not its thread, so work
+    # queued on the inherited one would never run.
+    global _HELPER
+    _HELPER = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _join(jobs: Sequence[futures.Future]) -> None:
+    """Wait for every job in *jobs*; the calling thread's wait is
+    traced as ``link.wait`` (see :func:`repro.obs.trace.wait`)."""
+    if _trace.ENABLED:
+        with _trace.wait("link.wait"):
+            futures.wait(jobs)
+    else:
+        futures.wait(jobs)
 
 
 @dataclass
@@ -105,6 +155,9 @@ class LinkState:
             :class:`DecisionStage`).
         decisions: larger-slot decisions, one int8 bit per symbol
             (per scenario row in batched mode).
+        pending: helper-thread jobs by the field their result fills
+            (see :meth:`defer`); a pending field reads ``None`` until
+            :meth:`settle`.
     """
 
     n: int
@@ -118,6 +171,24 @@ class LinkState:
     noise: np.ndarray | None = None
     slot_values: np.ndarray | None = None
     decisions: np.ndarray | None = None
+    pending: dict[str, futures.Future] = field(default_factory=dict,
+                                               repr=False)
+
+    def defer(self, name: str, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` on the helper thread; :meth:`settle`
+        stores its result as field *name*.  Jobs run in the order they
+        were deferred."""
+        self.pending[name] = _helper().submit(fn, *args)
+
+    def settle(self) -> None:
+        """Join every pending job and store its result; re-raises the
+        first failure once all of them have finished."""
+        if not self.pending:
+            return
+        _join(self.pending.values())
+        jobs, self.pending = self.pending, {}
+        for name, job in jobs.items():
+            setattr(self, name, job.result())
 
 
 class Stage:
@@ -160,19 +231,34 @@ class InterfererPath:
     offset_samples: int = 0
     channel: ChannelRealization | None = None
 
-    def synthesize(self, state: LinkState, config: UwbConfig) -> np.ndarray:
-        """Draw this interferer's bits from the chunk's generator and
-        return its scaled, offset waveform (length ``n *
-        samples_per_symbol``)."""
+    def add_to(self, waveform: np.ndarray, bits: np.ndarray,
+               config: UwbConfig) -> None:
+        """Add this interferer's scaled, offset pulse train for *bits*
+        into *waveform* in place: ``waveform + amplitude *
+        roll(train, offset_samples)``, sample for sample.
+
+        Without a channel only the pulse samples are touched (a
+        scatter-add at their circularly offset positions); a channel
+        realization spreads the train, so it is convolved densely.
+        """
         n_sym = config.samples_per_symbol
-        wave = ppm_waveform(random_bits(state.n, state.rng), config)
+        total = len(bits) * n_sym
+        pulses = None if self.channel is not None else \
+            ppm_pulse_samples(bits, config)
+        if pulses is not None:
+            index, value = pulses
+            if self.offset_samples:
+                index = (index + self.offset_samples) % total
+            waveform[index] += self.amplitude * value
+            return
+        wave = ppm_waveform(bits, config)
         if self.channel is not None:
             wave = self.channel.apply(wave)[
                 self.channel.delay_samples:
-                self.channel.delay_samples + state.n * n_sym]
+                self.channel.delay_samples + total]
         if self.offset_samples:
             wave = np.roll(wave, self.offset_samples)
-        return self.amplitude * wave
+        waveform += self.amplitude * wave
 
 
 @dataclass
@@ -208,16 +294,17 @@ class ChannelStage(Stage):
 
 @dataclass
 class CombineStage(Stage):
-    """Sum interfering transmitters into the victim waveform, then draw
+    """Sum interfering transmitters into the victim waveform and draw
     the chunk's unit-variance noise vector.
 
-    Interferers are synthesized per chunk (fresh bits from the chunk's
-    generator, in path order) and summed at their calibrated
-    amplitudes.  The noise is drawn once, whatever the number of
-    scenario rows; ``sigma`` (the unbatched chunk's noise scale) is
-    sized against the *victim's* pilot energy - interference is extra
-    disturbance on top of the thermal-noise operating point, matching
-    the standard SIR convention.
+    Interferers draw fresh bits from the chunk's generator (in path
+    order), then the helper thread draws the noise (field ``unit``)
+    while the interferers are added in at their calibrated amplitudes.
+    The noise is drawn once, whatever the number of scenario rows;
+    ``sigma`` (the unbatched chunk's noise scale) is sized against the
+    *victim's* pilot energy - interference is extra disturbance on top
+    of the thermal-noise operating point, matching the standard SIR
+    convention.
 
     With no interferers the victim waveform passes through untouched
     (not even an add of zero).
@@ -234,11 +321,14 @@ class CombineStage(Stage):
             raise ValueError("sigma must be >= 0")
 
     def process(self, state: LinkState) -> None:
-        for path in self.interferers:
-            state.waveform = state.waveform + path.synthesize(
-                state, self.config)
+        bits = [random_bits(state.n, state.rng) for _ in self.interferers]
+        # The chunk's last draw: nothing touches the generator until
+        # the job is joined.
+        state.defer("unit", state.rng.standard_normal,
+                    len(state.waveform))
         state.sigma = self.sigma
-        state.unit = state.rng.standard_normal(len(state.waveform))
+        for path, path_bits in zip(self.interferers, bits):
+            path.add_to(state.waveform, path_bits, self.config)
 
 
 @dataclass
@@ -246,7 +336,9 @@ class AnalogFrontEndStage(Stage):
     """Receiver analog front end: band-pass and AGC drive scaling of the
     clean waveform and of the unit noise, each once per chunk (output
     reshaped into per-slot windows; the squarer runs per noise scale in
-    the :class:`DecisionStage`)."""
+    the :class:`DecisionStage`).  The noise is filtered on the helper
+    thread, after its draw, while this thread filters the waveform;
+    the stage returns once both are done."""
 
     config: UwbConfig
     bpf: BandPassFilter
@@ -254,16 +346,22 @@ class AnalogFrontEndStage(Stage):
     span_name = "link.afe"
 
     def process(self, state: LinkState) -> None:
-        shape = (state.n, 2, self.config.samples_per_slot)
-        state.signal = self._drive(state.waveform, state.n).reshape(shape)
-        state.noise = self._drive(state.unit, state.n).reshape(shape)
+        unit = state.pending.get("unit", state.unit)
+        state.defer("noise", self._drive, unit, state.n)
+        state.signal = self._drive(state.waveform, state.n)
+        state.settle()
 
-    def _drive(self, x: np.ndarray, n: int) -> np.ndarray:
+    def _drive(self, x: np.ndarray | futures.Future, n: int
+               ) -> np.ndarray:
+        if isinstance(x, futures.Future):
+            # Deferred before this job on the one helper thread, so
+            # already drawn.
+            x = x.result()
         # sosfilt never returns its input, so the drive scaling runs in
         # place on the fresh filter output.
         y = self.bpf(x)[:n * self.config.samples_per_symbol]
         np.multiply(y, self.scale, out=y)
-        return y
+        return y.reshape(n, 2, self.config.samples_per_slot)
 
 
 @dataclass
@@ -304,20 +402,36 @@ class DecisionStage(Stage):
             values += aa
             values += (s * s) * bb
         else:
-            # One squared row at a time, built in place (fan-out, then
-            # square) in a chunk-sized buffer that stays in cache for
-            # the model's limiter and window sum.  Every row runs the
-            # same calls on the same shapes, so a row graded alone or
-            # batched rounds alike.
+            # The rows are independent: the helper thread grades the
+            # second half while this thread grades the first.
             values = np.empty(sigmas.shape + signal.shape[:-1])
-            row = np.empty(signal.shape)
-            for i in np.ndindex(sigmas.shape):
-                np.multiply(noise, sigmas[i], out=row)
-                row += signal
-                np.square(row, out=row)
-                values[i] = self.integrator.window_outputs(
-                    row, self.config.dt)
+            rows = list(np.ndindex(sigmas.shape))
+            half = (len(rows) + 1) // 2
+            job = _helper().submit(self._grade_rows, signal, noise,
+                                   sigmas, rows[half:], values)
+            try:
+                self._grade_rows(signal, noise, sigmas, rows[:half],
+                                 values)
+            finally:
+                _join((job,))
+            job.result()
         return decide_slots(values, self.adc)
+
+    def _grade_rows(self, signal: np.ndarray, noise: np.ndarray,
+                    sigmas: np.ndarray, rows: Sequence[tuple],
+                    values: np.ndarray) -> None:
+        # One squared row at a time, built in place (fan-out, then
+        # square) in a chunk-sized buffer of this thread's own that
+        # stays in cache for the model's limiter and window sum.  Every
+        # row runs the same calls on the same shapes, so a row graded
+        # alone, batched or on either thread rounds alike.
+        row = np.empty(signal.shape)
+        for i in rows:
+            np.multiply(noise, sigmas[i], out=row)
+            row += signal
+            np.square(row, out=row)
+            values[i] = self.integrator.window_outputs(row,
+                                                       self.config.dt)
 
     def process(self, state: LinkState) -> None:
         sigmas = state.sigma if state.sigmas is None else state.sigmas
@@ -362,16 +476,24 @@ class SignalPipeline:
             if np.any(sigmas < 0):
                 raise ValueError("sigmas must be >= 0")
         state = LinkState(n=n, rng=rng, sigmas=sigmas)
-        # Hot path: the disabled branch must stay the bare stage loop
-        # (one module attribute load + one branch per chunk; pinned by
-        # tests/obs/test_overhead.py).
-        if _trace.ENABLED:
-            for stage in self.stages:
-                with _trace.span(stage.span_name):
+        try:
+            # Hot path: the disabled branch must stay the bare stage
+            # loop (one module attribute load + one branch per chunk;
+            # pinned by tests/obs/test_overhead.py).
+            if _trace.ENABLED:
+                for stage in self.stages:
+                    with _trace.span(stage.span_name):
+                        stage.process(state)
+            else:
+                for stage in self.stages:
                     stage.process(state)
-        else:
-            for stage in self.stages:
-                stage.process(state)
+        except BaseException:
+            # The caller's next draw must not race a helper job.
+            futures.wait(state.pending.values())
+            raise
+        # Helper work a pipeline without a front end left pending
+        # (e.g. the noise draw of a Tx -> Channel -> Combine front).
+        state.settle()
         return state
 
     def stage(self, kind: type) -> Stage:

@@ -32,9 +32,12 @@ context manager while disabled.
 
 **Threading.** ``ENABLED`` is process-global; the span stack and tree
 are thread-local, so concurrent threads trace into independent trees
-and never contend.  Child *processes* (campaign fan-out) do not report
-back into the parent's tree - trace serially when a full tree is
-wanted (the ``repro trace`` CLI does).
+and never contend.  A thread that blocks on another thread's work
+times the block with :func:`wait`, which files it *beside* the span
+it interrupts: the blocked time shows in the tree, and the
+interrupted span stays a leaf.  Child *processes* (campaign fan-out)
+do not report back into the parent's tree - trace serially when a
+full tree is wanted (the ``repro trace`` CLI does).
 
 This module is dependency-free (stdlib only); JSON import/export and
 rendering live in :mod:`repro.obs.export`.
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 __all__ = ["ENABLED", "SpanNode", "collect", "current_root", "disable",
-           "enable", "reset", "span"]
+           "enable", "reset", "span", "wait"]
 
 #: Module-level tracing switch.  Hot loops read this attribute
 #: directly (``if trace.ENABLED:``) to skip instrumentation entirely.
@@ -89,22 +92,21 @@ class SpanNode:
             yield from node.walk(depth + 1)
 
     def leaf_walls(self) -> dict[str, float]:
-        """Aggregate wall seconds of the *leaf* spans below (or at)
-        this node, keyed by span name.  Leaves are where actual work
-        was timed; interior nodes only wrap them, so summing leaves
-        never double-counts."""
+        """Aggregate wall seconds of the *leaf* spans below this node,
+        keyed by span name.  Leaves are where actual work was timed;
+        interior nodes only wrap them, so summing leaves never
+        double-counts.  The node itself is never one of its leaves: it
+        is the total they explain."""
         acc: dict[str, float] = {}
-        for _depth, node in self.walk():
-            if not node.children and node.total_s:
-                acc[node.name] = acc.get(node.name, 0.0) + node.total_s
-        # The root itself is not a measurement when it has children.
-        if self.children:
-            acc.pop(self.name, None)
+        for child in self.children.values():
+            for _depth, node in child.walk():
+                if not node.children and node.total_s:
+                    acc[node.name] = acc.get(node.name, 0.0) + node.total_s
         return acc
 
     def coverage(self) -> float:
         """Fraction of this node's wall accounted for by leaf spans
-        (0.0 when this node has no recorded wall)."""
+        (0.0 when this node has no recorded wall or no children)."""
         if self.total_s <= 0.0:
             return 0.0
         return sum(self.leaf_walls().values()) / self.total_s
@@ -188,6 +190,45 @@ class _NoopSpan:
 
 
 _NOOP = _NoopSpan()
+
+
+class _Wait(_Span):
+    """The live wait context manager (tracing enabled)."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        elapsed = time.perf_counter() - self._start
+        stack = _stack()
+        if len(stack) > 1:
+            # The open span adds its inclusive wall on exit; take the
+            # block back out so the two nodes never overlap.
+            stack[-1].total_s -= elapsed
+            host = stack[-2]
+        else:
+            host = stack[-1]
+        node = host.child(self.name)
+        node.count += 1
+        node.total_s += elapsed
+        return False
+
+
+def wait(name: str) -> "_Wait | _NoopSpan":
+    """Context manager timing a block where this thread waits for
+    another thread's work.
+
+    The block is recorded as *name* beside the innermost open span
+    (under its parent) and taken out of that span's wall, so leaf
+    walls stay disjoint and the interrupted span keeps its leaf
+    status; with no span open it lands under the root.  Shared no-op
+    while disabled, like :func:`span`.
+    """
+    if not ENABLED:
+        return _NOOP
+    return _Wait(name)
 
 
 def span(name: str) -> "_Span | _NoopSpan":

@@ -77,6 +77,31 @@ def ppm_positions(symbols: np.ndarray, config: UwbConfig) -> np.ndarray:
     return base + symbols * n_slot + n_slot // 2
 
 
+def ppm_pulse_samples(symbols: np.ndarray, config: UwbConfig
+                      ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The nonzero part of the unit-amplitude :func:`ppm_waveform`:
+    ``(index, value)`` of every pulse sample inside the
+    ``len(symbols) * samples_per_symbol`` span.
+
+    Returns ``None`` when pulse supports overlap (the train is then a
+    sum, which only :func:`ppm_waveform` accumulates in its order).
+    Where supports are disjoint, ``wave[index] = value`` on zeros is
+    :func:`ppm_waveform` sample for sample.
+    """
+    config.validate()
+    pulse = _pulse_template(config.fs, config.pulse_tau,
+                            config.pulse_order)
+    total = len(symbols) * config.samples_per_symbol
+    centers = ppm_positions(symbols, config)
+    if len(centers) > 1 and int(np.min(np.diff(centers))) < len(pulse):
+        return None
+    index = (centers[:, None]
+             + (np.arange(len(pulse)) - len(pulse) // 2)).ravel()
+    value = np.broadcast_to(pulse, (len(centers), len(pulse))).ravel()
+    inside = (index >= 0) & (index < total)
+    return index[inside], value[inside]
+
+
 def ppm_waveform(symbols: np.ndarray, config: UwbConfig,
                  amplitude: float = 1.0,
                  extra_samples: int = 0) -> np.ndarray:

@@ -82,45 +82,6 @@ class TestCacheGcAndMerge:
         assert "removed 2 stored results" in out and "KiB" in out
 
 
-class TestRetiredLayout:
-    """A cache in the retired ``shards/<hh>/objects/`` layout is never
-    silently re-executed: the CLI names the one-time import."""
-
-    def _retire(self, capsys, root):
-        """Fill *root* via the CLI, then move its objects into the
-        retired key-prefix layout."""
-        run_cli(capsys, "run", "table2", "--fast", "--cache-dir", str(root))
-        for path in sorted((root / "objects").iterdir()):
-            shard = root / "shards" / path.name[:2] / "objects"
-            shard.mkdir(parents=True, exist_ok=True)
-            path.rename(shard / path.name)
-
-    def test_notice_names_count_and_import_command(self, tmp_path,
-                                                   capsys):
-        self._retire(capsys, tmp_path)
-        command = (f"repro cache merge {tmp_path} "
-                   f"--cache-dir {tmp_path}")
-        # (run goes last: it re-executes, which refills objects/)
-        for argv in (("cache", "ls"), ("stats",),
-                     ("run", "table2", "--fast")):
-            main([*argv, "--cache-dir", str(tmp_path)])
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1, argv
-            assert "2 result(s)" in err and command in err, argv
-
-    def test_import_silences_notice_and_serves_cache(self, tmp_path,
-                                                     capsys):
-        self._retire(capsys, tmp_path)
-        code, out = run_cli(capsys, "cache", "merge", str(tmp_path),
-                            "--cache-dir", str(tmp_path))
-        assert code == 0 and "merged 2 entries" in out
-        code = main(["run", "table2", "--fast",
-                     "--cache-dir", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert code == 0 and captured.err == ""
-        assert "executed=0 cached=2" in captured.out
-
-
 class TestListCommand:
     def test_list_enumerates_registered_experiments(self, capsys):
         from repro.experiments.registry import experiment_names

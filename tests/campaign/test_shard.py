@@ -1,10 +1,8 @@
 """Scale-out operations of the result store - concurrent writers,
-merge (including the one-time import of the retired ``shards/``
-layout) and GC - plus the ``repro.campaign.shard`` import alias."""
+merge and GC - plus the ``repro.campaign.shard`` import alias."""
 
 import json
 import multiprocessing
-import shutil
 
 import numpy as np
 import pytest
@@ -199,30 +197,6 @@ class TestMerge:
         assert merged.merge(classic) == 2
         report = rerun(merged, (4, 8))
         assert (report.executed, report.cached) == (0, 2)
-
-    def test_merge_imports_retired_shard_layout(self, tmp_path):
-        """A hand-built ``shards/<hh>/objects/`` cache (journal and
-        lock file included) imports into itself once; the re-run then
-        executes nothing and a second import adopts nothing."""
-        source = ResultStore(tmp_path / "build", salt="s")
-        keys = fill(source, (4, 8, 16))
-        root = tmp_path / "old"
-        for key in keys:
-            shard = root / "shards" / key[:2]
-            (shard / "objects").mkdir(parents=True, exist_ok=True)
-            (shard / "index.jsonl").write_text(f'{{"key": "{key}"}}\n')
-            (shard / ".lock").touch()
-            for path in (source._object_path(key),
-                         source._payload_path(key)):
-                shutil.copy(path, shard / "objects" / path.name)
-        store = ResultStore(root, salt="s")
-        assert store.retired_count() == 3
-        assert store.get(bits_scenario(n=4)) is None  # not read in place
-        assert store.merge(ResultStore(root, salt="s")) == 3
-        assert store.retired_count() == 0
-        report = rerun(store, (4, 8, 16))
-        assert (report.executed, report.cached) == (0, 3)
-        assert store.merge(ResultStore(root, salt="s")) == 0
 
     def test_merge_skips_torn_source_records(self, tmp_path):
         a = ResultStore(tmp_path / "a", salt="s")

@@ -137,6 +137,20 @@ class TestCombineStage:
             state.signal.ravel(),
             calibrate(LinkSpec(config=cfg)).bpf(expected))
 
+    @pytest.mark.parametrize("offset", [0, 37, -5, 4097, 10**6 + 3])
+    def test_sparse_add_is_the_dense_roll(self, offset):
+        """A channel-free interferer scatter-adds its pulses into the
+        victim: the sum equals victim + amp * roll(train) at any
+        circular offset."""
+        cfg = TEST_CONFIG
+        rng = np.random.default_rng(5)
+        victim = ppm_waveform(random_bits(16, rng), cfg)
+        bits = random_bits(16, rng)
+        expected = victim + 0.3 * np.roll(ppm_waveform(bits, cfg), offset)
+        InterfererPath(amplitude=0.3, offset_samples=offset).add_to(
+            victim, bits, cfg)
+        assert np.array_equal(victim, expected)
+
     def test_zero_interferers_leave_waveform_untouched(self):
         stage = CombineStage(TEST_CONFIG, sigma=0.0)
         assert stage.interferers == ()

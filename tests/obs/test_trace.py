@@ -113,6 +113,21 @@ class TestSpanTree:
         assert cov == pytest.approx(
             sum(root.leaf_walls().values()) / root.total_s)
 
+    def test_childless_root_explains_nothing(self):
+        """A root with no spans under it is not its own leaf: its
+        coverage is 0, not 100%."""
+        with trace.collect("root") as root:
+            time.sleep(0.002)
+        assert root.total_s > 0
+        assert root.leaf_walls() == {}
+        assert root.coverage() == 0.0
+
+    def test_leaf_named_like_the_root_counts(self):
+        with trace.collect("run") as root:
+            with trace.span("run"):
+                time.sleep(0.002)
+        assert root.leaf_walls() == {"run": root.children["run"].total_s}
+
     def test_find_walks_depth_first(self):
         with trace.collect("root") as root:
             with trace.span("a"):
@@ -120,6 +135,33 @@ class TestSpanTree:
                     pass
         assert root.find("needle") is root.children["a"].children["needle"]
         assert root.find("missing") is None
+
+
+class TestWait:
+    def test_wait_lands_beside_the_span_it_interrupts(self):
+        """A wait inside a span is filed as the span's sibling and
+        taken out of its wall: the span stays a leaf and the leaves
+        never overlap."""
+        with trace.collect("root") as root:
+            with trace.span("stage"):
+                with trace.wait("wait"):
+                    time.sleep(0.004)
+        stage, wait = root.children["stage"], root.children["wait"]
+        assert stage.children == {}
+        assert (stage.count, wait.count) == (1, 1)
+        assert wait.total_s >= 0.004
+        assert 0.0 <= stage.total_s < wait.total_s
+        assert set(root.leaf_walls()) == {"stage", "wait"}
+        assert sum(root.leaf_walls().values()) <= root.total_s
+
+    def test_wait_outside_any_span_lands_under_the_root(self):
+        with trace.collect("root") as root:
+            with trace.wait("wait"):
+                pass
+        assert list(root.children) == ["wait"]
+
+    def test_disabled_wait_is_the_shared_noop(self):
+        assert trace.wait("x") is trace._NOOP
 
 
 class TestEnableDisable:

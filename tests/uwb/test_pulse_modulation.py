@@ -10,6 +10,7 @@ from repro.uwb.modulation import (
     Packet,
     packet_waveform,
     ppm_positions,
+    ppm_pulse_samples,
     ppm_waveform,
     random_bits,
 )
@@ -128,6 +129,21 @@ class TestModulation:
         n_sym = cfg.samples_per_symbol
         energies = np.sum(wave[:n * n_sym].reshape(n, n_sym) ** 2, axis=1)
         assert np.allclose(energies, energies[0], rtol=1e-6)
+
+    def test_pulse_samples_are_the_waveform(self):
+        """Scattering the pulse samples onto zeros rebuilds the
+        unit train sample for sample (edge pulses clipped alike)."""
+        cfg = TEST_CONFIG
+        bits = random_bits(12, np.random.default_rng(4))
+        index, value = ppm_pulse_samples(bits, cfg)
+        wave = np.zeros(12 * cfg.samples_per_symbol)
+        wave[index] = value
+        assert np.array_equal(wave, ppm_waveform(bits, cfg))
+
+    def test_pulse_samples_refuse_overlapping_supports(self):
+        cfg = UwbConfig(fs=8e9, symbol_period=8e-9, pulse_tau=0.8e-9,
+                        pulse_order=2, integration_window=2e-9)
+        assert ppm_pulse_samples(np.array([1, 0, 1]), cfg) is None
 
 
 class TestPacket:
