@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""The four-phase refinement flow on the UWB receiver testbench.
+"""The refinement flow on the UWB receiver testbench.
 
-Registers the integrator's Phase II / III / IV implementations in a
-:class:`repro.core.RefinementFlow`, runs the *same* system testbench
-under each binding (substitute-and-play), and prints the system metric
-(demodulated bits) plus the Table-1-style CPU account.
+Runs the *same* system testbench with the Integrate & Dump rebound to
+its Phase II / IV / III architectures - ``LinkSpec(integrator=name)``
+for ``ideal``, ``two_pole`` and the co-simulated transistor
+``circuit`` (substitute-and-play) - and prints the system metric
+(demodulated bits) plus the Table-1-style CPU account.  Each row is
+labelled with the model's ``phase``.
 
 Run:  python examples/methodology_flow.py
 ``REPRO_SMOKE=1`` shrinks the simulated burst so CI can smoke-test
@@ -15,11 +17,9 @@ import os
 
 import numpy as np
 
-from repro.core import Phase, RefinementFlow
 from repro.core.metrics import CpuTimeReport
-from repro.link import LinkSpec, build_bpf, ops
+from repro.link import INTEGRATORS, LinkSpec, build_bpf, ops
 from repro.uwb import UwbConfig
-from repro.uwb.integrator import IdealIntegrator, TwoPoleIntegrator
 from repro.uwb.modulation import ppm_waveform, random_bits
 
 
@@ -28,37 +28,23 @@ SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 
 def main() -> None:
     config = UwbConfig()
-    spec = LinkSpec(config=config)
     rng = np.random.default_rng(3)
     tx_bits = random_bits(6 if SMOKE else 12, rng)
     wave = ppm_waveform(tx_bits, config)
     wave = wave + rng.normal(0.0, 0.02, len(wave))
-    sig = build_bpf(spec)(wave)
+    sig = build_bpf(LinkSpec(config=config))(wave)
     sig = 0.25 * sig / np.max(np.abs(sig))
 
-    def testbench(impls):
-        # The flow's chosen implementation substitutes into the spec's
-        # slot - the registry override of the one front door.
-        return ops.run_testbench(spec, sig,
-                                 integrator=impls["integrate_dump"])
-
-    flow = RefinementFlow(testbench)
-    flow.register("integrate_dump", Phase.II, IdealIntegrator,
-                  description="ideal gated integrator (vo' = K vin)")
-    flow.register("integrate_dump", Phase.III, lambda: "circuit",
-                  description="transistor netlist co-simulation")
-    flow.register("integrate_dump", Phase.IV, TwoPoleIntegrator,
-                  description="two poles + DC gain")
-    print(flow.registry.describe())
-    print()
-
     report = CpuTimeReport(simulated_time=len(sig) / config.fs)
-    for phase in (Phase.II, Phase.IV, Phase.III):
-        outcome = flow.run(refine={"integrate_dump": phase})
-        result = outcome.result
+    for name in ("ideal", "two_pole", "circuit"):
+        # Only the integrator name changes; ops.run_testbench hosts the
+        # "circuit" netlist in the loop (Phase III co-simulation).
+        result = ops.run_testbench(LinkSpec(config=config, integrator=name),
+                                   sig)
+        label = f"{name}@{INTEGRATORS[name].phase}"
         errors = int(np.sum(result.bits != tx_bits[:len(result.bits)]))
-        report.add(str(phase), result.cpu_time)
-        print(f"{outcome.label():>22s}: bits={result.bits.tolist()} "
+        report.add(f"Phase {INTEGRATORS[name].phase}", result.cpu_time)
+        print(f"{label:>14s}: bits={result.bits.tolist()} "
               f"errors={errors} cpu={result.cpu_time:.3f}s")
     print()
     print(report.format_table())

@@ -5,8 +5,8 @@ Subpackages
 
 ``repro.core``
     The paper's contribution: the four-phase top-down refinement flow
-    (model registry, substitute-and-play, Phase-IV auto-characterization,
-    metric comparison).
+    (Phase-IV auto-characterization, metric comparison, scenario
+    sweeps).
 ``repro.ams``
     A VHDL-AMS-like mixed-signal simulation kernel (event-driven digital
     + fixed-step analog, hierarchical entities, Spice co-simulation).

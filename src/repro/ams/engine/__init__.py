@@ -18,14 +18,11 @@ ENGINES: dict[str, type[ExecutionEngine]] = {
 }
 
 
-def get_engine(spec: str | ExecutionEngine | type[ExecutionEngine]
-               ) -> ExecutionEngine:
+def get_engine(spec: str | ExecutionEngine) -> ExecutionEngine:
     """Resolve an engine spec: a registry name (``"reference"`` /
-    ``"compiled"``), an engine class, or an instance (passed through)."""
+    ``"compiled"``) or an instance (passed through)."""
     if isinstance(spec, ExecutionEngine):
         return spec
-    if isinstance(spec, type) and issubclass(spec, ExecutionEngine):
-        return spec()
     try:
         return ENGINES[spec]()
     except (KeyError, TypeError):

@@ -64,12 +64,8 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def engine(self) -> ExecutionEngine:
-        """The execution engine (assignable; accepts specs too)."""
+        """The execution engine (fixed at construction)."""
         return self._engine
-
-    @engine.setter
-    def engine(self, spec: str | ExecutionEngine) -> None:
-        self._engine = get_engine(spec)
 
     def quantity(self, name: str, init: float = 0.0) -> Quantity:
         """Create (or fetch) a named analog quantity."""

@@ -1,12 +1,12 @@
 """The paper's contribution: the four-phase top-down AMS methodology.
 
-* :mod:`repro.core.phases` - the phase model (I: monolithic behavioral,
-  II: partitioned ideal architecture, III: substitute-and-play with a
-  transistor netlist, IV: circuit-calibrated behavioral model),
-* :mod:`repro.core.registry` - entity/architecture bindings: one block
-  name, one implementation per phase, interface-checked,
-* :mod:`repro.core.refinement` - the flow orchestrator that runs the
-  same testbench with per-block phase selections and compares results,
+The phases themselves need no registry here: substitute-and-play is
+``LinkSpec.integrator`` rebound to another name of
+:data:`repro.link.INTEGRATORS` under the unchanged testbench
+(:func:`repro.link.build_integrator` resolves it), and each model
+carries its phase as the ``WindowIntegrator.phase`` class attribute.
+This package holds the flow's tooling:
+
 * :mod:`repro.core.characterize` - Phase-IV automation: two-pole fit of
   an AC response and static-nonlinearity extraction from a DC sweep of
   the transistor circuit,
@@ -18,9 +18,6 @@
   multiprocessing fan-out.
 """
 
-from repro.core.phases import Phase
-from repro.core.registry import ModelRegistry
-from repro.core.refinement import RefinementFlow, RunOutcome
 from repro.core.characterize import (
     TwoPoleFit,
     build_surrogate,
@@ -45,11 +42,7 @@ from repro.core.scenario import (
 __all__ = [
     "BerComparison",
     "CpuTimeReport",
-    "ModelRegistry",
-    "Phase",
     "RangingComparison",
-    "RefinementFlow",
-    "RunOutcome",
     "Scenario",
     "SweepReport",
     "SweepResult",

@@ -10,9 +10,7 @@ This module gives that pattern one vocabulary:
 * :class:`SweepRunner` - runs a batch of scenarios serially or fanned
   out over processes, timing each one,
 * :func:`fan_out` - the one execution loop behind it (and behind
-  :class:`repro.campaign.runner.CampaignRunner`),
-* :meth:`SweepRunner.sweep` - builds the cartesian product of parameter
-  axes with deterministic per-run seeds spawned from one base seed.
+  :class:`repro.campaign.runner.CampaignRunner`).
 
 Multiprocessing notes: with ``processes > 1`` the scenario functions and
 parameters must be picklable (top-level functions, no lambdas or
@@ -22,8 +20,6 @@ closures); results come back in submission order.  Serial execution
 
 from __future__ import annotations
 
-import itertools
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -190,35 +186,6 @@ class SweepReport:
             lines.append(f"{r.name:<32s} {r.wall_time:>9.3f}s{suffix}")
         return "\n".join(lines)
 
-    #: format marker of the JSON serialization.
-    JSON_FORMAT = "repro.sweep-report/1"
-
-    def to_json(self, *, indent: int | None = None) -> str:
-        """Serialize the report (scenarios, values, timings) to JSON.
-
-        Values are encoded with :mod:`repro.core.serialization`: result
-        dataclasses and NumPy arrays round-trip exactly; scenario
-        functions are stored as ``module:qualname`` references, so
-        reports over lambdas cannot be serialized.
-        """
-        from repro.core.serialization import to_jsonable
-
-        payload = {"format": self.JSON_FORMAT,
-                   "results": [to_jsonable(r) for r in self.results]}
-        return json.dumps(payload, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepReport":
-        """Inverse of :meth:`to_json`."""
-        from repro.core.serialization import from_jsonable
-
-        payload = json.loads(text)
-        fmt = payload.get("format")
-        if fmt != cls.JSON_FORMAT:
-            raise ValueError(f"unsupported sweep-report format: {fmt!r}")
-        return cls(results=[from_jsonable(r)
-                            for r in payload["results"]])
-
 
 class SweepRunner:
     """Run a batch of :class:`Scenario` objects, optionally in parallel.
@@ -243,71 +210,6 @@ class SweepRunner:
 
     def extend(self, scenarios: Iterable[Scenario]) -> None:
         self.scenarios.extend(scenarios)
-
-    @classmethod
-    def sweep(cls, name: str, fn: Callable[..., Any],
-              axes: Mapping[str, Sequence[Any]], *,
-              base: Mapping[str, Any] | None = None,
-              base_seed: int | None = None,
-              rng_param: str | None = None,
-              seed_param: str | None = None,
-              processes: int | None = None) -> "SweepRunner":
-        """Cartesian-product sweep builder.
-
-        Args:
-            name: prefix of the scenario names (each run is labeled
-                ``name[axis=value,...]``).
-            fn: harness function shared by all runs.
-            axes: mapping of parameter name to the values to sweep
-                (cartesian product over all axes, in declaration order).
-            base: parameters common to every run.
-            base_seed: if given, deterministic per-run seeds are spawned
-                from it with :class:`numpy.random.SeedSequence`, so the
-                sweep is reproducible regardless of execution order or
-                fan-out degree.
-            rng_param / seed_param: seeding conventions passed through
-                to :class:`Scenario`.
-        """
-        def axis_label(value: Any) -> str:
-            # Prefer a model-style .name; fall back to str() unless it
-            # is a default repr whose memory address would make the
-            # scenario name differ between runs (the dedup suffixes
-            # below keep type-name labels unique).
-            name = getattr(value, "name", None)
-            if isinstance(name, str) and name:
-                return name
-            text = str(value)
-            if text.startswith("<") and " at 0x" in text:
-                return type(value).__name__
-            return text
-
-        keys = list(axes)
-        combos = list(itertools.product(*(axes[k] for k in keys)))
-        seeds: Sequence[Any]
-        if base_seed is not None:
-            seeds = np.random.SeedSequence(base_seed).spawn(len(combos))
-        else:
-            seeds = [None] * len(combos)
-        runner = cls(processes=processes)
-        used: dict[str, int] = {}
-        for combo, seed in zip(combos, seeds):
-            params = dict(base or {})
-            params.update(zip(keys, combo))
-            label = ",".join(f"{k}={axis_label(v)}"
-                             for k, v in zip(keys, combo))
-            run_name = f"{name}[{label}]"
-            # Axis values may share a display label (e.g. two models of
-            # the same class); keep names unique so by_name() is
-            # lossless.
-            count = used.get(run_name, 0)
-            used[run_name] = count + 1
-            if count:
-                run_name = f"{run_name}#{count + 1}"
-            runner.add(Scenario(name=run_name, fn=fn,
-                                params=params, seed=seed,
-                                rng_param=rng_param,
-                                seed_param=seed_param))
-        return runner
 
     def run(self) -> SweepReport:
         """Execute all scenarios; results come back in submission

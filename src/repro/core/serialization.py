@@ -12,8 +12,8 @@ arrays, configuration objects, nested containers):
   added after a payload was written decode to their defaults, so
   evolving spec dataclasses stay readable); enum members round-trip
   by import path *and value* (an ``IntEnum`` is an ``int``, but
-  decaying it would lose the type - e.g. the ``Phase`` inside a
-  ``LinkSpec``); callables round-trip as ``module:qualname``
+  decaying it would lose the type - e.g. the ``Severity`` of a
+  ``LintFinding``); callables round-trip as ``module:qualname``
   references; anything else falls back to pickle.
 * :func:`stable_hash` - a SHA-256 over the canonical (sorted-keys)
   JSON encoding, used as the content address of a scenario.  The
@@ -118,7 +118,7 @@ def to_jsonable(value: Any,
     """
     # Enum members must be caught before the primitive check: an
     # IntEnum *is* an int, but decaying it to one would lose the type
-    # (e.g. a Phase selection inside a LinkSpec).
+    # (e.g. the Severity of a LintFinding).
     if isinstance(value, enum.Enum):
         return {"__enum__": callable_spec(type(value)),
                 "value": to_jsonable(value.value, arrays)}

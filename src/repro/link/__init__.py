@@ -6,8 +6,9 @@ that front door for the repository:
 
 * :mod:`repro.link.spec` - :class:`LinkSpec`: a frozen, hashable,
   serializable description of the link (configuration, channel, front
-  end, integrator selection by registry name), plus the multi-user
-  vocabulary: :class:`InterfererSpec` and :class:`NetworkSpec`,
+  end, integrator selection by name from :data:`INTEGRATORS`), plus
+  the multi-user vocabulary: :class:`InterfererSpec` and
+  :class:`NetworkSpec`,
 * :mod:`repro.link.ops` - one function per operation, each the only
   implementation of it: ``ber_sweep`` / ``ber_curve`` /
   ``mui_ber_curve`` (vectorized golden model), ``ranging``
@@ -18,11 +19,10 @@ that front door for the repository:
   golden model executes chunk by chunk (Tx -> Channel -> Combine ->
   AnalogFrontEnd -> Decision over a batched :class:`LinkState`), with
   interferers entering at the :class:`CombineStage`,
-* :mod:`repro.link.registry` - integrator construction routed through
-  the :class:`~repro.core.registry.ModelRegistry`,
 * :mod:`repro.link.backends` - the spec -> component builders every
   operation shares (integrator, band-pass, converter, channel,
-  receiver, pilot calibration, interferer paths),
+  receiver, pilot calibration, interferer paths);
+  :func:`build_integrator` is the one integrator resolver,
 * :mod:`repro.link.equivalence` - the golden-model versus kernel
   Phase-I validation harness (fixed seed).
 
@@ -39,6 +39,7 @@ from repro.link.spec import (
     ADC_MODES,
     AGC_MODES,
     CHANNEL_KINDS,
+    INTEGRATORS,
     ChannelSpec,
     FrontEndSpec,
     InterfererSpec,
@@ -59,14 +60,6 @@ from repro.link.pipeline import (
     run_ber_point,
     run_ber_sweep,
 )
-from repro.link.registry import (
-    COSIM,
-    default_link_registry,
-    integrator_names,
-    link_registry,
-    register_integrator,
-    resolve_integrator,
-)
 from repro.link.backends import (
     build_adc,
     build_bpf,
@@ -80,6 +73,7 @@ from repro.link.backends import (
     split_network,
 )
 from repro.link.equivalence import EquivalenceResult, run_equivalence
+from repro.uwb.system import COSIM
 from repro.link import ops
 
 __all__ = [
@@ -94,6 +88,7 @@ __all__ = [
     "DecisionStage",
     "EquivalenceResult",
     "FrontEndSpec",
+    "INTEGRATORS",
     "InterfererPath",
     "InterfererSpec",
     "LinkSpec",
@@ -112,12 +107,7 @@ __all__ = [
     "build_link_pipeline",
     "build_receiver",
     "calibrate",
-    "default_link_registry",
-    "integrator_names",
-    "link_registry",
     "ops",
-    "register_integrator",
-    "resolve_integrator",
     "run_ber_point",
     "run_ber_sweep",
     "run_equivalence",

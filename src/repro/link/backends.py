@@ -3,8 +3,8 @@
 Every operation of :mod:`repro.link.ops` builds its components from a
 :class:`~repro.link.spec.LinkSpec` through the functions here:
 
-* :func:`build_integrator` - the integrator model (registry name or
-  substitute instance, see :mod:`repro.link.registry`),
+* :func:`build_integrator` - the integrator model (a name in
+  :data:`~repro.link.spec.INTEGRATORS` or a substitute instance),
 * :func:`build_bpf` / :func:`build_adc` / :func:`build_quantizer` /
   :func:`build_receiver` - the band-pass, converter and packet-level
   receiver wiring,
@@ -34,8 +34,12 @@ from repro.link.pipeline import (
     SignalPipeline,
     TxStage,
 )
-from repro.link.registry import resolve_integrator
-from repro.link.spec import InterfererSpec, LinkSpec, NetworkSpec
+from repro.link.spec import (
+    INTEGRATORS,
+    InterfererSpec,
+    LinkSpec,
+    NetworkSpec,
+)
 from repro.uwb.adc import Adc, AutoRangingAdc
 from repro.uwb.agc import Agc, TwoStageAgc
 from repro.uwb.bpf import BandPassFilter
@@ -45,6 +49,7 @@ from repro.uwb.fastsim import _LinkCache
 from repro.uwb.frontend import Vga
 from repro.uwb.integrator import WindowIntegrator, nominal_gain
 from repro.uwb.receiver import EnergyDetectionReceiver
+from repro.uwb.system import COSIM
 
 
 # ----------------------------------------------------------------------
@@ -55,19 +60,41 @@ from repro.uwb.receiver import EnergyDetectionReceiver
 def build_integrator(spec: LinkSpec,
                      integrator: str | WindowIntegrator | None = None,
                      *, cosim: bool = False) -> WindowIntegrator | str:
-    """The integrator model of *spec*: *integrator* (a registry name
-    or a substitute instance, e.g. a characterized surrogate from
-    :func:`repro.core.characterize.build_surrogate`) or, when ``None``,
-    the spec's registry selection at ``spec.phase`` with
+    """The integrator model of *spec*: *integrator* (a name in
+    :data:`~repro.link.spec.INTEGRATORS` or a substitute instance,
+    e.g. a characterized surrogate from
+    :func:`repro.core.characterize.build_surrogate`, passed through)
+    or, when ``None``, ``spec.integrator``; a name is built with
     ``spec.integrator_params``.
 
     With ``cosim=True`` the ``"circuit"`` name resolves to the
-    co-simulation marker (the kernel testbench hosts the netlist);
-    otherwise to its behavioral ``"surrogate"`` stand-in.
+    :data:`~repro.uwb.system.COSIM` marker (the kernel testbench hosts
+    the netlist); otherwise to its behavioral surrogate.
+
+    Raises:
+        ValueError: unknown name, or ``integrator_params`` on the
+            co-simulated ``"circuit"``.
     """
-    return resolve_integrator(
-        integrator if integrator is not None else spec.integrator,
-        phase=spec.phase, params=spec.integrator_params, cosim=cosim)
+    if isinstance(integrator, WindowIntegrator):
+        return integrator
+    name = spec.integrator if integrator is None else integrator
+    if not isinstance(name, str):
+        raise TypeError(f"integrator spec must be a name or a "
+                        f"WindowIntegrator, not {type(name).__name__}")
+    if name not in INTEGRATORS:
+        raise ValueError(f"unknown integrator {name!r}; choose from "
+                         f"{sorted(INTEGRATORS)}")
+    params = spec.params_dict()
+    if name == COSIM and cosim:
+        if params:
+            # Fail with intent: the co-simulated netlist has no
+            # behavioral constructor to parameterize.
+            raise ValueError(
+                "the co-simulated 'circuit' integrator takes no "
+                "integrator_params; parameterize the behavioral "
+                "'surrogate'/'two_pole' models instead")
+        return COSIM
+    return INTEGRATORS[name](**params)
 
 
 def build_bpf(spec: LinkSpec) -> BandPassFilter:

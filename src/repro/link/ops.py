@@ -93,11 +93,11 @@ def ber_sweep(spec: LinkSpec | NetworkSpec, ebn0_grid,
     Args:
         spec: a single link, or a multi-user network whose victim's
             bits are graded.
-        integrators: registry names or model instances (``None``
+        integrators: integrator names or model instances (``None``
             selects the spec's integrator); their decision stages
             share the Tx/channel/AFE work.
         labels: one result key per integrator (defaults to the
-            registry name / model name).
+            integrator name / model name).
         target_errors / max_bits / min_bits: stopping rule.
         chunk_bits: symbols per vectorized chunk.
         adaptive: optional sequential policy ending a cell as soon

@@ -4,8 +4,8 @@ The paper's methodology hinges on *one unchanged testbench* driven
 across refinement phases by substituting implementations.  A
 :class:`LinkSpec` is that testbench's declarative description for this
 repository: the link configuration, the channel, the analog front end
-and the integrator selection (by registry name) in one frozen,
-hashable, serializable value.  Every operation of
+and the integrator selection (a name in :data:`INTEGRATORS`) in one
+frozen, hashable, serializable value.  Every operation of
 :mod:`repro.link.ops` consumes the same spec, so an experiment written
 against a spec runs unchanged on the vectorized golden model or the
 AMS kernel testbench.
@@ -30,8 +30,12 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from repro.core.phases import Phase
 from repro.uwb.config import UwbConfig
+from repro.uwb.integrator import (
+    CircuitSurrogateIntegrator,
+    IdealIntegrator,
+    TwoPoleIntegrator,
+)
 
 #: channel selections understood by the builders.
 CHANNEL_KINDS = ("none", "cm1")
@@ -53,6 +57,19 @@ CHANNEL_KINDS = ("none", "cm1")
 ADC_MODES = ("auto", "config", "none")
 #: AGC policies of the packet-level receiver.
 AGC_MODES = ("single", "two_stage")
+#: integrator models by name - the Integrate & Dump architectures the
+#: unchanged testbench can be rebound to (substitute-and-play).  Each
+#: model's refinement phase is its ``phase`` class attribute.
+#: ``"circuit"`` is the transistor netlist co-simulated in the loop:
+#: :func:`repro.link.backends.build_integrator` resolves it to the
+#: co-simulation marker when the caller hosts the netlist
+#: (``ops.run_testbench``) and to the behavioral surrogate otherwise.
+INTEGRATORS = {
+    "ideal": IdealIntegrator,
+    "two_pole": TwoPoleIntegrator,
+    "surrogate": CircuitSurrogateIntegrator,
+    "circuit": CircuitSurrogateIntegrator,
+}
 
 
 class SpecCodec:
@@ -183,18 +200,13 @@ class LinkSpec(SpecCodec):
         config: link timing/sampling configuration.
         channel: propagation channel selection.
         frontend: front-end and receiver policies.
-        integrator: integrator model by registry name (see
-            :mod:`repro.link.registry`): ``"ideal"`` (Phase II),
-            ``"two_pole"`` (Phase IV), ``"surrogate"`` / ``"circuit"``
-            (Phase III), or any name registered via
-            :func:`repro.link.registry.register_integrator`.
+        integrator: integrator model by name, one of
+            :data:`INTEGRATORS`: ``"ideal"`` (Phase II), ``"two_pole"``
+            (Phase IV), ``"surrogate"`` / ``"circuit"`` (Phase III).
         integrator_params: constructor overrides of the named model as
             a sorted tuple of ``(name, value)`` pairs (a mapping is
             accepted and normalized), e.g. ``{"fp2_hz": 3e9}`` for the
             noise-shaping sweep.
-        phase: optional explicit :class:`Phase` selection when a name
-            carries bindings at several phases; ``None`` picks the
-            name's most refined registered phase.
     """
 
     config: UwbConfig = UwbConfig()
@@ -202,23 +214,23 @@ class LinkSpec(SpecCodec):
     frontend: FrontEndSpec = FrontEndSpec()
     integrator: str = "ideal"
     integrator_params: tuple[tuple[str, Any], ...] = ()
-    phase: Phase | None = None
 
     def __post_init__(self) -> None:
         self.config.validate()
         if self.frontend.t_dump + self.frontend.t_hold >= self.config.slot:
             raise ValueError("t_dump + t_hold must fit inside a slot")
         if not isinstance(self.integrator, str) or not self.integrator:
-            raise TypeError("integrator must be a registry name; pass "
+            raise TypeError("integrator must be a model name; pass "
                             "model *instances* as the integrator= "
-                            "override of the backend operations")
+                            "override of the repro.link.ops functions")
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"unknown integrator {self.integrator!r}; "
+                             f"choose from {sorted(INTEGRATORS)}")
         params = self.integrator_params
         if isinstance(params, Mapping):
             params = params.items()
         normalized = tuple(sorted((str(k), v) for k, v in params))
         object.__setattr__(self, "integrator_params", normalized)
-        if self.phase is not None:
-            object.__setattr__(self, "phase", Phase(self.phase))
 
     # -- derived views -------------------------------------------------
 

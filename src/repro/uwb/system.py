@@ -10,7 +10,7 @@ from kernel blocks, with the integrator slot accepting either:
 * the :data:`COSIM` marker ``"circuit"`` - Phase III: the transistor
   netlist co-simulated in the loop (the ADMS/Eldo substitute-and-play).
 
-Registry names are resolved one layer up, by
+Integrator names are resolved one layer up, by
 :func:`repro.link.ops.run_testbench`.
 
 The same testbench, waveform and timing are reused across phases, which
@@ -194,7 +194,7 @@ def build_ams_receiver(config: UwbConfig,
         raise ValueError(
             f"build_ams_receiver takes a WindowIntegrator or the "
             f"{COSIM!r} co-simulation marker, not {integrator!r}; "
-            "resolve registry names through repro.link.ops.run_testbench")
+            "resolve integrator names through repro.link.ops.run_testbench")
     if adc is _AUTO_RANGED:
         adc = AutoRangingAdc(config.adc_bits)
     design = design or default_design()

@@ -46,25 +46,25 @@ CAMPAIGNS = {
 #: recorded sorted keys per harness.
 PINNED = {
     "fig6": [
-        "5704b94dbabbc9148786fae2c30b7c7f3b353e78deaca7892016c4d32d4cb68d",
+        "a83fbcd396fa8966462f3f458a3452a7da3e14bb78149228d12fb2b057674ecc",
     ],
     "mui": [
-        "b00360bc61fd6516791953df122431814451d1e862c9f5c9b8497b6f7391d96b",
-        "f36d3333dab14d1b2e8a220c78406cee43d7f0331482fdc14fa18f94080f449c",
-        "f6d21b58182d833e076102f1876e341d4e9743fdd05cc2467d3e44b6f0ef5cf1",
+        "3507e2c7fc196cd22818e4e6ab61dd60ffe139fe8c45d5aacccd24ead78623d0",
+        "3fd4dc2319e12866f6381436ab2d155c836f3a41f15377b7b4d8feb28355345c",
+        "c2e4500d3a307a6c4983394356fe90ef4e3a713c9f198ec53bcf641035b4dfb4",
     ],
     "ablation": [
-        "65e3a47a781cecbca1fe1a1f8de4f580be0a5a3bfbc22680b11a9947cac05090",
-        "99209faaeef73c2885685eb20e0b163da3efa4a729e83a8fc975a1658b481d41",
+        "10b6098c95ea329a15fff673e81d4b43fdf51f6b96c46516a81b217700e58511",
+        "ef8ba288ba0a45cc22db927596d0053352e6b9084d837c86e93417766052a105",
     ],
     "table2": [
-        "c494de227a62a896c905bf80f0851b0b7909801a069cd7aced7bd18d4fee3ba0",
-        "cbc4e6670a60e552a9c8bfb8a940076dffbda01f834d1a01b344907c19e507f5",
+        "013d8c45e2f90c0a005aa5d601798d88657ec5483a687a2569b4500cdde0f360",
+        "834c01b0dab63fe886904e78f054a577c51b9a12edbe4f76f40328cd8732b3dd",
     ],
     "table1": [
-        "0b97d871b982f1c19c7abd43c84cd148055b4961fbe39b21b5ecf2c76f9eacff",
-        "b92fc1df5ec8c788500771b9438e8a3057fb90977931dc29642a2200049f515d",
-        "c7b12d8b36295b3d40a1b8aec0280980627a7850b2fb60a5a440aa4dd79bf530",
+        "0d3e0ed36d2f5364850b823475be717faf61ac4d236397d15023759de9d5ddc0",
+        "28abaafc8d3ec2298850dbf4324751d5f0dfca86c028d7c7a80a58b47041e38d",
+        "2ada149d0508aac3d8509e1eed360e45c062bec794a11cc5993121324b1ef9bd",
     ],
 }
 

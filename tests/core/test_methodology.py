@@ -1,117 +1,15 @@
-"""Phases, registry, refinement flow and metrics."""
+"""CPU-time and system-metric comparison reports."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
     CpuTimeReport,
-    ModelRegistry,
-    Phase,
-    RefinementFlow,
     compare_ber,
     compare_ranging,
 )
 from repro.uwb.fastsim import BerResult
 from repro.uwb.ranging import RangingResult
-
-
-class TestPhase:
-    def test_ordering(self):
-        assert Phase.I < Phase.II < Phase.III < Phase.IV
-
-    def test_descriptions(self):
-        for phase in Phase:
-            assert phase.description
-        assert str(Phase.III) == "Phase III"
-
-    def test_from_int(self):
-        assert Phase(3) is Phase.III
-
-
-class TestRegistry:
-    def test_register_and_create(self):
-        reg = ModelRegistry()
-        reg.register("integ", Phase.II, lambda: "ideal-impl")
-        assert reg.create("integ", 2) == "ideal-impl"
-        assert reg.phases_of("integ") == [Phase.II]
-        assert ("integ", Phase.II) in reg
-        assert len(reg) == 1
-
-    def test_duplicate_rejected(self):
-        reg = ModelRegistry()
-        reg.register("integ", Phase.II, lambda: 1)
-        with pytest.raises(KeyError):
-            reg.register("integ", Phase.II, lambda: 2)
-
-    def test_missing_binding_message(self):
-        reg = ModelRegistry()
-        reg.register("integ", Phase.II, lambda: 1)
-        with pytest.raises(KeyError, match="Phase II"):
-            reg.create("integ", Phase.III)
-
-    def test_interface_check_runs(self):
-        def check(block, impl):
-            if not hasattr(impl, "window_outputs"):
-                raise TypeError(f"{block}: not an integrator")
-
-        reg = ModelRegistry(interface_check=check)
-        with pytest.raises(TypeError):
-            reg.register("integ", Phase.II, lambda: object())
-
-    def test_describe(self):
-        reg = ModelRegistry()
-        reg.register("integ", Phase.II, lambda: 1, description="ideal")
-        assert "integ" in reg.describe()
-
-
-class TestRefinementFlow:
-    def _flow(self):
-        def testbench(impls):
-            return sum(impls.values())
-
-        flow = RefinementFlow(testbench)
-        flow.register("a", Phase.II, lambda: 1)
-        flow.register("a", Phase.III, lambda: 100)
-        flow.register("b", Phase.II, lambda: 10)
-        return flow
-
-    def test_baseline_run(self):
-        flow = self._flow()
-        outcome = flow.run(baseline_phase=Phase.II)
-        assert outcome.result == 11
-        assert outcome.phase_map == {"a": Phase.II, "b": Phase.II}
-        assert outcome.cpu_time >= 0
-        assert "a@II" in outcome.label()
-
-    def test_substitute_and_play(self):
-        flow = self._flow()
-        outcome = flow.run(refine={"a": Phase.III})
-        assert outcome.result == 110
-        assert outcome.phase_map["a"] == Phase.III
-        assert outcome.phase_map["b"] == Phase.II  # untouched
-
-    def test_fallback_to_available_phase(self):
-        """Blocks without a refined binding keep their best phase at or
-        below the request."""
-        flow = self._flow()
-        outcome = flow.run(baseline_phase=Phase.IV)
-        assert outcome.phase_map["b"] == Phase.II
-
-    def test_sweep_block(self):
-        flow = self._flow()
-        outcomes = flow.sweep_block("a")
-        assert [o.phase_map["a"] for o in outcomes] == [Phase.II,
-                                                        Phase.III]
-        assert len(flow.history) == 2
-
-    def test_missing_low_phase_raises(self):
-        def testbench(impls):
-            return 0
-
-        flow = RefinementFlow(testbench)
-        flow.register("a", Phase.IV, lambda: 1)
-        with pytest.raises(KeyError):
-            flow.run(baseline_phase=Phase.II)
 
 
 class TestMetrics:

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.phases import Phase
 from repro.core.serialization import (
     UnserializableError,
     callable_spec,
@@ -17,6 +16,7 @@ from repro.core.serialization import (
     to_jsonable,
 )
 from repro.link import ChannelSpec, FrontEndSpec, LinkSpec
+from repro.spice.lint.report import LintFinding, Severity
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.config import TEST_CONFIG, UwbConfig
 from repro.uwb.fastsim import BerResult
@@ -157,19 +157,24 @@ class TestCallables:
 
 class TestEnums:
     def test_intenum_keeps_type(self):
-        """An IntEnum must not decay to a plain int - a decoded Phase
-        selection has to compare and str() like a Phase."""
-        back = roundtrip(Phase.III)
-        assert back is Phase.III
-        assert str(back) == "Phase III"
+        """An IntEnum must not decay to a plain int - a decoded
+        Severity has to compare and read like a Severity."""
+        back = roundtrip(Severity.WARN)
+        assert back is Severity.WARN
+        assert back.label == "warn"
 
     def test_enum_inside_containers_and_dataclasses(self):
-        v = {"phases": [Phase.I, Phase.IV], "pick": Phase.II}
+        v = {"levels": [Severity.INFO, Severity.ERROR],
+             "pick": Severity.WARN}
         back = roundtrip(v)
-        assert back == v and back["pick"] is Phase.II
+        assert back == v and back["pick"] is Severity.WARN
+        finding = LintFinding(rule_id="SP-FLOAT-001",
+                              severity=Severity.ERROR,
+                              title="floating node", message="n1")
+        assert roundtrip(finding).severity is Severity.ERROR
 
     def test_enum_hash_distinct_from_raw_value(self):
-        assert stable_hash(Phase.II) != stable_hash(2)
+        assert stable_hash(Severity.WARN) != stable_hash(20)
 
 
 def _spec_variants() -> list[LinkSpec]:
@@ -178,7 +183,7 @@ def _spec_variants() -> list[LinkSpec]:
     return [
         LinkSpec(),
         LinkSpec(config=TEST_CONFIG, integrator="two_pole"),
-        LinkSpec(integrator="circuit", phase=Phase.III),
+        LinkSpec(integrator="circuit"),
         LinkSpec(integrator="two_pole",
                  integrator_params={"fp2_hz": 3e9, "gain": 4.0}),
         LinkSpec(channel=ChannelSpec(kind="cm1", distance=3.3,
@@ -222,14 +227,13 @@ class TestLinkSpecRoundTrip:
         assert len(set(keys)) == len(keys)
 
     def test_decoded_spec_still_resolves(self):
-        from repro.link import resolve_integrator
+        from repro.link import build_integrator
         from repro.uwb.integrator import TwoPoleIntegrator
 
         spec = LinkSpec(integrator="two_pole",
                         integrator_params={"fp2_hz": 3e9})
         back = roundtrip(spec)
-        model = resolve_integrator(back.integrator,
-                                   params=back.integrator_params)
+        model = build_integrator(back)
         assert isinstance(model, TwoPoleIntegrator)
         assert model.fp2_hz == 3e9
 

@@ -22,7 +22,7 @@ EXPECTED_OUTPUT = {
     "quickstart.py": "Integrate & Dump netlist",
     "ber_study.py": "Figure 6 - BER vs Eb/N0",
     "ranging_study.py": "Table 2 - TWR",
-    "methodology_flow.py": "integrate_dump@III",
+    "methodology_flow.py": "circuit@III",
     "circuit_playground.py": "Two-stage amplifier bias",
     "network_study.py": "Multi-user interference",
 }

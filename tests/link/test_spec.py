@@ -1,23 +1,19 @@
-"""LinkSpec: validation, hashing, serialization, registry resolution."""
+"""LinkSpec: validation, hashing, serialization, integrator resolution."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.core.phases import Phase
-from repro.core.registry import ModelRegistry
 from repro.core.serialization import stable_hash
 from repro.link import (
+    COSIM,
+    INTEGRATORS,
     ChannelSpec,
     FrontEndSpec,
     LinkSpec,
-    default_link_registry,
-    integrator_names,
-    register_integrator,
-    resolve_integrator,
+    build_integrator,
 )
-from repro.link.registry import COSIM
 from repro.uwb.config import TEST_CONFIG, UwbConfig
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
@@ -49,13 +45,17 @@ class TestSpecConstruction:
         assert a == b
         assert a.params_dict() == {"fp2_hz": 3e9, "gain": 2.0}
 
-    def test_phase_coerced_to_enum(self):
-        spec = LinkSpec(phase=2)
-        assert spec.phase is Phase.II
-
     def test_instance_integrator_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="repro.link.ops"):
             LinkSpec(integrator=IdealIntegrator())
+
+    def test_unknown_integrator_rejected(self):
+        """A typo fails at construction, naming the known models - not
+        later inside a scenario worker."""
+        with pytest.raises(ValueError, match="unknown integrator") as exc:
+            LinkSpec(integrator="quantum")
+        for name in ("ideal", "two_pole", "surrogate", "circuit"):
+            assert name in str(exc.value)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -96,7 +96,6 @@ class TestSpecIdentity:
     def test_key_sensitive_to_every_layer(self):
         base = LinkSpec()
         for other in (base.with_(integrator="two_pole"),
-                      base.with_(phase=Phase.II),
                       base.with_config(fs=8e9, symbol_period=32e-9),
                       base.with_channel(kind="cm1"),
                       base.with_frontend(squarer_drive=0.2),
@@ -109,11 +108,9 @@ class TestSpecIdentity:
                         frontend=FrontEndSpec(band=(2e9, 3.5e9),
                                               agc="two_stage"),
                         integrator="two_pole",
-                        integrator_params={"fp2_hz": 3e9},
-                        phase=Phase.IV)
+                        integrator_params={"fp2_hz": 3e9})
         back = LinkSpec.from_json(spec.to_json())
         assert back == spec
-        assert back.phase is Phase.IV
         assert back.key() == spec.key()
 
     def test_from_json_rejects_foreign_payload(self):
@@ -126,64 +123,37 @@ class TestSpecIdentity:
 
 
 class TestRegistryResolution:
+    """``build_integrator`` over the closed :data:`INTEGRATORS` table."""
+
+    @staticmethod
+    def resolve(integrator, **params):
+        return build_integrator(LinkSpec(integrator_params=params),
+                                integrator)
+
     def test_builtin_names(self):
-        assert set(integrator_names()) >= {"ideal", "two_pole",
-                                           "surrogate", "circuit"}
+        assert set(INTEGRATORS) == {"ideal", "two_pole", "surrogate",
+                                    "circuit"}
 
     def test_names_resolve_to_models(self):
-        assert isinstance(resolve_integrator("ideal"), IdealIntegrator)
-        assert isinstance(resolve_integrator("two_pole"),
-                          TwoPoleIntegrator)
-        assert isinstance(resolve_integrator("surrogate"),
+        assert isinstance(self.resolve("ideal"), IdealIntegrator)
+        assert isinstance(self.resolve("two_pole"), TwoPoleIntegrator)
+        assert isinstance(self.resolve("surrogate"),
                           CircuitSurrogateIntegrator)
 
     def test_circuit_resolution_depends_on_cosim(self):
-        assert resolve_integrator("circuit", cosim=True) == COSIM
-        assert isinstance(resolve_integrator("circuit", cosim=False),
+        spec = LinkSpec(integrator="circuit")
+        assert build_integrator(spec, cosim=True) == COSIM
+        assert isinstance(build_integrator(spec, cosim=False),
                           CircuitSurrogateIntegrator)
 
     def test_instance_passthrough(self):
         inst = TwoPoleIntegrator()
-        assert resolve_integrator(inst) is inst
+        assert self.resolve(inst) is inst
 
     def test_params_forwarded_to_factory(self):
-        model = resolve_integrator("two_pole",
-                                   params={"fp2_hz": 3e9, "gain": 4.0})
+        model = self.resolve("two_pole", fp2_hz=3e9, gain=4.0)
         assert model.fp2_hz == 3e9 and model.gain == 4.0
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown integrator"):
-            resolve_integrator("quantum")
-
-    def test_wrong_phase_rejected(self):
-        with pytest.raises(ValueError, match="no Phase"):
-            resolve_integrator("ideal", phase=Phase.IV)
-
-    def test_explicit_phase_selection(self):
-        assert isinstance(resolve_integrator("ideal", phase=Phase.II),
-                          IdealIntegrator)
-
-    def test_custom_registration_in_fresh_registry(self):
-        registry = default_link_registry()
-        register_integrator("boosted", Phase.IV,
-                            lambda **kw: IdealIntegrator(k=2e8, **kw),
-                            description="custom", registry=registry)
-        model = resolve_integrator("boosted", registry=registry)
-        assert isinstance(model, IdealIntegrator) and model.k == 2e8
-        assert "boosted" in integrator_names(registry)
-
-    def test_interface_check_enforced(self):
-        registry = default_link_registry()
-        with pytest.raises(TypeError, match="WindowIntegrator"):
-            register_integrator("bogus", Phase.II, lambda: object(),
-                                registry=registry)
-
-    def test_duplicate_binding_rejected(self):
-        registry = default_link_registry()
-        with pytest.raises(KeyError):
-            register_integrator("ideal", Phase.II, IdealIntegrator,
-                                registry=registry)
-
-    def test_registry_is_a_model_registry(self):
-        # The front door genuinely routes through the core registry.
-        assert isinstance(default_link_registry(), ModelRegistry)
+            self.resolve("quantum")

@@ -29,11 +29,11 @@ from repro.link.backends import (
     _CALIBRATION_MEMO,
     _REALIZATION_MEMO,
     build_channel_realization,
+    build_integrator,
     calibrate,
 )
 from repro.link import pipeline as pipe
 from repro.link.pipeline import run_ber_sweep
-from repro.link.registry import resolve_integrator
 from repro.link.spec import ChannelSpec, FrontEndSpec, InterfererSpec
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.fastsim import AdaptiveStopping
@@ -63,7 +63,7 @@ def _pointwise(spec, grid, seed, adaptive=None, **budget):
     from its own freshly seeded generator (the sharing convention the
     batched kernel exploits)."""
     cache = calibrate(spec)
-    integrator = resolve_integrator(spec.integrator)
+    integrator = build_integrator(spec)
     return [_legacy_simulate_ber_point(
                 spec.config, integrator, p, np.random.default_rng(seed),
                 squarer_drive=spec.frontend.squarer_drive,
@@ -204,7 +204,7 @@ class TestRetirement:
         rng = np.random.default_rng(3)
         signal, noise = rng.normal(0.0, 0.05, (2, 37, 2, 64))
         sigmas = np.array([0.0, 0.3, 0.7, 1.1, 1.9])
-        decider = pipe.DecisionStage(TEST_CONFIG, resolve_integrator(name))
+        decider = pipe.DecisionStage(TEST_CONFIG, build_integrator(SPEC, name))
         batch, _ = decider.decide(signal, noise, sigmas)
         sub, _ = decider.decide(signal, noise, sigmas[1:4])
         assert np.array_equal(sub, batch[1:4])

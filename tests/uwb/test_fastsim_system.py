@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.link import LinkSpec, ops
-from repro.link.registry import resolve_integrator
+from repro.link import LinkSpec, build_integrator, ops
 from repro.uwb import ChannelRealization, UwbConfig
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.fastsim import _LinkCache
@@ -174,7 +173,7 @@ class TestAmsReceiver:
 
     def test_make_integrator_resolution(self):
         def resolve(kind):
-            return resolve_integrator(kind, cosim=True)
+            return build_integrator(SPEC, kind, cosim=True)
 
         assert isinstance(resolve("ideal"), IdealIntegrator)
         assert isinstance(resolve("two_pole"), TwoPoleIntegrator)
