@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.spice.devices.mosfet import MosEval
 from repro.spice.errors import AnalysisError, ConvergenceError
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit, normalize_node
@@ -108,16 +109,20 @@ class TransientStepper:
         self.steps_taken = 0
 
     # ------------------------------------------------------------------
-    def _refresh_caps(self) -> None:
-        """Re-derive the state that depends on :attr:`x`: the MOSFET
-        evaluation (shared by the device capacitances and the first
-        Newton iteration of the next step), the capacitance values and
-        the capacitor voltages."""
+    def _refresh_caps(self, mos_eval: MosEval | None = None) -> None:
+        """Re-derive the state that depends on :attr:`x` from its MOSFET
+        evaluation *mos_eval* (evaluated at :attr:`x` when omitted): the
+        capacitance values and the capacitor voltages.  *mos_eval* is
+        also kept for the first Newton iteration of the next step.
+        After a step it is the converged Newton call's final evaluation
+        (:attr:`MnaSystem.last_mos_eval`), not one at :attr:`x`
+        itself."""
         sys = self.system
         x_full = sys.full_vector(self.x)
-        self._mos_eval = (sys.mos_group.evaluate(x_full)
-                          if sys.mos_group is not None else None)
-        self.c_val = sys.dynamic_caps(x_full, self._mos_eval)
+        if mos_eval is None and sys.mos_group is not None:
+            mos_eval = sys.mos_group.evaluate(x_full)
+        self._mos_eval = mos_eval
+        self.c_val = sys.dynamic_caps(x_full, mos_eval)
         self.v_cap = x_full[sys.dyn_n1] - x_full[sys.dyn_n2]
 
     def set_source(self, name: str, value: float) -> None:
@@ -180,9 +185,11 @@ class TransientStepper:
         self.newton_iterations += sys.last_iterations
         self.x = x_new
         self.t = t_new
-        # Device capacitances are frozen within a step and re-evaluated
-        # at each accepted point.
-        self._refresh_caps()
+        # Device capacitances are frozen within a step and refreshed at
+        # each accepted point from the converged call's final MOSFET
+        # evaluation, which the next step's first iteration reuses: no
+        # device is evaluated again at the accepted point.
+        self._refresh_caps(sys.last_mos_eval)
         self.i_cap = geq * self.v_cap + ieq
 
 

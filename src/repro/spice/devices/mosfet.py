@@ -159,6 +159,10 @@ _DIFF = np.array([[[0, 1, -1, 0], [1, 0, -1, 0], [0, 0, 1, -1]],
                   [[-1, 1, 0, 0], [-1, 0, 1, 0], [1, 0, 0, -1]]], dtype=float)
 
 
+#: Device capacitances, in the row order of :meth:`MosGroup.cap_values`.
+CAP_NAMES = ("cgs", "cgd", "cgb", "cbd", "cbs")
+
+
 @dataclass
 class MosEval:
     """Result of a vectorized large-signal evaluation.
@@ -194,7 +198,8 @@ class MosEval:
     @property
     def region(self) -> np.ndarray:
         """0 = cutoff, 1 = triode, 2 = saturation."""
-        return np.where(self.cutoff, 0, np.where(self.triode, 1, 2))
+        # A device in cutoff is never in triode (see above).
+        return 2 * (self.vov > 0.0) - self.triode
 
 
 class MosGroup:
@@ -243,18 +248,37 @@ class MosGroup:
         self.phi_floor = 0.02 * self.phi
         self.half_gamma = 0.5 * self.gamma
         self.beta_lambd = self.beta * self.lambd
-        # Charge-model constants.
-        cox_tot = np.array([mod.cox for mod in mods]) * width * leff
-        self.cox_tot = cox_tot
-        self.half_cox = 0.5 * cox_tot
-        self.two_thirds_cox = (2.0 / 3.0) * cox_tot
-        self.c_ov_gs = np.array([mod.cgso for mod in mods]) * width
-        self.c_ov_gd = np.array([mod.cgdo for mod in mods]) * width
-        self.c_ov_gb = np.array([mod.cgbo for mod in mods]) * leff
+        # Charge model: Meyer, overlap and junction capacitances are
+        # constant within each (region, reversed) case, so they are one
+        # table lookup per accepted point (see :meth:`cap_values`).
+        cox = np.array([mod.cox for mod in mods]) * width * leff
+        c_ov = (np.array([mod.cgso for mod in mods]) * width,
+                np.array([mod.cgdo for mod in mods]) * width,
+                np.array([mod.cgbo for mod in mods]) * leff)
         area = width * np.array([mod.ldiff for mod in mods])
         perim = width + 2 * np.array([mod.ldiff for mod in mods])
-        self.c_jxn = (np.array([mod.cj for mod in mods]) * area
-                      + np.array([mod.cjsw for mod in mods]) * perim)
+        c_jxn = (np.array([mod.cj for mod in mods]) * area
+                 + np.array([mod.cjsw for mod in mods]) * perim)
+        zero = np.zeros(n)
+        # Meyer (cgs, cgd, cgb) of the effective frame in cutoff, triode
+        # and saturation.
+        meyer = ((zero, zero, cox),
+                 (0.5 * cox, 0.5 * cox, zero),
+                 ((2.0 / 3.0) * cox, zero, zero))
+        table = np.empty((len(CAP_NAMES), n, 6))
+        for region, (cgs, cgd, cgb) in enumerate(meyer):
+            for rev in (0, 1):
+                # Meyer cgs/cgd are referenced to the effective source and
+                # drain: a reversed device swaps them back to physical.
+                if rev:
+                    cgs, cgd = cgd, cgs
+                table[:, :, 2 * region + rev] = (
+                    cgs + c_ov[0], cgd + c_ov[1], cgb + c_ov[2],
+                    c_jxn, c_jxn)
+        #: ``cap_table[k, 6 * i + 2 * region + reversed]`` is capacitance
+        #: ``CAP_NAMES[k]`` of device ``i`` (F, physical frame).
+        self.cap_table = table.reshape(len(CAP_NAMES), 6 * n)
+        self._cap_rows = 6 * np.arange(n)
 
     @_trace.timed("spice.mos_eval")
     def evaluate(self, v: np.ndarray) -> MosEval:
@@ -298,6 +322,12 @@ class MosGroup:
             vov=vov,
         )
 
+    def cap_values(self, ev: MosEval) -> np.ndarray:
+        """Capacitances ``(len(CAP_NAMES), count)`` of evaluation *ev*,
+        rows in :data:`CAP_NAMES` order."""
+        return self.cap_table[:, self._cap_rows + 2 * ev.region
+                              + ev.reversed]
+
     def capacitances(self, v: np.ndarray,
                      ev: MosEval | None = None) -> dict[str, np.ndarray]:
         """Meyer gate capacitances + overlaps + zero-bias junctions.
@@ -309,17 +339,4 @@ class MosGroup:
         """
         if ev is None:
             ev = self.evaluate(v)
-        cutoff, triode = ev.cutoff, ev.triode
-        cgb_i = np.where(cutoff, self.cox_tot, 0.0)
-        cgd_i = np.where(triode, self.half_cox, 0.0)
-        cgs_i = np.where(triode, self.half_cox,
-                         np.where(cutoff, 0.0, self.two_thirds_cox))
-
-        # Meyer "cgs"/"cgd" are referenced to the effective source/drain;
-        # when the device is reversed, swap them back to physical terms.
-        cgs = np.where(ev.reversed, cgd_i, cgs_i) + self.c_ov_gs
-        cgd = np.where(ev.reversed, cgs_i, cgd_i) + self.c_ov_gd
-        cgb = cgb_i + self.c_ov_gb
-        cbd = self.c_jxn.copy()
-        cbs = self.c_jxn.copy()
-        return {"cgs": cgs, "cgd": cgd, "cgb": cgb, "cbd": cbd, "cbs": cbs}
+        return dict(zip(CAP_NAMES, self.cap_values(ev)))

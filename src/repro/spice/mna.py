@@ -119,6 +119,11 @@ class MnaSystem:
             np.full(self.n_branch, self.abstol)])
         #: Newton iterations of the last converged :meth:`newton` call.
         self.last_iterations = 0
+        #: The MOSFET evaluation the last converged :meth:`newton` call
+        #: stamped its final iteration with (``None`` without MOSFETs).
+        self.last_mos_eval: MosEval | None = None
+        # The MOSFET evaluation of the latest :meth:`stamp_nonlinear`.
+        self._stamped_eval: MosEval | None = None
 
     # ------------------------------------------------------------------
     # compilation
@@ -342,14 +347,16 @@ class MnaSystem:
                         mos_eval: MosEval | None = None) -> np.ndarray:
         """Companion-linearize all nonlinear groups at *x_full* (which
         includes the 0 V ground entry) and return their stamps as a flat
-        ``[A | b]`` array.  *mos_eval* is the MOSFET evaluation at
-        *x_full* when the caller already has it."""
+        ``[A | b]`` array.  The MOSFETs are linearized at *mos_eval* when
+        given, else at an evaluation of *x_full*; the evaluation used is
+        kept for :meth:`newton` to hand on."""
         # Each group stamps pos at rows of one terminal and -pos at rows
         # of the other (see _mirror).
         positions, values = [], []
         if self.mos_group is not None:
             ev = (self.mos_group.evaluate(x_full) if mos_eval is None
                   else mos_eval)
+            self._stamped_eval = ev
             gm, gds, gmb = ev.gm, ev.gds, ev.gmb
             # ids minus its linearization, in the physical frame.
             i_lin = self.mos_group.sign * (gm * ev.vgs + gds * ev.vds
@@ -411,12 +418,19 @@ class MnaSystem:
             source_scale: multiplies independent sources (source stepping).
             max_iter: Newton iteration limit.
             damping: maximum per-iteration node-voltage change (V).
-            mos_eval: the MOSFET evaluation at *x0*, used by the first
-                iteration instead of evaluating *x0* again.
+            mos_eval: a MOSFET evaluation the first iteration linearizes
+                at instead of evaluating *x0* (the transient stepper
+                passes the previous call's :attr:`last_mos_eval`).
 
         Returns:
             The solution vector (node voltages then branch currents).
-            :attr:`last_iterations` holds the iterations it took.
+            :attr:`last_iterations` holds the iterations it took, and
+            :attr:`last_mos_eval` the MOSFET evaluation its final
+            iteration was linearized at (the iterate before the returned
+            solution).  Like Spice3's retained device state, it stands
+            in for an evaluation at the solution: the transient stepper
+            derives the device capacitances from it and passes it on as
+            the next call's *mos_eval*.  A failed call changes neither.
 
         Raises:
             ConvergenceError: Newton failed to converge.
@@ -472,6 +486,7 @@ class MnaSystem:
     def _accept(self, iteration: int, x: np.ndarray) -> np.ndarray:
         """Record a call that converged at 0-based *iteration*."""
         self.last_iterations = iteration + 1
+        self.last_mos_eval = self._stamped_eval
         _ITERATIONS.observe(iteration + 1)
         return x
 
@@ -525,13 +540,15 @@ class MnaSystem:
                      mos_eval: MosEval | None = None) -> np.ndarray:
         """Values of all capacitances (linear + device) at *x_full*,
         between the terminals :attr:`dyn_n1` / :attr:`dyn_n2`.  Used by
-        the transient companion models.  *mos_eval* is the MOSFET
-        evaluation at *x_full* when the caller already has it."""
-        if self.mos_group is None:
+        the transient companion models.  The MOSFET capacitances come
+        from *mos_eval* when given, else from an evaluation of
+        *x_full*."""
+        grp = self.mos_group
+        if grp is None:
             return self.cap_val.copy()
-        caps = self.mos_group.capacitances(x_full, mos_eval)
-        return np.concatenate([self.cap_val, caps["cgs"], caps["cgd"],
-                               caps["cgb"], caps["cbd"], caps["cbs"]])
+        ev = grp.evaluate(x_full) if mos_eval is None else mos_eval
+        return np.concatenate([self.cap_val, grp.cap_values(ev)],
+                              axis=None)
 
     # ------------------------------------------------------------------
     # result helpers

@@ -14,6 +14,9 @@ The acceptance rule is not bit-identity:
 * every out-node sample within ``VTOL`` of the golden sample, one tenth
   of the solver's own node-voltage tolerance ``vntol``.
 
+A second test pins the span's work exactly: MOSFET evaluations, stamps
+(one per Newton iteration) and Newton calls.
+
 Re-record (only for a deliberate numerical change, noted in CHANGES.md)::
 
     PYTHONPATH=src python tests/spice/test_eldo_exactness.py --record
@@ -93,6 +96,49 @@ def test_eldo_span_matches_golden():
     assert len(run["out"]) == len(golden["out"])
     np.testing.assert_allclose(run["out"], golden["out"], rtol=0.0,
                                atol=VTOL)
+
+
+def test_eldo_span_work_count(monkeypatch):
+    """Deterministic work counts of the span: no timing noise.
+
+    Every ``MosGroup.evaluate`` call is a stepper's initial one or a
+    Newton iteration's that was not handed an evaluation.  A transient
+    Newton call gets the previous call's final evaluation for its first
+    iteration (and the capacitances use it too), so a re-added
+    evaluation at each accepted point breaks the balance below.
+    """
+    from repro.spice.analysis.tran import TransientStepper
+    from repro.spice.devices.mosfet import MosGroup
+    from repro.spice.mna import MnaSystem
+
+    counts = dict.fromkeys(
+        ("evaluate", "stamp_nonlinear", "newton", "carried", "__init__"), 0)
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            if name == "newton" and kwargs.get("mos_eval") is not None:
+                counts["carried"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(MosGroup, "evaluate")
+    count(MnaSystem, "stamp_nonlinear")
+    count(MnaSystem, "newton")
+    count(TransientStepper, "__init__")
+    run_eldo_span()
+    steppers = counts["__init__"]
+    assert steppers == 1
+    # Only the initial DC solve goes without a carried evaluation.
+    assert counts["newton"] == 641
+    assert counts["carried"] == counts["newton"] - steppers
+    assert counts["stamp_nonlinear"] == 1504
+    assert counts["evaluate"] == (counts["stamp_nonlinear"]
+                                  - counts["carried"] + steppers)
+    assert counts["evaluate"] == 865
 
 
 if __name__ == "__main__":

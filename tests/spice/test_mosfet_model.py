@@ -12,6 +12,7 @@ from repro.spice import (
     generic_018,
     operating_point,
 )
+from repro.spice.devices.mosfet import MosGroup, MosModel
 
 CARDS = generic_018()
 
@@ -128,6 +129,100 @@ class TestCapacitances:
         caps = self._caps(vg=0.9, vd=0.9)
         for arr in caps.values():
             assert np.all(arr >= 0)
+
+
+class TestCapTable:
+    """The compiled ``(region, reversed)`` capacitance table against the
+    Meyer definition and against the per-call ``np.where`` chain it
+    replaced."""
+
+    #: Unequal overlaps and a lateral diffusion, so a swapped or
+    #: misplaced term shows.
+    MODELS = {
+        "nx": MosModel("nx", "n", cgso=2e-10, cgdo=3.5e-10, cgbo=1.5e-10,
+                       ld=0.02e-6),
+        "px": MosModel("px", "p", vto=-0.45, kp=7e-5, cgso=2.5e-10,
+                       cgdo=1e-10, cgbo=0.5e-10, ld=0.03e-6),
+    }
+    W, L, M = 3e-6, 0.5e-6, 2.0
+    #: Effective-frame (vgs, vds) of each region.
+    BIAS = {0: (0.2, 0.5), 1: (1.3, 0.2), 2: (0.9, 1.2)}
+
+    @classmethod
+    def group(cls, models, nodes):
+        devices = [Mosfet(f"m{i}", *terms, model, w=cls.W, l=cls.L,
+                          m=cls.M)
+                   for i, (model, terms) in enumerate(zip(models, nodes))]
+        # Nodes in order of appearance, then the ground sentinel.
+        names = dict.fromkeys(n for t in nodes for n in t if n != "0")
+        node_index = {name: i for i, name in enumerate(names)}
+        node_index["0"] = len(node_index)
+        return MosGroup(devices, cls.MODELS, node_index), node_index
+
+    @classmethod
+    def constants(cls, mod):
+        """Cox, overlaps and junction cap written from the model card."""
+        width = cls.W * cls.M
+        leff = cls.L - 2 * mod.ld
+        cox = mod.cox * width * leff
+        jxn = (mod.cj * width * mod.ldiff
+               + mod.cjsw * (width + 2 * mod.ldiff))
+        return cox, mod.cgso * width, mod.cgdo * width, mod.cgbo * leff, jxn
+
+    @pytest.mark.parametrize("model", ["nx", "px"])
+    @pytest.mark.parametrize("region", [0, 1, 2])
+    @pytest.mark.parametrize("reversed_", [False, True])
+    def test_lookup_is_the_meyer_definition(self, model, region,
+                                            reversed_):
+        grp, _ = self.group([model], [("d", "g", "s", "b")])
+        vgs, vds = self.BIAS[region]
+        ev, _ids = TestDerivativeOracle.evaluate(grp, vgs, vds, 0.0,
+                                                 reversed_)
+        assert int(ev.region[0]) == region
+        assert bool(ev.reversed[0]) is reversed_
+        cox, ov_gs, ov_gd, ov_gb, jxn = self.constants(self.MODELS[model])
+        # Meyer caps to the effective source, drain and bulk.
+        src, drn, blk = {0: (0.0, 0.0, cox),
+                         1: (cox / 2, cox / 2, 0.0),
+                         2: (2 * cox / 3, 0.0, 0.0)}[region]
+        if reversed_:
+            src, drn = drn, src
+        expect = {"cgs": src + ov_gs, "cgd": drn + ov_gd,
+                  "cgb": blk + ov_gb, "cbd": jxn, "cbs": jxn}
+        caps = grp.capacitances(None, ev)
+        assert set(caps) == set(expect)
+        for name, value in expect.items():
+            assert caps[name][0] == pytest.approx(value, rel=1e-12,
+                                                  abs=0.0), name
+
+    def test_bit_equal_to_where_chain_at_random_biases(self):
+        rng = np.random.default_rng(5)
+        n_dev = 12
+        models = ["nx", "px"] * (n_dev // 2)
+        nodes = [tuple(rng.choice(["a", "b", "c", "d", "e", "0"], 4,
+                                  replace=False)) for _ in range(n_dev)]
+        grp, node_index = self.group(models, nodes)
+        consts = np.array([self.constants(self.MODELS[m]) for m in models]).T
+        cox, ov_gs, ov_gd, ov_gb, jxn = consts
+        seen = set()
+        for _ in range(200):
+            v = np.append(rng.uniform(-0.6, 2.4, len(node_index) - 1), 0.0)
+            ev = grp.evaluate(v)
+            caps = grp.capacitances(v, ev)
+            # The chain the table replaced, verbatim.
+            cutoff, triode = ev.cutoff, ev.triode
+            cgb_i = np.where(cutoff, cox, 0.0)
+            cgd_i = np.where(triode, 0.5 * cox, 0.0)
+            cgs_i = np.where(triode, 0.5 * cox,
+                             np.where(cutoff, 0.0, (2.0 / 3.0) * cox))
+            chain = {
+                "cgs": np.where(ev.reversed, cgd_i, cgs_i) + ov_gs,
+                "cgd": np.where(ev.reversed, cgs_i, cgd_i) + ov_gd,
+                "cgb": cgb_i + ov_gb, "cbd": jxn, "cbs": jxn}
+            for name, want in chain.items():
+                np.testing.assert_array_equal(caps[name], want, name)
+            seen.update(zip(grp.sign, 2 * ev.region + ev.reversed))
+        assert len(seen) == 12  # both types in all six cases
 
 
 class TestDerivativeOracle:

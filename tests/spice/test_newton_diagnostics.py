@@ -77,6 +77,57 @@ class TestIterationCount:
         assert stepper.newton_iterations == stamps[0] >= 4
 
 
+class TestCarriedEvaluation:
+    def test_failed_call_never_feeds_the_next_step(self, monkeypatch):
+        """The MOSFET evaluation handed to the capacitances and to the
+        next step comes from the last accepted sub-step, even when the
+        failed call before it evaluated iterates of its own."""
+        stepper = TransientStepper(inverter(), 20e-12)
+        stepper.run_until(1e-9)  # the next step crosses the input edge
+        system = stepper.system
+        evaluate = system.mos_group.evaluate
+        newton = system.newton
+        failing = [True]
+        failed_evals, accepted, handed = [], [], []
+
+        def logged_evaluate(v):
+            ev = evaluate(v)
+            if failing[0]:
+                failed_evals.append(ev)
+            return ev
+
+        def fail_first(*args, **kwargs):
+            handed.append(kwargs["mos_eval"])
+            if failing[0]:
+                before = system.last_mos_eval
+                # A tiny damping keeps both iterations from converging.
+                with pytest.raises(ConvergenceError) as info:
+                    newton(*args, max_iter=2, damping=1e-12, **kwargs)
+                failing[0] = False
+                assert system.last_mos_eval is before
+                raise info.value
+            x = newton(*args, **kwargs)
+            accepted.append(system.last_mos_eval)
+            return x
+
+        monkeypatch.setattr(system.mos_group, "evaluate", logged_evaluate)
+        monkeypatch.setattr(system, "newton", fail_first)
+        before = SUBSTEPS.value
+        stepper.step()
+        assert SUBSTEPS.value - before == 1
+        # The failed call's second iteration evaluated its iterate.
+        assert len(failed_evals) == 1
+        assert len(accepted) == 4
+        carried = stepper._mos_eval
+        assert carried is accepted[-1]
+        assert all(carried is not ev for ev in failed_evals)
+        x_full = system.full_vector(stepper.x)
+        np.testing.assert_array_equal(stepper.c_val,
+                                      system.dynamic_caps(x_full, carried))
+        stepper.step()
+        assert handed[-1] is carried
+
+
 class TestConvergenceDiagnostics:
     def test_newton_failure_names_time_node_and_residual(self):
         system = MnaSystem(inverter())

@@ -52,11 +52,13 @@ def test_traced_eldo_row_has_spice_spans():
     assert newton.count == step.count
     stamp = newton.children["spice.stamp"]
     assert stamp.count == newton.children["spice.solve"].count
-    # The accepted point's MOSFET evaluation feeds the capacitances and
-    # the next step's first iteration, so only later iterations
-    # evaluate inside the stamp.
-    assert step.children["spice.mos_eval"].count == step.count
+    # The converged call's final MOSFET evaluation feeds the
+    # capacitances and the next step's first iteration: nothing is
+    # evaluated at the accepted point, and only the second and later
+    # iterations evaluate inside the stamp.
+    assert "spice.mos_eval" not in step.children
     assert step.children["spice.caps"].count == step.count
+    assert not step.children["spice.caps"].children
     assert stamp.children["spice.mos_eval"].count == (stamp.count
                                                       - newton.count)
 
