@@ -10,7 +10,8 @@ arrays, configuration objects, nested containers):
   self-contained JSON) or collected into a side table destined for an
   ``.npz`` payload; dataclasses round-trip by import path (fields
   added after a payload was written decode to their defaults, so
-  evolving spec dataclasses stay readable); enum members round-trip
+  evolving spec dataclasses stay readable, and a field the dataclass
+  no longer declares raises ``TypeError``); enum members round-trip
   by import path *and value* (an ``IntEnum`` is an ``int``, but
   decaying it would lose the type - e.g. the ``Severity`` of a
   ``LintFinding``); callables round-trip as ``module:qualname``
@@ -209,8 +210,8 @@ def from_jsonable(obj: Any,
         cls = resolve_callable(obj["__dataclass__"])
         instance = cls.__new__(cls)
         # Seed defaults first so fields added after the payload was
-        # written still exist on the decoded object; fields removed
-        # since then are dropped.
+        # written still exist on the decoded object; a field removed
+        # since then means the document describes something else.
         names = set()
         for f in dataclasses.fields(cls):
             names.add(f.name)
@@ -219,9 +220,11 @@ def from_jsonable(obj: Any,
             elif f.default_factory is not dataclasses.MISSING:
                 object.__setattr__(instance, f.name, f.default_factory())
         for name, encoded in obj["fields"].items():
-            if name in names:
-                object.__setattr__(instance, name,
-                                   from_jsonable(encoded, arrays))
+            if name not in names:
+                raise TypeError(f"{cls.__qualname__} has no field "
+                                f"{name!r}")
+            object.__setattr__(instance, name,
+                               from_jsonable(encoded, arrays))
         return instance
     if "__enum__" in obj:
         cls = resolve_callable(obj["__enum__"])

@@ -16,9 +16,11 @@ that front door for the repository:
   reference or compiled engine, optional transistor co-simulation)
   and ``golden_packet``; all picklable campaign scenario functions,
 * :mod:`repro.link.pipeline` - the staged signal-path pipeline the
-  golden model executes chunk by chunk (Tx -> Channel -> Combine ->
-  AnalogFrontEnd -> Decision over a batched :class:`LinkState`), with
-  interferers entering at the :class:`CombineStage`,
+  golden model executes chunk by chunk: a Tx -> Channel -> Combine ->
+  AnalogFrontEnd front over a :class:`LinkState`, with interferers
+  entering at the :class:`CombineStage`, graded by
+  :func:`run_ber_sweep` through one :class:`DecisionStage` per
+  integrator variant,
 * :mod:`repro.link.backends` - the spec -> component builders every
   operation shares (integrator, band-pass, converter, channel,
   receiver, pilot calibration, interferer paths);
@@ -54,9 +56,7 @@ from repro.link.pipeline import (
     InterfererPath,
     LinkState,
     SignalPipeline,
-    Stage,
     TxStage,
-    build_link_pipeline,
     run_ber_point,
     run_ber_sweep,
 )
@@ -67,7 +67,6 @@ from repro.link.backends import (
     build_channel_realization,
     build_integrator,
     build_interferer_paths,
-    build_interferer_realization,
     build_receiver,
     calibrate,
     split_network,
@@ -95,7 +94,6 @@ __all__ = [
     "LinkState",
     "NetworkSpec",
     "SignalPipeline",
-    "Stage",
     "TxStage",
     "build_adc",
     "build_bpf",
@@ -103,8 +101,6 @@ __all__ = [
     "build_channel_realization",
     "build_integrator",
     "build_interferer_paths",
-    "build_interferer_realization",
-    "build_link_pipeline",
     "build_receiver",
     "calibrate",
     "ops",

@@ -36,7 +36,6 @@ from repro.link.pipeline import (
 )
 from repro.link.spec import (
     INTEGRATORS,
-    InterfererSpec,
     LinkSpec,
     NetworkSpec,
 )
@@ -229,19 +228,6 @@ def calibrate(spec: LinkSpec) -> _LinkCache:
                            build_bpf(spec)))
 
 
-def build_interferer_realization(intf: InterfererSpec, spec: LinkSpec
-                                 ) -> ChannelRealization | None:
-    """The interferer's own channel realization (independent CM1 draw
-    from its ``realization_seed``), or ``None`` for an ideal path.
-
-    Exactly the victim's construction path, pointed at the
-    interferer's :class:`~repro.link.spec.ChannelSpec` - victim and
-    interferer channels can never diverge in how they are built.
-    """
-    return build_channel_realization(
-        dataclasses.replace(spec, channel=intf.channel))
-
-
 def build_interferer_paths(network: NetworkSpec, *,
                            cache: _LinkCache | None = None
                            ) -> tuple[InterfererPath, ...]:
@@ -256,6 +242,12 @@ def build_interferer_paths(network: NetworkSpec, *,
     unit transmit amplitude and the received ratio emerges from the
     channels' path losses (the near-far configuration).
 
+    Each interferer's own channel (an independent CM1 draw from its
+    ``realization_seed``, or ``None`` for an ideal path) is built by
+    the victim's construction path pointed at the interferer's
+    :class:`~repro.link.spec.ChannelSpec`, so victim and interferer
+    channels can never diverge in how they are built.
+
     Args:
         network: the multi-user scenario.
         cache: the victim's pilot calibration, if the caller already
@@ -267,7 +259,8 @@ def build_interferer_paths(network: NetworkSpec, *,
         cache = calibrate(victim)
     paths = []
     for intf in network.interferers:
-        realization = build_interferer_realization(intf, victim)
+        realization = build_channel_realization(
+            dataclasses.replace(victim, channel=intf.channel))
         if intf.rel_power_db is None:
             amplitude = 1.0
         else:
@@ -309,10 +302,10 @@ def draw_stimulus(spec: LinkSpec, ebn0_db: float, n: int,
     state = SignalPipeline(stages=(
         TxStage(cfg),
         ChannelStage(cfg, cache.channel),
-        CombineStage(cfg, sigma),
+        CombineStage(cfg),
     )).run_chunk(n, rng)
     scale = spec.frontend.squarer_drive / cache.peak
-    noisy = state.waveform + state.sigma * state.unit
+    noisy = state.waveform + sigma * state.unit
     return state.bits, scale * cache.bpf(noisy)[:n * cfg.samples_per_symbol]
 
 

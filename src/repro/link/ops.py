@@ -126,7 +126,7 @@ def ber_sweep(spec: LinkSpec | NetworkSpec, ebn0_grid,
     front = SignalPipeline(stages=(
         TxStage(cfg),
         ChannelStage(cfg, cache.channel),
-        CombineStage(cfg, 0.0, interferers),
+        CombineStage(cfg, interferers),
         AnalogFrontEndStage(cfg, cache.bpf,
                             victim.frontend.squarer_drive / cache.peak),
     ))

@@ -6,8 +6,10 @@ noise, band-pass, squarer, integrator and decision fused into a single
 function body.  That shape made the single-transmitter assumption
 structural - there was no seam where a second transmitter's waveform
 could enter the chunk.  This module is the refactor that opens that
-seam: the chunk computation becomes a :class:`SignalPipeline` of five
-composable stages operating on a batched :class:`LinkState`,
+seam: the chunk computation becomes a :class:`SignalPipeline` front of
+four stages operating on a :class:`LinkState`, graded by
+:func:`run_ber_sweep` through one :class:`DecisionStage` per
+integrator variant,
 
     :class:`TxStage` -> :class:`ChannelStage` -> :class:`CombineStage`
     -> :class:`AnalogFrontEndStage` -> :class:`DecisionStage`
@@ -132,12 +134,9 @@ class LinkState:
     Attributes:
         n: symbols in this chunk.
         rng: the chunk's entropy source (bit draws and noise).
-        sigmas: optional per-scenario noise standard deviations.  When
-            set, the :class:`DecisionStage` grades one row per noise
-            scale, all from the chunk's shared draws, and its outputs
-            grow that leading axis.
-        sigma: the noise standard deviation of an unbatched chunk
-            (``sigmas`` is ``None``); set by :class:`CombineStage`.
+        sigmas: the noise standard deviations :func:`run_ber_sweep`
+            grades this chunk at, one row each (``None`` outside a
+            sweep); no stage reads them.
         bits: victim payload bits (set by :class:`TxStage`; shared
             across scenario rows).
         waveform: clean waveform at the antenna reference plane -
@@ -150,11 +149,6 @@ class LinkState:
             :class:`AnalogFrontEndStage`).
         noise: ``unit`` through the same band-pass and scaling, same
             shape; row ``i`` squares ``signal + sigmas[i] * noise``.
-        slot_values: integrator outputs per slot, shape ``(..., n, 2)``,
-            post-ADC when the pipeline quantizes (set by
-            :class:`DecisionStage`).
-        decisions: larger-slot decisions, one int8 bit per symbol
-            (per scenario row in batched mode).
         pending: helper-thread jobs by the field their result fills
             (see :meth:`defer`); a pending field reads ``None`` until
             :meth:`settle`.
@@ -163,14 +157,11 @@ class LinkState:
     n: int
     rng: np.random.Generator
     sigmas: np.ndarray | None = None
-    sigma: float = 0.0
     bits: np.ndarray | None = None
     waveform: np.ndarray | None = None
     unit: np.ndarray | None = None
     signal: np.ndarray | None = None
     noise: np.ndarray | None = None
-    slot_values: np.ndarray | None = None
-    decisions: np.ndarray | None = None
     pending: dict[str, futures.Future] = field(default_factory=dict,
                                                repr=False)
 
@@ -189,17 +180,6 @@ class LinkState:
         jobs, self.pending = self.pending, {}
         for name, job in jobs.items():
             setattr(self, name, job.result())
-
-
-class Stage:
-    """One step of the signal path; mutates the :class:`LinkState`."""
-
-    #: Span name this stage reports under when tracing is enabled
-    #: (see :mod:`repro.obs.trace`); subclasses override.
-    span_name = "link.stage"
-
-    def process(self, state: LinkState) -> None:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -241,28 +221,21 @@ class InterfererPath:
         scatter-add at their circularly offset positions); a channel
         realization spreads the train, so it is convolved densely.
         """
-        n_sym = config.samples_per_symbol
-        total = len(bits) * n_sym
-        pulses = None if self.channel is not None else \
-            ppm_pulse_samples(bits, config)
-        if pulses is not None:
-            index, value = pulses
+        total = len(bits) * config.samples_per_symbol
+        if self.channel is None:
+            index, value = ppm_pulse_samples(bits, config)
             if self.offset_samples:
                 index = (index + self.offset_samples) % total
             waveform[index] += self.amplitude * value
             return
-        wave = ppm_waveform(bits, config)
-        if self.channel is not None:
-            wave = self.channel.apply(wave)[
-                self.channel.delay_samples:
-                self.channel.delay_samples + total]
+        wave = self.channel.received(ppm_waveform(bits, config), total)
         if self.offset_samples:
             wave = np.roll(wave, self.offset_samples)
         waveform += self.amplitude * wave
 
 
 @dataclass
-class TxStage(Stage):
+class TxStage:
     """Victim transmitter: draw payload bits, synthesize the 2-PPM
     pulse train."""
 
@@ -275,7 +248,7 @@ class TxStage(Stage):
 
 
 @dataclass
-class ChannelStage(Stage):
+class ChannelStage:
     """Victim propagation: convolve with the realization and trim the
     propagation delay to whole symbols (a no-op on the ideal link)."""
 
@@ -286,39 +259,30 @@ class ChannelStage(Stage):
     def process(self, state: LinkState) -> None:
         if self.channel is None:
             return
-        n_sym = self.config.samples_per_symbol
-        state.waveform = self.channel.apply(state.waveform)[
-            self.channel.delay_samples:
-            self.channel.delay_samples + state.n * n_sym]
+        state.waveform = self.channel.received(
+            state.waveform, state.n * self.config.samples_per_symbol)
 
 
 @dataclass
-class CombineStage(Stage):
+class CombineStage:
     """Sum interfering transmitters into the victim waveform and draw
     the chunk's unit-variance noise vector.
 
     Interferers draw fresh bits from the chunk's generator (in path
     order), then the helper thread draws the noise (field ``unit``)
     while the interferers are added in at their calibrated amplitudes.
-    The noise is drawn once, whatever the number of scenario rows;
-    ``sigma`` (the unbatched chunk's noise scale) is sized against the
-    *victim's* pilot energy - interference is extra disturbance on top
-    of the thermal-noise operating point, matching the standard SIR
-    convention.
+    The noise is drawn once, whatever the number of scenario rows.
 
     With no interferers the victim waveform passes through untouched
     (not even an add of zero).
     """
 
     config: UwbConfig
-    sigma: float
     interferers: tuple[InterfererPath, ...] = ()
     span_name = "link.combine"
 
     def __post_init__(self) -> None:
         self.interferers = tuple(self.interferers)
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
 
     def process(self, state: LinkState) -> None:
         bits = [random_bits(state.n, state.rng) for _ in self.interferers]
@@ -326,13 +290,12 @@ class CombineStage(Stage):
         # the job is joined.
         state.defer("unit", state.rng.standard_normal,
                     len(state.waveform))
-        state.sigma = self.sigma
         for path, path_bits in zip(self.interferers, bits):
             path.add_to(state.waveform, path_bits, self.config)
 
 
 @dataclass
-class AnalogFrontEndStage(Stage):
+class AnalogFrontEndStage:
     """Receiver analog front end: band-pass and AGC drive scaling of the
     clean waveform and of the unit noise, each once per chunk (output
     reshaped into per-slot windows; the squarer runs per noise scale in
@@ -365,7 +328,7 @@ class AnalogFrontEndStage(Stage):
 
 
 @dataclass
-class DecisionStage(Stage):
+class DecisionStage:
     """Squarer, integrator model per slot, optional ADC, larger-slot
     decision - per noise scale (the scenario axis lives here)."""
 
@@ -433,11 +396,6 @@ class DecisionStage(Stage):
             values[i] = self.integrator.window_outputs(row,
                                                        self.config.dt)
 
-    def process(self, state: LinkState) -> None:
-        sigmas = state.sigma if state.sigmas is None else state.sigmas
-        state.slot_values, state.decisions = self.decide(
-            state.signal, state.noise, sigmas)
-
 
 def _weighted_dot(x: np.ndarray, y: np.ndarray, weights: np.ndarray
                   ) -> np.ndarray:
@@ -448,9 +406,11 @@ def _weighted_dot(x: np.ndarray, y: np.ndarray, weights: np.ndarray
 
 @dataclass
 class SignalPipeline:
-    """An ordered stage composition executable chunk by chunk."""
+    """An ordered stage composition executable chunk by chunk: each
+    stage's ``process(state)`` mutates the chunk's :class:`LinkState`,
+    and its ``span_name`` labels it in a trace."""
 
-    stages: tuple[Stage, ...]
+    stages: tuple
 
     def __post_init__(self) -> None:
         self.stages = tuple(self.stages)
@@ -462,19 +422,11 @@ class SignalPipeline:
         """Push one fresh chunk of *n* symbols through every stage.
 
         Args:
-            sigmas: optional per-scenario noise standard deviations;
-                when given, a :class:`DecisionStage` grades one row
-                per sigma from the chunk's shared draws and its
-                outputs carry the leading scenario axis.
+            sigmas: the noise scales the chunk will be graded at,
+                recorded as :attr:`LinkState.sigmas`.
         """
         if n <= 0:
             raise ValueError("chunk size must be positive")
-        if sigmas is not None:
-            sigmas = np.asarray(sigmas, dtype=float)
-            if sigmas.ndim != 1:
-                raise ValueError("sigmas must be a 1-D vector")
-            if np.any(sigmas < 0):
-                raise ValueError("sigmas must be >= 0")
         state = LinkState(n=n, rng=rng, sigmas=sigmas)
         try:
             # Hot path: the disabled branch must stay the bare stage
@@ -496,66 +448,17 @@ class SignalPipeline:
         state.settle()
         return state
 
-    def stage(self, kind: type) -> Stage:
-        """The first stage of class *kind* (test/diagnostic hook)."""
-        for stage in self.stages:
-            if isinstance(stage, kind):
-                return stage
-        raise KeyError(f"no {kind.__name__} in pipeline")
 
-
-def build_link_pipeline(config: UwbConfig, *,
-                        integrator: WindowIntegrator,
-                        bpf: BandPassFilter,
-                        sigma: float,
-                        scale: float,
-                        channel: ChannelRealization | None = None,
-                        adc: Adc | None = None,
-                        interferers: Sequence[InterfererPath] = ()
-                        ) -> SignalPipeline:
-    """The canonical five-stage BER pipeline for one operating point.
-
-    Args:
-        config: link timing/sampling configuration.
-        integrator: resolved integrator model deciding slot energies.
-        bpf: receiver band-pass (pass the calibration pilot's filter so
-            noise sizing and the data path agree).
-        sigma: per-sample AWGN standard deviation at this Eb/N0.
-        scale: drive scaling mapping the clean filtered peak onto the
-            squarer operating point.
-        channel: victim multipath realization (``None`` = ideal link).
-        adc: optional converter in the decision path.
-        interferers: resolved interfering transmitters summed in at the
-            :class:`CombineStage`.
-    """
-    return SignalPipeline(stages=(
-        TxStage(config),
-        ChannelStage(config, channel),
-        CombineStage(config, sigma, tuple(interferers)),
-        AnalogFrontEndStage(config, bpf, scale),
-        DecisionStage(config, integrator, adc),
-    ))
-
-
-def run_ber_point(pipeline: SignalPipeline, rng: np.random.Generator,
+def run_ber_point(front: SignalPipeline, decider: DecisionStage,
+                  sigma: float, rng: np.random.Generator,
                   **rule) -> tuple[int, int]:
     """Monte-Carlo chunk loop over one operating point: the 1x1 case of
-    :func:`run_ber_sweep` (same stopping-rule keywords).
-
-    *pipeline* is a canonical :func:`build_link_pipeline` composition:
-    its trailing :class:`DecisionStage` grades the chunks and its
-    :class:`CombineStage` ``sigma`` is the point's noise scale.
+    :func:`run_ber_sweep` (same arguments and stopping-rule keywords).
 
     Returns:
         ``(errors, bits)`` counters.
     """
-    *front, decider = pipeline.stages
-    if not isinstance(decider, DecisionStage):
-        raise ValueError("run_ber_point needs a pipeline ending in a "
-                         "DecisionStage")
-    sigma = pipeline.stage(CombineStage).sigma
-    errors, bits = run_ber_sweep(SignalPipeline(stages=tuple(front)),
-                                 (decider,), (sigma,), rng, **rule)
+    errors, bits = run_ber_sweep(front, (decider,), (sigma,), rng, **rule)
     return int(errors[0, 0]), int(bits[0, 0])
 
 
@@ -656,8 +559,12 @@ def run_ber_sweep(front: SignalPipeline,
         front: the shared pipeline front (no :class:`DecisionStage`).
         deciders: one decision stage per integrator variant; all
             variants share the front-end computation of each chunk.
-        sigmas: per-scenario noise standard deviations (one per Eb/N0
-            point of the sweep).
+        sigmas: a 1-D vector of per-scenario noise standard
+            deviations, each >= 0 (one per Eb/N0 point of the sweep).
+            They are sized against the *victim's* pilot energy:
+            interference is extra disturbance on top of the
+            thermal-noise operating point (the standard SIR
+            convention).
         rng: the sweep's single shared generator.
 
     Returns:
@@ -673,6 +580,10 @@ def run_ber_sweep(front: SignalPipeline,
     if target_errors < 1:
         raise ValueError("target_errors must be >= 1")
     sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 1:
+        raise ValueError("sigmas must be a 1-D vector")
+    if np.any(sigmas < 0):
+        raise ValueError("sigmas must be >= 0")
     deciders = tuple(deciders)
     n_dec, n_pts = len(deciders), len(sigmas)
     errors = np.zeros((n_dec, n_pts), dtype=np.int64)

@@ -127,6 +127,13 @@ class ChannelRealization:
         tail = np.zeros(extra_tail)
         return np.concatenate([pad, out, tail])
 
+    def received(self, waveform: np.ndarray, n: int) -> np.ndarray:
+        """The first *n* samples the receiver sees of *waveform*:
+        :meth:`apply` with the propagation delay trimmed off, so the
+        receiver stays symbol-synchronous to the transmitter."""
+        return self.apply(waveform)[self.delay_samples:
+                                    self.delay_samples + n]
+
     @property
     def delay_seconds(self) -> float:
         return self.delay_samples / self.fs

@@ -203,9 +203,7 @@ class _LinkCache:
         n_samples = len(pilot_bits) * config.samples_per_symbol
         pilot = ppm_waveform(pilot_bits, config)
         if channel is not None:
-            pilot = channel.apply(pilot)[
-                channel.delay_samples:
-                channel.delay_samples + n_samples]
+            pilot = channel.received(pilot, n_samples)
         filtered = self.bpf(pilot)[:n_samples]
         self.eb = float(np.sum(filtered ** 2) * config.dt / len(pilot_bits))
         self.peak = float(np.max(np.abs(filtered)))

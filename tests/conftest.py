@@ -7,6 +7,13 @@ import pytest
 
 from repro.circuits import default_design
 from repro.core.characterize import characterize_integrator
+from repro.link.pipeline import (
+    AnalogFrontEndStage,
+    ChannelStage,
+    CombineStage,
+    SignalPipeline,
+    TxStage,
+)
 from repro.uwb.config import UwbConfig
 
 
@@ -21,6 +28,23 @@ def fast_config() -> UwbConfig:
     return UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
                      pulse_order=5, integration_window=2e-9,
                      preamble_symbols=8, payload_bits=16)
+
+
+@pytest.fixture
+def link_front():
+    """Builder of the golden-model BER front, Tx -> Channel -> Combine
+    -> AnalogFrontEnd: ``link_front(config, bpf, scale=..., channel=...,
+    interferers=...)`` returns the :class:`SignalPipeline` that
+    ``run_ber_sweep`` grades."""
+
+    def build(config, bpf, *, scale=1.0, channel=None, interferers=()):
+        return SignalPipeline(stages=(
+            TxStage(config),
+            ChannelStage(config, channel),
+            CombineStage(config, interferers),
+            AnalogFrontEndStage(config, bpf, scale)))
+
+    return build
 
 
 @pytest.fixture(scope="session")

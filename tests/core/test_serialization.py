@@ -118,6 +118,14 @@ class TestDataclassesAndObjects:
         back = from_jsonable(encoded)
         assert back.ci_low is None
 
+    def test_vanished_field_names_class_and_field(self):
+        """A payload with a field the dataclass no longer declares is
+        refused, naming both, instead of decoding with it dropped."""
+        encoded = to_jsonable(LinkSpec())
+        encoded["fields"]["phase"] = "II"
+        with pytest.raises(TypeError, match=r"LinkSpec.*'phase'"):
+            from_jsonable(encoded)
+
     def test_pickle_fallback_objects(self):
         bpf = BandPassFilter((2e9, 9e9), 20e9)
         back = roundtrip(bpf)

@@ -7,13 +7,13 @@ import pytest
 from repro.link import (
     ADC_MODES,
     ChannelSpec,
+    DecisionStage,
     FrontEndSpec,
     LinkSpec,
     NetworkSpec,
     build_bpf,
     build_channel_realization,
     build_integrator,
-    build_link_pipeline,
     build_receiver,
     calibrate,
     ops,
@@ -108,19 +108,18 @@ class TestBuilders:
 class TestFastsimBackend:
     """The golden-model operations: BER, packet decisions, ranging."""
 
-    def test_ber_point_matches_legacy_entry_point(self):
+    def test_ber_point_matches_legacy_entry_point(self, link_front):
         """The spec-level op and the config-level pipeline entry are
         the same computation: identical seed, identical counters."""
         budget = dict(target_errors=20, max_bits=3000, min_bits=500)
         spec = SPEC.with_frontend(band=(1.0e9, 3.5e9))
         via_op = ber_point(spec, 8.0, np.random.default_rng(5), **budget)
         cache = _LinkCache(FAST, None, build_bpf(spec))
-        pipeline = build_link_pipeline(
-            FAST, integrator=IdealIntegrator(), bpf=cache.bpf,
-            sigma=noise_sigma_for_ebn0(cache.eb, 8.0, FAST.fs),
-            scale=0.05 / cache.peak)
-        direct = run_ber_point(pipeline, np.random.default_rng(5),
-                               **budget)
+        direct = run_ber_point(
+            link_front(FAST, cache.bpf, scale=0.05 / cache.peak),
+            DecisionStage(FAST, IdealIntegrator()),
+            noise_sigma_for_ebn0(cache.eb, 8.0, FAST.fs),
+            np.random.default_rng(5), **budget)
         assert via_op == direct
 
     def test_ber_curve_decreases_with_snr(self):

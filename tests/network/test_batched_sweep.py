@@ -214,38 +214,32 @@ class TestRetirement:
 
 
 class TestValidation:
-    def _front_and_decider(self):
-        from repro.uwb.fastsim import _LinkCache
+    @pytest.fixture
+    def front(self, link_front):
+        return link_front(TEST_CONFIG, calibrate(SPEC).bpf)
 
-        cache = _LinkCache(TEST_CONFIG, None, None)
-        front = pipe.SignalPipeline(stages=(
-            pipe.TxStage(TEST_CONFIG),
-            pipe.ChannelStage(TEST_CONFIG, None),
-            pipe.CombineStage(TEST_CONFIG, 0.0, ()),
-            pipe.AnalogFrontEndStage(TEST_CONFIG, cache.bpf, 1.0)))
-        return front, pipe.DecisionStage(TEST_CONFIG,
-                                         IdealIntegrator(), None)
+    @pytest.fixture
+    def decider(self):
+        return pipe.DecisionStage(TEST_CONFIG, IdealIntegrator(), None)
 
     @pytest.mark.parametrize("bad", [dict(chunk_bits=0),
                                      dict(max_bits=0),
                                      dict(min_bits=-1),
                                      dict(target_errors=0)])
-    def test_nonsensical_budgets_raise(self, bad):
-        front, decider = self._front_and_decider()
+    def test_nonsensical_budgets_raise(self, front, decider, bad):
         budget = dict(BUDGET)
         budget.update(bad)
         with pytest.raises(ValueError):
             run_ber_sweep(front, [decider], np.array([1e-4]),
                           np.random.default_rng(0), **budget)
 
-    def test_negative_sigma_raises(self):
-        front, decider = self._front_and_decider()
-        with pytest.raises(ValueError):
-            run_ber_sweep(front, [decider], np.array([1e-4, -1.0]),
-                          np.random.default_rng(0), **BUDGET)
+    def test_negative_sigma_raises(self, front, decider):
+        for sigmas in ([1e-4, -1.0], [[1e-4]]):
+            with pytest.raises(ValueError, match="sigmas"):
+                run_ber_sweep(front, [decider], np.array(sigmas),
+                              np.random.default_rng(0), **BUDGET)
 
-    def test_empty_batch_returns_zero_counters(self):
-        front, decider = self._front_and_decider()
+    def test_empty_batch_returns_zero_counters(self, front, decider):
         errors, bits = run_ber_sweep(front, [decider], np.zeros(0),
                                      np.random.default_rng(0), **BUDGET)
         assert errors.shape == (1, 0) and bits.shape == (1, 0)

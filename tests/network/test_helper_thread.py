@@ -19,15 +19,10 @@ import numpy as np
 import pytest
 
 from repro.link import (
-    AnalogFrontEndStage,
-    ChannelStage,
-    CombineStage,
+    DecisionStage,
     LinkSpec,
-    SignalPipeline,
-    Stage,
-    TxStage,
-    build_link_pipeline,
     calibrate,
+    run_ber_sweep,
 )
 from repro.obs import trace
 from repro.uwb.config import UwbConfig
@@ -75,16 +70,9 @@ def test_pool_after_a_sweep_matches_serial():
     assert out.split() == ["same"]
 
 
-class _Boom(Stage):
-    span_name = "test.boom"
-
-    def process(self, state):
-        raise RuntimeError("boom")
-
-
 CONFIG = UwbConfig()
-#: long enough that the noise draw is still running when a stage right
-#: after the combine raises.
+#: long enough that the noise draw is still running when the front end
+#: right after the combine raises.
 N = 4000
 
 
@@ -96,53 +84,57 @@ def _serial_draws(seed: int) -> np.random.Generator:
     return rng
 
 
-def test_failing_stage_returns_after_the_noise_draw():
-    """A stage raising after the combine re-raises only once the
-    helper's noise draw is done: the generator is where a serial
+def _failing_on(thread_is_main, exc):
+    """The front's band-pass, raising *exc* on the calling (main) or
+    the helper thread."""
+    bpf = calibrate(LinkSpec(config=CONFIG)).bpf
+
+    def band_pass(x):
+        if (threading.current_thread() is threading.main_thread()) \
+                == thread_is_main:
+            raise exc
+        return bpf(x)
+
+    return band_pass
+
+
+def test_failing_stage_returns_after_the_noise_draw(link_front):
+    """The front end raising on the calling thread re-raises only once
+    the helper's noise draw is done: the generator is where a serial
     chunk leaves it."""
-    pipeline = SignalPipeline(stages=(
-        TxStage(CONFIG), ChannelStage(CONFIG), CombineStage(CONFIG, 0.1),
-        _Boom()))
+    pipeline = link_front(CONFIG, _failing_on(True, RuntimeError("boom")))
     rng = np.random.default_rng(9)
     with pytest.raises(RuntimeError, match="boom"):
         pipeline.run_chunk(N, rng)
     assert rng.bit_generator.state == _serial_draws(9).bit_generator.state
 
 
-def test_helper_failure_is_reraised():
+def test_helper_failure_is_reraised(link_front):
     """A failure on the helper thread (here: the noise band-pass)
     reaches the caller, after the draw finished."""
-    bpf = calibrate(LinkSpec(config=CONFIG)).bpf
-
-    def helper_fails(x):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("helper")
-        return bpf(x)
-
-    pipeline = SignalPipeline(stages=(
-        TxStage(CONFIG), ChannelStage(CONFIG), CombineStage(CONFIG, 0.1),
-        AnalogFrontEndStage(CONFIG, helper_fails, 1.0)))
+    pipeline = link_front(
+        CONFIG, _failing_on(False, FloatingPointError("helper")))
     rng = np.random.default_rng(9)
     with pytest.raises(FloatingPointError, match="helper"):
         pipeline.run_chunk(N, rng)
     assert rng.bit_generator.state == _serial_draws(9).bit_generator.state
 
 
-def test_traced_chunk_shows_the_waits_beside_its_stages():
+def test_traced_chunk_shows_the_waits_beside_its_stages(link_front):
     """The calling thread's joins (front end and decision rows) trace
     as ``link.wait`` next to the stage spans, which stay leaves."""
-    cache = calibrate(LinkSpec(config=CONFIG))
-    pipeline = build_link_pipeline(
-        CONFIG, integrator=CircuitSurrogateIntegrator(), bpf=cache.bpf,
-        sigma=0.1, scale=1.0)
+    front = link_front(CONFIG, calibrate(LinkSpec(config=CONFIG)).bpf)
+    decider = DecisionStage(CONFIG, CircuitSurrogateIntegrator())
     try:
         with trace.collect("chunk") as root:
-            pipeline.run_chunk(100, np.random.default_rng(2),
-                               sigmas=np.array([0.1, 0.2, 0.3]))
+            run_ber_sweep(front, [decider], np.array([0.1, 0.2, 0.3]),
+                          np.random.default_rng(2), max_bits=100,
+                          min_bits=0, chunk_bits=100)
     finally:
         trace.reset()
     walls = root.leaf_walls()
-    assert set(walls) == {"link.tx", "link.channel", "link.combine",
-                          "link.afe", "link.wait", "link.decision"}
+    assert set(walls) == {"link.prime", "link.tx", "link.channel",
+                          "link.combine", "link.afe", "link.wait",
+                          "link.decision"}
     assert root.children["link.wait"].count == 2
     assert sum(walls.values()) <= root.total_s

@@ -16,13 +16,11 @@ from repro.link import (
     LinkSpec,
     NetworkSpec,
     build_interferer_paths,
-    build_link_pipeline,
     calibrate,
     ops,
 )
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.fastsim import BerResult
-from repro.uwb.integrator import IdealIntegrator
 from repro.uwb.modulation import ppm_waveform, random_bits
 
 BUDGET = dict(target_errors=100, max_bits=8_000, min_bits=4_000)
@@ -109,16 +107,14 @@ class TestInterferenceBehavior:
 
 
 class TestCombineStage:
-    def test_sums_scaled_rolled_interferers(self):
+    def test_sums_scaled_rolled_interferers(self, link_front):
         """The combined waveform is victim + sum(amp * roll(intf))
         with bits drawn victim-first, interferer order next."""
         cfg = TEST_CONFIG
         n = 16
         path = InterfererPath(amplitude=0.5, offset_samples=37)
-        pipeline = build_link_pipeline(
-            cfg, integrator=IdealIntegrator(),
-            bpf=calibrate(LinkSpec(config=cfg)).bpf,
-            sigma=0.0, scale=1.0, interferers=(path,))
+        pipeline = link_front(cfg, calibrate(LinkSpec(config=cfg)).bpf,
+                              interferers=(path,))
         state = pipeline.run_chunk(n, np.random.default_rng(77))
 
         replay = np.random.default_rng(77)
@@ -129,10 +125,9 @@ class TestCombineStage:
         assert np.array_equal(state.bits, victim_bits)
         assert np.array_equal(state.waveform, expected)
         # The one unit-noise vector is drawn after every bit draw, and
-        # sigma=0 grades the clean filtered signal alone.
+        # the front end filters the clean sum on its own.
         assert np.array_equal(state.unit,
                               replay.standard_normal(expected.size))
-        assert state.sigma == 0.0
         assert np.array_equal(
             state.signal.ravel(),
             calibrate(LinkSpec(config=cfg)).bpf(expected))
@@ -152,12 +147,8 @@ class TestCombineStage:
         assert np.array_equal(victim, expected)
 
     def test_zero_interferers_leave_waveform_untouched(self):
-        stage = CombineStage(TEST_CONFIG, sigma=0.0)
+        stage = CombineStage(TEST_CONFIG)
         assert stage.interferers == ()
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            CombineStage(TEST_CONFIG, sigma=-1.0)
 
 
 class TestBackendSurface:

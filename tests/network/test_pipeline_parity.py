@@ -2,10 +2,11 @@
 
 The staged ``repro.link.pipeline`` replaced the historic monolithic
 chunk loop of the golden model, and a single operating point is now the
-1x1 case of the batched sweep (``run_ber_point`` over a canonical
-``build_link_pipeline``).  ``_legacy_simulate_ber_point`` below is a
-verbatim copy of the pre-refactor loop, kept as the sweep's
-independent reference implementation.  The pipeline draws the same
+1x1 case of the batched sweep (``run_ber_point`` over the canonical
+four-stage front and one decision stage).
+``_legacy_simulate_ber_point`` below is a verbatim copy of the
+pre-refactor loop, kept as the sweep's independent reference
+implementation.  The pipeline draws the same
 bits and noise but filters the clean waveform and the unit noise once
 per chunk instead of the noisy waveform once per noise scale, so its
 slot values agree with the loop's to rounding (``TestSlotValues``)
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.link import LinkSpec, NetworkSpec, ops
-from repro.link.pipeline import build_link_pipeline, run_ber_point
+from repro.link.pipeline import DecisionStage, run_ber_point
 from repro.uwb.adc import Adc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.channel.ieee802154a import Cm1Channel
@@ -73,17 +74,19 @@ def _legacy_simulate_ber_point(config, integrator, ebn0_db, rng, *,
     return errors, bits_done
 
 
-def _staged_ber_point(config, integrator, ebn0_db, rng, *, channel=None,
-                      adc=None, squarer_drive=0.05, **rule):
-    """The staged entry at one operating point: the canonical pipeline
-    through the sweep's 1x1 case, sized from the same pilot."""
+def _staged_ber_point(link_front, config, integrator, ebn0_db, rng, *,
+                      channel=None, adc=None, squarer_drive=0.05,
+                      **rule):
+    """The staged entry at one operating point: the canonical front
+    and decision stage through the sweep's 1x1 case, sized from the
+    same pilot."""
     cache = _LinkCache(config, channel, None)
-    pipeline = build_link_pipeline(
-        config, integrator=integrator, bpf=cache.bpf,
-        sigma=noise_sigma_for_ebn0(cache.eb, ebn0_db, config.fs),
-        scale=squarer_drive / cache.peak, channel=cache.channel,
-        adc=adc)
-    return run_ber_point(pipeline, rng, **rule)
+    front = link_front(config, cache.bpf,
+                       scale=squarer_drive / cache.peak,
+                       channel=cache.channel)
+    return run_ber_point(
+        front, DecisionStage(config, integrator, adc),
+        noise_sigma_for_ebn0(cache.eb, ebn0_db, config.fs), rng, **rule)
 
 
 def _integrators():
@@ -110,8 +113,8 @@ class TestBitIdentity:
                              ids=["no-adc", "adc"])
     @pytest.mark.parametrize("with_cm1", [False, True],
                              ids=["awgn", "cm1"])
-    def test_counters_match_legacy(self, integrator_cls, with_adc,
-                                   with_cm1):
+    def test_counters_match_legacy(self, link_front, integrator_cls,
+                                   with_adc, with_cm1):
         config = TEST_CONFIG
         integrator = integrator_cls()
         channel = None
@@ -124,12 +127,14 @@ class TestBitIdentity:
                 config, integrator, ebn0, np.random.default_rng(7),
                 channel=channel, adc=adc, **BUDGET)
             staged = _staged_ber_point(
-                config, integrator, ebn0, np.random.default_rng(7),
+                link_front, config, integrator, ebn0,
+                np.random.default_rng(7),
                 channel=channel, adc=adc, **BUDGET)
             assert staged == legacy
 
     @pytest.mark.parametrize("ber_floor", [0.0, 1e-2])
-    def test_adaptive_stopping_path_matches(self, ber_floor):
+    def test_adaptive_stopping_path_matches(self, link_front,
+                                            ber_floor):
         """The adaptive early-exit decisions (and therefore the bit
         totals) are preserved chunk for chunk."""
         config = TEST_CONFIG
@@ -138,7 +143,8 @@ class TestBitIdentity:
             config, IdealIntegrator(), 12.0, np.random.default_rng(3),
             adaptive=adaptive, **BUDGET)
         staged = _staged_ber_point(
-            config, IdealIntegrator(), 12.0, np.random.default_rng(3),
+            link_front, config, IdealIntegrator(), 12.0,
+            np.random.default_rng(3),
             adaptive=adaptive, **BUDGET)
         assert staged == legacy
 
@@ -166,7 +172,8 @@ class TestBitIdentity:
 
 class TestSlotValues:
     @pytest.mark.parametrize("integrator_cls", _integrators())
-    def test_slot_values_match_filtering_each_row(self, integrator_cls):
+    def test_slot_values_match_filtering_each_row(self, link_front,
+                                                  integrator_cls):
         """On shared draws, every noise scale's slot values agree with
         band-passing ``waveform + sigma * unit`` row by row and
         integrating the full filter trajectory, within 1e-12
@@ -178,14 +185,14 @@ class TestSlotValues:
         sigmas = np.array([noise_sigma_for_ebn0(cache.eb, e, config.fs)
                            for e in (0.0, 6.0, 12.0)])
         n = 200
-        state = build_link_pipeline(
-            config, integrator=integrator, bpf=cache.bpf, sigma=0.0,
-            scale=scale).run_chunk(n, np.random.default_rng(9),
-                                   sigmas=sigmas)
+        state = link_front(config, cache.bpf, scale=scale).run_chunk(
+            n, np.random.default_rng(9))
+        values, _ = DecisionStage(config, integrator).decide(
+            state.signal, state.noise, sigmas)
         replay = np.random.default_rng(9)
         wave = ppm_waveform(random_bits(n, replay), config)
         unit = replay.standard_normal(wave.size)
-        for row, sigma in zip(state.slot_values, sigmas):
+        for row, sigma in zip(values, sigmas):
             squared = np.square(scale * cache.bpf(wave + sigma * unit))
             legacy = integrator.response(
                 squared.reshape(n, 2, config.samples_per_slot),

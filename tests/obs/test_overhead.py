@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from repro.experiments import run_fig6
-from repro.link import LinkSpec, build_link_pipeline, calibrate
+from repro.link import LinkSpec, calibrate
 from repro.obs import trace
 from repro.uwb.config import TEST_CONFIG
-from repro.uwb.integrator import IdealIntegrator
 
 
 @pytest.fixture(autouse=True)
@@ -31,29 +30,27 @@ def _tracing_disabled():
     trace.reset()
 
 
-def _pipeline():
+@pytest.fixture
+def pipeline(link_front):
     cache = calibrate(LinkSpec(config=TEST_CONFIG))
-    return build_link_pipeline(
-        TEST_CONFIG, integrator=IdealIntegrator(), bpf=cache.bpf,
-        sigma=0.4, scale=1.0)
+    return link_front(TEST_CONFIG, cache.bpf)
 
 
 class TestDisabledOverhead:
-    def test_disabled_chunk_loop_never_enters_span(self, monkeypatch):
+    def test_disabled_chunk_loop_never_enters_span(self, monkeypatch,
+                                                   pipeline):
         """With tracing off, ``run_chunk`` takes the bare stage loop:
         a ``trace.span`` that raises is never reached."""
         assert not trace.ENABLED
-        pipeline = _pipeline()
 
         def no_span(name):
             raise AssertionError(f"disabled chunk loop entered {name!r}")
 
         monkeypatch.setattr(trace, "span", no_span)
         state = pipeline.run_chunk(64, np.random.default_rng(3))
-        assert state.decisions.shape == (64,)
+        assert state.signal.shape == (64, 2, TEST_CONFIG.samples_per_slot)
 
-    def test_disabled_run_records_no_spans(self):
-        pipeline = _pipeline()
+    def test_disabled_run_records_no_spans(self, pipeline):
         pipeline.run_chunk(64, np.random.default_rng(3))
         assert trace.current_root().children == {}
 
