@@ -254,8 +254,10 @@ def load_tagged(tag: str, text: str) -> Any:
 
     Raises:
         ValueError: the document is not valid JSON or its format
-            marker is not *tag* (torn writes and version skew both
-            land here, so callers need a single except clause).
+            marker is not *tag* (torn writes and a changed format
+            marker both land here).
+        TypeError: the payload holds a dataclass field that its class
+            no longer declares (see :func:`from_jsonable`).
     """
     doc = json.loads(text)
     if not isinstance(doc, Mapping) or doc.get("format") != tag:

@@ -12,7 +12,7 @@ four stages operating on a :class:`LinkState`, graded by
 integrator variant,
 
     :class:`TxStage` -> :class:`ChannelStage` -> :class:`CombineStage`
-    -> :class:`AnalogFrontEndStage` -> :class:`DecisionStage`
+    -> :class:`AnalogFrontEndStage`
 
 with multi-user interference entering at the :class:`CombineStage`,
 which adds one pulse train per :class:`InterfererPath` (relative
@@ -218,17 +218,22 @@ class InterfererPath:
         roll(train, offset_samples)``, sample for sample.
 
         Without a channel only the pulse samples are touched (a
-        scatter-add at their circularly offset positions); a channel
-        realization spreads the train, so it is convolved densely.
+        scatter-add at their circularly offset positions), unless the
+        pulse supports overlap; a channel realization spreads the
+        train, so it is convolved densely.
         """
         total = len(bits) * config.samples_per_symbol
-        if self.channel is None:
-            index, value = ppm_pulse_samples(bits, config)
+        pulses = None if self.channel is not None else \
+            ppm_pulse_samples(bits, config)
+        if pulses is not None:
+            index, value = pulses
             if self.offset_samples:
                 index = (index + self.offset_samples) % total
             waveform[index] += self.amplitude * value
             return
-        wave = self.channel.received(ppm_waveform(bits, config), total)
+        wave = ppm_waveform(bits, config)
+        if self.channel is not None:
+            wave = self.channel.received(wave, total)
         if self.offset_samples:
             wave = np.roll(wave, self.offset_samples)
         waveform += self.amplitude * wave

@@ -146,6 +146,22 @@ class TestCombineStage:
             victim, bits, cfg)
         assert np.array_equal(victim, expected)
 
+    @pytest.mark.parametrize("offset", [0, 37])
+    def test_overlapping_pulses_add_the_dense_roll(self, offset):
+        """A pulse longer than the slot has no sparse form; a
+        channel-free interferer then adds its dense pulse train."""
+        import dataclasses
+
+        cfg = dataclasses.replace(TEST_CONFIG,
+                                  pulse_tau=TEST_CONFIG.pulse_tau * 8)
+        rng = np.random.default_rng(5)
+        victim = ppm_waveform(random_bits(16, rng), cfg)
+        bits = random_bits(16, rng)
+        expected = victim + 0.3 * np.roll(ppm_waveform(bits, cfg), offset)
+        InterfererPath(amplitude=0.3, offset_samples=offset).add_to(
+            victim, bits, cfg)
+        assert np.array_equal(victim, expected)
+
     def test_zero_interferers_leave_waveform_untouched(self):
         stage = CombineStage(TEST_CONFIG)
         assert stage.interferers == ()
