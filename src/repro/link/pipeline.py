@@ -45,9 +45,10 @@ interferers and band-passes the clean waveform.  Nothing else touches
 the generator in that window, and every helper job is joined before
 :meth:`SignalPipeline.run_chunk` returns (also when a stage raises),
 so the draw order above - and every sample - is the serial one.  A
-nonlinear :class:`DecisionStage` splits its rows between the two
-threads; each row's arithmetic is unchanged.  A forked child makes
-its own helper.  A trace shows the calling thread's joins as
+nonlinear :class:`DecisionStage` splits two or more rows between the
+two threads (a single row stays on the calling thread); each row's
+arithmetic is the same on either.  A forked child makes its own
+helper.  A trace shows the calling thread's joins as
 ``link.wait`` spans beside the stage they interrupt; the helper's own
 work is in no collected span tree.
 
@@ -60,12 +61,15 @@ is linear in its input (ideal, two-pole without an input
 nonlinearity) the slot value ``sum g (a + sigma b)^2`` is
 ``sum g a^2 + 2 sigma sum g a b + sigma^2 sum g b^2``: three weighted
 reductions per slot, shared by every row, so no rows x samples array
-exists.  A nonlinear integrator squares one row at a time into a
-chunk-sized buffer.  Either way row ``i``'s arithmetic
-depends only on ``sigmas[i]``, so a row graded alone, in a sub-grid or
-after other rows retired is bit-identical to the same row in the full
-batch - the invariant :func:`run_ber_sweep` builds the whole-curve
-sweep on (pinned by ``tests/network/test_batched_sweep.py``).
+exists.  A nonlinear integrator builds one row at a time in a
+chunk-sized float32 buffer (fan-out, square and input limiter) and
+sums each window in float64 against the model's float64 weights; its
+slot values agree with float64 rows to about 1e-7 relative.  Either
+way row ``i``'s arithmetic depends only on ``sigmas[i]``, so a row
+graded alone, in a sub-grid or after other rows retired is
+bit-identical to the same row in the full batch - the invariant
+:func:`run_ber_sweep` builds the whole-curve sweep on (pinned by
+``tests/network/test_batched_sweep.py``).
 
 Stages are deliberately dependency-light (uwb building blocks only);
 :mod:`repro.link.backends` resolves :class:`~repro.link.spec.NetworkSpec`
@@ -335,7 +339,14 @@ class AnalogFrontEndStage:
 @dataclass
 class DecisionStage:
     """Squarer, integrator model per slot, optional ADC, larger-slot
-    decision - per noise scale (the scenario axis lives here)."""
+    decision - per noise scale (the scenario axis lives here).
+
+    A linear model grades every row from three float64 reductions.  A
+    nonlinear one (the circuit surrogate) grades row by row in float32
+    (fan-out, square, input limiter) with float64 window sums, so the
+    slot values and decisions stay float64; rows are split between
+    this thread and the helper thread when there are two or more.
+    """
 
     config: UwbConfig
     integrator: WindowIntegrator
@@ -370,36 +381,44 @@ class DecisionStage:
             values += aa
             values += (s * s) * bb
         else:
-            # The rows are independent: the helper thread grades the
-            # second half while this thread grades the first.
+            # float32 rows, cast once per call; the model sums each
+            # window in float64.
+            signal = signal.astype(np.float32)
+            noise = noise.astype(np.float32)
             values = np.empty(sigmas.shape + signal.shape[:-1])
             rows = list(np.ndindex(sigmas.shape))
             half = (len(rows) + 1) // 2
-            job = _helper().submit(self._grade_rows, signal, noise,
-                                   sigmas, rows[half:], values)
-            try:
-                self._grade_rows(signal, noise, sigmas, rows[:half],
-                                 values)
-            finally:
-                _join((job,))
-            job.result()
+            if half == len(rows):
+                # One row: the helper's share would be empty.
+                self._grade_rows(signal, noise, sigmas, rows, values)
+            else:
+                # The rows are independent: the helper thread grades
+                # the second half while this thread grades the first.
+                job = _helper().submit(self._grade_rows, signal, noise,
+                                       sigmas, rows[half:], values)
+                try:
+                    self._grade_rows(signal, noise, sigmas, rows[:half],
+                                     values)
+                finally:
+                    _join((job,))
+                job.result()
         return decide_slots(values, self.adc)
 
     def _grade_rows(self, signal: np.ndarray, noise: np.ndarray,
                     sigmas: np.ndarray, rows: Sequence[tuple],
                     values: np.ndarray) -> None:
-        # One squared row at a time, built in place (fan-out, then
-        # square) in a chunk-sized buffer of this thread's own that
-        # stays in cache for the model's limiter and window sum.  Every
-        # row runs the same calls on the same shapes, so a row graded
-        # alone, batched or on either thread rounds alike.
-        row = np.empty(signal.shape)
+        # One float32 row at a time, built in place (fan-out, square,
+        # then the model's limiter) in a chunk-sized buffer of this
+        # thread's own that stays in cache for the float64 window sum.
+        # Every row runs the same calls on the same shapes, so a row
+        # graded alone, batched or on either thread rounds alike.
+        row = np.empty(signal.shape, dtype=np.float32)
         for i in rows:
-            np.multiply(noise, sigmas[i], out=row)
+            np.multiply(noise, np.float32(sigmas[i]), out=row)
             row += signal
             np.square(row, out=row)
-            values[i] = self.integrator.window_outputs(row,
-                                                       self.config.dt)
+            values[i] = self.integrator.window_outputs(
+                row, self.config.dt, overwrite_x=True)
 
 
 def _weighted_dot(x: np.ndarray, y: np.ndarray, weights: np.ndarray
@@ -473,9 +492,10 @@ _PRIMED_BYTES = 0
 def _prime_allocator(block_bytes: int, live_blocks: int = 4) -> None:
     """Pre-adapt the process allocator to the sweep's chunk temporaries.
 
-    The chunk temporaries (the noise vector, the two filter outputs,
-    the reduction products and a nonlinear decider's squared row and
-    its limiter output, each one chunk of float64 samples) sit far
+    The chunk temporaries (the noise vector, the two filter outputs
+    and the reduction products, each one chunk of float64 samples, and
+    a nonlinear decider's float32 casts of the filter outputs and its
+    float32 rows, half a chunk's bytes each) sit far
     above glibc's initial 128 KiB mmap threshold, so an unprimed
     process mmaps each of them fresh and munmaps it again on every
     wave - every release hands the pages back to the OS and the next
@@ -634,4 +654,7 @@ def run_ber_sweep(front: SignalPipeline,
                     decisions != state.bits[None, :], axis=-1)
             bits[k, cols] += n
         bits_done += n
+        # Free this chunk's arrays before the next chunk allocates its
+        # own, so two chunks' worth are never live at once.
+        del state
     return errors, bits

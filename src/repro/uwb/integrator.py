@@ -55,12 +55,15 @@ class WindowIntegrator:
     phase = "II"
     name = "integrator"
 
-    def window_outputs(self, x: np.ndarray, dt: float) -> np.ndarray:
+    def window_outputs(self, x: np.ndarray, dt: float, *,
+                       overwrite_x: bool = False) -> np.ndarray:
         """Integrator output at the end of each window.
 
         Args:
             x: input windows, samples along the last axis.
             dt: sample period.
+            overwrite_x: the model may use *x* as scratch space (its
+                contents are undefined afterwards).
 
         Returns:
             Array of ``x.shape[:-1]`` final values.
@@ -115,7 +118,8 @@ class IdealIntegrator(WindowIntegrator):
         """Uniform accessor shared with the two-pole models."""
         return self.k
 
-    def window_outputs(self, x: np.ndarray, dt: float) -> np.ndarray:
+    def window_outputs(self, x: np.ndarray, dt: float, *,
+                       overwrite_x: bool = False) -> np.ndarray:
         return self.k * dt * np.sum(x, axis=-1)
 
     def linear_weights(self, n: int, dt: float) -> np.ndarray:
@@ -213,13 +217,25 @@ class TwoPoleIntegrator(WindowIntegrator):
             return None
         return self.weights(n, dt)
 
-    def _pre(self, x: np.ndarray) -> np.ndarray:
-        if self.input_nonlinearity is None:
+    def _pre(self, x: np.ndarray, overwrite_x: bool = False
+             ) -> np.ndarray:
+        f = self.input_nonlinearity
+        if f is None:
             return x
-        return self.input_nonlinearity(x)
+        if overwrite_x and getattr(f, "writes_out", False):
+            return f(x, out=x)
+        return f(x)
 
-    def window_outputs(self, x: np.ndarray, dt: float) -> np.ndarray:
-        return self._pre(x) @ self.weights(x.shape[-1], dt)
+    def window_outputs(self, x: np.ndarray, dt: float, *,
+                       overwrite_x: bool = False) -> np.ndarray:
+        y = self._pre(x, overwrite_x)
+        g = self.weights(x.shape[-1], dt)
+        if y.dtype == g.dtype:
+            return y @ g
+        # Narrower windows (the BER decider's float32 rows) sum in
+        # float64: einsum casts them block by block, where matmul would
+        # cast the whole batch first.
+        return np.einsum("...i,i->...", y, g)
 
     def response(self, x: np.ndarray, dt: float) -> np.ndarray:
         b, a = self._coeffs(dt)
@@ -241,19 +257,22 @@ class SoftLimiter:
 
     #: accepts NumPy arrays - safe for segment-vectorized execution.
     vectorized = True
+    #: takes ``out=`` (which may be its input), like a ufunc.
+    writes_out = True
 
     def __init__(self, scale: float):
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.scale = float(scale)
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        out = np.divide(v, self.scale)
+    def __call__(self, v: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        out = np.divide(v, self.scale, out=out)
         if not isinstance(out, np.ndarray):
             return self.scale * np.tanh(out)
-        # One fresh buffer for the whole limiter: tanh and the rescale
-        # run in place on the quotient (same arithmetic, two fewer
-        # full-size temporaries on the circuit decider's batch).
+        # One buffer for the whole limiter (fresh, or the caller's
+        # *out*): tanh and the rescale run in place on the quotient,
+        # in its dtype.
         np.tanh(out, out=out)
         out *= self.scale
         return out

@@ -97,6 +97,12 @@ def _integrators():
     ]
 
 
+#: Relative slot-value bound of the nonlinear (circuit surrogate)
+#: decider, which builds its rows in float32 and sums each window in
+#: float64; measured at about 9e-8.  Linear models keep 1e-12.
+FLOAT32_ROW_RTOL = 1e-6
+
+
 BUDGET = dict(target_errors=40, max_bits=4_000, min_bits=1_000,
               chunk_bits=500)
 
@@ -176,10 +182,14 @@ class TestSlotValues:
                                                   integrator_cls):
         """On shared draws, every noise scale's slot values agree with
         band-passing ``waveform + sigma * unit`` row by row and
-        integrating the full filter trajectory, within 1e-12
-        relative."""
+        integrating the full filter trajectory: within 1e-12 relative
+        for linear models, :data:`FLOAT32_ROW_RTOL` for the surrogate's
+        float32 rows."""
         config = TEST_CONFIG
         integrator = integrator_cls()
+        rtol = 1e-12 if integrator.linear_weights(
+            config.samples_per_slot, config.dt) is not None \
+            else FLOAT32_ROW_RTOL
         cache = _LinkCache(config, None, None)
         scale = 0.05 / cache.peak
         sigmas = np.array([noise_sigma_for_ebn0(cache.eb, e, config.fs)
@@ -197,4 +207,4 @@ class TestSlotValues:
             legacy = integrator.response(
                 squared.reshape(n, 2, config.samples_per_slot),
                 config.dt)[..., -1]
-            np.testing.assert_allclose(row, legacy, rtol=1e-12)
+            np.testing.assert_allclose(row, legacy, rtol=rtol)

@@ -154,6 +154,36 @@ class TestSurrogate:
         assert np.array_equal(v, before)
         assert limiter(0.05) == 0.1 * np.tanh(0.05 / 0.1)
 
+    def test_soft_limiter_in_place(self):
+        """``out=v`` computes the same values into *v*, in its dtype."""
+        limiter = SoftLimiter(0.1)
+        for dtype in (np.float64, np.float32):
+            v = np.random.default_rng(6).normal(0.0, 0.2, 1000) \
+                .astype(dtype)
+            expected = limiter(v)
+            assert expected.dtype == dtype
+            assert limiter(v, out=v) is v
+            assert np.array_equal(v, expected)
+
+    def test_float32_windows_sum_in_float64(self):
+        """The BER decider's float32 rows: the limiter runs in float32
+        (in place when allowed), the window sum in float64, and a
+        float64 window keeps its arithmetic bit for bit."""
+        surr = CircuitSurrogateIntegrator()
+        x = np.square(np.random.default_rng(2).normal(0.0, 0.3,
+                                                      (3, 2, SLOT)))
+        x32 = x.astype(np.float32)
+        g = surr.weights(SLOT, DT)
+        out = surr.window_outputs(x32, DT)
+        assert out.dtype == np.float64
+        limited = surr.input_nonlinearity(x32).astype(np.float64)
+        np.testing.assert_allclose(out, limited @ g, rtol=1e-13)
+        scratch = x32.copy()
+        assert np.array_equal(
+            surr.window_outputs(scratch, DT, overwrite_x=True), out)
+        assert np.array_equal(surr.window_outputs(x, DT),
+                              surr.input_nonlinearity(x) @ g)
+
     def test_compression_reduces_output(self):
         ideal = IdealIntegrator()
         surr = CircuitSurrogateIntegrator()
