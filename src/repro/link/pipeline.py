@@ -19,13 +19,14 @@ which adds one pulse train per :class:`InterfererPath` (relative
 amplitude, circular timing offset, optional independent channel
 realization) before the victim's AWGN is added.
 
-**Draw-order contract.** Per chunk the generator draws the victim
-bits, then each interferer's bits (in path order), then one
-unit-variance noise vector - the draw sequence of the historic
-monolithic loop, whose ``rng.normal(0, sigma, n)`` is bitwise
-``sigma * standard_normal(n)``.  Bits, interferers and the noise
-process are therefore identical to that loop at every seed.  The
-decision statistic is not computed in the same order: everything
+**Draw-order contract.** :meth:`SignalPipeline.draw` is the one place
+that fixes the order of a chunk's draws: the victim bits, then each
+interferer's bits (in path order), then one unit-variance noise
+vector - the draw sequence of the historic monolithic loop, whose
+``rng.normal(0, sigma, n)`` is bitwise ``sigma * standard_normal(n)``.
+The stages only synthesize from those draws.  Bits, interferers and
+the noise process are therefore identical to that loop at every seed.
+The decision statistic is not computed in the same order: everything
 before the squarer is linear, so the band-pass and drive scaling run
 once on the clean waveform (``a``) and once on the unit noise
 (``b``), and each noise scale ``sigma`` grades ``a + sigma * b``.
@@ -35,22 +36,29 @@ compares them with a verbatim copy of that loop, and
 ``tests/uwb/test_theory.py`` checks the counts against the exact
 energy-detection BER of :mod:`repro.uwb.theory`).
 
-**One helper thread.** Each process keeps one helper thread, and a
-chunk runs its halves that share no data on it and on the calling
-thread at once (the kernels involved release the GIL).  Once the
-:class:`CombineStage` has drawn the chunk's last bits, the helper
-draws the unit noise and the :class:`AnalogFrontEndStage` has it
-band-pass that noise, while the calling thread adds in the
-interferers and band-passes the clean waveform.  Nothing else touches
-the generator in that window, and every helper job is joined before
-:meth:`SignalPipeline.run_chunk` returns (also when a stage raises),
-so the draw order above - and every sample - is the serial one.  A
-nonlinear :class:`DecisionStage` splits two or more rows between the
-two threads (a single row stays on the calling thread); each row's
-arithmetic is the same on either.  A forked child makes its own
-helper.  A trace shows the calling thread's joins as
-``link.wait`` spans beside the stage they interrupt; the helper's own
-work is in no collected span tree.
+**One helper thread, one chunk ahead.** Each process keeps one helper
+thread (the kernels involved release the GIL), and
+:func:`run_ber_sweep` has it work one chunk ahead: while the calling
+thread synthesizes, band-passes and grades chunk ``k``, the helper
+draws chunk ``k + 1`` and band-passes and drive-scales its noise (the
+unit noise is freed there).  A sweep's first chunk draws its bits on
+the calling thread and only its noise on the helper, so its synthesis
+overlaps the noise draw.  While a draw is in flight the helper is the
+only thread that touches the generator, and its jobs run in
+submission order, so the draw sequence is the serial one.  A sweep
+that stops - or raises - with a look-ahead chunk in flight joins it
+and rewinds the generator to the state the job recorded before its
+first draw (counted as ``link.draw_ahead.discarded``): the generator
+ends exactly where the serial program leaves it, and every count is
+the serial count.  A nonlinear :class:`DecisionStage` pulls its rows
+from one shared iterator on both threads - the helper joins in once
+its draw is done; a single row stays on the calling thread - and each
+row's arithmetic is the same on either.
+:meth:`SignalPipeline.run_chunk` draws and synthesizes inline, on the
+calling thread.  A forked child makes its own helper.  A trace shows
+every join of the calling thread as a ``link.wait`` span beside the
+span it interrupts; the helper's own work is in no collected span
+tree.
 
 **Scenario batch axis.** One chunk can serve a whole family of
 operating points that share every draw and differ only in their noise
@@ -81,11 +89,12 @@ from __future__ import annotations
 
 import os
 from concurrent import futures
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.uwb.adc import Adc, AutoRangingAdc, decide_slots
 from repro.uwb.bpf import BandPassFilter
@@ -94,6 +103,9 @@ from repro.uwb.config import UwbConfig
 from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import WindowIntegrator
 from repro.uwb.modulation import ppm_pulse_samples, ppm_waveform, random_bits
+
+#: look-ahead chunks a sweep drew (or queued) and then did not need.
+_DISCARDED = _metrics.REGISTRY.counter("link.draw_ahead.discarded")
 
 _HELPER: futures.ThreadPoolExecutor | None = None
 
@@ -118,72 +130,62 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _join(jobs: Sequence[futures.Future]) -> None:
-    """Wait for every job in *jobs*; the calling thread's wait is
-    traced as ``link.wait`` (see :func:`repro.obs.trace.wait`)."""
+def _join(job: futures.Future) -> None:
+    """Wait for *job*; the calling thread's wait is traced as
+    ``link.wait`` (see :func:`repro.obs.trace.wait`)."""
     if _trace.ENABLED:
         with _trace.wait("link.wait"):
-            futures.wait(jobs)
+            futures.wait((job,))
     else:
-        futures.wait(jobs)
+        futures.wait((job,))
+
+
+def _result(job: futures.Future):
+    """*job*'s result, once joined (re-raises its failure)."""
+    _join(job)
+    return job.result()
 
 
 @dataclass
 class LinkState:
     """Per-chunk state flowing through the pipeline.
 
-    One state is one Monte-Carlo chunk of ``n`` symbols.  Stages
-    mutate it in place, each consuming the fields of its predecessor:
+    One state is one Monte-Carlo chunk of ``n`` symbols.
+    :meth:`SignalPipeline.draw` fills the draws; stages mutate the
+    state in place, each consuming the fields of its predecessor:
 
     Attributes:
         n: symbols in this chunk.
-        rng: the chunk's entropy source (bit draws and noise).
         sigmas: the noise standard deviations :func:`run_ber_sweep`
             grades this chunk at, one row each (``None`` outside a
             sweep); no stage reads them.
-        bits: victim payload bits (set by :class:`TxStage`; shared
-            across scenario rows).
+        bits: victim payload bits (drawn; shared across scenario
+            rows).
+        interferer_bits: each interferer's bits, in path order
+            (drawn).
         waveform: clean waveform at the antenna reference plane -
-            victim only after :class:`ChannelStage`, victim plus scaled
-            interferers after :class:`CombineStage`.
+            victim only after :class:`TxStage` and
+            :class:`ChannelStage`, victim plus scaled interferers
+            after :class:`CombineStage` (a sweep frees it once the
+            front is done).
         unit: the chunk's one unit-variance noise vector, as long as
-            ``waveform`` (set by :class:`CombineStage`).
+            ``waveform`` (drawn; ``None`` in a sweep, whose helper
+            thread band-passes and frees it).
         signal: ``waveform`` band-passed and drive-scaled, shaped
             ``(n, 2, samples_per_slot)`` (set by
             :class:`AnalogFrontEndStage`).
         noise: ``unit`` through the same band-pass and scaling, same
             shape; row ``i`` squares ``signal + sigmas[i] * noise``.
-        pending: helper-thread jobs by the field their result fills
-            (see :meth:`defer`); a pending field reads ``None`` until
-            :meth:`settle`.
     """
 
     n: int
-    rng: np.random.Generator
     sigmas: np.ndarray | None = None
     bits: np.ndarray | None = None
+    interferer_bits: tuple[np.ndarray, ...] = ()
     waveform: np.ndarray | None = None
     unit: np.ndarray | None = None
     signal: np.ndarray | None = None
     noise: np.ndarray | None = None
-    pending: dict[str, futures.Future] = field(default_factory=dict,
-                                               repr=False)
-
-    def defer(self, name: str, fn: Callable, *args) -> None:
-        """Run ``fn(*args)`` on the helper thread; :meth:`settle`
-        stores its result as field *name*.  Jobs run in the order they
-        were deferred."""
-        self.pending[name] = _helper().submit(fn, *args)
-
-    def settle(self) -> None:
-        """Join every pending job and store its result; re-raises the
-        first failure once all of them have finished."""
-        if not self.pending:
-            return
-        _join(self.pending.values())
-        jobs, self.pending = self.pending, {}
-        for name, job in jobs.items():
-            setattr(self, name, job.result())
 
 
 @dataclass(frozen=True)
@@ -245,14 +247,13 @@ class InterfererPath:
 
 @dataclass
 class TxStage:
-    """Victim transmitter: draw payload bits, synthesize the 2-PPM
-    pulse train."""
+    """Victim transmitter: synthesize the 2-PPM pulse train of the
+    drawn payload bits."""
 
     config: UwbConfig
     span_name = "link.tx"
 
     def process(self, state: LinkState) -> None:
-        state.bits = random_bits(state.n, state.rng)
         state.waveform = ppm_waveform(state.bits, self.config)
 
 
@@ -274,16 +275,12 @@ class ChannelStage:
 
 @dataclass
 class CombineStage:
-    """Sum interfering transmitters into the victim waveform and draw
-    the chunk's unit-variance noise vector.
+    """Sum interfering transmitters into the victim waveform.
 
-    Interferers draw fresh bits from the chunk's generator (in path
-    order), then the helper thread draws the noise (field ``unit``)
-    while the interferers are added in at their calibrated amplitudes.
-    The noise is drawn once, whatever the number of scenario rows.
-
-    With no interferers the victim waveform passes through untouched
-    (not even an add of zero).
+    Each interferer's drawn bits (:attr:`LinkState.interferer_bits`,
+    in path order) are synthesized and added in at its calibrated
+    amplitude.  With no interferers the victim waveform passes through
+    untouched (not even an add of zero).
     """
 
     config: UwbConfig
@@ -294,12 +291,7 @@ class CombineStage:
         self.interferers = tuple(self.interferers)
 
     def process(self, state: LinkState) -> None:
-        bits = [random_bits(state.n, state.rng) for _ in self.interferers]
-        # The chunk's last draw: nothing touches the generator until
-        # the job is joined.
-        state.defer("unit", state.rng.standard_normal,
-                    len(state.waveform))
-        for path, path_bits in zip(self.interferers, bits):
+        for path, path_bits in zip(self.interferers, state.interferer_bits):
             path.add_to(state.waveform, path_bits, self.config)
 
 
@@ -308,9 +300,9 @@ class AnalogFrontEndStage:
     """Receiver analog front end: band-pass and AGC drive scaling of the
     clean waveform and of the unit noise, each once per chunk (output
     reshaped into per-slot windows; the squarer runs per noise scale in
-    the :class:`DecisionStage`).  The noise is filtered on the helper
-    thread, after its draw, while this thread filters the waveform;
-    the stage returns once both are done."""
+    the :class:`DecisionStage`).  In a sweep the unit noise never
+    reaches this stage: the helper thread band-passes it one chunk
+    ahead (see :func:`run_ber_sweep`)."""
 
     config: UwbConfig
     bpf: BandPassFilter
@@ -318,17 +310,11 @@ class AnalogFrontEndStage:
     span_name = "link.afe"
 
     def process(self, state: LinkState) -> None:
-        unit = state.pending.get("unit", state.unit)
-        state.defer("noise", self._drive, unit, state.n)
         state.signal = self._drive(state.waveform, state.n)
-        state.settle()
+        if state.unit is not None:
+            state.noise = self._drive(state.unit, state.n)
 
-    def _drive(self, x: np.ndarray | futures.Future, n: int
-               ) -> np.ndarray:
-        if isinstance(x, futures.Future):
-            # Deferred before this job on the one helper thread, so
-            # already drawn.
-            x = x.result()
+    def _drive(self, x: np.ndarray, n: int) -> np.ndarray:
         # sosfilt never returns its input, so the drive scaling runs in
         # place on the fresh filter output.
         y = self.bpf(x)[:n * self.config.samples_per_symbol]
@@ -344,8 +330,9 @@ class DecisionStage:
     A linear model grades every row from three float64 reductions.  A
     nonlinear one (the circuit surrogate) grades row by row in float32
     (fan-out, square, input limiter) with float64 window sums, so the
-    slot values and decisions stay float64; rows are split between
-    this thread and the helper thread when there are two or more.
+    slot values and decisions stay float64; two or more rows are
+    pulled from one shared iterator by this thread and the helper
+    thread, which joins in once its queued work is done.
     """
 
     config: UwbConfig
@@ -386,26 +373,29 @@ class DecisionStage:
             signal = signal.astype(np.float32)
             noise = noise.astype(np.float32)
             values = np.empty(sigmas.shape + signal.shape[:-1])
-            rows = list(np.ndindex(sigmas.shape))
-            half = (len(rows) + 1) // 2
-            if half == len(rows):
-                # One row: the helper's share would be empty.
+            # A list iterator hands each row out once, whichever thread
+            # calls next() (one atomic step under the GIL).
+            rows = iter(list(np.ndindex(sigmas.shape)))
+            if sigmas.size <= 1:
+                # One row: nothing to share.
                 self._grade_rows(signal, noise, sigmas, rows, values)
             else:
-                # The rows are independent: the helper thread grades
-                # the second half while this thread grades the first.
                 job = _helper().submit(self._grade_rows, signal, noise,
-                                       sigmas, rows[half:], values)
+                                       sigmas, rows, values)
                 try:
-                    self._grade_rows(signal, noise, sigmas, rows[:half],
-                                     values)
+                    self._grade_rows(signal, noise, sigmas, rows, values)
                 finally:
-                    _join((job,))
-                job.result()
+                    # Still queued (behind a look-ahead draw), the job
+                    # would find no row left: drop it, else join it.
+                    helped = not job.cancel()
+                    if helped:
+                        _join(job)
+                if helped:
+                    job.result()
         return decide_slots(values, self.adc)
 
     def _grade_rows(self, signal: np.ndarray, noise: np.ndarray,
-                    sigmas: np.ndarray, rows: Sequence[tuple],
+                    sigmas: np.ndarray, rows: Iterator[tuple],
                     values: np.ndarray) -> None:
         # One float32 row at a time, built in place (fan-out, square,
         # then the model's limiter) in a chunk-sized buffer of this
@@ -430,9 +420,10 @@ def _weighted_dot(x: np.ndarray, y: np.ndarray, weights: np.ndarray
 
 @dataclass
 class SignalPipeline:
-    """An ordered stage composition executable chunk by chunk: each
-    stage's ``process(state)`` mutates the chunk's :class:`LinkState`,
-    and its ``span_name`` labels it in a trace."""
+    """An ordered stage composition executable chunk by chunk:
+    :meth:`draw` draws a chunk's :class:`LinkState`, each stage's
+    ``process(state)`` then mutates it, and its ``span_name`` labels
+    it in a trace."""
 
     stages: tuple
 
@@ -441,36 +432,95 @@ class SignalPipeline:
         if not self.stages:
             raise ValueError("pipeline needs at least one stage")
 
-    def run_chunk(self, n: int, rng: np.random.Generator,
-                  sigmas: np.ndarray | None = None) -> LinkState:
-        """Push one fresh chunk of *n* symbols through every stage.
+    def draw(self, n: int, rng: np.random.Generator, *,
+             noise: bool = True) -> LinkState:
+        """Draw one chunk of *n* symbols from *rng*, in the order of
+        the draw-order contract (module docstring): the victim bits,
+        each interferer's bits in path order, then the unit noise
+        (:attr:`LinkState.unit`).
 
         Args:
-            sigmas: the noise scales the chunk will be graded at,
-                recorded as :attr:`LinkState.sigmas`.
+            noise: ``False`` stops before the unit noise, for a caller
+                that makes :meth:`draw_noise` the generator's next
+                draw.
         """
+        state = LinkState(n=n, bits=random_bits(n, rng))
+        state.interferer_bits = tuple(
+            random_bits(n, rng) for stage in self.stages
+            for _ in getattr(stage, "interferers", ()))
+        if noise:
+            state.unit = self.draw_noise(n, rng)
+        return state
+
+    def draw_noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The unit-variance noise vector of a chunk of *n* symbols."""
+        return rng.standard_normal(
+            n * self.stages[0].config.samples_per_symbol)
+
+    def process(self, state: LinkState) -> None:
+        """Push a drawn chunk through every stage."""
+        # Hot path: the disabled branch must stay the bare stage loop
+        # (one module attribute load + one branch per chunk; pinned by
+        # tests/obs/test_overhead.py).
+        if _trace.ENABLED:
+            for stage in self.stages:
+                with _trace.span(stage.span_name):
+                    stage.process(state)
+        else:
+            for stage in self.stages:
+                stage.process(state)
+
+    def run_chunk(self, n: int, rng: np.random.Generator) -> LinkState:
+        """Draw one fresh chunk of *n* symbols and push it through
+        every stage, all on the calling thread."""
         if n <= 0:
             raise ValueError("chunk size must be positive")
-        state = LinkState(n=n, rng=rng, sigmas=sigmas)
-        try:
-            # Hot path: the disabled branch must stay the bare stage
-            # loop (one module attribute load + one branch per chunk;
-            # pinned by tests/obs/test_overhead.py).
-            if _trace.ENABLED:
-                for stage in self.stages:
-                    with _trace.span(stage.span_name):
-                        stage.process(state)
-            else:
-                for stage in self.stages:
-                    stage.process(state)
-        except BaseException:
-            # The caller's next draw must not race a helper job.
-            futures.wait(state.pending.values())
-            raise
-        # Helper work a pipeline without a front end left pending
-        # (e.g. the noise draw of a Tx -> Channel -> Combine front).
-        state.settle()
+        state = self.draw(n, rng)
+        self.process(state)
         return state
+
+
+class _DrawAhead:
+    """One chunk's draws and noise band-pass on the helper thread, for
+    :func:`run_ber_sweep` to take one chunk later or discard.
+
+    The job records the generator's state before its first draw, so
+    :meth:`discard` can rewind a draw the sweep turned out not to
+    need.  Only the helper touches the generator while a job is in
+    flight.
+    """
+
+    def __init__(self, front: SignalPipeline, n: int,
+                 rng: np.random.Generator):
+        self.rng = rng
+        self.before: dict | None = None
+        self.job = _helper().submit(self._draw, front, n)
+
+    def _draw(self, front: SignalPipeline, n: int) -> LinkState:
+        self.before = self.rng.bit_generator.state
+        state = front.draw(n, self.rng, noise=False)
+        state.noise = _filtered_noise(front, n, self.rng)
+        return state
+
+    def take(self) -> LinkState:
+        """The drawn chunk (re-raises a failed draw or band-pass)."""
+        return _result(self.job)
+
+    def discard(self) -> None:
+        """Drop the chunk and rewind the generator to where the job
+        found it; a failure of the job goes with it."""
+        _DISCARDED.inc()
+        if not self.job.cancel():
+            _join(self.job)
+            self.rng.bit_generator.state = self.before
+
+
+def _filtered_noise(front: SignalPipeline, n: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Draw a chunk's unit noise and return it band-passed and
+    drive-scaled by the front's last stage; the unit noise itself is
+    freed on return."""
+    return front.stages[-1]._drive(front.draw_noise(n, rng), n)
 
 
 def run_ber_point(front: SignalPipeline, decider: DecisionStage,
@@ -580,8 +630,16 @@ def run_ber_sweep(front: SignalPipeline,
     counters freeze behind the shared ``bits_done``, which keeps it
     retired).  Each decider grades only its active rows.
 
+    **Look-ahead.**  The helper thread draws chunk ``k + 1`` and
+    band-passes its noise while this thread grades chunk ``k`` (module
+    docstring).  When the stopping rule, or an exception, ends the
+    sweep with that draw in flight, the draw is joined and the
+    generator rewound: *rng* ends where a serial run leaves it, also
+    when the sweep raises.
+
     Args:
-        front: the shared pipeline front (no :class:`DecisionStage`).
+        front: the shared pipeline front, ending in an
+            :class:`AnalogFrontEndStage` (no :class:`DecisionStage`).
         deciders: one decision stage per integrator variant; all
             variants share the front-end computation of each chunk.
         sigmas: a 1-D vector of per-scenario noise standard
@@ -609,6 +667,8 @@ def run_ber_sweep(front: SignalPipeline,
         raise ValueError("sigmas must be a 1-D vector")
     if np.any(sigmas < 0):
         raise ValueError("sigmas must be >= 0")
+    if not isinstance(front.stages[-1], AnalogFrontEndStage):
+        raise ValueError("front must end in an AnalogFrontEndStage")
     deciders = tuple(deciders)
     n_dec, n_pts = len(deciders), len(sigmas)
     errors = np.zeros((n_dec, n_pts), dtype=np.int64)
@@ -617,44 +677,74 @@ def run_ber_sweep(front: SignalPipeline,
         return errors, bits
     rule = dict(target_errors=target_errors, max_bits=max_bits,
                 min_bits=min_bits, adaptive=adaptive)
-    cfg = getattr(front.stages[0], "config", None)
-    if cfg is not None:
-        samples = min(chunk_bits, max_bits) * cfg.samples_per_symbol
-        with _trace.span("link.prime"):
-            _prime_allocator(samples * 8)
+    samples = (min(chunk_bits, max_bits)
+               * front.stages[0].config.samples_per_symbol)
+    with _trace.span("link.prime"):
+        _prime_allocator(samples * 8)
     bits_done = 0
-    while True:
-        active = np.zeros((n_dec, n_pts), dtype=bool)
-        for k in range(n_dec):
-            for j in range(n_pts):
-                active[k, j] = (bits[k, j] == bits_done
-                                and keeps_sampling(int(errors[k, j]),
-                                                   bits_done, **rule))
-        if not active.any():
-            break
-        n = min(chunk_bits, max_bits - bits_done)
-        # The draws are row-count independent (shared bits + one unit
-        # noise vector), so retirement never moves the stream.
-        rows = np.flatnonzero(active.any(axis=0))
-        state = front.run_chunk(n, rng, sigmas=sigmas[rows])
-        for k, decider in enumerate(deciders):
-            cols = np.flatnonzero(active[k])
-            if not len(cols):
-                continue
-            if _trace.ENABLED:
-                with _trace.span(decider.span_name):
+    ahead: _DrawAhead | None = None
+    noise: futures.Future | None = None
+    try:
+        while True:
+            active = np.zeros((n_dec, n_pts), dtype=bool)
+            for k in range(n_dec):
+                for j in range(n_pts):
+                    active[k, j] = (bits[k, j] == bits_done
+                                    and keeps_sampling(int(errors[k, j]),
+                                                       bits_done, **rule))
+            if not active.any():
+                break
+            n = min(chunk_bits, max_bits - bits_done)
+            if ahead is None:
+                # The first chunk: its bits here, its noise on the
+                # helper while this thread synthesizes.
+                state = front.draw(n, rng, noise=False)
+                noise = _helper().submit(_filtered_noise, front, n, rng)
+            else:
+                # Taken, a failed draw is this chunk's failure: no
+                # rewind.
+                taken, ahead = ahead, None
+                state = taken.take()
+            if bits_done + n < max_bits:
+                # Another chunk is possible: draw it (queued behind the
+                # first chunk's noise) while this one is graded.
+                ahead = _DrawAhead(
+                    front, min(chunk_bits, max_bits - bits_done - n), rng)
+            # The draws are row-count independent (shared bits + one
+            # unit noise vector), so retirement never moves the stream.
+            rows = np.flatnonzero(active.any(axis=0))
+            state.sigmas = sigmas[rows]
+            front.process(state)
+            # Graded from signal and noise only: free the clean
+            # waveform while the look-ahead's noise is live.
+            state.waveform = None
+            if noise is not None:
+                state.noise, noise = _result(noise), None
+            for k, decider in enumerate(deciders):
+                cols = np.flatnonzero(active[k])
+                if not len(cols):
+                    continue
+                if _trace.ENABLED:
+                    with _trace.span(decider.span_name):
+                        _, decisions = decider.decide(
+                            state.signal, state.noise, sigmas[cols])
+                        errors[k, cols] += np.count_nonzero(
+                            decisions != state.bits[None, :], axis=-1)
+                else:
                     _, decisions = decider.decide(
                         state.signal, state.noise, sigmas[cols])
                     errors[k, cols] += np.count_nonzero(
                         decisions != state.bits[None, :], axis=-1)
-            else:
-                _, decisions = decider.decide(
-                    state.signal, state.noise, sigmas[cols])
-                errors[k, cols] += np.count_nonzero(
-                    decisions != state.bits[None, :], axis=-1)
-            bits[k, cols] += n
-        bits_done += n
-        # Free this chunk's arrays before the next chunk allocates its
-        # own, so two chunks' worth are never live at once.
-        del state
+                bits[k, cols] += n
+            bits_done += n
+            # Free this chunk's arrays before the next chunk allocates
+            # its own, so only the look-ahead's filtered noise is live
+            # beside them.
+            del state
+    finally:
+        # The generator must end where the serial program leaves it.
+        if noise is not None:
+            _join(noise)
+        if ahead is not None:
+            ahead.discard()
     return errors, bits

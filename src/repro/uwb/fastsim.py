@@ -1,12 +1,13 @@
-"""Vectorized Monte-Carlo BER engine (the Phase-I "Matlab" golden model).
+"""Monte-Carlo statistics and pilot calibration of the Phase-I golden model.
 
 Phase I of the methodology validates the behavioral receiver against a
 high-level golden model ("the coherence with another high level
 description language (Matlab) was checked ... we obtained BER curves
-which perfectly overlapped the Matlab ones").  This module is that golden
-model: a chunked, fully vectorized waveform-level simulation of the
-2-PPM energy-detection link with an ideal synchronizer, used for the
-figure-6 BER curves and the Phase-I overlap benchmark.
+which perfectly overlapped the Matlab ones").  That golden model is
+the staged :mod:`repro.link.pipeline`: a chunked, fully vectorized
+waveform-level simulation of the 2-PPM energy-detection link with an
+ideal synchronizer, used for the figure-6 BER curves and the Phase-I
+overlap benchmark.
 
 The signal chain per chunk of symbols:
 
@@ -14,14 +15,17 @@ The signal chain per chunk of symbols:
     AWGN (per Eb/N0) -> BPF -> drive scaling -> squarer ->
     integrator model per slot -> [ADC] -> larger-slot decision
 
-The chunk computation lives in the staged :mod:`repro.link.pipeline`
-(Tx -> Channel -> Combine -> AnalogFrontEnd -> Decision), whose one
-chunk loop is :func:`repro.link.pipeline.run_ber_sweep`; the one place
-that assembles that pipeline from a spec - multi-user interferers
-included - is :func:`repro.link.ops.ber_sweep`.  This module keeps the
-Monte-Carlo bookkeeping around it: the adaptive stopping policy,
-Wilson intervals, curve assembly and the pilot calibration.  The exact
-curve it is judged against lives apart, in :mod:`repro.uwb.theory`.
+The pipeline's stages are Tx -> Channel -> Combine -> AnalogFrontEnd
+-> Decision, its one chunk loop is
+:func:`repro.link.pipeline.run_ber_sweep`, and the one place that
+assembles it from a spec - multi-user interferers included - is
+:func:`repro.link.ops.ber_sweep`.  This module keeps the Monte-Carlo
+bookkeeping around that loop: the adaptive stopping policy, Wilson
+intervals, curve assembly and the pilot calibration.  The exact curve
+it is judged against lives apart, in :mod:`repro.uwb.theory`.
+``core.serialization`` tags dataclasses by ``module:qualname``, so the
+path of :class:`BerResult` and :class:`AdaptiveStopping` is part of
+every cached payload; they stay here.
 
 Swapping the integrator model (ideal / two-pole / circuit surrogate)
 reproduces the paper's ideal-versus-ELDO BER comparison.

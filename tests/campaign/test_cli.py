@@ -320,7 +320,7 @@ class TestTraceCommand:
         assert explained >= 0.90 * report.wall_s
         assert explained <= report.wall_s * 1.001
         # The metrics snapshot rode along (fastsim fig6 with no store
-        # touches no counters, so it round-trips empty).
+        # touches at most the link's look-ahead counter).
         from repro.obs.metrics import MetricsSnapshot
 
         assert isinstance(report.metrics, MetricsSnapshot)

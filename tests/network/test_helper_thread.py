@@ -1,10 +1,13 @@
-"""The pipeline's helper thread: fork safety and joins on failure.
+"""The pipeline's helper thread: fork safety, the generator's final
+state however a sweep stops, and shared decision rows.
 
-A chunk overlaps its noise draw and noise band-pass (helper thread)
-with the clean waveform's synthesis and band-pass (calling thread).
-These tests pin the two ways that could go wrong: a forked worker
-inheriting a helper whose thread does not exist, and a failing stage
-returning while the helper still draws from the chunk's generator.
+``run_ber_sweep`` has the helper draw chunk ``k + 1`` and band-pass its
+noise while the calling thread grades chunk ``k``, and a nonlinear
+decider's rows are pulled by both threads.  These tests pin what could
+go wrong: a forked worker inheriting a helper whose thread does not
+exist; a sweep that stops or raises with a look-ahead draw in flight
+and leaves the generator anywhere but where the serial program leaves
+it; and a shared row graded twice, never, or differently.
 """
 
 import os
@@ -13,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +24,18 @@ import pytest
 
 from repro.link import (
     DecisionStage,
+    InterfererPath,
     LinkSpec,
     calibrate,
+    run_ber_point,
     run_ber_sweep,
 )
+from repro.link import pipeline as pipe
 from repro.obs import trace
-from repro.uwb.config import UwbConfig
-from repro.uwb.integrator import CircuitSurrogateIntegrator
+from repro.uwb.channel.awgn import noise_sigma_for_ebn0
+from repro.uwb.config import TEST_CONFIG
+from repro.uwb.fastsim import AdaptiveStopping
+from repro.uwb.integrator import CircuitSurrogateIntegrator, IdealIntegrator
 from repro.uwb.modulation import random_bits
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -70,65 +79,247 @@ def test_pool_after_a_sweep_matches_serial():
     assert out.split() == ["same"]
 
 
-CONFIG = UwbConfig()
-#: long enough that the noise draw is still running when the front end
-#: right after the combine raises.
-N = 4000
+CONFIG = TEST_CONFIG
+CACHE = calibrate(LinkSpec(config=CONFIG))
+#: one channel-free interferer, so the replay covers its bit draws.
+PATHS = (InterfererPath(amplitude=0.5, offset_samples=37),)
+#: noisy enough that 60 errors come within the first chunk.
+SIGMAS = np.array([noise_sigma_for_ebn0(CACHE.eb, e, CONFIG.fs)
+                   for e in (0.0, 3.0, 6.0)])
+CHUNK = 500
+SEED = 9
 
 
-def _serial_draws(seed: int) -> np.random.Generator:
-    """The chunk's draws, made serially: victim bits, then the noise."""
+def _serial_state(chunks: int, seed: int = SEED) -> dict:
+    """The generator's state after *chunks* chunks drawn serially:
+    victim bits, the interferer's bits, then the unit noise."""
     rng = np.random.default_rng(seed)
-    random_bits(N, rng)
-    rng.standard_normal(N * CONFIG.samples_per_symbol)
-    return rng
+    for _ in range(chunks):
+        random_bits(CHUNK, rng)
+        random_bits(CHUNK, rng)
+        rng.standard_normal(CHUNK * CONFIG.samples_per_symbol)
+    return rng.bit_generator.state
 
 
-def _failing_on(thread_is_main, exc):
-    """The front's band-pass, raising *exc* on the calling (main) or
-    the helper thread."""
-    bpf = calibrate(LinkSpec(config=CONFIG)).bpf
+def _deciders():
+    return (DecisionStage(CONFIG, IdealIntegrator()),
+            DecisionStage(CONFIG, CircuitSurrogateIntegrator()))
 
-    def band_pass(x):
+
+class _FailOn:
+    """Raises *exc* from its *at*-th call on the calling (main) or the
+    helper thread, counting calls (0-based) on that thread only."""
+
+    def __init__(self, at: int, exc: BaseException, main: bool = True):
+        self.at, self.exc, self.main, self.calls = at, exc, main, 0
+
+    def __call__(self) -> None:
         if (threading.current_thread() is threading.main_thread()) \
-                == thread_is_main:
-            raise exc
-        return bpf(x)
+                != self.main:
+            return
+        self.calls += 1
+        if self.calls > self.at:
+            raise self.exc
 
+
+class _Stage:
+    """A no-op stage calling *hook* once per chunk."""
+
+    span_name = "test.stage"
+
+    def __init__(self, hook):
+        self.hook = hook
+
+    def process(self, _state) -> None:
+        self.hook()
+
+
+def _band_pass(hook):
+    """The front's band-pass, calling *hook* first on every call."""
+    def band_pass(x):
+        hook()
+        return CACHE.bpf(x)
     return band_pass
+
+
+def _front(link_front, bpf=CACHE.bpf, hook=None):
+    front = link_front(CONFIG, bpf, interferers=PATHS)
+    if hook is not None:
+        # Between Combine and the front end: the stage order is kept.
+        front.stages = front.stages[:3] + (_Stage(hook),) + front.stages[3:]
+    return front
+
+
+#: three chunks, unless a rule below stops the sweep earlier.
+BUDGET = dict(target_errors=10**6, max_bits=3 * CHUNK, min_bits=3 * CHUNK,
+              chunk_bits=CHUNK)
+
+
+def _sweep(front, rng, deciders=None, **rule):
+    return run_ber_sweep(front, deciders or _deciders(), SIGMAS, rng,
+                         **{**BUDGET, **rule})
+
+
+#: stopping rules, and how many chunks each draws before it stops.
+STOPS = {
+    "fixed-budget": (dict(), 3),
+    # The first chunk meets the target while the second is drawn.
+    "target-errors": (dict(target_errors=60, min_bits=0), 1),
+    "adaptive": (dict(min_bits=CHUNK, adaptive=AdaptiveStopping(
+        rel_half_width=0.5, min_errors=8)), 1),
+}
+
+
+@pytest.mark.parametrize("stop", list(STOPS))
+def test_generator_ends_where_the_serial_sweep_leaves_it(link_front,
+                                                         stop):
+    """However the stopping rule ends the sweep, the generator ends
+    after exactly the chunks it graded (a look-ahead draw in flight is
+    rewound and counted), and every cell counts what its 1x1 sweep
+    from the same seed counts."""
+    rule, chunks = STOPS[stop]
+    front = _front(link_front)
+    rng = np.random.default_rng(SEED)
+    discarded = pipe._DISCARDED.value
+    errors, bits = _sweep(front, rng, **rule)
+    assert rng.bit_generator.state == _serial_state(chunks)
+    assert bits.max() == chunks * CHUNK
+    assert pipe._DISCARDED.value - discarded == (chunks < 3)
+    for k, decider in enumerate(_deciders()):
+        for j, sigma in enumerate(SIGMAS):
+            cell = run_ber_point(front, decider, sigma,
+                                 np.random.default_rng(SEED),
+                                 **{**BUDGET, **rule})
+            assert cell == (errors[k, j], bits[k, j]), (k, j)
+
+
+def _raises_in(link_front, where: str, at: int):
+    """``(front, deciders)`` raising in chunk *at* (0-based) in one
+    place: a stage or the decider on the calling thread, or the
+    helper's noise band-pass."""
+    deciders = _deciders()
+    if where == "stage":
+        return _front(link_front, hook=_FailOn(at, KeyError("stage"))), \
+            deciders
+    if where == "decide":
+        fail = _FailOn(at, KeyError("decide"))
+        decide = deciders[1].decide
+
+        def failing(*args):
+            fail()
+            return decide(*args)
+
+        deciders[1].decide = failing
+        return _front(link_front), deciders
+    return _front(link_front, bpf=_band_pass(
+        _FailOn(at, KeyError("helper"), main=False))), deciders
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("where", ["stage", "decide", "helper"])
+def test_a_raising_sweep_leaves_the_serial_generator(link_front, where,
+                                                     at):
+    """A sweep raising in chunk *at* - in a stage or the decider on
+    the calling thread, or in the helper's noise band-pass - re-raises
+    once the helper is idle, with the generator after exactly the
+    chunks drawn up to and including *at*."""
+    front, deciders = _raises_in(link_front, where, at)
+    rng = np.random.default_rng(SEED)
+    with pytest.raises(KeyError, match=where):
+        _sweep(front, rng, deciders)
+    assert rng.bit_generator.state == _serial_state(at + 1)
+
+
+def test_a_discarded_draw_takes_its_failure_with_it(link_front):
+    """The look-ahead chunk's band-pass failing does not matter when
+    the sweep stops before that chunk: the sweep returns, rewound."""
+    front = _front(link_front, bpf=_band_pass(
+        _FailOn(1, KeyError("helper"), main=False)))
+    rng = np.random.default_rng(SEED)
+    _sweep(front, rng, target_errors=60, min_bits=0)
+    assert rng.bit_generator.state == _serial_state(1)
 
 
 def test_failing_stage_returns_after_the_noise_draw(link_front):
     """The front end raising on the calling thread re-raises only once
     the helper's noise draw is done: the generator is where a serial
     chunk leaves it."""
-    pipeline = link_front(CONFIG, _failing_on(True, RuntimeError("boom")))
-    rng = np.random.default_rng(9)
+    front = _front(link_front, bpf=_band_pass(
+        _FailOn(0, RuntimeError("boom"))))
+    rng = np.random.default_rng(SEED)
     with pytest.raises(RuntimeError, match="boom"):
-        pipeline.run_chunk(N, rng)
-    assert rng.bit_generator.state == _serial_draws(9).bit_generator.state
+        _sweep(front, rng)
+    assert rng.bit_generator.state == _serial_state(1)
 
 
 def test_helper_failure_is_reraised(link_front):
     """A failure on the helper thread (here: the noise band-pass)
     reaches the caller, after the draw finished."""
-    pipeline = link_front(
-        CONFIG, _failing_on(False, FloatingPointError("helper")))
-    rng = np.random.default_rng(9)
+    front = _front(link_front, bpf=_band_pass(
+        _FailOn(0, FloatingPointError("helper"), main=False)))
+    rng = np.random.default_rng(SEED)
     with pytest.raises(FloatingPointError, match="helper"):
-        pipeline.run_chunk(N, rng)
-    assert rng.bit_generator.state == _serial_draws(9).bit_generator.state
+        _sweep(front, rng)
+    assert rng.bit_generator.state == _serial_state(1)
+
+
+class _SlowRows:
+    """A nonlinear model grading like the circuit surrogate, slowly
+    enough that both threads take rows, recording each call."""
+
+    def __init__(self):
+        self.model = CircuitSurrogateIntegrator()
+        self.threads: list[int] = []
+
+    def window_outputs(self, x, dt, overwrite_x=False):
+        self.threads.append(threading.get_ident())
+        time.sleep(0.002)
+        return self.model.window_outputs(x, dt, overwrite_x=overwrite_x)
+
+
+@pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 8])
+def test_shared_rows_grade_like_one_thread(rows, busy):
+    """Rows pulled from one iterator by both threads - with the helper
+    free, or still busy with earlier work - equal one thread grading
+    each row, and every row is graded exactly once."""
+    rng = np.random.default_rng(3)
+    signal, noise = rng.normal(0.0, 0.05, (2, 37, 2, 64))
+    sigmas = np.linspace(0.0, 1.9, rows)
+    model = _SlowRows()
+    decider = DecisionStage(CONFIG, model)
+    alone = np.stack([decider.decide(signal, noise, s)[0]
+                      for s in sigmas])
+    model.threads.clear()
+    release = threading.Event()
+    blocker = pipe._helper().submit(release.wait, 10) if busy else None
+    # Switch threads as often as possible: a row handed out twice, or
+    # lost, shows as a wrong call count.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared, _ = decider.decide(signal, noise, sigmas)
+    finally:
+        sys.setswitchinterval(interval)
+        release.set()
+    if blocker is not None:
+        assert blocker.result(timeout=10)
+    assert np.array_equal(shared, alone)
+    assert len(model.threads) == rows
+    if busy or rows == 1:
+        assert set(model.threads) == {threading.get_ident()}
 
 
 def test_traced_chunk_shows_the_waits_beside_its_stages(link_front):
-    """The calling thread's joins (front end and decision rows) trace
-    as ``link.wait`` next to the stage spans, which stay leaves."""
-    front = link_front(CONFIG, calibrate(LinkSpec(config=CONFIG)).bpf)
+    """The calling thread's joins (the first chunk's noise, the
+    look-ahead chunk, decision rows) trace as ``link.wait`` next to
+    the stage spans, which stay leaves."""
+    front = link_front(CONFIG, CACHE.bpf)
     decider = DecisionStage(CONFIG, CircuitSurrogateIntegrator())
     try:
         with trace.collect("chunk") as root:
             run_ber_sweep(front, [decider], np.array([0.1, 0.2, 0.3]),
-                          np.random.default_rng(2), max_bits=100,
+                          np.random.default_rng(2), max_bits=200,
                           min_bits=0, chunk_bits=100)
     finally:
         trace.reset()
@@ -136,5 +327,7 @@ def test_traced_chunk_shows_the_waits_beside_its_stages(link_front):
     assert set(walls) == {"link.prime", "link.tx", "link.channel",
                           "link.combine", "link.afe", "link.wait",
                           "link.decision"}
-    assert root.children["link.wait"].count == 2
+    # The first chunk's noise and the look-ahead chunk are always
+    # joined; a row job is joined unless it was still queued.
+    assert 2 <= root.children["link.wait"].count <= 4
     assert sum(walls.values()) <= root.total_s
