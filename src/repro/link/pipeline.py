@@ -38,27 +38,34 @@ energy-detection BER of :mod:`repro.uwb.theory`).
 
 **One helper thread, one chunk ahead.** Each process keeps one helper
 thread (the kernels involved release the GIL), and
-:func:`run_ber_sweep` has it work one chunk ahead: while the calling
-thread synthesizes, band-passes and grades chunk ``k``, the helper
-draws chunk ``k + 1`` and band-passes and drive-scales its noise (the
-unit noise is freed there).  A sweep's first chunk draws its bits on
-the calling thread and only its noise on the helper, so its synthesis
-overlaps the noise draw.  While a draw is in flight the helper is the
-only thread that touches the generator, and its jobs run in
-submission order, so the draw sequence is the serial one.  A sweep
-that stops - or raises - with a look-ahead chunk in flight joins it
-and rewinds the generator to the state the job recorded before its
-first draw (counted as ``link.draw_ahead.discarded``): the generator
-ends exactly where the serial program leaves it, and every count is
-the serial count.  A nonlinear :class:`DecisionStage` pulls its rows
-from one shared iterator on both threads - the helper joins in once
-its draw is done; a single row stays on the calling thread - and each
-row's arithmetic is the same on either.
-:meth:`SignalPipeline.run_chunk` draws and synthesizes inline, on the
-calling thread.  A forked child makes its own helper.  A trace shows
-every join of the calling thread as a ``link.wait`` span beside the
-span it interrupts; the helper's own work is in no collected span
-tree.
+:func:`run_ber_sweep` has it draw and band-pass each chunk's noise one
+chunk ahead.  The calling thread draws a chunk's bits itself; the
+helper then draws the chunk's unit noise and band-passes and
+drive-scales it in place, so a noise job holds one noise vector
+(:meth:`BandPassFilter.__call__` with ``overwrite_x``).  The first
+chunk's noise overlaps its own synthesis.  Every later chunk's bits
+are drawn as soon as the chunk before it has its noise, and its noise
+job overlaps the synthesis and grading of that chunk; once its draw is
+done the helper takes decision rows.  The calling thread draws only
+while the helper has no draw in flight, so the draw sequence is the
+serial one.  A sweep that stops - or raises - with a look-ahead chunk
+drawn joins (or cancels) its noise job and rewinds the generator to
+the state recorded before that chunk's bits (counted as
+``link.draw_ahead.discarded``): the generator ends exactly where the
+serial program leaves it, and every count is the serial count.  A
+nonlinear :class:`DecisionStage` pulls its rows from one shared
+iterator on both threads - the helper joins in once its noise job is
+done; a single row stays on the calling thread - and each row's
+arithmetic is the same on either.  :meth:`SignalPipeline.run_chunk`
+draws and synthesizes inline, on the calling thread.  A forked child
+makes its own helper.  A process started by :mod:`multiprocessing`
+(a pool worker, whose siblings claim the other cores) or limited to
+one CPU gets no helper thread: its helper runs each job on
+submission, so the same sweep runs serially.  A trace shows every join of the calling thread
+- a chunk's noise, a discarded look-ahead, the helper's decision rows
+- as a ``link.wait`` span beside the span it interrupts, whether the
+job ran or was cancelled; the helper's own work is in no collected
+span tree.
 
 **Scenario batch axis.** One chunk can serve a whole family of
 operating points that share every draw and differ only in their noise
@@ -87,6 +94,7 @@ calibration needs the pilot energies, which live with the builders).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent import futures
 from dataclasses import dataclass
@@ -104,19 +112,47 @@ from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import WindowIntegrator
 from repro.uwb.modulation import ppm_pulse_samples, ppm_waveform, random_bits
 
-#: look-ahead chunks a sweep drew (or queued) and then did not need.
+#: look-ahead chunks a sweep drew and then did not need.
 _DISCARDED = _metrics.REGISTRY.counter("link.draw_ahead.discarded")
 
-_HELPER: futures.ThreadPoolExecutor | None = None
+_HELPER: futures.Executor | None = None
 
 
-def _helper() -> futures.ThreadPoolExecutor:
-    """The process's one helper thread (started on first use)."""
+def _helper() -> futures.Executor:
+    """The process's one helper (made on first use): a thread, or - in
+    a process with no core to spare for it - :class:`_Inline`."""
     global _HELPER
     if _HELPER is None:
         _HELPER = futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-link-helper")
+            max_workers=1, thread_name_prefix="repro-link-helper"
+        ) if _spare_core() else _Inline()
     return _HELPER
+
+
+def _spare_core() -> bool:
+    """Can a helper thread run beside the calling thread?  Not in a
+    process limited to one CPU, nor in a process started by
+    :mod:`multiprocessing` (a pool worker: its siblings claim the other
+    cores, and two busy threads per worker cost more CPU than one)."""
+    if multiprocessing.parent_process() is not None:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+class _Inline(futures.Executor):
+    """A helper without a thread: each job runs on submission, on the
+    calling thread, so every draw and row comes in the serial order."""
+
+    def submit(self, fn, /, *args, **kwargs) -> futures.Future:
+        job = futures.Future()
+        job.set_running_or_notify_cancel()
+        try:
+            job.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            job.set_exception(exc)
+        return job
 
 
 def _forget_helper() -> None:
@@ -130,14 +166,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _join(job: futures.Future) -> None:
-    """Wait for *job*; the calling thread's wait is traced as
-    ``link.wait`` (see :func:`repro.obs.trace.wait`)."""
-    if _trace.ENABLED:
-        with _trace.wait("link.wait"):
-            futures.wait((job,))
-    else:
+def _join(job: futures.Future, cancel: bool = False) -> bool:
+    """Wait for *job* - or, with *cancel*, drop it if it has not
+    started - and return whether it ran.  The calling thread's wait is
+    traced as ``link.wait`` (see :func:`repro.obs.trace.wait`) either
+    way, so a trace shows one wait per join however the two threads
+    raced."""
+    with _trace.wait("link.wait"):
+        if cancel and job.cancel():
+            return False
         futures.wait((job,))
+        return True
 
 
 def _result(job: futures.Future):
@@ -156,9 +195,6 @@ class LinkState:
 
     Attributes:
         n: symbols in this chunk.
-        sigmas: the noise standard deviations :func:`run_ber_sweep`
-            grades this chunk at, one row each (``None`` outside a
-            sweep); no stage reads them.
         bits: victim payload bits (drawn; shared across scenario
             rows).
         interferer_bits: each interferer's bits, in path order
@@ -170,16 +206,16 @@ class LinkState:
             front is done).
         unit: the chunk's one unit-variance noise vector, as long as
             ``waveform`` (drawn; ``None`` in a sweep, whose helper
-            thread band-passes and frees it).
+            thread band-passes it in place).
         signal: ``waveform`` band-passed and drive-scaled, shaped
             ``(n, 2, samples_per_slot)`` (set by
             :class:`AnalogFrontEndStage`).
         noise: ``unit`` through the same band-pass and scaling, same
-            shape; row ``i`` squares ``signal + sigmas[i] * noise``.
+            shape; row ``i`` of a decider squares ``signal + sigma_i
+            * noise``.
     """
 
     n: int
-    sigmas: np.ndarray | None = None
     bits: np.ndarray | None = None
     interferer_bits: tuple[np.ndarray, ...] = ()
     waveform: np.ndarray | None = None
@@ -301,8 +337,8 @@ class AnalogFrontEndStage:
     clean waveform and of the unit noise, each once per chunk (output
     reshaped into per-slot windows; the squarer runs per noise scale in
     the :class:`DecisionStage`).  In a sweep the unit noise never
-    reaches this stage: the helper thread band-passes it one chunk
-    ahead (see :func:`run_ber_sweep`)."""
+    reaches this stage: the helper thread band-passes it in place, one
+    chunk ahead (see :func:`run_ber_sweep`)."""
 
     config: UwbConfig
     bpf: BandPassFilter
@@ -314,10 +350,12 @@ class AnalogFrontEndStage:
         if state.unit is not None:
             state.noise = self._drive(state.unit, state.n)
 
-    def _drive(self, x: np.ndarray, n: int) -> np.ndarray:
-        # sosfilt never returns its input, so the drive scaling runs in
-        # place on the fresh filter output.
-        y = self.bpf(x)[:n * self.config.samples_per_symbol]
+    def _drive(self, x: np.ndarray, n: int, overwrite_x: bool = False
+               ) -> np.ndarray:
+        # The drive scaling runs in place on the filter output: a fresh
+        # array, or *x* itself with *overwrite_x*.
+        y = self.bpf(x, overwrite_x=overwrite_x)[
+            :n * self.config.samples_per_symbol]
         np.multiply(y, self.scale, out=y)
         return y.reshape(n, 2, self.config.samples_per_slot)
 
@@ -385,11 +423,9 @@ class DecisionStage:
                 try:
                     self._grade_rows(signal, noise, sigmas, rows, values)
                 finally:
-                    # Still queued (behind a look-ahead draw), the job
+                    # Still queued (behind a chunk's noise job), the job
                     # would find no row left: drop it, else join it.
-                    helped = not job.cancel()
-                    if helped:
-                        _join(job)
+                    helped = _join(job, cancel=True)
                 if helped:
                     job.result()
         return decide_slots(values, self.adc)
@@ -480,47 +516,13 @@ class SignalPipeline:
         return state
 
 
-class _DrawAhead:
-    """One chunk's draws and noise band-pass on the helper thread, for
-    :func:`run_ber_sweep` to take one chunk later or discard.
-
-    The job records the generator's state before its first draw, so
-    :meth:`discard` can rewind a draw the sweep turned out not to
-    need.  Only the helper touches the generator while a job is in
-    flight.
-    """
-
-    def __init__(self, front: SignalPipeline, n: int,
-                 rng: np.random.Generator):
-        self.rng = rng
-        self.before: dict | None = None
-        self.job = _helper().submit(self._draw, front, n)
-
-    def _draw(self, front: SignalPipeline, n: int) -> LinkState:
-        self.before = self.rng.bit_generator.state
-        state = front.draw(n, self.rng, noise=False)
-        state.noise = _filtered_noise(front, n, self.rng)
-        return state
-
-    def take(self) -> LinkState:
-        """The drawn chunk (re-raises a failed draw or band-pass)."""
-        return _result(self.job)
-
-    def discard(self) -> None:
-        """Drop the chunk and rewind the generator to where the job
-        found it; a failure of the job goes with it."""
-        _DISCARDED.inc()
-        if not self.job.cancel():
-            _join(self.job)
-            self.rng.bit_generator.state = self.before
-
-
 def _filtered_noise(front: SignalPipeline, n: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Draw a chunk's unit noise and return it band-passed and
-    drive-scaled by the front's last stage; the unit noise itself is
-    freed on return."""
-    return front.stages[-1]._drive(front.draw_noise(n, rng), n)
+    drive-scaled in place by the front's last stage, so the job holds
+    one noise vector, not two."""
+    return front.stages[-1]._drive(front.draw_noise(n, rng), n,
+                                   overwrite_x=True)
 
 
 def run_ber_point(front: SignalPipeline, decider: DecisionStage,
@@ -630,12 +632,13 @@ def run_ber_sweep(front: SignalPipeline,
     counters freeze behind the shared ``bits_done``, which keeps it
     retired).  Each decider grades only its active rows.
 
-    **Look-ahead.**  The helper thread draws chunk ``k + 1`` and
-    band-passes its noise while this thread grades chunk ``k`` (module
+    **Look-ahead.**  Once chunk ``k`` has its noise, this thread draws
+    chunk ``k + 1``'s bits and the helper thread draws and band-passes
+    its noise while chunk ``k`` is synthesized and graded (module
     docstring).  When the stopping rule, or an exception, ends the
-    sweep with that draw in flight, the draw is joined and the
-    generator rewound: *rng* ends where a serial run leaves it, also
-    when the sweep raises.
+    sweep with that chunk drawn, its noise job is joined or cancelled
+    and the generator rewound: *rng* ends where a serial run leaves
+    it, also when the sweep raises.
 
     Args:
         front: the shared pipeline front, ending in an
@@ -682,8 +685,12 @@ def run_ber_sweep(front: SignalPipeline,
     with _trace.span("link.prime"):
         _prime_allocator(samples * 8)
     bits_done = 0
-    ahead: _DrawAhead | None = None
+    # The chunk to grade next (bits drawn, noise on the helper), and
+    # the generator's state before its draws while it is a look-ahead
+    # the stopping rule may yet discard.
+    state: LinkState | None = None
     noise: futures.Future | None = None
+    before: dict | None = None
     try:
         while True:
             active = np.zeros((n_dec, n_pts), dtype=bool)
@@ -695,31 +702,37 @@ def run_ber_sweep(front: SignalPipeline,
             if not active.any():
                 break
             n = min(chunk_bits, max_bits - bits_done)
-            if ahead is None:
-                # The first chunk: its bits here, its noise on the
-                # helper while this thread synthesizes.
+            first = state is None
+            if first:
+                # The first chunk: its noise is drawn on the helper
+                # while this thread synthesizes.
                 state = front.draw(n, rng, noise=False)
                 noise = _helper().submit(_filtered_noise, front, n, rng)
-            else:
-                # Taken, a failed draw is this chunk's failure: no
-                # rewind.
-                taken, ahead = ahead, None
-                state = taken.take()
+                front.process(state)
+            # Failed, the noise job is this chunk's failure: it is not
+            # joined again.  The future holds the filtered noise, so it
+            # goes as soon as the state has it.
+            before = None
+            job, noise = noise, None
+            state.noise = _result(job)
+            del job
+            ahead = None
             if bits_done + n < max_bits:
-                # Another chunk is possible: draw it (queued behind the
-                # first chunk's noise) while this one is graded.
-                ahead = _DrawAhead(
-                    front, min(chunk_bits, max_bits - bits_done - n), rng)
-            # The draws are row-count independent (shared bits + one
-            # unit noise vector), so retirement never moves the stream.
-            rows = np.flatnonzero(active.any(axis=0))
-            state.sigmas = sigmas[rows]
-            front.process(state)
+                # Another chunk is possible and the helper is done with
+                # the generator: draw the chunk's bits here, and have
+                # the helper draw and band-pass its noise while this
+                # chunk is synthesized and graded.  The draws are
+                # row-count independent (shared bits + one unit noise
+                # vector), so retirement never moves the stream.
+                m = min(chunk_bits, max_bits - bits_done - n)
+                before = rng.bit_generator.state
+                ahead = front.draw(m, rng, noise=False)
+                noise = _helper().submit(_filtered_noise, front, m, rng)
+            if not first:
+                front.process(state)
             # Graded from signal and noise only: free the clean
-            # waveform while the look-ahead's noise is live.
+            # waveform.
             state.waveform = None
-            if noise is not None:
-                state.noise, noise = _result(noise), None
             for k, decider in enumerate(deciders):
                 cols = np.flatnonzero(active[k])
                 if not len(cols):
@@ -738,13 +751,15 @@ def run_ber_sweep(front: SignalPipeline,
                 bits[k, cols] += n
             bits_done += n
             # Free this chunk's arrays before the next chunk allocates
-            # its own, so only the look-ahead's filtered noise is live
-            # beside them.
-            del state
+            # its own.
+            state, ahead = ahead, None
     finally:
-        # The generator must end where the serial program leaves it.
+        # The generator must end where the serial program leaves it:
+        # a chunk being graded keeps its noise draw, a look-ahead that
+        # was not needed is dropped and its draws rewound.
         if noise is not None:
-            _join(noise)
-        if ahead is not None:
-            ahead.discard()
+            _join(noise, cancel=before is not None)
+        if before is not None:
+            _DISCARDED.inc()
+            rng.bit_generator.state = before
     return errors, bits

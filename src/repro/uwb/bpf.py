@@ -25,6 +25,10 @@ def pulse_band(pulse: np.ndarray, fs: float,
     return float(freqs[above[0]]), float(freqs[above[-1]])
 
 
+#: samples per block of an in-place :class:`BandPassFilter` pass.
+OVERWRITE_BLOCK = 1 << 16
+
+
 class BandPassFilter:
     """Butterworth band-pass applied with second-order sections.
 
@@ -58,5 +62,21 @@ class BandPassFilter:
         high = min(high, 0.90 * fs / 2.0)
         return cls((low, high), fs, order=order)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _signal.sosfilt(self.sos, x, axis=-1)
+    def __call__(self, x: np.ndarray, overwrite_x: bool = False
+                 ) -> np.ndarray:
+        """*x* filtered along its last axis.
+
+        With *overwrite_x* a float64 vector *x* is filtered in place and
+        returned: a block at a time, the filter state carried from block
+        to block, so the output is bit-identical to one pass but no
+        second array of *x*'s size is allocated.
+        """
+        if not overwrite_x:
+            return _signal.sosfilt(self.sos, x, axis=-1)
+        if x.ndim != 1 or x.dtype != np.float64:
+            raise ValueError("overwrite_x needs a float64 vector")
+        state = np.zeros((len(self.sos), 2))
+        for start in range(0, len(x), OVERWRITE_BLOCK):
+            block = x[start:start + OVERWRITE_BLOCK]
+            block[:], state = _signal.sosfilt(self.sos, block, zi=state)
+        return x

@@ -1,15 +1,19 @@
 """The pipeline's helper thread: fork safety, the generator's final
 state however a sweep stops, and shared decision rows.
 
-``run_ber_sweep`` has the helper draw chunk ``k + 1`` and band-pass its
-noise while the calling thread grades chunk ``k``, and a nonlinear
-decider's rows are pulled by both threads.  These tests pin what could
-go wrong: a forked worker inheriting a helper whose thread does not
-exist; a sweep that stops or raises with a look-ahead draw in flight
-and leaves the generator anywhere but where the serial program leaves
-it; and a shared row graded twice, never, or differently.
+``run_ber_sweep`` draws chunk ``k + 1``'s bits and has the helper draw
+and band-pass its noise while the calling thread synthesizes and
+grades chunk ``k``, and a nonlinear decider's rows are pulled by both
+threads.  These tests pin what could go wrong: a forked worker
+inheriting a helper whose thread does not exist, or a pool worker
+given a helper thread its siblings leave no core for; a sweep that
+stops or raises with a look-ahead chunk drawn and leaves the generator
+anywhere but where the serial program leaves it; a shared row graded
+twice, never, or differently; and a join of the helper that a trace
+does not show.
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -17,6 +21,7 @@ import sys
 import textwrap
 import threading
 import time
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +44,18 @@ from repro.uwb.integrator import CircuitSurrogateIntegrator, IdealIntegrator
 from repro.uwb.modulation import random_bits
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.fixture(autouse=True)
+def threaded_helper(monkeypatch):
+    """These tests need a helper thread, also on a one-CPU machine."""
+    if isinstance(pipe._helper(), futures.ThreadPoolExecutor):
+        yield
+        return
+    helper = futures.ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(pipe, "_HELPER", helper)
+    yield
+    helper.shutdown()
 
 #: a serial sweep in the parent starts its helper thread; the pool
 #: workers forked afterwards must make their own.
@@ -77,6 +94,20 @@ def test_pool_after_a_sweep_matches_serial():
         pytest.fail("run_mui(processes=2) hung after a serial sweep")
     assert proc.returncode == 0, err
     assert out.split() == ["same"]
+
+
+def test_no_helper_thread_without_a_spare_core(monkeypatch):
+    """A pool worker, or a process limited to one CPU, gets no helper
+    thread; a process free to use two CPUs does."""
+    pool = futures.ProcessPoolExecutor(
+        max_workers=1, mp_context=multiprocessing.get_context("spawn"))
+    with pool:
+        assert pool.submit(pipe._spare_core).result(timeout=120) is False
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0})
+        assert not pipe._spare_core()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1})
+        assert pipe._spare_core()
 
 
 CONFIG = TEST_CONFIG
@@ -136,9 +167,9 @@ class _Stage:
 
 def _band_pass(hook):
     """The front's band-pass, calling *hook* first on every call."""
-    def band_pass(x):
+    def band_pass(x, overwrite_x=False):
         hook()
-        return CACHE.bpf(x)
+        return CACHE.bpf(x, overwrite_x=overwrite_x)
     return band_pass
 
 
@@ -191,6 +222,27 @@ def test_generator_ends_where_the_serial_sweep_leaves_it(link_front,
                                  np.random.default_rng(SEED),
                                  **{**BUDGET, **rule})
             assert cell == (errors[k, j], bits[k, j]), (k, j)
+
+
+@pytest.mark.parametrize("stop", list(STOPS))
+def test_without_a_helper_thread_the_sweep_is_the_same(link_front,
+                                                       monkeypatch, stop):
+    """With the inline helper of a process that has no spare core,
+    every job runs on the calling thread, and the counts and the
+    generator's final state are those of the threaded sweep."""
+    rule, chunks = STOPS[stop]
+    threaded = _sweep(_front(link_front), np.random.default_rng(SEED),
+                      **rule)
+    monkeypatch.setattr(pipe, "_HELPER", pipe._Inline())
+    threads = set()
+    front = _front(link_front, bpf=_band_pass(
+        lambda: threads.add(threading.get_ident())))
+    rng = np.random.default_rng(SEED)
+    errors, bits = _sweep(front, rng, **rule)
+    assert rng.bit_generator.state == _serial_state(chunks)
+    assert np.array_equal(errors, threaded[0])
+    assert np.array_equal(bits, threaded[1])
+    assert threads == {threading.get_ident()}
 
 
 def _raises_in(link_front, where: str, at: int):
@@ -310,24 +362,52 @@ def test_shared_rows_grade_like_one_thread(rows, busy):
         assert set(model.threads) == {threading.get_ident()}
 
 
-def test_traced_chunk_shows_the_waits_beside_its_stages(link_front):
-    """The calling thread's joins (the first chunk's noise, the
-    look-ahead chunk, decision rows) trace as ``link.wait`` next to
-    the stage spans, which stay leaves."""
+def _traced_waits(link_front, model: str, **budget) -> int:
+    """``link.wait`` spans in a trace of one sweep over the three
+    :data:`SIGMAS` rows in chunks of 100 bits, with the stage spans
+    leaves beside them."""
     front = link_front(CONFIG, CACHE.bpf)
-    decider = DecisionStage(CONFIG, CircuitSurrogateIntegrator())
+    decider = DecisionStage(CONFIG, CircuitSurrogateIntegrator()
+                            if model == "circuit" else IdealIntegrator())
     try:
         with trace.collect("chunk") as root:
-            run_ber_sweep(front, [decider], np.array([0.1, 0.2, 0.3]),
-                          np.random.default_rng(2), max_bits=200,
-                          min_bits=0, chunk_bits=100)
+            run_ber_sweep(front, [decider], SIGMAS,
+                          np.random.default_rng(2), min_bits=0,
+                          chunk_bits=100, **budget)
     finally:
         trace.reset()
     walls = root.leaf_walls()
     assert set(walls) == {"link.prime", "link.tx", "link.channel",
                           "link.combine", "link.afe", "link.wait",
                           "link.decision"}
-    # The first chunk's noise and the look-ahead chunk are always
-    # joined; a row job is joined unless it was still queued.
-    assert 2 <= root.children["link.wait"].count <= 4
     assert sum(walls.values()) <= root.total_s
+    return root.children["link.wait"].count
+
+
+def test_traced_chunk_shows_the_waits_beside_its_stages(link_front):
+    """One chunk's joins - its noise, and the circuit decider's row
+    job on an idle helper - trace as ``link.wait`` next to the stage
+    spans, which stay leaves."""
+    assert _traced_waits(link_front, "circuit", max_bits=100) == 2
+
+
+#: (decider, sweep budget, joins): each chunk joins its noise (the
+#: second chunk's drawn one chunk ahead) and a nonlinear decider's row
+#: job, whether it ran or was cancelled; a look-ahead the stopping
+#: rule discards is joined once more.
+WAITS = {
+    "two-chunk-ideal": ("ideal", dict(max_bits=200), 2),
+    "two-chunk-circuit": ("circuit", dict(max_bits=200), 4),
+    "discarded-ideal": ("ideal", dict(max_bits=300, target_errors=1), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(WAITS))
+def test_every_join_of_a_sweep_is_traced(link_front, case):
+    """Every join of the calling thread, the look-ahead's included,
+    is one ``link.wait``: the count does not depend on how the two
+    threads raced."""
+    model, budget, joins = WAITS[case]
+    discarded = pipe._DISCARDED.value
+    assert _traced_waits(link_front, model, **budget) == joins
+    assert pipe._DISCARDED.value - discarded == (case == "discarded-ideal")

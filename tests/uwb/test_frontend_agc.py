@@ -7,7 +7,7 @@ import pytest
 
 from repro.uwb.adc import Adc
 from repro.uwb.agc import Agc, TwoStageAgc
-from repro.uwb.bpf import BandPassFilter, pulse_band
+from repro.uwb.bpf import OVERWRITE_BLOCK, BandPassFilter, pulse_band
 from repro.uwb.frontend import Lna, Vga
 from repro.uwb.pulse import sampled_pulse
 
@@ -84,6 +84,24 @@ class TestBpf:
         pulse = sampled_pulse(20e9, 0.09e-9, 5)
         low, high = pulse_band(pulse, 20e9)
         assert low < 4e9 < high  # peak around 4 GHz
+
+    @pytest.mark.parametrize(
+        "n", [1, OVERWRITE_BLOCK, 2 * OVERWRITE_BLOCK + 7])
+    def test_in_place_pass_is_one_pass(self, n):
+        """Filtering in place, a block at a time, returns the input
+        array holding exactly the one-pass output."""
+        bpf = BandPassFilter((2e9, 6e9), 20e9)
+        x = np.random.default_rng(n).standard_normal(n)
+        expected = bpf(x)
+        out = bpf(x, overwrite_x=True)
+        assert out is x
+        assert np.array_equal(out, expected)
+
+    def test_in_place_pass_needs_a_float64_vector(self):
+        bpf = BandPassFilter((2e9, 6e9), 20e9)
+        for x in (np.zeros(8, dtype=np.float32), np.zeros((2, 8))):
+            with pytest.raises(ValueError, match="float64 vector"):
+                bpf(x, overwrite_x=True)
 
     def test_validation(self):
         with pytest.raises(ValueError):
