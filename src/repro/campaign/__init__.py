@@ -11,11 +11,12 @@ campaigns *incremental*:
   (union caches computed on independent machines) and ``gc``
   (size/age eviction),
 * :mod:`repro.campaign.objects` - the store's object codec,
-* :mod:`repro.campaign.runner` - a resumable drop-in
-  :class:`~repro.core.scenario.SweepRunner` that serves cached
-  scenarios, fans the rest out through the same loop, checkpoints
-  every result as it completes, and re-runs only what is missing
-  (a killed campaign resumes by running it again),
+* :mod:`repro.campaign.runner` - :class:`CampaignRunner`, the one
+  scenario runner: it serves cached scenarios, fans the rest out
+  through :func:`repro.core.scenario.fan_out`, checkpoints every
+  result as it completes, and re-runs only what is missing (a killed
+  campaign resumes by running it again); with no store it is a plain
+  serial or process-pool runner,
 * :mod:`repro.campaign.cli` - the ``python -m repro`` command line
   driving all experiment harnesses through the campaign layer;
   ``repro run`` is the one way to run a campaign.

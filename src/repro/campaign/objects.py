@@ -85,7 +85,6 @@ def encode_record(scenario: Scenario, result: SweepResult, key: str,
             "params": to_jsonable(dict(scenario.params), arrays),
             "seed": to_jsonable(scenario.seed, arrays),
             "rng_param": scenario.rng_param,
-            "seed_param": scenario.seed_param,
         },
         "value": to_jsonable(result.value, arrays),
         "wall_time": result.wall_time,

@@ -1,43 +1,41 @@
-"""Resumable campaign execution on top of :class:`SweepRunner`.
+"""Campaign execution: the one runner of every experiment harness.
 
-A :class:`CampaignRunner` is a drop-in :class:`SweepRunner` that,
-when given a :class:`~repro.campaign.store.ResultStore`,
+A :class:`CampaignRunner` runs a batch of
+:class:`~repro.core.scenario.Scenario` objects through the
+:func:`~repro.core.scenario.fan_out` loop, serially or over a process
+pool, and returns their results in submission order.  Given a
+:class:`~repro.campaign.store.ResultStore` it also
 
 * serves already-computed scenarios straight from the store (their
-  :class:`SweepResult` comes back with ``cached=True``),
-* executes only the missing ones through the same
-  :func:`~repro.core.scenario.fan_out` loop as ``SweepRunner``,
-  **checkpointing each result the moment it completes** - an
-  interrupted sweep therefore loses at most the scenario in flight,
-  and re-running the identical campaign completes only what is
-  missing,
+  :class:`~repro.core.scenario.SweepResult` comes back with
+  ``cached=True``),
+* executes only the missing ones, **checkpointing each result the
+  moment it completes** - an interrupted sweep therefore loses at most
+  the scenario in flight, and re-running the identical campaign
+  completes only what is missing,
 * merges cached and fresh results into one report in submission order.
 
-With ``store=None`` nothing is cached and a failing scenario's
-exception propagates unwrapped, as from a plain ``SweepRunner``, so
-harnesses can route through it unconditionally.
+With ``store=None`` nothing is cached and a failing scenario's own
+exception propagates unwrapped (serially at once, over a pool once the
+completed siblings have drained), so harnesses route through it
+unconditionally.
 
 Interrupting a campaign needs no protocol: kill it and run it again.
 Every completed scenario is already in the store, so the re-run
 executes only the scenarios that had not completed.
 
-Failures are wrapped in :class:`CampaignError`, which names the failed
-scenario(s) and says how many sibling results were still checkpointed
-(so an operator knows a re-run will only redo the failures).
+With a store, failures are wrapped in :class:`CampaignError`, which
+names the failed scenario(s) and says how many sibling results were
+still checkpointed (so an operator knows a re-run will only redo the
+failures).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
-from repro.core.scenario import (
-    Scenario,
-    SweepReport,
-    SweepResult,
-    SweepRunner,
-    fan_out,
-)
+from repro.core.scenario import Scenario, SweepResult, fan_out
 from repro.campaign.store import ResultStore
 from repro.obs import metrics as _metrics
 
@@ -68,39 +66,58 @@ class CampaignError(RuntimeError):
 
 
 @dataclass
-class CampaignReport(SweepReport):
-    """A :class:`SweepReport` plus campaign bookkeeping.
+class CampaignReport:
+    """Results of a campaign, in submission order.
 
     Attributes:
+        results: one :class:`SweepResult` per scenario.
         executed: scenarios actually run this invocation.
         cached: scenarios served from the result store.
     """
 
+    results: list[SweepResult]
     executed: int = 0
     cached: int = 0
 
+    def values(self) -> list[Any]:
+        return [r.value for r in self.results]
 
-class CampaignRunner(SweepRunner):
-    """A :class:`SweepRunner` with content-addressed result caching.
+    def by_name(self) -> dict[str, Any]:
+        return {r.name: r.value for r in self.results}
+
+
+class CampaignRunner:
+    """Run a batch of :class:`Scenario` objects, optionally in parallel
+    and with content-addressed result caching.
 
     Args:
         scenarios: initial scenarios (more can be :meth:`add`-ed).
-        processes: fan-out degree (see :class:`SweepRunner`).
+        processes: fan-out degree; ``None``/``0``/``1`` run serially in
+            this process (no pickling requirements), ``>1`` uses a
+            process pool.  Timing-sensitive sweeps (e.g. the Table-1
+            CPU comparison) should run serially so the runs do not
+            contend for cores.
         store: result store; ``None`` disables caching entirely.
     """
 
     def __init__(self, scenarios: Iterable[Scenario] = (), *,
                  processes: int | None = None,
                  store: ResultStore | None = None):
-        super().__init__(scenarios, processes=processes)
+        self.scenarios: list[Scenario] = list(scenarios)
+        self.processes = processes
         self.store = store
+
+    def add(self, scenario: Scenario) -> Scenario:
+        self.scenarios.append(scenario)
+        return scenario
 
     def run(self) -> CampaignReport:
         """Execute the campaign; cached scenarios are not re-run.
 
         Raises:
-            CampaignError: one or more scenarios failed (completed
-                siblings were checkpointed first).
+            CampaignError: with a store, one or more scenarios failed
+                (completed siblings were checkpointed first).  Without
+                one, the first failure's own exception propagates.
         """
         store = self.store
         slots: list[SweepResult | None] = [None] * len(self.scenarios)

@@ -3,7 +3,7 @@
 Every :class:`~repro.core.scenario.Scenario` has a *content address* -
 a SHA-256 over its canonical encoding::
 
-    key = sha256({fn qualname, params, seed, rng/seed conventions, salt})
+    key = sha256({fn qualname, params, seed, rng convention, salt})
 
 where *salt* defaults to ``repro-<package version>`` so a code release
 invalidates old results wholesale (pass an explicit salt to pin or
@@ -25,9 +25,9 @@ concurrently without locks - identical keys produce identical bytes
 and the last rename wins.
 
 Scenarios are only cacheable when they are *deterministic on paper*:
-a scenario that injects entropy (``rng_param``/``seed_param`` with
-``seed=None``) or whose function/params cannot be encoded (lambdas)
-is silently treated as uncacheable and simply always executes.
+a scenario that injects entropy (``rng_param`` with ``seed=None``) or
+whose function/params cannot be encoded (lambdas) is silently treated
+as uncacheable and simply always executes.
 
 The cache root resolves, in order: explicit argument, the
 ``REPRO_CACHE_DIR`` environment variable, ``~/.cache/repro``.
@@ -141,8 +141,7 @@ class ResultStore:
         """
         if not scenario.cache:
             return None
-        if scenario.seed is None and (scenario.rng_param
-                                      or scenario.seed_param):
+        if scenario.seed is None and scenario.rng_param:
             return None
         try:
             payload = {
@@ -150,7 +149,8 @@ class ResultStore:
                 "params": dict(scenario.params),
                 "seed": scenario.seed,
                 "rng_param": scenario.rng_param,
-                "seed_param": scenario.seed_param,
+                # Retired Scenario field, kept so stored keys still hit.
+                "seed_param": None,
                 "salt": self.salt,
             }
             return stable_hash(payload)

@@ -12,10 +12,10 @@ This package holds the flow's tooling:
   the transistor circuit,
 * :mod:`repro.core.metrics` - CPU-time accounting and system-metric
   (BER / ranging) comparison reports,
-* :mod:`repro.core.scenario` - declarative :class:`Scenario` /
-  :class:`SweepRunner` descriptions of multi-run workloads (corner
-  sweeps, BER grids, model comparisons) with per-run seeding and
-  multiprocessing fan-out.
+* :mod:`repro.core.scenario` - declarative :class:`Scenario`
+  descriptions of multi-run workloads (corner sweeps, BER grids, model
+  comparisons) with per-run seeding, and the process fan-out loop that
+  :class:`repro.campaign.CampaignRunner` runs them through.
 """
 
 from repro.core.characterize import (
@@ -34,9 +34,7 @@ from repro.core.metrics import (
 )
 from repro.core.scenario import (
     Scenario,
-    SweepReport,
     SweepResult,
-    SweepRunner,
 )
 
 __all__ = [
@@ -44,9 +42,7 @@ __all__ = [
     "CpuTimeReport",
     "RangingComparison",
     "Scenario",
-    "SweepReport",
     "SweepResult",
-    "SweepRunner",
     "TwoPoleFit",
     "build_surrogate",
     "characterize_integrator",

@@ -1,4 +1,4 @@
-"""Declarative scenarios and parallel sweep execution.
+"""Declarative scenarios and their one execution loop.
 
 Every workload in this repository ultimately boils down to "call one
 top-level harness function with some parameters and a seed" - a BER
@@ -7,22 +7,24 @@ This module gives that pattern one vocabulary:
 
 * :class:`Scenario` - a named, seeded unit of work (function +
   parameters + reproducible seeding policy),
-* :class:`SweepRunner` - runs a batch of scenarios serially or fanned
-  out over processes, timing each one,
-* :func:`fan_out` - the one execution loop behind it (and behind
-  :class:`repro.campaign.runner.CampaignRunner`).
+* :class:`SweepResult` - one scenario's value and wall time,
+* :func:`fan_out` - the one execution loop: runs a batch of scenarios
+  serially or over processes, timing each one.  Its one caller is
+  :class:`repro.campaign.runner.CampaignRunner`, the runner every
+  harness goes through.
 
 Multiprocessing notes: with ``processes > 1`` the scenario functions and
 parameters must be picklable (top-level functions, no lambdas or
-closures); results come back in submission order.  Serial execution
-(``processes`` of ``None``/``0``/``1``) has no such restriction.
+closures); each result reaches its caller with its submission index.
+Serial execution (``processes`` of ``None``/``0``/``1``) has no such
+restriction.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,9 +46,6 @@ class Scenario:
         rng_param: if set, pass ``np.random.default_rng(seed)`` to *fn*
             under this keyword (the convention of ``ber_curve`` and
             friends).
-        seed_param: if set, pass the seed as an ``int`` under this
-            keyword (the convention of harnesses like
-            ``run_table1(seed=...)``).
         cache: opt-out flag for the campaign layer - ``False`` marks a
             run that must execute every time even under a result store
             (e.g. repeated timing measurements, whose content address
@@ -58,7 +57,6 @@ class Scenario:
     params: Mapping[str, Any] = field(default_factory=dict)
     seed: Any = None
     rng_param: str | None = None
-    seed_param: str | None = None
     cache: bool = True
 
     def build_kwargs(self) -> dict[str, Any]:
@@ -66,14 +64,6 @@ class Scenario:
         if self.rng_param:
             # seed=None -> fresh entropy, still a valid generator.
             kwargs[self.rng_param] = np.random.default_rng(self.seed)
-        if self.seed_param:
-            seed = self.seed
-            if not isinstance(seed, (int, np.integer)):
-                # None or a SeedSequence: derive a concrete integer.
-                if not isinstance(seed, np.random.SeedSequence):
-                    seed = np.random.SeedSequence(seed)
-                seed = int(seed.generate_state(1)[0])
-            kwargs[self.seed_param] = int(seed)
         return kwargs
 
     def run(self) -> Any:
@@ -149,76 +139,3 @@ def fan_out(scenarios: Sequence[Scenario], processes: int | None,
                 continue
             on_result(futures[future], result)
     return failures
-
-
-@dataclass
-class SweepReport:
-    """Results of a sweep, in submission order."""
-
-    results: list[SweepResult]
-
-    def values(self) -> list[Any]:
-        return [r.value for r in self.results]
-
-    def by_name(self) -> dict[str, Any]:
-        return {r.name: r.value for r in self.results}
-
-    def __getitem__(self, name: str) -> Any:
-        for r in self.results:
-            if r.name == name:
-                return r.value
-        raise KeyError(name)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    @property
-    def total_wall_time(self) -> float:
-        return sum(r.wall_time for r in self.results)
-
-    def format_table(self) -> str:
-        lines = [f"{'Scenario':<32s} {'Wall time':>10s}"]
-        for r in self.results:
-            suffix = "  (cached)" if r.cached else ""
-            lines.append(f"{r.name:<32s} {r.wall_time:>9.3f}s{suffix}")
-        return "\n".join(lines)
-
-
-class SweepRunner:
-    """Run a batch of :class:`Scenario` objects, optionally in parallel.
-
-    Args:
-        scenarios: initial scenarios (more can be :meth:`add`-ed).
-        processes: fan-out degree; ``None``/``0``/``1`` run serially in
-            this process (no pickling requirements), ``>1`` uses a
-            process pool.  Note that timing-sensitive sweeps (e.g. the
-            Table-1 CPU comparison) should run serially so the runs do
-            not contend for cores.
-    """
-
-    def __init__(self, scenarios: Iterable[Scenario] = (), *,
-                 processes: int | None = None):
-        self.scenarios: list[Scenario] = list(scenarios)
-        self.processes = processes
-
-    def add(self, scenario: Scenario) -> Scenario:
-        self.scenarios.append(scenario)
-        return scenario
-
-    def extend(self, scenarios: Iterable[Scenario]) -> None:
-        self.scenarios.extend(scenarios)
-
-    def run(self) -> SweepReport:
-        """Execute all scenarios; results come back in submission
-        order regardless of completion order.  A failing scenario's
-        exception propagates (over a pool, once the siblings have
-        drained)."""
-        results: list[Any] = [None] * len(self.scenarios)
-        failures = fan_out(self.scenarios, self.processes,
-                           results.__setitem__)
-        if failures:
-            raise failures[0][1]
-        return SweepReport(results=results)

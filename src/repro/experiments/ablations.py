@@ -21,6 +21,7 @@ from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.table2_twr import TWR_NOISE_SIGMA, twr_spec
 from repro.link import FrontEndSpec, LinkSpec, ops
 from repro.uwb import UwbConfig
+from repro.uwb.integrator import TwoPoleIntegrator
 from repro.uwb.ranging import RangingResult
 
 
@@ -99,41 +100,34 @@ def run_noise_shaping_ablation(ebn0_db: float = 12.0,
                                fp2_grid=(1e9, 3e9, 6e9, 20e9),
                                seed: int = 7,
                                quick: bool = True,
-                               processes: int | None = None,
                                store: ResultStore | None = None
                                ) -> NoiseShapingResult:
     """BER versus the model's second pole, paired against the ideal
-    integrator (every arm shares the seed, hence the noise)."""
+    integrator: one batched sweep grades every arm on the same bits
+    and noise, and each arm's BER equals its own one-integrator
+    ``ops.ber_curve`` from the same seed."""
     if quick:
         budget = dict(target_errors=80, max_bits=60_000, min_bits=4_000)
     else:
         budget = dict(target_errors=300, max_bits=600_000,
                       min_bits=40_000)
-    base = LinkSpec(config=UwbConfig(),
+    spec = LinkSpec(config=UwbConfig(),
                     frontend=FrontEndSpec(band=(2.0e9, 9.0e9)))
-
-    runner = CampaignRunner(processes=processes, store=store)
-    runner.add(Scenario(
-        name="ideal", fn=ops.ber_curve, seed=seed, rng_param="rng",
-        params=dict(spec=base.with_(integrator="ideal"),
-                    ebn0_grid=[ebn0_db], **budget)))
-    for fp2 in fp2_grid:
-        runner.add(Scenario(
-            name=f"fp2={float(fp2):g}", fn=ops.ber_curve, seed=seed,
-            rng_param="rng",
-            params=dict(
-                spec=base.with_(
-                    integrator="two_pole",
-                    integrator_params={"fp2_hz": float(fp2)}),
-                ebn0_grid=[ebn0_db], **budget)))
-    # Consume positionally: results come back in submission order, so
-    # fp2 values that format to the same label cannot collapse.
-    curves = runner.run().values()
-    shaped = [float(curve.ber[0]) for curve in curves[1:]]
-    return NoiseShapingResult(fp2_grid=np.asarray(fp2_grid, dtype=float),
-                              ber_ideal=float(curves[0].ber[0]),
-                              ber_shaped=np.asarray(shaped),
-                              ebn0_db=float(ebn0_db))
+    shaped = tuple(TwoPoleIntegrator(fp2_hz=float(fp2)) for fp2 in fp2_grid)
+    # Positional labels: fp2 values that format alike stay distinct.
+    labels = ("ideal", *(f"fp2[{i}]={float(fp2):g}"
+                         for i, fp2 in enumerate(fp2_grid)))
+    (arms,) = CampaignRunner([Scenario(
+        name="arms", fn=ops.ber_sweep, seed=seed, rng_param="rng",
+        params=dict(spec=spec, ebn0_grid=[ebn0_db],
+                    integrators=("ideal", *shaped), labels=labels,
+                    **budget))], store=store).run().values()
+    curves = list(arms.values())
+    return NoiseShapingResult(
+        fp2_grid=np.asarray(fp2_grid, dtype=float),
+        ber_ideal=float(curves[0].ber[0]),
+        ber_shaped=np.asarray([float(c.ber[0]) for c in curves[1:]]),
+        ebn0_db=float(ebn0_db))
 
 
 @experiment("ablations", order=50,
@@ -144,7 +138,6 @@ def ablations_experiment(ctx: ExperimentContext) -> str:
                            processes=ctx.processes, store=ctx.store,
                            **ctx.seed_kwargs())
     shaping = run_noise_shaping_ablation(quick=not ctx.full,
-                                         processes=ctx.processes,
                                          store=ctx.store,
                                          **ctx.seed_kwargs())
     return agc.format_report() + "\n\n" + shaping.format_report()

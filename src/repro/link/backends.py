@@ -39,14 +39,16 @@ from repro.link.spec import (
     LinkSpec,
     NetworkSpec,
 )
+from repro.obs import trace as _trace
 from repro.uwb.adc import Adc, AutoRangingAdc
 from repro.uwb.agc import Agc, TwoStageAgc
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.channel.ieee802154a import ChannelRealization, Cm1Channel
-from repro.uwb.fastsim import _LinkCache
+from repro.uwb.config import UwbConfig
 from repro.uwb.frontend import Vga
 from repro.uwb.integrator import WindowIntegrator, nominal_gain
+from repro.uwb.modulation import ppm_waveform
 from repro.uwb.receiver import EnergyDetectionReceiver
 from repro.uwb.system import COSIM
 
@@ -150,7 +152,7 @@ _REALIZATION_MEMO: dict = {}
 
 #: memoized pilot calibrations keyed by
 #: ``(UwbConfig, ChannelSpec, FrontEndSpec)`` - everything
-#: :class:`~repro.uwb.fastsim._LinkCache` depends on.
+#: :class:`_LinkCache` depends on.
 _CALIBRATION_MEMO: dict = {}
 
 _MEMO_CAP = 128
@@ -210,6 +212,42 @@ def build_receiver(spec: LinkSpec, *,
         cfg, resolved, vga=vga, adc=adc, agc=agc, bpf=build_bpf(spec),
         detection_factor=fe.detection_factor,
         toa_threshold_fraction=fe.toa_threshold_fraction)
+
+
+class _LinkCache:
+    """Per-configuration precomputation shared across Eb/N0 points: the
+    pilot calibration :func:`calibrate` memoizes."""
+
+    def __init__(self, config: UwbConfig,
+                 channel: ChannelRealization | None,
+                 bpf: BandPassFilter | None):
+        with _trace.span("link.calibrate"):
+            self._init(config, channel, bpf)
+
+    def _init(self, config: UwbConfig,
+              channel: ChannelRealization | None,
+              bpf: BandPassFilter | None) -> None:
+        self.config = config
+        self.channel = channel
+        self.bpf = bpf if bpf is not None else BandPassFilter.for_pulse(
+            config.fs, config.pulse_tau, config.pulse_order)
+        # Reference energy per bit and peak amplitude measured on a
+        # noiseless filtered pilot (one pulse per bit -> Eb = pulse
+        # energy after channel+filter).  The pilot goes through exactly
+        # the data-path processing of the BER sweep: the channel
+        # output is trimmed by the propagation delay and truncated to
+        # whole symbols, so delayed-channel energy landing outside the
+        # symbol window is not counted toward Eb.
+        pilot_bits = np.zeros(8, dtype=np.int8)
+        n_samples = len(pilot_bits) * config.samples_per_symbol
+        pilot = ppm_waveform(pilot_bits, config)
+        if channel is not None:
+            pilot = channel.received(pilot, n_samples)
+        filtered = self.bpf(pilot)[:n_samples]
+        self.eb = float(np.sum(filtered ** 2) * config.dt / len(pilot_bits))
+        self.peak = float(np.max(np.abs(filtered)))
+        if self.eb <= 0:
+            raise ValueError("degenerate link: zero received energy")
 
 
 def calibrate(spec: LinkSpec) -> _LinkCache:

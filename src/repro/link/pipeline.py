@@ -737,13 +737,7 @@ def run_ber_sweep(front: SignalPipeline,
                 cols = np.flatnonzero(active[k])
                 if not len(cols):
                     continue
-                if _trace.ENABLED:
-                    with _trace.span(decider.span_name):
-                        _, decisions = decider.decide(
-                            state.signal, state.noise, sigmas[cols])
-                        errors[k, cols] += np.count_nonzero(
-                            decisions != state.bits[None, :], axis=-1)
-                else:
+                with _trace.span(decider.span_name):
                     _, decisions = decider.decide(
                         state.signal, state.noise, sigmas[cols])
                     errors[k, cols] += np.count_nonzero(

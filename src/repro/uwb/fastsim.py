@@ -1,34 +1,21 @@
-"""Monte-Carlo statistics and pilot calibration of the Phase-I golden model.
+"""Monte-Carlo statistics of the golden-model BER sweep.
 
 Phase I of the methodology validates the behavioral receiver against a
 high-level golden model ("the coherence with another high level
 description language (Matlab) was checked ... we obtained BER curves
 which perfectly overlapped the Matlab ones").  That golden model is
-the staged :mod:`repro.link.pipeline`: a chunked, fully vectorized
-waveform-level simulation of the 2-PPM energy-detection link with an
-ideal synchronizer, used for the figure-6 BER curves and the Phase-I
-overlap benchmark.
+the staged :mod:`repro.link.pipeline`; its one chunk loop is
+:func:`repro.link.pipeline.run_ber_sweep`, assembled from a spec (and
+pilot-calibrated) by :func:`repro.link.ops.ber_sweep`.
 
-The signal chain per chunk of symbols:
-
-    2-PPM pulse train -> [CM1 channel] -> [+ interferers] ->
-    AWGN (per Eb/N0) -> BPF -> drive scaling -> squarer ->
-    integrator model per slot -> [ADC] -> larger-slot decision
-
-The pipeline's stages are Tx -> Channel -> Combine -> AnalogFrontEnd
--> Decision, its one chunk loop is
-:func:`repro.link.pipeline.run_ber_sweep`, and the one place that
-assembles it from a spec - multi-user interferers included - is
-:func:`repro.link.ops.ber_sweep`.  This module keeps the Monte-Carlo
-bookkeeping around that loop: the adaptive stopping policy, Wilson
-intervals, curve assembly and the pilot calibration.  The exact curve
-it is judged against lives apart, in :mod:`repro.uwb.theory`.
-``core.serialization`` tags dataclasses by ``module:qualname``, so the
-path of :class:`BerResult` and :class:`AdaptiveStopping` is part of
-every cached payload; they stay here.
-
-Swapping the integrator model (ideal / two-pole / circuit surrogate)
-reproduces the paper's ideal-versus-ELDO BER comparison.
+This module keeps the statistics around that loop: Wilson intervals
+(:func:`wilson_interval`), the adaptive stopping policy
+(:class:`AdaptiveStopping`) and curve assembly (:class:`BerResult`).
+The exact curve it is judged against lives apart, in
+:mod:`repro.uwb.theory`.  ``core.serialization`` tags dataclasses by
+``module:qualname``, so the path of :class:`BerResult` and
+:class:`AdaptiveStopping` is part of every cached payload; they stay
+here.
 """
 
 from __future__ import annotations
@@ -38,12 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
-
-from repro.obs import trace as _trace
-from repro.uwb.bpf import BandPassFilter
-from repro.uwb.channel.ieee802154a import ChannelRealization
-from repro.uwb.config import UwbConfig
-from repro.uwb.modulation import ppm_waveform
 
 
 #: memoized two-sided z-scores per confidence level: wilson_interval
@@ -178,41 +159,6 @@ class BerResult:
                          f"{int(self.errors[i]):>8d} "
                          f"{int(self.bits[i]):>9d} {ci:>24s}")
         return "\n".join(lines)
-
-
-class _LinkCache:
-    """Per-configuration precomputation shared across Eb/N0 points."""
-
-    def __init__(self, config: UwbConfig,
-                 channel: ChannelRealization | None,
-                 bpf: BandPassFilter | None):
-        with _trace.span("link.calibrate"):
-            self._init(config, channel, bpf)
-
-    def _init(self, config: UwbConfig,
-              channel: ChannelRealization | None,
-              bpf: BandPassFilter | None) -> None:
-        self.config = config
-        self.channel = channel
-        self.bpf = bpf if bpf is not None else BandPassFilter.for_pulse(
-            config.fs, config.pulse_tau, config.pulse_order)
-        # Reference energy per bit and peak amplitude measured on a
-        # noiseless filtered pilot (one pulse per bit -> Eb = pulse
-        # energy after channel+filter).  The pilot goes through exactly
-        # the data-path processing of the BER sweep: the channel
-        # output is trimmed by the propagation delay and truncated to
-        # whole symbols, so delayed-channel energy landing outside the
-        # symbol window is not counted toward Eb.
-        pilot_bits = np.zeros(8, dtype=np.int8)
-        n_samples = len(pilot_bits) * config.samples_per_symbol
-        pilot = ppm_waveform(pilot_bits, config)
-        if channel is not None:
-            pilot = channel.received(pilot, n_samples)
-        filtered = self.bpf(pilot)[:n_samples]
-        self.eb = float(np.sum(filtered ** 2) * config.dt / len(pilot_bits))
-        self.peak = float(np.max(np.abs(filtered)))
-        if self.eb <= 0:
-            raise ValueError("degenerate link: zero received energy")
 
 
 def _curve_result(ebn0_grid: np.ndarray, errors: np.ndarray,

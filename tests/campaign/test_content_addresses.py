@@ -54,8 +54,7 @@ PINNED = {
         "c2e4500d3a307a6c4983394356fe90ef4e3a713c9f198ec53bcf641035b4dfb4",
     ],
     "ablation": [
-        "10b6098c95ea329a15fff673e81d4b43fdf51f6b96c46516a81b217700e58511",
-        "ef8ba288ba0a45cc22db927596d0053352e6b9084d837c86e93417766052a105",
+        "3584ce3e2671e3201a470a26491e0ac05a5856d5e75d54f1b67d23e49552b7bf",
     ],
     "table2": [
         "013d8c45e2f90c0a005aa5d601798d88657ec5483a687a2569b4500cdde0f360",

@@ -68,7 +68,7 @@ def test_killed_campaign_resumes_with_the_remaining_scenarios(tmp_path):
 
     resumed = build_campaign(store).run()
     assert (resumed.executed, resumed.cached) == (2, 2)
-    assert [r.cached for r in resumed] == [True, True, False, False]
+    assert [r.cached for r in resumed.results] == [True, True, False, False]
     fresh = build_campaign(None).run()
-    for a, b in zip(resumed, fresh):
+    for a, b in zip(resumed.results, fresh.results):
         assert np.array_equal(a.value, b.value)

@@ -9,7 +9,7 @@ from repro.campaign import (
     CampaignRunner,
     ResultStore,
 )
-from repro.core.scenario import Scenario, SweepRunner
+from repro.core.scenario import Scenario
 from repro.uwb.modulation import random_bits
 
 
@@ -29,7 +29,7 @@ class TestCaching:
         second = build_runner(store).run()
         assert (second.executed, second.cached) == (0, 3)
         assert store.misses == 3 and store.hits == 3
-        for a, b in zip(first, second):
+        for a, b in zip(first.results, second.results):
             assert np.array_equal(a.value, b.value)
             assert b.cached and not a.cached
 
@@ -42,7 +42,7 @@ class TestCaching:
         assert (resumed.executed, resumed.cached) == (2, 1)
         # values equal a fresh uncached run of the full campaign
         fresh = build_runner(None).run()
-        for a, b in zip(resumed, fresh):
+        for a, b in zip(resumed.results, fresh.results):
             assert np.array_equal(a.value, b.value)
 
     def test_scenario_wall_observed_per_completed_scenario(self, tmp_path):
@@ -58,27 +58,33 @@ class TestCaching:
         build_runner(store).run()
         assert hist.count == count + 6
         assert hist.total - total == pytest.approx(
-            2 * first.total_wall_time)
+            2 * sum(r.wall_time for r in first.results))
 
     def test_no_store_passthrough(self):
+        """Without a store the runner is a plain serial runner: every
+        scenario executes, in submission order, including unpicklable
+        ones and an empty batch."""
         report = build_runner(None).run()
         assert isinstance(report, CampaignReport)
         assert (report.executed, report.cached) == (3, 0)
-        plain = SweepRunner(
-            [Scenario(name=f"bits{n}", fn=random_bits, seed=5,
-                      rng_param="rng", params={"n": n})
-             for n in (4, 8, 16)]).run()
-        for a, b in zip(report, plain):
-            assert np.array_equal(a.value, b.value)
+        for n, r in zip((4, 8, 16), report.results):
+            assert r.name == f"bits{n}" and not r.cached
+            assert np.array_equal(
+                r.value, random_bits(n, rng=np.random.default_rng(5)))
+        lambdas = CampaignRunner(
+            Scenario(name=f"n{i}", fn=lambda i=i: i) for i in range(5))
+        assert lambdas.run().values() == [0, 1, 2, 3, 4]
+        empty = CampaignRunner().run()
+        assert (empty.values(), empty.executed, empty.cached) == ([], 0, 0)
 
     def test_report_interface_preserved(self, tmp_path):
         store = ResultStore(tmp_path, salt="s")
         report = build_runner(store).run()
-        assert len(report) == 3
+        assert len(report.results) == 3
         assert set(report.by_name()) == {"bits4", "bits8", "bits16"}
-        assert "bits4" in report.format_table()
+        assert not any(r.cached for r in report.results)
         report2 = build_runner(store).run()
-        assert "(cached)" in report2.format_table()
+        assert all(r.cached for r in report2.results)
         assert (report2.executed, report2.cached) == (0, 3)
 
     def test_uncacheable_scenarios_always_execute(self, tmp_path):
@@ -144,6 +150,16 @@ class TestFailureCheckpointing:
         # the message count matches what is really in the store
         assert len(store.entries()) == exc.checkpointed
 
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_no_store_raises_the_scenario_error(self, processes):
+        """Without a store nothing is checkpointed, so the scenario's
+        own exception propagates unwrapped - the contract every
+        harness relies on."""
+        with pytest.raises(RuntimeError, match="boom") as info:
+            self.build(None, fail_first=True, processes=processes).run()
+        assert type(info.value) is RuntimeError
+        assert not isinstance(info.value, CampaignError)
+
     def test_plain_runtime_error_still_catchable(self, tmp_path):
         """CampaignError subclasses RuntimeError, so pre-existing
         harness code catching RuntimeError keeps working."""
@@ -159,7 +175,7 @@ class TestParallel:
         assert first.executed == 3
         second = build_runner(store, processes=2).run()
         assert (second.executed, second.cached) == (0, 3)
-        for a, b in zip(first, second):
+        for a, b in zip(first.results, second.results):
             assert np.array_equal(a.value, b.value)
 
     def test_parallel_matches_serial_order_and_values(self, tmp_path):
@@ -167,8 +183,9 @@ class TestParallel:
             ResultStore(tmp_path / "a", salt="s")).run()
         parallel = build_runner(
             ResultStore(tmp_path / "b", salt="s"), processes=2).run()
-        assert [r.name for r in serial] == [r.name for r in parallel]
-        for a, b in zip(serial, parallel):
+        assert ([r.name for r in serial.results]
+                == [r.name for r in parallel.results])
+        for a, b in zip(serial.results, parallel.results):
             assert np.array_equal(a.value, b.value)
 
 

@@ -7,6 +7,9 @@ import pytest
 from repro.experiments import run_noise_shaping_ablation
 from repro.experiments.table1_cpu import Table1Result
 from repro.core.metrics import CpuTimeReport
+from repro.link import FrontEndSpec, LinkSpec, ops
+from repro.uwb import UwbConfig
+from repro.uwb.integrator import TwoPoleIntegrator
 
 
 class TestNoiseShaping:
@@ -30,6 +33,19 @@ class TestNoiseShaping:
     def test_report(self, result):
         text = result.format_report()
         assert "noise shaping" in text and "vs ideal" in text
+
+    def test_arms_equal_their_own_curves(self, result):
+        """The one batched sweep grades each arm exactly as a
+        one-integrator ``ber_curve`` of that arm from the same seed."""
+        spec = LinkSpec(config=UwbConfig(),
+                        frontend=FrontEndSpec(band=(2.0e9, 9.0e9)))
+        budget = dict(target_errors=80, max_bits=60_000, min_bits=4_000)
+        arms = [None, *(TwoPoleIntegrator(fp2_hz=f)
+                        for f in result.fp2_grid)]
+        bers = [float(ops.ber_curve(spec, [12.0], np.random.default_rng(7),
+                                    integrator=arm, **budget).ber[0])
+                for arm in arms]
+        assert bers == [result.ber_ideal, *result.ber_shaped]
 
 
 class TestTable1Helpers:

@@ -19,11 +19,10 @@ from repro.link import (
     ops,
     run_ber_point,
 )
-from repro.link.backends import draw_stimulus
+from repro.link.backends import _LinkCache, draw_stimulus
 from repro.uwb.agc import Agc, TwoStageAgc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.config import UwbConfig
-from repro.uwb.fastsim import _LinkCache
 from repro.uwb.integrator import (
     IdealIntegrator,
     TwoPoleIntegrator,

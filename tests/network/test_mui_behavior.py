@@ -73,7 +73,7 @@ class TestInterferenceBehavior:
         # The interferer's pilot energy through the victim's band-pass,
         # scaled by the calibrated amplitude, sits exactly 6 dB under
         # the victim's pilot energy.
-        from repro.uwb.fastsim import _LinkCache
+        from repro.link.backends import _LinkCache
 
         pilot = _LinkCache(TEST_CONFIG, None, cache.bpf)
         ratio_db = 10 * np.log10(path.amplitude ** 2 * pilot.eb

@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 
 from repro.link import LinkSpec, NetworkSpec, ops
+from repro.link.backends import _LinkCache
 from repro.link.pipeline import DecisionStage, run_ber_point
 from repro.uwb.adc import Adc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.channel.ieee802154a import Cm1Channel
 from repro.uwb.config import TEST_CONFIG
-from repro.uwb.fastsim import AdaptiveStopping, _LinkCache
+from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
     IdealIntegrator,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.link import LinkSpec, build_integrator, ops
+from repro.link.backends import _LinkCache
 from repro.uwb import ChannelRealization, UwbConfig
 from repro.uwb.bpf import BandPassFilter
-from repro.uwb.fastsim import _LinkCache
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
     IdealIntegrator,
