@@ -38,7 +38,8 @@ from repro.experiments.mui_network import (
 )
 from repro.experiments.table1_cpu import Table1Result, run_table1
 from repro.experiments.table2_twr import Table2Result, run_table2
-from repro.experiments.phase1_overlap import Phase1Result, run_phase1_overlap
+# registers the ``phase1`` and ``equivalence`` adapters
+from repro.experiments import phase1_overlap  # noqa: F401
 from repro.experiments.ablations import (
     AgcAblationResult,
     NoiseShapingResult,
@@ -55,7 +56,6 @@ __all__ = [
     "Fig6Result",
     "MuiResult",
     "NoiseShapingResult",
-    "Phase1Result",
     "Table1Result",
     "Table2Result",
     "all_experiments",
@@ -72,7 +72,6 @@ __all__ = [
     "run_fig6",
     "run_mui",
     "run_noise_shaping_ablation",
-    "run_phase1_overlap",
     "run_table1",
     "run_table2",
 ]

@@ -36,7 +36,7 @@ from repro.uwb.integrator import (
     WindowIntegrator,
 )
 from repro.uwb.adc import Adc
-from repro.uwb.frontend import Lna, Vga
+from repro.uwb.frontend import Vga
 from repro.uwb.agc import Agc, TwoStageAgc
 from repro.uwb.receiver import EnergyDetectionReceiver, ReceiverResult
 from repro.uwb.fastsim import (
@@ -57,7 +57,6 @@ __all__ = [
     "Cm1Channel",
     "EnergyDetectionReceiver",
     "IdealIntegrator",
-    "Lna",
     "Packet",
     "RangingResult",
     "ReceiverResult",

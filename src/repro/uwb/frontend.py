@@ -1,10 +1,9 @@
-"""Behavioral RF front end: LNA and DAC-stepped VGA.
+"""Behavioral RF front end: the DAC-stepped VGA.
 
-Phase-II style models: linear gain with saturation ("saturation in the
+A Phase-II style model: linear gain with saturation ("saturation in the
 various stages" is one of the effects the paper keeps even in the ideal
-architecture), optional bandwidth limit, and for the VGA a gain that is
-quantized in DAC steps because "its gain is controlled in steps using a
-DA converter within the AGC block".
+architecture), quantized in DAC steps because "its gain is controlled
+in steps using a DA converter within the AGC block".
 """
 
 from __future__ import annotations
@@ -12,38 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from repro.ams.equations import OnePoleState
-
-
-class Lna:
-    """Low-noise amplifier: fixed gain, optional input-referred noise
-    and output clipping.
-
-    Args:
-        gain_db: voltage gain in dB.
-        sat: output saturation (V); ``None`` disables clipping.
-        noise_sigma: input-referred noise added per sample (V rms).
-    """
-
-    def __init__(self, gain_db: float = 20.0, sat: float | None = 0.9,
-                 noise_sigma: float = 0.0,
-                 rng: np.random.Generator | None = None):
-        self.gain = 10.0 ** (gain_db / 20.0)
-        self.sat = sat
-        self.noise_sigma = float(noise_sigma)
-        self.rng = rng
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.noise_sigma > 0.0:
-            if self.rng is None:
-                raise ValueError("noise_sigma set but no rng provided")
-            x = x + self.rng.normal(0.0, self.noise_sigma, size=x.shape)
-        y = self.gain * x
-        if self.sat is not None:
-            y = np.clip(y, -self.sat, self.sat)
-        return y
 
 
 class Vga:

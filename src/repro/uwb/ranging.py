@@ -10,19 +10,19 @@ The distance estimate is ``d = c * (RTT - PT) / 2``; its error is
 ``c * (e_A + e_B) / 2`` where ``e_X`` is each receiver's time-of-arrival
 estimation error.  Each TWR iteration therefore simulates two one-way
 packet receptions (request and reply) through fresh noise (and, per
-iteration, a fresh CM1 realization), using the full receiver chain -
+packet, a fresh CM1 realization), using the full receiver chain -
 including the installed integrator model, which is how the ideal-vs-ELDO
 comparison of the paper's table 2 is reproduced.
 
-The ``counter`` block of figure 1 is modeled by quantizing timestamps to
-the counter clock (default: the synchronizer window, which is also the
-resolution the receiver's TOA carries).
+The ``counter`` block of figure 1 is modeled by quantizing the RTT to
+the counter clock, one simulation sample (the receiver's TOA itself
+carries the coarser synchronizer-window resolution).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -81,16 +81,14 @@ class TwoWayRanging:
         distance: true link distance (m) - the paper uses 9.9 m.
         tx_amplitude: transmitted pulse peak amplitude (V).
         noise_sigma: receiver input noise per sample (V rms).
-        channel: CM1 generator; ``None`` uses an ideal (delay-only)
-            channel.
-        static_channel: draw one CM1 realization up front and reuse it
-            for every iteration ("10 TWR iterations at a single distance
-            point": the geometry is fixed, only noise varies).  Requires
-            *channel*.
-        processing_time: the known PT between reception and reply (s).
-        idle_time: idle head before each packet (for the NE phase).
-        counter_period: RTT counter resolution (s); default one
-            simulation sample (the TOA itself is window-quantized).
+        channel: CM1 generator (a fresh realization per packet);
+            ``None`` uses an ideal (delay-only) channel.
+
+    Each packet is preceded by an idle head of ``noise_est_windows + 8``
+    integration windows (for the NE phase), and the RTT counter ticks
+    once per simulation sample (the TOA itself is window-quantized).
+    The known processing time cancels out of the RTT error, so it is
+    not modeled.
     """
 
     def __init__(self, config: UwbConfig,
@@ -98,12 +96,7 @@ class TwoWayRanging:
                  distance: float = 9.9,
                  tx_amplitude: float = 1.0,
                  noise_sigma: float = 1e-4,
-                 channel: Cm1Channel | None = None,
-                 static_channel: bool = False,
-                 static_channel_seed: int = 1234,
-                 processing_time: float = 2e-6,
-                 idle_time: float | None = None,
-                 counter_period: float | None = None):
+                 channel: Cm1Channel | None = None):
         config.validate()
         if distance <= 0:
             raise ValueError("distance must be positive")
@@ -113,18 +106,9 @@ class TwoWayRanging:
         self.tx_amplitude = float(tx_amplitude)
         self.noise_sigma = float(noise_sigma)
         self.channel = channel
-        self._fixed_realization = None
-        if static_channel:
-            if channel is None:
-                raise ValueError("static_channel requires a channel model")
-            self._fixed_realization = channel.realize(
-                distance, np.random.default_rng(static_channel_seed))
-        self.processing_time = float(processing_time)
-        if idle_time is None:
-            idle_time = (config.noise_est_windows + 8) \
-                * config.integration_window
-        self.idle_time = float(idle_time)
-        self.counter_period = counter_period or config.dt
+        self.idle_time = (config.noise_est_windows + 8) \
+            * config.integration_window
+        self.counter_period = config.dt
 
     # ------------------------------------------------------------------
     def _one_way_toa_error(self, rng: np.random.Generator) -> float | None:
@@ -137,9 +121,7 @@ class TwoWayRanging:
 
         idle = int(round(self.idle_time * cfg.fs))
         if self.channel is not None:
-            realization = (self._fixed_realization
-                           if self._fixed_realization is not None
-                           else self.channel.realize(self.distance, rng))
+            realization = self.channel.realize(self.distance, rng)
             rx = realization.apply(wave, extra_tail=cfg.samples_per_symbol)
             delay_samples = realization.delay_samples
         else:

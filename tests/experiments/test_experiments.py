@@ -13,10 +13,11 @@ from repro.experiments import (
     run_fig4,
     run_fig5,
     run_fig6,
-    run_phase1_overlap,
     run_table1,
     run_table2,
 )
+from repro.link import run_equivalence
+from repro.link.equivalence import PHASE1_SPEC
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +130,8 @@ class TestTable2:
 
 class TestPhase1:
     def test_overlap(self):
-        res = run_phase1_overlap(bits_per_point=50, seed=23)
+        res = run_equivalence(PHASE1_SPEC, ebn0_grid=(6.0, 10.0),
+                              bits=50, seed=23, engines=("compiled",))
         assert res.decision_agreement > 0.9
         assert res.max_ber_gap < 0.08
         assert "agreement" in res.format_report()
@@ -137,9 +139,10 @@ class TestPhase1:
     def test_pinned_overlap(self):
         """The Phase-I numbers at 60 bits/point, seed 23 (the `phase1`
         report prints these)."""
-        res = run_phase1_overlap(bits_per_point=60, seed=23)
-        assert res.ber_ams.tolist() == [0.25, 1 / 30]
-        assert res.ber_golden.tolist() == [4 / 15, 1 / 30]
+        res = run_equivalence(PHASE1_SPEC, ebn0_grid=(6.0, 10.0),
+                              bits=60, seed=23, engines=("compiled",))
+        assert res.kernel_ber("compiled").tolist() == [0.25, 1 / 30]
+        assert res.golden_ber.tolist() == [4 / 15, 1 / 30]
         assert res.decision_agreement == 119 / 120
 
 

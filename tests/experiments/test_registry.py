@@ -85,3 +85,8 @@ class TestAdaptersEndToEnd:
         report = get_experiment("equivalence").run(
             ExperimentContext(seed=5))
         assert "bit-identical" in report
+
+    def test_phase1_adapter_renders_report(self):
+        report = get_experiment("phase1").run(ExperimentContext())
+        assert "119/120" in report
+        assert report.count("all backends agree:    True") == 1

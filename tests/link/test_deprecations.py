@@ -30,19 +30,17 @@ class TestInternalPipelineIsWarningFree:
     """The migrated harnesses must never route through a shim."""
 
     def test_experiments_emit_no_deprecation_warnings(self):
-        from repro.experiments import (
-            run_fig6,
-            run_phase1_overlap,
-            run_table1,
-            run_table2,
-        )
+        from repro.experiments import run_fig6, run_table1, run_table2
+        from repro.link import run_equivalence
+        from repro.link.equivalence import PHASE1_SPEC
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run_fig6(ebn0_grid=(8.0,), quick=True, seed=7)
             run_table1(simulated_time=0.05e-6, measure_reference=False)
             run_table2(iterations=1, seed=42)
-            run_phase1_overlap(ebn0_grid=(8.0,), bits_per_point=20)
+            run_equivalence(PHASE1_SPEC, ebn0_grid=(8.0,), bits=20,
+                            engines=("compiled",))
 
     def test_backends_emit_no_deprecation_warnings(self):
         from repro.link import run_equivalence

@@ -1,6 +1,6 @@
 """Golden model versus AMS kernel: the Phase-I validation.
 
-One seeded BER point must agree between the golden model and the AMS
+Seeded BER points must agree between the golden model and the AMS
 kernel testbench within the Wilson interval, and the two kernel
 engines must demodulate bit-identical decisions.
 """
@@ -19,6 +19,12 @@ def result():
     return run_equivalence(bits=150, seed=23)
 
 
+def counts(res):
+    """Per-engine kernel error counts as plain lists."""
+    return {engine: errors.tolist()
+            for engine, errors in res.kernel_errors.items()}
+
+
 class TestEquivalenceHarness:
     def test_engines_bit_identical(self, result):
         assert result.engines_identical
@@ -30,30 +36,35 @@ class TestEquivalenceHarness:
 
     def test_report_text(self, result):
         text = result.format_report()
-        assert "fastsim" in text and "kernel/compiled" in text
+        assert "golden" in text and "kernel/compiled" in text
         assert "bit-identical: True" in text
+        assert "all backends agree:    True" in text
 
     def test_interval_is_wilson(self, result):
-        assert result.interval(result.fastsim_errors) == \
-            wilson_interval(result.fastsim_errors, result.bits, 0.95)
+        errors = int(result.golden_errors[0])
+        assert result.interval(errors) == \
+            wilson_interval(errors, result.bits, 0.95)
 
     def test_seeded_reproducibility(self, result):
         again = run_equivalence(bits=150, seed=23)
-        assert again.fastsim_errors == result.fastsim_errors
-        assert again.kernel_errors == result.kernel_errors
+        assert again.golden_errors.tolist() == \
+            result.golden_errors.tolist()
+        assert counts(again) == counts(result)
 
     def test_pinned_error_counts(self, result):
         """Counters recorded before the stimulus moved onto the shared
         pipeline front; the draw order (bits, then noise) must not
         move them."""
         assert result.bits == 150
-        assert result.fastsim_errors == 18
-        assert result.kernel_errors == {"compiled": 16, "reference": 16}
+        assert result.ebn0_db.tolist() == [6.0]
+        assert result.golden_errors.tolist() == [18]
+        assert counts(result) == {"compiled": [16], "reference": [16]}
 
     def test_different_seed_changes_noise(self, result):
         other = run_equivalence(bits=150, seed=24)
-        assert (other.fastsim_errors != result.fastsim_errors
-                or other.kernel_errors != result.kernel_errors)
+        assert (other.golden_errors.tolist()
+                != result.golden_errors.tolist()
+                or counts(other) != counts(result))
 
 
 class TestBerPointAgreement:
@@ -94,3 +105,38 @@ class TestEquivalenceAcrossModels:
                               bits=120, seed=29)
         assert res.engines_identical
         assert res.all_agree(), res.format_report()
+
+
+class TestEquivalenceGrid:
+    def test_first_point_is_the_one_point_run(self, result):
+        """One generator draws the grid in order, so the first point of
+        a grid reproduces the one-point run."""
+        grid = run_equivalence(ebn0_grid=(6.0, 10.0), bits=150, seed=23)
+        assert grid.golden_errors[0] == result.golden_errors[0]
+        assert counts(grid)["compiled"][0] == counts(result)["compiled"][0]
+        assert len(grid.golden_errors) == 2
+
+    def test_needs_an_engine(self):
+        with pytest.raises(ValueError):
+            run_equivalence(bits=10, engines=())
+
+
+class TestCircuitNetlistAgainstSurrogate:
+    """The Phase-III oracle through the same harness: the golden arm
+    grades the behavioral surrogate, the kernel co-simulates the
+    transistor netlist on the same stimulus."""
+
+    @pytest.fixture(scope="class")
+    def circuit(self):
+        return run_equivalence(DEFAULT_SPEC.with_(integrator="circuit"),
+                               ebn0_grid=(6.0, 12.0), bits=40, seed=23,
+                               engines=("compiled",))
+
+    def test_pinned_decisions(self, circuit):
+        assert circuit.golden_errors.tolist() == [0, 0]
+        assert counts(circuit) == {"compiled": [1, 0]}
+        assert circuit.decisions_agreed == 79
+        assert circuit.decision_agreement == 79 / 80
+
+    def test_every_point_agrees(self, circuit):
+        assert circuit.all_agree(), circuit.format_report()

@@ -1,4 +1,4 @@
-"""LNA, VGA, BPF and AGC policies."""
+"""VGA, BPF and AGC policies."""
 
 import math
 
@@ -8,29 +8,8 @@ import pytest
 from repro.uwb.adc import Adc
 from repro.uwb.agc import Agc, TwoStageAgc
 from repro.uwb.bpf import OVERWRITE_BLOCK, BandPassFilter, pulse_band
-from repro.uwb.frontend import Lna, Vga
+from repro.uwb.frontend import Vga
 from repro.uwb.pulse import sampled_pulse
-
-
-class TestLna:
-    def test_gain(self):
-        lna = Lna(gain_db=20.0, sat=None)
-        assert lna(np.array([0.01]))[0] == pytest.approx(0.1)
-
-    def test_saturation(self):
-        lna = Lna(gain_db=40.0, sat=0.9)
-        assert lna(np.array([1.0]))[0] == 0.9
-
-    def test_noise_requires_rng(self):
-        lna = Lna(noise_sigma=1e-3)
-        with pytest.raises(ValueError):
-            lna(np.zeros(4))
-
-    def test_noise_added(self):
-        lna = Lna(gain_db=0.0, sat=None, noise_sigma=0.1,
-                  rng=np.random.default_rng(0))
-        y = lna(np.zeros(10000))
-        assert np.std(y) == pytest.approx(0.1, rel=0.05)
 
 
 class TestVga:

@@ -175,19 +175,6 @@ class TestTwoWayRanging:
         assert circuit.offset >= ideal.offset - 1e-9
         assert circuit.offset > 0
 
-    def test_static_channel_requires_model(self):
-        with pytest.raises(ValueError):
-            TwoWayRanging(CFG, lambda: None, channel=None,
-                          static_channel=True)
-
-    def test_static_channel_reused(self):
-        chan = Cm1Channel(CFG.fs)
-        twr = TwoWayRanging(
-            CFG, lambda: EnergyDetectionReceiver(CFG, IdealIntegrator()),
-            distance=9.9, channel=chan, static_channel=True,
-            static_channel_seed=5)
-        assert twr._fixed_realization is not None
-
     def test_weak_link_raises(self):
         twr = TwoWayRanging(
             CFG, lambda: EnergyDetectionReceiver(CFG, IdealIntegrator()),
