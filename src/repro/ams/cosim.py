@@ -40,8 +40,6 @@ class SpiceBlock(AnalogBlock):
         outputs: mapping ``Quantity -> fn(stepper)`` extracting outputs,
             e.g. ``lambda st: st.vdiff("out_intp", "out_intm")``.
         substeps: circuit-level steps per kernel step (>= 1).
-        method: integration method of the embedded transient.
-        initial_overrides: source values for the initial DC solve.
         initial_guess: node-voltage hints for the initial DC solve.
         preflight: run the error-level static lint rules
             (:func:`repro.spice.lint.preflight_check`) on the netlist
@@ -65,8 +63,6 @@ class SpiceBlock(AnalogBlock):
                  outputs: Mapping[Quantity, Callable[[TransientStepper],
                                                      float]],
                  substeps: int = 1,
-                 method: str = "trap",
-                 initial_overrides: Mapping[str, float] | None = None,
                  initial_guess: Mapping[str, float] | None = None,
                  preflight: bool = True):
         if substeps < 1:
@@ -78,12 +74,11 @@ class SpiceBlock(AnalogBlock):
         super().__init__(name, inputs=(), outputs=tuple(outputs))
         self._input_fns = dict(inputs)
         self._output_fns = [(q, fn) for q, fn in outputs.items()]
-        overrides = dict(initial_overrides or {})
-        for src, fn in self._input_fns.items():
-            overrides.setdefault(src, float(fn()))
         self.stepper = TransientStepper(
-            circuit, dt / substeps, method=method,
-            overrides=overrides, initial_guess=initial_guess)
+            circuit, dt / substeps,
+            overrides={src: float(fn())
+                       for src, fn in self._input_fns.items()},
+            initial_guess=initial_guess)
         self.substeps = substeps
         self._write_outputs()
 

@@ -29,51 +29,43 @@ def _mos(name: str, d: str, g: str, s: str, b: str, size: MosSize) -> Mosfet:
 
 
 def add_cmfb(ckt: Circuit, design: IntegrateDumpDesign, *,
-             outp: str, outm: str, vdd: str, gnd: str,
-             prefix: str = "") -> None:
+             outp: str, outm: str, vdd: str, gnd: str) -> None:
     """Add the 9-transistor CMFB network regulating *outp*/*outm*.
 
-    Nodes created (prefixed): ``s`` (sensed CM), ``sref`` (shifted
-    reference), ``vcmref`` (divider), ``vcmfb`` (control), ``x1``
-    (mirror diode), ``tail``.
+    Nodes created: ``s`` (sensed CM), ``sref`` (shifted reference),
+    ``vcmref`` (divider), ``vcmfb`` (control), ``x1`` (mirror diode),
+    ``tail``.
     """
-    p = prefix
-    s = f"{p}s"
-    sref = f"{p}sref"
-    vcmref = f"{p}vcmref"
-    vcmfb = f"{p}vcmfb"
-    x1 = f"{p}x1"
-    tail = f"{p}tail"
 
     # Output CM sensing: follower pair into a shared tail resistor.
     ckt.add(
-        _mos(f"{p}ms1", vdd, outp, s, gnd, design.cmfb_sense),
-        _mos(f"{p}ms2", vdd, outm, s, gnd, design.cmfb_sense),
-        Resistor(f"{p}rs", s, gnd, design.cmfb_sense_res),
+        _mos("ms1", vdd, outp, "s", gnd, design.cmfb_sense),
+        _mos("ms2", vdd, outm, "s", gnd, design.cmfb_sense),
+        Resistor("rs", "s", gnd, design.cmfb_sense_res),
         # Matched dummy follower shifts the reference identically; it
         # carries half the sense current, hence the doubled resistor.
-        _mos(f"{p}ms3", vdd, vcmref, sref, gnd, design.cmfb_sense),
-        Resistor(f"{p}rsref", sref, gnd, 2.0 * design.cmfb_sense_res),
+        _mos("ms3", vdd, "vcmref", "sref", gnd, design.cmfb_sense),
+        Resistor("rsref", "sref", gnd, 2.0 * design.cmfb_sense_res),
     )
 
     # Reference divider (vcmref = output_cm by ratio).
     r_total = 400e3
     r_low = r_total * design.output_cm / design.vdd
     ckt.add(
-        Resistor(f"{p}rd1", vdd, vcmref, r_total - r_low),
-        Resistor(f"{p}rd2", vcmref, gnd, r_low),
+        Resistor("rd1", vdd, "vcmref", r_total - r_low),
+        Resistor("rd2", "vcmref", gnd, r_low),
     )
 
     # Error amplifier: resistor-tailed differential pair, PMOS mirror
     # load, compensated output driving the pull-up gates.
     ckt.add(
-        _mos(f"{p}mc1", x1, s, tail, gnd, design.cmfb_pair),
-        _mos(f"{p}mc2", vcmfb, sref, tail, gnd, design.cmfb_pair),
-        Resistor(f"{p}rt", tail, gnd, design.cmfb_tail_res),
-        _mos(f"{p}mc3", x1, x1, vdd, vdd, design.cmfb_load),
-        _mos(f"{p}mc4", vcmfb, x1, vdd, vdd, design.cmfb_load),
-        Capacitor(f"{p}cc", vcmfb, gnd, design.cmfb_comp_cap),
+        _mos("mc1", "x1", "s", "tail", gnd, design.cmfb_pair),
+        _mos("mc2", "vcmfb", "sref", "tail", gnd, design.cmfb_pair),
+        Resistor("rt", "tail", gnd, design.cmfb_tail_res),
+        _mos("mc3", "x1", "x1", vdd, vdd, design.cmfb_load),
+        _mos("mc4", "vcmfb", "x1", vdd, vdd, design.cmfb_load),
+        Capacitor("cc", "vcmfb", gnd, design.cmfb_comp_cap),
         # Controlled pull-ups closing the loop on the amplifier outputs.
-        _mos(f"{p}m8p", outp, vcmfb, vdd, vdd, design.cmfb_pullup),
-        _mos(f"{p}m8m", outm, vcmfb, vdd, vdd, design.cmfb_pullup),
+        _mos("m8p", outp, "vcmfb", vdd, vdd, design.cmfb_pullup),
+        _mos("m8m", outm, "vcmfb", vdd, vdd, design.cmfb_pullup),
     )

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.circuits.integrate_dump import build_id_testbench
-from repro.circuits.sizing import IntegrateDumpDesign, default_design
+from repro.circuits.sizing import default_design
 from repro.spice.devices.mosfet import MosModel
 from repro.spice.library import generic_018
 
@@ -75,8 +73,7 @@ class CornerPoint:
     output_cm: float
 
 
-def corner_sweep(design: IntegrateDumpDesign | None = None,
-                 corners=("tt", "ff", "ss", "fs", "sf"),
+def corner_sweep(corners=("tt", "ff", "ss", "fs", "sf"),
                  vdd_points=(1.62, 1.8, 1.98)) -> list[CornerPoint]:
     """Characterize the I&D across corners and +/-10 % supply.
 
@@ -87,7 +84,7 @@ def corner_sweep(design: IntegrateDumpDesign | None = None,
     from repro.spice.analysis.ac import logspace_freqs
     from repro.spice.devices.sources import VoltageSource
 
-    design = design or default_design()
+    design = default_design()
     freqs = logspace_freqs(1e3, 50e9, 6)
     results = []
     for corner in corners:
@@ -106,8 +103,7 @@ def corner_sweep(design: IntegrateDumpDesign | None = None,
     return results
 
 
-def cmfb_regulation(design: IntegrateDumpDesign | None = None,
-                    vdd_points=(1.6, 1.7, 1.8, 1.9, 2.0)
+def cmfb_regulation(vdd_points=(1.6, 1.7, 1.8, 1.9, 2.0)
                     ) -> list[tuple[float, float]]:
     """Output common-mode voltage versus supply (CMFB at work).
 
@@ -119,7 +115,7 @@ def cmfb_regulation(design: IntegrateDumpDesign | None = None,
     from repro.spice import operating_point
     from repro.spice.devices.sources import VoltageSource
 
-    design = design or default_design()
+    design = default_design()
     out = []
     for vdd in vdd_points:
         tb = build_id_testbench(design, mode="integrate")

@@ -29,17 +29,16 @@ ID_INTERFACE_PORTS = ("inp", "inm", "controlp", "controlm", "vdd", "gnd",
                       "out_intp", "out_intm")
 
 
-def build_integrate_dump(design: IntegrateDumpDesign | None = None,
-                         name: str = "int_spice") -> Subckt:
-    """Build the I&D subcircuit.
+def build_integrate_dump(design: IntegrateDumpDesign | None = None
+                         ) -> Subckt:
+    """Build the I&D subcircuit ``int_spice`` (the paper's name).
 
     Args:
         design: sizing; :func:`~repro.circuits.sizing.default_design`
             if omitted.
-        name: subckt name (paper: ``int_spice``).
     """
     design = design or default_design()
-    inner = Circuit(f"subckt {name}", models=generic_018().values())
+    inner = Circuit("subckt int_spice", models=generic_018().values())
     add_ota(inner, design, inp="inp", inm="inm", outp="outp", outm="outm",
             vdd="vdd", gnd="gnd")
     add_cmfb(inner, design, outp="outp", outm="outm", vdd="vdd", gnd="gnd")
@@ -48,7 +47,8 @@ def build_integrate_dump(design: IntegrateDumpDesign | None = None,
         out_intp="out_intp", out_intm="out_intm",
         controlp="controlp", controlm="controlm", vdd="vdd", gnd="gnd")
     inner.add(Capacitor("c_int", "out_intp", "out_intm", design.c_int))
-    return Subckt(name=name, ports=ID_INTERFACE_PORTS, circuit=inner)
+    return Subckt(name="int_spice", ports=ID_INTERFACE_PORTS,
+                  circuit=inner)
 
 
 def count_transistors(circuit: Circuit) -> int:
@@ -59,7 +59,6 @@ def count_transistors(circuit: Circuit) -> int:
 def build_id_testbench(design: IntegrateDumpDesign | None = None, *,
                        mode: str = "integrate",
                        diff_dc: float = 0.0,
-                       diff_wave=None,
                        ac: bool = False,
                        control_waves: tuple | None = None) -> Circuit:
     """System-free testbench around the I&D subckt.
@@ -78,8 +77,6 @@ def build_id_testbench(design: IntegrateDumpDesign | None = None, *,
 
     Args:
         diff_dc: static differential input voltage.
-        diff_wave: optional ``Waveform`` for the differential input;
-            it is split symmetrically between the two inputs.
     """
     design = design or default_design()
     ckt = Circuit("id_testbench", models=generic_018().values())
@@ -87,16 +84,10 @@ def build_id_testbench(design: IntegrateDumpDesign | None = None, *,
     ckt.add(VoltageSource("vdd", "vdd", "0", dc=design.vdd))
 
     half = diff_dc / 2.0
-    wave_p = wave_m = None
-    if diff_wave is not None:
-        wave_p = _HalfWave(diff_wave, design.input_cm, +0.5)
-        wave_m = _HalfWave(diff_wave, design.input_cm, -0.5)
     ckt.add(VoltageSource("vinp", "inp", "0", dc=design.input_cm + half,
-                          ac_mag=0.5 if ac else 0.0, ac_phase=0.0,
-                          wave=wave_p))
+                          ac_mag=0.5 if ac else 0.0, ac_phase=0.0))
     ckt.add(VoltageSource("vinm", "inm", "0", dc=design.input_cm - half,
-                          ac_mag=0.5 if ac else 0.0, ac_phase=180.0,
-                          wave=wave_m))
+                          ac_mag=0.5 if ac else 0.0, ac_phase=180.0))
 
     if control_waves is not None:
         wave_ctlp, wave_ctlm = control_waves
@@ -122,34 +113,17 @@ def build_id_testbench(design: IntegrateDumpDesign | None = None, *,
     return ckt
 
 
-class _HalfWave:
-    """Waveform adapter: common mode + signed half of a differential
-    waveform."""
-
-    def __init__(self, wave, common_mode: float, factor: float):
-        self._wave = wave
-        self._cm = common_mode
-        self._factor = factor
-
-    def value(self, t: float) -> float:
-        return self._cm + self._factor * self._wave.value(t)
-
-
 def integrate_hold_dump_waves(t_int_start: float, t_int: float,
                               t_hold: float, t_dump: float,
-                              vdd: float = 1.8, period: float | None = None,
-                              t_edge: float = 0.2e-9) -> tuple[Pulse, Pulse]:
+                              vdd: float = 1.8) -> tuple[Pulse, Pulse]:
     """Control waveforms for the figure-5 integrate/hold/dump sequence.
 
     Returns ``(controlp_wave, controlm_wave)``: controlp is high during
     the integration window, controlm goes high for the dump window after
-    the hold, optionally repeating with *period*.
+    the hold; one shot each, with 0.2 ns edges.
     """
-    import math
-
-    per = period if period is not None else math.inf
-    ctlp = Pulse(0.0, vdd, td=t_int_start, tr=t_edge, tf=t_edge,
-                 pw=t_int, per=per)
-    ctlm = Pulse(0.0, vdd, td=t_int_start + t_int + t_hold, tr=t_edge,
-                 tf=t_edge, pw=t_dump, per=per)
+    ctlp = Pulse(0.0, vdd, td=t_int_start, tr=0.2e-9, tf=0.2e-9,
+                 pw=t_int)
+    ctlm = Pulse(0.0, vdd, td=t_int_start + t_int + t_hold, tr=0.2e-9,
+                 tf=0.2e-9, pw=t_dump)
     return ctlp, ctlm

@@ -29,7 +29,7 @@ def _mos(name: str, d: str, g: str, s: str, b: str, size: MosSize) -> Mosfet:
 
 def add_ota(ckt: Circuit, design: IntegrateDumpDesign, *,
             inp: str, inm: str, outp: str, outm: str,
-            vdd: str, gnd: str, prefix: str = "") -> None:
+            vdd: str, gnd: str) -> None:
     """Add the 12-transistor transconductance amplifier to *ckt*.
 
     Args:
@@ -37,9 +37,7 @@ def add_ota(ckt: Circuit, design: IntegrateDumpDesign, *,
         outp/outm: amplifier output nodes (internal ``Outp``/``Outm`` of
             figure 3; the integration switches attach here).
         vdd/gnd: supply rails.
-        prefix: device/node name prefix for multiple instances.
     """
-    p = prefix
     ratio = design.mirror_ratio
     margin = design.pulldown_margin
     # Mirror slaves are exact ratioed copies of the diode master so the
@@ -49,20 +47,20 @@ def add_ota(ckt: Circuit, design: IntegrateDumpDesign, *,
 
     for side, inx, out_own, out_other in (
             ("p", inp, outp, outm), ("m", inm, outm, outp)):
-        node_a = f"{p}a{side}"
-        node_pdio = f"{p}pdio{side}"
+        node_a = f"a{side}"
+        node_pdio = f"pdio{side}"
         ckt.add(
             # input source follower (aspect ratio ~20)
-            _mos(f"{p}m1{side}", vdd, inx, node_a, gnd, design.follower),
+            _mos(f"m1{side}", vdd, inx, node_a, gnd, design.follower),
             # diode-connected mirror master: sets the composite gm
-            _mos(f"{p}m2{side}", node_a, node_a, gnd, gnd, design.diode),
+            _mos(f"m2{side}", node_a, node_a, gnd, gnd, design.diode),
             # ratio-2 NMOS slave feeding the PMOS pull-up mirror
-            _mos(f"{p}m4{side}", node_pdio, node_a, gnd, gnd, slave_up),
+            _mos(f"m4{side}", node_pdio, node_a, gnd, gnd, slave_up),
             # cross-coupled ratio-2(+margin) pull-down on the other output
-            _mos(f"{p}m5{side}", out_other, node_a, gnd, gnd, slave_down),
+            _mos(f"m5{side}", out_other, node_a, gnd, gnd, slave_down),
             # PMOS diode + slave push the mirrored current into own output
-            _mos(f"{p}m6{side}", node_pdio, node_pdio, vdd, vdd,
+            _mos(f"m6{side}", node_pdio, node_pdio, vdd, vdd,
                  design.mirror_up_p),
-            _mos(f"{p}m7{side}", out_own, node_pdio, vdd, vdd,
+            _mos(f"m7{side}", out_own, node_pdio, vdd, vdd,
                  design.mirror_up_p),
         )

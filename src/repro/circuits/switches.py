@@ -51,20 +51,17 @@ def add_integration_switches(ckt: Circuit, design: IntegrateDumpDesign, *,
                              outp: str, outm: str,
                              out_intp: str, out_intm: str,
                              controlp: str, controlm: str,
-                             vdd: str, gnd: str, prefix: str = "") -> None:
+                             vdd: str, gnd: str) -> None:
     """Add the 3 transmission gates + 2 inverters of the switch block."""
-    p = prefix
-    cpb = f"{p}cpb"
-    cmb = f"{p}cmb"
-    add_inverter(ckt, f"{p}minv1", controlp, cpb, vdd, gnd,
+    add_inverter(ckt, "minv1", controlp, "cpb", vdd, gnd,
                  design.inv_n, design.inv_p)
-    add_inverter(ckt, f"{p}minv2", controlm, cmb, vdd, gnd,
+    add_inverter(ckt, "minv2", controlm, "cmb", vdd, gnd,
                  design.inv_n, design.inv_p)
     # Series gates: OTA outputs -> integrating capacitor.
-    add_transmission_gate(ckt, f"{p}mtg1", outp, out_intp, controlp, cpb,
+    add_transmission_gate(ckt, "mtg1", outp, out_intp, controlp, "cpb",
                           vdd, gnd, design.tg_n, design.tg_p)
-    add_transmission_gate(ckt, f"{p}mtg2", outm, out_intm, controlp, cpb,
+    add_transmission_gate(ckt, "mtg2", outm, out_intm, controlp, "cpb",
                           vdd, gnd, design.tg_n, design.tg_p)
     # Reset gate across the capacitor.
-    add_transmission_gate(ckt, f"{p}mtg3", out_intp, out_intm, controlm,
-                          cmb, vdd, gnd, design.tg_n, design.tg_p)
+    add_transmission_gate(ckt, "mtg3", out_intp, out_intm, controlm,
+                          "cmb", vdd, gnd, design.tg_n, design.tg_p)

@@ -110,10 +110,10 @@ def fit_two_pole(freqs, mag_db) -> TwoPoleFit:
 
 
 def characterize_integrator(design: IntegrateDumpDesign | None = None,
-                            f_start: float = 1e3, f_stop: float = 50e9,
                             points_per_decade: int = 10
                             ) -> tuple[TwoPoleFit, np.ndarray, np.ndarray]:
-    """AC-characterize the I&D circuit in integrate mode.
+    """AC-characterize the I&D circuit in integrate mode, 1 kHz to
+    50 GHz.
 
     Returns:
         ``(fit, freqs, mag_db)`` - the fit plus the raw AC data (the
@@ -121,7 +121,7 @@ def characterize_integrator(design: IntegrateDumpDesign | None = None,
     """
     design = design or default_design()
     tb = build_id_testbench(design, mode="integrate", ac=True)
-    freqs = logspace_freqs(f_start, f_stop, points_per_decade)
+    freqs = logspace_freqs(1e3, 50e9, points_per_decade)
     ac = ac_analysis(tb, freqs, initial_guess=ID_OP_GUESS)
     mag_db = ac.mag_db("out_intp", "out_intm")
     return fit_two_pole(freqs, mag_db), freqs, mag_db
@@ -174,8 +174,8 @@ def extract_nonlinearity(design: IntegrateDumpDesign | None = None,
     return vin_grid, vout / gain0, float(gain0)
 
 
-def build_surrogate(design: IntegrateDumpDesign | None = None,
-                    v_max: float = 0.30) -> CircuitSurrogateIntegrator:
+def build_surrogate(design: IntegrateDumpDesign | None = None
+                    ) -> CircuitSurrogateIntegrator:
     """Fully automated Phase-IV+: AC fit + measured nonlinearity.
 
     The returned model is the fast ELDO stand-in: it reproduces the
@@ -184,7 +184,7 @@ def build_surrogate(design: IntegrateDumpDesign | None = None,
     """
     design = design or default_design()
     fit, _freqs, _mag = characterize_integrator(design)
-    vin, f_of_vin, _gain0 = extract_nonlinearity(design, v_max=v_max)
+    vin, f_of_vin, _gain0 = extract_nonlinearity(design)
     nonlin = tabulated_nonlinearity(vin, f_of_vin)
     return CircuitSurrogateIntegrator(
         gain=fit.gain, fp1_hz=fit.fp1_hz, fp2_hz=fit.fp2_hz,

@@ -76,16 +76,6 @@ class BerComparison:
     label_a: str
     label_b: str
 
-    @property
-    def log10_max_gap(self) -> float:
-        """Largest |log10 BER_a - log10 BER_b| over points where both
-        curves have counted errors (the Phase-I 'overlap' metric)."""
-        mask = (self.ber_a > 0) & (self.ber_b > 0)
-        if not np.any(mask):
-            return 0.0
-        return float(np.max(np.abs(np.log10(self.ber_a[mask])
-                                   - np.log10(self.ber_b[mask]))))
-
     def wins_at_high_snr(self) -> str:
         """Label of the curve with the lower BER at the highest grid
         point where both have errors counted (ties -> 'tie')."""

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuits import IntegrateDumpDesign, default_design
 from repro.core.characterize import TwoPoleFit, characterize_integrator
 from repro.experiments.registry import ExperimentContext, experiment
 
@@ -57,13 +56,11 @@ class Fig4Result:
         ])
 
 
-def run_fig4(design: IntegrateDumpDesign | None = None,
-             points_per_decade: int = 10) -> Fig4Result:
+def run_fig4(points_per_decade: int = 10) -> Fig4Result:
     """Regenerate figure 4: AC-sweep the transistor netlist, fit the
     two-pole Phase-IV model, overlay both."""
-    design = design or default_design()
     fit, freqs, mag_db = characterize_integrator(
-        design, points_per_decade=points_per_decade)
+        points_per_decade=points_per_decade)
     model_mag = fit.magnitude_db(freqs)
     return Fig4Result(freqs=freqs, circuit_mag_db=mag_db,
                       model_mag_db=model_mag, fit=fit)

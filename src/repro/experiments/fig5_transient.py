@@ -16,11 +16,7 @@ from repro.ams.equations import (
     GatedIntegratorState,
     TwoPoleGatedIntegratorState,
 )
-from repro.circuits import (
-    IntegrateDumpDesign,
-    build_id_testbench,
-    default_design,
-)
+from repro.circuits import build_id_testbench, default_design
 from repro.circuits.integrate_dump import integrate_hold_dump_waves
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
@@ -28,8 +24,7 @@ from repro.core.characterize import ID_OP_GUESS, characterize_integrator
 from repro.core.scenario import Scenario
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.spice import transient
-from repro.spice.devices import Pulse
-from repro.uwb.integrator import IdealIntegrator, TwoPoleIntegrator
+from repro.uwb.integrator import IdealIntegrator
 
 
 @dataclass
@@ -75,20 +70,15 @@ class Fig5Result:
         ])
 
 
-def run_fig5(design: IntegrateDumpDesign | None = None,
-             diff_dc: float = 0.05,
-             t_int: float = 60e-9, t_hold: float = 40e-9,
-             t_dump: float = 30e-9, dt: float = 0.1e-9,
-             use_measured_fit: bool = True) -> Fig5Result:
+def run_fig5(diff_dc: float = 0.05, dt: float = 0.1e-9) -> Fig5Result:
     """Regenerate figure 5.
 
     The circuit runs in the Spice engine; the IDEAL and two-pole models
-    run their gated ODE states over the same timing.  With
-    ``use_measured_fit`` the model uses the figure-4 extracted poles
-    (else the paper's nominal 0.886 MHz / 5.895 GHz / 21 dB).
+    run their gated ODE states over the same timing, the two-pole
+    model with the figure-4 extracted poles.
     """
-    design = design or default_design()
-    t_start = 20e-9
+    design = default_design()
+    t_start, t_int, t_hold, t_dump = 20e-9, 60e-9, 40e-9, 30e-9
     waves = integrate_hold_dump_waves(t_start, t_int, t_hold, t_dump,
                                       vdd=design.vdd)
     tb = build_id_testbench(design, diff_dc=diff_dc, control_waves=waves)
@@ -97,19 +87,15 @@ def run_fig5(design: IntegrateDumpDesign | None = None,
                     initial_guess=ID_OP_GUESS)
     circuit = res.vdiff("out_intp", "out_intm")
     t = res.t
-
-    if use_measured_fit:
-        fit, _f, _m = characterize_integrator(design)
-        gain, fp1, fp2 = fit.gain, fit.fp1_hz, fit.fp2_hz
-    else:
-        gain, fp1, fp2 = 10.0 ** (21.0 / 20.0), 0.886e6, 5.895e9
+    fit, _f, _m = characterize_integrator()
 
     t_int_window = (t_start, t_start + t_int)
     t_hold_window = (t_start + t_int, t_start + t_int + t_hold)
     ideal = _gated_replay(GatedIntegratorState(IdealIntegrator().k),
                           diff_dc, t, dt, t_int_window, t_hold_window)
-    model = _gated_replay(TwoPoleGatedIntegratorState(gain, fp1, fp2),
-                          diff_dc, t, dt, t_int_window, t_hold_window)
+    model = _gated_replay(
+        TwoPoleGatedIntegratorState(fit.gain, fit.fp1_hz, fit.fp2_hz),
+        diff_dc, t, dt, t_int_window, t_hold_window)
     return Fig5Result(t=t, circuit=circuit, ideal=ideal, model=model,
                       t_int=t_int_window, t_hold=t_hold_window,
                       diff_dc=diff_dc)

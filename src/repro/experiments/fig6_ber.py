@@ -22,7 +22,6 @@ from repro.link import FrontEndSpec, LinkSpec, ops
 from repro.link.backends import build_bpf
 from repro.uwb import UwbConfig
 from repro.uwb.fastsim import AdaptiveStopping
-from repro.uwb.integrator import WindowIntegrator
 from repro.uwb.theory import ideal_awgn_ber
 
 #: Wide receiver front end: squared noise extends past the integrator's
@@ -86,11 +85,9 @@ class Fig6Result:
         return "\n".join(lines)
 
 
-def run_fig6(config: UwbConfig | None = None,
-             ebn0_grid=(0, 2, 4, 6, 8, 10, 12, 14),
+def run_fig6(ebn0_grid=(0, 2, 4, 6, 8, 10, 12, 14),
              seed: int = 7,
              quick: bool = True,
-             circuit: WindowIntegrator | None = None,
              adaptive: AdaptiveStopping | None = None,
              store: ResultStore | None = None,
              chunk_bits: int | None = None) -> Fig6Result:
@@ -104,16 +101,13 @@ def run_fig6(config: UwbConfig | None = None,
     Args:
         quick: smaller Monte-Carlo budget (bench default); paper-scale
             runs use ``quick=False``.
-        circuit: override the circuit model (e.g. a
-            :func:`repro.core.characterize.build_surrogate` extraction);
-            default is the registry's analytic surrogate.
         adaptive: sequential per-point stopping policy; deep-SNR
             points end once their Wilson bounds are resolved instead
             of burning the whole ``max_bits`` budget.
         store: result store for cached/resumable execution.
         chunk_bits: Monte-Carlo chunk size override.
     """
-    config = config or UwbConfig()
+    config = UwbConfig()
     if quick:
         budget = dict(target_errors=60, max_bits=40_000, min_bits=2_000)
     else:
@@ -132,8 +126,7 @@ def run_fig6(config: UwbConfig | None = None,
         name="curves", fn=ops.ber_sweep, seed=seed, rng_param="rng",
         params=dict(
             spec=spec, ebn0_grid=ebn0_grid,
-            integrators=("ideal",
-                         circuit if circuit is not None else "circuit"),
+            integrators=("ideal", "circuit"),
             labels=("ideal", "circuit"),
             adaptive=adaptive, **budget)))
     curves = runner.run().by_name()["curves"]

@@ -55,10 +55,10 @@ OFFSET_FRACTIONS = (0.21, 0.41, 0.64, 0.79)
 NEAR_FAR_OFFSET_FRACTION = 0.37
 
 
-def default_victim(config: UwbConfig | None = None) -> LinkSpec:
+def default_victim() -> LinkSpec:
     """The fig6-convention victim link (wide front end, BER drive,
     ideal integrator)."""
-    return LinkSpec(config=config or UwbConfig(),
+    return LinkSpec(config=UwbConfig(),
                     frontend=FrontEndSpec(band=WIDE_FRONT_END,
                                           squarer_drive=BER_DRIVE),
                     integrator="ideal")
@@ -188,7 +188,6 @@ class MuiResult:
 
 
 def run_mui(victim: LinkSpec | None = None,
-            config: UwbConfig | None = None,
             ebn0_grid: Sequence[float] | None = None,
             counts: Sequence[int] = (0, 1, 2, 4),
             sir_grid: Sequence[float] = (0.0, 6.0),
@@ -207,8 +206,6 @@ def run_mui(victim: LinkSpec | None = None,
         victim: victim link override (default: the fig6-convention
             link built by :func:`default_victim`; the interferer
             offsets scale with its slot duration).
-        config: convenience override of the default victim's
-            configuration (ignored when *victim* is given).
         ebn0_grid: count-sweep grid (default: budget-dependent).
         counts: interferer counts of the sweep (0 runs once, as the
             shared baseline).
@@ -224,7 +221,7 @@ def run_mui(victim: LinkSpec | None = None,
             network scenario checkpoints independently).
         chunk_bits: Monte-Carlo chunk size override.
     """
-    victim = victim or default_victim(config)
+    victim = victim or default_victim()
     if ebn0_grid is None:
         ebn0_grid = (2, 6, 10, 14) if quick \
             else (0, 2, 4, 6, 8, 10, 12, 14)

@@ -14,7 +14,7 @@ behavioral blocks are far cheaper relative to a matrix solve than
 VHDL-AMS equation systems executed by ADMS (see EXPERIMENTS.md).
 
 The behavioral rows run on the kernel's compiled (segment-vectorized)
-execution engine by default; the ELDO row always runs lock-step because
+execution engine; the ELDO row always runs lock-step because
 the Spice block opts out of vectorization - exactly the cost structure
 the paper reports, with the gap widened by the compiled engine.  When
 ``measure_reference`` is on (the default), the IDEAL row is re-run on
@@ -128,13 +128,9 @@ def make_table1_waveform(config: UwbConfig, n_symbols: int,
     return sig, tx_bits
 
 
-def run_table1(config: UwbConfig | None = None,
-               simulated_time: float = 1e-6,
+def run_table1(simulated_time: float = 1e-6,
                seed: int = 11,
-               cosim_substeps: int = 1,
-               engine: str = "compiled",
                measure_reference: bool = True,
-               speedup_repeats: int = 3,
                processes: int | None = None,
                store: ResultStore | None = None) -> Table1Result:
     """Regenerate table 1.
@@ -143,12 +139,11 @@ def run_table1(config: UwbConfig | None = None,
         simulated_time: simulated span (paper: 30 us; default 1 us keeps
             the benchmark minutes-scale - the ratios are span-invariant
             beyond a few symbols).
-        engine: kernel execution engine for the behavioral rows.
         measure_reference: additionally time the IDEAL row on the
-            lock-step reference engine (engine speedup + equivalence).
-        speedup_repeats: repeats per engine for the speedup ratio (the
-            best of each side is used, so one scheduler stall in a
-            milliseconds-scale run cannot skew it).
+            lock-step reference engine (engine speedup + equivalence),
+            three repeats per engine (the best of each side is used, so
+            one scheduler stall in a milliseconds-scale run cannot skew
+            the ratio).
         processes: fan the rows out over processes.  Defaults to serial
             execution, which is what a CPU-time comparison wants -
             parallel rows contend for cores and skew the table.
@@ -157,22 +152,23 @@ def run_table1(config: UwbConfig | None = None,
             what a bookkept measurement campaign wants, but pass
             ``store=None`` (or clear the cache) to re-measure.
     """
-    config = config or UwbConfig()
+    config = UwbConfig()
     n_symbols = max(2, int(round(simulated_time / config.symbol_period)))
     sig, tx_bits = make_table1_waveform(config, n_symbols, seed)
     span = n_symbols * config.symbol_period
 
     runner = CampaignRunner(processes=processes, store=store)
     for label, kind in MODEL_ROWS:
+        # cosim_substeps/engine stay in params: stored keys hash them.
         runner.add(Scenario(
             name=label, fn=ops.run_testbench,
             params=dict(spec=LinkSpec(config=config, integrator=kind),
-                        waveform=sig, cosim_substeps=cosim_substeps,
-                        t_stop=span, engine=engine)))
-    if measure_reference and engine != "reference":
+                        waveform=sig, cosim_substeps=1,
+                        t_stop=span, engine="compiled")))
+    if measure_reference:
         ideal_spec = LinkSpec(config=config, integrator="ideal")
-        for i in range(max(1, speedup_repeats)):
-            for eng in ("reference", engine):
+        for i in range(3):
+            for eng in ("reference", "compiled"):
                 # cache=False: the repeats are independent timing
                 # samples; under a store their identical content would
                 # collapse onto one entry and fake the best-of-N.
@@ -192,18 +188,18 @@ def run_table1(config: UwbConfig | None = None,
         result = outcomes[label]
         report.add(label, result.cpu_time)
         bits[label] = result.bits
-    if measure_reference and engine != "reference":
+    if measure_reference:
         ref_runs = [v for k, v in outcomes.items()
                     if k.startswith("IDEAL/reference#")]
         eng_runs = [v for k, v in outcomes.items()
-                    if k.startswith(f"IDEAL/{engine}#")]
+                    if k.startswith("IDEAL/compiled#")]
         reference_times["IDEAL"] = min(r.cpu_time for r in ref_runs)
         reference_bits["IDEAL"] = ref_runs[0].bits
         compiled_times["IDEAL"] = min(
             [r.cpu_time for r in eng_runs]
             + [report.entries["IDEAL"]])
     return Table1Result(report=report, bits=bits, tx_bits=tx_bits,
-                        engine=engine, reference_times=reference_times,
+                        reference_times=reference_times,
                         compiled_times=compiled_times,
                         reference_bits=reference_bits)
 

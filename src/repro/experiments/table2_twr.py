@@ -25,7 +25,6 @@ from repro.core.scenario import Scenario
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.link import ChannelSpec, FrontEndSpec, LinkSpec, ops
 from repro.uwb import UwbConfig
-from repro.uwb.integrator import WindowIntegrator
 
 #: The overdriven AGC operating point of the TWR runs (see module doc).
 TWR_CONFIG = dict(preamble_symbols=16, payload_bits=16,
@@ -73,7 +72,6 @@ class Table2Result:
 
 def run_table2(distance: float = 9.9, iterations: int = 10,
                seed: int = 42,
-               circuit: WindowIntegrator | None = None,
                processes: int | None = None,
                store: ResultStore | None = None) -> Table2Result:
     """Regenerate table 2 (10 iterations at 9.9 m by default).
@@ -84,14 +82,11 @@ def run_table2(distance: float = 9.9, iterations: int = 10,
     """
     runner = CampaignRunner(processes=processes, store=store)
     for label in ("ideal", "circuit"):
-        params = dict(spec=twr_spec(distance, integrator=label),
-                      iterations=iterations,
-                      noise_sigma=TWR_NOISE_SIGMA)
-        if label == "circuit" and circuit is not None:
-            params["integrator"] = circuit
         runner.add(Scenario(
             name=label, fn=ops.ranging, seed=seed, rng_param="rng",
-            params=params))
+            params=dict(spec=twr_spec(distance, integrator=label),
+                        iterations=iterations,
+                        noise_sigma=TWR_NOISE_SIGMA)))
     arms = runner.run().by_name()
     comparison = RangingComparison()
     for label in ("ideal", "circuit"):

@@ -60,7 +60,8 @@ class EquivalenceResult:
         decisions_agreed: symbols, over the whole grid, on which the
             golden model and the first engine decide alike.
         engines_identical: the engines returned identical decisions.
-        confidence: Wilson confidence level of the agreement test.
+
+    The agreement test compares 95% Wilson intervals.
     """
 
     spec: LinkSpec
@@ -70,7 +71,6 @@ class EquivalenceResult:
     kernel_errors: dict[str, np.ndarray]
     decisions_agreed: int
     engines_identical: bool = True
-    confidence: float = 0.95
 
     @property
     def golden_ber(self) -> np.ndarray:
@@ -94,7 +94,7 @@ class EquivalenceResult:
                                    - self.golden_ber)))
 
     def interval(self, errors: int) -> tuple[float, float]:
-        return wilson_interval(int(errors), self.bits, self.confidence)
+        return wilson_interval(int(errors), self.bits)
 
     def _overlap(self, golden: int, kernel: int) -> bool:
         lo_g, hi_g = self.interval(golden)
@@ -117,7 +117,7 @@ class EquivalenceResult:
         lines = ["Golden model vs AMS kernel "
                  f"({self.bits} bits/point, "
                  f"integrator: {self.spec.integrator}, "
-                 f"{self.confidence:.0%} Wilson CI)",
+                 "95% Wilson CI)",
                  f"{'Eb/N0':>7s}  {'arm':<20s} {'BER':>7s} {'errors':>6s}"]
         for i, ebn0 in enumerate(self.ebn0_db):
             rows = [("golden", self.golden_errors[i], "")]
@@ -160,8 +160,8 @@ def run_equivalence(spec: LinkSpec = DEFAULT_SPEC,
                     ebn0_grid=(6.0,),
                     bits: int = 150,
                     seed: int = 23,
-                    engines: tuple[str, ...] = ("compiled", "reference"),
-                    confidence: float = 0.95) -> EquivalenceResult:
+                    engines: tuple[str, ...] = ("compiled", "reference")
+                    ) -> EquivalenceResult:
     """Demodulate one seeded noisy burst per grid point on every arm.
 
     One generator draws every point's stimulus (bits, noise, band-pass,
@@ -191,5 +191,4 @@ def run_equivalence(spec: LinkSpec = DEFAULT_SPEC,
         golden_errors=np.asarray(golden_errors),
         kernel_errors={engine: np.asarray(errors)
                        for engine, errors in kernel_errors.items()},
-        decisions_agreed=agreed, engines_identical=identical,
-        confidence=confidence)
+        decisions_agreed=agreed, engines_identical=identical)

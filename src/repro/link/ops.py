@@ -160,7 +160,6 @@ def ber_curve(spec: LinkSpec | NetworkSpec, ebn0_grid,
 def mui_ber_curve(network: NetworkSpec, ebn0_grid,
                   rng: np.random.Generator, *,
                   label: str | None = None,
-                  integrator: str | WindowIntegrator | None = None,
                   **budget: Any) -> BerResult:
     """Multi-user BER versus Eb/N0 over a :class:`NetworkSpec`.
 
@@ -175,15 +174,12 @@ def mui_ber_curve(network: NetworkSpec, ebn0_grid,
         raise TypeError("mui_ber_curve needs a NetworkSpec; wrap a "
                         "plain LinkSpec in NetworkSpec(victim=spec) "
                         "for the zero-interferer baseline")
-    return ber_curve(network, ebn0_grid, rng, label=label,
-                     integrator=integrator, **budget)
+    return ber_curve(network, ebn0_grid, rng, label=label, **budget)
 
 
 def ranging(spec: LinkSpec, iterations: int,
             rng: np.random.Generator, *,
-            integrator: str | WindowIntegrator | None = None,
-            noise_sigma: float = 1e-4,
-            tx_amplitude: float = 1.0) -> RangingResult:
+            noise_sigma: float = 1e-4) -> RangingResult:
     """Two-way ranging at ``spec.channel.distance``.
 
     The exchange runs through the full packet-level receiver
@@ -193,16 +189,11 @@ def ranging(spec: LinkSpec, iterations: int,
     surrogate).
     """
     spec = _as_link_spec(spec, "ranging")
-    resolved = build_integrator(spec, integrator)
-    if not isinstance(resolved, WindowIntegrator):
-        raise ValueError("ranging needs a behavioral integrator "
-                         "model (co-simulation is not supported in "
-                         "the packet-level receiver)")
+    resolved = build_integrator(spec)
     twr = TwoWayRanging(
         spec.config,
         lambda: build_receiver(spec, integrator=resolved),
         distance=spec.channel.distance,
-        tx_amplitude=tx_amplitude,
         noise_sigma=noise_sigma,
         channel=build_channel_model(spec))
     return twr.run(iterations, rng)
@@ -246,9 +237,7 @@ def run_testbench(spec: LinkSpec, waveform, *,
     return harvest.result()
 
 
-def golden_packet(spec: LinkSpec, waveform, *,
-                  integrator: str | WindowIntegrator | None = None
-                  ) -> AmsRunResult:
+def golden_packet(spec: LinkSpec, waveform) -> AmsRunResult:
     """The golden model's decision on the kernel testbench's slot
     gating over the waveform :func:`run_testbench` takes.
 
@@ -256,7 +245,7 @@ def golden_packet(spec: LinkSpec, waveform, *,
     ``cpu_time``/``steps`` are zero (no kernel loop runs).
     """
     spec = _as_link_spec(spec, "golden_packet")
-    resolved = build_integrator(spec, integrator)
+    resolved = build_integrator(spec)
     cfg = spec.config
     waveform = np.asarray(waveform, dtype=float)
     n = len(waveform) // cfg.samples_per_symbol

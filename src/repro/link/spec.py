@@ -19,14 +19,13 @@ workloads (the BER operations ``ops.ber_sweep`` / ``ops.ber_curve`` /
 ``ops.mui_ber_curve`` accept it wherever they accept a ``LinkSpec``).
 
 Specs round-trip through :mod:`repro.core.serialization` (they are
-plain frozen dataclasses), so campaign content addresses and cache
-keys can be built directly from them via :meth:`LinkSpec.key` /
-:meth:`NetworkSpec.key`.
+plain frozen dataclasses), so a campaign content address hashes them
+with :func:`~repro.core.serialization.stable_hash` like any other
+scenario keyword.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -70,37 +69,6 @@ INTEGRATORS = {
     "surrogate": CircuitSurrogateIntegrator,
     "circuit": CircuitSurrogateIntegrator,
 }
-
-
-class SpecCodec:
-    """Identity / persistence helpers shared by the declarative specs
-    (:class:`LinkSpec`, :class:`NetworkSpec`): stable content hashing
-    for campaign cache keys and self-contained JSON round-trips."""
-
-    def key(self) -> str:
-        """Stable content hash of this spec (campaign cache keys)."""
-        from repro.core.serialization import stable_hash
-
-        return stable_hash(self)
-
-    def to_json(self, *, indent: int | None = None) -> str:
-        """Self-contained JSON encoding (see
-        :mod:`repro.core.serialization`)."""
-        from repro.core.serialization import to_jsonable
-
-        return json.dumps(to_jsonable(self), indent=indent,
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str):
-        """Inverse of :meth:`to_json`."""
-        from repro.core.serialization import from_jsonable
-
-        spec = from_jsonable(json.loads(text))
-        if not isinstance(spec, cls):
-            raise ValueError(f"not a serialized {cls.__name__}: "
-                             f"{type(spec).__name__}")
-        return spec
 
 
 @dataclass(frozen=True)
@@ -193,7 +161,7 @@ class FrontEndSpec:
 
 
 @dataclass(frozen=True)
-class LinkSpec(SpecCodec):
+class LinkSpec:
     """The one declarative description of a simulated link.
 
     Attributes:
@@ -256,8 +224,6 @@ class LinkSpec(SpecCodec):
         """Copy with :class:`FrontEndSpec` fields changed."""
         return replace(self, frontend=replace(self.frontend, **changes))
 
-    # -- identity / persistence: key/to_json/from_json via SpecCodec --
-
 
 @dataclass(frozen=True)
 class InterfererSpec:
@@ -315,7 +281,7 @@ class InterfererSpec:
 
 
 @dataclass(frozen=True)
-class NetworkSpec(SpecCodec):
+class NetworkSpec:
     """A victim link plus N interfering transmitters.
 
     The declarative input of the multi-user-interference and

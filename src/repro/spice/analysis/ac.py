@@ -69,8 +69,8 @@ def logspace_freqs(f_start: float, f_stop: float,
 
 def ac_analysis(circuit: Circuit, freqs: Sequence[float],
                 op: OpResult | None = None,
-                initial_guess: Mapping[str, float] | None = None,
-                overrides: Mapping[str, float] | None = None) -> AcResult:
+                initial_guess: Mapping[str, float] | None = None
+                ) -> AcResult:
     """Small-signal AC analysis over the frequency grid *freqs*.
 
     Sources with a nonzero ``ac_mag`` drive the linearized circuit; all
@@ -79,11 +79,10 @@ def ac_analysis(circuit: Circuit, freqs: Sequence[float],
     Args:
         circuit: circuit to analyze.
         op: reuse a previously computed operating point.
-        initial_guess / overrides: forwarded to the OP solve.
+        initial_guess: forwarded to the OP solve.
     """
     if op is None:
-        op = operating_point(circuit, initial_guess=initial_guess,
-                             overrides=overrides)
+        op = operating_point(circuit, initial_guess=initial_guess)
     system = op.system
     g_mat, c_mat = system.small_signal_matrices(op.x)
     freqs = np.asarray(freqs, dtype=float)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +42,7 @@ class DcSweepResult:
 
 
 def dc_sweep(circuit: Circuit, source: str,
-             values: Sequence[float],
-             overrides: Mapping[str, float] | None = None,
-             gmin: float = 1e-12) -> DcSweepResult:
+             values: Sequence[float]) -> DcSweepResult:
     """Sweep the DC value of one independent source.
 
     Each point starts Newton from the previous solution (continuation),
@@ -54,19 +52,16 @@ def dc_sweep(circuit: Circuit, source: str,
         circuit: circuit to analyze.
         source: device name of the swept V or I source.
         values: sweep values (any monotonicity).
-        overrides: additional fixed source overrides.
     """
     source = source.lower()
     if not circuit.has_device(source):
         raise AnalysisError(f"dc_sweep: no source named {source!r}")
-    system = MnaSystem(circuit, gmin=gmin)
+    system = MnaSystem(circuit)
     values = np.asarray(values, dtype=float)
     solutions = np.empty((len(values), system.size))
     x = None
-    base = dict(overrides or {})
     for k, val in enumerate(values):
-        ov = dict(base)
-        ov[source] = float(val)
+        ov = {source: float(val)}
         try:
             x = system.newton(x, overrides=ov)
         except ConvergenceError:

@@ -59,10 +59,8 @@ class OpResult:
 
 
 def operating_point(circuit: Circuit,
-                    initial_guess: Mapping[str, float] | None = None,
-                    overrides: Mapping[str, float] | None = None,
-                    gmin: float = 1e-12,
-                    t: float | None = None) -> OpResult:
+                    initial_guess: Mapping[str, float] | None = None
+                    ) -> OpResult:
     """Compute the DC operating point of *circuit*.
 
     Capacitors are open, inductors are shorts.  Uses Newton iteration
@@ -72,12 +70,8 @@ def operating_point(circuit: Circuit,
         circuit: the circuit to solve.
         initial_guess: optional per-node starting voltages (helps
             convergence of multi-stable analog circuits).
-        overrides: per-source value overrides.
-        gmin: node-to-ground leakage conductance.
-        t: if given, transient waveforms are evaluated at this time
-            (useful to find the state at the start of a transient).
     """
-    system = MnaSystem(circuit, gmin=gmin)
+    system = MnaSystem(circuit)
     x0 = None
     if initial_guess:
         x0 = np.zeros(system.size)
@@ -85,5 +79,5 @@ def operating_point(circuit: Circuit,
             idx = system.node_index.get(node.lower())
             if idx is not None and idx < system.n_nodes:
                 x0[idx] = value
-    x = system.solve_robust(x0, overrides=overrides, t=t)
+    x = system.solve_robust(x0)
     return OpResult(system=system, x=x)

@@ -68,20 +68,18 @@ class TransientStepper:
         overrides: initial source-value overrides (by device name); they
             persist until changed via :meth:`set_source`.
         initial_guess: node-voltage hints for the initial DC solve.
-        uic: skip the initial DC solve and start from *x0* (or zero).
-        x0: initial solution vector when ``uic`` is true.
+        uic: skip the initial DC solve and start from zero.
     """
 
     def __init__(self, circuit: Circuit, dt: float, method: str = "trap",
                  overrides: Mapping[str, float] | None = None,
                  initial_guess: Mapping[str, float] | None = None,
-                 uic: bool = False, x0: np.ndarray | None = None,
-                 gmin: float = 1e-12):
+                 uic: bool = False):
         if dt <= 0:
             raise AnalysisError("TransientStepper: dt must be positive")
         if method not in ("trap", "be"):
             raise AnalysisError(f"unknown integration method {method!r}")
-        self.system = MnaSystem(circuit, gmin=gmin)
+        self.system = MnaSystem(circuit)
         self.dt = float(dt)
         self.method = method
         self.overrides: dict[str, float] = {
@@ -89,8 +87,7 @@ class TransientStepper:
         self.t = 0.0
 
         if uic:
-            self.x = (np.zeros(self.system.size) if x0 is None
-                      else np.asarray(x0, float).copy())
+            self.x = np.zeros(self.system.size)
         else:
             x_init = None
             if initial_guess:
@@ -197,9 +194,8 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
               probes: Sequence[str] | None = None,
               current_probes: Sequence[str] = (),
               method: str = "trap",
-              overrides: Mapping[str, float] | None = None,
-              initial_guess: Mapping[str, float] | None = None,
-              uic: bool = False) -> TranResult:
+              initial_guess: Mapping[str, float] | None = None
+              ) -> TranResult:
     """Fixed-step transient analysis from 0 to *t_stop*.
 
     Args:
@@ -209,14 +205,13 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
         probes: node names to record (default: every node).
         current_probes: voltage-source names whose branch current to record.
         method: ``"trap"`` or ``"be"``.
-        overrides / initial_guess / uic: see :class:`TransientStepper`.
+        initial_guess: see :class:`TransientStepper`.
 
     Returns:
         A :class:`TranResult` including the initial point at t = 0.
     """
     stepper = TransientStepper(circuit, dt, method=method,
-                               overrides=overrides,
-                               initial_guess=initial_guess, uic=uic)
+                               initial_guess=initial_guess)
     system = stepper.system
     if probes is None:
         probe_list = list(system.nodes)

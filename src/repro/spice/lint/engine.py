@@ -59,10 +59,7 @@ def lint_circuit(circuit: Circuit, *,
         n_nodes=len(graph.nodes))
 
 
-def lint_netlist(text: str, *, title_line: bool = True,
-                 rules: Sequence[str] | None = None,
-                 min_severity: Severity | None = None,
-                 external: Iterable[str] = ()) -> LintReport:
+def lint_netlist(text: str, *, title_line: bool = True) -> LintReport:
     """Parse Spice-format *text* and lint the resulting circuit.
 
     Raises:
@@ -70,14 +67,10 @@ def lint_netlist(text: str, *, title_line: bool = True,
     """
     from repro.spice.parser import parse_netlist
 
-    circuit = parse_netlist(text, title_line=title_line)
-    return lint_circuit(circuit, rules=rules, min_severity=min_severity,
-                        external=external)
+    return lint_circuit(parse_netlist(text, title_line=title_line))
 
 
-def lint_subckt(subckt: Subckt, *,
-                rules: Sequence[str] | None = None,
-                min_severity: Severity | None = None) -> LintReport:
+def lint_subckt(subckt: Subckt) -> LintReport:
     """Lint a subcircuit definition stand-alone.
 
     The definition is flattened once into a scratch circuit with its
@@ -89,13 +82,11 @@ def lint_subckt(subckt: Subckt, *,
     host.add_subckt(subckt)
     connections = list(subckt.ports)
     host.instantiate("uut", subckt, connections)
-    return lint_circuit(host, rules=rules, min_severity=min_severity,
-                        external=connections)
+    return lint_circuit(host, external=connections)
 
 
 def preflight_check(circuit: Circuit, *,
-                    rules: Sequence[str] | None = None,
-                    external: Iterable[str] = ()) -> LintReport:
+                    rules: Sequence[str] | None = None) -> LintReport:
     """Error-level static verification gate (used by co-simulation
     before any MNA assembly).
 
@@ -111,10 +102,9 @@ def preflight_check(circuit: Circuit, *,
         NetlistLintError: naming each offending rule and its nodes.
     """
     if rules is None:
-        report = lint_circuit(circuit, min_severity=Severity.ERROR,
-                              external=external)
+        report = lint_circuit(circuit, min_severity=Severity.ERROR)
     else:
-        report = lint_circuit(circuit, rules=rules, external=external)
+        report = lint_circuit(circuit, rules=rules)
     errors = report.errors
     if errors:
         details = "; ".join(

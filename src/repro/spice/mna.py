@@ -60,15 +60,9 @@ class MnaSystem:
 
     Args:
         circuit: the circuit to compile.
-        gmin: conductance added from every node to ground (leakage /
-            convergence aid).
-        reltol, vntol, abstol: Newton convergence tolerances (relative,
-            node-voltage absolute, branch-current absolute).
     """
 
-    def __init__(self, circuit: Circuit, gmin: float = 1e-12,
-                 reltol: float = 1e-3, vntol: float = 1e-6,
-                 abstol: float = 1e-9):
+    def __init__(self, circuit: Circuit):
         # The historic shallow gate: a ground reference must exist.
         # Full structural verification (floating nodes, DC cuts, source
         # loops...) is the lint engine's job and runs in the cosim
@@ -78,10 +72,12 @@ class MnaSystem:
 
         preflight_check(circuit, rules=("SP-GND-001",))
         self.circuit = circuit
-        self.gmin = float(gmin)
-        self.reltol = float(reltol)
-        self.vntol = float(vntol)
-        self.abstol = float(abstol)
+        #: conductance added from every node to ground (leakage /
+        #: convergence aid).
+        self.gmin = 1e-12
+        #: Newton convergence tolerances (relative, node-voltage
+        #: absolute, branch-current absolute).
+        self.reltol, self.vntol, self.abstol = 1e-3, 1e-6, 1e-9
 
         self.nodes = circuit.node_names()
         self.n_nodes = len(self.nodes)
@@ -502,7 +498,7 @@ class MnaSystem:
         # gmin stepping: solve with a large gmin, then reduce it gradually.
         x = x0
         try:
-            for gmin in np.logspace(-3, np.log10(max(self.gmin, 1e-13)), 12):
+            for gmin in np.logspace(-3, np.log10(self.gmin), 12):
                 x = self.newton(x, t=t, overrides=overrides, gmin=gmin)
             return self.newton(x, t=t, overrides=overrides)
         except ConvergenceError:

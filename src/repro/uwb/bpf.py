@@ -15,13 +15,12 @@ from scipy import signal as _signal
 from repro.uwb.pulse import pulse_psd, sampled_pulse
 
 
-def pulse_band(pulse: np.ndarray, fs: float,
-               threshold_db: float = -6.0) -> tuple[float, float]:
-    """Occupied band of a pulse: frequencies within *threshold_db* of
-    the spectral peak."""
+def pulse_band(pulse: np.ndarray, fs: float) -> tuple[float, float]:
+    """Occupied band of a pulse: frequencies within 6 dB of the
+    spectral peak."""
     freqs, esd = pulse_psd(pulse, fs)
     esd_db = 10.0 * np.log10(np.maximum(esd, 1e-300))
-    above = np.nonzero(esd_db >= np.max(esd_db) + threshold_db)[0]
+    above = np.nonzero(esd_db >= np.max(esd_db) - 6.0)[0]
     return float(freqs[above[0]]), float(freqs[above[-1]])
 
 
@@ -53,11 +52,10 @@ class BandPassFilter:
 
     @classmethod
     def for_pulse(cls, fs: float, tau: float, pulse_order: int = 5,
-                  threshold_db: float = -6.0,
                   order: int = 4) -> "BandPassFilter":
         """Filter matched to the occupied band of the configured pulse."""
         pulse = sampled_pulse(fs, tau, pulse_order)
-        low, high = pulse_band(pulse, fs, threshold_db)
+        low, high = pulse_band(pulse, fs)
         low = max(low, 0.02 * fs / 2.0)
         high = min(high, 0.90 * fs / 2.0)
         return cls((low, high), fs, order=order)

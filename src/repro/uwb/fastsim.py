@@ -141,11 +141,6 @@ class BerResult:
     ci_high: np.ndarray | None = None
     confidence: float = 0.95
 
-    def as_rows(self) -> list[tuple[float, float, int, int]]:
-        return [(float(e), float(b), int(err), int(n))
-                for e, b, err, n in zip(self.ebn0_db, self.ber,
-                                        self.errors, self.bits)]
-
     def format_table(self) -> str:
         """Per-point table including the Wilson bounds."""
         lines = [f"{'Eb/N0':>7s} {'BER':>12s} {'errors':>8s} "

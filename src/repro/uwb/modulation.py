@@ -9,7 +9,7 @@ the preamble, followed by the modulated data, i.e. the payload".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -141,8 +141,6 @@ def ppm_waveform(symbols: np.ndarray, config: UwbConfig,
 
 
 def packet_waveform(packet: Packet, config: UwbConfig,
-                    amplitude: float = 1.0,
-                    extra_samples: int = 0) -> np.ndarray:
+                    amplitude: float = 1.0) -> np.ndarray:
     """Waveform of a full packet (preamble + payload)."""
-    return ppm_waveform(packet.symbols, config, amplitude=amplitude,
-                        extra_samples=extra_samples)
+    return ppm_waveform(packet.symbols, config, amplitude=amplitude)

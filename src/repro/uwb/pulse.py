@@ -44,16 +44,15 @@ def gaussian_derivative(t: np.ndarray, tau: float, order: int = 5
     return pulse / peak
 
 
-def sampled_pulse(fs: float, tau: float, order: int = 5,
-                  span_sigmas: float = 6.0) -> np.ndarray:
+def sampled_pulse(fs: float, tau: float, order: int = 5) -> np.ndarray:
     """A centered, peak-normalized pulse sampled at *fs*.
 
-    The support spans ``+/- span_sigmas * tau``; an odd number of
-    samples keeps the pulse symmetric around its array center.
+    The support spans ``+/- 6 tau``; an odd number of samples keeps the
+    pulse symmetric around its array center.
     """
     if fs <= 0:
         raise ValueError("fs must be positive")
-    half = max(1, int(math.ceil(span_sigmas * tau * fs)))
+    half = max(1, int(math.ceil(6.0 * tau * fs)))
     t = np.arange(-half, half + 1) / fs
     return gaussian_derivative(t, tau, order)
 
@@ -89,15 +88,14 @@ def fcc_indoor_mask_dbm_per_mhz(freqs: np.ndarray) -> np.ndarray:
     return mask
 
 
-def fractional_bandwidth(pulse: np.ndarray, fs: float,
-                         threshold_db: float = -10.0) -> float:
-    """Fractional bandwidth ``2 (fh - fl) / (fh + fl)`` at the given
-    threshold below the spectral peak (FCC defines UWB as > 0.20, or
-    > 500 MHz absolute)."""
+def fractional_bandwidth(pulse: np.ndarray, fs: float) -> float:
+    """Fractional bandwidth ``2 (fh - fl) / (fh + fl)`` at 10 dB below
+    the spectral peak (FCC defines UWB as > 0.20, or > 500 MHz
+    absolute)."""
     freqs, esd = pulse_psd(pulse, fs)
     esd_db = 10.0 * np.log10(np.maximum(esd, 1e-300))
     peak = np.max(esd_db)
-    above = np.nonzero(esd_db >= peak + threshold_db)[0]
+    above = np.nonzero(esd_db >= peak - 10.0)[0]
     f_low, f_high = freqs[above[0]], freqs[above[-1]]
     if f_high + f_low == 0:
         return 0.0

@@ -32,8 +32,7 @@ from repro.ams import (
     Simulator,
     SpiceBlock,
 )
-from repro.circuits import IntegrateDumpDesign, build_id_testbench, \
-    default_design
+from repro.circuits import build_id_testbench, default_design
 from repro.uwb.adc import Adc, AutoRangingAdc, decide_slots
 from repro.uwb.config import UwbConfig
 from repro.uwb.integrator import WindowIntegrator
@@ -152,8 +151,6 @@ class AmsRunResult:
 def build_ams_receiver(config: UwbConfig,
                        integrator: str | WindowIntegrator,
                        waveform: np.ndarray, *,
-                       gain: float = 1.0,
-                       design: IntegrateDumpDesign | None = None,
                        adc: Adc | AutoRangingAdc | None = _AUTO_RANGED,
                        cosim_substeps: int = 1,
                        record: bool = False,
@@ -170,8 +167,7 @@ def build_ams_receiver(config: UwbConfig,
             its error-level lint rules pass).
         waveform: received waveform samples at ``config.fs`` (already
             including noise/channel); it reaches the squarer through a
-            fixed-gain VGA.
-        gain: VGA gain (linear).
+            unit-gain VGA.
         adc: converter the slot samples pass through before the
             decision (default: auto-ranged at ``config.adc_bits``;
             ``None`` decides on the raw samples).
@@ -197,7 +193,6 @@ def build_ams_receiver(config: UwbConfig,
             "resolve integrator names through repro.link.ops.run_testbench")
     if adc is _AUTO_RANGED:
         adc = AutoRangingAdc(config.adc_bits)
-    design = design or default_design()
     sim = Simulator(dt=config.dt, engine=engine)
 
     rx = sim.quantity("rx")
@@ -207,7 +202,8 @@ def build_ams_receiver(config: UwbConfig,
     mode = sim.signal("id_mode", init=MODE_DUMP)
 
     sim.add_block(WaveformSource("rx_source", waveform, rx))
-    sim.add_block(CallbackBlock("vga", lambda v: gain * v,
+    # Unit gain: the Table-1 testbench keeps the VGA stage in the chain.
+    sim.add_block(CallbackBlock("vga", lambda v: 1.0 * v,
                                 inputs=[rx], outputs=[vga_out],
                                 vectorized=True))
     sim.add_block(CallbackBlock("squarer", lambda v: v * v,
@@ -215,6 +211,7 @@ def build_ams_receiver(config: UwbConfig,
                                 vectorized=True))
 
     if integrator == COSIM:
+        design = default_design()
         tb = build_id_testbench(design, mode="hold")
         cm = design.input_cm
         vdd = design.vdd

@@ -21,6 +21,8 @@ import pytest
 
 from repro.campaign.store import ResultStore
 from repro.experiments import (
+    run_agc_ablation,
+    run_fig5_drive_sweep,
     run_fig6,
     run_mui,
     run_noise_shaping_ablation,
@@ -41,6 +43,9 @@ CAMPAIGNS = {
     "table2": lambda store: run_table2(iterations=1, store=store),
     "table1": lambda store: run_table1(
         simulated_time=32e-9, measure_reference=False, store=store),
+    "fig5": lambda store: run_fig5_drive_sweep(
+        drives=(0.02,), dt=0.4e-9, store=store),
+    "agc": lambda store: run_agc_ablation(iterations=1, store=store),
 }
 
 #: recorded sorted keys per harness.
@@ -64,6 +69,13 @@ PINNED = {
         "0d3e0ed36d2f5364850b823475be717faf61ac4d236397d15023759de9d5ddc0",
         "28abaafc8d3ec2298850dbf4324751d5f0dfca86c028d7c7a80a58b47041e38d",
         "2ada149d0508aac3d8509e1eed360e45c062bec794a11cc5993121324b1ef9bd",
+    ],
+    "fig5": [
+        "689e5c45a63f09a93b0a03ee8cc4ff43ae7bd60ece77b3177f29222ccb6f35f6",
+    ],
+    "agc": [
+        "013d8c45e2f90c0a005aa5d601798d88657ec5483a687a2569b4500cdde0f360",
+        "92f778f63b0768ae8d7d1e453de8e14efae9716411380068fd8abf2440e438a8",
     ],
 }
 

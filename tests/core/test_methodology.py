@@ -33,7 +33,6 @@ class TestMetrics:
                       label="circuit")
         cmp_ = compare_ber(a, b)
         assert cmp_.wins_at_high_snr() == "circuit"
-        assert cmp_.log10_max_gap == pytest.approx(np.log10(2.0))
         assert "circuit" in cmp_.format_table()
 
     def test_ber_grid_mismatch(self):

@@ -72,9 +72,8 @@ class TestFastsim:
         res = ops.ber_curve(
             SPEC, [5.0], np.random.default_rng(8),
             target_errors=10, max_bits=1000, min_bits=500, label="x")
-        rows = res.as_rows()
-        assert len(rows) == 1
-        assert rows[0][3] >= 500
+        assert len(res.bits) == 1
+        assert res.bits[0] >= 500
         assert res.label == "x"
 
 
