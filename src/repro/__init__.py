@@ -23,11 +23,11 @@ Subpackages
 ``repro.link``
     The one front door: declarative ``LinkSpec`` + the ``ops``
     functions (vectorized golden-model BER, ranging, AMS-kernel
-    testbench) with integrator selection routed through the model
-    registry.
+    testbench) with integrator selection by name from the closed
+    ``INTEGRATORS`` table.
 ``repro.experiments``
     Harnesses that regenerate every table and figure of the paper,
-    self-registered for ``python -m repro run``.
+    and the ``EXPERIMENTS`` table ``python -m repro run`` reads.
 """
 
 __version__ = "1.2.0"

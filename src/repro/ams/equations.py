@@ -46,13 +46,13 @@ class OnePoleState:
         gain: DC gain.
     """
 
-    def __init__(self, pole_hz: float, gain: float = 1.0, init: float = 0.0):
+    def __init__(self, pole_hz: float, gain: float = 1.0):
         if pole_hz <= 0:
             raise ValueError("pole_hz must be positive")
         self.tau = 1.0 / (2.0 * math.pi * pole_hz)
         self.gain = gain
-        self.y = float(init)
-        self._x_prev = float(init) / gain if gain else 0.0
+        self.y = 0.0
+        self._x_prev = 0.0
 
     def update(self, x: float, dt: float) -> float:
         """Advance one step with input *x*; returns the new output."""

@@ -1,11 +1,11 @@
 """``python -m repro`` - the unified campaign command line.
 
-Drives every *registered* experiment through the campaign layer, so
+Drives every experiment through the campaign layer, so
 runs are cached, resumable and scriptable:
 
 .. code-block:: text
 
-    python -m repro run --list               # discover experiments
+    python -m repro run --list               # the experiment menu
     python -m repro run fig6 --fast          # figure 6, quick budget
     python -m repro run table1 --processes 1 # table 1 (serial timing)
     python -m repro run fig5 table2          # several experiments
@@ -19,13 +19,13 @@ runs are cached, resumable and scriptable:
     python -m repro trace fig6 --fast        # span tree of one run
     python -m repro stats                    # aggregate store stats
 
-Experiments self-register via the ``@experiment`` decorator in
-:mod:`repro.experiments.registry`; adding a harness module makes it
-runnable here with no CLI change.  Common flags: ``--fast`` (default)
-/ ``--full`` select the Monte-Carlo budget, ``--processes`` fans
-scenarios out over a process pool, ``--seed`` overrides the
-experiment's default seed, ``--chunk-bits`` sizes the Monte-Carlo
-chunks, and ``--cache-dir`` / ``--no-cache`` control the result store.
+The experiments are the rows of :data:`repro.experiments.EXPERIMENTS`
+(name -> adapter, description), in menu order.  Common flags:
+``--fast`` (default) / ``--full`` select the Monte-Carlo budget,
+``--processes`` fans scenarios out over a process pool, ``--seed``
+overrides the experiment's default seed, ``--chunk-bits`` sizes the
+Monte-Carlo chunks, and ``--cache-dir`` / ``--no-cache`` control the
+result store.
 Re-running a completed campaign executes zero scenarios; a killed
 or interrupted ``repro run`` resumes from its checkpoints when run
 again.
@@ -71,19 +71,13 @@ def _non_negative(kind: type):
     return parse
 
 
-def _registry():
-    """Experiment discovery, deferred so ``cache`` commands stay
-    import-light."""
-    from repro.experiments.registry import all_experiments
-
-    return {e.name: e for e in all_experiments()}
-
-
 def _known_experiments(names) -> dict | None:
-    """The experiment registry when every name in *names* is
-    registered; otherwise print the unknown ones and return ``None``
-    (the caller exits with status 2)."""
-    experiments = _registry()
+    """The experiment table when every name in *names* is in it;
+    otherwise print the unknown ones and return ``None`` (the caller
+    exits with status 2).  Imported here so ``cache`` commands stay
+    import-light."""
+    from repro.experiments import EXPERIMENTS as experiments
+
     unknown = sorted(set(names) - set(experiments))
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)} "
@@ -101,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser(
         "run", help="run experiment campaigns through the result store")
-    # No choices= here: the registry is discovered lazily; unknown
+    # No choices= here: the table is imported lazily; unknown
     # names are validated in cmd_run (and --list needs no names).
     run_p.add_argument("experiments", nargs="*", metavar="experiment",
                        help="registered experiment names "
@@ -213,11 +207,12 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_list() -> int:
-    experiments = _registry()
+    from repro.experiments import EXPERIMENTS
+
     print("registered experiments:")
-    for exp in experiments.values():
-        print(f"  {exp.name:<12s} {exp.description}")
-    print(f"{len(experiments)} experiments "
+    for name, (_fn, description) in EXPERIMENTS.items():
+        print(f"  {name:<12s} {description}")
+    print(f"{len(EXPERIMENTS)} experiments "
           "(run with: python -m repro run <name>)")
     return 0
 
@@ -231,7 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     experiments = _known_experiments(args.experiments)
     if experiments is None:
         return 2
-    from repro.experiments.registry import ExperimentContext
+    from repro.experiments import ExperimentContext
 
     store = (None if getattr(args, "no_cache", False)
              else ResultStore(args.cache_dir))
@@ -241,7 +236,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                                 seed=args.seed, store=store,
                                 chunk_bits=args.chunk_bits)
         start = time.perf_counter()
-        text = experiments[name].run(ctx)
+        text = experiments[name][0](ctx)
         elapsed = time.perf_counter() - start
         print(text)
         if store is not None:
@@ -266,8 +261,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.circuits import builtin_circuits
     from repro.spice import ParseError
     from repro.spice.lint import (
+        RULES,
         Severity,
-        all_rules,
         lint_circuit,
         lint_netlist,
         lint_subckt,
@@ -280,7 +275,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         for name in builtins:
             print(f"  {name}")
         print("lint rules:")
-        for rule in all_rules():
+        for rule in RULES:
             print(f"  {rule.rule_id:<14s} [{rule.severity.label:<5s}] "
                   f"{rule.title}")
         return 0
@@ -402,7 +397,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     experiments = _known_experiments([args.experiment])
     if experiments is None:
         return 2
-    from repro.experiments.registry import ExperimentContext
+    from repro.experiments import ExperimentContext
     from repro.obs import metrics, trace
     from repro.obs.export import TraceReport, render_trace
 
@@ -412,7 +407,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                             chunk_bits=args.chunk_bits)
     metrics.REGISTRY.reset()
     with trace.collect(args.experiment) as root:
-        text = experiments[args.experiment].run(ctx)
+        text = experiments[args.experiment][0](ctx)
     report = TraceReport.from_run(args.experiment, root,
                                   metrics.REGISTRY.snapshot())
     if args.format == "json":

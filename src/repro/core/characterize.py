@@ -69,11 +69,10 @@ class TwoPoleFit:
                 - 10.0 * np.log10(1.0 + (f / self.fp1_hz) ** 2)
                 - 10.0 * np.log10(1.0 + (f / self.fp2_hz) ** 2))
 
-    def to_model(self, input_nonlinearity=None) -> TwoPoleIntegrator:
+    def to_model(self) -> TwoPoleIntegrator:
         """The corresponding Phase-IV behavioral integrator."""
         return TwoPoleIntegrator(gain=self.gain, fp1_hz=self.fp1_hz,
-                                 fp2_hz=self.fp2_hz,
-                                 input_nonlinearity=input_nonlinearity)
+                                 fp2_hz=self.fp2_hz)
 
 
 def fit_two_pole(freqs, mag_db) -> TwoPoleFit:

@@ -17,7 +17,7 @@ import numpy as np
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
 from repro.core.scenario import Scenario
-from repro.experiments.registry import ExperimentContext, experiment
+from repro.experiments.context import ExperimentContext
 from repro.experiments.table2_twr import TWR_NOISE_SIGMA, twr_spec
 from repro.link import FrontEndSpec, LinkSpec, ops
 from repro.uwb import UwbConfig
@@ -130,9 +130,6 @@ def run_noise_shaping_ablation(ebn0_db: float = 12.0,
         ebn0_db=float(ebn0_db))
 
 
-@experiment("ablations", order=50,
-            description="Two-stage AGC fix + noise-shaping second-pole "
-                        "sweep")
 def ablations_experiment(ctx: ExperimentContext) -> str:
     agc = run_agc_ablation(iterations=20 if ctx.full else 10,
                            processes=ctx.processes, store=ctx.store,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.characterize import TwoPoleFit, characterize_integrator
-from repro.experiments.registry import ExperimentContext, experiment
+from repro.experiments.context import ExperimentContext
 
 
 @dataclass
@@ -66,9 +66,6 @@ def run_fig4(points_per_decade: int = 10) -> Fig4Result:
                       model_mag_db=model_mag, fit=fit)
 
 
-@experiment("fig4", order=80,
-            description="Integrator AC response: circuit netlist vs "
-                        "the extracted two-pole model")
 def fig4_experiment(ctx: ExperimentContext) -> str:
     result = run_fig4(points_per_decade=16 if ctx.full else 10)
     return result.format_report()

@@ -22,7 +22,7 @@ from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
 from repro.core.characterize import ID_OP_GUESS, characterize_integrator
 from repro.core.scenario import Scenario
-from repro.experiments.registry import ExperimentContext, experiment
+from repro.experiments.context import ExperimentContext
 from repro.spice import transient
 from repro.uwb.integrator import IdealIntegrator
 
@@ -120,9 +120,6 @@ def run_fig5_drive_sweep(drives=(0.02, 0.15), dt: float = 0.4e-9,
     return runner.run().values()
 
 
-@experiment("fig5", order=30,
-            description="Integrate/hold/dump transient, circuit vs "
-                        "behavioral models, across drive levels")
 def fig5_experiment(ctx: ExperimentContext) -> str:
     results = run_fig5_drive_sweep(dt=0.2e-9 if ctx.full else 0.4e-9,
                                    processes=ctx.processes,

@@ -17,7 +17,7 @@ from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
 from repro.core.metrics import BerComparison, compare_ber
 from repro.core.scenario import Scenario
-from repro.experiments.registry import ExperimentContext, experiment
+from repro.experiments.context import ExperimentContext
 from repro.link import FrontEndSpec, LinkSpec, ops
 from repro.link.backends import build_bpf
 from repro.uwb import UwbConfig
@@ -136,9 +136,6 @@ def run_fig6(ebn0_grid=(0, 2, 4, 6, 8, 10, 12, 14),
                       spec=spec)
 
 
-@experiment("fig6", order=10,
-            description="BER vs Eb/N0, ideal vs circuit integrator "
-                        "(paired Monte-Carlo)")
 def fig6_experiment(ctx: ExperimentContext) -> str:
     # Adaptive Monte-Carlo: deep-SNR points stop once their Wilson
     # upper bound resolves below the study's floor instead of burning

@@ -33,7 +33,7 @@ from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
 from repro.core.scenario import Scenario
 from repro.experiments.fig6_ber import BER_DRIVE, WIDE_FRONT_END
-from repro.experiments.registry import ExperimentContext, experiment
+from repro.experiments.context import ExperimentContext
 from repro.link import (
     FrontEndSpec,
     InterfererSpec,
@@ -267,10 +267,6 @@ def run_mui(victim: LinkSpec | None = None,
                      near_far_ebn0=float(near_far_ebn0))
 
 
-@experiment("mui", order=60,
-            description="BER vs Eb/N0 under 0/1/2/4 same-band "
-                        "interferers + near-far sweep (NetworkSpec, "
-                        "multi-user fastsim)")
 def mui_experiment(ctx: ExperimentContext) -> str:
     adaptive = AdaptiveStopping(ber_floor=1e-5 if ctx.full else 1e-4)
     result = run_mui(quick=not ctx.full, processes=ctx.processes,

@@ -32,7 +32,7 @@ from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
 from repro.core.metrics import CpuTimeReport
 from repro.core.scenario import Scenario
-from repro.experiments.registry import ExperimentContext, experiment
+from repro.experiments.context import ExperimentContext
 from repro.link import LinkSpec, build_bpf, ops
 from repro.uwb import UwbConfig
 from repro.uwb.modulation import ppm_waveform, random_bits
@@ -204,9 +204,6 @@ def run_table1(simulated_time: float = 1e-6,
                         reference_bits=reference_bits)
 
 
-@experiment("table1", order=20,
-            description="CPU time of a system simulation per "
-                        "integrator model (+ engine speedup)")
 def table1_experiment(ctx: ExperimentContext) -> str:
     # measure_reference repeats are uncacheable timing samples; skip
     # them here so a completed table-1 campaign re-runs with zero

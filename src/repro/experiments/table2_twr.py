@@ -22,7 +22,7 @@ from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
 from repro.core.metrics import RangingComparison
 from repro.core.scenario import Scenario
-from repro.experiments.registry import ExperimentContext, experiment
+from repro.experiments.context import ExperimentContext
 from repro.link import ChannelSpec, FrontEndSpec, LinkSpec, ops
 from repro.uwb import UwbConfig
 
@@ -95,9 +95,6 @@ def run_table2(distance: float = 9.9, iterations: int = 10,
                         iterations=iterations)
 
 
-@experiment("table2", order=40,
-            description="Two-way ranging at 9.9 m over CM1 LOS, "
-                        "ideal vs circuit integrator")
 def table2_experiment(ctx: ExperimentContext) -> str:
     result = run_table2(iterations=30 if ctx.full else 10,
                         processes=ctx.processes, store=ctx.store,

@@ -202,7 +202,8 @@ def build_receiver(spec: LinkSpec, *,
         raise ValueError(
             f"integrator {type(resolved).__name__} exposes no "
             "ideal_k/k gain; the AGC needs the nominal integration "
-            "constant (add an ideal_k property or pass agc= yourself)")
+            "constant (add an ideal_k property, or build an "
+            "EnergyDetectionReceiver from parts with your own agc)")
     if fe.agc == "two_stage":
         agc: Agc = TwoStageAgc(vga, adc, k, fill=fe.agc_fill,
                                amp_target=fe.agc_amp_target)

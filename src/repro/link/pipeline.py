@@ -541,7 +541,7 @@ def run_ber_point(front: SignalPipeline, decider: DecisionStage,
 _PRIMED_BYTES = 0
 
 
-def _prime_allocator(block_bytes: int, live_blocks: int = 4) -> None:
+def _prime_allocator(block_bytes: int) -> None:
     """Pre-adapt the process allocator to the sweep's chunk temporaries.
 
     The chunk temporaries (the noise vector, the two filter outputs
@@ -572,7 +572,8 @@ def _prime_allocator(block_bytes: int, live_blocks: int = 4) -> None:
     for _ in range(3):
         scratch = np.empty(block_bytes, dtype=np.uint8)
         del scratch
-    count = max(1, min(live_blocks, (1 << 27) // block_bytes))
+    # The working set: four live blocks, within a 128 MiB budget.
+    count = max(1, min(4, (1 << 27) // block_bytes))
     blocks = [np.empty(block_bytes, dtype=np.uint8)
               for _ in range(count)]
     for scratch in blocks:

@@ -4,7 +4,7 @@ Two stdlib-only primitives and an export layer:
 
 * :mod:`repro.obs.trace` - hierarchical, aggregating span tracer
   with a module-flag-gated no-op fast path (``trace.ENABLED``).
-* :mod:`repro.obs.metrics` - process-local counters, gauges and
+* :mod:`repro.obs.metrics` - process-local counters and
   log-bucketed histograms behind a reset-in-place registry
   (``metrics.REGISTRY``).
 * :mod:`repro.obs.export` - text rendering and JSON-reversible

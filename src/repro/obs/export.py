@@ -6,7 +6,7 @@ by contract; everything that touches :mod:`repro.core.serialization`
 
 * :class:`TraceReport` - one traced experiment run (span tree +
   metrics snapshot) as a format-tagged, reversible JSON document
-  (``repro.trace/1``), the payload of ``repro trace --format json``.
+  (``repro.trace/2``), the payload of ``repro trace --format json``.
 * :func:`render_trace` - the flame-style text tree.
 * :func:`format_bytes` - the human-readable byte formatter shared by
   ``repro cache clear``/``gc`` and ``repro stats``.
@@ -23,7 +23,7 @@ from .trace import SpanNode
 __all__ = ["TRACE_FORMAT", "TraceReport", "format_bytes",
            "render_trace"]
 
-TRACE_FORMAT = "repro.trace/1"
+TRACE_FORMAT = "repro.trace/2"
 
 _UNITS = ("B", "KiB", "MiB", "GiB", "TiB")
 
@@ -70,9 +70,8 @@ class TraceReport:
     def wall_s(self) -> float:
         return self.root.total_s
 
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return serialization.dump_tagged(TRACE_FORMAT, self,
-                                         indent=indent)
+    def to_json(self) -> str:
+        return serialization.dump_tagged(TRACE_FORMAT, self, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "TraceReport":

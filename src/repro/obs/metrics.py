@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms.
+"""Process-local metrics registry: counters and histograms.
 
 The counting half of :mod:`repro.obs` (the timing half is
 :mod:`repro.obs.trace`).  Instruments are cheap mutable objects
@@ -31,7 +31,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-__all__ = ["Counter", "Gauge", "Histogram", "HistogramState",
+__all__ = ["Counter", "Histogram", "HistogramState",
            "MetricsRegistry", "MetricsSnapshot", "REGISTRY",
            "default_bounds"]
 
@@ -60,22 +60,6 @@ class Counter:
 
     def reset(self) -> None:
         self.value = 0
-
-
-class Gauge:
-    """Last-write-wins numeric level."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Histogram:
@@ -150,15 +134,13 @@ class MetricsSnapshot:
     """Point-in-time, serializable view of a registry."""
 
     counters: dict[str, int] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, HistogramState] = field(default_factory=dict)
 
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Element-wise sum with *other* (gauges: last write wins;
-        histograms require identical bounds)."""
+        """Element-wise sum with *other* (histograms require identical
+        bounds)."""
         out = MetricsSnapshot(
             counters=dict(self.counters),
-            gauges=dict(self.gauges),
             histograms={k: HistogramState(
                 bounds=list(v.bounds), counts=list(v.counts),
                 count=v.count, total=v.total, min=v.min, max=v.max)
@@ -166,7 +148,6 @@ class MetricsSnapshot:
         )
         for name, value in other.counters.items():
             out.counters[name] = out.counters.get(name, 0) + value
-        out.gauges.update(other.gauges)
         for name, hist in other.histograms.items():
             mine = out.histograms.get(name)
             if mine is None:
@@ -202,7 +183,6 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -210,13 +190,6 @@ class MetricsRegistry:
         if inst is None:
             with self._lock:
                 inst = self._counters.setdefault(name, Counter(name))
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._gauges.get(name)
-        if inst is None:
-            with self._lock:
-                inst = self._gauges.setdefault(name, Gauge(name))
         return inst
 
     def histogram(self, name: str,
@@ -236,9 +209,6 @@ class MetricsRegistry:
             counters={name: c.value
                       for name, c in sorted(self._counters.items())
                       if c.value},
-            gauges={name: g.value
-                    for name, g in sorted(self._gauges.items())
-                    if g.value},
             histograms={name: h.state()
                         for name, h in sorted(self._histograms.items())
                         if h.count},
@@ -250,8 +220,6 @@ class MetricsRegistry:
         with self._lock:
             for c in self._counters.values():
                 c.reset()
-            for g in self._gauges.values():
-                g.reset()
             for h in self._histograms.values():
                 h.reset()
 

@@ -49,9 +49,9 @@ class AcResult:
         h = self.v(node) if ref is None else self.vdiff(node, ref)
         return 20.0 * np.log10(np.maximum(np.abs(h), 1e-30))
 
-    def phase_deg(self, node: str, ref: str | None = None) -> np.ndarray:
-        h = self.v(node) if ref is None else self.vdiff(node, ref)
-        return np.degrees(np.angle(h))
+    def phase_deg(self, node: str) -> np.ndarray:
+        """Phase in degrees of ``v(node)``."""
+        return np.degrees(np.angle(self.v(node)))
 
     def i(self, device: str) -> np.ndarray:
         return self.x[:, self.system.branch_index[device.lower()]].copy()

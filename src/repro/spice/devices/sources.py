@@ -4,16 +4,14 @@ A source has a DC value, an AC magnitude/phase (for small-signal analysis)
 and an optional transient :class:`Waveform`.  When a waveform is present it
 defines the large-signal value at time *t*; otherwise the DC value is used.
 
-Waveforms mirror the classic Spice ones (``PULSE``, ``SIN``, ``PWL``) and a
-Python-callable escape hatch (:class:`Arbitrary`) used by the mixed-signal
-co-simulation wrapper.
+Waveforms mirror the classic Spice ones (``PULSE``, ``SIN``, ``PWL``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,16 +114,6 @@ class Pwl(Waveform):
         if t >= times[-1]:
             return float(values[-1])
         return float(np.interp(t, times, values))
-
-
-class Arbitrary(Waveform):
-    """Waveform backed by an arbitrary Python callable ``f(t) -> value``."""
-
-    def __init__(self, fn: Callable[[float], float]):
-        self._fn = fn
-
-    def value(self, t: float) -> float:
-        return float(self._fn(t))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ Three layers:
 * :mod:`repro.spice.lint.graph` - :class:`CircuitGraph` flattens a
   circuit into node/device adjacency with normalized ground aliases and
   structural vs. DC-conduction edge views,
-* :mod:`repro.spice.lint.rules` - the extensible ``@lint_rule``
-  registry with stable ids (``SP-FLOAT-001``, ...) and severities,
+* :mod:`repro.spice.lint.rules` - the :data:`RULES` catalog with
+  stable ids (``SP-FLOAT-001``, ...) and severities,
 * :mod:`repro.spice.lint.engine` / :mod:`~repro.spice.lint.report` -
   entry points producing serializable :class:`LintReport` values, plus
   the :func:`preflight_check` gate raising
@@ -38,21 +38,20 @@ from repro.spice.lint.graph import (
     structural_edges,
 )
 from repro.spice.lint.report import LintFinding, LintReport, Severity
-from repro.spice.lint.rules import LintRule, all_rules, get_rules, lint_rule
+from repro.spice.lint.rules import RULES, LintRule, get_rules
 
 __all__ = [
     "CircuitGraph",
     "LintFinding",
     "LintReport",
     "LintRule",
+    "RULES",
     "NetlistLintError",
     "Severity",
-    "all_rules",
     "dc_edges",
     "get_rules",
     "lint_circuit",
     "lint_netlist",
-    "lint_rule",
     "lint_subckt",
     "non_current_source_edges",
     "preflight_check",

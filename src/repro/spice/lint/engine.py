@@ -43,7 +43,7 @@ def lint_circuit(circuit: Circuit, *,
     Args:
         circuit: a flat circuit (subckt instances are already expanded
             by ``Circuit.instantiate``).
-        rules: restrict to these rule ids (default: all registered).
+        rules: restrict to these rule ids (default: all of them).
         min_severity: drop rules below this severity.
         external: nodes assumed driven from outside (subckt ports);
             structural rules skip anything reachable from them.

@@ -103,10 +103,6 @@ class LintReport:
     def warnings(self) -> tuple[LintFinding, ...]:
         return self.at_severity(Severity.WARN)
 
-    @property
-    def infos(self) -> tuple[LintFinding, ...]:
-        return self.at_severity(Severity.INFO)
-
     def at_severity(self, severity: Severity) -> tuple[LintFinding, ...]:
         return tuple(f for f in self.findings if f.severity == severity)
 
@@ -140,11 +136,11 @@ class LintReport:
                      f"{' (' + counts + ')' if counts else ''}")
         return "\n".join(lines)
 
-    def to_json(self, *, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Reversible JSON via the repository serialization codec."""
         from repro.core.serialization import to_jsonable
 
-        return json.dumps(to_jsonable(self), indent=indent, sort_keys=True)
+        return json.dumps(to_jsonable(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "LintReport":

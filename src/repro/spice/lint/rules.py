@@ -1,16 +1,19 @@
-"""The lint rule registry and the built-in rules.
+"""The lint rules: one catalog of stable ids, severities and checks.
 
 A rule is a generator over a :class:`~repro.spice.lint.graph.CircuitGraph`
 yielding ``(message, nodes, devices)`` triples; the engine stamps them
 with the rule's stable id and severity into
-:class:`~repro.spice.lint.report.LintFinding` values.  Register new
-rules with the :func:`lint_rule` decorator::
+:class:`~repro.spice.lint.report.LintFinding` values.  :data:`RULES`
+lists every rule in catalog order; a new rule is a check function
+plus one :class:`LintRule` row there::
 
-    @lint_rule("SP-MYRULE-001", Severity.WARN, "my description")
-    def _my_rule(graph):
+    def _rule_my_check(graph):
         for node in graph.nodes:
             if looks_odd(node):
                 yield f"node {node!r} looks odd", (node,), ()
+
+    LintRule("SP-MYRULE-001", Severity.WARN, "my description",
+             _rule_my_check),
 
 Rule ids are part of the public contract: reports, the CLI ``--fail-on``
 gate and the cosim pre-flight all reference them, so ids never change
@@ -73,7 +76,7 @@ RuleFn = Callable[[CircuitGraph], RuleOutput]
 
 @dataclass(frozen=True)
 class LintRule:
-    """A registered lint rule (id + severity + check function)."""
+    """A lint rule (id + severity + check function)."""
 
     rule_id: str
     severity: Severity
@@ -81,47 +84,27 @@ class LintRule:
     check: RuleFn
 
 
-_RULES: dict[str, LintRule] = {}
-
-
-def lint_rule(rule_id: str, severity: Severity,
-              title: str) -> Callable[[RuleFn], RuleFn]:
-    """Register a rule under a stable *rule_id* (decorator)."""
-
-    def register(fn: RuleFn) -> RuleFn:
-        if rule_id in _RULES:
-            raise ValueError(f"lint rule {rule_id!r} is already registered")
-        _RULES[rule_id] = LintRule(rule_id, Severity(severity), title, fn)
-        return fn
-
-    return register
-
-
-def all_rules() -> tuple[LintRule, ...]:
-    """Every registered rule, in registration order."""
-    return tuple(_RULES.values())
-
-
 def get_rules(ids: Sequence[str] | None = None,
               min_severity: Severity | None = None) -> tuple[LintRule, ...]:
     """Select rules by id and/or severity floor.
 
     Args:
-        ids: explicit rule ids (default: all registered).
+        ids: explicit rule ids (default: every rule in :data:`RULES`).
         min_severity: drop rules below this severity.
 
     Raises:
-        KeyError: an id in *ids* is not registered.
+        KeyError: an id in *ids* is not in :data:`RULES`.
     """
+    by_id = {rule.rule_id: rule for rule in RULES}
     if ids is None:
-        selected = list(_RULES.values())
+        selected = list(RULES)
     else:
-        missing = [i for i in ids if i not in _RULES]
+        missing = [i for i in ids if i not in by_id]
         if missing:
             raise KeyError(
-                f"unknown lint rule(s) {', '.join(missing)}; registered: "
-                f"{', '.join(_RULES)}")
-        selected = [_RULES[i] for i in ids]
+                f"unknown lint rule(s) {', '.join(missing)}; known: "
+                f"{', '.join(by_id)}")
+        selected = [by_id[i] for i in ids]
     if min_severity is not None:
         selected = [r for r in selected if r.severity >= min_severity]
     return tuple(selected)
@@ -147,7 +130,6 @@ def _attached(graph: CircuitGraph, component: set[str]) -> list[Device]:
 # built-in rules
 # ----------------------------------------------------------------------
 
-@lint_rule("SP-GND-001", Severity.ERROR, "circuit has no ground reference")
 def _rule_ground(graph: CircuitGraph) -> RuleOutput:
     if not graph.circuit.devices:
         return
@@ -159,8 +141,6 @@ def _rule_ground(graph: CircuitGraph) -> RuleOutput:
                "('0'/'gnd')", (), ())
 
 
-@lint_rule("SP-FLOAT-001", Severity.ERROR,
-           "floating node (fewer than two connections)")
 def _rule_floating(graph: CircuitGraph) -> RuleOutput:
     for node in graph.nodes:
         if node == GROUND or graph.is_external(node):
@@ -173,8 +153,6 @@ def _rule_floating(graph: CircuitGraph) -> RuleOutput:
                    (node,), _device_names(devices))
 
 
-@lint_rule("SP-DCPATH-001", Severity.ERROR,
-           "no DC path to ground (capacitor-only cut)")
 def _rule_dc_path(graph: CircuitGraph) -> RuleOutput:
     if not graph.has_ground and not graph.external:
         return  # SP-GND-001 already covers the whole circuit
@@ -188,8 +166,6 @@ def _rule_dc_path(graph: CircuitGraph) -> RuleOutput:
                _sorted_nodes(component), _device_names(cut))
 
 
-@lint_rule("SP-ISLAND-001", Severity.ERROR,
-           "isolated component island")
 def _rule_island(graph: CircuitGraph) -> RuleOutput:
     if not graph.has_ground and not graph.external:
         return  # no anchor anywhere: SP-GND-001 covers it
@@ -203,8 +179,6 @@ def _rule_island(graph: CircuitGraph) -> RuleOutput:
                _sorted_nodes(component), _device_names(island))
 
 
-@lint_rule("SP-PORT-001", Severity.ERROR,
-           "dangling subcircuit port")
 def _rule_dangling_port(graph: CircuitGraph) -> RuleOutput:
     for subckt in graph.circuit.subckts.values():
         used: set[str] = set()
@@ -217,8 +191,6 @@ def _rule_dangling_port(graph: CircuitGraph) -> RuleOutput:
                        (port,), ())
 
 
-@lint_rule("SP-SHORT-001", Severity.WARN,
-           "two-terminal device shorted (both terminals on one net)")
 def _rule_shorted(graph: CircuitGraph) -> RuleOutput:
     for dev in graph.circuit.devices:
         if isinstance(dev, VoltageSource):
@@ -231,8 +203,6 @@ def _rule_shorted(graph: CircuitGraph) -> RuleOutput:
                    (n1,), (dev.name,))
 
 
-@lint_rule("SP-SHORT-002", Severity.ERROR,
-           "voltage source shorted (both terminals on one net)")
 def _rule_shorted_source(graph: CircuitGraph) -> RuleOutput:
     for dev in graph.circuit.devices:
         if isinstance(dev, VoltageSource) and dev.n1 == dev.n2:
@@ -241,8 +211,6 @@ def _rule_shorted_source(graph: CircuitGraph) -> RuleOutput:
                    (dev.n1,), (dev.name,))
 
 
-@lint_rule("SP-VALUE-001", Severity.ERROR,
-           "zero or negative passive value")
 def _rule_passive_values(graph: CircuitGraph) -> RuleOutput:
     for dev in graph.circuit.devices:
         if isinstance(dev, (Resistor, Capacitor, Inductor)):
@@ -253,8 +221,6 @@ def _rule_passive_values(graph: CircuitGraph) -> RuleOutput:
                        _sorted_nodes(set(dev.nodes)), (dev.name,))
 
 
-@lint_rule("SP-VLOOP-001", Severity.ERROR,
-           "loop of voltage sources")
 def _rule_voltage_loop(graph: CircuitGraph) -> RuleOutput:
     """A cycle whose edges are all voltage branches (independent V or
     VCVS outputs) over-constrains the node potentials: MNA goes
@@ -271,8 +237,6 @@ def _rule_voltage_loop(graph: CircuitGraph) -> RuleOutput:
                    (dev.n1, dev.n2), (dev.name,))
 
 
-@lint_rule("SP-ICUT-001", Severity.ERROR,
-           "current-source cutset")
 def _rule_current_cutset(graph: CircuitGraph) -> RuleOutput:
     """A node group fed *only* through current sources has no way to
     satisfy KCL for an arbitrary source value (ELDO/Spice: 'current
@@ -293,8 +257,6 @@ def _rule_current_cutset(graph: CircuitGraph) -> RuleOutput:
                    _sorted_nodes(component), _device_names(cut))
 
 
-@lint_rule("SP-MODEL-001", Severity.ERROR,
-           "device references a missing model card")
 def _rule_missing_model(graph: CircuitGraph) -> RuleOutput:
     models = graph.circuit.models
     for dev in graph.circuit.devices:
@@ -305,8 +267,6 @@ def _rule_missing_model(graph: CircuitGraph) -> RuleOutput:
                        (), (dev.name,))
 
 
-@lint_rule("SP-UNUSED-001", Severity.INFO,
-           "model card never referenced")
 def _rule_unused_model(graph: CircuitGraph) -> RuleOutput:
     used = {dev.model for dev in graph.circuit.devices
             if isinstance(dev, (Mosfet, Diode, VSwitch))}
@@ -318,11 +278,42 @@ def _rule_unused_model(graph: CircuitGraph) -> RuleOutput:
             yield (f"model card {name!r} is never referenced", (), ())
 
 
-@lint_rule("SP-UNUSED-002", Severity.INFO,
-           "subcircuit defined but never used")
 def _rule_unused_subckt(graph: CircuitGraph) -> RuleOutput:
     uses = getattr(graph.circuit, "_subckt_uses", set())
     for name in graph.circuit.subckts:
         if name not in uses:
             yield (f"subckt {name!r} is defined but never instantiated",
                    (), ())
+
+
+#: every rule, in catalog order (the module docstring's table).
+RULES: tuple[LintRule, ...] = (
+    LintRule("SP-GND-001", Severity.ERROR,
+             "circuit has no ground reference", _rule_ground),
+    LintRule("SP-FLOAT-001", Severity.ERROR,
+             "floating node (fewer than two connections)", _rule_floating),
+    LintRule("SP-DCPATH-001", Severity.ERROR,
+             "no DC path to ground (capacitor-only cut)", _rule_dc_path),
+    LintRule("SP-ISLAND-001", Severity.ERROR,
+             "isolated component island", _rule_island),
+    LintRule("SP-PORT-001", Severity.ERROR,
+             "dangling subcircuit port", _rule_dangling_port),
+    LintRule("SP-SHORT-001", Severity.WARN,
+             "two-terminal device shorted (both terminals on one net)",
+             _rule_shorted),
+    LintRule("SP-SHORT-002", Severity.ERROR,
+             "voltage source shorted (both terminals on one net)",
+             _rule_shorted_source),
+    LintRule("SP-VALUE-001", Severity.ERROR,
+             "zero or negative passive value", _rule_passive_values),
+    LintRule("SP-VLOOP-001", Severity.ERROR,
+             "loop of voltage sources", _rule_voltage_loop),
+    LintRule("SP-ICUT-001", Severity.ERROR,
+             "current-source cutset", _rule_current_cutset),
+    LintRule("SP-MODEL-001", Severity.ERROR,
+             "device references a missing model card", _rule_missing_model),
+    LintRule("SP-UNUSED-001", Severity.INFO,
+             "model card never referenced", _rule_unused_model),
+    LintRule("SP-UNUSED-002", Severity.INFO,
+             "subcircuit defined but never used", _rule_unused_subckt),
+)

@@ -12,16 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import signal as _signal
 
-from repro.uwb.pulse import pulse_psd, sampled_pulse
-
-
-def pulse_band(pulse: np.ndarray, fs: float) -> tuple[float, float]:
-    """Occupied band of a pulse: frequencies within 6 dB of the
-    spectral peak."""
-    freqs, esd = pulse_psd(pulse, fs)
-    esd_db = 10.0 * np.log10(np.maximum(esd, 1e-300))
-    above = np.nonzero(esd_db >= np.max(esd_db) - 6.0)[0]
-    return float(freqs[above[0]]), float(freqs[above[-1]])
+from repro.uwb.pulse import pulse_band, sampled_pulse
 
 
 #: samples per block of an in-place :class:`BandPassFilter` pass.
@@ -53,9 +44,9 @@ class BandPassFilter:
     @classmethod
     def for_pulse(cls, fs: float, tau: float, pulse_order: int = 5,
                   order: int = 4) -> "BandPassFilter":
-        """Filter matched to the occupied band of the configured pulse."""
+        """Filter matched to the 6 dB band of the configured pulse."""
         pulse = sampled_pulse(fs, tau, pulse_order)
-        low, high = pulse_band(pulse, fs)
+        low, high = pulse_band(pulse, fs, 6.0)
         low = max(low, 0.02 * fs / 2.0)
         high = min(high, 0.90 * fs / 2.0)
         return cls((low, high), fs, order=order)

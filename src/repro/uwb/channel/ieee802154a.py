@@ -158,20 +158,18 @@ class Cm1Channel:
 
     Args:
         fs: simulation sample rate.
-        params: S-V parameter set (CM1 by default).
         apply_path_loss: scale taps by the recommended distance power
             law (the paper's TWR runs use "the recommended path loss").
-        max_excess_delay: truncation of the power-delay profile.
     """
 
-    def __init__(self, fs: float,
-                 params: SalehValenzuelaParameters = CM1_PARAMETERS,
-                 apply_path_loss: bool = True,
-                 max_excess_delay: float = 120e-9):
+    #: the S-V parameter set.
+    params: SalehValenzuelaParameters = CM1_PARAMETERS
+    #: truncation of the power-delay profile (s).
+    max_excess_delay = 120e-9
+
+    def __init__(self, fs: float, apply_path_loss: bool = True):
         self.fs = float(fs)
-        self.params = params
         self.apply_path_loss = apply_path_loss
-        self.max_excess_delay = max_excess_delay
 
     def _nakagami_amplitude(self, rng: np.random.Generator,
                             mean_power: float) -> float:

@@ -314,9 +314,6 @@ class CircuitSurrogateIntegrator(TwoPoleIntegrator):
     soft limit of the paper's ~100 mV linear input range, or, better, a
     table extracted from a DC sweep of the transistor netlist via
     :func:`repro.core.characterize.extract_nonlinearity`.
-
-    Args:
-        vin_linear: input range scale of the default soft limiter (V).
     """
 
     phase = "III"
@@ -325,13 +322,11 @@ class CircuitSurrogateIntegrator(TwoPoleIntegrator):
     def __init__(self, gain: float = 10.0 ** (21.0 / 20.0),
                  fp1_hz: float = 0.886e6, fp2_hz: float = 5.895e9,
                  input_nonlinearity: Callable[[np.ndarray], np.ndarray]
-                 | None = None,
-                 vin_linear: float = 0.1):
+                 | None = None):
         if input_nonlinearity is None:
-            input_nonlinearity = SoftLimiter(float(vin_linear))
+            input_nonlinearity = SoftLimiter(0.1)
         super().__init__(gain=gain, fp1_hz=fp1_hz, fp2_hz=fp2_hz,
                          input_nonlinearity=input_nonlinearity)
-        self.vin_linear = float(vin_linear)
 
 
 def tabulated_nonlinearity(vin: np.ndarray, f_of_vin: np.ndarray

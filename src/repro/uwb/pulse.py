@@ -88,15 +88,21 @@ def fcc_indoor_mask_dbm_per_mhz(freqs: np.ndarray) -> np.ndarray:
     return mask
 
 
+def pulse_band(pulse: np.ndarray, fs: float,
+               drop_db: float) -> tuple[float, float]:
+    """Occupied band of a pulse: the lowest and highest frequencies
+    within *drop_db* dB of the spectral peak."""
+    freqs, esd = pulse_psd(pulse, fs)
+    esd_db = 10.0 * np.log10(np.maximum(esd, 1e-300))
+    above = np.nonzero(esd_db >= np.max(esd_db) - drop_db)[0]
+    return float(freqs[above[0]]), float(freqs[above[-1]])
+
+
 def fractional_bandwidth(pulse: np.ndarray, fs: float) -> float:
     """Fractional bandwidth ``2 (fh - fl) / (fh + fl)`` at 10 dB below
     the spectral peak (FCC defines UWB as > 0.20, or > 500 MHz
     absolute)."""
-    freqs, esd = pulse_psd(pulse, fs)
-    esd_db = 10.0 * np.log10(np.maximum(esd, 1e-300))
-    peak = np.max(esd_db)
-    above = np.nonzero(esd_db >= peak - 10.0)[0]
-    f_low, f_high = freqs[above[0]], freqs[above[-1]]
+    f_low, f_high = pulse_band(pulse, fs, 10.0)
     if f_high + f_low == 0:
         return 0.0
     return 2.0 * (f_high - f_low) / (f_high + f_low)

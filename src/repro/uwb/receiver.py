@@ -30,11 +30,7 @@ from repro.uwb.agc import Agc, AgcDecision
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.config import UwbConfig
 from repro.uwb.frontend import Vga
-from repro.uwb.integrator import (
-    IdealIntegrator,
-    WindowIntegrator,
-    nominal_gain,
-)
+from repro.uwb.integrator import WindowIntegrator
 
 
 @dataclass
@@ -66,49 +62,31 @@ class ReceiverResult:
 class EnergyDetectionReceiver:
     """Packet receiver around a pluggable integrator model.
 
+    :func:`repro.link.backends.build_receiver` builds every part from a
+    :class:`~repro.link.spec.LinkSpec`.
+
     Args:
         config: link configuration.
         integrator: integrator model (phase II / IV / circuit surrogate).
-        vga / adc: front-end blocks (defaults built from *config*).
-        agc: gain controller (default: single-stage :class:`Agc`).
-        bpf: receiver band-pass (default: derived from the pulse).
+        vga / adc: front-end blocks.
+        agc: gain controller programming *vga*.
+        bpf: receiver band-pass.
         detection_factor: threshold in noise std-devs above the mean.
+        toa_threshold_fraction: ADC-referred TOA crossing fraction
+            (of full scale).
     """
 
-    def __init__(self, config: UwbConfig,
-                 integrator: WindowIntegrator | None = None,
-                 vga: Vga | None = None,
-                 adc: Adc | None = None,
-                 agc: Agc | None = None,
-                 bpf: BandPassFilter | None = None,
-                 detection_factor: float = 6.0,
-                 toa_threshold_fraction: float = 0.10):
+    def __init__(self, config: UwbConfig, integrator: WindowIntegrator,
+                 *, vga: Vga, adc: Adc, agc: Agc, bpf: BandPassFilter,
+                 detection_factor: float, toa_threshold_fraction: float):
         config.validate()
         self.config = config
-        self.integrator = integrator or IdealIntegrator()
-        self.vga = vga or Vga(step_db=config.agc_steps_db,
-                              max_db=config.agc_range_db)
-        self.adc = adc or Adc(bits=config.adc_bits, vref=config.adc_vref)
-        if agc is None:
-            # The default AGC needs the nominal (ideal-equivalent)
-            # integration constant of the installed model.  There is
-            # no sane silent fallback - a wrong K mis-scales the whole
-            # decision path - so a model without one must bring its
-            # own AGC.
-            k = nominal_gain(self.integrator)
-            if k is None:
-                raise ValueError(
-                    f"integrator {type(self.integrator).__name__} "
-                    "exposes no ideal_k/k integration constant; pass "
-                    "an explicit agc= (the default Agc cannot size "
-                    "the gain without it)")
-            agc = Agc(self.vga, self.adc, integrator_k=k)
+        self.integrator = integrator
+        self.vga = vga
+        self.adc = adc
         self.agc = agc
-        self.bpf = bpf if bpf is not None else BandPassFilter.for_pulse(
-            config.fs, config.pulse_tau, config.pulse_order)
+        self.bpf = bpf
         self.detection_factor = float(detection_factor)
-        if not 0.0 < toa_threshold_fraction < 1.0:
-            raise ValueError("toa_threshold_fraction must be in (0, 1)")
         self.toa_threshold_fraction = float(toa_threshold_fraction)
 
     # ------------------------------------------------------------------

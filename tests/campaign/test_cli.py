@@ -84,17 +84,17 @@ class TestCacheGcAndMerge:
 
 class TestListCommand:
     def test_list_enumerates_registered_experiments(self, capsys):
-        from repro.experiments.registry import experiment_names
+        from repro.experiments import EXPERIMENTS
 
         code, out = run_cli(capsys, "run", "--list")
         assert code == 0
-        names = experiment_names()
-        # The five canonical CLI experiments plus everything registered.
-        for name in ("fig6", "table1", "fig5", "table2", "ablations"):
-            assert name in names
-        for name in names:
-            assert f"  {name:<12s}" in out
-        assert f"{len(names)} experiments" in out
+        # One line per table row, in table order.
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("  ")]
+        assert listed == list(EXPERIMENTS)
+        for name, (_fn, description) in EXPERIMENTS.items():
+            assert f"  {name:<12s} {description}" in out
+        assert f"{len(EXPERIMENTS)} experiments" in out
 
     def test_run_without_experiments_errors(self, capsys):
         code, out = run_cli(capsys, "run")
@@ -306,7 +306,7 @@ class TestTraceCommand:
 
     def test_json_trace_round_trips_with_tight_coverage(self, capsys):
         """The acceptance path: `repro trace fig6 --fast --format json`
-        emits a repro.trace/1 document whose per-stage walls sum to
+        emits a repro.trace/2 document whose per-stage walls sum to
         within 10% of the traced total wall."""
         from repro.obs.export import TraceReport
 

@@ -1,66 +1,37 @@
-"""The @experiment registry: declaration, discovery, CLI contract."""
+"""The experiment table: menu order, descriptions, adapters, context."""
 
-import pytest
-
-from repro.experiments.registry import (
-    Experiment,
-    ExperimentContext,
-    all_experiments,
-    experiment,
-    experiment_names,
-    get_experiment,
-)
-from repro.experiments import registry as registry_module
+from repro.campaign.cli import _known_experiments
+from repro.experiments import EXPERIMENTS, ExperimentContext
+from repro.experiments.fig6_ber import fig6_experiment
 
 
 class TestRegistration:
     def test_canonical_experiments_registered(self):
-        names = experiment_names()
         for name in ("fig6", "table1", "fig5", "table2", "ablations"):
-            assert name in names
+            assert name in EXPERIMENTS
         # the redesign's additions ride along
-        assert "equivalence" in names and "phase1" in names
+        assert "equivalence" in EXPERIMENTS and "phase1" in EXPERIMENTS
 
     def test_menu_order(self):
-        names = experiment_names()
-        head = [n for n in names
-                if n in ("fig6", "table1", "fig5", "table2",
-                         "ablations")]
-        assert head == ["fig6", "table1", "fig5", "table2", "ablations"]
+        assert list(EXPERIMENTS) == [
+            "fig6", "table1", "fig5", "table2", "ablations", "mui",
+            "phase1", "equivalence", "fig4"]
 
     def test_every_experiment_has_description(self):
-        for exp in all_experiments():
-            assert exp.description, exp.name
+        for name, (fn, description) in EXPERIMENTS.items():
+            assert callable(fn) and description, name
 
     def test_get_experiment(self):
-        exp = get_experiment("fig6")
-        assert isinstance(exp, Experiment) and exp.name == "fig6"
+        fn, description = EXPERIMENTS["fig6"]
+        assert fn is fig6_experiment
+        assert description.startswith("BER vs Eb/N0")
 
-    def test_unknown_name_lists_registered(self):
-        with pytest.raises(KeyError, match="fig6"):
-            get_experiment("fig7")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already"):
-            experiment("fig6")(lambda ctx: "")
-
-    def test_decorator_registers_and_returns_fn(self):
-        calls = []
-
-        def adapter(ctx):
-            calls.append(ctx)
-            return "ok"
-
-        name = "pytest-scratch-experiment"
-        try:
-            returned = experiment(name, description="scratch",
-                                  order=999)(adapter)
-            assert returned is adapter
-            exp = get_experiment(name)
-            assert exp.run(ExperimentContext()) == "ok"
-            assert len(calls) == 1
-        finally:
-            registry_module._EXPERIMENTS.pop(name, None)
+    def test_unknown_name_lists_registered(self, capsys):
+        assert _known_experiments(["fig6", "fig7"]) is None
+        out = capsys.readouterr().out
+        assert "unknown experiment(s): fig7" in out
+        assert f"(choose from {', '.join(EXPERIMENTS)})" in out
+        assert _known_experiments(["fig6"]) is EXPERIMENTS
 
 
 class TestContext:
@@ -78,15 +49,14 @@ class TestContext:
 
 class TestAdaptersEndToEnd:
     def test_fig4_adapter_renders_report(self):
-        report = get_experiment("fig4").run(ExperimentContext())
+        report = EXPERIMENTS["fig4"][0](ExperimentContext())
         assert "DC gain" in report
 
     def test_equivalence_adapter_renders_report(self):
-        report = get_experiment("equivalence").run(
-            ExperimentContext(seed=5))
+        report = EXPERIMENTS["equivalence"][0](ExperimentContext(seed=5))
         assert "bit-identical" in report
 
     def test_phase1_adapter_renders_report(self):
-        report = get_experiment("phase1").run(ExperimentContext())
+        report = EXPERIMENTS["phase1"][0](ExperimentContext())
         assert "119/120" in report
         assert report.count("all backends agree:    True") == 1

@@ -1,16 +1,17 @@
-"""The ``mui`` experiment harness: grid, report, caching, registry."""
+"""The ``mui`` experiment harness: grid, report, caching, CLI table."""
 
 import numpy as np
 import pytest
 
 from repro.campaign.store import ResultStore
 from repro.experiments import (
+    EXPERIMENTS,
     default_victim,
     interference_network,
     near_far_network,
     run_mui,
 )
-from repro.experiments.registry import get_experiment
+from repro.experiments.mui_network import mui_experiment
 from repro.link import LinkSpec, NetworkSpec
 from repro.uwb.channel.ieee802154a import path_loss_db
 from repro.uwb.config import TEST_CONFIG
@@ -85,6 +86,6 @@ class TestRunMui:
                                   second.curves[name].bits)
 
     def test_registered_in_cli_registry(self):
-        exp = get_experiment("mui")
-        assert exp.name == "mui"
-        assert "interferer" in exp.description
+        fn, description = EXPERIMENTS["mui"]
+        assert fn is mui_experiment
+        assert "interferer" in description

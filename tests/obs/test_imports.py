@@ -38,7 +38,7 @@ def test_obs_first_import_still_exports_everything():
                "                       format_bytes, render_trace)\n"
                "import repro.obs\n"
                "print(format_bytes(2048), export.TRACE_FORMAT)\n")
-    assert out.strip() == "2.0 KiB repro.trace/1"
+    assert out.strip() == "2.0 KiB repro.trace/2"
 
 
 def test_unknown_attribute_raises_attribute_error():

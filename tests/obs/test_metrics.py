@@ -23,7 +23,6 @@ class TestRegistry:
     def test_get_or_create_returns_the_same_instrument(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
 
     def test_reset_zeroes_in_place_keeping_handles_live(self):
@@ -32,13 +31,11 @@ class TestRegistry:
         replace them."""
         reg = MetricsRegistry()
         counter = reg.counter("hits")
-        gauge = reg.gauge("level")
         hist = reg.histogram("wall")
         counter.inc(5)
-        gauge.set(2.5)
         hist.observe(0.1)
         reg.reset()
-        assert counter.value == 0 and gauge.value == 0.0
+        assert counter.value == 0
         assert hist.count == 0 and hist.total == 0.0
         # The cached handles are still the registered instruments.
         assert reg.counter("hits") is counter
@@ -48,11 +45,9 @@ class TestRegistry:
     def test_snapshot_skips_silent_instruments(self):
         reg = MetricsRegistry()
         reg.counter("quiet")
-        reg.gauge("flat")
         reg.histogram("empty")
         snap = reg.snapshot()
         assert snap.counters == {}
-        assert snap.gauges == {}
         assert snap.histograms == {}
 
 
@@ -94,14 +89,11 @@ class TestHistogram:
 
 
 class TestSnapshotMerge:
-    def test_counters_sum_and_gauges_last_win(self):
-        a = MetricsSnapshot(counters={"x": 2, "only_a": 1},
-                            gauges={"g": 1.0})
-        b = MetricsSnapshot(counters={"x": 3, "only_b": 4},
-                            gauges={"g": 9.0})
+    def test_counters_sum(self):
+        a = MetricsSnapshot(counters={"x": 2, "only_a": 1})
+        b = MetricsSnapshot(counters={"x": 3, "only_b": 4})
         merged = a.merge(b)
         assert merged.counters == {"x": 5, "only_a": 1, "only_b": 4}
-        assert merged.gauges == {"g": 9.0}
         # merge() is pure: the inputs are untouched.
         assert a.counters == {"x": 2, "only_a": 1}
 
@@ -141,13 +133,11 @@ class TestSnapshotMerge:
     def test_snapshot_round_trips_through_serialization(self):
         reg = MetricsRegistry()
         reg.counter("campaign.store.hits").inc(7)
-        reg.gauge("queue.depth").set(3.0)
         reg.histogram("scenario.wall_s").observe(0.02)
         snap = reg.snapshot()
         back = serialization.from_jsonable(serialization.to_jsonable(snap))
         assert isinstance(back, MetricsSnapshot)
         assert back.counters == snap.counters
-        assert back.gauges == snap.gauges
         state = back.histograms["scenario.wall_s"]
         assert state.count == 1
         assert state.total == pytest.approx(0.02)

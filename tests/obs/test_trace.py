@@ -274,6 +274,14 @@ class TestTraceReport:
         with pytest.raises(ValueError, match="TraceReport"):
             TraceReport.from_json(text)
 
+    def test_from_json_rejects_the_previous_format(self):
+        """A ``repro.trace/1`` document (whose metrics still carried
+        gauges) fails on its format marker."""
+        text = self._report().to_json().replace(TRACE_FORMAT,
+                                                "repro.trace/1")
+        with pytest.raises(ValueError, match="repro.trace/1"):
+            TraceReport.from_json(text)
+
     def test_render_trace_shows_counts_and_coverage(self):
         report = self._report()
         out = render_trace(report.root, title="trace: fig6")

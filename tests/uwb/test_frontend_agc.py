@@ -7,9 +7,9 @@ import pytest
 
 from repro.uwb.adc import Adc
 from repro.uwb.agc import Agc, TwoStageAgc
-from repro.uwb.bpf import OVERWRITE_BLOCK, BandPassFilter, pulse_band
+from repro.uwb.bpf import OVERWRITE_BLOCK, BandPassFilter
 from repro.uwb.frontend import Vga
-from repro.uwb.pulse import sampled_pulse
+from repro.uwb.pulse import pulse_band, sampled_pulse
 
 
 class TestVga:
@@ -61,7 +61,7 @@ class TestBpf:
 
     def test_pulse_band_helper(self):
         pulse = sampled_pulse(20e9, 0.09e-9, 5)
-        low, high = pulse_band(pulse, 20e9)
+        low, high = pulse_band(pulse, 20e9, 6.0)
         assert low < 4e9 < high  # peak around 4 GHz
 
     @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.link import FrontEndSpec, LinkSpec
+from repro.link.backends import build_receiver
 from repro.uwb import (
     EnergyDetectionReceiver,
     IdealIntegrator,
@@ -16,6 +18,13 @@ from repro.uwb.modulation import Packet, packet_waveform, random_bits
 
 CFG = UwbConfig(preamble_symbols=16, payload_bits=16,
                 adc_vref=2e-3, agc_range_db=80.0)
+
+
+def receiver(integrator=None, **frontend):
+    """The packet receiver of CFG with *integrator* (default: the
+    spec's ideal one) and *frontend* policy overrides."""
+    spec = LinkSpec(config=CFG, frontend=FrontEndSpec(**frontend))
+    return build_receiver(spec, integrator=integrator)
 
 
 def make_rx_waveform(cfg, rng, amplitude=1e-3, noise=1e-5,
@@ -37,8 +46,8 @@ class TestDefaultAgcGain:
         integration constant - no magic fallback."""
         for integrator in (IdealIntegrator(),
                            CircuitSurrogateIntegrator()):
-            receiver = EnergyDetectionReceiver(CFG, integrator)
-            assert receiver.agc.integrator_k == integrator.ideal_k
+            rcv = receiver(integrator)
+            assert rcv.agc.integrator_k == integrator.ideal_k
 
     def test_gainless_integrator_rejected(self):
         from repro.uwb.integrator import WindowIntegrator
@@ -48,11 +57,12 @@ class TestDefaultAgcGain:
                 return np.sum(x, axis=-1) * dt
 
         with pytest.raises(ValueError, match="ideal_k"):
-            EnergyDetectionReceiver(CFG, Opaque())
+            receiver(Opaque())
 
     def test_explicit_agc_bypasses_derivation(self):
         from repro.uwb.adc import Adc
         from repro.uwb.agc import Agc
+        from repro.uwb.bpf import BandPassFilter
         from repro.uwb.frontend import Vga
         from repro.uwb.integrator import WindowIntegrator
 
@@ -63,67 +73,64 @@ class TestDefaultAgcGain:
         vga = Vga(step_db=CFG.agc_steps_db, max_db=CFG.agc_range_db)
         adc = Adc(bits=CFG.adc_bits, vref=CFG.adc_vref)
         agc = Agc(vga, adc, integrator_k=1e8)
-        receiver = EnergyDetectionReceiver(CFG, Opaque(), vga=vga,
-                                           adc=adc, agc=agc)
-        assert receiver.agc is agc
+        bpf = BandPassFilter.for_pulse(CFG.fs, CFG.pulse_tau,
+                                       CFG.pulse_order)
+        rcv = EnergyDetectionReceiver(CFG, Opaque(), vga=vga, adc=adc,
+                                      agc=agc, bpf=bpf,
+                                      detection_factor=6.0,
+                                      toa_threshold_fraction=0.10)
+        assert rcv.agc is agc
 
 
 class TestReceiver:
     def test_detects_and_demodulates_clean_packet(self, rng):
         rx, payload, _start = make_rx_waveform(CFG, rng)
-        receiver = EnergyDetectionReceiver(CFG, IdealIntegrator())
-        result = receiver.process(rx, payload_bits=CFG.payload_bits)
+        result = receiver().process(rx, payload_bits=CFG.payload_bits)
         assert result.detected
         assert len(result.bits) == CFG.payload_bits
         assert np.mean(result.bits != payload) < 0.2
 
     def test_no_detection_on_pure_noise(self, rng):
         noise = rng.normal(0.0, 1e-5, 40 * CFG.samples_per_symbol)
-        receiver = EnergyDetectionReceiver(CFG, IdealIntegrator(),
-                                           detection_factor=8.0)
-        result = receiver.process(noise, payload_bits=4)
+        result = receiver(detection_factor=8.0).process(
+            noise, payload_bits=4)
         assert not result.detected
         assert result.toa is None
 
     def test_toa_near_truth(self, rng):
         rx, _payload, start = make_rx_waveform(CFG, rng, noise=5e-6)
-        receiver = EnergyDetectionReceiver(CFG, IdealIntegrator())
-        result = receiver.process(rx, payload_bits=4)
+        result = receiver().process(rx, payload_bits=4)
         true_toa = (start + CFG.samples_per_slot // 2) * CFG.dt
         assert result.detected
         assert abs(result.toa - true_toa) < 6 * CFG.integration_window
 
     def test_agc_programs_vga(self, rng):
         rx, _payload, _start = make_rx_waveform(CFG, rng)
-        receiver = EnergyDetectionReceiver(CFG, IdealIntegrator())
-        result = receiver.process(rx, payload_bits=4)
+        rcv = receiver()
+        result = rcv.process(rx, payload_bits=4)
         assert result.agc is not None
-        assert receiver.vga.code == result.agc.code
-        assert receiver.vga.gain_db > 0
+        assert rcv.vga.code == result.agc.code
+        assert rcv.vga.gain_db > 0
 
     def test_sync_profile_shape(self, rng):
         rx, _payload, _start = make_rx_waveform(CFG, rng, noise=5e-6)
-        receiver = EnergyDetectionReceiver(CFG, IdealIntegrator())
-        result = receiver.process(rx, payload_bits=4)
+        result = receiver().process(rx, payload_bits=4)
         profile = result.sync_profile
         assert len(profile) == (CFG.samples_per_symbol
                                 // CFG.samples_per_window)
         assert profile[result.sync_phase] == profile.max()
 
     def test_too_short_waveform_raises(self):
-        receiver = EnergyDetectionReceiver(CFG, IdealIntegrator())
         with pytest.raises(ValueError):
-            receiver.process(np.zeros(10))
+            receiver().process(np.zeros(10))
 
     def test_toa_fraction_validation(self):
         with pytest.raises(ValueError):
-            EnergyDetectionReceiver(CFG, IdealIntegrator(),
-                                    toa_threshold_fraction=1.5)
+            receiver(toa_threshold_fraction=1.5)
 
     def test_window_energies(self):
-        receiver = EnergyDetectionReceiver(CFG, IdealIntegrator())
         x = np.ones(CFG.samples_per_window * 3)
-        energies = receiver.window_energies(x)
+        energies = receiver().window_energies(x)
         assert len(energies) == 3
         assert energies[0] == pytest.approx(
             CFG.samples_per_window * CFG.dt)
@@ -133,7 +140,7 @@ class TestTwoWayRanging:
     def test_ideal_channel_zero_noise_exact(self):
         """No noise, delay-only channel: exact to the window grid."""
         twr = TwoWayRanging(
-            CFG, lambda: EnergyDetectionReceiver(CFG, IdealIntegrator()),
+            CFG, receiver,
             distance=9.9, tx_amplitude=1e-3, noise_sigma=1e-7,
             channel=None)
         res = twr.run(3, np.random.default_rng(0))
@@ -144,9 +151,8 @@ class TestTwoWayRanging:
     def test_cm1_ranging_statistics(self):
         chan = Cm1Channel(CFG.fs)
         twr = TwoWayRanging(
-            CFG, lambda: EnergyDetectionReceiver(
-                CFG, IdealIntegrator(), toa_threshold_fraction=0.5,
-                detection_factor=8.0),
+            CFG, lambda: receiver(toa_threshold_fraction=0.5,
+                                  detection_factor=8.0),
             distance=9.9, tx_amplitude=1.0, noise_sigma=9e-5,
             channel=chan)
         res = twr.run(6, np.random.default_rng(42))
@@ -163,9 +169,8 @@ class TestTwoWayRanging:
 
         def run(integ):
             twr = TwoWayRanging(
-                CFG, lambda: EnergyDetectionReceiver(
-                    CFG, integ, toa_threshold_fraction=0.5,
-                    detection_factor=8.0),
+                CFG, lambda: receiver(integ, toa_threshold_fraction=0.5,
+                                      detection_factor=8.0),
                 distance=9.9, tx_amplitude=1.0, noise_sigma=9e-5,
                 channel=chan)
             return twr.run(8, np.random.default_rng(42))
@@ -177,7 +182,7 @@ class TestTwoWayRanging:
 
     def test_weak_link_raises(self):
         twr = TwoWayRanging(
-            CFG, lambda: EnergyDetectionReceiver(CFG, IdealIntegrator()),
+            CFG, receiver,
             distance=9.9, tx_amplitude=1e-9, noise_sigma=1e-3,
             channel=None)
         with pytest.raises(RuntimeError):
