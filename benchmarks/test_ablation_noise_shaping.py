@@ -2,7 +2,7 @@
 noise-shaping mechanism the paper cites for figure 6 / table 2)."""
 
 from benchmarks.conftest import full_scale
-from repro.experiments import run_noise_shaping_ablation
+from repro.experiments.ablations import run_noise_shaping_ablation
 
 
 def test_noise_shaping_ablation(benchmark, report_sink):

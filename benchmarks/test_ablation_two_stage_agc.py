@@ -2,7 +2,7 @@
 offset caused by integrator input-range compression."""
 
 from benchmarks.conftest import full_scale
-from repro.experiments import run_agc_ablation
+from repro.experiments.ablations import run_agc_ablation
 
 
 def test_two_stage_agc_ablation(benchmark, report_sink):

@@ -1,7 +1,7 @@
 """Benchmark: regenerate Figure 4 (integrator AC response)."""
 
 from benchmarks.conftest import full_scale
-from repro.experiments import run_fig4
+from repro.experiments.fig4_ac import run_fig4
 
 
 def test_fig4_ac_response(benchmark, report_sink):

@@ -1,7 +1,7 @@
 """Benchmark: regenerate Figure 5 (integrate/hold/dump transient)."""
 
 from benchmarks.conftest import full_scale
-from repro.experiments import run_fig5, run_fig5_drive_sweep
+from repro.experiments.fig5_transient import run_fig5, run_fig5_drive_sweep
 
 
 def test_fig5_transient(benchmark, report_sink):

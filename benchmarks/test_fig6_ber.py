@@ -1,7 +1,7 @@
 """Benchmark: regenerate Figure 6 (BER vs Eb/N0, ideal vs circuit)."""
 
 from benchmarks.conftest import full_scale, write_bench_artifact
-from repro.experiments import run_fig6
+from repro.experiments.fig6_ber import run_fig6
 
 
 def test_fig6_ber_curves(benchmark, report_sink):

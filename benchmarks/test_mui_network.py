@@ -8,7 +8,7 @@ the link interference-limited.
 """
 
 from benchmarks.conftest import full_scale, write_bench_artifact
-from repro.experiments import run_mui
+from repro.experiments.mui_network import run_mui
 
 
 def test_mui_network_ber(benchmark, report_sink):

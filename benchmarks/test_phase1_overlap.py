@@ -1,8 +1,7 @@
 """Benchmark: Phase-I validation (AMS kernel vs golden model BER)."""
 
 from benchmarks.conftest import full_scale
-from repro.link import run_equivalence
-from repro.link.equivalence import PHASE1_SPEC
+from repro.link.equivalence import PHASE1_SPEC, run_equivalence
 
 
 def test_phase1_overlap(benchmark, report_sink):

@@ -1,7 +1,7 @@
 """Benchmark: regenerate Table 1 (CPU time per integrator model)."""
 
 from benchmarks.conftest import full_scale, write_bench_artifact
-from repro.experiments import run_table1
+from repro.experiments.table1_cpu import run_table1
 
 
 def test_table1_cpu_time(benchmark, report_sink):

@@ -1,7 +1,7 @@
 """Benchmark: regenerate Table 2 (TWR @ 9.9 m, ideal vs circuit)."""
 
 from benchmarks.conftest import full_scale
-from repro.experiments import run_table2
+from repro.experiments.table2_twr import run_table2
 
 
 def test_table2_twr(benchmark, report_sink):

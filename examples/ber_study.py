@@ -10,7 +10,8 @@ in seconds.
 import os
 import sys
 
-from repro.experiments import run_fig6, run_noise_shaping_ablation
+from repro.experiments.ablations import run_noise_shaping_ablation
+from repro.experiments.fig6_ber import run_fig6
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 

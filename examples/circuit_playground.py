@@ -15,16 +15,13 @@ import os
 
 import numpy as np
 
-from repro.circuits import build_id_testbench
+from repro.circuits.integrate_dump import build_id_testbench
 from repro.core.characterize import ID_OP_GUESS
-from repro.spice import (
-    ac_analysis,
-    operating_point,
-    parse_netlist,
-    transient,
-)
-from repro.spice.analysis.ac import logspace_freqs
+from repro.spice.analysis.ac import ac_analysis, logspace_freqs
+from repro.spice.analysis.op import operating_point
+from repro.spice.analysis.tran import transient
 from repro.spice.library import GENERIC_018_CARDS
+from repro.spice.parser import parse_netlist
 
 AMP_NETLIST = """common-source stage + follower demo
 {cards}

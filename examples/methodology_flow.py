@@ -18,8 +18,10 @@ import os
 import numpy as np
 
 from repro.core.metrics import CpuTimeReport
-from repro.link import INTEGRATORS, LinkSpec, build_bpf, ops
-from repro.uwb import UwbConfig
+from repro.link import ops
+from repro.link.backends import build_bpf
+from repro.link.spec import INTEGRATORS, LinkSpec
+from repro.uwb.config import UwbConfig
 from repro.uwb.modulation import ppm_waveform, random_bits
 
 

@@ -16,8 +16,9 @@ import sys
 
 import numpy as np
 
-from repro.experiments import default_victim, run_mui
-from repro.link import InterfererSpec, NetworkSpec, ops
+from repro.experiments.mui_network import default_victim, run_mui
+from repro.link import ops
+from repro.link.spec import InterfererSpec, NetworkSpec
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 

@@ -17,9 +17,13 @@ import os
 
 import numpy as np
 
-from repro.circuits import build_integrate_dump, count_transistors
+from repro.circuits.integrate_dump import (
+    build_integrate_dump,
+    count_transistors,
+)
 from repro.core.characterize import build_surrogate, characterize_integrator
-from repro.link import LinkSpec, ops
+from repro.link import ops
+from repro.link.spec import LinkSpec
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 

@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from repro.experiments import run_agc_ablation, run_table2
-from repro.experiments.table2_twr import TWR_NOISE_SIGMA, twr_spec
+from repro.experiments.ablations import run_agc_ablation
+from repro.experiments.table2_twr import TWR_NOISE_SIGMA, run_table2, twr_spec
 from repro.link import ops
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"

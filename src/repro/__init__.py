@@ -31,5 +31,3 @@ Subpackages
 """
 
 __version__ = "1.2.0"
-
-__all__ = ["__version__"]

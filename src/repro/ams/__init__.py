@@ -2,10 +2,12 @@
 
 The kernel provides the two semantics the paper's methodology relies on:
 
-* **digital**: event-driven :class:`Signal` updates with delta cycles and
-  :class:`Process` callbacks (VHDL side),
-* **analog**: fixed-step :class:`Quantity` evaluation through an ordered
-  chain of :class:`AnalogBlock` objects, each integrating its own
+* **digital**: event-driven :class:`~repro.ams.signal.Signal` updates
+  with delta cycles and :class:`~repro.ams.process.Process` callbacks
+  (VHDL side),
+* **analog**: fixed-step :class:`~repro.ams.quantity.Quantity`
+  evaluation through an ordered chain of
+  :class:`~repro.ams.block.AnalogBlock` objects, each integrating its own
   differential equations with the trapezoidal rule (VHDL-AMS
   simultaneous statements), including Spice co-simulation blocks
   (:mod:`repro.ams.cosim`) that embed a transistor netlist in the system
@@ -15,43 +17,3 @@ Both sides share one clock: every analog step advances time by ``dt``
 (the paper uses a fixed 0.05 ns step) and then drains the digital event
 queue up to the new time.
 """
-
-from repro.ams.signal import Signal
-from repro.ams.quantity import Quantity
-from repro.ams.process import Process
-from repro.ams.block import AnalogBlock, CallbackBlock
-from repro.ams.kernel import Simulator
-from repro.ams.equations import (
-    GatedIntegratorState,
-    OnePoleState,
-    TwoPoleGatedIntegratorState,
-    saturate,
-)
-from repro.ams.waveform import Recorder, Trace
-from repro.ams.cosim import SpiceBlock
-from repro.ams.engine import (
-    CompiledEngine,
-    ExecutionEngine,
-    ReferenceEngine,
-    get_engine,
-)
-
-__all__ = [
-    "AnalogBlock",
-    "CallbackBlock",
-    "CompiledEngine",
-    "ExecutionEngine",
-    "ReferenceEngine",
-    "get_engine",
-    "GatedIntegratorState",
-    "OnePoleState",
-    "Process",
-    "Quantity",
-    "Recorder",
-    "Signal",
-    "Simulator",
-    "SpiceBlock",
-    "Trace",
-    "TwoPoleGatedIntegratorState",
-    "saturate",
-]

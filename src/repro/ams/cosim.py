@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 from repro.ams.block import AnalogBlock
 from repro.ams.quantity import Quantity
 from repro.spice.analysis.tran import TransientStepper
-from repro.spice.lint import preflight_check
+from repro.spice.lint.engine import preflight_check
 from repro.spice.netlist import Circuit
 
 
@@ -42,7 +42,7 @@ class SpiceBlock(AnalogBlock):
         substeps: circuit-level steps per kernel step (>= 1).
         initial_guess: node-voltage hints for the initial DC solve.
         preflight: run the error-level static lint rules
-            (:func:`repro.spice.lint.preflight_check`) on the netlist
+            (:func:`repro.spice.lint.engine.preflight_check`) on the netlist
             before any MNA assembly, so a malformed circuit fails with
             a named rule and nodes instead of an opaque solver error
             deep inside the transient.  Pass ``False`` to opt out

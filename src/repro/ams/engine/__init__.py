@@ -30,11 +30,3 @@ def get_engine(spec: str | ExecutionEngine) -> ExecutionEngine:
             f"unknown engine {spec!r}; known engines: "
             f"{sorted(ENGINES)}") from None
 
-
-__all__ = [
-    "ENGINES",
-    "CompiledEngine",
-    "ExecutionEngine",
-    "ReferenceEngine",
-    "get_engine",
-]

@@ -7,7 +7,8 @@ import itertools
 from typing import Any, Callable, Iterable
 
 from repro.ams.block import AnalogBlock
-from repro.ams.engine import ExecutionEngine, get_engine
+from repro.ams.engine import get_engine
+from repro.ams.engine.base import ExecutionEngine
 from repro.ams.process import Process
 from repro.ams.quantity import Quantity
 from repro.ams.signal import Signal

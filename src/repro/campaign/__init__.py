@@ -11,8 +11,9 @@ campaigns *incremental*:
   (union caches computed on independent machines) and ``gc``
   (size/age eviction),
 * :mod:`repro.campaign.objects` - the store's object codec,
-* :mod:`repro.campaign.runner` - :class:`CampaignRunner`, the one
-  scenario runner: it serves cached scenarios, fans the rest out
+* :mod:`repro.campaign.runner` -
+  :class:`~repro.campaign.runner.CampaignRunner`, the one scenario
+  runner: it serves cached scenarios, fans the rest out
   through :func:`repro.core.scenario.fan_out`, checkpoints every
   result as it completes, and re-runs only what is missing (a killed
   campaign resumes by running it again); with no store it is a plain
@@ -21,25 +22,3 @@ campaigns *incremental*:
   driving all experiment harnesses through the campaign layer;
   ``repro run`` is the one way to run a campaign.
 """
-
-from repro.campaign.runner import (
-    CampaignError,
-    CampaignReport,
-    CampaignRunner,
-)
-from repro.campaign.store import (
-    ResultStore,
-    StoreEntry,
-    default_cache_dir,
-    default_salt,
-)
-
-__all__ = [
-    "CampaignError",
-    "CampaignReport",
-    "CampaignRunner",
-    "ResultStore",
-    "StoreEntry",
-    "default_cache_dir",
-    "default_salt",
-]

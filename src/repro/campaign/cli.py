@@ -34,10 +34,14 @@ again.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
 from repro.campaign.store import ResultStore
+from repro.core.serialization import dump_tagged
+from repro.obs import metrics, trace
+from repro.obs.export import TraceReport, format_bytes, render_trace
 
 
 def _positive_int(text: str) -> int:
@@ -226,7 +230,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     experiments = _known_experiments(args.experiments)
     if experiments is None:
         return 2
-    from repro.experiments import ExperimentContext
+    from repro.experiments.context import ExperimentContext
 
     store = (None if getattr(args, "no_cache", False)
              else ResultStore(args.cache_dir))
@@ -256,17 +260,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint``: parse/build each target, run the rule engine,
     exit 0 (clean below --fail-on), 1 (findings at/above --fail-on) or
     2 (unknown target / parse failure)."""
-    import os
-
+    # Imported here, like the experiment table: the lint stack loads
+    # the circuit simulator, which no other command needs.
     from repro.circuits import builtin_circuits
-    from repro.spice import ParseError
-    from repro.spice.lint import (
-        RULES,
-        Severity,
-        lint_circuit,
-        lint_netlist,
-        lint_subckt,
-    )
+    from repro.spice.errors import ParseError
+    from repro.spice.lint.engine import lint_circuit, lint_netlist, lint_subckt
+    from repro.spice.lint.report import Severity
+    from repro.spice.lint.rules import RULES
     from repro.spice.netlist import Subckt
 
     builtins = builtin_circuits()
@@ -316,8 +316,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.obs.export import format_bytes
-
     store = ResultStore(args.cache_dir)
     if args.cache_command == "clear":
         removed, freed = store.clear()
@@ -346,8 +344,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cache_gc(store, args: argparse.Namespace) -> int:
-    from repro.obs.export import format_bytes
-
     if args.max_bytes is None and args.max_age is None:
         print("nothing to do: give --max-bytes and/or --max-age")
         return 2
@@ -397,9 +393,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     experiments = _known_experiments([args.experiment])
     if experiments is None:
         return 2
-    from repro.experiments import ExperimentContext
-    from repro.obs import metrics, trace
-    from repro.obs.export import TraceReport, render_trace
+    from repro.experiments.context import ExperimentContext
 
     # store=None: a trace must observe real execution, not cache hits.
     ctx = ExperimentContext(full=args.full, processes=args.processes,
@@ -436,9 +430,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     """``repro stats``: aggregate the store's contents per harness
     function (text or a tagged JSON document)."""
-    from repro.core.serialization import dump_tagged
-    from repro.obs.export import format_bytes
-
     store = ResultStore(args.cache_dir)
     entries = store.entries()
     by_fn: dict[str, dict] = {}

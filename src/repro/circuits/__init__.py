@@ -13,19 +13,9 @@ All blocks are parameterized by :class:`repro.circuits.sizing.IntegrateDumpDesig
 so tests and calibration sweeps can explore the sizing space.
 """
 
-from repro.circuits.sizing import IntegrateDumpDesign, MosSize, default_design
 from repro.circuits.integrate_dump import (
-    ID_INTERFACE_PORTS,
-    build_integrate_dump,
     build_id_testbench,
-    count_transistors,
-)
-from repro.circuits.corners import (
-    CornerPoint,
-    cmfb_regulation,
-    corner_models,
-    corner_sweep,
-    format_corner_table,
+    build_integrate_dump,
 )
 
 
@@ -46,19 +36,3 @@ def builtin_circuits():
         "id_testbench_dump": lambda: build_id_testbench(mode="dump"),
         "id_testbench_ac": lambda: build_id_testbench(ac=True),
     }
-
-__all__ = [
-    "CornerPoint",
-    "ID_INTERFACE_PORTS",
-    "IntegrateDumpDesign",
-    "MosSize",
-    "build_id_testbench",
-    "build_integrate_dump",
-    "builtin_circuits",
-    "cmfb_regulation",
-    "corner_models",
-    "corner_sweep",
-    "count_transistors",
-    "default_design",
-    "format_corner_table",
-]

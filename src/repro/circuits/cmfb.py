@@ -20,7 +20,8 @@ references.  Our transistor-level realization:
 from __future__ import annotations
 
 from repro.circuits.sizing import IntegrateDumpDesign, MosSize
-from repro.spice.devices import Capacitor, Mosfet, Resistor
+from repro.spice.devices.mosfet import Mosfet
+from repro.spice.devices.passives import Capacitor, Resistor
 from repro.spice.netlist import Circuit
 
 

@@ -80,8 +80,8 @@ def corner_sweep(corners=("tt", "ff", "ss", "fs", "sf"),
     Returns one :class:`CornerPoint` per (corner, vdd) combination.
     """
     from repro.core.characterize import ID_OP_GUESS, fit_two_pole
-    from repro.spice import ac_analysis, operating_point
-    from repro.spice.analysis.ac import logspace_freqs
+    from repro.spice.analysis.ac import ac_analysis, logspace_freqs
+    from repro.spice.analysis.op import operating_point
     from repro.spice.devices.sources import VoltageSource
 
     design = default_design()
@@ -112,7 +112,7 @@ def cmfb_regulation(vdd_points=(1.6, 1.7, 1.8, 1.9, 2.0)
     why the paper calls the block "fundamental".
     """
     from repro.core.characterize import ID_OP_GUESS
-    from repro.spice import operating_point
+    from repro.spice.analysis.op import operating_point
     from repro.spice.devices.sources import VoltageSource
 
     design = default_design()

@@ -20,7 +20,9 @@ from repro.circuits.cmfb import add_cmfb
 from repro.circuits.ota import add_ota
 from repro.circuits.sizing import IntegrateDumpDesign, default_design
 from repro.circuits.switches import add_integration_switches
-from repro.spice.devices import Capacitor, Mosfet, Pulse, VoltageSource
+from repro.spice.devices.mosfet import Mosfet
+from repro.spice.devices.passives import Capacitor
+from repro.spice.devices.sources import Pulse, VoltageSource
 from repro.spice.library import generic_018
 from repro.spice.netlist import Circuit, Subckt
 

@@ -19,7 +19,7 @@ sub-MHz dominant pole with the 1 pF load.
 from __future__ import annotations
 
 from repro.circuits.sizing import IntegrateDumpDesign, MosSize
-from repro.spice.devices import Mosfet
+from repro.spice.devices.mosfet import Mosfet
 from repro.spice.netlist import Circuit
 
 

@@ -18,7 +18,7 @@ transistors), so the block contributes 10 transistors in total.
 from __future__ import annotations
 
 from repro.circuits.sizing import IntegrateDumpDesign, MosSize
-from repro.spice.devices import Mosfet
+from repro.spice.devices.mosfet import Mosfet
 from repro.spice.netlist import Circuit
 
 

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from repro.circuits import IntegrateDumpDesign, build_id_testbench, \
-    default_design
-from repro.spice import ac_analysis
-from repro.spice.analysis.ac import logspace_freqs
+from repro.circuits.integrate_dump import build_id_testbench
+from repro.circuits.sizing import IntegrateDumpDesign, default_design
+from repro.spice.analysis.ac import ac_analysis, logspace_freqs
 from repro.spice.mna import MnaSystem
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,

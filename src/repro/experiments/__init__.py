@@ -3,52 +3,28 @@
 Every harness is a plain function returning a result object with a
 ``format_report()`` method; the ``benchmarks/`` tree wraps them in
 pytest-benchmark targets, and the ``examples/`` scripts call them
-directly.  Each accepts a ``quick`` flag that trades Monte-Carlo depth
-for runtime (benchmarks default to quick settings; pass ``quick=False``
-for paper-scale runs).
+directly.  The three Monte-Carlo harnesses (``run_fig6``, ``run_mui``
+and ``run_noise_shaping_ablation``) accept a ``quick`` flag that trades
+depth for runtime (it defaults to ``True``; pass ``quick=False`` for
+paper-scale runs); fig4, fig5, table1, table2 and the AGC ablation
+have none.
 
 :data:`EXPERIMENTS` is the menu of ``python -m repro run``: it maps
 each CLI name, in menu order, to its adapter (a function from an
-:class:`ExperimentContext` to the rendered report) and a one-line
-description.  Adding an experiment means adding its row there.
+:class:`~repro.experiments.context.ExperimentContext` to the rendered
+report) and a one-line description.  Adding an experiment means adding
+its row there.
 """
 
-from repro.experiments.ablations import (
-    AgcAblationResult,
-    NoiseShapingResult,
-    ablations_experiment,
-    run_agc_ablation,
-    run_noise_shaping_ablation,
-)
+from repro.experiments.ablations import ablations_experiment
 from repro.experiments.context import ExperimentContext, ExperimentFn
-from repro.experiments.fig4_ac import Fig4Result, fig4_experiment, run_fig4
-from repro.experiments.fig5_transient import (
-    Fig5Result,
-    fig5_experiment,
-    run_fig5,
-    run_fig5_drive_sweep,
-)
-from repro.experiments.fig6_ber import Fig6Result, fig6_experiment, run_fig6
-from repro.experiments.mui_network import (
-    MuiResult,
-    default_victim,
-    interference_network,
-    mui_experiment,
-    near_far_network,
-    run_mui,
-)
-from repro.experiments.table1_cpu import (
-    Table1Result,
-    run_table1,
-    table1_experiment,
-)
-from repro.experiments.table2_twr import (
-    Table2Result,
-    run_table2,
-    table2_experiment,
-)
-from repro.link import run_equivalence
-from repro.link.equivalence import DEFAULT_SPEC, PHASE1_SPEC
+from repro.experiments.fig4_ac import fig4_experiment
+from repro.experiments.fig5_transient import fig5_experiment
+from repro.experiments.fig6_ber import fig6_experiment
+from repro.experiments.mui_network import mui_experiment
+from repro.experiments.table1_cpu import table1_experiment
+from repro.experiments.table2_twr import table2_experiment
+from repro.link.equivalence import DEFAULT_SPEC, PHASE1_SPEC, run_equivalence
 
 
 def phase1_experiment(ctx: ExperimentContext) -> str:
@@ -100,28 +76,3 @@ EXPERIMENTS: dict[str, tuple[ExperimentFn, str]] = {
              "Integrator AC response: circuit netlist vs the extracted "
              "two-pole model"),
 }
-
-__all__ = [
-    "AgcAblationResult",
-    "EXPERIMENTS",
-    "ExperimentContext",
-    "Fig4Result",
-    "Fig5Result",
-    "Fig6Result",
-    "MuiResult",
-    "NoiseShapingResult",
-    "Table1Result",
-    "Table2Result",
-    "default_victim",
-    "interference_network",
-    "near_far_network",
-    "run_agc_ablation",
-    "run_fig4",
-    "run_fig5",
-    "run_fig5_drive_sweep",
-    "run_fig6",
-    "run_mui",
-    "run_noise_shaping_ablation",
-    "run_table1",
-    "run_table2",
-]

@@ -19,8 +19,9 @@ from repro.campaign.store import ResultStore
 from repro.core.scenario import Scenario
 from repro.experiments.context import ExperimentContext
 from repro.experiments.table2_twr import TWR_NOISE_SIGMA, twr_spec
-from repro.link import FrontEndSpec, LinkSpec, ops
-from repro.uwb import UwbConfig
+from repro.link import ops
+from repro.link.spec import FrontEndSpec, LinkSpec
+from repro.uwb.config import UwbConfig
 from repro.uwb.integrator import TwoPoleIntegrator
 from repro.uwb.ranging import RangingResult
 

@@ -16,14 +16,17 @@ from repro.ams.equations import (
     GatedIntegratorState,
     TwoPoleGatedIntegratorState,
 )
-from repro.circuits import build_id_testbench, default_design
-from repro.circuits.integrate_dump import integrate_hold_dump_waves
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
+from repro.circuits.integrate_dump import (
+    build_id_testbench,
+    integrate_hold_dump_waves,
+)
+from repro.circuits.sizing import default_design
 from repro.core.characterize import ID_OP_GUESS, characterize_integrator
 from repro.core.scenario import Scenario
 from repro.experiments.context import ExperimentContext
-from repro.spice import transient
+from repro.spice.analysis.tran import transient
 from repro.uwb.integrator import IdealIntegrator
 
 

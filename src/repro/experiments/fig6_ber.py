@@ -18,9 +18,10 @@ from repro.campaign.store import ResultStore
 from repro.core.metrics import BerComparison, compare_ber
 from repro.core.scenario import Scenario
 from repro.experiments.context import ExperimentContext
-from repro.link import FrontEndSpec, LinkSpec, ops
+from repro.link import ops
 from repro.link.backends import build_bpf
-from repro.uwb import UwbConfig
+from repro.link.spec import FrontEndSpec, LinkSpec
+from repro.uwb.config import UwbConfig
 from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.theory import ideal_awgn_ber
 

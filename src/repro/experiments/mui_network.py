@@ -32,17 +32,12 @@ from typing import Any, Mapping, Sequence
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
 from repro.core.scenario import Scenario
-from repro.experiments.fig6_ber import BER_DRIVE, WIDE_FRONT_END
 from repro.experiments.context import ExperimentContext
-from repro.link import (
-    FrontEndSpec,
-    InterfererSpec,
-    LinkSpec,
-    NetworkSpec,
-    ops,
-)
-from repro.uwb import UwbConfig
+from repro.experiments.fig6_ber import BER_DRIVE, WIDE_FRONT_END
+from repro.link import ops
+from repro.link.spec import FrontEndSpec, InterfererSpec, LinkSpec, NetworkSpec
 from repro.uwb.channel.ieee802154a import path_loss_db
+from repro.uwb.config import UwbConfig
 from repro.uwb.fastsim import AdaptiveStopping, BerResult
 
 #: sub-slot timing offsets per interferer index, as fractions of the

@@ -33,8 +33,10 @@ from repro.campaign.store import ResultStore
 from repro.core.metrics import CpuTimeReport
 from repro.core.scenario import Scenario
 from repro.experiments.context import ExperimentContext
-from repro.link import LinkSpec, build_bpf, ops
-from repro.uwb import UwbConfig
+from repro.link import ops
+from repro.link.backends import build_bpf
+from repro.link.spec import LinkSpec
+from repro.uwb.config import UwbConfig
 from repro.uwb.modulation import ppm_waveform, random_bits
 
 #: (report label, integrator spec) rows of the table.

@@ -23,8 +23,9 @@ from repro.campaign.store import ResultStore
 from repro.core.metrics import RangingComparison
 from repro.core.scenario import Scenario
 from repro.experiments.context import ExperimentContext
-from repro.link import ChannelSpec, FrontEndSpec, LinkSpec, ops
-from repro.uwb import UwbConfig
+from repro.link import ops
+from repro.link.spec import ChannelSpec, FrontEndSpec, LinkSpec
+from repro.uwb.config import UwbConfig
 
 #: The overdriven AGC operating point of the TWR runs (see module doc).
 TWR_CONFIG = dict(preamble_symbols=16, payload_bits=16,

@@ -10,100 +10,11 @@ circuit simulator:
   with body effect, channel-length modulation and a Meyer-style charge
   model,
 * analyses (:mod:`repro.spice.analysis`): operating point, DC sweep, AC
-  small-signal and transient, plus a resumable :class:`TransientStepper`
-  used for mixed-signal co-simulation,
+  small-signal and transient, plus a resumable
+  :class:`~repro.spice.analysis.tran.TransientStepper` used for
+  mixed-signal co-simulation,
 * a generic 0.18 um CMOS model library (:mod:`repro.spice.library`).
 
-The public API re-exported here is the stable surface used by the rest of
-the repository.
+Each name is imported from the module that defines it; the package
+re-exports nothing.
 """
-
-from repro.spice.errors import (
-    AnalysisError,
-    ConvergenceError,
-    NetlistError,
-    NetlistLintError,
-    ParseError,
-    SingularMatrixError,
-    SpiceError,
-    SpiceParserError,
-)
-from repro.spice.netlist import Circuit, Subckt
-from repro.spice.parser import parse_netlist, parse_value
-from repro.spice.devices import (
-    Capacitor,
-    CurrentSource,
-    Diode,
-    Inductor,
-    Mosfet,
-    MosModel,
-    Resistor,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-    VSwitch,
-)
-from repro.spice.analysis import (
-    AcResult,
-    DcSweepResult,
-    OpResult,
-    TranResult,
-    TransientStepper,
-    ac_analysis,
-    dc_sweep,
-    operating_point,
-    transient,
-)
-from repro.spice.library import generic_018
-from repro.spice.lint import (
-    LintFinding,
-    LintReport,
-    Severity,
-    lint_circuit,
-    lint_netlist,
-    lint_subckt,
-    preflight_check,
-)
-
-__all__ = [
-    "AcResult",
-    "AnalysisError",
-    "Capacitor",
-    "Circuit",
-    "ConvergenceError",
-    "CurrentSource",
-    "DcSweepResult",
-    "Diode",
-    "Inductor",
-    "LintFinding",
-    "LintReport",
-    "MosModel",
-    "Mosfet",
-    "NetlistError",
-    "NetlistLintError",
-    "OpResult",
-    "ParseError",
-    "Severity",
-    "Resistor",
-    "SingularMatrixError",
-    "SpiceError",
-    "SpiceParserError",
-    "Subckt",
-    "TranResult",
-    "TransientStepper",
-    "Vccs",
-    "Vcvs",
-    "VoltageSource",
-    "VSwitch",
-    "ac_analysis",
-    "dc_sweep",
-    "generic_018",
-    "lint_circuit",
-    "lint_netlist",
-    "lint_subckt",
-    "operating_point",
-    "parse_netlist",
-    "parse_value",
-    "preflight_check",
-    "transient",
-]

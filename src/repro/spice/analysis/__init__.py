@@ -1,18 +1,1 @@
 """Circuit analyses: operating point, DC sweep, AC, transient."""
-
-from repro.spice.analysis.op import OpResult, operating_point
-from repro.spice.analysis.dc import DcSweepResult, dc_sweep
-from repro.spice.analysis.ac import AcResult, ac_analysis
-from repro.spice.analysis.tran import TranResult, TransientStepper, transient
-
-__all__ = [
-    "AcResult",
-    "DcSweepResult",
-    "OpResult",
-    "TranResult",
-    "TransientStepper",
-    "ac_analysis",
-    "dc_sweep",
-    "operating_point",
-    "transient",
-]

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.spice.analysis.op import OpResult, operating_point
+from repro.spice.devices.sources import CurrentSource
 from repro.spice.errors import AnalysisError
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit, normalize_node
@@ -96,8 +97,6 @@ def ac_analysis(circuit: Circuit, freqs: Sequence[float],
         if src.ac_mag:
             b_ac[system.branch_index[src.name]] += src.ac_complex
             has_stimulus = True
-    from repro.spice.devices.sources import CurrentSource
-
     for src in circuit.devices_of(CurrentSource):
         if src.ac_mag:
             a = system.node_index[src.n1]

@@ -4,40 +4,3 @@ Devices are lightweight declarative records; all numerical work happens in
 :mod:`repro.spice.mna`, which compiles a :class:`repro.spice.netlist.Circuit`
 into vectorized device groups.
 """
-
-from repro.spice.devices.base import Device, TwoTerminal
-from repro.spice.devices.passives import Capacitor, Inductor, Resistor
-from repro.spice.devices.sources import (
-    CurrentSource,
-    Pulse,
-    Pwl,
-    Sin,
-    VoltageSource,
-    Waveform,
-)
-from repro.spice.devices.controlled import Vccs, Vcvs
-from repro.spice.devices.mosfet import MosModel, Mosfet
-from repro.spice.devices.diode import Diode, DiodeModel
-from repro.spice.devices.switch import SwitchModel, VSwitch
-
-__all__ = [
-    "Capacitor",
-    "CurrentSource",
-    "Device",
-    "Diode",
-    "DiodeModel",
-    "Inductor",
-    "MosModel",
-    "Mosfet",
-    "Pulse",
-    "Pwl",
-    "Resistor",
-    "Sin",
-    "SwitchModel",
-    "TwoTerminal",
-    "Vccs",
-    "Vcvs",
-    "VoltageSource",
-    "VSwitch",
-    "Waveform",
-]

@@ -19,6 +19,7 @@ from repro.spice.lint.graph import CircuitGraph
 from repro.spice.lint.report import LintFinding, LintReport, Severity
 from repro.spice.lint.rules import LintRule, get_rules
 from repro.spice.netlist import Circuit, Subckt
+from repro.spice.parser import parse_netlist
 
 
 def _run_rules(graph: CircuitGraph,
@@ -65,8 +66,6 @@ def lint_netlist(text: str, *, title_line: bool = True) -> LintReport:
     Raises:
         ParseError: the netlist does not parse (lint needs a circuit).
     """
-    from repro.spice.parser import parse_netlist
-
     return lint_circuit(parse_netlist(text, title_line=title_line))
 
 

@@ -16,6 +16,8 @@ import enum
 import json
 from dataclasses import dataclass
 
+from repro.core.serialization import from_jsonable, to_jsonable
+
 
 class Severity(enum.IntEnum):
     """Lint severity levels, ordered so comparisons read naturally
@@ -138,15 +140,11 @@ class LintReport:
 
     def to_json(self) -> str:
         """Reversible JSON via the repository serialization codec."""
-        from repro.core.serialization import to_jsonable
-
         return json.dumps(to_jsonable(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "LintReport":
         """Inverse of :meth:`to_json`."""
-        from repro.core.serialization import from_jsonable
-
         report = from_jsonable(json.loads(text))
         if not isinstance(report, cls):
             raise ValueError(f"payload decodes to "

@@ -47,19 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.spice.devices import (
-    Capacitor,
-    CurrentSource,
-    Diode,
-    Inductor,
-    Mosfet,
-    Resistor,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-    VSwitch,
-)
 from repro.spice.devices.base import Device
+from repro.spice.devices.controlled import Vccs, Vcvs
+from repro.spice.devices.diode import Diode
+from repro.spice.devices.mosfet import Mosfet
+from repro.spice.devices.passives import Capacitor, Inductor, Resistor
+from repro.spice.devices.sources import CurrentSource, VoltageSource
+from repro.spice.devices.switch import VSwitch
 from repro.spice.lint.graph import (
     GROUND,
     CircuitGraph,

@@ -47,6 +47,7 @@ from repro.spice.errors import (
     NetlistError,
     SingularMatrixError,
 )
+from repro.spice.lint.engine import preflight_check
 from repro.spice.netlist import Circuit, normalize_node
 
 #: Newton iterations per converged :meth:`MnaSystem.newton` call.
@@ -68,8 +69,6 @@ class MnaSystem:
         # loops...) is the lint engine's job and runs in the cosim
         # pre-flight / CLI, not on every MNA compile - tests and
         # analyses legitimately build degenerate circuits on purpose.
-        from repro.spice.lint import preflight_check
-
         preflight_check(circuit, rules=("SP-GND-001",))
         self.circuit = circuit
         #: conductance added from every node to ground (leakage /

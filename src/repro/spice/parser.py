@@ -23,24 +23,18 @@ import math
 import re
 from typing import Iterable, Iterator
 
-from repro.spice.devices import (
-    Capacitor,
+from repro.spice.devices.controlled import Vccs, Vcvs
+from repro.spice.devices.diode import Diode, DiodeModel
+from repro.spice.devices.mosfet import Mosfet, MosModel
+from repro.spice.devices.passives import Capacitor, Inductor, Resistor
+from repro.spice.devices.sources import (
     CurrentSource,
-    Diode,
-    DiodeModel,
-    Inductor,
-    Mosfet,
-    MosModel,
     Pulse,
     Pwl,
-    Resistor,
     Sin,
-    SwitchModel,
-    Vccs,
-    Vcvs,
     VoltageSource,
-    VSwitch,
 )
+from repro.spice.devices.switch import SwitchModel, VSwitch
 from repro.spice.errors import NetlistError, ParseError
 from repro.spice.netlist import Circuit, Subckt
 from repro.spice.units import parse_value

@@ -1,20 +1,1 @@
 """UWB channel models: IEEE 802.15.4a CM1 and AWGN."""
-
-from repro.uwb.channel.awgn import AwgnChannel, noise_sigma_for_ebn0
-from repro.uwb.channel.ieee802154a import (
-    CM1_PARAMETERS,
-    ChannelRealization,
-    Cm1Channel,
-    SalehValenzuelaParameters,
-    path_loss_db,
-)
-
-__all__ = [
-    "AwgnChannel",
-    "CM1_PARAMETERS",
-    "ChannelRealization",
-    "Cm1Channel",
-    "SalehValenzuelaParameters",
-    "noise_sigma_for_ebn0",
-    "path_loss_db",
-]

@@ -24,15 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ams import (
-    AnalogBlock,
-    CallbackBlock,
-    Recorder,
-    Signal,
-    Simulator,
-    SpiceBlock,
-)
-from repro.circuits import build_id_testbench, default_design
+from repro.ams.block import AnalogBlock, CallbackBlock
+from repro.ams.cosim import SpiceBlock
+from repro.ams.kernel import Simulator
+from repro.ams.signal import Signal
+from repro.ams.waveform import Recorder
+from repro.circuits.integrate_dump import build_id_testbench
+from repro.circuits.sizing import default_design
 from repro.uwb.adc import Adc, AutoRangingAdc, decide_slots
 from repro.uwb.config import UwbConfig
 from repro.uwb.integrator import WindowIntegrator

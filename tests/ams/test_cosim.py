@@ -4,8 +4,12 @@ import math
 
 import pytest
 
-from repro.ams import CallbackBlock, Simulator, SpiceBlock
-from repro.spice import Capacitor, Circuit, Resistor, VoltageSource
+from repro.ams.block import CallbackBlock
+from repro.ams.cosim import SpiceBlock
+from repro.ams.kernel import Simulator
+from repro.spice.devices.passives import Capacitor, Resistor
+from repro.spice.devices.sources import VoltageSource
+from repro.spice.netlist import Circuit
 
 
 def rc_circuit(r=1e3, c=1e-12) -> Circuit:
@@ -108,7 +112,7 @@ class TestPreflight:
                           **kwargs)
 
     def test_rejects_broken_circuit_naming_rule_and_nodes(self):
-        from repro.spice import NetlistLintError
+        from repro.spice.errors import NetlistLintError
 
         with pytest.raises(NetlistLintError, match="SP-DCPATH-001") as exc:
             self._make_block(self._broken_rc())
@@ -118,7 +122,8 @@ class TestPreflight:
     def test_rejects_before_any_mna_assembly(self):
         # A current-source cutset would otherwise surface much later as
         # an opaque singular-matrix error inside the Newton loop.
-        from repro.spice import CurrentSource, NetlistLintError
+        from repro.spice.devices.sources import CurrentSource
+        from repro.spice.errors import NetlistLintError
 
         ckt = rc_circuit()
         ckt.add(CurrentSource("i1", "out", "iso", dc=1e-3),

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.ams import (
-    AnalogBlock,
-    CallbackBlock,
-    CompiledEngine,
-    GatedIntegratorState,
-    Recorder,
-    ReferenceEngine,
-    Simulator,
-    get_engine,
-)
-from repro.link import LinkSpec, ops
+from repro.ams.block import AnalogBlock, CallbackBlock
+from repro.ams.engine import get_engine
+from repro.ams.engine.compiled import CompiledEngine
+from repro.ams.engine.reference import ReferenceEngine
+from repro.ams.equations import GatedIntegratorState
+from repro.ams.kernel import Simulator
+from repro.ams.waveform import Recorder
+from repro.link import ops
+from repro.link.spec import LinkSpec
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.config import UwbConfig
 from repro.uwb.modulation import ppm_waveform

@@ -5,15 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.ams import (
-    AnalogBlock,
-    CallbackBlock,
-    Process,
-    Quantity,
-    Recorder,
-    Signal,
-    Simulator,
-)
+from repro.ams.block import AnalogBlock, CallbackBlock
+from repro.ams.kernel import Simulator
+from repro.ams.process import Process
+from repro.ams.quantity import Quantity
+from repro.ams.signal import Signal
+from repro.ams.waveform import Recorder
 
 
 class TestSignals:

@@ -244,7 +244,7 @@ class TestLintCommand:
         assert code == 0 and "result: CLEAN" in out
 
     def test_json_output_round_trips(self, tmp_path, capsys):
-        from repro.spice.lint import LintReport, Severity
+        from repro.spice.lint.report import LintReport, Severity
 
         path = tmp_path / "broken.cir"
         path.write_text(BROKEN_NETLIST)

@@ -20,15 +20,15 @@ import tempfile
 import pytest
 
 from repro.campaign.store import ResultStore
-from repro.experiments import (
+from repro.experiments.ablations import (
     run_agc_ablation,
-    run_fig5_drive_sweep,
-    run_fig6,
-    run_mui,
     run_noise_shaping_ablation,
-    run_table1,
-    run_table2,
 )
+from repro.experiments.fig5_transient import run_fig5_drive_sweep
+from repro.experiments.fig6_ber import run_fig6
+from repro.experiments.mui_network import run_mui
+from repro.experiments.table1_cpu import run_table1
+from repro.experiments.table2_twr import run_table2
 
 #: harness -> tiny invocation (budgets are part of the keys).
 CAMPAIGNS = {

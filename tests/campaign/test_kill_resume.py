@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.campaign import CampaignRunner, ResultStore
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.store import ResultStore
 from repro.core.scenario import Scenario
 
 #: index of the scenario that kills its process; only the subprocess
@@ -42,7 +43,7 @@ def build_campaign(store):
 _CHILD = """
 import sys
 import {module} as t
-from repro.campaign import ResultStore
+from repro.campaign.store import ResultStore
 t._KILL_AT = 2
 t.build_campaign(ResultStore(sys.argv[1], salt="s")).run()
 """

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.campaign import (
-    CampaignError,
-    CampaignReport,
-    CampaignRunner,
-    ResultStore,
-)
+from repro.campaign.runner import CampaignError, CampaignReport, CampaignRunner
+from repro.campaign.store import ResultStore
 from repro.core.scenario import Scenario
 from repro.uwb.modulation import random_bits
 
@@ -191,7 +187,7 @@ class TestParallel:
 
 class TestHarnessIntegration:
     def test_fig6_campaign_cache_hits_and_artifact(self, tmp_path):
-        from repro.experiments import run_fig6
+        from repro.experiments.fig6_ber import run_fig6
         from repro.uwb.fastsim import AdaptiveStopping
 
         store = ResultStore(tmp_path, salt="s")
@@ -217,7 +213,7 @@ class TestHarnessIntegration:
             assert np.all(curve.errors >= 0)
 
     def test_table2_campaign_matches_uncached(self, tmp_path):
-        from repro.experiments import run_table2
+        from repro.experiments.table2_twr import run_table2
 
         store = ResultStore(tmp_path, salt="s")
         cached = run_table2(iterations=3, store=store)

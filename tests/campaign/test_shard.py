@@ -7,8 +7,9 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.campaign import CampaignRunner, ResultStore
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.shard import ShardedResultStore
+from repro.campaign.store import ResultStore
 from repro.core.scenario import Scenario, _execute
 from repro.uwb.modulation import random_bits
 

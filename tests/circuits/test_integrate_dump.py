@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.circuits import (
+from repro.circuits.integrate_dump import (
     ID_INTERFACE_PORTS,
     build_id_testbench,
     build_integrate_dump,
     count_transistors,
-    default_design,
+    integrate_hold_dump_waves,
 )
-from repro.circuits.integrate_dump import integrate_hold_dump_waves
+from repro.circuits.sizing import default_design
 from repro.core.characterize import ID_OP_GUESS
-from repro.spice import operating_point, transient
-from repro.spice.devices import Mosfet
+from repro.spice.analysis.op import operating_point
+from repro.spice.analysis.tran import transient
+from repro.spice.devices.mosfet import Mosfet
 
 
 class TestStructure:

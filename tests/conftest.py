@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits import default_design
+from repro.circuits.sizing import default_design
 from repro.core.characterize import characterize_integrator
 from repro.link.pipeline import (
     AnalogFrontEndStage,

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    CpuTimeReport,
-    compare_ber,
-    compare_ranging,
-)
+from repro.core.metrics import CpuTimeReport, compare_ber, compare_ranging
 from repro.uwb.fastsim import BerResult
 from repro.uwb.ranging import RangingResult
 

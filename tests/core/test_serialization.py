@@ -15,7 +15,7 @@ from repro.core.serialization import (
     stable_hash,
     to_jsonable,
 )
-from repro.link import ChannelSpec, FrontEndSpec, LinkSpec
+from repro.link.spec import ChannelSpec, FrontEndSpec, LinkSpec
 from repro.spice.lint.report import LintFinding, Severity
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.config import TEST_CONFIG, UwbConfig
@@ -235,7 +235,7 @@ class TestLinkSpecRoundTrip:
         assert len(set(keys)) == len(keys)
 
     def test_decoded_spec_still_resolves(self):
-        from repro.link import build_integrator
+        from repro.link.backends import build_integrator
         from repro.uwb.integrator import TwoPoleIntegrator
 
         spec = LinkSpec(integrator="two_pole",

@@ -4,11 +4,12 @@ test_experiments.py)."""
 import numpy as np
 import pytest
 
-from repro.experiments import run_noise_shaping_ablation
-from repro.experiments.table1_cpu import Table1Result
 from repro.core.metrics import CpuTimeReport
-from repro.link import FrontEndSpec, LinkSpec, ops
-from repro.uwb import UwbConfig
+from repro.experiments.ablations import run_noise_shaping_ablation
+from repro.experiments.table1_cpu import Table1Result
+from repro.link import ops
+from repro.link.spec import FrontEndSpec, LinkSpec
+from repro.uwb.config import UwbConfig
 from repro.uwb.integrator import TwoPoleIntegrator
 
 

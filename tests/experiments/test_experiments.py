@@ -8,16 +8,13 @@ claim.  The full-budget versions live in ``benchmarks/``.
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    run_agc_ablation,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_table1,
-    run_table2,
-)
-from repro.link import run_equivalence
-from repro.link.equivalence import PHASE1_SPEC
+from repro.experiments.ablations import run_agc_ablation
+from repro.experiments.fig4_ac import run_fig4
+from repro.experiments.fig5_transient import run_fig5
+from repro.experiments.fig6_ber import run_fig6
+from repro.experiments.table1_cpu import run_table1
+from repro.experiments.table2_twr import run_table2
+from repro.link.equivalence import PHASE1_SPEC, run_equivalence
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """The experiment table: menu order, descriptions, adapters, context."""
 
 from repro.campaign.cli import _known_experiments
-from repro.experiments import EXPERIMENTS, ExperimentContext
+from repro.experiments import EXPERIMENTS
+from repro.experiments.context import ExperimentContext
 from repro.experiments.fig6_ber import fig6_experiment
 
 

@@ -4,22 +4,24 @@ golden-model BER, packet decisions, ranging, builder fidelity."""
 import numpy as np
 import pytest
 
-from repro.link import (
-    ADC_MODES,
-    ChannelSpec,
-    DecisionStage,
-    FrontEndSpec,
-    LinkSpec,
-    NetworkSpec,
+from repro.link import ops
+from repro.link.backends import (
+    _LinkCache,
     build_bpf,
     build_channel_realization,
     build_integrator,
     build_receiver,
     calibrate,
-    ops,
-    run_ber_point,
+    draw_stimulus,
 )
-from repro.link.backends import _LinkCache, draw_stimulus
+from repro.link.pipeline import DecisionStage, run_ber_point
+from repro.link.spec import (
+    ADC_MODES,
+    ChannelSpec,
+    FrontEndSpec,
+    LinkSpec,
+    NetworkSpec,
+)
 from repro.uwb.agc import Agc, TwoStageAgc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.config import UwbConfig
@@ -332,17 +334,17 @@ class TestKernelPreflight:
     """The static lint gate in front of the co-simulated netlist."""
 
     def _sabotaged_testbench(self, *args, **kwargs):
-        from repro.circuits import build_id_testbench
+        from repro.circuits.integrate_dump import build_id_testbench
 
         tb = build_id_testbench(*args, **kwargs)
-        from repro.spice import Resistor
+        from repro.spice.devices.passives import Resistor
 
         tb.add(Resistor("rmut", "out_intp", "mut_dangling", 1e3))
         return tb
 
     def test_packet_refuses_broken_netlist(self, monkeypatch):
         import repro.uwb.system as system
-        from repro.spice import NetlistLintError
+        from repro.spice.errors import NetlistLintError
 
         monkeypatch.setattr(system, "build_id_testbench",
                             self._sabotaged_testbench)

@@ -8,9 +8,9 @@ engines must demodulate bit-identical decisions.
 import numpy as np
 import pytest
 
-from repro.link import ops, run_equivalence
+from repro.link import ops
 from repro.link.backends import draw_stimulus
-from repro.link.equivalence import DEFAULT_SPEC, decide_burst
+from repro.link.equivalence import DEFAULT_SPEC, decide_burst, run_equivalence
 from repro.uwb.fastsim import wilson_interval
 
 

@@ -6,25 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.serialization import (
-    from_jsonable,
-    stable_hash,
-    to_jsonable,
-)
-from repro.link import (
-    COSIM,
-    INTEGRATORS,
-    ChannelSpec,
-    FrontEndSpec,
-    LinkSpec,
-    build_integrator,
-)
+from repro.core.serialization import from_jsonable, stable_hash, to_jsonable
+from repro.link.backends import build_integrator
+from repro.link.spec import INTEGRATORS, ChannelSpec, FrontEndSpec, LinkSpec
 from repro.uwb.config import TEST_CONFIG, UwbConfig
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
     IdealIntegrator,
     TwoPoleIntegrator,
 )
+from repro.uwb.system import COSIM
 
 
 class TestSpecConstruction:

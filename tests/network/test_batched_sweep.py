@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from test_pipeline_parity import _legacy_simulate_ber_point
 
-from repro.link import LinkSpec, NetworkSpec, ops
+from repro.link import ops, pipeline as pipe
 from repro.link.backends import (
     _CALIBRATION_MEMO,
     _REALIZATION_MEMO,
@@ -32,9 +32,14 @@ from repro.link.backends import (
     build_integrator,
     calibrate,
 )
-from repro.link import pipeline as pipe
 from repro.link.pipeline import run_ber_sweep
-from repro.link.spec import ChannelSpec, FrontEndSpec, InterfererSpec
+from repro.link.spec import (
+    ChannelSpec,
+    FrontEndSpec,
+    InterfererSpec,
+    LinkSpec,
+    NetworkSpec,
+)
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import IdealIntegrator

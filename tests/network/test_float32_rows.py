@@ -14,8 +14,9 @@ import pytest
 from test_pipeline_parity import FLOAT32_ROW_RTOL
 
 from repro.experiments.fig6_ber import BER_DRIVE, WIDE_FRONT_END
-from repro.link import FrontEndSpec, LinkSpec, build_integrator, calibrate
 from repro.link import pipeline as pipe
+from repro.link.backends import build_integrator, calibrate
+from repro.link.spec import FrontEndSpec, LinkSpec
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.config import UwbConfig
 

@@ -27,15 +27,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.link import (
+from repro.link import pipeline as pipe
+from repro.link.backends import calibrate
+from repro.link.pipeline import (
     DecisionStage,
     InterfererPath,
-    LinkSpec,
-    calibrate,
     run_ber_point,
     run_ber_sweep,
 )
-from repro.link import pipeline as pipe
+from repro.link.spec import LinkSpec
 from repro.obs import trace
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.config import TEST_CONFIG

@@ -9,16 +9,10 @@ single-link operations refuse what they cannot synthesize.
 import numpy as np
 import pytest
 
-from repro.link import (
-    CombineStage,
-    InterfererPath,
-    InterfererSpec,
-    LinkSpec,
-    NetworkSpec,
-    build_interferer_paths,
-    calibrate,
-    ops,
-)
+from repro.link import ops
+from repro.link.backends import build_interferer_paths, calibrate
+from repro.link.pipeline import CombineStage, InterfererPath
+from repro.link.spec import InterfererSpec, LinkSpec, NetworkSpec
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.fastsim import BerResult
 from repro.uwb.modulation import ppm_waveform, random_bits
@@ -98,7 +92,7 @@ class TestInterferenceBehavior:
                                kind="cm1", distance=9.9,
                                realization_seed=4321)),))
         same_seed, other_seed = build_interferer_paths(network)
-        from repro.link import build_channel_realization
+        from repro.link.backends import build_channel_realization
 
         victim_real = build_channel_realization(spec)
         assert np.array_equal(same_seed.channel.taps, victim_real.taps)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.campaign.store import ResultStore
-from repro.experiments import (
-    EXPERIMENTS,
+from repro.experiments import EXPERIMENTS
+from repro.experiments.mui_network import (
     default_victim,
     interference_network,
+    mui_experiment,
     near_far_network,
     run_mui,
 )
-from repro.experiments.mui_network import mui_experiment
-from repro.link import LinkSpec, NetworkSpec
+from repro.link.spec import LinkSpec, NetworkSpec
 from repro.uwb.channel.ieee802154a import path_loss_db
 from repro.uwb.config import TEST_CONFIG
 

@@ -4,17 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.serialization import (
-    from_jsonable,
-    stable_hash,
-    to_jsonable,
-)
-from repro.link import (
-    ChannelSpec,
-    InterfererSpec,
-    LinkSpec,
-    NetworkSpec,
-)
+from repro.core.serialization import from_jsonable, stable_hash, to_jsonable
+from repro.link.spec import ChannelSpec, InterfererSpec, LinkSpec, NetworkSpec
 from repro.uwb.config import TEST_CONFIG
 
 

@@ -18,9 +18,10 @@ every test of ``TestBitIdentity`` asserts exact equality of the
 import numpy as np
 import pytest
 
-from repro.link import LinkSpec, NetworkSpec, ops
+from repro.link import ops
 from repro.link.backends import _LinkCache
 from repro.link.pipeline import DecisionStage, run_ber_point
+from repro.link.spec import LinkSpec, NetworkSpec
 from repro.uwb.adc import Adc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.channel.ieee802154a import Cm1Channel

@@ -15,8 +15,9 @@ Two acceptance properties of repro.obs:
 import numpy as np
 import pytest
 
-from repro.experiments import run_fig6
-from repro.link import LinkSpec, calibrate
+from repro.experiments.fig6_ber import run_fig6
+from repro.link.backends import calibrate
+from repro.link.spec import LinkSpec
 from repro.obs import trace
 from repro.uwb.config import TEST_CONFIG
 

@@ -6,28 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.spice import (
-    AnalysisError,
-    Capacitor,
-    Circuit,
-    CurrentSource,
-    Diode,
-    Inductor,
-    Mosfet,
-    Resistor,
-    SingularMatrixError,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-    ac_analysis,
-    dc_sweep,
-    generic_018,
-    operating_point,
-    transient,
-)
-from repro.spice.analysis.ac import logspace_freqs
-from repro.spice.analysis.tran import TransientStepper
-from repro.spice.devices import DiodeModel, Pulse, SwitchModel, VSwitch
+from repro.spice.analysis.ac import ac_analysis, logspace_freqs
+from repro.spice.analysis.dc import dc_sweep
+from repro.spice.analysis.op import operating_point
+from repro.spice.analysis.tran import TransientStepper, transient
+from repro.spice.devices.controlled import Vccs, Vcvs
+from repro.spice.devices.diode import Diode, DiodeModel
+from repro.spice.devices.mosfet import Mosfet
+from repro.spice.devices.passives import Capacitor, Inductor, Resistor
+from repro.spice.devices.sources import CurrentSource, Pulse, VoltageSource
+from repro.spice.devices.switch import SwitchModel, VSwitch
+from repro.spice.errors import AnalysisError, SingularMatrixError
+from repro.spice.library import generic_018
+from repro.spice.netlist import Circuit
 
 CARDS = generic_018()
 

@@ -5,16 +5,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.spice.devices import (
-    Capacitor,
+from repro.spice.devices.diode import Diode
+from repro.spice.devices.mosfet import Mosfet, MosModel
+from repro.spice.devices.passives import Capacitor, Inductor, Resistor
+from repro.spice.devices.sources import (
     CurrentSource,
-    Diode,
-    Inductor,
-    Mosfet,
-    MosModel,
     Pulse,
     Pwl,
-    Resistor,
     Sin,
     VoltageSource,
 )

@@ -48,10 +48,11 @@ def run_eldo_span() -> dict:
     stepper's :attr:`~TransientStepper.newton_iterations`.
     """
     from repro.experiments.table1_cpu import make_table1_waveform
-    from repro.link import LinkSpec, ops
+    from repro.link import ops
+    from repro.link.spec import LinkSpec
     from repro.spice.analysis.tran import TransientStepper
     from repro.spice.mna import MnaSystem
-    from repro.uwb import UwbConfig
+    from repro.uwb.config import UwbConfig
 
     config = UwbConfig()
     waveform, _bits = make_table1_waveform(config, N_SYMBOLS, SEED)

@@ -14,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.table1_cpu import make_table1_waveform
-from repro.link import LinkSpec, ops
+from repro.link import ops
+from repro.link.spec import LinkSpec
 from repro.spice.analysis.tran import TransientStepper
 from repro.spice.mna import MnaSystem
-from repro.uwb import UwbConfig
+from repro.uwb.config import UwbConfig
 
 SEED = 1
 N_SYMBOLS = 2

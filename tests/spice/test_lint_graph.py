@@ -1,14 +1,17 @@
 """CircuitGraph: the incidence/connectivity layer under the lint rules."""
 
-from repro.spice import Circuit, Resistor, VoltageSource
-from repro.spice.devices import Capacitor, CurrentSource, Mosfet, Vcvs
+from repro.spice.devices.controlled import Vcvs
+from repro.spice.devices.mosfet import Mosfet
+from repro.spice.devices.passives import Capacitor, Resistor
+from repro.spice.devices.sources import CurrentSource, VoltageSource
 from repro.spice.library import generic_018
-from repro.spice.lint import (
+from repro.spice.lint.graph import (
     CircuitGraph,
     dc_edges,
     non_current_source_edges,
     structural_edges,
 )
+from repro.spice.netlist import Circuit
 
 
 def rc_ladder():

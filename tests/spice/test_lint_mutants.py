@@ -11,9 +11,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.spice import Circuit, Resistor, Subckt, VoltageSource
-from repro.spice.devices import Capacitor
-from repro.spice.lint import Severity, lint_circuit
+from repro.spice.devices.passives import Capacitor, Resistor
+from repro.spice.devices.sources import VoltageSource
+from repro.spice.lint.engine import lint_circuit
+from repro.spice.lint.report import Severity
+from repro.spice.netlist import Circuit, Subckt
 
 N_MUTANTS = 100
 
@@ -153,7 +155,8 @@ class TestMutantsAreErrors:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_float_mutant_fails_preflight(self, seed):
-        from repro.spice import NetlistLintError, preflight_check
+        from repro.spice.errors import NetlistLintError
+        from repro.spice.lint.engine import preflight_check
 
         rng = random.Random(seed)
         ckt = random_ladder(rng)

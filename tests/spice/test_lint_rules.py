@@ -3,27 +3,22 @@
 import pytest
 
 from repro.circuits import builtin_circuits
-from repro.spice import (
-    Circuit,
-    NetlistLintError,
-    Resistor,
-    Subckt,
-    VoltageSource,
+from repro.spice.devices.controlled import Vccs, Vcvs
+from repro.spice.devices.diode import Diode
+from repro.spice.devices.mosfet import Mosfet
+from repro.spice.devices.passives import Capacitor, Resistor
+from repro.spice.devices.sources import CurrentSource, VoltageSource
+from repro.spice.errors import NetlistLintError
+from repro.spice.library import generic_018
+from repro.spice.lint.engine import (
     lint_circuit,
     lint_netlist,
     lint_subckt,
     preflight_check,
 )
-from repro.spice.devices import (
-    Capacitor,
-    CurrentSource,
-    Diode,
-    Mosfet,
-    Vccs,
-    Vcvs,
-)
-from repro.spice.library import generic_018
-from repro.spice.lint import RULES, LintReport, Severity, get_rules
+from repro.spice.lint.report import LintReport, Severity
+from repro.spice.lint.rules import RULES, get_rules
+from repro.spice.netlist import Circuit, Subckt
 
 
 def clean_rc():

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.spice import (
-    Circuit,
-    CurrentSource,
-    Resistor,
-    SingularMatrixError,
-    VoltageSource,
-    operating_point,
-)
+from repro.spice.analysis.op import operating_point
+from repro.spice.devices.passives import Resistor
+from repro.spice.devices.sources import CurrentSource, VoltageSource
+from repro.spice.errors import SingularMatrixError
+from repro.spice.netlist import Circuit
 
 
 def ladder(r_values, v_in):

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.spice import (
-    Circuit,
-    CurrentSource,
-    Mosfet,
-    VoltageSource,
-    generic_018,
-    operating_point,
-)
-from repro.spice.devices.mosfet import MosGroup, MosModel
+from repro.spice.analysis.op import operating_point
+from repro.spice.devices.mosfet import Mosfet, MosGroup, MosModel
+from repro.spice.devices.sources import CurrentSource, VoltageSource
+from repro.spice.library import generic_018
+from repro.spice.netlist import Circuit
 
 CARDS = generic_018()
 

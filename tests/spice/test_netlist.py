@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.spice import Circuit, Resistor, Subckt, VoltageSource
-from repro.spice.devices import Capacitor, Mosfet
+from repro.spice.devices.mosfet import Mosfet
+from repro.spice.devices.passives import Capacitor, Resistor
+from repro.spice.devices.sources import VoltageSource
 from repro.spice.errors import NetlistError
 from repro.spice.library import generic_018
-from repro.spice.netlist import is_ground, normalize_node
+from repro.spice.netlist import Circuit, Subckt, is_ground, normalize_node
 
 
 class TestNodes:
@@ -68,7 +69,7 @@ class TestCircuit:
 
     def test_validate_requires_ground(self):
         # The lint engine's ground rule is the pre-flight gate.
-        from repro.spice.lint import preflight_check
+        from repro.spice.lint.engine import preflight_check
 
         ckt = Circuit("t")
         ckt.add(Resistor("r1", "a", "b", 1.0))
@@ -76,7 +77,7 @@ class TestCircuit:
             preflight_check(ckt, rules=("SP-GND-001",))
 
     def test_validate_shim_passes_grounded(self):
-        from repro.spice.lint import preflight_check
+        from repro.spice.lint.engine import preflight_check
 
         ckt = Circuit("t")
         ckt.add(Resistor("r1", "a", "0", 1.0))
@@ -86,7 +87,7 @@ class TestCircuit:
         cards = generic_018()
         ckt = Circuit("t", models=[cards["nch"]])
         ckt.add_model(cards["nch"])  # identical: fine
-        from repro.spice.devices import MosModel
+        from repro.spice.devices.mosfet import MosModel
         with pytest.raises(NetlistError):
             ckt.add_model(MosModel(name="nch", vto=0.1))
 

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from repro.obs import metrics
-from repro.spice import (
-    Capacitor,
-    Circuit,
-    Mosfet,
-    VoltageSource,
-    generic_018,
-)
 from repro.spice.analysis.tran import TransientStepper
-from repro.spice.devices import Pulse
+from repro.spice.devices.mosfet import Mosfet
+from repro.spice.devices.passives import Capacitor
+from repro.spice.devices.sources import Pulse, VoltageSource
 from repro.spice.errors import ConvergenceError
+from repro.spice.library import generic_018
 from repro.spice.mna import MnaSystem
+from repro.spice.netlist import Circuit
 
 SUBSTEPS = metrics.REGISTRY.counter("spice.newton.substeps")
 

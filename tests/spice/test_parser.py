@@ -4,24 +4,21 @@ import math
 
 import pytest
 
-from repro.spice import parse_netlist
-from repro.spice.devices import (
-    Capacitor,
+from repro.spice.devices.controlled import Vccs, Vcvs
+from repro.spice.devices.diode import Diode
+from repro.spice.devices.mosfet import Mosfet
+from repro.spice.devices.passives import Capacitor, Inductor, Resistor
+from repro.spice.devices.sources import (
     CurrentSource,
-    Diode,
-    Inductor,
-    Mosfet,
     Pulse,
     Pwl,
-    Resistor,
     Sin,
-    Vccs,
-    Vcvs,
     VoltageSource,
-    VSwitch,
 )
+from repro.spice.devices.switch import VSwitch
 from repro.spice.errors import ParseError
 from repro.spice.library import GENERIC_018_CARDS
+from repro.spice.parser import parse_netlist
 
 
 class TestBasics:
@@ -291,7 +288,7 @@ Xdiv n1 n2 div
 
     def test_spice_parser_error_alias(self):
         # SpiceParserError is the conventional name other tools use.
-        from repro.spice import SpiceParserError
+        from repro.spice.errors import SpiceParserError
 
         assert SpiceParserError is ParseError
         with pytest.raises(SpiceParserError):

@@ -6,7 +6,7 @@ how long they took.
 
 import pytest
 
-from repro.experiments import run_table1
+from repro.experiments.table1_cpu import run_table1
 from repro.obs import metrics, trace
 
 SPICE_SPANS = ("spice.step", "spice.newton", "spice.stamp",

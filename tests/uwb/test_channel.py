@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.uwb.channel import (
-    AwgnChannel,
+from repro.uwb.channel.awgn import AwgnChannel, noise_sigma_for_ebn0
+from repro.uwb.channel.ieee802154a import (
     CM1_PARAMETERS,
     Cm1Channel,
-    noise_sigma_for_ebn0,
     path_loss_db,
 )
 from repro.uwb.config import SPEED_OF_LIGHT

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.link import LinkSpec, ops
-from repro.uwb import AdaptiveStopping, UwbConfig, wilson_interval
+from repro.link import ops
+from repro.link.spec import LinkSpec
+from repro.uwb.config import UwbConfig
+from repro.uwb.fastsim import AdaptiveStopping, wilson_interval
 
 FAST = UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
                  pulse_order=5, integration_window=2e-9)

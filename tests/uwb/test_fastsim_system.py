@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.link import LinkSpec, build_integrator, ops
-from repro.link.backends import _LinkCache
-from repro.uwb import ChannelRealization, UwbConfig
+from repro.link import ops
+from repro.link.backends import _LinkCache, build_integrator
+from repro.link.spec import LinkSpec
 from repro.uwb.bpf import BandPassFilter
+from repro.uwb.channel.ieee802154a import ChannelRealization
+from repro.uwb.config import UwbConfig
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
     IdealIntegrator,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.uwb import UwbConfig
-from repro.uwb.config import TEST_CONFIG
+from repro.uwb.config import TEST_CONFIG, UwbConfig
 from repro.uwb.modulation import (
     Packet,
     packet_waveform,

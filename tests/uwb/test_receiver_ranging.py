@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.link import FrontEndSpec, LinkSpec
 from repro.link.backends import build_receiver
-from repro.uwb import (
-    EnergyDetectionReceiver,
-    IdealIntegrator,
-    TwoWayRanging,
-    UwbConfig,
-)
-from repro.uwb.channel import Cm1Channel
-from repro.uwb.config import SPEED_OF_LIGHT
-from repro.uwb.integrator import CircuitSurrogateIntegrator
+from repro.link.spec import FrontEndSpec, LinkSpec
+from repro.uwb.channel.ieee802154a import Cm1Channel
+from repro.uwb.config import SPEED_OF_LIGHT, UwbConfig
+from repro.uwb.integrator import CircuitSurrogateIntegrator, IdealIntegrator
 from repro.uwb.modulation import Packet, packet_waveform, random_bits
+from repro.uwb.ranging import TwoWayRanging
+from repro.uwb.receiver import EnergyDetectionReceiver
 
 CFG = UwbConfig(preamble_symbols=16, payload_bits=16,
                 adc_vref=2e-3, agc_range_db=80.0)

@@ -15,10 +15,10 @@ import pytest
 from scipy.special import erfc
 
 from repro.experiments.fig6_ber import BER_DRIVE, WIDE_FRONT_END
-from repro.link import FrontEndSpec, LinkSpec, ops
+from repro.link import ops
 from repro.link.backends import build_bpf, calibrate
-from repro.uwb import UwbConfig
-from repro.uwb.config import TEST_CONFIG
+from repro.link.spec import FrontEndSpec, LinkSpec
+from repro.uwb.config import TEST_CONFIG, UwbConfig
 from repro.uwb.fastsim import wilson_interval
 from repro.uwb.theory import (
     HISTORY,
