@@ -20,7 +20,11 @@ from dataclasses import dataclass, replace
 
 from repro.circuits.integrate_dump import build_id_testbench
 from repro.circuits.sizing import default_design
+from repro.core.characterize import ID_OP_GUESS, fit_two_pole
+from repro.spice.analysis.ac import ac_analysis, logspace_freqs
+from repro.spice.analysis.op import operating_point
 from repro.spice.devices.mosfet import MosModel
+from repro.spice.devices.sources import VoltageSource
 from repro.spice.library import generic_018
 
 #: (vto shift in volts for NMOS / sign-mirrored for PMOS, kp scale)
@@ -79,11 +83,6 @@ def corner_sweep(corners=("tt", "ff", "ss", "fs", "sf"),
 
     Returns one :class:`CornerPoint` per (corner, vdd) combination.
     """
-    from repro.core.characterize import ID_OP_GUESS, fit_two_pole
-    from repro.spice.analysis.ac import ac_analysis, logspace_freqs
-    from repro.spice.analysis.op import operating_point
-    from repro.spice.devices.sources import VoltageSource
-
     design = default_design()
     freqs = logspace_freqs(1e3, 50e9, 6)
     results = []
@@ -111,10 +110,6 @@ def cmfb_regulation(vdd_points=(1.6, 1.7, 1.8, 1.9, 2.0)
     CM near ``design.output_cm`` across the sweep, which is precisely
     why the paper calls the block "fundamental".
     """
-    from repro.core.characterize import ID_OP_GUESS
-    from repro.spice.analysis.op import operating_point
-    from repro.spice.devices.sources import VoltageSource
-
     design = default_design()
     out = []
     for vdd in vdd_points:

@@ -1,5 +1,10 @@
 """The ``python -m repro`` command line (in-process via cli.main)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,25 @@ from repro.campaign.cli import main
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def run_fresh(*argv):
+    """Run ``python *argv`` in a fresh interpreter that imports
+    ``repro`` from this checkout."""
+    repo = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(repo / "src") + os.pathsep + \
+        env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+#: packages the store commands must not load: the simulation layers
+#: and scipy.
+HEAVY = ("scipy", "repro.link", "repro.spice", "repro.uwb", "repro.ams",
+         "repro.circuits")
 
 
 class TestCacheCommands:
@@ -31,6 +55,21 @@ class TestCacheCommands:
         code, out = run_cli(capsys, "report", "nope",
                             "--cache-dir", str(tmp_path))
         assert code == 2 and "unknown experiment" in out
+
+    @pytest.mark.parametrize("argv, code", [(["cache", "ls"], 0),
+                                            (["stats"], 0),
+                                            (["report"], 1)])
+    def test_store_commands_stay_import_light(self, tmp_path, argv, code):
+        argv = argv + ["--cache-dir", str(tmp_path)]
+        out = run_fresh("-c", "import sys\n"
+                        "from repro.campaign.cli import main\n"
+                        f"code = main({argv!r})\n"
+                        "print(code, *sorted(sys.modules))\n")
+        exit_code, *modules = out.splitlines()[-1].split()
+        assert int(exit_code) == code
+        loaded = [m for m in modules
+                  if any(m == h or m.startswith(h + ".") for h in HEAVY)]
+        assert loaded == []
 
 
 class TestCacheGcAndMerge:
@@ -169,21 +208,9 @@ class TestRunCommand:
 
     def test_module_invocation(self, tmp_path):
         """python -m repro works end-to-end (the acceptance path)."""
-        import os
-        import pathlib
-        import subprocess
-        import sys
-
-        repo = pathlib.Path(__file__).resolve().parents[2]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(repo / "src") + os.pathsep + \
-            env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "table2", "--fast",
-             "--cache-dir", str(tmp_path)],
-            capture_output=True, text=True, timeout=300, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert "campaign[table2]" in proc.stdout
+        out = run_fresh("-m", "repro", "run", "table2", "--fast",
+                        "--cache-dir", str(tmp_path))
+        assert "campaign[table2]" in out
 
 
 BROKEN_NETLIST = """* broken fixture

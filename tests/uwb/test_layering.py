@@ -1,12 +1,17 @@
-"""``repro.uwb`` is the substrate under ``repro.link``: it never
-imports it (not even lazily inside a function)."""
+"""Import layering of the ``repro`` package.
+
+``repro.uwb`` is the substrate under ``repro.link``: it never imports
+it (not even lazily inside a function).  The module-level import graph
+of ``src/repro`` has no cycle, and every name is imported from the
+module that defines it, never through a package that re-exports it."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 UWB_MODULES = sorted((SRC / "repro" / "uwb").rglob("*.py"))
 
 
@@ -77,3 +82,145 @@ def test_oracle_shares_no_code_with_the_monte_carlo_loop():
 ])
 def test_every_monte_carlo_import_form_is_caught(source):
     assert monte_carlo_imports(source, ("repro", "uwb"))
+
+
+def _module_name(path: pathlib.Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+#: every module of ``src/repro`` -> its file.
+MODULES = {_module_name(p): p for p in sorted((SRC / "repro").rglob("*.py"))}
+
+
+def _package_of(module: str) -> tuple[str, ...]:
+    """The package relative imports in *module* resolve against."""
+    parts = tuple(module.split("."))
+    return parts if MODULES[module].name == "__init__.py" else parts[:-1]
+
+
+def module_level_imports(source: str) -> str:
+    """The import statements of *source* that run when the module is
+    imported: everything outside function bodies (class bodies run)."""
+    kept = []
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                kept.append(node)
+            elif not isinstance(node, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    visit(getattr(node, field, []))
+
+    visit(ast.parse(source).body)
+    return ast.unparse(ast.Module(body=kept, type_ignores=[]))
+
+
+def import_edges(module: str) -> set[str]:
+    """The ``repro`` modules that importing *module* executes first.
+
+    Importing ``a.b.c`` runs the ``a`` and ``a.b`` package
+    ``__init__`` files too, so each prefix counts - except the
+    packages that hold *module*, which are already importing."""
+    names = imported_modules(module_level_imports(MODULES[module]
+                                                  .read_text()),
+                             _package_of(module))
+    ancestors = {".".join(module.split(".")[:i])
+                 for i in range(1, module.count(".") + 1)}
+    edges = set()
+    for name in names:
+        parts = name.split(".")
+        edges.update(prefix for prefix in (".".join(parts[:i]) for i in
+                                           range(1, len(parts) + 1))
+                     if prefix in MODULES)
+    return edges - ancestors - {module}
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of *graph* as a closed path, or ``[]``."""
+    state: dict[str, int] = {}  # 1: on the DFS path, 2: finished
+    path: list[str] = []
+
+    def visit(node):
+        state[node] = 1
+        path.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == 1:
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state and (cycle := visit(nxt)):
+                return cycle
+        path.pop()
+        state[node] = 2
+        return []
+
+    for node in sorted(graph):
+        if node not in state and (cycle := visit(node)):
+            return cycle
+    return []
+
+
+def test_module_level_import_graph_is_acyclic():
+    graph = {module: import_edges(module) for module in MODULES}
+    assert find_cycle(graph) == []
+
+
+def test_a_package_init_edge_closes_a_cycle():
+    # a.x -> b.y runs b's __init__, which imports a.z: a -> ... -> a.
+    graph = {"a.x": {"b", "b.y"}, "b": {"a", "a.z"}, "a": set(),
+             "a.z": {"a.x"}, "b.y": set()}
+    assert find_cycle(graph) == ["a.x", "b", "a.z", "a.x"]
+    assert find_cycle({"a": {"b"}, "b": set()}) == []
+
+
+def package_defines(package: str) -> set[str]:
+    """Names *package*'s ``__init__`` binds itself (not by import)."""
+    names = set()
+    for node in ast.parse(MODULES[package].read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+PACKAGES = {name: package_defines(name) for name, path in MODULES.items()
+            if path.name == "__init__.py"}
+
+
+def reexport_imports(source: str, package: tuple[str, ...]) -> list[str]:
+    """``pkg.name`` for every name *source* imports through a package
+    that neither defines it nor holds it as a submodule."""
+    return sorted(
+        name for name in imported_modules(source, package)
+        if name.rpartition(".")[0] in PACKAGES and name not in MODULES
+        and name.rpartition(".")[2] not in PACKAGES[name.rpartition(".")[0]])
+
+
+PY_FILES = sorted(p for top in ("src", "tests", "examples", "benchmarks")
+                  for p in (ROOT / top).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PY_FILES,
+                         ids=[p.relative_to(ROOT).as_posix()
+                              for p in PY_FILES])
+def test_names_come_from_their_defining_module(path):
+    package = (_package_of(_module_name(path)) if path.is_relative_to(SRC)
+               else ())
+    offending = reexport_imports(path.read_text(), package)
+    assert not offending, f"{path.name} imports {offending}"
+
+
+@pytest.mark.parametrize("source, caught", [
+    ("from repro.link import LinkSpec\n", ["repro.link.LinkSpec"]),
+    ("def f():\n    from repro.spice import Circuit\n",
+     ["repro.spice.Circuit"]),
+    ("from repro.link import ops\n", []),
+    ("from repro.link.spec import LinkSpec\n", []),
+    ("from repro.experiments import EXPERIMENTS\n", []),
+    ("from repro import __version__\n", []),
+])
+def test_every_reexport_form_is_caught(source, caught):
+    assert reexport_imports(source, ()) == caught
