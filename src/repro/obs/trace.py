@@ -33,9 +33,10 @@ context manager while disabled.
 **Threading.** ``ENABLED`` is process-global; the span stack and tree
 are thread-local, so concurrent threads trace into independent trees
 and never contend.  A thread that blocks on another thread's work
-times the block with :func:`wait`, which files it *beside* the span
-it interrupts: the blocked time shows in the tree, and the
-interrupted span stays a leaf.  Child *processes* (campaign fan-out)
+times the block with :func:`wait`, which files it *beside* the leaf
+span it interrupts (the interrupted span stays a leaf) and *under* an
+interior one: the blocked time shows in the tree, inside the span
+that waited.  Child *processes* (campaign fan-out)
 do not report back into the parent's tree - trace serially when a
 full tree is wanted (the ``repro trace`` CLI does).
 
@@ -203,13 +204,12 @@ class _Wait(_Span):
     def __exit__(self, exc_type, exc, tb) -> bool:
         elapsed = time.perf_counter() - self._start
         stack = _stack()
-        if len(stack) > 1:
-            # The open span adds its inclusive wall on exit; take the
+        host = stack[-1]
+        if len(stack) > 1 and not host.children:
+            # The open leaf adds its inclusive wall on exit; take the
             # block back out so the two nodes never overlap.
-            stack[-1].total_s -= elapsed
+            host.total_s -= elapsed
             host = stack[-2]
-        else:
-            host = stack[-1]
         node = host.child(self.name)
         node.count += 1
         node.total_s += elapsed
@@ -220,11 +220,13 @@ def wait(name: str) -> "_Wait | _NoopSpan":
     """Context manager timing a block where this thread waits for
     another thread's work.
 
-    The block is recorded as *name* beside the innermost open span
-    (under its parent) and taken out of that span's wall, so leaf
-    walls stay disjoint and the interrupted span keeps its leaf
-    status; with no span open it lands under the root.  Shared no-op
-    while disabled, like :func:`span`.
+    While the innermost open span is a leaf (a stage), the block is
+    recorded as *name* beside it (under its parent) and taken out of
+    its wall, so leaf walls stay disjoint and the interrupted span
+    keeps its leaf status.  While that span already has children (a
+    scenario around its stages), the block is one more child of it,
+    and its wall keeps the block.  With no span open it lands under
+    the root.  Shared no-op while disabled, like :func:`span`.
     """
     if not ENABLED:
         return _NOOP

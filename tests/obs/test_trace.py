@@ -154,6 +154,24 @@ class TestWait:
         assert set(root.leaf_walls()) == {"stage", "wait"}
         assert sum(root.leaf_walls().values()) <= root.total_s
 
+    def test_wait_inside_an_interior_span_is_its_child(self):
+        """A wait taken while the innermost open span already has
+        children (a scenario around its stages) is one more child of
+        it, and the span's wall keeps the blocked time."""
+        with trace.collect("root") as root:
+            with trace.span("scenario"):
+                with trace.span("stage"):
+                    pass
+                with trace.wait("wait"):
+                    time.sleep(0.004)
+        scenario = root.children["scenario"]
+        assert list(root.children) == ["scenario"]
+        assert list(scenario.children) == ["stage", "wait"]
+        wait = scenario.children["wait"]
+        assert (wait.count, wait.total_s >= 0.004) == (1, True)
+        assert scenario.total_s >= wait.total_s
+        assert set(scenario.leaf_walls()) == {"stage", "wait"}
+
     def test_wait_outside_any_span_lands_under_the_root(self):
         with trace.collect("root") as root:
             with trace.wait("wait"):
