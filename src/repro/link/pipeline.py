@@ -63,8 +63,8 @@ makes its own helper.  A process started by :mod:`multiprocessing`
 one CPU gets no helper thread: its helper runs each job on
 submission, so the same sweep runs serially.  A trace shows every join of the calling thread
 - a chunk's noise, a discarded look-ahead, the helper's decision rows
-- as a ``link.wait`` span beside the span it interrupts, whether the
-job ran or was cancelled; the helper's own work is in no collected
+- as a ``link.wait`` span, beside the stage span it interrupts and
+under a scenario span, whether the job ran or was cancelled; the helper's own work is in no collected
 span tree.
 
 **Scenario batch axis.** One chunk can serve a whole family of

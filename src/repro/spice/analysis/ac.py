@@ -16,8 +16,8 @@ import numpy as np
 from repro.spice.analysis.op import OpResult, operating_point
 from repro.spice.devices.sources import CurrentSource
 from repro.spice.errors import AnalysisError
-from repro.spice.mna import MnaSystem
-from repro.spice.netlist import Circuit, normalize_node
+from repro.spice.mna import MnaSystem, lookup
+from repro.spice.netlist import Circuit
 
 
 @dataclass
@@ -37,10 +37,10 @@ class AcResult:
 
     def v(self, node: str) -> np.ndarray:
         """Complex node voltage across frequency."""
-        node = normalize_node(node)
-        if node == "0":
+        row = lookup(self.system.node_index, "node", node)
+        if row == self.system.ground:
             return np.zeros(len(self.freqs), dtype=complex)
-        return self.x[:, self.system.node_index[node]].copy()
+        return self.x[:, row].copy()
 
     def vdiff(self, plus: str, minus: str) -> np.ndarray:
         return self.v(plus) - self.v(minus)
@@ -55,7 +55,8 @@ class AcResult:
         return np.degrees(np.angle(self.v(node)))
 
     def i(self, device: str) -> np.ndarray:
-        return self.x[:, self.system.branch_index[device.lower()]].copy()
+        return self.x[:, lookup(self.system.branch_index, "branch",
+                                device)].copy()
 
 
 def logspace_freqs(f_start: float, f_stop: float,

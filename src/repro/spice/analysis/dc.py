@@ -8,8 +8,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.spice.errors import AnalysisError, ConvergenceError
-from repro.spice.mna import MnaSystem
-from repro.spice.netlist import Circuit, normalize_node
+from repro.spice.mna import MnaSystem, lookup
+from repro.spice.netlist import Circuit
 
 
 @dataclass
@@ -29,16 +29,17 @@ class DcSweepResult:
 
     def v(self, node: str) -> np.ndarray:
         """Voltage trace of *node* across the sweep."""
-        node = normalize_node(node)
-        if node == "0":
+        row = lookup(self.system.node_index, "node", node)
+        if row == self.system.ground:
             return np.zeros(len(self.values))
-        return self.x[:, self.system.node_index[node]].copy()
+        return self.x[:, row].copy()
 
     def vdiff(self, plus: str, minus: str) -> np.ndarray:
         return self.v(plus) - self.v(minus)
 
     def i(self, device: str) -> np.ndarray:
-        return self.x[:, self.system.branch_index[device.lower()]].copy()
+        return self.x[:, lookup(self.system.branch_index, "branch",
+                                device)].copy()
 
 
 def dc_sweep(circuit: Circuit, source: str,

@@ -23,7 +23,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.spice.devices.mosfet import MosEval
 from repro.spice.errors import AnalysisError, ConvergenceError
-from repro.spice.mna import MnaSystem
+from repro.spice.mna import MnaSystem, lookup
 from repro.spice.netlist import Circuit, normalize_node
 
 #: Transient steps split into sub-steps after a Newton failure.
@@ -45,13 +45,13 @@ class TranResult:
     currents: dict[str, np.ndarray]
 
     def v(self, node: str) -> np.ndarray:
-        return self.voltages[normalize_node(node)]
+        return lookup(self.voltages, "node", node)
 
     def vdiff(self, plus: str, minus: str) -> np.ndarray:
         return self.v(plus) - self.v(minus)
 
     def i(self, device: str) -> np.ndarray:
-        return self.currents[device.lower()]
+        return lookup(self.currents, "branch", device)
 
     def at(self, node: str, time: float) -> float:
         """Linear-interpolated node voltage at *time*."""

@@ -29,7 +29,7 @@ point analysis).
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -49,6 +49,28 @@ from repro.spice.errors import (
 )
 from repro.spice.lint.engine import preflight_check
 from repro.spice.netlist import Circuit, normalize_node
+
+T = TypeVar("T")
+
+#: message of the error :func:`lookup` raises, per kind of name.
+_UNKNOWN = {
+    "node": "unknown node {!r}",
+    "branch": "{!r} has no branch current (a V source, VCVS or inductor "
+              "has one; a transient records its current_probes only)",
+}
+
+
+def lookup(table: Mapping[str, T], kind: str, name: str) -> T:
+    """The entry of *table* for a node (*kind* ``"node"``) or a device's
+    branch current (``"branch"``): the one place where an analysis
+    result turns an unknown name into a :class:`NetlistError` that
+    names it."""
+    key = normalize_node(name) if kind == "node" else name.lower()
+    try:
+        return table[key]
+    except KeyError:
+        raise NetlistError(_UNKNOWN[kind].format(name)) from None
+
 
 #: Newton iterations per converged :meth:`MnaSystem.newton` call.
 _ITERATIONS = _metrics.REGISTRY.histogram(
@@ -550,19 +572,9 @@ class MnaSystem:
     # ------------------------------------------------------------------
     def voltage(self, x: np.ndarray, node: str) -> float:
         """Node voltage from a solution vector (ground returns 0)."""
-        node = normalize_node(node)
-        if node == "0":
-            return 0.0
-        try:
-            return float(x[self.node_index[node]])
-        except KeyError:
-            raise NetlistError(f"unknown node {node!r}") from None
+        row = lookup(self.node_index, "node", node)
+        return 0.0 if row == self.ground else float(x[row])
 
     def branch_current(self, x: np.ndarray, device: str) -> float:
         """Branch current of a voltage source / VCVS / inductor."""
-        try:
-            return float(x[self.branch_index[device.lower()]])
-        except KeyError:
-            raise NetlistError(
-                f"{device!r} has no branch current (not a V source, "
-                "VCVS or inductor)") from None
+        return float(x[lookup(self.branch_index, "branch", device)])

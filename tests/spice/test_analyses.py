@@ -16,7 +16,11 @@ from repro.spice.devices.mosfet import Mosfet
 from repro.spice.devices.passives import Capacitor, Inductor, Resistor
 from repro.spice.devices.sources import CurrentSource, Pulse, VoltageSource
 from repro.spice.devices.switch import SwitchModel, VSwitch
-from repro.spice.errors import AnalysisError, SingularMatrixError
+from repro.spice.errors import (
+    AnalysisError,
+    NetlistError,
+    SingularMatrixError,
+)
 from repro.spice.library import generic_018
 from repro.spice.netlist import Circuit
 
@@ -293,3 +297,30 @@ class TestTransient:
         tau = r * c
         res = transient(ckt, 8 * tau, tau / 20)
         assert res.v("out")[-1] == pytest.approx(1.0, abs=2e-3)
+
+
+#: every analysis of a resistive divider, as a function of the circuit.
+ANALYSES = {
+    "op": operating_point,
+    "dc": lambda ckt: dc_sweep(ckt, "v1", [0.5, 1.0]),
+    "ac": lambda ckt: ac_analysis(ckt, [1e3, 1e6]),
+    "tran": lambda ckt: transient(ckt, 1e-9, 1e-10,
+                                  current_probes=("v1",)),
+}
+
+
+@pytest.mark.parametrize("analysis", list(ANALYSES))
+def test_unknown_names_raise_a_netlist_error_naming_them(analysis):
+    """Every result type answers an unknown node, or a device with no
+    branch current, with the same NetlistError naming it."""
+    ckt = Circuit("divider")
+    ckt.add(VoltageSource("v1", "in", "0", dc=1.0, ac_mag=1.0),
+            Resistor("r1", "in", "out", 1e3),
+            Resistor("r2", "out", "0", 1e3))
+    result = ANALYSES[analysis](ckt)
+    assert np.all(np.abs(result.v("OUT")) > 0.0)
+    assert np.all(np.abs(result.i("V1")) > 0.0)
+    with pytest.raises(NetlistError, match="unknown node 'nope'"):
+        result.v("nope")
+    with pytest.raises(NetlistError, match="'r1' has no branch current"):
+        result.i("r1")
