@@ -13,7 +13,8 @@ from dirtying the tracked ``BENCH_*.json`` copies at the repo root; to
 refresh those intentionally, run with ``REPRO_BENCH_DIR=.``.  The BER
 artifacts (fig6, mui) record result numbers only; speed is measured
 and gated by the repeated-run ``perfbench`` harness, not by one
-wall-clock sample here.
+wall-clock sample here; at quick scale their BER arrays must equal the
+committed copies (:func:`committed_ber_arrays`).
 """
 
 import json
@@ -53,6 +54,15 @@ def write_bench_artifact(name: str, payload: dict) -> pathlib.Path:
     record.update(payload)
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def committed_ber_arrays(name: str) -> dict:
+    """The ``ber_*`` and ``near_far_ber`` entries of the committed
+    ``BENCH_<name>.json`` at the repo root.  Read it before the run
+    writes its artifact: ``REPRO_BENCH_DIR=.`` overwrites that copy."""
+    committed = json.loads((_REPO_ROOT / f"BENCH_{name}.json").read_text())
+    return {key: value for key, value in committed.items()
+            if key.startswith("ber_") or key == "near_far_ber"}
 
 
 @pytest.fixture

@@ -7,12 +7,17 @@ closing in (received power following the TG4a path-loss law) drives
 the link interference-limited.
 """
 
-from benchmarks.conftest import full_scale, write_bench_artifact
+from benchmarks.conftest import (
+    committed_ber_arrays,
+    full_scale,
+    write_bench_artifact,
+)
 from repro.experiments.mui_network import run_mui
 
 
 def test_mui_network_ber(benchmark, report_sink):
     quick = not full_scale()
+    committed = committed_ber_arrays("mui")
     result = benchmark.pedantic(
         lambda: run_mui(quick=quick, seed=11),
         rounds=1, iterations=1)
@@ -27,7 +32,7 @@ def test_mui_network_ber(benchmark, report_sink):
     benchmark.extra_info.update(sweeps)
     # BER numbers only: speed is measured by perfbench's repeated runs
     # (ber_mui), not by this single round.
-    write_bench_artifact("mui", {
+    payload = {
         "points": (sum(len(c.ber) for c in result.curves.values())
                    + len(result.near_far)),
         "ebn0_db": list(result.ebn0_grid),
@@ -36,7 +41,12 @@ def test_mui_network_ber(benchmark, report_sink):
         **sweeps,
         "near_far_ebn0_db": result.near_far_ebn0,
         "near_far_ber": near_far,
-    })
+    }
+    write_bench_artifact("mui", payload)
+    # The committed copy is the quick-scale run: its BER arrays pin the
+    # counts bit for bit.
+    if quick:
+        assert {key: payload[key] for key in committed} == committed
 
     # The acceptance claims: more interferers always hurt, and so does
     # a closer aggressor.
