@@ -56,7 +56,7 @@ def main() -> None:
     spec = LinkSpec(integrator="ideal")
     ideal = ops.ber_curve(spec, grid, np.random.default_rng(1),
                           label="ideal", **budget)
-    circuit = ops.ber_curve(spec.with_(integrator="circuit"), grid,
+    circuit = ops.ber_curve(LinkSpec(integrator="circuit"), grid,
                             np.random.default_rng(1),
                             integrator=surrogate, label="circuit",
                             **budget)

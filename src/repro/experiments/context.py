@@ -34,8 +34,8 @@ class ExperimentContext:
     store: Any | None = None
     chunk_bits: int | None = None
 
-    def seed_kwargs(self, name: str = "seed") -> dict[str, int]:
-        """``{name: seed}`` when a seed override is set, else ``{}`` -
+    def seed_kwargs(self) -> dict[str, int]:
+        """``{"seed": seed}`` when a seed override is set, else ``{}`` -
         the idiom for forwarding the override to harnesses that have
         their own default seed."""
-        return {} if self.seed is None else {name: self.seed}
+        return {} if self.seed is None else {"seed": self.seed}

@@ -208,18 +208,6 @@ class LinkSpec:
 
     # -- evolution helpers ---------------------------------------------
 
-    def with_(self, **changes: Any) -> "LinkSpec":
-        """Copy with top-level fields changed."""
-        return replace(self, **changes)
-
-    def with_config(self, **changes: Any) -> "LinkSpec":
-        """Copy with :class:`UwbConfig` fields changed."""
-        return replace(self, config=self.config.scaled(**changes))
-
-    def with_channel(self, **changes: Any) -> "LinkSpec":
-        """Copy with :class:`ChannelSpec` fields changed."""
-        return replace(self, channel=replace(self.channel, **changes))
-
     def with_frontend(self, **changes: Any) -> "LinkSpec":
         """Copy with :class:`FrontEndSpec` fields changed."""
         return replace(self, frontend=replace(self.frontend, **changes))
@@ -317,14 +305,3 @@ class NetworkSpec:
     @property
     def n_interferers(self) -> int:
         return len(self.interferers)
-
-    # -- evolution helpers ---------------------------------------------
-
-    def with_victim(self, victim: LinkSpec) -> "NetworkSpec":
-        """Copy with the victim link replaced."""
-        return replace(self, victim=victim)
-
-    def with_interferers(self, *interferers: InterfererSpec
-                         ) -> "NetworkSpec":
-        """Copy with the interferer set replaced."""
-        return replace(self, interferers=tuple(interferers))

@@ -39,8 +39,6 @@ class TestContext:
     def test_seed_kwargs(self):
         assert ExperimentContext().seed_kwargs() == {}
         assert ExperimentContext(seed=9).seed_kwargs() == {"seed": 9}
-        assert ExperimentContext(seed=9).seed_kwargs("base_seed") == \
-            {"base_seed": 9}
 
     def test_defaults(self):
         ctx = ExperimentContext()

@@ -1,6 +1,8 @@
 """The link operations and the spec -> component builders behind them:
 golden-model BER, packet decisions, ranging, builder fidelity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ class TestBuilders:
         assert 0 < derived.band[0] < derived.band[1] < FAST.fs / 2
 
     def test_channel_realization_deterministic(self):
-        spec = SPEC.with_channel(kind="cm1", distance=4.0)
+        spec = replace(SPEC, channel=ChannelSpec(kind="cm1", distance=4.0))
         a = build_channel_realization(spec)
         b = build_channel_realization(spec)
         assert np.array_equal(a.taps, b.taps)
@@ -84,12 +86,12 @@ class TestBuilders:
         """One resolution rule for every op: spec selection with its
         params, name or instance overrides, and "circuit" as the
         behavioral surrogate unless the caller hosts co-simulation."""
-        spec = SPEC.with_(integrator="two_pole",
-                          integrator_params={"fp2_hz": 2.5e9})
+        spec = replace(SPEC, integrator="two_pole",
+                       integrator_params={"fp2_hz": 2.5e9})
         assert build_integrator(spec).fp2_hz == 2.5e9
         model = TwoPoleIntegrator()
         assert build_integrator(spec, model) is model
-        circuit = SPEC.with_(integrator="circuit")
+        circuit = replace(SPEC, integrator="circuit")
         assert build_integrator(circuit).name == "circuit"
         assert not isinstance(build_integrator(circuit), str)
         assert build_integrator(circuit, cosim=True) == "circuit"
@@ -144,15 +146,15 @@ class TestFastsimBackend:
         assert list(sweep) == ["surrogate"]
 
     def test_integrator_params_reach_model(self):
-        spec = SPEC.with_(integrator="two_pole",
-                          integrator_params={"fp2_hz": 2.5e9})
+        spec = replace(SPEC, integrator="two_pole",
+                       integrator_params={"fp2_hz": 2.5e9})
         curve = ops.ber_curve(
             spec, [8.0], np.random.default_rng(3),
             target_errors=10, max_bits=1000, min_bits=400)
         assert curve.label == "two_pole"
 
     def test_circuit_resolves_to_surrogate(self):
-        spec = SPEC.with_(integrator="circuit")
+        spec = replace(SPEC, integrator="circuit")
         e, b = ber_point(spec, 10.0, np.random.default_rng(4),
                          target_errors=10, max_bits=1000, min_bits=400)
         assert b >= 400
@@ -226,8 +228,8 @@ class TestKernelBackend:
         assert sim is not None
 
     def test_circuit_with_params_fails_with_intent(self):
-        spec = SPEC.with_(integrator="circuit",
-                          integrator_params={"fp2_hz": 3e9})
+        spec = replace(SPEC, integrator="circuit",
+                       integrator_params={"fp2_hz": 3e9})
         with pytest.raises(ValueError, match="no integrator_params"):
             ops.run_testbench(
                 spec, _conditioned(np.array([1, 0], dtype=np.int8)))
@@ -238,8 +240,9 @@ class TestKernelBackend:
 
     @pytest.mark.parametrize("spec, ebn0, expected", [
         pytest.param(SPEC, 6.0, (9, 90), id="awgn"),
-        pytest.param(SPEC.with_channel(kind="cm1", distance=3.0), 14.0,
-                     (6, 90), id="cm1"),
+        pytest.param(replace(SPEC, channel=ChannelSpec(kind="cm1",
+                                                       distance=3.0)),
+                     14.0, (6, 90), id="cm1"),
     ])
     def test_ber_point_pinned_counters(self, spec, ebn0, expected):
         """Kernel decisions on three consecutive 30-symbol Phase-I
@@ -349,7 +352,7 @@ class TestKernelPreflight:
         monkeypatch.setattr(system, "build_id_testbench",
                             self._sabotaged_testbench)
         sig = _conditioned(np.array([1, 0], dtype=np.int8))
-        spec = SPEC.with_(integrator="circuit")
+        spec = replace(SPEC, integrator="circuit")
         with pytest.raises(NetlistLintError, match="SP-FLOAT-001") as exc:
             ops.run_testbench(spec, sig, cosim_substeps=1)
         assert "mut_dangling" in str(exc.value)

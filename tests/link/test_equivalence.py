@@ -5,6 +5,8 @@ kernel testbench within the Wilson interval, and the two kernel
 engines must demodulate bit-identical decisions.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ class TestBerPointAgreement:
 class TestEquivalenceAcrossModels:
     @pytest.mark.parametrize("name", ["two_pole", "surrogate"])
     def test_phase_iv_models_also_agree(self, name):
-        res = run_equivalence(DEFAULT_SPEC.with_(integrator=name),
+        res = run_equivalence(replace(DEFAULT_SPEC, integrator=name),
                               bits=120, seed=29)
         assert res.engines_identical
         assert res.all_agree(), res.format_report()
@@ -128,7 +130,7 @@ class TestCircuitNetlistAgainstSurrogate:
 
     @pytest.fixture(scope="class")
     def circuit(self):
-        return run_equivalence(DEFAULT_SPEC.with_(integrator="circuit"),
+        return run_equivalence(replace(DEFAULT_SPEC, integrator="circuit"),
                                ebn0_grid=(6.0, 12.0), bits=40, seed=23,
                                engines=("compiled",))
 

@@ -6,13 +6,20 @@ received ratios, the combine stage sums what it says it sums, and the
 single-link operations refuse what they cannot synthesize.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.link import ops
 from repro.link.backends import build_interferer_paths, calibrate
 from repro.link.pipeline import CombineStage, InterfererPath
-from repro.link.spec import InterfererSpec, LinkSpec, NetworkSpec
+from repro.link.spec import (
+    ChannelSpec,
+    InterfererSpec,
+    LinkSpec,
+    NetworkSpec,
+)
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.fastsim import BerResult
 from repro.uwb.modulation import ppm_waveform, random_bits
@@ -82,8 +89,8 @@ class TestInterferenceBehavior:
 
     def test_independent_cm1_realizations(self):
         """Interferers draw their own channel, not the victim's."""
-        spec = SPEC.with_channel(kind="cm1", distance=9.9,
-                                 realization_seed=1234)
+        spec = dataclasses.replace(SPEC, channel=ChannelSpec(
+            kind="cm1", distance=9.9, realization_seed=1234))
         network = NetworkSpec(victim=spec, interferers=(
             InterfererSpec(rel_power_db=None,
                            channel=spec.channel),
@@ -144,8 +151,6 @@ class TestCombineStage:
     def test_overlapping_pulses_add_the_dense_roll(self, offset):
         """A pulse longer than the slot has no sparse form; a
         channel-free interferer then adds its dense pulse train."""
-        import dataclasses
-
         cfg = dataclasses.replace(TEST_CONFIG,
                                   pulse_tau=TEST_CONFIG.pulse_tau * 8)
         rng = np.random.default_rng(5)

@@ -1,5 +1,7 @@
 """Vectorized BER engine and the AMS-kernel receiver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -139,13 +141,13 @@ class TestAmsReceiver:
         bits = np.array([1, 0, 0, 1, 1, 0], dtype=np.int8)
         sig = self._clean_signal(bits)
         for kind in ("ideal", "two_pole", "surrogate"):
-            res = ops.run_testbench(SPEC.with_(integrator=kind), sig)
+            res = ops.run_testbench(replace(SPEC, integrator=kind), sig)
             assert np.array_equal(res.bits, bits), kind
 
     def test_cosim_demodulation(self):
         bits = np.array([1, 0, 1], dtype=np.int8)
         sig = self._clean_signal(bits)
-        res = ops.run_testbench(SPEC.with_(integrator="circuit"), sig)
+        res = ops.run_testbench(replace(SPEC, integrator="circuit"), sig)
         assert np.array_equal(res.bits, bits)
         assert res.cpu_time > 0
 
@@ -153,7 +155,7 @@ class TestAmsReceiver:
         bits = np.array([1, 0], dtype=np.int8)
         sig = self._clean_signal(bits)
         fast = ops.run_testbench(SPEC, sig)
-        slow = ops.run_testbench(SPEC.with_(integrator="circuit"), sig)
+        slow = ops.run_testbench(replace(SPEC, integrator="circuit"), sig)
         assert slow.cpu_time > 2.0 * fast.cpu_time
 
     def test_recorder_attached(self):
