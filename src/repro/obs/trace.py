@@ -36,9 +36,9 @@ and never contend.  A thread that blocks on another thread's work
 times the block with :func:`wait`, which files it *beside* the leaf
 span it interrupts (the interrupted span stays a leaf) and *under* an
 interior one: the blocked time shows in the tree, inside the span
-that waited.  Child *processes* (campaign fan-out)
-do not report back into the parent's tree - trace serially when a
-full tree is wanted (the ``repro trace`` CLI does).
+that waited.  Child *processes* (campaign fan-out) do not report back
+into the parent's tree - trace serially when a full tree is wanted
+(the ``repro trace`` CLI does).
 
 This module is dependency-free (stdlib only); JSON import/export and
 rendering live in :mod:`repro.obs.export`.
