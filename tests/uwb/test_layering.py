@@ -193,10 +193,13 @@ PACKAGES = {name: package_defines(name) for name, path in MODULES.items()
 def reexport_imports(source: str, package: tuple[str, ...]) -> list[str]:
     """``pkg.name`` for every name *source* imports through a package
     that neither defines it nor holds it as a submodule."""
-    return sorted(
-        name for name in imported_modules(source, package)
-        if name.rpartition(".")[0] in PACKAGES and name not in MODULES
-        and name.rpartition(".")[2] not in PACKAGES[name.rpartition(".")[0]])
+    offending = []
+    for name in imported_modules(source, package):
+        parent, _, attr = name.rpartition(".")
+        if (parent in PACKAGES and name not in MODULES
+                and attr not in PACKAGES[parent]):
+            offending.append(name)
+    return sorted(offending)
 
 
 PY_FILES = sorted(p for top in ("src", "tests", "examples", "benchmarks")
