@@ -16,7 +16,7 @@ import numpy as np
 from repro.spice.analysis.op import OpResult, operating_point
 from repro.spice.devices.sources import CurrentSource
 from repro.spice.errors import AnalysisError
-from repro.spice.mna import MnaSystem, lookup
+from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit
 
 
@@ -37,10 +37,7 @@ class AcResult:
 
     def v(self, node: str) -> np.ndarray:
         """Complex node voltage across frequency."""
-        row = lookup(self.system.node_index, "node", node)
-        if row == self.system.ground:
-            return np.zeros(len(self.freqs), dtype=complex)
-        return self.x[:, row].copy()
+        return self.system.voltage(self.x, node).copy()
 
     def vdiff(self, plus: str, minus: str) -> np.ndarray:
         return self.v(plus) - self.v(minus)
@@ -55,8 +52,7 @@ class AcResult:
         return np.degrees(np.angle(self.v(node)))
 
     def i(self, device: str) -> np.ndarray:
-        return self.x[:, lookup(self.system.branch_index, "branch",
-                                device)].copy()
+        return self.system.branch_current(self.x, device).copy()
 
 
 def logspace_freqs(f_start: float, f_stop: float,

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.spice.errors import AnalysisError, ConvergenceError
-from repro.spice.mna import MnaSystem, lookup
+from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit
 
 
@@ -29,17 +29,13 @@ class DcSweepResult:
 
     def v(self, node: str) -> np.ndarray:
         """Voltage trace of *node* across the sweep."""
-        row = lookup(self.system.node_index, "node", node)
-        if row == self.system.ground:
-            return np.zeros(len(self.values))
-        return self.x[:, row].copy()
+        return self.system.voltage(self.x, node).copy()
 
     def vdiff(self, plus: str, minus: str) -> np.ndarray:
         return self.v(plus) - self.v(minus)
 
     def i(self, device: str) -> np.ndarray:
-        return self.x[:, lookup(self.system.branch_index, "branch",
-                                device)].copy()
+        return self.system.branch_current(self.x, device).copy()
 
 
 def dc_sweep(circuit: Circuit, source: str,

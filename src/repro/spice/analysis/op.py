@@ -25,7 +25,7 @@ class OpResult:
 
     def v(self, node: str) -> float:
         """Node voltage in volts."""
-        return self.system.voltage(self.x, node)
+        return float(self.system.voltage(self.x, node))
 
     def vdiff(self, plus: str, minus: str) -> float:
         """Differential voltage ``v(plus) - v(minus)``."""
@@ -33,7 +33,7 @@ class OpResult:
 
     def i(self, device: str) -> float:
         """Branch current of a voltage source, VCVS or inductor."""
-        return self.system.branch_current(self.x, device)
+        return float(self.system.branch_current(self.x, device))
 
     def mos_info(self) -> dict[str, dict[str, float]]:
         """Per-MOSFET bias summary: ids, vgs, vds, region, gm, gds, gmb.

@@ -23,7 +23,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.spice.devices.mosfet import MosEval
 from repro.spice.errors import AnalysisError, ConvergenceError
-from repro.spice.mna import MnaSystem, lookup
+from repro.spice.mna import MnaSystem, branch_entry, node_entry
 from repro.spice.netlist import Circuit, normalize_node
 
 #: Transient steps split into sub-steps after a Newton failure.
@@ -45,13 +45,13 @@ class TranResult:
     currents: dict[str, np.ndarray]
 
     def v(self, node: str) -> np.ndarray:
-        return lookup(self.voltages, "node", node)
+        return node_entry(self.voltages, node, np.zeros_like(self.t))
 
     def vdiff(self, plus: str, minus: str) -> np.ndarray:
         return self.v(plus) - self.v(minus)
 
     def i(self, device: str) -> np.ndarray:
-        return lookup(self.currents, "branch", device)
+        return branch_entry(self.currents, device)
 
     def at(self, node: str, time: float) -> float:
         """Linear-interpolated node voltage at *time*."""
@@ -128,13 +128,13 @@ class TransientStepper:
 
     def v(self, node: str) -> float:
         """Present node voltage."""
-        return self.system.voltage(self.x, node)
+        return float(self.system.voltage(self.x, node))
 
     def vdiff(self, plus: str, minus: str) -> float:
         return self.v(plus) - self.v(minus)
 
     def i(self, device: str) -> float:
-        return self.system.branch_current(self.x, device)
+        return float(self.system.branch_current(self.x, device))
 
     # ------------------------------------------------------------------
     @_trace.timed("spice.step")

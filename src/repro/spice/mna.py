@@ -52,24 +52,32 @@ from repro.spice.netlist import Circuit, normalize_node
 
 T = TypeVar("T")
 
-#: message of the error :func:`lookup` raises, per kind of name.
-_UNKNOWN = {
-    "node": "unknown node {!r}",
-    "branch": "{!r} has no branch current (a V source, VCVS or inductor "
-              "has one; a transient records its current_probes only)",
-}
-
-
-def lookup(table: Mapping[str, T], kind: str, name: str) -> T:
-    """The entry of *table* for a node (*kind* ``"node"``) or a device's
-    branch current (``"branch"``): the one place where an analysis
-    result turns an unknown name into a :class:`NetlistError` that
-    names it."""
-    key = normalize_node(name) if kind == "node" else name.lower()
+def node_entry(table: Mapping[str, T], node: str, ground: T) -> T:
+    """The entry of *table* for *node*, and *ground* for any ground
+    alias: the one node lookup behind every analysis result, so op, dc,
+    ac and tran share one ground rule and raise one
+    :class:`NetlistError` that names an unknown node."""
+    key = normalize_node(node)
+    if key == "0":
+        return ground
     try:
         return table[key]
     except KeyError:
-        raise NetlistError(_UNKNOWN[kind].format(name)) from None
+        raise NetlistError(f"unknown node {node!r}") from None
+
+
+def branch_entry(table: Mapping[str, T], device: str) -> T:
+    """The entry of *table* for *device*'s branch current: the one
+    branch lookup behind every analysis result, raising a
+    :class:`NetlistError` that names a device with no recorded
+    current."""
+    try:
+        return table[device.lower()]
+    except KeyError:
+        raise NetlistError(
+            f"{device!r} has no branch current (a V source, VCVS or "
+            "inductor has one; a transient records its current_probes "
+            "only)") from None
 
 
 #: Newton iterations per converged :meth:`MnaSystem.newton` call.
@@ -570,11 +578,15 @@ class MnaSystem:
     # ------------------------------------------------------------------
     # result helpers
     # ------------------------------------------------------------------
-    def voltage(self, x: np.ndarray, node: str) -> float:
-        """Node voltage from a solution vector (ground returns 0)."""
-        row = lookup(self.node_index, "node", node)
-        return 0.0 if row == self.ground else float(x[row])
+    def voltage(self, x: np.ndarray, node: str) -> np.ndarray:
+        """Voltage of *node* in the solution vector(s) *x*, unknowns on
+        the last axis (ground gives zeros)."""
+        row = node_entry(self.node_index, node, None)
+        if row is None:
+            return np.zeros(x.shape[:-1], dtype=x.dtype)
+        return x[..., row]
 
-    def branch_current(self, x: np.ndarray, device: str) -> float:
-        """Branch current of a voltage source / VCVS / inductor."""
-        return float(x[lookup(self.branch_index, "branch", device)])
+    def branch_current(self, x: np.ndarray, device: str) -> np.ndarray:
+        """Branch current of a voltage source / VCVS / inductor in the
+        solution vector(s) *x*, unknowns on the last axis."""
+        return x[..., branch_entry(self.branch_index, device)]

@@ -312,7 +312,8 @@ ANALYSES = {
 @pytest.mark.parametrize("analysis", list(ANALYSES))
 def test_unknown_names_raise_a_netlist_error_naming_them(analysis):
     """Every result type answers an unknown node, or a device with no
-    branch current, with the same NetlistError naming it."""
+    branch current, with the same NetlistError naming it, and gives
+    zeros for ground whether or not ground was probed."""
     ckt = Circuit("divider")
     ckt.add(VoltageSource("v1", "in", "0", dc=1.0, ac_mag=1.0),
             Resistor("r1", "in", "out", 1e3),
@@ -320,6 +321,9 @@ def test_unknown_names_raise_a_netlist_error_naming_them(analysis):
     result = ANALYSES[analysis](ckt)
     assert np.all(np.abs(result.v("OUT")) > 0.0)
     assert np.all(np.abs(result.i("V1")) > 0.0)
+    for ground in ("0", "GND"):
+        assert np.all(result.v(ground) == 0.0)
+        assert np.shape(result.v(ground)) == np.shape(result.v("out"))
     with pytest.raises(NetlistError, match="unknown node 'nope'"):
         result.v("nope")
     with pytest.raises(NetlistError, match="'r1' has no branch current"):
