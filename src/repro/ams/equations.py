@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import lfilter as _lfilter
+
+from repro.core.iir import SectionFilter
 
 
 def saturate(value: float, low: float, high: float) -> float:
@@ -53,6 +54,9 @@ class OnePoleState:
         self.gain = gain
         self.y = 0.0
         self._x_prev = 0.0
+        # (dt, filter) of the last update_block: the block filter is
+        # derived from dt, and a run keeps one step size.
+        self._block: tuple[float, SectionFilter] | None = None
 
     def update(self, x: float, dt: float) -> float:
         """Advance one step with input *x*; returns the new output."""
@@ -73,8 +77,10 @@ class OnePoleState:
         denom = a + 0.5
         c1 = (a - 0.5) / denom          # y[k] = c1*y[k-1]
         b0 = 0.5 * self.gain / denom    # + b0*(x[k] + x[k-1])
+        if self._block is None or self._block[0] != dt:
+            self._block = (dt, SectionFilter([([b0, b0], [1.0, -c1])]))
         zi = np.array([b0 * self._x_prev + c1 * self.y])
-        y, _zf = _lfilter([b0, b0], [1.0, -c1], x, zi=zi)
+        y, _zf = self._block[1](x, zi)
         self.y = float(y[-1])
         self._x_prev = float(x[-1])
         return y

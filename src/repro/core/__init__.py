@@ -11,6 +11,9 @@ This package holds the flow's tooling:
 * :mod:`repro.core.characterize` - Phase-IV automation: two-pole fit of
   an AC response and static-nonlinearity extraction from a DC sweep of
   the transistor circuit,
+* :mod:`repro.core.iir` - the IIR filters on NumPy alone: Butterworth
+  band-pass design, the bilinear transform and the block state-space
+  filter kernel every filter in the package runs on,
 * :mod:`repro.core.metrics` - CPU-time accounting and system-metric
   (BER / ranging) comparison reports,
 * :mod:`repro.core.scenario` - declarative

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.circuits.integrate_dump import build_id_testbench
 from repro.circuits.sizing import IntegrateDumpDesign, default_design
@@ -98,6 +97,11 @@ def fit_two_pole(freqs, mag_db) -> TwoPoleFit:
                  - 10.0 * np.log10(1.0 + (freqs / 10.0 ** f1_log) ** 2)
                  - 10.0 * np.log10(1.0 + (freqs / 10.0 ** f2_log) ** 2))
         return model - mag_db
+
+    # Imported here, not at module level: scipy.optimize is about half
+    # a second of import, and every module that builds a surrogate
+    # imports this one without fitting anything.
+    from scipy.optimize import least_squares
 
     fit = least_squares(residual, x0)
     g_log, f1_log, f2_log = fit.x

@@ -222,12 +222,6 @@ class _LinkCache:
     def __init__(self, config: UwbConfig,
                  channel: ChannelRealization | None,
                  bpf: BandPassFilter | None):
-        with _trace.span("link.calibrate"):
-            self._init(config, channel, bpf)
-
-    def _init(self, config: UwbConfig,
-              channel: ChannelRealization | None,
-              bpf: BandPassFilter | None) -> None:
         self.config = config
         self.channel = channel
         self.bpf = bpf if bpf is not None else BandPassFilter.for_pulse(
@@ -263,8 +257,15 @@ def calibrate(spec: LinkSpec) -> _LinkCache:
     """
     return _memoized(
         _CALIBRATION_MEMO, (spec.config, spec.channel, spec.frontend),
-        lambda: _LinkCache(spec.config, build_channel_realization(spec),
-                           build_bpf(spec)))
+        lambda: _calibrated(spec))
+
+
+def _calibrated(spec: LinkSpec) -> _LinkCache:
+    # One span over the whole build: on a cold run the band-pass design
+    # and the channel draw cost more than the pilot itself.
+    with _trace.span("link.calibrate"):
+        return _LinkCache(spec.config, build_channel_realization(spec),
+                          build_bpf(spec))
 
 
 def build_interferer_paths(network: NetworkSpec, *,
@@ -308,7 +309,8 @@ def build_interferer_paths(network: NetworkSpec, *,
                 # reuse the victim's calibration outright.
                 pilot = cache
             else:
-                pilot = _LinkCache(cfg, realization, cache.bpf)
+                with _trace.span("link.calibrate"):
+                    pilot = _LinkCache(cfg, realization, cache.bpf)
             amplitude = math.sqrt(10.0 ** (intf.rel_power_db / 10.0)
                                   * cache.eb / pilot.eb)
         paths.append(InterfererPath(

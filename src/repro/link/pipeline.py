@@ -42,7 +42,10 @@ thread (the kernels involved release the GIL), and
 chunk ahead.  The calling thread draws a chunk's bits itself; the
 helper then draws the chunk's unit noise and band-passes and
 drive-scales it in place, so a noise job holds one noise vector
-(:meth:`BandPassFilter.__call__` with ``overwrite_x``).  The first
+(:meth:`BandPassFilter.__call__` with ``overwrite_x``: the block filter
+of :mod:`repro.core.iir` streams the vector in cache-sized passes and
+writes each pass back over its input, bit-identical to the
+out-of-place call).  The first
 chunk's noise overlaps its own synthesis.  Every later chunk's bits
 are drawn as soon as the chunk before it has its noise, and its noise
 job overlaps the synthesis and grading of that chunk; once its draw is
@@ -123,9 +126,14 @@ def _helper() -> futures.Executor:
     a process with no core to spare for it - :class:`_Inline`."""
     global _HELPER
     if _HELPER is None:
-        _HELPER = futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-link-helper"
-        ) if _spare_core() else _Inline()
+        if _spare_core():
+            _HELPER = futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-link-helper")
+            # The executor starts its thread on the first job: start it
+            # now, so a sweep's first chunk does not pay for it.
+            _HELPER.submit(int).result()
+        else:
+            _HELPER = _Inline()
     return _HELPER
 
 
@@ -540,45 +548,39 @@ def run_ber_point(front: SignalPipeline, decider: DecisionStage,
 
 _PRIMED_BYTES = 0
 
+#: heap a chunk's temporaries span in one allocator arena, in
+#: chunk-sized float64 vectors.  With the helper's jobs inline about 4.6
+#: are live at once (the filtered signal, the noise being graded and the
+#: look-ahead's, a nonlinear decider's three half-size float32 copies
+#: and the filter's work arrays), and the free gaps between them make
+#: up the rest.
+HEAP_VECTORS = 6
 
-def _prime_allocator(block_bytes: int) -> None:
-    """Pre-adapt the process allocator to the sweep's chunk temporaries.
 
-    The chunk temporaries (the noise vector, the two filter outputs
-    and the reduction products, each one chunk of float64 samples, and
-    a nonlinear decider's float32 casts of the filter outputs and its
-    float32 rows, half a chunk's bytes each) sit far
-    above glibc's initial 128 KiB mmap threshold, so an unprimed
-    process mmaps each of them fresh and munmaps it again on every
-    wave - every release hands the pages back to the OS and the next
-    wave page-faults them all back in, which dominates a cold run.
-    glibc's threshold is *dynamic*: freeing an mmapped block raises the
-    threshold to that block's size, after which same-sized requests are
-    served from the heap free list and their pages stay resident.
-    Allocating and releasing a few wave-sized scratch blocks triggers
-    that adaptation once, up front; touching a working set's worth of
-    heap blocks afterwards pre-faults the pages the waves then recycle.
+def _prime_allocator(vector_bytes: int) -> None:
+    """Keep a sweep's chunk temporaries resident from chunk to chunk.
+
+    glibc maps a request above its mmap threshold afresh, and returns
+    the free space at the top of a heap to the OS once it exceeds its
+    trim threshold (both 128 KiB at start).  Freeing a mapped block
+    raises the mmap threshold to that block's size and the trim
+    threshold to twice it.  A chunk frees its temporaries together, so
+    unless the trim threshold exceeds the heap they span
+    (:data:`HEAP_VECTORS` vectors of *vector_bytes*) the heap hands
+    their pages back after every chunk and the next chunk page-faults
+    them all in again (``ber_mui`` takes about 80,000 minor faults per
+    operation that way).  Mapping and releasing one block of half that
+    span, once per process, sets both thresholds.
     """
-    # glibc caps the dynamic threshold at 32 MiB; bigger blocks stay
-    # mmapped no matter what, so clamp the scratch size to what the
-    # adaptation can actually absorb.  Priming is per-process state:
-    # once the allocator has adapted to a given block size, re-priming
-    # at or below it would only burn a working set's worth of memset.
+    # glibc caps the dynamic mmap threshold at 32 MiB.  Once adapted,
+    # priming at or below the same size changes nothing.
     global _PRIMED_BYTES
-    block_bytes = max(1, min(block_bytes, 1 << 25))
+    block_bytes = max(1, min(HEAP_VECTORS * vector_bytes // 2, 1 << 25))
     if block_bytes <= _PRIMED_BYTES:
         return
     _PRIMED_BYTES = block_bytes
-    for _ in range(3):
-        scratch = np.empty(block_bytes, dtype=np.uint8)
-        del scratch
-    # The working set: four live blocks, within a 128 MiB budget.
-    count = max(1, min(4, (1 << 27) // block_bytes))
-    blocks = [np.empty(block_bytes, dtype=np.uint8)
-              for _ in range(count)]
-    for scratch in blocks:
-        scratch.fill(0)
-    del blocks
+    scratch = np.empty(block_bytes, dtype=np.uint8)
+    del scratch
 
 
 def keeps_sampling(errors: int, bits: int, *, target_errors: int,
@@ -685,6 +687,7 @@ def run_ber_sweep(front: SignalPipeline,
                * front.stages[0].config.samples_per_symbol)
     with _trace.span("link.prime"):
         _prime_allocator(samples * 8)
+        _helper()
     bits_done = 0
     # The chunk to grade next (bits drawn, noise on the helper), and
     # the generator's state before its draws while it is a look-ahead

@@ -10,17 +10,19 @@ derivable automatically from the pulse spectrum.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as _signal
 
+from repro.core.iir import STREAM_BLOCK, SectionFilter, butter_bandpass
 from repro.uwb.pulse import pulse_band, sampled_pulse
 
 
-#: samples per block of an in-place :class:`BandPassFilter` pass.
-OVERWRITE_BLOCK = 1 << 16
+#: samples per streamed pass of a :class:`BandPassFilter`, in place or
+#: not (the kernel's :data:`~repro.core.iir.STREAM_BLOCK`).
+OVERWRITE_BLOCK = STREAM_BLOCK
 
 
 class BandPassFilter:
-    """Butterworth band-pass applied with second-order sections.
+    """Butterworth band-pass applied with second-order sections
+    (:mod:`repro.core.iir` designs and runs them).
 
     Args:
         band: (low, high) corner frequencies in Hz.
@@ -38,8 +40,8 @@ class BandPassFilter:
         self.band = (float(low), float(high))
         self.fs = float(fs)
         self.order = int(order)
-        self.sos = _signal.butter(order, [low / nyq, high / nyq],
-                                  btype="bandpass", output="sos")
+        self.sos = butter_bandpass(self.order, (low / nyq, high / nyq))
+        self._kernel = SectionFilter.from_sos(self.sos)
 
     @classmethod
     def for_pulse(cls, fs: float, tau: float, pulse_order: int = 5,
@@ -55,17 +57,16 @@ class BandPassFilter:
                  ) -> np.ndarray:
         """*x* filtered along its last axis.
 
-        With *overwrite_x* a float64 vector *x* is filtered in place and
-        returned: a block at a time, the filter state carried from block
-        to block, so the output is bit-identical to one pass but no
-        second array of *x*'s size is allocated.
+        With *overwrite_x* a contiguous float64 vector *x* is filtered in
+        place and returned.  Either way the kernel streams
+        :data:`OVERWRITE_BLOCK` samples at a time, the filter state
+        carried from pass to pass, so the in-place output is
+        bit-identical to the other but no second array of *x*'s size is
+        allocated.
         """
         if not overwrite_x:
-            return _signal.sosfilt(self.sos, x, axis=-1)
-        if x.ndim != 1 or x.dtype != np.float64:
-            raise ValueError("overwrite_x needs a float64 vector")
-        state = np.zeros((len(self.sos), 2))
-        for start in range(0, len(x), OVERWRITE_BLOCK):
-            block = x[start:start + OVERWRITE_BLOCK]
-            block[:], state = _signal.sosfilt(self.sos, block, zi=state)
-        return x
+            return self._kernel(x)[0]
+        if (x.ndim != 1 or x.dtype != np.float64
+                or not x.flags.c_contiguous):
+            raise ValueError("overwrite_x needs a contiguous float64 vector")
+        return self._kernel(x, out=x)[0]

@@ -30,12 +30,12 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import signal as _signal
 
 from repro.ams.equations import (
     GatedIntegratorState,
     TwoPoleGatedIntegratorState,
 )
+from repro.core.iir import SectionFilter, bilinear
 
 
 def nominal_gain(integrator) -> float | None:
@@ -164,8 +164,8 @@ class TwoPoleIntegrator(WindowIntegrator):
         self.fp1_hz = float(fp1_hz)
         self.fp2_hz = float(fp2_hz)
         self.input_nonlinearity = input_nonlinearity
-        # Derived filter data: bilinear coefficients per sample period
-        # and window weights per (window length, sample period).
+        # Derived filter data: the bilinear-transform filter per sample
+        # period and window weights per (window length, sample period).
         self._filter_cache: dict = {}
 
     @property
@@ -183,7 +183,7 @@ class TwoPoleIntegrator(WindowIntegrator):
         state["_filter_cache"] = {}
         return state
 
-    def _coeffs(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    def _filter(self, dt: float) -> SectionFilter:
         try:
             return self._filter_cache[dt]
         except KeyError:
@@ -192,22 +192,21 @@ class TwoPoleIntegrator(WindowIntegrator):
         w2 = 2.0 * math.pi * self.fp2_hz
         num = [self.gain * w1 * w2]
         den = [1.0, w1 + w2, w1 * w2]
-        b, a = _signal.bilinear(num, den, fs=1.0 / dt)
-        self._filter_cache[dt] = (b, a)
-        return b, a
+        kernel = SectionFilter([bilinear(num, den, fs=1.0 / dt)])
+        self._filter_cache[dt] = kernel
+        return kernel
 
     def weights(self, n: int, dt: float) -> np.ndarray:
         """The reversed impulse response of the two-pole filter over an
         *n*-sample window (read-only, memoized): the final value of
-        ``lfilter`` from a dumped state is ``x @ weights(n, dt)``."""
+        :meth:`response` from a dumped state is ``x @ weights(n, dt)``."""
         try:
             return self._filter_cache[n, dt]
         except KeyError:
             pass
-        b, a = self._coeffs(dt)
         impulse = np.zeros(n)
         impulse[0] = 1.0
-        g = np.ascontiguousarray(_signal.lfilter(b, a, impulse)[::-1])
+        g = np.ascontiguousarray(self._filter(dt)(impulse)[0][::-1])
         g.setflags(write=False)
         self._filter_cache[n, dt] = g
         return g
@@ -238,8 +237,7 @@ class TwoPoleIntegrator(WindowIntegrator):
         return np.einsum("...i,i->...", y, g)
 
     def response(self, x: np.ndarray, dt: float) -> np.ndarray:
-        b, a = self._coeffs(dt)
-        return _signal.lfilter(b, a, self._pre(x), axis=-1)
+        return self._filter(dt)(self._pre(x))[0]
 
     def make_state(self) -> TwoPoleGatedIntegratorState:
         return TwoPoleGatedIntegratorState(

@@ -20,8 +20,10 @@ for the band-pass ringing to die out; the BER averages every
 equiprobable pattern.  Energy per bit and noise scale follow the golden model's
 conventions (noiseless filtered pilot of slot-0 pulses; per-sample
 variance ``N0 fs / 2``) but share no code with its Monte-Carlo loop:
-this module builds on the band-pass sections and the pulse train only,
-so it can judge a kernel that rounds differently.
+this module builds on the band-pass sections (run through
+:class:`repro.core.iir.SectionFilter`, which the tests check against
+SciPy's ``sosfilt``) and the pulse train only, so it can judge a kernel
+that rounds differently.
 
 Scope: the ideal integrator, no converter, no channel, no interferers.
 """
@@ -31,8 +33,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy import integrate, linalg, signal
+from scipy import linalg
 
+from repro.core.iir import SectionFilter
 from repro.obs import trace as _trace
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.config import UwbConfig
@@ -50,7 +53,7 @@ def pilot_energy(config: UwbConfig, bpf: BandPassFilter) -> float:
     through the band-pass, truncated to whole symbols."""
     n = PILOT_BITS * config.samples_per_symbol
     pilot = ppm_waveform(np.zeros(PILOT_BITS, dtype=np.int8), config)
-    filtered = signal.sosfilt(bpf.sos, pilot)[:n]
+    filtered = SectionFilter.from_sos(bpf.sos)(pilot)[0][:n]
     return float(np.sum(filtered ** 2) * config.dt / PILOT_BITS)
 
 
@@ -63,7 +66,7 @@ def _decision_form(config: UwbConfig, bpf: BandPassFilter,
     n_in = (history + 1) * sps
     impulse = np.zeros(n_in)
     impulse[0] = 1.0
-    h = signal.sosfilt(bpf.sos, impulse)
+    h = SectionFilter.from_sos(bpf.sos)(impulse)[0]
     # Rows: the last symbol's output samples; columns: every input.
     conv = linalg.toeplitz(h, np.zeros(n_in))[-sps:]
     # M = conv' A conv has the rank of conv: with conv' = Q R, its
@@ -92,8 +95,13 @@ def _p_positive(lam: np.ndarray, delta: np.ndarray) -> np.ndarray:
             return 0.5 * (np.sum(lam) + (d2 * lam).sum(-1))
         return np.sin(theta) / t * np.exp(-log_rho)
 
-    value, _err = integrate.quad_vec(integrand, 0.0, np.inf,
-                                     epsabs=1e-13, epsrel=1e-10)
+    # Imported here, not at module level: scipy.integrate (with the
+    # scipy.optimize it loads) is about half a second of import that
+    # only the oracle's integral needs.
+    from scipy.integrate import quad_vec
+
+    value, _err = quad_vec(integrand, 0.0, np.inf,
+                           epsabs=1e-13, epsrel=1e-10)
     return 0.5 + value / np.pi
 
 

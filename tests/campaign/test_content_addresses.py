@@ -66,9 +66,9 @@ PINNED = {
         "834c01b0dab63fe886904e78f054a577c51b9a12edbe4f76f40328cd8732b3dd",
     ],
     "table1": [
-        "0d3e0ed36d2f5364850b823475be717faf61ac4d236397d15023759de9d5ddc0",
-        "28abaafc8d3ec2298850dbf4324751d5f0dfca86c028d7c7a80a58b47041e38d",
-        "2ada149d0508aac3d8509e1eed360e45c062bec794a11cc5993121324b1ef9bd",
+        "22c85777ca2b8f32696941cbd5639455841ea2cf5b339d864aa3d5ca06b90d59",
+        "44ec9772898bd6a7054a509373a63f211604362c6b5fdd632bcb5fd212bd47fa",
+        "56c8ef94210cc89cb3c6509c552e948b2650e56a0f37b75a8d57e5a084618314",
     ],
     "fig5": [
         "689e5c45a63f09a93b0a03ee8cc4ff43ae7bd60ece77b3177f29222ccb6f35f6",

@@ -3,10 +3,14 @@
 ``repro.uwb`` is the substrate under ``repro.link``: it never imports
 it (not even lazily inside a function).  The module-level import graph
 of ``src/repro`` has no cycle, and every name is imported from the
-module that defines it, never through a package that re-exports it."""
+module that defines it, never through a package that re-exports it.
+Setting a simulation up loads none of SciPy's heavy subpackages."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -227,3 +231,47 @@ def test_names_come_from_their_defining_module(path):
 ])
 def test_every_reexport_form_is_caught(source, caught):
     assert reexport_imports(source, ()) == caught
+
+
+#: SciPy subpackages the simulation's set-up must not load: together
+#: they are most of a process's import time.  Only the exact-BER
+#: integral (``scipy.integrate``) and the Phase-IV fit
+#: (``scipy.optimize``) use any of them, and import them where used.
+HEAVY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.integrate",
+               "scipy.optimize")
+
+SET_UP = """
+import sys
+
+import repro.campaign.runner
+import repro.experiments
+import repro.link.ops
+from repro.experiments.fig6_ber import BER_DRIVE, WIDE_FRONT_END
+from repro.experiments.table1_cpu import make_table1_waveform
+from repro.link.backends import calibrate
+from repro.link.spec import FrontEndSpec, LinkSpec
+from repro.uwb.config import UwbConfig
+
+config = UwbConfig()
+make_table1_waveform(config, 4, 11)
+calibrate(LinkSpec(config=config, integrator="ideal",
+                   frontend=FrontEndSpec(band=WIDE_FRONT_END,
+                                         squarer_drive=BER_DRIVE)))
+print(*sorted(sys.modules))
+"""
+
+
+def test_simulation_set_up_stays_off_heavy_scipy():
+    """A fresh interpreter that imports the experiments, the link ops
+    and the campaign runner, builds the Table-1 stimulus and calibrates
+    the fig6 link has loaded none of :data:`HEAVY_SCIPY`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", SET_UP], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    modules = proc.stdout.split()
+    loaded = sorted(m for m in modules
+                    if any(m == h or m.startswith(h + ".")
+                           for h in HEAVY_SCIPY))
+    assert loaded == []
