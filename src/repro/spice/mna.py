@@ -17,7 +17,7 @@ of :attr:`MnaSystem.aug_len` entries: the matrix ``A`` in column-major
 order, then the right-hand side ``b``, then one discard slot that takes
 every stamp on a ground row or column.  The flat positions of every
 stamp are compiled once per system, so an iteration's stamps are one
-``np.bincount`` and its solve is one LAPACK ``dgesv`` on views of that
+``np.bincount`` and its solve is one LAPACK ``gesv`` on views of that
 array (:meth:`MnaSystem.split` gives them).
 
 The Newton loop (:meth:`MnaSystem.newton`) implements standard Spice
@@ -32,7 +32,10 @@ from __future__ import annotations
 from typing import Mapping, TypeVar
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+# The LAPACK gesv gufunc that np.linalg.solve wraps.  Calling it directly
+# skips solve's argument checks and errstate set-up, about a third of
+# np.linalg.solve's time on the 26-unknown Table-1 matrix.
+from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -78,6 +81,21 @@ def branch_entry(table: Mapping[str, T], device: str) -> T:
             f"{device!r} has no branch current (a V source, VCVS or "
             "inductor has one; a transient records its current_probes "
             "only)") from None
+
+
+def zero_pivot(a: np.ndarray) -> int:
+    """The 1-based column of the first exactly zero pivot of *a*'s LU
+    factorization with partial pivoting (LAPACK ``getrf``'s ``info``),
+    0 when there is none."""
+    lu = np.array(a, dtype=float)
+    for k in range(len(lu)):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if lu[p, k] == 0.0:
+            return k + 1
+        lu[[k, p]] = lu[[p, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return 0
 
 
 #: Newton iterations per converged :meth:`MnaSystem.newton` call.
@@ -471,34 +489,30 @@ class MnaSystem:
         x_full = np.zeros(n + 1)  # the last entry is the 0 V ground
         max_dv, dx = 0.0, None
 
-        for iteration in range(max_iter):
-            x_full[:n] = x
-            aug = self.stamp_nonlinear(x_full, mos_eval)
-            aug += base
-            mos_eval = None
-            with _trace.span("spice.solve"):
-                # aug is this iteration's own: factor and solve in place.
-                _lu, _piv, x_new, info = dgesv(*self.split(aug),
-                                               overwrite_a=True,
-                                               overwrite_b=True)
-            if info > 0:
-                raise SingularMatrixError(
-                    f"singular MNA matrix for {self.circuit!r}: "
-                    f"zero pivot in column {info}")
-            if not np.isfinite(x_new).all():
-                raise SingularMatrixError(
-                    f"non-finite solution for {self.circuit!r} "
-                    "(check for floating nodes)")
-            if self._is_linear:
-                return self._accept(iteration, x_new)
-            dx = x_new - x
-            max_dv = np.abs(dx[:n_nodes]).max() if n_nodes else 0.0
-            if max_dv > damping:
-                dx = dx * (damping / max_dv)
-                x_new = x + dx
-            elif self._converged(dx, x_new, x):
-                return self._accept(iteration, x_new)
-            x = x_new
+        # gesv flags a singular matrix as an invalid value and returns
+        # NaNs: silence that warning once per call, not per iteration.
+        # The non-finite check raises for it (and for any NaN a device
+        # stamps, which reaches the solution as well).
+        with np.errstate(invalid="ignore"):
+            for iteration in range(max_iter):
+                x_full[:n] = x
+                aug = self.stamp_nonlinear(x_full, mos_eval)
+                aug += base
+                mos_eval = None
+                with _trace.span("spice.solve"):
+                    x_new = _gesv(*self.split(aug))
+                if not np.isfinite(x_new).all():
+                    raise self._singular(self.split(aug)[0])
+                if self._is_linear:
+                    return self._accept(iteration, x_new)
+                dx = x_new - x
+                max_dv = np.abs(dx[:n_nodes]).max() if n_nodes else 0.0
+                if max_dv > damping:
+                    dx = dx * (damping / max_dv)
+                    x_new = x + dx
+                elif self._converged(dx, x_new, x):
+                    return self._accept(iteration, x_new)
+                x = x_new
         when = "at DC" if t is None else f"at t={t:.6g} s"
         node = (self.nodes[int(np.argmax(np.abs(dx[:n_nodes])))]
                 if dx is not None and n_nodes else None)
@@ -507,6 +521,18 @@ class MnaSystem:
             f"for {self.circuit!r}: last update {float(max_dv):.3g} V, "
             f"largest at node {node!r}",
             iterations=max_iter, residual=float(max_dv), t=t, node=node)
+
+    def _singular(self, a: np.ndarray) -> SingularMatrixError:
+        """The error of a solve of matrix *a* that gave a non-finite
+        solution: LAPACK's zero pivot when *a* has one."""
+        column = zero_pivot(a) if np.isfinite(a).all() else 0
+        if column:
+            return SingularMatrixError(
+                f"singular MNA matrix for {self.circuit!r}: "
+                f"zero pivot in column {column}")
+        return SingularMatrixError(
+            f"non-finite solution for {self.circuit!r} "
+            "(check for floating nodes)")
 
     def _accept(self, iteration: int, x: np.ndarray) -> np.ndarray:
         """Record a call that converged at 0-based *iteration*."""

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
+#: the standard normal quantile (inverse CDF).
+_inv_normal_cdf = NormalDist().inv_cdf
 
 #: memoized two-sided z-scores per confidence level: wilson_interval
 #: sits inside the adaptive-stopping hot loop (called after every
@@ -37,7 +39,7 @@ def _wilson_z(confidence: float) -> float:
     """Two-sided z-score of *confidence*, memoized per level."""
     z = _Z_SCORES.get(confidence)
     if z is None:
-        z = _Z_SCORES[confidence] = float(ndtri(0.5 + confidence / 2.0))
+        z = _Z_SCORES[confidence] = _inv_normal_cdf(0.5 + confidence / 2.0)
     return z
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy import linalg
 
 from repro.core.iir import SectionFilter
 from repro.obs import trace as _trace
@@ -67,13 +66,15 @@ def _decision_form(config: UwbConfig, bpf: BandPassFilter,
     impulse = np.zeros(n_in)
     impulse[0] = 1.0
     h = SectionFilter.from_sos(bpf.sos)(impulse)[0]
-    # Rows: the last symbol's output samples; columns: every input.
-    conv = linalg.toeplitz(h, np.zeros(n_in))[-sps:]
+    # Rows: the last symbol's output samples; columns: every input
+    # (conv[i, j] = h[i - j], zero above the diagonal).
+    lag = np.arange(n_in - sps, n_in)[:, None] - np.arange(n_in)
+    conv = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)
     # M = conv' A conv has the rank of conv: with conv' = Q R, its
     # non-zero modes are those of K = R A R', mapped back by Q.
-    q, r = linalg.qr(conv.T, mode="economic")
+    q, r = np.linalg.qr(conv.T, mode="reduced")
     slot_sign = np.repeat([-1.0, 1.0], config.samples_per_slot)
-    lam, p = linalg.eigh((r * slot_sign) @ r.T)
+    lam, p = np.linalg.eigh((r * slot_sign) @ r.T)
     keep = np.abs(lam) > 1e-12 * np.max(np.abs(lam))
     return lam[keep], q @ p[:, keep]
 

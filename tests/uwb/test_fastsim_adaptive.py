@@ -135,18 +135,17 @@ class TestWilsonZScore:
     every adaptive Monte-Carlo chunk)."""
 
     def test_memoized_per_confidence(self, monkeypatch):
-        from scipy.special import ndtri
-
         from repro.uwb import fastsim
 
         calls = []
+        inv_cdf = fastsim._inv_normal_cdf
 
-        def counting_ndtri(p):
+        def counting_inv_cdf(p):
             calls.append(p)
-            return ndtri(p)
+            return inv_cdf(p)
 
         monkeypatch.setattr(fastsim, "_Z_SCORES", {})
-        monkeypatch.setattr(fastsim, "ndtri", counting_ndtri)
+        monkeypatch.setattr(fastsim, "_inv_normal_cdf", counting_inv_cdf)
         first = wilson_interval(3, 100, 0.8)
         assert 0.8 in fastsim._Z_SCORES
         # The memo serves the second call without another inverse-CDF

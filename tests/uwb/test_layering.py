@@ -4,7 +4,8 @@
 it (not even lazily inside a function).  The module-level import graph
 of ``src/repro`` has no cycle, and every name is imported from the
 module that defines it, never through a package that re-exports it.
-Setting a simulation up loads none of SciPy's heavy subpackages."""
+Setting a simulation up loads no SciPy module: ``src/`` imports SciPy
+only inside the functions that need it."""
 
 import ast
 import os
@@ -233,12 +234,33 @@ def test_every_reexport_form_is_caught(source, caught):
     assert reexport_imports(source, ()) == caught
 
 
-#: SciPy subpackages the simulation's set-up must not load: together
-#: they are most of a process's import time.  Only the exact-BER
-#: integral (``scipy.integrate``) and the Phase-IV fit
-#: (``scipy.optimize``) use any of them, and import them where used.
-HEAVY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.integrate",
-               "scipy.optimize")
+def module_level_scipy_imports(source: str) -> list[str]:
+    return sorted(name for name in imported_modules(
+        module_level_imports(source), ())
+        if name == "scipy" or name.startswith("scipy."))
+
+
+@pytest.mark.parametrize("path", list(MODULES.values()),
+                         ids=list(MODULES))
+def test_src_imports_scipy_only_inside_functions(path):
+    """Only the exact-BER integral (``scipy.integrate``) and the
+    Phase-IV fit (``scipy.optimize``) use SciPy, and they import it
+    where they use it."""
+    offending = module_level_scipy_imports(path.read_text())
+    assert not offending, f"{path.name} imports {offending}"
+
+
+@pytest.mark.parametrize("source, caught", [
+    ("import scipy\n", ["scipy"]),
+    ("from scipy.special import ndtri\n",
+     ["scipy.special", "scipy.special.ndtri"]),
+    ("class A:\n    from scipy import linalg\n",
+     ["scipy", "scipy.linalg"]),
+    ("def f():\n    from scipy.integrate import quad_vec\n", []),
+])
+def test_every_module_level_scipy_import_is_caught(source, caught):
+    assert module_level_scipy_imports(source) == caught
+
 
 SET_UP = """
 import sys
@@ -251,27 +273,31 @@ from repro.experiments.table1_cpu import make_table1_waveform
 from repro.link.backends import calibrate
 from repro.link.spec import FrontEndSpec, LinkSpec
 from repro.uwb.config import UwbConfig
+from repro.uwb.system import build_ams_receiver
 
 config = UwbConfig()
-make_table1_waveform(config, 4, 11)
+waveform, _bits = make_table1_waveform(config, 4, 11)
 calibrate(LinkSpec(config=config, integrator="ideal",
                    frontend=FrontEndSpec(band=WIDE_FRONT_END,
                                          squarer_drive=BER_DRIVE)))
+simulator, _harvest = build_ams_receiver(config, "circuit", waveform)
+simulator.run_steps(5)
 print(*sorted(sys.modules))
 """
 
 
 def test_simulation_set_up_stays_off_heavy_scipy():
     """A fresh interpreter that imports the experiments, the link ops
-    and the campaign runner, builds the Table-1 stimulus and calibrates
-    the fig6 link has loaded none of :data:`HEAVY_SCIPY`."""
+    and the campaign runner, builds the Table-1 stimulus, calibrates
+    the fig6 link and takes a few ELDO-row transient steps (Newton
+    solves included) has loaded no ``scipy`` module."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", SET_UP], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     modules = proc.stdout.split()
+    assert "repro.spice.mna" in modules
     loaded = sorted(m for m in modules
-                    if any(m == h or m.startswith(h + ".")
-                           for h in HEAVY_SCIPY))
+                    if m == "scipy" or m.startswith("scipy."))
     assert loaded == []

@@ -39,6 +39,14 @@ FIG6 = LinkSpec(config=UwbConfig(),
                 integrator="ideal")
 
 
+#: the exact fig6 curve on :data:`GRID`, recorded with SciPy's
+#: ``toeplitz``/``qr``/``eigh`` before the oracle moved to NumPy's
+#: linear algebra.
+RECORDED = (0.4616736902066303, 0.43970858860120676, 0.40573886893262556,
+            0.3544206985111785, 0.2806305396688231, 0.1851134695496155,
+            0.08596493520322522, 0.020068078601788386)
+
+
 @pytest.fixture(scope="module")
 def exact():
     return dict(zip(GRID, ideal_awgn_ber(FIG6.config, build_bpf(FIG6),
@@ -61,6 +69,12 @@ def test_reference_ideal_cells_match_the_exact_curve(exact):
            if not inside_wilson(*cells[name],
                                 exact[float(name[6:-2])])]
     assert not off, f"off the exact curve: {off}"
+
+
+def test_exact_curve_is_pinned(exact):
+    """A change of linear-algebra backend (or of the integral) shows
+    as a number, not only as a Wilson-interval pass."""
+    assert [exact[p] for p in GRID] == pytest.approx(RECORDED, rel=1e-9)
 
 
 def test_sweep_counts_match_the_exact_curve(exact):
