@@ -13,7 +13,8 @@ campaigns *incremental*:
 * :mod:`repro.campaign.objects` - the store's object codec,
 * :mod:`repro.campaign.runner` -
   :class:`~repro.campaign.runner.CampaignRunner`, the one scenario
-  runner: it serves cached scenarios, fans the rest out
+  runner: it serves cached scenarios, fans the rest out (a scenario
+  group's missing members as one unit)
   through :func:`repro.core.scenario.fan_out`, checkpoints every
   result as it completes, and re-runs only what is missing (a killed
   campaign resumes by running it again); with no store it is a plain

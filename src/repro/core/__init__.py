@@ -19,6 +19,7 @@ This package holds the flow's tooling:
 * :mod:`repro.core.scenario` - declarative
   :class:`~repro.core.scenario.Scenario` descriptions of multi-run
   workloads (corner sweeps, BER grids, model comparisons) with per-run
-  seeding, and the process fan-out loop that
+  seeding, scenario groups that run as one call, and the process
+  fan-out loop that
   :class:`repro.campaign.runner.CampaignRunner` runs them through.
 """

@@ -31,7 +31,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
-from repro.core.scenario import Scenario
+from repro.core.scenario import Scenario, ScenarioGroup
 from repro.experiments.context import ExperimentContext
 from repro.experiments.fig6_ber import BER_DRIVE, WIDE_FRONT_END
 from repro.link import ops
@@ -207,10 +207,17 @@ def run_mui(victim: LinkSpec | None = None,
         sir_grid: signal-to-interference ratios of the count sweep.
         near_far_distances: aggressor distances of the near-far sweep.
         near_far_ebn0: fixed operating point of the near-far sweep.
+        seed: the seed of every scenario.  Common random numbers:
+            every network sees the same victim bits and noise, and
+            networks with the same interferer count draw alike chunk
+            for chunk, so each such set runs as one sweep
+            (:func:`repro.link.ops.mui_draw_key`) - each network's
+            curve and content address stay those of its own run.
         quick: smaller Monte-Carlo budget (bench default).
         budget: explicit ``target_errors`` / ``max_bits`` /
             ``min_bits`` overrides on top of the *quick* selection.
-        processes: fan scenarios out over processes.
+        processes: fan the sets of scenarios that draw alike out over
+            processes (one task per set).
         adaptive: per-point sequential stopping policy.
         store: result store for cached/resumable execution (each
             network scenario checkpoints independently).
@@ -230,15 +237,19 @@ def run_mui(victim: LinkSpec | None = None,
     mc.update(budget or {})
     if chunk_bits is not None:
         mc["chunk_bits"] = chunk_bits
+    mc["adaptive"] = adaptive
 
-    runner = CampaignRunner(processes=processes, store=store)
+    # Scenarios that draw alike, by their shared-draw key (an unseeded
+    # scenario keys by its own name).
+    groups: dict[Any, list[Scenario]] = {}
 
     def add(name: str, network: NetworkSpec, grid) -> None:
-        runner.add(Scenario(name=name, fn=ops.mui_ber_curve, seed=seed,
-                            rng_param="rng",
-                            params=dict(network=network, ebn0_grid=grid,
-                                        label=name, adaptive=adaptive,
-                                        **mc)))
+        key = ops.mui_draw_key(network, seed, mc)
+        groups.setdefault(name if key is None else key, []).append(
+            Scenario(name=name, fn=ops.mui_ber_curve, seed=seed,
+                     rng_param="rng",
+                     params=dict(network=network, ebn0_grid=grid,
+                                 label=name, **mc)))
 
     seen = set()
     for sir in sir_grid:
@@ -252,6 +263,10 @@ def run_mui(victim: LinkSpec | None = None,
         add(f"nearfar-d{d:g}", near_far_network(victim, float(d)),
             (float(near_far_ebn0),))
 
+    runner = CampaignRunner(
+        [ScenarioGroup.of(members, ops.mui_ber_curves)
+         for members in groups.values()],
+        processes=processes, store=store)
     by_name = runner.run().by_name()
     curves = {name: by_name[name] for name in seen}
     near_far = {float(d): by_name[f"nearfar-d{d:g}"]

@@ -10,6 +10,7 @@ operation               unit of work
 :func:`ber_sweep`       batched multi-integrator BER sweep (fig6)
 :func:`ber_curve`       one-integrator BER curve (ablations)
 :func:`mui_ber_curve`   multi-user BER curve over a ``NetworkSpec``
+:func:`mui_ber_curves`  multi-user curves that draw alike, one sweep
 :func:`ranging`         two-way ranging through the packet receiver
 :func:`run_testbench`   AMS-kernel receiver testbench (table1)
 :func:`golden_packet`   golden-model decision on a conditioned burst
@@ -24,7 +25,7 @@ one chunk loop, :func:`~repro.link.pipeline.run_ber_sweep`.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -81,10 +82,8 @@ def ber_sweep(spec: LinkSpec | NetworkSpec, ebn0_grid,
     decision stage per integrator, every (integrator, Eb/N0) cell
     graded from the same bit/noise draws.
 
-    The only place the golden-model BER pipeline is built:
-    ``Tx -> Channel -> Combine -> AnalogFrontEnd`` from the
-    (memoized) pilot calibration of the victim, any interferers
-    SIR-calibrated against it, then
+    The golden-model BER pipeline of one link: its front (built by
+    ``_fronts``, as for :func:`mui_ber_curves`), then
     :func:`~repro.link.pipeline.run_ber_sweep`.  Curve ``k`` is
     bit-identical to a one-integrator sweep of ``integrators[k]``
     with a generator seeded like *rng* - the batch only
@@ -116,30 +115,44 @@ def ber_sweep(spec: LinkSpec | NetworkSpec, ebn0_grid,
             f"labels, got {len(labels)}")
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate sweep labels: {labels!r}")
-    cfg = victim.config
-    cache = calibrate(victim)
-    interferers = (build_interferer_paths(network, cache=cache)
-                   if network is not None else ())
     ebn0_grid = np.asarray(ebn0_grid, dtype=float)
-    sigmas = np.array([noise_sigma_for_ebn0(cache.eb, float(p), cfg.fs)
-                       for p in ebn0_grid])
-    front = SignalPipeline(stages=(
-        TxStage(cfg),
-        ChannelStage(cfg, cache.channel),
-        CombineStage(cfg, interferers),
-        AnalogFrontEndStage(cfg, cache.bpf,
-                            victim.frontend.squarer_drive / cache.peak),
-    ))
+    (front,), (sigmas,) = _fronts(victim, (network,), (ebn0_grid,))
     adc = build_quantizer(victim, packet=False)
-    deciders = [DecisionStage(cfg, r, adc) for r in resolved]
-    errors, bits = run_ber_sweep(
-        front, deciders, sigmas, rng, target_errors=target_errors,
+    deciders = [DecisionStage(victim.config, r, adc) for r in resolved]
+    ((errors, bits),) = run_ber_sweep(
+        (front,), deciders, (sigmas,), rng, target_errors=target_errors,
         max_bits=max_bits, min_bits=min_bits, chunk_bits=chunk_bits,
         adaptive=adaptive)
     return {
         label: _curve_result(ebn0_grid, errors[k], bits[k], label,
                              adaptive)
         for k, label in enumerate(labels)}
+
+
+def _fronts(victim: LinkSpec, networks, grids
+            ) -> tuple[list[SignalPipeline], list[np.ndarray]]:
+    """The sweep fronts of *victim* with each network's interferers
+    (``None``: none), and each grid's noise scales.
+
+    ``Tx -> Channel -> Combine -> AnalogFrontEnd`` from the (memoized)
+    pilot calibration of the victim; the fronts share one Tx, Channel
+    and AnalogFrontEnd stage, and each network's interferers are
+    SIR-calibrated against the victim in a Combine stage of its own.
+    """
+    cfg = victim.config
+    cache = calibrate(victim)
+    tx = TxStage(cfg)
+    channel = ChannelStage(cfg, cache.channel)
+    afe = AnalogFrontEndStage(cfg, cache.bpf,
+                              victim.frontend.squarer_drive / cache.peak)
+    fronts = [SignalPipeline(stages=(
+        tx, channel,
+        CombineStage(cfg, () if network is None else
+                     build_interferer_paths(network, cache=cache)),
+        afe)) for network in networks]
+    sigmas = [np.array([noise_sigma_for_ebn0(cache.eb, float(p), cfg.fs)
+                        for p in grid]) for grid in grids]
+    return fronts, sigmas
 
 
 def ber_curve(spec: LinkSpec | NetworkSpec, ebn0_grid,
@@ -175,6 +188,78 @@ def mui_ber_curve(network: NetworkSpec, ebn0_grid,
                         "plain LinkSpec in NetworkSpec(victim=spec) "
                         "for the zero-interferer baseline")
     return ber_curve(network, ebn0_grid, rng, label=label, **budget)
+
+
+#: the keywords of a :func:`mui_ber_curve` call that are not its budget.
+_MUI_POINT = ("network", "ebn0_grid", "rng", "label")
+
+
+def mui_draw_key(network: NetworkSpec, seed: Any,
+                 budget: Mapping[str, Any]) -> tuple | None:
+    """Group key of :func:`mui_ber_curve` scenarios that draw alike.
+
+    Scenarios seeded alike, over one victim with the same number of
+    interferers and with the same *budget* (every keyword but the
+    network, grid, generator and label), draw the same bits and noise
+    chunk for chunk: the victim's bits, one bit vector per interferer
+    and one unit-noise vector.  Scenarios with one key may therefore
+    run as one :func:`mui_ber_curves` sweep.  An unseeded scenario
+    (*seed* ``None``) draws fresh entropy and shares with no other:
+    its key is ``None``.  Budget values must be hashable.
+    """
+    if seed is None:
+        return None
+    return (seed, network.victim, network.n_interferers,
+            tuple(sorted(budget.items())))
+
+
+def _draws(call: Mapping[str, Any]) -> tuple:
+    """``(victim, interferer count, budget)`` of a :func:`mui_ber_curve`
+    call: what its draws depend on besides its generator."""
+    network = call["network"]
+    if not isinstance(network, NetworkSpec):
+        raise TypeError("mui_ber_curves needs NetworkSpec networks")
+    return (network.victim, network.n_interferers,
+            {k: v for k, v in call.items() if k not in _MUI_POINT})
+
+
+def mui_ber_curves(calls: Sequence[Mapping[str, Any]]
+                   ) -> list[BerResult]:
+    """Several :func:`mui_ber_curve` calls that share every draw (one
+    :func:`mui_draw_key`), run as one sweep.
+
+    Each chunk's bits and noise are drawn and band-passed once; each
+    call keeps its own Combine stage and Eb/N0 grid, and its curve
+    equals what :func:`mui_ber_curve` returns for it alone, bit for
+    bit.  This is the campaign's group function for such calls
+    (:class:`~repro.core.scenario.ScenarioGroup`).
+
+    Args:
+        calls: each call's keywords, generator included; the
+            generators must be in one state.
+
+    Returns:
+        One curve per call, in order.
+    """
+    draws = _draws(calls[0])
+    rng = calls[0]["rng"]
+    if any(_draws(call) != draws
+           or call["rng"].bit_generator.state != rng.bit_generator.state
+           for call in calls):
+        raise ValueError(
+            "mui_ber_curves runs calls that draw alike only: one "
+            "victim, interferer count, budget and generator state")
+    victim, _count, budget = draws
+    resolved = build_integrator(victim, budget.pop("integrator", None))
+    grids = [np.asarray(call["ebn0_grid"], dtype=float) for call in calls]
+    fronts, sigmas = _fronts(victim, [c["network"] for c in calls], grids)
+    decider = DecisionStage(victim.config, resolved,
+                            build_quantizer(victim, packet=False))
+    counts = run_ber_sweep(fronts, (decider,), sigmas, rng, **budget)
+    return [_curve_result(grid, errors[0], bits[0],
+                          call.get("label") or resolved.name,
+                          budget.get("adaptive"))
+            for call, grid, (errors, bits) in zip(calls, grids, counts)]
 
 
 def ranging(spec: LinkSpec, iterations: int,

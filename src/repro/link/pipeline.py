@@ -49,13 +49,14 @@ out-of-place call).  The first
 chunk's noise overlaps its own synthesis.  Every later chunk's bits
 are drawn as soon as the chunk before it has its noise, and its noise
 job overlaps the synthesis and grading of that chunk; once its draw is
-done the helper takes decision rows.  The calling thread draws only
-while the helper has no draw in flight, so the draw sequence is the
-serial one.  A sweep that stops - or raises - with a look-ahead chunk
-drawn joins (or cancels) its noise job and rewinds the generator to
-the state recorded before that chunk's bits (counted as
-``link.draw_ahead.discarded``): the generator ends exactly where the
-serial program leaves it, and every count is the serial count.  A
+done the helper takes decision rows or front jobs (below).  The
+calling thread draws only while the helper has no draw in flight, so
+the draw sequence is the serial one.  A sweep that stops - or raises
+- with a look-ahead chunk drawn joins (or cancels) its noise job and
+rewinds the generator to the state recorded before that chunk's bits
+(counted as ``link.draw_ahead.discarded``): the generator ends exactly
+where the serial program leaves it, and every count is the serial
+count.  A
 nonlinear :class:`DecisionStage` pulls its rows from one shared
 iterator on both threads - the helper joins in once its noise job is
 done; a single row stays on the calling thread - and each row's
@@ -64,10 +65,11 @@ draws and synthesizes inline, on the calling thread.  A forked child
 makes its own helper.  A process started by :mod:`multiprocessing`
 (a pool worker, whose siblings claim the other cores) or limited to
 one CPU gets no helper thread: its helper runs each job on
-submission, so the same sweep runs serially.  A trace shows every join of the calling thread
-- a chunk's noise, a discarded look-ahead, the helper's decision rows
-- as a ``link.wait`` span, beside the stage span it interrupts and
-under a scenario span, whether the job ran or was cancelled; the helper's own work is in no collected
+submission, so the same sweep runs serially.  A trace shows every
+join of the calling thread - a chunk's noise, a discarded look-ahead,
+the helper's decision rows or front jobs - as a ``link.wait`` span,
+beside the stage span it interrupts and under a scenario span, whether
+the job ran or was cancelled; the helper's own work is in no collected
 span tree.
 
 **Scenario batch axis.** One chunk can serve a whole family of
@@ -89,6 +91,20 @@ bit-identical to the same row in the full batch - the invariant
 :func:`run_ber_sweep` builds the whole-curve sweep on (pinned by
 ``tests/network/test_batched_sweep.py``).
 
+**Front axis.**  Scenarios that differ only in their interferers'
+powers and offsets - same victim, same interferer count, same seed and
+budget - draw the same bits and noise chunk for chunk.
+:func:`run_ber_sweep` takes such scenarios as a front axis: one
+pipeline per scenario, sharing the Tx, Channel and AnalogFrontEnd
+stages, each with its own :class:`CombineStage` and its own noise-scale
+grid.  Each chunk is drawn, and its noise band-passed, once; then each
+front runs one job - synthesize, combine, band-pass its clean signal,
+grade its rows - and both threads pull these jobs from one shared
+iterator, the way a nonlinear decider's rows are shared.  A job on
+the helper grades its rows itself.  Each front's slot values are the
+ones its own sweep computes, so every count is bit-identical to that
+sweep (``tests/network/test_shared_draws.py``).
+
 Stages are deliberately dependency-light (uwb building blocks only);
 :mod:`repro.link.backends` resolves :class:`~repro.link.spec.NetworkSpec`
 interference descriptions into :class:`InterfererPath` values (SIR
@@ -99,9 +115,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,19 +136,21 @@ from repro.uwb.modulation import ppm_pulse_samples, ppm_waveform, random_bits
 _DISCARDED = _metrics.REGISTRY.counter("link.draw_ahead.discarded")
 
 _HELPER: futures.Executor | None = None
+#: identity of the helper's thread (``None`` without one).
+_HELPER_THREAD: int | None = None
 
 
 def _helper() -> futures.Executor:
     """The process's one helper (made on first use): a thread, or - in
     a process with no core to spare for it - :class:`_Inline`."""
-    global _HELPER
+    global _HELPER, _HELPER_THREAD
     if _HELPER is None:
         if _spare_core():
             _HELPER = futures.ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-link-helper")
             # The executor starts its thread on the first job: start it
             # now, so a sweep's first chunk does not pay for it.
-            _HELPER.submit(int).result()
+            _HELPER_THREAD = _HELPER.submit(threading.get_ident).result()
         else:
             _HELPER = _Inline()
     return _HELPER
@@ -166,8 +185,8 @@ class _Inline(futures.Executor):
 def _forget_helper() -> None:
     # A forked child inherits the executor but not its thread, so work
     # queued on the inherited one would never run.
-    global _HELPER
-    _HELPER = None
+    global _HELPER, _HELPER_THREAD
+    _HELPER = _HELPER_THREAD = None
 
 
 if hasattr(os, "register_at_fork"):
@@ -193,6 +212,29 @@ def _result(job: futures.Future):
     return job.result()
 
 
+def _shared(work: Callable[[Iterator], None], items: list) -> None:
+    """Run ``work(it)`` on this thread and on the helper over one
+    shared iterator *it* of *items*, so each item is taken once, by
+    whichever thread calls ``next()`` first (one atomic step under the
+    GIL).  The helper joins in once its queued work is done.  A single
+    item stays on this thread, and so does everything on the helper
+    thread itself: a job it queued for itself would wait behind the
+    job queuing it."""
+    it = iter(items)
+    if len(items) <= 1 or threading.get_ident() == _HELPER_THREAD:
+        work(it)
+        return
+    job = _helper().submit(work, it)
+    try:
+        work(it)
+    finally:
+        # Still queued (behind a chunk's noise job), the job would find
+        # no item left: drop it, else join it.
+        helped = _join(job, cancel=True)
+    if helped:
+        job.result()
+
+
 @dataclass
 class LinkState:
     """Per-chunk state flowing through the pipeline.
@@ -210,8 +252,8 @@ class LinkState:
         waveform: clean waveform at the antenna reference plane -
             victim only after :class:`TxStage` and
             :class:`ChannelStage`, victim plus scaled interferers
-            after :class:`CombineStage` (a sweep frees it once the
-            front is done).
+            after :class:`CombineStage` (the front end band-passes it
+            in place into ``signal`` and clears it).
         unit: the chunk's one unit-variance noise vector, as long as
             ``waveform`` (drawn; ``None`` in a sweep, whose helper
             thread band-passes it in place).
@@ -220,7 +262,8 @@ class LinkState:
             :class:`AnalogFrontEndStage`).
         noise: ``unit`` through the same band-pass and scaling, same
             shape; row ``i`` of a decider squares ``signal + sigma_i
-            * noise``.
+            * noise`` (``None`` in a sweep, which keeps the chunk's
+            one filtered noise apart, shared by its fronts).
     """
 
     n: int
@@ -344,9 +387,11 @@ class AnalogFrontEndStage:
     """Receiver analog front end: band-pass and AGC drive scaling of the
     clean waveform and of the unit noise, each once per chunk (output
     reshaped into per-slot windows; the squarer runs per noise scale in
-    the :class:`DecisionStage`).  In a sweep the unit noise never
-    reaches this stage: the helper thread band-passes it in place, one
-    chunk ahead (see :func:`run_ber_sweep`)."""
+    the :class:`DecisionStage`).  The clean waveform is the state's
+    own: it is band-passed in place, so the signal takes its memory and
+    :attr:`LinkState.waveform` is cleared.  In a sweep the unit noise
+    never reaches this stage: the helper thread band-passes it in
+    place, one chunk ahead (see :func:`run_ber_sweep`)."""
 
     config: UwbConfig
     bpf: BandPassFilter
@@ -354,7 +399,9 @@ class AnalogFrontEndStage:
     span_name = "link.afe"
 
     def process(self, state: LinkState) -> None:
-        state.signal = self._drive(state.waveform, state.n)
+        state.signal = self._drive(state.waveform, state.n,
+                                   overwrite_x=True)
+        state.waveform = None
         if state.unit is not None:
             state.noise = self._drive(state.unit, state.n)
 
@@ -378,7 +425,8 @@ class DecisionStage:
     (fan-out, square, input limiter) with float64 window sums, so the
     slot values and decisions stay float64; two or more rows are
     pulled from one shared iterator by this thread and the helper
-    thread, which joins in once its queued work is done.
+    thread, which joins in once its queued work is done (called on the
+    helper thread, it grades every row itself).
     """
 
     config: UwbConfig
@@ -419,28 +467,14 @@ class DecisionStage:
             signal = signal.astype(np.float32)
             noise = noise.astype(np.float32)
             values = np.empty(sigmas.shape + signal.shape[:-1])
-            # A list iterator hands each row out once, whichever thread
-            # calls next() (one atomic step under the GIL).
-            rows = iter(list(np.ndindex(sigmas.shape)))
-            if sigmas.size <= 1:
-                # One row: nothing to share.
-                self._grade_rows(signal, noise, sigmas, rows, values)
-            else:
-                job = _helper().submit(self._grade_rows, signal, noise,
-                                       sigmas, rows, values)
-                try:
-                    self._grade_rows(signal, noise, sigmas, rows, values)
-                finally:
-                    # Still queued (behind a chunk's noise job), the job
-                    # would find no row left: drop it, else join it.
-                    helped = _join(job, cancel=True)
-                if helped:
-                    job.result()
+            _shared(lambda rows: self._grade_rows(signal, noise, sigmas,
+                                                  values, rows),
+                    list(np.ndindex(sigmas.shape)))
         return decide_slots(values, self.adc)
 
     def _grade_rows(self, signal: np.ndarray, noise: np.ndarray,
-                    sigmas: np.ndarray, rows: Iterator[tuple],
-                    values: np.ndarray) -> None:
+                    sigmas: np.ndarray, values: np.ndarray,
+                    rows: Iterator[tuple]) -> None:
         # One float32 row at a time, built in place (fan-out, square,
         # then the model's limiter) in a chunk-sized buffer of this
         # thread's own that stays in cache for the float64 window sum.
@@ -490,8 +524,7 @@ class SignalPipeline:
         """
         state = LinkState(n=n, bits=random_bits(n, rng))
         state.interferer_bits = tuple(
-            random_bits(n, rng) for stage in self.stages
-            for _ in getattr(stage, "interferers", ()))
+            random_bits(n, rng) for _ in range(_interferer_count(self)))
         if noise:
             state.unit = self.draw_noise(n, rng)
         return state
@@ -542,7 +575,8 @@ def run_ber_point(front: SignalPipeline, decider: DecisionStage,
     Returns:
         ``(errors, bits)`` counters.
     """
-    errors, bits = run_ber_sweep(front, (decider,), (sigma,), rng, **rule)
+    ((errors, bits),) = run_ber_sweep((front,), (decider,), ((sigma,),),
+                                      rng, **rule)
     return int(errors[0, 0]), int(bits[0, 0])
 
 
@@ -598,42 +632,56 @@ def keeps_sampling(errors: int, bits: int, *, target_errors: int,
                 and adaptive.resolved(errors, bits))
 
 
-def run_ber_sweep(front: SignalPipeline,
+def run_ber_sweep(fronts: Sequence[SignalPipeline],
                   deciders: Sequence[DecisionStage],
-                  sigmas, rng: np.random.Generator, *,
+                  sigmas: Sequence, rng: np.random.Generator, *,
                   target_errors: int = 100,
                   max_bits: int = 200_000,
                   min_bits: int = 2_000,
                   chunk_bits: int = 1_000,
                   adaptive: AdaptiveStopping | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Monte-Carlo sweep over a whole scenario batch in one chunk loop.
 
-    Runs the shared front of the pipeline (*front*: Tx -> Channel ->
-    Combine -> AnalogFrontEnd, **without** a decision stage) once per
-    chunk - one filtered signal/noise pair, whatever the number of
-    rows - then grades every active noise scale through every
-    :class:`DecisionStage` in *deciders*.  A whole BER campaign (every
-    Eb/N0 point x every integrator variant) costs two filter passes
-    and a handful of array ops per chunk, not an outer Python loop
-    over points.
+    Each chunk is drawn once - the victim bits, each interferer's bits
+    and one unit-variance noise vector - and its noise band-passed
+    once, by the :class:`AnalogFrontEndStage` every front shares.  Then
+    each front with a cell still sampling runs one *front job*: it
+    synthesizes its clean signal (Tx -> Channel -> Combine ->
+    AnalogFrontEnd, **without** a decision stage) and grades each of
+    its active noise scales through every :class:`DecisionStage` in
+    *deciders*.  A whole BER campaign (every Eb/N0 point x every
+    integrator variant) costs two filter passes and a handful of
+    array ops per chunk, not an outer Python loop over points; each
+    further front adds one filter pass.
+
+    **Front axis.**  The fronts differ only in their
+    :class:`CombineStage`: they share the Tx, Channel and
+    AnalogFrontEnd stages and their interferer count, so one chunk's
+    draws serve them all, and each has its own noise-scale grid
+    (``sigmas[f]``).  Two or more front jobs are pulled from one shared
+    iterator by this thread and the helper thread, and each job grades
+    its rows on the thread that runs it.  A lone front runs on this
+    thread and shares a nonlinear decider's rows instead
+    (:class:`DecisionStage`).
 
     **Seeding / sharing convention.**  All scenarios consume *one*
     generator: per chunk the driver draws the victim bits, each
     interferer's bits (in path order) and one unit-variance noise
     vector - exactly the draw sequence of a single per-point run.
-    Scenario (decider k, sigma j) is therefore bit-identical to a 1x1
-    sweep of that cell (:func:`run_ber_point`) started from the *same
-    generator seed*: it sees the same bits, the same interferers and
-    the same noise process scaled by its own sigma, and its slot
-    values depend on no other row.
+    Scenario (front f, decider k, sigma j) is therefore bit-identical
+    to a 1x1 sweep of that cell (:func:`run_ber_point` over front f)
+    started from the *same generator seed*: it sees the same bits, the
+    same interferers and the same noise process scaled by its own
+    sigma, and its slot values depend on no other row or front.
 
     **Retirement.**  Each cell follows the :func:`keeps_sampling`
     stopping rule independently: a resolved cell simply stops
     accumulating while the shared draws continue for the survivors, so
     retiring a cell cannot perturb any other cell's stream (its
     counters freeze behind the shared ``bits_done``, which keeps it
-    retired).  Each decider grades only its active rows.
+    retired).  Each decider grades only its active rows, and a front
+    whose cells have all retired runs no job.
 
     **Look-ahead.**  Once chunk ``k`` has its noise, this thread draws
     chunk ``k + 1``'s bits and the helper thread draws and band-passes
@@ -644,12 +692,13 @@ def run_ber_sweep(front: SignalPipeline,
     it, also when the sweep raises.
 
     Args:
-        front: the shared pipeline front, ending in an
-            :class:`AnalogFrontEndStage` (no :class:`DecisionStage`).
+        fronts: the pipeline fronts, each ending in the one
+            :class:`AnalogFrontEndStage` they share (no
+            :class:`DecisionStage`); the first one draws the chunks.
         deciders: one decision stage per integrator variant; all
-            variants share the front-end computation of each chunk.
-        sigmas: a 1-D vector of per-scenario noise standard
-            deviations, each >= 0 (one per Eb/N0 point of the sweep).
+            variants share each front's work of each chunk.
+        sigmas: one 1-D vector of noise standard deviations per front,
+            each >= 0 (one per Eb/N0 point of that front's sweep).
             They are sized against the *victim's* pilot energy:
             interference is extra disturbance on top of the
             thermal-noise operating point (the standard SIR
@@ -657,8 +706,8 @@ def run_ber_sweep(front: SignalPipeline,
         rng: the sweep's single shared generator.
 
     Returns:
-        ``(errors, bits)`` int64 arrays of shape
-        ``(len(deciders), len(sigmas))``.
+        One ``(errors, bits)`` pair of int64 arrays of shape
+        ``(len(deciders), len(sigmas[f]))`` per front.
     """
     if chunk_bits < 1:
         raise ValueError("chunk_bits must be >= 1")
@@ -668,23 +717,36 @@ def run_ber_sweep(front: SignalPipeline,
         raise ValueError("min_bits must be >= 0")
     if target_errors < 1:
         raise ValueError("target_errors must be >= 1")
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 1:
-        raise ValueError("sigmas must be a 1-D vector")
-    if np.any(sigmas < 0):
+    fronts = tuple(fronts)
+    grids = [np.asarray(s, dtype=float) for s in sigmas]
+    if len(grids) != len(fronts):
+        raise ValueError(f"{len(fronts)} fronts need {len(fronts)} "
+                         f"sigma vectors, got {len(grids)}")
+    if any(g.ndim != 1 for g in grids):
+        raise ValueError("sigmas must be 1-D vectors")
+    if any(np.any(g < 0) for g in grids):
         raise ValueError("sigmas must be >= 0")
-    if not isinstance(front.stages[-1], AnalogFrontEndStage):
+    if any(not isinstance(f.stages[-1], AnalogFrontEndStage)
+           for f in fronts):
         raise ValueError("front must end in an AnalogFrontEndStage")
+    if any(f.stages[-1] is not fronts[0].stages[-1] for f in fronts):
+        raise ValueError("fronts must share their AnalogFrontEndStage: "
+                         "it band-passes the chunk's one noise vector")
+    if len({_interferer_count(f) for f in fronts}) > 1:
+        raise ValueError("fronts must draw alike: every front needs "
+                         "the same number of interferers")
     deciders = tuple(deciders)
-    n_dec, n_pts = len(deciders), len(sigmas)
-    errors = np.zeros((n_dec, n_pts), dtype=np.int64)
-    bits = np.zeros((n_dec, n_pts), dtype=np.int64)
-    if n_dec == 0 or n_pts == 0:
-        return errors, bits
+    counts = [(np.zeros((len(deciders), len(g)), dtype=np.int64),
+               np.zeros((len(deciders), len(g)), dtype=np.int64))
+              for g in grids]
+    if not any(errors.size for errors, _bits in counts):
+        return counts
     rule = dict(target_errors=target_errors, max_bits=max_bits,
                 min_bits=min_bits, adaptive=adaptive)
+    # The first front draws for all: the fronts draw alike.
+    draw = fronts[0]
     samples = (min(chunk_bits, max_bits)
-               * front.stages[0].config.samples_per_symbol)
+               * draw.stages[0].config.samples_per_symbol)
     with _trace.span("link.prime"):
         _prime_allocator(samples * 8)
         _helper()
@@ -692,33 +754,31 @@ def run_ber_sweep(front: SignalPipeline,
     # The chunk to grade next (bits drawn, noise on the helper), and
     # the generator's state before its draws while it is a look-ahead
     # the stopping rule may yet discard.
-    state: LinkState | None = None
+    drawn: LinkState | None = None
     noise: futures.Future | None = None
     before: dict | None = None
+    # A front already synthesized for the chunk being graded.
+    ready: dict[int, LinkState] = {}
     try:
         while True:
-            active = np.zeros((n_dec, n_pts), dtype=bool)
-            for k in range(n_dec):
-                for j in range(n_pts):
-                    active[k, j] = (bits[k, j] == bits_done
-                                    and keeps_sampling(int(errors[k, j]),
-                                                       bits_done, **rule))
-            if not active.any():
+            active = [_active_cells(errors, bits, bits_done, rule)
+                      for errors, bits in counts]
+            live = [f for f, cells in enumerate(active) if cells.any()]
+            if not live:
                 break
             n = min(chunk_bits, max_bits - bits_done)
-            first = state is None
-            if first:
+            if drawn is None:
                 # The first chunk: its noise is drawn on the helper
-                # while this thread synthesizes.
-                state = front.draw(n, rng, noise=False)
-                noise = _helper().submit(_filtered_noise, front, n, rng)
-                front.process(state)
+                # while this thread synthesizes the first front.
+                drawn = draw.draw(n, rng, noise=False)
+                noise = _helper().submit(_filtered_noise, draw, n, rng)
+                ready[live[0]] = _synthesize(fronts[live[0]], drawn)
             # Failed, the noise job is this chunk's failure: it is not
             # joined again.  The future holds the filtered noise, so it
-            # goes as soon as the state has it.
+            # goes as soon as this chunk has it.
             before = None
             job, noise = noise, None
-            state.noise = _result(job)
+            chunk_noise = _result(job)
             del job
             ahead = None
             if bits_done + n < max_bits:
@@ -730,27 +790,33 @@ def run_ber_sweep(front: SignalPipeline,
                 # vector), so retirement never moves the stream.
                 m = min(chunk_bits, max_bits - bits_done - n)
                 before = rng.bit_generator.state
-                ahead = front.draw(m, rng, noise=False)
-                noise = _helper().submit(_filtered_noise, front, m, rng)
-            if not first:
-                front.process(state)
-            # Graded from signal and noise only: free the clean
-            # waveform.
-            state.waveform = None
-            for k, decider in enumerate(deciders):
-                cols = np.flatnonzero(active[k])
-                if not len(cols):
-                    continue
-                with _trace.span(decider.span_name):
-                    _, decisions = decider.decide(
-                        state.signal, state.noise, sigmas[cols])
-                    errors[k, cols] += np.count_nonzero(
-                        decisions != state.bits[None, :], axis=-1)
-                bits[k, cols] += n
+                ahead = draw.draw(m, rng, noise=False)
+                noise = _helper().submit(_filtered_noise, draw, m, rng)
+
+            def front_jobs(jobs: Iterator[int]) -> None:
+                # Runs on either thread; _shared joins the helper's
+                # share before this chunk's variables move on.
+                for f in jobs:
+                    state = ready.pop(f, None)
+                    if state is None:
+                        state = _synthesize(fronts[f], drawn)
+                    errors, bits = counts[f]
+                    for k, decider in enumerate(deciders):
+                        cols = np.flatnonzero(active[f][k])
+                        if not len(cols):
+                            continue
+                        with _trace.span(decider.span_name):
+                            _, decisions = decider.decide(
+                                state.signal, chunk_noise, grids[f][cols])
+                            errors[k, cols] += np.count_nonzero(
+                                decisions != drawn.bits[None, :], axis=-1)
+                        bits[k, cols] += n
+
+            _shared(front_jobs, live)
             bits_done += n
             # Free this chunk's arrays before the next chunk allocates
             # its own.
-            state, ahead = ahead, None
+            drawn, ahead, chunk_noise = ahead, None, None
     finally:
         # The generator must end where the serial program leaves it:
         # a chunk being graded keeps its noise draw, a look-ahead that
@@ -760,4 +826,32 @@ def run_ber_sweep(front: SignalPipeline,
         if before is not None:
             _DISCARDED.inc()
             rng.bit_generator.state = before
-    return errors, bits
+    return counts
+
+
+def _interferer_count(front: SignalPipeline) -> int:
+    """Interferers whose bits :meth:`SignalPipeline.draw` draws."""
+    return sum(len(getattr(stage, "interferers", ()))
+               for stage in front.stages)
+
+
+def _active_cells(errors: np.ndarray, bits: np.ndarray, bits_done: int,
+                  rule: dict) -> np.ndarray:
+    """Which cells of one front sample the next chunk: those not
+    retired yet (their bits keep up with ``bits_done``) that the
+    stopping rule keeps sampling."""
+    active = np.zeros(errors.shape, dtype=bool)
+    for cell in np.ndindex(errors.shape):
+        active[cell] = (bits[cell] == bits_done
+                        and keeps_sampling(int(errors[cell]), bits_done,
+                                           **rule))
+    return active
+
+
+def _synthesize(front: SignalPipeline, drawn: LinkState) -> LinkState:
+    """*front*'s band-passed clean signal for the *drawn* chunk: its
+    stages run on a state of its own that holds the chunk's draws."""
+    state = LinkState(n=drawn.n, bits=drawn.bits,
+                      interferer_bits=drawn.interferer_bits)
+    front.process(state)
+    return state

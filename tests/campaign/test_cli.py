@@ -352,6 +352,28 @@ class TestTraceCommand:
 
         assert isinstance(report.metrics, MetricsSnapshot)
 
+    def test_mui_trace_names_every_scenario(self, capsys):
+        """`repro trace mui --fast` names every executed scenario: the
+        networks that draw alike run under one ``scenario:`` span that
+        names its members, with the pipeline spans under it."""
+        from repro.obs.export import TraceReport
+
+        code, out = run_cli(capsys, "trace", "mui", "--fast",
+                            "--format", "json")
+        assert code == 0
+        root = TraceReport.from_json(out).root
+        spans = {name.split(":", 1)[1]: node
+                 for name, node in root.children.items()
+                 if name.startswith("scenario:")}
+        assert sorted(spans) == [
+            "n0", "n1-sir0+n1-sir6+nearfar-d3+nearfar-d6+nearfar-d9.9"
+            "+nearfar-d15", "n2-sir0+n2-sir6", "n4-sir0+n4-sir6"]
+        # This thread synthesizes each sweep's first front itself
+        # while the helper draws the first chunk's noise.
+        for node in spans.values():
+            assert {"link.tx", "link.afe", "link.wait"} <= set(
+                node.children)
+
     def test_trace_leaves_tracing_disabled(self, capsys):
         from repro.obs import trace
 

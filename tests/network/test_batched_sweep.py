@@ -235,18 +235,19 @@ class TestValidation:
         budget = dict(BUDGET)
         budget.update(bad)
         with pytest.raises(ValueError):
-            run_ber_sweep(front, [decider], np.array([1e-4]),
+            run_ber_sweep([front], [decider], [np.array([1e-4])],
                           np.random.default_rng(0), **budget)
 
     def test_negative_sigma_raises(self, front, decider):
         for sigmas in ([1e-4, -1.0], [[1e-4]]):
             with pytest.raises(ValueError, match="sigmas"):
-                run_ber_sweep(front, [decider], np.array(sigmas),
+                run_ber_sweep([front], [decider], [np.array(sigmas)],
                               np.random.default_rng(0), **BUDGET)
 
     def test_empty_batch_returns_zero_counters(self, front, decider):
-        errors, bits = run_ber_sweep(front, [decider], np.zeros(0),
-                                     np.random.default_rng(0), **BUDGET)
+        ((errors, bits),) = run_ber_sweep([front], [decider], [np.zeros(0)],
+                                          np.random.default_rng(0),
+                                          **BUDGET)
         assert errors.shape == (1, 0) and bits.shape == (1, 0)
 
     def test_cli_rejects_nonsensical_chunk_bits(self, capsys):

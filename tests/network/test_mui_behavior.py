@@ -116,7 +116,10 @@ class TestCombineStage:
         path = InterfererPath(amplitude=0.5, offset_samples=37)
         pipeline = link_front(cfg, calibrate(LinkSpec(config=cfg)).bpf,
                               interferers=(path,))
-        state = pipeline.run_chunk(n, np.random.default_rng(77))
+        state = pipeline.draw(n, np.random.default_rng(77))
+        *synthesis, front_end = pipeline.stages
+        for stage in synthesis:
+            stage.process(state)
 
         replay = np.random.default_rng(77)
         victim_bits = random_bits(n, replay)
@@ -126,9 +129,11 @@ class TestCombineStage:
         assert np.array_equal(state.bits, victim_bits)
         assert np.array_equal(state.waveform, expected)
         # The one unit-noise vector is drawn after every bit draw, and
-        # the front end filters the clean sum on its own.
+        # the front end filters the clean sum on its own (in place).
         assert np.array_equal(state.unit,
                               replay.standard_normal(expected.size))
+        front_end.process(state)
+        assert state.waveform is None
         assert np.array_equal(
             state.signal.ravel(),
             calibrate(LinkSpec(config=cfg)).bpf(expected))
