@@ -30,15 +30,6 @@ import numpy as np
 from repro.core.iir import SectionFilter
 
 
-def saturate(value: float, low: float, high: float) -> float:
-    """Clamp *value* into ``[low, high]``."""
-    if value < low:
-        return low
-    if value > high:
-        return high
-    return value
-
-
 class OnePoleState:
     """First-order low-pass ``tau*y' + y = gain*x`` (trapezoidal).
 

@@ -150,7 +150,7 @@ class Simulator:
 
     def _schedule_signal(self, sig: Signal, value: Any,
                          after: float) -> None:
-        self._push_event(after, lambda: sig._apply(value, self.t))
+        self._push_event(after, lambda: sig.force(value))
 
     def _drain_events(self, up_to: float) -> None:
         queue = self._queue

@@ -19,7 +19,6 @@ class Signal:
         self.name = name
         self._init = init
         self._value = init
-        self._last_change: float = 0.0
         self._watchers: list[Callable[["Signal"], None]] = []
         self._sim = None  # set on registration
 
@@ -27,17 +26,11 @@ class Signal:
         """Restore the initial value silently (watchers do not fire) -
         the kernel reset contract."""
         self._value = self._init
-        self._last_change = 0.0
 
     # -- value access ---------------------------------------------------
     @property
     def value(self) -> Any:
         return self._value
-
-    @property
-    def last_change(self) -> float:
-        """Time of the most recent value change."""
-        return self._last_change
 
     def __bool__(self) -> bool:
         return bool(self._value)
@@ -62,21 +55,13 @@ class Signal:
                 f"signal {self.name!r} is not registered with a simulator")
         self._sim._schedule_signal(self, value, after)
 
-    def force(self, value: Any, t: float = 0.0) -> None:
-        """Set the value immediately, firing watchers (initialization /
-        testbench use)."""
-        changed = value != self._value
-        self._value = value
-        if changed:
-            self._last_change = t
-            for watcher in list(self._watchers):
-                watcher(self)
-
-    def _apply(self, value: Any, t: float) -> None:
+    def force(self, value: Any) -> None:
+        """Set the value immediately, firing watchers if it changed
+        (how the kernel applies a scheduled assignment; testbenches may
+        call it directly)."""
         if value == self._value:
             return
         self._value = value
-        self._last_change = t
         for watcher in list(self._watchers):
             watcher(self)
 

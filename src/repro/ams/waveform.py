@@ -37,21 +37,6 @@ class Trace:
     def rms(self) -> float:
         return float(np.sqrt(np.mean(self.values ** 2)))
 
-    def final(self) -> float:
-        return float(self.values[-1])
-
-    def crossings(self, level: float, rising: bool = True) -> np.ndarray:
-        """Interpolated times where the trace crosses *level*."""
-        v = self.values - level
-        if rising:
-            idx = np.nonzero((v[:-1] < 0) & (v[1:] >= 0))[0]
-        else:
-            idx = np.nonzero((v[:-1] > 0) & (v[1:] <= 0))[0]
-        if len(idx) == 0:
-            return np.array([])
-        frac = -v[idx] / (v[idx + 1] - v[idx])
-        return self.t[idx] + frac * (self.t[idx + 1] - self.t[idx])
-
     def __len__(self) -> int:
         return len(self.t)
 
@@ -60,23 +45,17 @@ class Trace:
 
 
 class Recorder:
-    """Samples quantities/signals after every analog step (optionally
-    decimated) and exposes them as :class:`Trace` objects.
+    """Samples quantities/signals after every analog step and exposes
+    them as :class:`Trace` objects.
 
     Args:
         sim: the simulator to attach to.
         probes: quantities or signals to record (signal values must be
             numeric for tracing).
-        decimate: record every N-th step (1 = every step).
     """
 
-    def __init__(self, sim, probes: Sequence[Quantity | Signal],
-                 decimate: int = 1):
-        if decimate < 1:
-            raise ValueError("decimate must be >= 1")
+    def __init__(self, sim, probes: Sequence[Quantity | Signal]):
         self.probes = list(probes)
-        self.decimate = decimate
-        self._count = 0
         self._times: list[float] = []
         self._data: list[list[float]] = [[] for _ in self.probes]
         sim.add_step_hook(self)
@@ -86,9 +65,6 @@ class Recorder:
 
     def __call__(self, t: float) -> None:
         """Per-step hook (reference engine)."""
-        self._count += 1
-        if self._count % self.decimate:
-            return
         self._times.append(t)
         for slot, probe in zip(self._data, self.probes):
             slot.append(float(probe.value))
@@ -97,22 +73,9 @@ class Recorder:
         """Segment hook (compiled engine): record a whole inter-event
         window at once.  *resolve(probe)* returns the probe's ``(n,)``
         value array over the window."""
-        n = len(t)
-        base = self._count
-        self._count = base + n
-        if self.decimate == 1:
-            keep = slice(None)
-            self._times.extend(t.tolist())
-        else:
-            idx = np.nonzero((base + 1 + np.arange(n))
-                             % self.decimate == 0)[0]
-            if len(idx) == 0:
-                return
-            keep = idx
-            self._times.extend(t[idx].tolist())
+        self._times.extend(t.tolist())
         for slot, probe in zip(self._data, self.probes):
-            values = np.asarray(resolve(probe), dtype=float)
-            slot.extend(values[keep].tolist())
+            slot.extend(np.asarray(resolve(probe), dtype=float).tolist())
 
     def trace(self, probe_or_name) -> Trace:
         """Trace for a probe object or its name."""
@@ -130,4 +93,3 @@ class Recorder:
         self._times.clear()
         for slot in self._data:
             slot.clear()
-        self._count = 0

@@ -119,15 +119,3 @@ def cmfb_regulation(vdd_points=(1.6, 1.7, 1.8, 1.9, 2.0)
         cm = 0.5 * (op.v("x1.outp") + op.v("x1.outm"))
         out.append((vdd, cm))
     return out
-
-
-def format_corner_table(points: list[CornerPoint]) -> str:
-    """Human-readable corner report."""
-    lines = [f"{'corner':<7s} {'vdd':>5s} {'gain':>8s} {'fp1':>10s} "
-             f"{'fp2':>9s} {'out CM':>7s}"]
-    for p in points:
-        lines.append(
-            f"{p.corner:<7s} {p.vdd:>4.2f} {p.gain_db:>6.2f}dB "
-            f"{p.fp1_hz / 1e6:>7.2f}MHz {p.fp2_hz / 1e9:>6.2f}GHz "
-            f"{p.output_cm:>6.3f}V")
-    return "\n".join(lines)

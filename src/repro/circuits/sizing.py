@@ -83,9 +83,6 @@ class IntegrateDumpDesign:
     inv_n: MosSize = MosSize(0.5e-6, 0.18e-6, "nch")
     inv_p: MosSize = MosSize(1.0e-6, 0.18e-6, "pch")
 
-    def with_cap(self, c_int: float) -> "IntegrateDumpDesign":
-        return replace(self, c_int=c_int)
-
 
 def default_design() -> IntegrateDumpDesign:
     """The calibrated baseline design used throughout the repository."""

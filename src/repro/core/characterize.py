@@ -28,7 +28,6 @@ from repro.spice.analysis.ac import ac_analysis, logspace_freqs
 from repro.spice.mna import MnaSystem
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
-    TwoPoleIntegrator,
     tabulated_nonlinearity,
 )
 
@@ -66,11 +65,6 @@ class TwoPoleFit:
         return (self.gain_db
                 - 10.0 * np.log10(1.0 + (f / self.fp1_hz) ** 2)
                 - 10.0 * np.log10(1.0 + (f / self.fp2_hz) ** 2))
-
-    def to_model(self) -> TwoPoleIntegrator:
-        """The corresponding Phase-IV behavioral integrator."""
-        return TwoPoleIntegrator(gain=self.gain, fp1_hz=self.fp1_hz,
-                                 fp2_hz=self.fp2_hz)
 
 
 def fit_two_pole(freqs, mag_db) -> TwoPoleFit:

@@ -65,8 +65,11 @@ class Scenario:
     def build_kwargs(self) -> dict[str, Any]:
         kwargs = dict(self.params)
         if self.rng_param:
-            # seed=None -> fresh entropy, still a valid generator.
-            kwargs[self.rng_param] = np.random.default_rng(self.seed)
+            # seed=None -> fresh entropy, still a valid generator.  The
+            # first call imports numpy.random; the span keeps that time
+            # in a leaf of the trace.
+            with _trace.span("scenario.rng"):
+                kwargs[self.rng_param] = np.random.default_rng(self.seed)
         return kwargs
 
     def run(self) -> Any:

@@ -256,14 +256,14 @@ class LinkState:
             in place into ``signal`` and clears it).
         unit: the chunk's one unit-variance noise vector, as long as
             ``waveform`` (drawn; ``None`` in a sweep, whose helper
-            thread band-passes it in place).
+            thread draws it and band-passes it in place through
+            :func:`_filtered_noise`, one filtered noise per chunk
+            shared by its fronts).
         signal: ``waveform`` band-passed and drive-scaled, shaped
             ``(n, 2, samples_per_slot)`` (set by
-            :class:`AnalogFrontEndStage`).
-        noise: ``unit`` through the same band-pass and scaling, same
-            shape; row ``i`` of a decider squares ``signal + sigma_i
-            * noise`` (``None`` in a sweep, which keeps the chunk's
-            one filtered noise apart, shared by its fronts).
+            :class:`AnalogFrontEndStage`); row ``i`` of a decider
+            squares ``signal + sigma_i * noise``, the noise filtered
+            the same way.
     """
 
     n: int
@@ -272,7 +272,6 @@ class LinkState:
     waveform: np.ndarray | None = None
     unit: np.ndarray | None = None
     signal: np.ndarray | None = None
-    noise: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -385,13 +384,14 @@ class CombineStage:
 @dataclass
 class AnalogFrontEndStage:
     """Receiver analog front end: band-pass and AGC drive scaling of the
-    clean waveform and of the unit noise, each once per chunk (output
-    reshaped into per-slot windows; the squarer runs per noise scale in
-    the :class:`DecisionStage`).  The clean waveform is the state's
-    own: it is band-passed in place, so the signal takes its memory and
-    :attr:`LinkState.waveform` is cleared.  In a sweep the unit noise
-    never reaches this stage: the helper thread band-passes it in
-    place, one chunk ahead (see :func:`run_ber_sweep`)."""
+    clean waveform, once per chunk (output reshaped into per-slot
+    windows; the squarer runs per noise scale in the
+    :class:`DecisionStage`).  The clean waveform is the state's own: it
+    is band-passed in place, so the signal takes its memory and
+    :attr:`LinkState.waveform` is cleared.  The unit noise never
+    reaches this stage: the sweep's helper thread band-passes it in
+    place with the same filter and scaling, one chunk ahead
+    (:func:`_filtered_noise`, :func:`run_ber_sweep`)."""
 
     config: UwbConfig
     bpf: BandPassFilter
@@ -402,8 +402,6 @@ class AnalogFrontEndStage:
         state.signal = self._drive(state.waveform, state.n,
                                    overwrite_x=True)
         state.waveform = None
-        if state.unit is not None:
-            state.noise = self._drive(state.unit, state.n)
 
     def _drive(self, x: np.ndarray, n: int, overwrite_x: bool = False
                ) -> np.ndarray:

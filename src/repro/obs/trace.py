@@ -246,13 +246,12 @@ def span(name: str) -> "_Span | _NoopSpan":
 
 
 @contextmanager
-def collect(name: str = "trace", *, keep_enabled: bool = False):
+def collect(name: str = "trace"):
     """Trace a block into a fresh tree; yields the root node.
 
     Enables tracing, resets this thread's tree, runs the block, stamps
-    the root's wall time, and restores the previous enabled state
-    (unless *keep_enabled*).  The canonical harness for ``repro
-    trace`` and the test suite::
+    the root's wall time, and restores the previous enabled state.  The
+    canonical harness for ``repro trace`` and the test suite::
 
         with trace.collect("fig6") as root:
             run_fig6(...)
@@ -267,7 +266,7 @@ def collect(name: str = "trace", *, keep_enabled: bool = False):
     finally:
         root.count += 1
         root.total_s += time.perf_counter() - start
-        if not (was_enabled or keep_enabled):
+        if not was_enabled:
             disable()
 
 

@@ -47,10 +47,6 @@ class AcResult:
         h = self.v(node) if ref is None else self.vdiff(node, ref)
         return 20.0 * np.log10(np.maximum(np.abs(h), 1e-30))
 
-    def phase_deg(self, node: str) -> np.ndarray:
-        """Phase in degrees of ``v(node)``."""
-        return np.degrees(np.angle(self.v(node)))
-
     def i(self, device: str) -> np.ndarray:
         return self.system.branch_current(self.x, device).copy()
 

@@ -68,13 +68,11 @@ class TransientStepper:
         overrides: initial source-value overrides (by device name); they
             persist until changed via :meth:`set_source`.
         initial_guess: node-voltage hints for the initial DC solve.
-        uic: skip the initial DC solve and start from zero.
     """
 
     def __init__(self, circuit: Circuit, dt: float, method: str = "trap",
                  overrides: Mapping[str, float] | None = None,
-                 initial_guess: Mapping[str, float] | None = None,
-                 uic: bool = False):
+                 initial_guess: Mapping[str, float] | None = None):
         if dt <= 0:
             raise AnalysisError("TransientStepper: dt must be positive")
         if method not in ("trap", "be"):
@@ -86,18 +84,15 @@ class TransientStepper:
             k.lower(): float(v) for k, v in (overrides or {}).items()}
         self.t = 0.0
 
-        if uic:
-            self.x = np.zeros(self.system.size)
-        else:
-            x_init = None
-            if initial_guess:
-                x_init = np.zeros(self.system.size)
-                for node, val in initial_guess.items():
-                    idx = self.system.node_index.get(node.lower())
-                    if idx is not None and idx < self.system.n_nodes:
-                        x_init[idx] = val
-            self.x = self.system.solve_robust(
-                x_init, overrides=self.overrides, t=0.0)
+        x_init = None
+        if initial_guess:
+            x_init = np.zeros(self.system.size)
+            for node, val in initial_guess.items():
+                idx = self.system.node_index.get(node.lower())
+                if idx is not None and idx < self.system.n_nodes:
+                    x_init[idx] = val
+        self.x = self.system.solve_robust(
+            x_init, overrides=self.overrides, t=0.0)
 
         self._refresh_caps()
         self.i_cap = np.zeros(len(self.c_val))

@@ -36,11 +36,6 @@ class ParseError(SpiceError):
         super().__init__(message)
 
 
-#: Conventional alias (matches the name most Spice tooling uses for its
-#: parser exception).
-SpiceParserError = ParseError
-
-
 class AnalysisError(SpiceError):
     """An analysis was configured incorrectly or failed to run."""
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from repro.spice.devices.mosfet import MosModel
 
-VDD_NOMINAL = 1.8  # volts
-
 _COMMON = dict(
     tox=4.1e-9,
     cgso=2.0e-10,

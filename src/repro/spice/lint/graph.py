@@ -145,16 +145,6 @@ class CircuitGraph:
             seen.setdefault(id(dev), dev)
         return list(seen.values())
 
-    def neighbors(self, node: str) -> list[str]:
-        """Nodes sharing a device with *node* (excluding itself)."""
-        node = normalize_node(node)
-        seen: dict[str, None] = {}
-        for dev in self.devices_at(node):
-            for other in dev.nodes:
-                if other != node:
-                    seen.setdefault(other, None)
-        return list(seen)
-
     def is_external(self, node: str) -> bool:
         return normalize_node(node) in self.external
 

@@ -101,10 +101,6 @@ class LintReport:
     def errors(self) -> tuple[LintFinding, ...]:
         return self.at_severity(Severity.ERROR)
 
-    @property
-    def warnings(self) -> tuple[LintFinding, ...]:
-        return self.at_severity(Severity.WARN)
-
     def at_severity(self, severity: Severity) -> tuple[LintFinding, ...]:
         return tuple(f for f in self.findings if f.severity == severity)
 

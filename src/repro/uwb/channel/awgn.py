@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def noise_sigma_for_ebn0(eb: float, ebn0_db: float, fs: float) -> float:
     """Per-sample noise standard deviation for a target Eb/N0.
@@ -25,19 +23,3 @@ def noise_sigma_for_ebn0(eb: float, ebn0_db: float, fs: float) -> float:
         raise ValueError("energy per bit must be positive")
     n0 = eb / (10.0 ** (ebn0_db / 10.0))
     return math.sqrt(n0 * fs / 2.0)
-
-
-class AwgnChannel:
-    """Stateless AWGN channel with a fixed per-sample sigma."""
-
-    def __init__(self, sigma: float, rng: np.random.Generator):
-        if sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        self.sigma = float(sigma)
-        self.rng = rng
-
-    def __call__(self, waveform: np.ndarray) -> np.ndarray:
-        if self.sigma == 0.0:
-            return np.array(waveform, dtype=float, copy=True)
-        return waveform + self.rng.normal(0.0, self.sigma,
-                                          size=len(waveform))

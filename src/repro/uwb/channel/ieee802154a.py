@@ -134,24 +134,6 @@ class ChannelRealization:
         return self.apply(waveform)[self.delay_samples:
                                     self.delay_samples + n]
 
-    @property
-    def delay_seconds(self) -> float:
-        return self.delay_samples / self.fs
-
-    def energy_gain(self) -> float:
-        """Total multipath energy gain ``sum |h|^2``."""
-        return float(np.sum(self.taps ** 2))
-
-    def rms_delay_spread(self) -> float:
-        """RMS delay spread of the tap power profile (s)."""
-        power = self.taps ** 2
-        total = power.sum()
-        if total == 0:
-            return 0.0
-        t = np.arange(len(self.taps)) / self.fs
-        mean = (t * power).sum() / total
-        return math.sqrt(((t - mean) ** 2 * power).sum() / total)
-
 
 class Cm1Channel:
     """Generator of CM1 channel realizations.
@@ -180,34 +162,16 @@ class Cm1Channel:
         return math.sqrt(rng.gamma(m, mean_power / m))
 
     def realize(self, distance: float,
-                rng: np.random.Generator, *,
-                rel_delay: float = 0.0) -> ChannelRealization:
+                rng: np.random.Generator) -> ChannelRealization:
         """Draw one channel realization at *distance* meters.
 
         Args:
             distance: link distance (drives the flight-time delay and,
                 when enabled, the path loss).
             rng: entropy source of the stochastic tap draw.
-            rel_delay: extra delay (s) added on top of the flight
-                time, folded into ``delay_samples``.  May be negative
-                as long as the total delay stays non-negative.  Note
-                the scope: this shifts the realization's *absolute*
-                arrival time, so it matters to consumers that keep the
-                delay (packet-level receivers, ranging).  The BER
-                pipeline trims every transmitter by its own
-                ``delay_samples`` (symbol-synchronous alignment) and
-                applies timing offsets as a circular shift instead -
-                see ``InterfererSpec.timing_offset`` /
-                ``InterfererPath.offset_samples``.
         """
         if distance <= 0:
             raise ValueError("distance must be positive")
-        total_delay = distance / SPEED_OF_LIGHT + rel_delay
-        if total_delay < 0:
-            raise ValueError(
-                "rel_delay must not advance the signal before t=0 "
-                f"(flight time {distance / SPEED_OF_LIGHT:.3e}s + "
-                f"rel_delay {rel_delay:.3e}s < 0)")
         p = self.params
         n_taps = int(round(self.max_excess_delay * self.fs)) + 1
         taps = np.zeros(n_taps)
@@ -248,6 +212,6 @@ class Cm1Channel:
         if self.apply_path_loss:
             taps *= 10.0 ** (-path_loss_db(distance, p) / 20.0)
 
-        delay = int(round(total_delay * self.fs))
+        delay = int(round(distance / SPEED_OF_LIGHT * self.fs))
         return ChannelRealization(taps=taps, delay_samples=delay,
                                   fs=self.fs, distance=distance)

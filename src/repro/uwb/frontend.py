@@ -55,11 +55,6 @@ class Vga:
         """Program the DAC code (clamped to the valid range)."""
         self._code = int(np.clip(code, 0, self.n_codes - 1))
 
-    def set_gain_db(self, gain_db: float) -> None:
-        """Program the nearest achievable gain (quantized!)."""
-        code = round((gain_db - self.min_db) / self.step_db)
-        self.set_code(code)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         y = self.gain * np.asarray(x, dtype=float)
         if self.sat is not None:

@@ -103,25 +103,22 @@ def ppm_pulse_samples(symbols: np.ndarray, config: UwbConfig
 
 
 def ppm_waveform(symbols: np.ndarray, config: UwbConfig,
-                 amplitude: float = 1.0,
-                 extra_samples: int = 0) -> np.ndarray:
+                 amplitude: float = 1.0) -> np.ndarray:
     """Synthesize the 2-PPM pulse train for *symbols*.
 
     Args:
         symbols: slot choice (0/1) per symbol.
         amplitude: peak pulse amplitude.
-        extra_samples: trailing zero padding (lets channel tails ring
-            out).
 
     Returns:
-        Waveform array of ``len(symbols) * samples_per_symbol +
-        extra_samples`` samples.
+        Waveform array of ``len(symbols) * samples_per_symbol``
+        samples.
     """
     config.validate()
     pulse = _pulse_template(config.fs, config.pulse_tau,
                             config.pulse_order)
     half = len(pulse) // 2
-    total = len(symbols) * config.samples_per_symbol + extra_samples
+    total = len(symbols) * config.samples_per_symbol
     # Pad by half a pulse on each side so early/late pulses stay intact,
     # then strip the head pad so sample 0 corresponds to t = 0.
     wave = np.zeros(total + len(pulse))

@@ -74,35 +74,18 @@ def sampled_pulse(fs: float, tau: float, order: int = 5) -> np.ndarray:
     return gaussian_derivative(t, tau, order)
 
 
-def pulse_energy(pulse: np.ndarray, fs: float) -> float:
-    """Continuous-time energy of a sampled pulse: ``sum(p^2) / fs``."""
-    return float(np.sum(np.square(pulse)) / fs)
-
-
-def pulse_psd(pulse: np.ndarray, fs: float, nfft: int = 1 << 14
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided energy spectral density of a pulse.
+def pulse_psd(pulse: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided energy spectral density of a pulse, on the grid of a
+    zero-padded 2^14-point FFT.
 
     Returns:
         ``(freqs, esd)`` with esd in V^2 s / Hz.
     """
+    nfft = 1 << 14
     spectrum = np.fft.rfft(pulse, n=nfft) / fs
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
     esd = 2.0 * np.abs(spectrum) ** 2
     return freqs, esd
-
-
-def fcc_indoor_mask_dbm_per_mhz(freqs: np.ndarray) -> np.ndarray:
-    """FCC Part-15 indoor UWB EIRP mask in dBm/MHz versus frequency."""
-    f_ghz = np.asarray(freqs, dtype=float) / 1e9
-    mask = np.full_like(f_ghz, -41.3)
-    mask[f_ghz < 0.96] = -41.3
-    mask[(f_ghz >= 0.96) & (f_ghz < 1.61)] = -75.3
-    mask[(f_ghz >= 1.61) & (f_ghz < 1.99)] = -53.3
-    mask[(f_ghz >= 1.99) & (f_ghz < 3.1)] = -51.3
-    mask[(f_ghz >= 3.1) & (f_ghz <= 10.6)] = -41.3
-    mask[f_ghz > 10.6] = -51.3
-    return mask
 
 
 def pulse_band(pulse: np.ndarray, fs: float,
@@ -113,13 +96,3 @@ def pulse_band(pulse: np.ndarray, fs: float,
     esd_db = 10.0 * np.log10(np.maximum(esd, 1e-300))
     above = np.nonzero(esd_db >= np.max(esd_db) - drop_db)[0]
     return float(freqs[above[0]]), float(freqs[above[-1]])
-
-
-def fractional_bandwidth(pulse: np.ndarray, fs: float) -> float:
-    """Fractional bandwidth ``2 (fh - fl) / (fh + fl)`` at 10 dB below
-    the spectral peak (FCC defines UWB as > 0.20, or > 500 MHz
-    absolute)."""
-    f_low, f_high = pulse_band(pulse, fs, 10.0)
-    if f_high + f_low == 0:
-        return 0.0
-    return 2.0 * (f_high - f_low) / (f_high + f_low)

@@ -324,34 +324,6 @@ class TestCompiledFallback:
 
 
 class TestCompiledRecorder:
-    def test_decimated_recorder_matches_reference(self):
-        def build(engine):
-            sim = Simulator(dt=1e-9, engine=engine)
-            src = sim.quantity("src", init=0.0)
-            out = sim.quantity("out")
-            samples = np.sin(np.linspace(0.0, 3.0, 64))
-
-            from repro.uwb.system import WaveformSource
-
-            sim.add_block(WaveformSource("w", samples, src))
-            sim.add_block(CallbackBlock("g", lambda v: 2.0 * v,
-                                        inputs=[src], outputs=[out],
-                                        vectorized=True))
-            rec = Recorder(sim, [out], decimate=4)
-            # an event mid-run forces a segment split off the decimation
-            # phase
-            sim.schedule(13e-9, lambda: None)
-            return sim, rec
-
-        sim_r, rec_r = build("reference")
-        sim_c, rec_c = build("compiled")
-        sim_r.run(50e-9)
-        sim_c.run(50e-9)
-        assert sim_c.engine.fallback_reason is None
-        assert np.array_equal(rec_r.t, rec_c.t)
-        assert np.array_equal(rec_r.trace("out").values,
-                              rec_c.trace("out").values)
-
     def test_passthrough_alias_keeps_pre_event_output(self):
         """A pass-through block may return its input array unchanged;
         a boundary event rewriting the undriven input must not leak
@@ -413,7 +385,7 @@ class TestCompiledRecorder:
                                         inputs=[src], outputs=[out],
                                         vectorized=True))
             mode = sim.signal("mode", init=0)
-            sim.schedule(5e-9, lambda: mode.force(7, sim.t))
+            sim.schedule(5e-9, lambda: mode.force(7))
             rec = Recorder(sim, [mode])
             return sim, rec
 

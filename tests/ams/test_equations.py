@@ -10,15 +10,7 @@ from repro.ams.equations import (
     GatedIntegratorState,
     OnePoleState,
     TwoPoleGatedIntegratorState,
-    saturate,
 )
-
-
-class TestSaturate:
-    def test_clamps(self):
-        assert saturate(5.0, -1.0, 1.0) == 1.0
-        assert saturate(-5.0, -1.0, 1.0) == -1.0
-        assert saturate(0.3, -1.0, 1.0) == 0.3
 
 
 class TestOnePole:

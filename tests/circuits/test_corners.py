@@ -6,7 +6,6 @@ from repro.circuits.corners import (
     cmfb_regulation,
     corner_models,
     corner_sweep,
-    format_corner_table,
 )
 
 
@@ -56,10 +55,6 @@ class TestCornerSweep:
         corner - the property the paper calls 'fundamental'."""
         for p in points:
             assert p.output_cm == pytest.approx(0.90, abs=0.12), p.corner
-
-    def test_table_format(self, points):
-        text = format_corner_table(points)
-        assert "corner" in text and "tt" in text
 
 
 class TestSupplyRegulation:

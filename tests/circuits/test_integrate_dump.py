@@ -1,5 +1,7 @@
 """The 31-transistor Integrate & Dump circuit (paper figure 3)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ class TestStructure:
         assert cap.value == pytest.approx(1e-12)
 
     def test_custom_cap(self):
-        design = default_design().with_cap(2e-12)
+        design = dataclasses.replace(default_design(), c_int=2e-12)
         sub = build_integrate_dump(design)
         assert sub.circuit.device("c_int").value == pytest.approx(2e-12)
 

@@ -55,13 +55,6 @@ class TestFit:
         assert mags[0] == pytest.approx(20.0, abs=0.01)
         assert mags[1] == pytest.approx(17.0, abs=0.05)
 
-    def test_to_model(self):
-        fit = TwoPoleFit(gain=10.0, fp1_hz=1e6, fp2_hz=1e9,
-                         rms_error_db=0.0)
-        model = fit.to_model()
-        assert model.gain == 10.0
-        assert model.fp1_hz == 1e6
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fit_two_pole([1.0, 2.0], [0.0, 0.0])

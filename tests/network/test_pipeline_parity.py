@@ -20,7 +20,11 @@ import pytest
 
 from repro.link import ops
 from repro.link.backends import _LinkCache
-from repro.link.pipeline import DecisionStage, run_ber_point
+from repro.link.pipeline import (
+    DecisionStage,
+    _filtered_noise,
+    run_ber_point,
+)
 from repro.link.spec import LinkSpec, NetworkSpec
 from repro.uwb.adc import Adc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
@@ -197,10 +201,12 @@ class TestSlotValues:
         sigmas = np.array([noise_sigma_for_ebn0(cache.eb, e, config.fs)
                            for e in (0.0, 6.0, 12.0)])
         n = 200
-        state = link_front(config, cache.bpf, scale=scale).run_chunk(
-            n, np.random.default_rng(9))
+        front = link_front(config, cache.bpf, scale=scale)
+        rng = np.random.default_rng(9)
+        state = front.draw(n, rng, noise=False)
+        front.process(state)
         values, _ = DecisionStage(config, integrator).decide(
-            state.signal, state.noise, sigmas)
+            state.signal, _filtered_noise(front, n, rng), sigmas)
         replay = np.random.default_rng(9)
         wave = ppm_waveform(random_bits(n, replay), config)
         unit = replay.standard_normal(wave.size)

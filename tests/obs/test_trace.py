@@ -197,11 +197,6 @@ class TestEnableDisable:
             assert trace.ENABLED
         assert not trace.ENABLED
 
-    def test_collect_keep_enabled(self):
-        with trace.collect("run", keep_enabled=True):
-            pass
-        assert trace.ENABLED
-
     def test_collect_restores_prior_enabled_state(self):
         trace.enable()
         with trace.collect("run"):

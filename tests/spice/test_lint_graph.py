@@ -47,11 +47,6 @@ class TestConstruction:
         g = CircuitGraph(ckt)
         assert [d.name for d in g.devices_at("a")] == ["rshort", "r2"]
 
-    def test_neighbors(self):
-        g = CircuitGraph(rc_ladder())
-        assert set(g.neighbors("out")) == {"in", "0"}
-        assert set(g.neighbors("in")) == {"0", "out"}
-
     def test_external_nodes_exist_without_devices(self):
         g = CircuitGraph(Circuit("empty"), external=["port_a"])
         assert "port_a" in g.nodes

@@ -327,7 +327,7 @@ class TestReport:
         assert report.worst() == Severity.ERROR
         assert report.counts()["error"] == len(report.errors)
         assert len(report.at_least(Severity.WARN)) == (
-            len(report.errors) + len(report.warnings))
+            len(report.errors) + len(report.at_severity(Severity.WARN)))
 
     def test_format_text(self):
         text = self._broken().format_text()
@@ -395,4 +395,5 @@ class TestBuiltinCircuitsCertified:
         else:
             report = lint_circuit(built)
         assert report.errors == (), report.format_text()
-        assert report.warnings == (), report.format_text()
+        assert report.at_severity(Severity.WARN) == (), \
+            report.format_text()

@@ -285,11 +285,3 @@ Xdiv n1 n2 div
     def test_duplicate_differs_only_by_case(self):
         with pytest.raises(ParseError):
             parse_netlist("t\nr1 a 0 1k\nR1 b 0 2k\n")
-
-    def test_spice_parser_error_alias(self):
-        # SpiceParserError is the conventional name other tools use.
-        from repro.spice.errors import SpiceParserError
-
-        assert SpiceParserError is ParseError
-        with pytest.raises(SpiceParserError):
-            parse_netlist("t\nr1 a 0 1k\nr1 a 0 2k\n")

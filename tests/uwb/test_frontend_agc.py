@@ -15,11 +15,11 @@ from repro.uwb.pulse import pulse_band, sampled_pulse
 class TestVga:
     def test_code_quantization(self):
         vga = Vga(step_db=2.0, min_db=0.0, max_db=40.0)
-        vga.set_gain_db(13.0)
-        assert vga.gain_db in (12.0, 14.0)
-        vga.set_gain_db(500.0)
+        vga.set_code(6)
+        assert vga.gain_db == 12.0
+        vga.set_code(500)
         assert vga.gain_db == 40.0
-        vga.set_gain_db(-10.0)
+        vga.set_code(-10)
         assert vga.gain_db == 0.0
 
     def test_n_codes(self):
@@ -28,7 +28,7 @@ class TestVga:
 
     def test_application(self):
         vga = Vga(sat=None)
-        vga.set_gain_db(20.0)
+        vga.set_code(10)  # 2 dB steps from 0 dB
         assert vga(np.array([0.01]))[0] == pytest.approx(0.1)
 
     def test_validation(self):

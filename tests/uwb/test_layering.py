@@ -5,11 +5,13 @@ it (not even lazily inside a function).  The module-level import graph
 of ``src/repro`` has no cycle, and every name is imported from the
 module that defines it, never through a package that re-exports it.
 Setting a simulation up loads no SciPy module: ``src/`` imports SciPy
-only inside the functions that need it."""
+only inside the functions that need it.  Every public name ``src/``
+defines is reached from the program, not only from its tests."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -301,3 +303,93 @@ def test_simulation_set_up_stays_off_heavy_scipy():
     loaded = sorted(m for m in modules
                     if m == "scipy" or m.startswith("scipy."))
     assert loaded == []
+
+
+#: where the program reaches a name: the package itself, its examples,
+#: the paper benchmarks and the speed benchmark.
+USER_FILES = sorted(p for top in ("src", "examples", "benchmarks",
+                                  "perfbench")
+                    for p in (ROOT / top).rglob("*.py"))
+
+#: public names only tests reach, each kept for the reason given.
+TEST_ONLY_KEEP = {
+    "Simulator.initialize": "stepping API: the signal and reset tests "
+                            "apply time-zero events without a step",
+    "Simulator.run_steps": "stepping API: the kernel, engine, "
+                           "co-simulation and set-up tests take exactly "
+                           "n analog steps",
+    "TransientStepper.run_until": "stepping API: the transient and "
+                                  "Newton-failure tests step to a time",
+}
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def public_definitions(source: str) -> list[str]:
+    """Every public top-level function and class of *source*, and every
+    public method (``Class.method``) of its top-level classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs + (ast.ClassDef,)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.extend(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, defs))
+    return [name for name in names
+            if not name.rpartition(".")[2].startswith("_")]
+
+
+def named_in(source: str) -> set[str]:
+    """The identifiers *source* names: every name, attribute and import,
+    and every word of its strings (a docstring that documents a name, a
+    ``getattr`` or a patch by name).  A ``def`` or ``class`` statement
+    does not name what it defines."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(_WORD.findall(node.value))
+    return names
+
+
+def unreached(defining: list[str], users: list[str]) -> list[str]:
+    """The public definitions of the *defining* sources that none of
+    the *users* sources names."""
+    named = set().union(*map(named_in, users))
+    return sorted(name for source in defining
+                  for name in public_definitions(source)
+                  if name.rpartition(".")[2] not in named)
+
+
+def test_every_public_name_is_reached_from_the_program():
+    """A public name of ``src/`` that only tests reach is surface every
+    reader still carries: delete it (or move its computation into the
+    test that needs it), or keep it in :data:`TEST_ONLY_KEEP` with a
+    reason."""
+    found = unreached([p.read_text() for p in MODULES.values()],
+                      [p.read_text() for p in USER_FILES])
+    assert found == sorted(TEST_ONLY_KEEP)
+
+
+def test_a_planted_test_only_name_is_caught():
+    defining = ("def used():\n    pass\n\n"
+                "def planted():\n    return 1\n\n"
+                "class Box:\n"
+                "    def lid(self):\n        pass\n\n"
+                "    def _hinge(self):\n        pass\n\n"
+                "    def open(self):\n        return self.lid()\n")
+    caller = "from pkg.mod import Box, used\n\nused()\nBox().open()\n"
+    assert unreached([defining], [defining, caller]) == ["planted"]
+    # its own def does not reach a name; a call inside the defining
+    # module does (Box.lid)
+    assert unreached([defining], [defining]) == [
+        "Box", "Box.open", "planted", "used"]
+    # a string naming it (a documented name, a patch target) reaches it
+    assert unreached([defining], [defining, caller,
+                                  "'see planted()'"]) == []
