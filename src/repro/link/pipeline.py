@@ -57,10 +57,11 @@ rewinds the generator to the state recorded before that chunk's bits
 (counted as ``link.draw_ahead.discarded``): the generator ends exactly
 where the serial program leaves it, and every count is the serial
 count.  A
-nonlinear :class:`DecisionStage` pulls its rows from one shared
-iterator on both threads - the helper joins in once its noise job is
-done; a single row stays on the calling thread - and each row's
-arithmetic is the same on either.  :meth:`SignalPipeline.run_chunk`
+nonlinear :class:`DecisionStage` grading full rows pulls them from one
+shared iterator on both threads - the helper joins in once its noise
+job is done; a single row stays on the calling thread - and each row's
+arithmetic is the same on either (the circuit surrogate's screen
+leaves so few windows that it grades them on the calling thread).  :meth:`SignalPipeline.run_chunk`
 draws and synthesizes inline, on the calling thread.  A forked child
 makes its own helper.  A process started by :mod:`multiprocessing`
 (a pool worker, whose siblings claim the other cores) or limited to
@@ -84,9 +85,17 @@ reductions per slot, shared by every row, so no rows x samples array
 exists.  A nonlinear integrator builds one row at a time in a
 chunk-sized float32 buffer (fan-out, square and input limiter) and
 sums each window in float64 against the model's float64 weights; its
-slot values agree with float64 rows to about 1e-7 relative.  Either
-way row ``i``'s arithmetic depends only on ``sigmas[i]``, so a row
-graded alone, in a sub-grid or after other rows retired is
+slot values agree with float64 rows to about 1e-7 relative.  The
+circuit surrogate's decisions rarely need those rows: its limiter
+``f(v) = s tanh(v / s)`` takes at most ``v^3 / (3 s^2)`` off each
+squared sample, so its slot value lies within ``B = vmax^2 L / (3
+s^2)`` below the linear two-pole value ``L``, and a (row, symbol)
+pair whose linear margin exceeds ``B`` plus a derived float32
+rounding allowance decides from ``L`` (:class:`DecisionStage`).  Only
+the remaining windows - about 0.3 of the 8 fig6 rows - are gathered
+and graded as float32 rows, each window exactly as in the full row.
+Either way row ``i``'s arithmetic depends only on ``sigmas[i]``, so a
+row graded alone, in a sub-grid or after other rows retired is
 bit-identical to the same row in the full batch - the invariant
 :func:`run_ber_sweep` builds the whole-curve sweep on (pinned by
 ``tests/network/test_batched_sweep.py``).
@@ -134,6 +143,10 @@ from repro.uwb.modulation import ppm_pulse_samples, ppm_waveform, random_bits
 
 #: look-ahead chunks a sweep drew and then did not need.
 _DISCARDED = _metrics.REGISTRY.counter("link.draw_ahead.discarded")
+#: slot windows the deciders decided, and those of them graded through
+#: full nonlinear rows (not by the linear reductions or the screen).
+_WINDOWS = _metrics.REGISTRY.counter("link.decision.windows")
+_FULL_WINDOWS = _metrics.REGISTRY.counter("link.decision.full_windows")
 
 _HELPER: futures.Executor | None = None
 #: identity of the helper's thread (``None`` without one).
@@ -418,13 +431,68 @@ class DecisionStage:
     """Squarer, integrator model per slot, optional ADC, larger-slot
     decision - per noise scale (the scenario axis lives here).
 
-    A linear model grades every row from three float64 reductions.  A
-    nonlinear one (the circuit surrogate) grades row by row in float32
-    (fan-out, square, input limiter) with float64 window sums, so the
-    slot values and decisions stay float64; two or more rows are
-    pulled from one shared iterator by this thread and the helper
-    thread, which joins in once its queued work is done (called on the
-    helper thread, it grades every row itself).
+    :meth:`slot_values` grades a linear model from three float64
+    reductions per slot.  It grades a nonlinear one (the circuit
+    surrogate) row by row in float32 (fan-out, square, input limiter)
+    with float64 window sums, so the slot values stay float64; two or
+    more rows are pulled from one shared iterator by this thread and
+    the helper thread, which joins in once its queued work is done
+    (called on the helper thread, it grades every row itself).
+
+    **Screen.**  :meth:`decide` needs the decisions only.  When the
+    model states a deficit bound (:meth:`WindowIntegrator.deficit_bound`:
+    the circuit surrogate's :class:`~repro.uwb.integrator.SoftLimiter`)
+    and there is no converter, it decides a (row, symbol) pair from the
+    linear two-pole values wherever the limiter cannot flip the
+    decision, and grades full float32 rows only for the rest.  Per
+    slot, with weights ``g > 0``, ``y = a + sigma b`` and ``v = y^2``:
+
+    * ``L = sum g v``, from the three float64 reductions of the linear
+      path;
+    * the exact model value ``S = sum g f(v)`` lies in ``[L - B, L]``,
+      ``B = c vmax^2 L`` (``c = 1 / (3 s^2)``, ``vmax = (max|a| + sigma
+      max|b|)^2``, the per-slot maxima taken once per call);
+    * the float32 row's value ``S~`` and the float64 ``L~`` are within
+      ``A`` of ``S`` and ``L`` (the allowance below).
+
+    A pair whose linear margin ``|L1 - L0|`` exceeds ``B`` of the slot
+    with the larger ``L`` plus both slots' ``A`` decides as its float32
+    row would: that row's slot with the larger ``L`` loses at most
+    ``B + A`` and the other gains at most ``A``.  The remaining pairs'
+    windows are gathered, row by row on the calling thread, and graded
+    like :meth:`slot_values` grades a row (each window's arithmetic is
+    the same in any batch, so their values equal the full batch's bit
+    for bit), and every decision equals the full float32 path's.
+
+    **Allowance.**  With ``u = 2^-24`` (float32 unit roundoff),
+    ``h = |a| + sigma |b|`` and ``gamma_k = k u / (1 - k u)``, the
+    float32 row errs, per sample, by at most:
+
+    * casts of ``a``, ``b`` and ``sigma``, the product and the fan-out
+      add: ``|y~ - y| <= gamma_4 h`` - absolute, since ``a + sigma b``
+      may cancel;
+    * the square: ``u v + (1 + u)(2 gamma_4 h |y| + gamma_4^2 h^2)``;
+    * the limiter: ``f`` has slope at most 1 in ``v`` and relative
+      sensitivity below 1 to ``s``, so the cast of ``s``, the divide
+      and the rescale add ``3u`` of ``f(v)``, and NumPy's float32
+      ``tanh`` (validated to 2 ULP by NumPy's own accuracy tests; 3 ULP
+      assumed here, ``<= 6u``, checked in
+      ``tests/network/test_float32_rows.py``) adds ``6u``;
+    * the float64 window sum of non-negative terms:
+      ``gamma_{n+1}`` of float64, below ``1e-13`` relative.
+
+    Summed with the weights, ``sum g h |y| <= sqrt(sum g h^2 L) <= P``
+    and ``sum g h^2 <= P`` (Cauchy-Schwarz, Minkowski), where ``P =
+    (sqrt(sum g a^2) + sigma sqrt(sum g b^2))^2 >= L``; ``S <= L``.  The
+    float64 ``L~`` errs by at most ``gamma_{n+4}`` of float64 times
+    ``P`` (its cross term is not sign-definite).  So ``A = 11u L + 9u P
+    + 2^-146 (1 + sigma) sum g``: ``10u`` and ``8u`` to first order,
+    one ``u`` of slack each for the second-order and float64 terms, and
+    an absolute term for float32 underflow (at most ``2^-150`` an
+    operation).  Changing the screen must not change a count: the
+    screened decisions equal the full path's on the fig6 chunk, and a
+    symbol just outside the screen is graded in full
+    (``tests/network/test_float32_rows.py``).
     """
 
     config: UwbConfig
@@ -433,16 +501,45 @@ class DecisionStage:
     span_name = "link.decision"
 
     def decide(self, signal: np.ndarray, noise: np.ndarray, sigmas
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """``(slot_values, decisions)`` of ``signal + sigma * noise``
-        for every noise scale in *sigmas*.
+               ) -> np.ndarray:
+        """The int8 decisions on ``signal + sigma * noise`` for every
+        noise scale in *sigmas* (bit 1 where slot 1 beats slot 0 after
+        the converter), shape ``S + (n,)``; the arguments are those of
+        :meth:`slot_values`."""
+        sigmas = np.asarray(sigmas, dtype=float)
+        _WINDOWS.inc(sigmas.size * signal.shape[0] * 2)
+        # Substitute models without the method state no bound.
+        deficit_bound = getattr(self.integrator, "deficit_bound", None)
+        bound = None if self.adc is not None or deficit_bound is None \
+            else deficit_bound(signal.shape[-1], self.config.dt)
+        if bound is None:
+            return decide_slots(self.slot_values(signal, noise, sigmas),
+                                self.adc)[1]
+        # The windows the screen leaves are few (about 0.3 of fig6's 8
+        # rows), and this thread grades them alone: handing them to the
+        # helper thread, busy with the next chunk's noise, was slower.
+        decisions, unresolved = _screen(signal, noise, sigmas, *bound)
+        left = 0
+        for i in np.ndindex(sigmas.shape):
+            symbols = np.flatnonzero(unresolved[i])
+            if len(symbols):
+                values = self._gathered_values(signal, noise, sigmas[i],
+                                               symbols)
+                decisions[i + (symbols,)] = values[:, 1] > values[:, 0]
+                left += len(symbols)
+        _FULL_WINDOWS.inc(2 * left)
+        return decisions
+
+    def slot_values(self, signal: np.ndarray, noise: np.ndarray, sigmas
+                    ) -> np.ndarray:
+        """The integrator's slot values of ``signal + sigma * noise``
+        for every noise scale in *sigmas* (before any converter).
 
         Args:
             signal / noise: the front end's drive-scaled clean and
                 unit-noise slots, shape ``(n, 2, samples_per_slot)``.
             sigmas: noise scales of any shape ``S`` (a scalar grades
-                one chunk); the outputs have shapes ``S + (n, 2)`` and
-                ``S + (n,)``.
+                one chunk); the values have shape ``S + (n, 2)``.
         """
         sigmas = np.asarray(sigmas, dtype=float)
         # Substitute models without the method count as nonlinear.
@@ -450,32 +547,39 @@ class DecisionStage:
         weights = None if linear_weights is None else linear_weights(
             signal.shape[-1], self.config.dt)
         if weights is not None:
-            # sum g (a + s b)^2 = sum g a^2 + 2 s sum g a b
-            # + s^2 sum g b^2: three reductions for every row.
-            aa = _weighted_dot(signal, signal, weights)
-            ab2 = 2.0 * _weighted_dot(signal, noise, weights)
-            bb = _weighted_dot(noise, noise, weights)
-            s = sigmas[..., None, None]
-            values = s * ab2
-            values += aa
-            values += (s * s) * bb
-        else:
-            # float32 rows, cast once per call; the model sums each
-            # window in float64.
-            signal = signal.astype(np.float32)
-            noise = noise.astype(np.float32)
-            values = np.empty(sigmas.shape + signal.shape[:-1])
-            _shared(lambda rows: self._grade_rows(signal, noise, sigmas,
-                                                  values, rows),
-                    list(np.ndindex(sigmas.shape)))
-        return decide_slots(values, self.adc)
+            return _linear_values(*_reductions(signal, noise, weights),
+                                  sigmas)
+        _FULL_WINDOWS.inc(sigmas.size * signal.shape[0] * 2)
+        # float32 rows, cast once per call; the model sums each window
+        # in float64.
+        signal = signal.astype(np.float32)
+        noise = noise.astype(np.float32)
+        values = np.empty(sigmas.shape + signal.shape[:-1])
+        _shared(lambda rows: self._grade_rows(signal, noise, sigmas,
+                                              values, rows),
+                list(np.ndindex(sigmas.shape)))
+        return values
+
+    def _gathered_values(self, signal: np.ndarray, noise: np.ndarray,
+                         sigma: float, symbols: np.ndarray
+                         ) -> np.ndarray:
+        """Slot values of the windows of *symbols* at noise scale
+        *sigma*, shape ``(len(symbols), 2)``: gathered and graded as
+        :meth:`slot_values` grades a whole row, so each window's value
+        is bit-identical to the full row's."""
+        values = np.empty((len(symbols), 2))
+        self._grade_rows(signal[symbols].astype(np.float32),
+                         noise[symbols].astype(np.float32),
+                         np.asarray(sigma), values, [()])
+        return values
 
     def _grade_rows(self, signal: np.ndarray, noise: np.ndarray,
                     sigmas: np.ndarray, values: np.ndarray,
                     rows: Iterator[tuple]) -> None:
         # One float32 row at a time, built in place (fan-out, square,
-        # then the model's limiter) in a chunk-sized buffer of this
-        # thread's own that stays in cache for the float64 window sum.
+        # then the model's limiter) in a buffer of this thread's own,
+        # shaped like *signal* (the chunk, or the windows gathered from
+        # it), that stays in cache for the float64 window sum.
         # Every row runs the same calls on the same shapes, so a row
         # graded alone, batched or on either thread rounds alike.
         row = np.empty(signal.shape, dtype=np.float32)
@@ -485,6 +589,67 @@ class DecisionStage:
             np.square(row, out=row)
             values[i] = self.integrator.window_outputs(
                 row, self.config.dt, overwrite_x=True)
+
+
+def _reductions(signal: np.ndarray, noise: np.ndarray,
+                weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(sum g a^2, 2 sum g a b, sum g b^2)`` per slot: with them,
+    ``sum g (a + s b)^2`` costs three multiply-adds per row."""
+    return (_weighted_dot(signal, signal, weights),
+            2.0 * _weighted_dot(signal, noise, weights),
+            _weighted_dot(noise, noise, weights))
+
+
+def _linear_values(aa: np.ndarray, ab2: np.ndarray, bb: np.ndarray,
+                   sigmas: np.ndarray) -> np.ndarray:
+    """``sum g (a + s b)^2 = sum g a^2 + 2 s sum g a b + s^2 sum g
+    b^2`` for every noise scale ``s`` in *sigmas*."""
+    s = sigmas[..., None, None]
+    values = s * ab2
+    values += aa
+    values += (s * s) * bb
+    return values
+
+
+#: the screen's rounding allowance per slot, ``_ALLOW_L L + _ALLOW_P P
+#: + _ALLOW_ABS (1 + sigma) sum g`` with the float32 unit roundoff
+#: ``u = 2^-24`` (derived in :class:`DecisionStage`).
+_ALLOW_L = 11 * 2.0 ** -24
+_ALLOW_P = 9 * 2.0 ** -24
+_ALLOW_ABS = 2.0 ** -146
+
+
+def _screen(signal: np.ndarray, noise: np.ndarray, sigmas: np.ndarray,
+            weights: np.ndarray, deficit: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``(decisions, unresolved)``, shape ``S + (n,)``: each pair's
+    decision from its linear values, and whether the limiter's bound
+    plus the rounding allowance could flip it (then the decision is
+    not yet made).  See :class:`DecisionStage`."""
+    aa, ab2, bb = _reductions(signal, noise, weights)
+    linear = _linear_values(aa, ab2, bb, sigmas)
+    s = sigmas[..., None, None]
+    # B = c vmax^2 L, vmax = (max|a| + s max|b|)^2; max|x| as
+    # max(max x, -min x) takes no chunk-sized temporary.
+    vmax = s * np.maximum(noise.max(-1), -noise.min(-1))
+    vmax += np.maximum(signal.max(-1), -signal.min(-1))
+    vmax *= vmax
+    limit = vmax * vmax
+    limit *= deficit
+    limit *= linear
+    # A = _ALLOW_L L + _ALLOW_P P + _ALLOW_ABS (1 + s) sum g.
+    allow = s * np.sqrt(bb)
+    allow += np.sqrt(aa)
+    allow *= allow
+    allow *= _ALLOW_P
+    allow += _ALLOW_L * linear
+    allow += _ALLOW_ABS * (1.0 + s) * weights.sum()
+    margin = linear[..., 1] - linear[..., 0]
+    ones = margin > 0
+    threshold = np.where(ones, limit[..., 1], limit[..., 0])
+    threshold += allow[..., 0]
+    threshold += allow[..., 1]
+    return ones.astype(np.int8), ~(np.abs(margin) > threshold)
 
 
 def _weighted_dot(x: np.ndarray, y: np.ndarray, weights: np.ndarray
@@ -583,9 +748,9 @@ _PRIMED_BYTES = 0
 #: heap a chunk's temporaries span in one allocator arena, in
 #: chunk-sized float64 vectors.  With the helper's jobs inline about 4.6
 #: are live at once (the filtered signal, the noise being graded and the
-#: look-ahead's, a nonlinear decider's three half-size float32 copies
-#: and the filter's work arrays), and the free gaps between them make
-#: up the rest.
+#: look-ahead's, an unscreened nonlinear decider's three half-size
+#: float32 copies and the filter's work arrays), and the free gaps
+#: between them make up the rest.
 HEAP_VECTORS = 6
 
 
@@ -660,7 +825,7 @@ def run_ber_sweep(fronts: Sequence[SignalPipeline],
     (``sigmas[f]``).  Two or more front jobs are pulled from one shared
     iterator by this thread and the helper thread, and each job grades
     its rows on the thread that runs it.  A lone front runs on this
-    thread and shares a nonlinear decider's rows instead
+    thread and shares a nonlinear decider's full rows instead
     (:class:`DecisionStage`).
 
     **Seeding / sharing convention.**  All scenarios consume *one*
@@ -804,7 +969,7 @@ def run_ber_sweep(fronts: Sequence[SignalPipeline],
                         if not len(cols):
                             continue
                         with _trace.span(decider.span_name):
-                            _, decisions = decider.decide(
+                            decisions = decider.decide(
                                 state.signal, chunk_noise, grids[f][cols])
                             errors[k, cols] += np.count_nonzero(
                                 decisions != drawn.bits[None, :], axis=-1)

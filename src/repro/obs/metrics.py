@@ -47,19 +47,24 @@ _DEFAULT_BOUNDS = default_bounds()
 
 
 class Counter:
-    """Monotonically increasing count."""
+    """Monotonically increasing count.  Increments are locked: both
+    threads of a BER sweep write the link counters, and ``+=`` is a
+    read-modify-write."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_lock")
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0
+        self._lock = threading.Lock()
 
     def inc(self, n: int = 1) -> None:
-        self.value += n
+        with self._lock:
+            self.value += n
 
     def reset(self) -> None:
-        self.value = 0
+        with self._lock:
+            self.value = 0
 
 
 class Histogram:
@@ -176,8 +181,8 @@ class MetricsRegistry:
     """Get-or-create factory and namespace for instruments.
 
     Creation is lock-guarded so two threads asking for the same name
-    get the same instrument; the instruments themselves are unlocked
-    (single-writer or tolerable-race counters, per the GIL).
+    get the same instrument; a counter locks its increments, and a
+    histogram is single-writer.
     """
 
     def __init__(self):

@@ -78,6 +78,19 @@ class WindowIntegrator:
         noise scale (see :class:`repro.link.pipeline.DecisionStage`)."""
         return None
 
+    def deficit_bound(self, n: int, dt: float
+                      ) -> tuple[np.ndarray, float] | None:
+        """``(g, c)`` bounding a nonlinear model by its linear part, or
+        ``None`` when the model states no such bound.
+
+        Over an *n*-sample window of non-negative input ``v`` whose
+        largest sample is ``vmax``, the model's output lies in
+        ``[L - c vmax^2 L, L]`` with ``L = v @ g``; every weight of
+        ``g`` is positive.  The BER sweep decides a symbol from the
+        linear values where that interval cannot flip the decision
+        (see :class:`repro.link.pipeline.DecisionStage`)."""
+        return None
+
     def response(self, x: np.ndarray, dt: float) -> np.ndarray:
         """Full output trajectory over each window (same shape as x)."""
         raise NotImplementedError
@@ -216,6 +229,19 @@ class TwoPoleIntegrator(WindowIntegrator):
             return None
         return self.weights(n, dt)
 
+    def deficit_bound(self, n: int, dt: float
+                      ) -> tuple[np.ndarray, float] | None:
+        # v - f(v) <= c v^3 <= c vmax^2 v for each sample, summed with
+        # positive weights: only a nonlinearity stating its cubic
+        # deficit, on weights that are all positive, gets a bound.
+        deficit = getattr(self.input_nonlinearity, "cubic_deficit", None)
+        if deficit is None:
+            return None
+        g = self.weights(n, dt)
+        if not np.all(g > 0):
+            return None
+        return g, deficit()
+
     def _pre(self, x: np.ndarray, overwrite_x: bool = False
              ) -> np.ndarray:
         f = self.input_nonlinearity
@@ -274,6 +300,12 @@ class SoftLimiter:
         np.tanh(out, out=out)
         out *= self.scale
         return out
+
+    def cubic_deficit(self) -> float:
+        """``c = 1 / (3 s^2)``: for every ``v >= 0``,
+        ``0 <= v - f(v) <= c v^3`` (``tanh z >= z - z^3 / 3`` for
+        ``z >= 0``)."""
+        return 1.0 / (3.0 * self.scale ** 2)
 
     def __repr__(self) -> str:
         return f"SoftLimiter(scale={self.scale:g})"

@@ -210,11 +210,11 @@ class TestRetirement:
         signal, noise = rng.normal(0.0, 0.05, (2, 37, 2, 64))
         sigmas = np.array([0.0, 0.3, 0.7, 1.1, 1.9])
         decider = pipe.DecisionStage(TEST_CONFIG, build_integrator(SPEC, name))
-        batch, _ = decider.decide(signal, noise, sigmas)
-        sub, _ = decider.decide(signal, noise, sigmas[1:4])
+        batch = decider.slot_values(signal, noise, sigmas)
+        sub = decider.slot_values(signal, noise, sigmas[1:4])
         assert np.array_equal(sub, batch[1:4])
         for row, sigma in zip(batch, sigmas):
-            alone, _ = decider.decide(signal, noise, sigma)
+            alone = decider.slot_values(signal, noise, sigma)
             assert np.array_equal(alone, row)
 
 

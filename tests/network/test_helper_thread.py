@@ -3,10 +3,10 @@ state however a sweep stops, and shared decision rows.
 
 ``run_ber_sweep`` draws chunk ``k + 1``'s bits and has the helper draw
 and band-pass its noise while the calling thread synthesizes and
-grades chunk ``k``, and a nonlinear decider's rows are pulled by both
-threads.  These tests pin what could go wrong: a forked worker
-inheriting a helper whose thread does not exist, or a pool worker
-given a helper thread its siblings leave no core for; a sweep that
+grades chunk ``k``, and an unscreened nonlinear decider's rows are
+pulled by both threads.  These tests pin what could go wrong: a forked
+worker inheriting a helper whose thread does not exist, or a pool
+worker given a helper thread its siblings leave no core for; a sweep that
 stops or raises with a look-ahead chunk drawn and leaves the generator
 anywhere but where the serial program leaves it; a shared row graded
 twice, never, or differently; and a join of the helper that a trace
@@ -40,7 +40,12 @@ from repro.obs import trace
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.fastsim import AdaptiveStopping
-from repro.uwb.integrator import CircuitSurrogateIntegrator, IdealIntegrator
+from repro.uwb.integrator import (
+    CircuitSurrogateIntegrator,
+    IdealIntegrator,
+    SoftLimiter,
+    TabulatedNonlinearity,
+)
 from repro.uwb.modulation import random_bits
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -343,7 +348,7 @@ def test_shared_rows_grade_like_one_thread(rows, busy):
     sigmas = np.linspace(0.0, 1.9, rows)
     model = _SlowRows()
     decider = DecisionStage(CONFIG, model)
-    alone = np.stack([decider.decide(signal, noise, s)[0]
+    alone = np.stack([decider.slot_values(signal, noise, s)
                       for s in sigmas])
     model.threads.clear()
     release = threading.Event()
@@ -353,7 +358,7 @@ def test_shared_rows_grade_like_one_thread(rows, busy):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        shared, _ = decider.decide(signal, noise, sigmas)
+        shared = decider.slot_values(signal, noise, sigmas)
     finally:
         sys.setswitchinterval(interval)
         release.set()
@@ -365,6 +370,22 @@ def test_shared_rows_grade_like_one_thread(rows, busy):
         assert set(model.threads) == {threading.get_ident()}
 
 
+def _unscreened_circuit() -> CircuitSurrogateIntegrator:
+    """The circuit surrogate's limiter as a table: a nonlinearity that
+    states no deficit bound, so its decider grades (and shares) every
+    row."""
+    v = np.linspace(0.0, 1.0, 1001)
+    return CircuitSurrogateIntegrator(
+        input_nonlinearity=TabulatedNonlinearity(v, SoftLimiter(0.1)(v)))
+
+
+#: the deciders' models by name: ``circuit`` screens its rows and
+#: grades the few it leaves on the calling thread, ``rows`` shares
+#: every row with the helper.
+MODELS = {"ideal": IdealIntegrator, "circuit": CircuitSurrogateIntegrator,
+          "rows": _unscreened_circuit}
+
+
 def _traced_waits(link_front, model: str, fronts: int = 1,
                   **budget) -> int:
     """``link.wait`` spans in a trace of one sweep over the three
@@ -372,8 +393,7 @@ def _traced_waits(link_front, model: str, fronts: int = 1,
     stage) in chunks of 100 bits, with the stage spans leaves beside
     them."""
     front = link_front(CONFIG, CACHE.bpf)
-    decider = DecisionStage(CONFIG, CircuitSurrogateIntegrator()
-                            if model == "circuit" else IdealIntegrator())
+    decider = DecisionStage(CONFIG, MODELS[model]())
     try:
         with trace.collect("chunk") as root:
             run_ber_sweep([front] * fronts, [decider], [SIGMAS] * fronts,
@@ -393,22 +413,25 @@ def _traced_waits(link_front, model: str, fronts: int = 1,
 
 
 def test_traced_chunk_shows_the_waits_beside_its_stages(link_front):
-    """One chunk's joins - its noise, and the circuit decider's row
-    job on an idle helper - trace as ``link.wait`` next to the stage
-    spans, which stay leaves."""
-    assert _traced_waits(link_front, "circuit", max_bits=100) == 2
+    """One chunk's joins - its noise, and an unscreened nonlinear
+    decider's row job on an idle helper - trace as ``link.wait`` next
+    to the stage spans, which stay leaves."""
+    assert _traced_waits(link_front, "rows", max_bits=100) == 2
 
 
 #: (decider, fronts, sweep budget, joins): each chunk joins its noise
-#: (the second chunk's drawn one chunk ahead), and either a nonlinear
-#: decider's row job or - with two or more fronts - the helper's share
-#: of the front jobs, whether it ran or was cancelled; a look-ahead the
-#: stopping rule discards is joined once more.  (A front job on this
+#: (the second chunk's drawn one chunk ahead), and either an unscreened
+#: nonlinear decider's row job or - with two or more fronts - the
+#: helper's share of the front jobs, whether it ran or was cancelled; a
+#: look-ahead the stopping rule discards is joined once more.  The
+#: screened circuit decider grades the rows it leaves on this thread,
+#: so it joins only the noise.  (A front job on this
 #: thread shares a nonlinear decider's rows too, and which jobs run
 #: here is a race, so the multi-front cases grade linearly.)
 WAITS = {
     "two-chunk-ideal": ("ideal", 1, dict(max_bits=200), 2),
-    "two-chunk-circuit": ("circuit", 1, dict(max_bits=200), 4),
+    "two-chunk-circuit": ("circuit", 1, dict(max_bits=200), 2),
+    "two-chunk-rows": ("rows", 1, dict(max_bits=200), 4),
     "discarded-ideal": ("ideal", 1, dict(max_bits=300, target_errors=1),
                         2),
     "two-chunk-two-fronts": ("ideal", 2, dict(max_bits=200), 4),

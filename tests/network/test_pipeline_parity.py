@@ -205,7 +205,7 @@ class TestSlotValues:
         rng = np.random.default_rng(9)
         state = front.draw(n, rng, noise=False)
         front.process(state)
-        values, _ = DecisionStage(config, integrator).decide(
+        values = DecisionStage(config, integrator).slot_values(
             state.signal, _filtered_noise(front, n, rng), sigmas)
         replay = np.random.default_rng(9)
         wave = ppm_waveform(random_bits(n, replay), config)
