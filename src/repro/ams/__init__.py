@@ -3,8 +3,9 @@
 The kernel provides the two semantics the paper's methodology relies on:
 
 * **digital**: event-driven :class:`~repro.ams.signal.Signal` updates
-  with delta cycles and :class:`~repro.ams.process.Process` callbacks
-  (VHDL side),
+  with delta cycles, and callbacks the simulator schedules once
+  (:meth:`~repro.ams.kernel.Simulator.schedule`) or periodically
+  (:meth:`~repro.ams.kernel.Simulator.every`) (VHDL side),
 * **analog**: fixed-step :class:`~repro.ams.quantity.Quantity`
   evaluation through an ordered chain of
   :class:`~repro.ams.block.AnalogBlock` objects, each integrating its own

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.ams.block import AnalogBlock
 from repro.ams.engine import get_engine
 from repro.ams.engine.base import ExecutionEngine
-from repro.ams.process import Process
 from repro.ams.quantity import Quantity
 from repro.ams.signal import Signal
 
@@ -34,7 +33,7 @@ class Simulator:
 
         sim = Simulator(dt=50e-12)               # or engine="compiled"
         vin = sim.quantity("vin")
-        ...add blocks / processes...
+        ...add blocks, schedule events...
         sim.run(30e-6)
     """
 
@@ -45,7 +44,6 @@ class Simulator:
         self.dt = float(dt)
         self.t = 0.0
         self.blocks: list[AnalogBlock] = []
-        self.processes: list[Process] = []
         self.quantities: dict[str, Quantity] = {}
         self.signals: dict[str, Signal] = {}
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
@@ -90,14 +88,6 @@ class Simulator:
         order (must respect signal flow)."""
         self.blocks.append(block)
         return block
-
-    def add_process(self, process: Process) -> Process:
-        """Register a digital process and hook up its sensitivity list."""
-        self.processes.append(process)
-        for sig in process.sensitivity:
-            sig._bind(self)
-            sig.watch(lambda _s, p=process: p.fn(self))
-        return process
 
     def add_step_hook(self, hook: Callable[[float], None]) -> None:
         """Run *hook(t)* after every analog step (recorders use this).
@@ -182,8 +172,7 @@ class Simulator:
 
         Time, step/CPU counters and the event queue are cleared; blocks
         get :meth:`~repro.ams.block.AnalogBlock.reset`; quantities and
-        signals return to their initial values (silently - watchers do
-        not fire); accumulators registered via :meth:`on_reset`
+        signals return to their initial values; accumulators registered via :meth:`on_reset`
         (recorders, harvesters) are cleared; events registered while
         the testbench was built (``schedule`` / ``every`` /
         ``Signal.assign`` before the first run) are re-armed.  Back-to-back runs of one testbench are

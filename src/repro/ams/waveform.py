@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,11 +22,6 @@ class Trace:
     def at(self, time: float) -> float:
         """Linear-interpolated value at *time*."""
         return float(np.interp(time, self.t, self.values))
-
-    def window(self, t0: float, t1: float) -> "Trace":
-        """Sub-trace restricted to ``[t0, t1]``."""
-        mask = (self.t >= t0) & (self.t <= t1)
-        return Trace(self.name, self.t[mask], self.values[mask])
 
     def minimum(self) -> float:
         return float(np.min(self.values))

@@ -18,7 +18,7 @@ the paper's figure-4 targets: DC gain about 21 dB, dominant pole below
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)

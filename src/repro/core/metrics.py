@@ -5,12 +5,11 @@ These produce the paper's tables in text form:
 * :class:`CpuTimeReport` -> Table 1 (CPU time per integrator model),
 * :func:`compare_ber` -> Figure 6 commentary (where curves cross, who
   wins at high Eb/N0),
-* :func:`compare_ranging` -> Table 2 (mean / variance per model).
+* :class:`RangingComparison` -> Table 2 (mean / variance per model).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,11 +136,3 @@ class RangingComparison:
         paper's second table-2 observation)?"""
         return (self.entries[refined].variance
                 < self.entries[baseline].variance)
-
-
-def compare_ranging(**results: RangingResult) -> RangingComparison:
-    """Build a :class:`RangingComparison` from keyword-labeled results."""
-    comparison = RangingComparison()
-    for label, result in results.items():
-        comparison.add(label, result)
-    return comparison

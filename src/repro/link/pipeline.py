@@ -861,7 +861,8 @@ def run_ber_sweep(fronts: Sequence[SignalPipeline],
         deciders: one decision stage per integrator variant; all
             variants share each front's work of each chunk.
         sigmas: one 1-D vector of noise standard deviations per front,
-            each >= 0 (one per Eb/N0 point of that front's sweep).
+            each finite and >= 0 (one per Eb/N0 point of that front's
+            sweep; Eb/N0 = +inf is sigma 0, a NaN Eb/N0 is rejected).
             They are sized against the *victim's* pilot energy:
             interference is extra disturbance on top of the
             thermal-noise operating point (the standard SIR
@@ -887,8 +888,8 @@ def run_ber_sweep(fronts: Sequence[SignalPipeline],
                          f"sigma vectors, got {len(grids)}")
     if any(g.ndim != 1 for g in grids):
         raise ValueError("sigmas must be 1-D vectors")
-    if any(np.any(g < 0) for g in grids):
-        raise ValueError("sigmas must be >= 0")
+    if any(not np.all(np.isfinite(g) & (g >= 0)) for g in grids):
+        raise ValueError("sigmas must be finite and >= 0")
     if any(not isinstance(f.stages[-1], AnalogFrontEndStage)
            for f in fronts):
         raise ValueError("front must end in an AnalogFrontEndStage")

@@ -52,7 +52,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-__all__ = ["ENABLED", "SpanNode", "collect", "current_root", "disable",
+__all__ = ["ENABLED", "SpanNode", "collect", "disable",
            "enable", "reset", "span", "wait"]
 
 #: Module-level tracing switch.  Hot loops read this attribute
@@ -136,11 +136,6 @@ def reset(name: str = "trace") -> SpanNode:
     root = SpanNode(name)
     _local.stack = [root]
     return root
-
-
-def current_root() -> SpanNode:
-    """This thread's span-tree root (created on first use)."""
-    return _stack()[0]
 
 
 def enable() -> None:

@@ -9,8 +9,8 @@ circuit simulator:
 * device models (:mod:`repro.spice.devices`) including a level-1 MOSFET
   with body effect, channel-length modulation and a Meyer-style charge
   model,
-* analyses (:mod:`repro.spice.analysis`): operating point, DC sweep, AC
-  small-signal and transient, plus a resumable
+* analyses (:mod:`repro.spice.analysis`): operating point, AC small-signal
+  and transient, plus a resumable
   :class:`~repro.spice.analysis.tran.TransientStepper` used for
   mixed-signal co-simulation,
 * a generic 0.18 um CMOS model library (:mod:`repro.spice.library`).

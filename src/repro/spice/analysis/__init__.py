@@ -1,1 +1,1 @@
-"""Circuit analyses: operating point, DC sweep, AC, transient."""
+"""Circuit analyses: operating point, AC, transient."""

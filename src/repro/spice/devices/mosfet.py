@@ -327,16 +327,3 @@ class MosGroup:
         rows in :data:`CAP_NAMES` order."""
         return self.cap_table[:, self._cap_rows + 2 * ev.region
                               + ev.reversed]
-
-    def capacitances(self, v: np.ndarray,
-                     ev: MosEval | None = None) -> dict[str, np.ndarray]:
-        """Meyer gate capacitances + overlaps + zero-bias junctions.
-
-        *ev* is the evaluation at *v* when the caller already has it;
-        otherwise *v* is evaluated here.  Returns arrays ``cgs, cgd,
-        cgb, cbd, cbs`` (F), in the *physical* terminal frame (swap
-        handled internally).
-        """
-        if ev is None:
-            ev = self.evaluate(v)
-        return dict(zip(CAP_NAMES, self.cap_values(ev)))

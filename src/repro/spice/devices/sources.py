@@ -10,7 +10,7 @@ Waveforms mirror the classic Spice ones (``PULSE``, ``SIN``, ``PWL``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -31,7 +31,7 @@ from repro.spice.devices.base import Device
 from repro.spice.devices.controlled import Vccs, Vcvs
 from repro.spice.devices.diode import Diode
 from repro.spice.devices.mosfet import Mosfet
-from repro.spice.devices.passives import Capacitor, Inductor, Resistor
+from repro.spice.devices.passives import Inductor, Resistor
 from repro.spice.devices.sources import CurrentSource, VoltageSource
 from repro.spice.devices.switch import VSwitch
 from repro.spice.netlist import Circuit, normalize_node

@@ -130,21 +130,6 @@ class Circuit:
     def devices_of(self, cls: type) -> list[Device]:
         return [dev for dev in self.devices if isinstance(dev, cls)]
 
-    def has_device(self, name: str) -> bool:
-        return name.lower() in self._device_names
-
-    def replace_device(self, device: Device) -> "Circuit":
-        """Replace the device with the same name (used by calibration
-        sweeps and by co-simulation source updates at build time)."""
-        key = device.name.lower()
-        for i, dev in enumerate(self.devices):
-            if dev.name == key:
-                normalized = device.renamed(
-                    key, {n: normalize_node(n) for n in device.nodes})
-                self.devices[i] = normalized
-                return self
-        raise NetlistError(f"no device named {device.name!r} to replace")
-
     def __len__(self) -> int:
         return len(self.devices)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.spice.devices.controlled import Vccs, Vcvs
 from repro.spice.devices.diode import Diode, DiodeModel

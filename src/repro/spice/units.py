@@ -2,8 +2,7 @@
 
 Spice accepts values like ``1k``, ``10u``, ``2.2MEG``, ``0.5p`` and ignores
 any trailing unit letters (``10pF``, ``1kOhm``).  :func:`parse_value`
-implements that convention; :func:`format_value` renders a float back in
-engineering notation for reports.
+implements that convention.
 """
 
 from __future__ import annotations
@@ -59,31 +58,3 @@ def parse_value(text: str | float | int) -> float:
     # matching Spice behaviour.
     return mantissa
 
-
-_FORMAT_STEPS = (
-    (1e12, "T"),
-    (1e9, "G"),
-    # "Meg", not "M": Spice reads a leading "m" as milli, so the
-    # formatted text must round-trip through parse_value.
-    (1e6, "Meg"),
-    (1e3, "k"),
-    (1.0, ""),
-    (1e-3, "m"),
-    (1e-6, "u"),
-    (1e-9, "n"),
-    (1e-12, "p"),
-    (1e-15, "f"),
-)
-
-
-def format_value(value: float, unit: str = "", digits: int = 4) -> str:
-    """Format *value* in engineering notation, e.g. ``format_value(1e-12, "F")
-    == "1 pF"``."""
-    if value == 0.0:
-        return f"0 {unit}".strip()
-    magnitude = abs(value)
-    for scale, prefix in _FORMAT_STEPS:
-        if magnitude >= scale:
-            return f"{value / scale:.{digits}g} {prefix}{unit}".strip()
-    scale, prefix = _FORMAT_STEPS[-1]
-    return f"{value / scale:.{digits}g} {prefix}{unit}".strip()

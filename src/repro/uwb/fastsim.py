@@ -109,6 +109,16 @@ class AdaptiveStopping:
     min_errors: int = 8
     ber_floor: float = 0.0
 
+    def __post_init__(self):
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError("confidence must be in (0, 1)")
+        if not self.rel_half_width > 0.0:
+            raise ValueError("rel_half_width must be > 0")
+        if not self.min_errors >= 0:
+            raise ValueError("min_errors must be >= 0")
+        if not 0.0 <= self.ber_floor < 1.0:
+            raise ValueError("ber_floor must be in [0, 1)")
+
     def resolved(self, errors: int, bits: int) -> bool:
         """Is ``errors/bits`` resolved under this policy?"""
         if bits <= 0:

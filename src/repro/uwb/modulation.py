@@ -60,9 +60,6 @@ class Packet:
     def n_symbols(self) -> int:
         return self.preamble_symbols + len(self.payload)
 
-    def duration(self, config: UwbConfig) -> float:
-        return self.n_symbols * config.symbol_period
-
 
 def ppm_positions(symbols: np.ndarray, config: UwbConfig) -> np.ndarray:
     """Sample index of each pulse center.

@@ -63,12 +63,6 @@ class RangingResult:
         """Mean estimation bias (m)."""
         return self.mean - self.true_distance
 
-    def summary(self) -> dict[str, float]:
-        return {"mean_m": self.mean, "variance_m2": self.variance,
-                "std_m": self.std, "offset_m": self.offset,
-                "true_m": self.true_distance,
-                "iterations": float(len(self.distances))}
-
 
 class TwoWayRanging:
     """TWR simulator between two identical transceivers.

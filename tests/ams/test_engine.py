@@ -125,11 +125,18 @@ class TestEventSemantics:
     def test_delta_cascade_runs_at_boundary(self, engine):
         sim = Simulator(dt=1e-9, engine=engine)
         s = sim.signal("s", init=0)
-        hits = []
-        s.watch(lambda sig: hits.append((sim.t, sig.value)))
-        sim.schedule(3e-9, lambda: s.assign(1))  # delta cycle at 3 ns
+        hits, samples = [], []
+
+        def assign_then_read():
+            s.assign(1)  # delta cycle at 3 ns
+            sim.schedule(0.0, lambda: hits.append((sim.t, s.value)))
+
+        sim.schedule(3e-9, assign_then_read)
+        # samples at 0.5, 1.5, ..., 5.5 ns
+        sim.every(1e-9, lambda _: samples.append(s.value), start=0.5e-9)
         sim.run_steps(6)
         assert hits == [(3e-9, 1)]
+        assert samples == [0, 0, 0, 1, 1, 1]
 
 
 class TestEngineEquivalence:

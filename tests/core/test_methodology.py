@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.metrics import CpuTimeReport, compare_ber, compare_ranging
+from repro.core.metrics import CpuTimeReport, RangingComparison, compare_ber
 from repro.uwb.fastsim import BerResult
 from repro.uwb.ranging import RangingResult
 
@@ -42,7 +42,9 @@ class TestMetrics:
     def test_ranging_comparison(self):
         ideal = RangingResult(np.array([10.0, 10.2, 9.9]), 9.9)
         circ = RangingResult(np.array([11.1, 11.2, 11.15]), 9.9)
-        cmp_ = compare_ranging(ideal=ideal, circuit=circ)
+        cmp_ = RangingComparison()
+        cmp_.add("ideal", ideal)
+        cmp_.add("circuit", circ)
         assert cmp_.offset_increased("ideal", "circuit")
         assert cmp_.variance_decreased("ideal", "circuit")
         assert "circuit" in cmp_.format_table()

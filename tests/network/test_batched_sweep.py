@@ -239,7 +239,8 @@ class TestValidation:
                           np.random.default_rng(0), **budget)
 
     def test_negative_sigma_raises(self, front, decider):
-        for sigmas in ([1e-4, -1.0], [[1e-4]]):
+        for sigmas in ([1e-4, -1.0], [[1e-4]], [np.nan, 1e-4],
+                       [1e-4, np.inf]):
             with pytest.raises(ValueError, match="sigmas"):
                 run_ber_sweep([front], [decider], [np.array(sigmas)],
                               np.random.default_rng(0), **BUDGET)

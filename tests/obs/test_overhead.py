@@ -52,8 +52,9 @@ class TestDisabledOverhead:
         assert state.signal.shape == (64, 2, TEST_CONFIG.samples_per_slot)
 
     def test_disabled_run_records_no_spans(self, pipeline):
+        root = trace.reset()
         pipeline.run_chunk(64, np.random.default_rng(3))
-        assert trace.current_root().children == {}
+        assert root.children == {}
 
 
 class TestEnabledCoverage:

@@ -187,9 +187,10 @@ class TestEnableDisable:
         assert trace.span("x") is trace.span("y") is trace._NOOP
 
     def test_disabled_spans_record_nothing(self):
+        root = trace.reset()
         with trace.span("ghost"):
             pass
-        assert trace.current_root().children == {}
+        assert root.children == {}
 
     def test_collect_restores_prior_disabled_state(self):
         assert not trace.ENABLED
@@ -215,6 +216,7 @@ class TestEnableDisable:
 
 class TestThreadIsolation:
     def test_threads_trace_into_independent_trees(self):
+        main = trace.reset()
         trace.enable()
         roots = {}
 
@@ -233,7 +235,7 @@ class TestThreadIsolation:
         for i in range(4):
             assert list(roots[f"t{i}"].children) == [f"t{i}"]
         # The main thread's tree never saw any of it.
-        assert trace.current_root().children == {}
+        assert main.children == {}
 
 
 class TestTimedDecorator:
@@ -242,8 +244,9 @@ class TestTimedDecorator:
         def fn(x):
             return x + 1
 
+        disabled_root = trace.reset()
         assert fn(1) == 2  # disabled: plain passthrough
-        assert trace.current_root().children == {}
+        assert disabled_root.children == {}
         with trace.collect("root") as root:
             assert fn(2) == 3
         assert root.children["fn"].count == 1

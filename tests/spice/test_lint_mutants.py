@@ -41,6 +41,13 @@ def random_ladder(rng: random.Random) -> Circuit:
     return ckt
 
 
+def replace(ckt: Circuit, device) -> None:
+    """Swap *device* in for the device of *ckt* with its name (the
+    mutants use the ladder's own lower-case names and nodes)."""
+    names = [dev.name for dev in ckt.devices]
+    ckt.devices[names.index(device.name)] = device
+
+
 def rule_ids(report):
     return {f.rule_id for f in report.findings}
 
@@ -79,7 +86,7 @@ class TestFloatingNodeMutants:
                              victim.value) if side == "n1" else
                     Resistor(victim.name, victim.n1, "mut_detached",
                              victim.value))
-            ckt.replace_device(repl)
+            replace(ckt, repl)
             if "SP-FLOAT-001" in rule_ids(lint_circuit(ckt)):
                 caught += 1
         assert caught == N_MUTANTS
@@ -97,13 +104,11 @@ class TestCapacitorOnlyPathMutants:
             chain = [d for d in ckt.devices
                      if isinstance(d, Resistor) and d.name != "rend"]
             victim = rng.choice(chain)
-            ckt.replace_device(
-                Capacitor(victim.name, victim.n1, victim.n2, 1e-12))
+            replace(ckt, Capacitor(victim.name, victim.n1, victim.n2, 1e-12))
             # ... and cut the resistive termination the same way, so
             # the far end cannot sneak back to ground through rend.
             rend = ckt.device("rend")
-            ckt.replace_device(
-                Capacitor("rend", rend.n1, rend.n2, 1e-12))
+            replace(ckt, Capacitor("rend", rend.n1, rend.n2, 1e-12))
             if "SP-DCPATH-001" in rule_ids(lint_circuit(ckt)):
                 caught += 1
         assert caught == N_MUTANTS

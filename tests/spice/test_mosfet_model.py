@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.spice.analysis.op import operating_point
-from repro.spice.devices.mosfet import Mosfet, MosGroup, MosModel
+from repro.spice.devices.mosfet import CAP_NAMES, Mosfet, MosGroup, MosModel
 from repro.spice.devices.sources import CurrentSource, VoltageSource
 from repro.spice.library import generic_018
 from repro.spice.netlist import Circuit
@@ -106,8 +106,9 @@ class TestCapacitances:
         ckt.add(VoltageSource("vd", "d", "0", dc=vd))
         ckt.add(Mosfet("m1", "d", "g", "0", "0", "nch", w=2e-6, l=1e-6))
         op = operating_point(ckt)
-        sys = op.system
-        return sys.mos_group.capacitances(sys.full_vector(op.x))
+        grp = op.system.mos_group
+        ev = grp.evaluate(op.system.full_vector(op.x))
+        return dict(zip(CAP_NAMES, grp.cap_values(ev)))
 
     def test_cutoff_gate_bulk(self):
         caps = self._caps(vg=0.0, vd=1.0)
@@ -185,7 +186,7 @@ class TestCapTable:
             src, drn = drn, src
         expect = {"cgs": src + ov_gs, "cgd": drn + ov_gd,
                   "cgb": blk + ov_gb, "cbd": jxn, "cbs": jxn}
-        caps = grp.capacitances(None, ev)
+        caps = dict(zip(CAP_NAMES, grp.cap_values(ev)))
         assert set(caps) == set(expect)
         for name, value in expect.items():
             assert caps[name][0] == pytest.approx(value, rel=1e-12,
@@ -204,7 +205,7 @@ class TestCapTable:
         for _ in range(200):
             v = np.append(rng.uniform(-0.6, 2.4, len(node_index) - 1), 0.0)
             ev = grp.evaluate(v)
-            caps = grp.capacitances(v, ev)
+            caps = dict(zip(CAP_NAMES, grp.cap_values(ev)))
             # The chain the table replaced, verbatim.
             cutoff, triode = ev.cutoff, ev.triode
             cgb_i = np.where(cutoff, cox, 0.0)

@@ -59,14 +59,6 @@ class TestCircuit:
         assert len(ckt.devices_of(Resistor)) == 1
         assert len(ckt.devices_of(VoltageSource)) == 1
 
-    def test_replace_device(self):
-        ckt = Circuit("t")
-        ckt.add(Resistor("r1", "a", "0", 1.0))
-        ckt.replace_device(Resistor("r1", "a", "0", 2.0))
-        assert ckt.device("r1").value == 2.0
-        with pytest.raises(NetlistError):
-            ckt.replace_device(Resistor("r9", "a", "0", 2.0))
-
     def test_validate_requires_ground(self):
         # The lint engine's ground rule is the pre-flight gate.
         from repro.spice.lint.engine import preflight_check

@@ -73,5 +73,6 @@ def test_traced_eldo_row_has_spice_spans():
 
 def test_disabled_run_creates_no_span_nodes():
     assert not trace.ENABLED
+    root = trace.reset()
     _short_table1()
-    assert trace.current_root().children == {}
+    assert root.children == {}

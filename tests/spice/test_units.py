@@ -1,11 +1,9 @@
 """Engineering-notation parsing and formatting."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.spice.units import format_value, parse_value
+from repro.spice.units import parse_value
 
 
 class TestParseValue:
@@ -58,23 +56,3 @@ class TestParseValue:
     def test_plain_float_roundtrip(self, x):
         assert parse_value(repr(x)) == pytest.approx(x, rel=1e-12)
 
-
-class TestFormatValue:
-    @pytest.mark.parametrize("value,unit,expected", [
-        (1e-12, "F", "1 pF"),
-        (1000.0, "Ohm", "1 kOhm"),
-        (0.0, "V", "0 V"),
-        (2.5e-9, "s", "2.5 ns"),
-        (3e6, "Hz", "3 MegHz"),
-    ])
-    def test_basic(self, value, unit, expected):
-        assert format_value(value, unit) == expected
-
-    @given(st.floats(min_value=1e-14, max_value=1e11,
-                     allow_nan=False, allow_infinity=False))
-    def test_roundtrip_through_parse(self, x):
-        text = format_value(x, digits=12)
-        assert parse_value(text) == pytest.approx(x, rel=1e-9)
-
-    def test_negative_values(self):
-        assert format_value(-1e3, "V").startswith("-1 k")

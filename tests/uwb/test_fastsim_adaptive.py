@@ -72,6 +72,26 @@ class TestAdaptivePolicy:
         # disabled floor never fires on zero errors
         assert not AdaptiveStopping(ber_floor=0.0).resolved(0, 10**9)
 
+    @pytest.mark.parametrize("bad", [
+        dict(confidence=0.0), dict(confidence=1.0), dict(confidence=1.5),
+        dict(confidence=float("nan")), dict(rel_half_width=0.0),
+        dict(rel_half_width=-1.0), dict(rel_half_width=float("nan")),
+        dict(min_errors=-1), dict(ber_floor=-1e-3), dict(ber_floor=1.0),
+        dict(ber_floor=2.0), dict(ber_floor=float("nan"))])
+    def test_nonsensical_fields_raise_at_construction(self, bad):
+        """A bad field fails when the policy is built, not at the first
+        ``resolved`` call in the middle of a sweep (``ber_floor=2``
+        would stop every cell at ``min_bits``; a negative
+        ``rel_half_width`` would never take the precision exit)."""
+        (field,) = bad
+        with pytest.raises(ValueError, match=field):
+            AdaptiveStopping(**bad)
+
+    def test_edge_fields_are_valid(self):
+        policy = AdaptiveStopping(confidence=0.999, rel_half_width=1e-6,
+                                  min_errors=0, ber_floor=0.0)
+        assert not policy.resolved(0, 10)
+
 
 class TestAdaptiveSimulation:
     BUDGET = dict(target_errors=10_000, max_bits=30_000, min_bits=1_000)

@@ -320,9 +320,19 @@ TEST_ONLY_KEEP = {
                            "n analog steps",
     "TransientStepper.run_until": "stepping API: the transient and "
                                   "Newton-failure tests step to a time",
+    "TraceReport.from_json": "reads the CLI's trace JSON back: CI's "
+                             "trace-smoke job and the export tests",
+    "LintReport.from_json": "reads the CLI's lint JSON back: CI's "
+                            "lint-smoke job and the report tests",
+    **{f"{model}.response": "per-row reference the parity tests compare "
+                            "the sweep's window_outputs against"
+       for model in ("WindowIntegrator", "IdealIntegrator",
+                     "TwoPoleIntegrator")},
 }
 
-_WORD = re.compile(r"[A-Za-z_]\w*")
+#: a string that is code, not prose: an identifier or a dotted one, as in
+#: a ``getattr`` argument or a patch target.
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def public_definitions(source: str) -> list[str]:
@@ -341,20 +351,36 @@ def public_definitions(source: str) -> list[str]:
 
 
 def named_in(source: str) -> set[str]:
-    """The identifiers *source* names: every name, attribute and import,
-    and every word of its strings (a docstring that documents a name, a
-    ``getattr`` or a patch by name).  A ``def`` or ``class`` statement
+    """The identifiers the code of *source* names: every name, attribute
+    and import, and every string that is a whole (dotted) identifier,
+    such as a ``getattr`` argument or a patch target.  Prose does not
+    count: a docstring, a word inside a message or an f-string, and an
+    ``__all__`` entry name nothing.  A ``def`` or ``class`` statement
     does not name what it defines."""
+    tree = ast.parse(source)
+    prose = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr):
+            prose.add(id(node.value))
+        elif isinstance(node, ast.JoinedStr):
+            prose.update(map(id, node.values))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                prose.update(map(id, ast.walk(node.value)))
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(_WORD.findall(node.value))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in prose
+              and _IDENTIFIER.fullmatch(node.value)):
+            names.update(node.value.split("."))
     return names
 
 
@@ -390,6 +416,22 @@ def test_a_planted_test_only_name_is_caught():
     # module does (Box.lid)
     assert unreached([defining], [defining]) == [
         "Box", "Box.open", "planted", "used"]
-    # a string naming it (a documented name, a patch target) reaches it
-    assert unreached([defining], [defining, caller,
-                                  "'see planted()'"]) == []
+    # prose does not reach it: a docstring, a message, an f-string or
+    # an __all__ entry that names it
+    for prose in ('def f():\n    """Call planted() first."""\n',
+                  'def g():\n    """planted"""\n',
+                  '"""Module docstring: planted."""\n',
+                  'raise ValueError("planted: no such thing")\n',
+                  'raise ValueError(f"{x!r} is no planted")\n',
+                  'label = f"{prefix}planted"\n',
+                  '__all__ = ["planted"]\n',
+                  '__all__ += ["planted"]\n'):
+        assert unreached([defining], [defining, caller, prose]) == [
+            "planted"], prose
+    # a string that is the whole (dotted) name is code: a getattr
+    # argument or a patch target reaches it
+    for code in ('getattr(mod, "planted")()\n',
+                 'hasattr(mod, "planted")\n',
+                 'patch_function(mod, "planted", wrap)\n',
+                 'monkeypatch.setattr("pkg.mod.planted", stub)\n'):
+        assert unreached([defining], [defining, caller, code]) == [], code

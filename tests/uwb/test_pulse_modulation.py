@@ -145,9 +145,11 @@ class TestPacket:
             Packet(1, np.zeros((2, 2)))
 
     def test_duration(self):
+        """A packet's waveform spans one symbol period per symbol."""
         cfg = TEST_CONFIG
         p = Packet(4, np.zeros(4, np.int8))
-        assert p.duration(cfg) == pytest.approx(8 * cfg.symbol_period)
+        duration = len(packet_waveform(p, cfg)) / cfg.fs
+        assert duration == pytest.approx(8 * cfg.symbol_period)
 
     def test_packet_waveform_preamble_in_slot0(self):
         cfg = TEST_CONFIG

@@ -154,9 +154,8 @@ class TestTwoWayRanging:
         res = twr.run(6, np.random.default_rng(42))
         assert 9.0 < res.mean < 13.0
         assert res.variance < 10.0
-        summary = res.summary()
-        assert summary["true_m"] == 9.9
-        assert summary["iterations"] == 6.0
+        assert res.true_distance == 9.9
+        assert len(res.distances) == 6
 
     def test_compression_increases_offset(self):
         """The table-2 headline: the circuit integrator's compressed
