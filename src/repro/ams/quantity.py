@@ -30,10 +30,6 @@ class Quantity:
                 f"{self._driver!r}; cannot also be driven by {driver!r}")
         self._driver = driver
 
-    @property
-    def driver(self):
-        return self._driver
-
     def __float__(self) -> float:
         return self.value
 

@@ -29,9 +29,6 @@ class Trace:
     def maximum(self) -> float:
         return float(np.max(self.values))
 
-    def rms(self) -> float:
-        return float(np.sqrt(np.mean(self.values ** 2)))
-
     def __len__(self) -> int:
         return len(self.t)
 

@@ -32,7 +32,7 @@ class OpResult:
         return self.v(plus) - self.v(minus)
 
     def i(self, device: str) -> float:
-        """Branch current of a voltage source, VCVS or inductor."""
+        """Branch current of a voltage source."""
         return float(self.system.branch_current(self.x, device))
 
     def mos_info(self) -> dict[str, dict[str, float]]:
@@ -63,8 +63,8 @@ def operating_point(circuit: Circuit,
                     ) -> OpResult:
     """Compute the DC operating point of *circuit*.
 
-    Capacitors are open, inductors are shorts.  Uses Newton iteration
-    with gmin- and source-stepping fallbacks.
+    Capacitors are open.  Uses Newton iteration with gmin- and
+    source-stepping fallbacks.
 
     Args:
         circuit: the circuit to solve.

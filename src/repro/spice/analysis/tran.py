@@ -1,9 +1,9 @@
 """Transient analysis.
 
 Implements fixed-step implicit integration (backward Euler or
-trapezoidal) with companion models for capacitors and inductors, Newton
-solution at each step, and automatic sub-stepping when an individual step
-fails to converge.
+trapezoidal) with capacitor companion models, Newton solution at each
+step, and automatic sub-stepping when an individual step fails to
+converge.
 
 :class:`TransientStepper` exposes the integration loop one step at a
 time with per-step source overrides; this is the mechanism the
@@ -155,9 +155,7 @@ class TransientStepper:
             ieq = -geq * self.v_cap
 
         sys = self.system
-        leq = sys.ind_val / h  # backward Euler for inductor branches
-        i_old = self.x[sys.ind_rows]
-        companions = sys.companion_stamps(geq, ieq, leq, i_old)
+        companions = sys.companion_stamps(geq, ieq)
         try:
             x_new = sys.newton(self.x, t=t_new, overrides=self.overrides,
                                companions=companions,

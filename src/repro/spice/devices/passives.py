@@ -1,4 +1,4 @@
-"""Linear passive devices: resistor, capacitor, inductor."""
+"""Linear passive devices: resistor and capacitor."""
 
 from __future__ import annotations
 
@@ -50,23 +50,4 @@ class Capacitor(TwoTerminal):
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n2", n2)
         object.__setattr__(self, "value", _positive(name, value, "capacitance"))
-        object.__setattr__(self, "ic", None if ic is None else float(ic))
-
-
-@dataclass(frozen=True)
-class Inductor(TwoTerminal):
-    """Ideal linear inductor with optional initial current ``ic``.
-
-    Contributes one MNA branch-current unknown.
-    """
-
-    value: float
-    ic: float | None = None
-
-    def __init__(self, name: str, n1: str, n2: str, value: float | str,
-                 ic: float | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "n2", n2)
-        object.__setattr__(self, "value", _positive(name, value, "inductance"))
         object.__setattr__(self, "ic", None if ic is None else float(ic))

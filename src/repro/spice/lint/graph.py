@@ -11,12 +11,12 @@ uses, so lint and simulator always agree on connectivity).
 Two edge views drive the rules:
 
 * **structural** edges - every device connects all of its terminals
-  (even high-impedance sense pins); used for island detection,
+  (even a high-impedance MOS gate); used for island detection,
 * **DC-conduction** edges - only terminal pairs that carry direct
-  current (resistors, inductors, sources' branches, switch channels,
-  MOSFET drain/source/bulk junctions, diodes); capacitors, current
-  sources, MOS gates and controlled-source sense pins conduct nothing,
-  so capacitor-only cuts and gate-only nets show up as DC-floating.
+  current (resistors, voltage sources' branches, MOSFET
+  drain/source/bulk junctions); capacitors, current sources and MOS
+  gates conduct nothing, so capacitor-only cuts and gate-only nets show
+  up as DC-floating.
 
 Nodes listed in ``external`` (subcircuit ports of a definition linted
 stand-alone) are assumed to be driven by the outside world: rules skip
@@ -28,12 +28,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from repro.spice.devices.base import Device
-from repro.spice.devices.controlled import Vccs, Vcvs
-from repro.spice.devices.diode import Diode
 from repro.spice.devices.mosfet import Mosfet
-from repro.spice.devices.passives import Inductor, Resistor
+from repro.spice.devices.passives import Resistor
 from repro.spice.devices.sources import CurrentSource, VoltageSource
-from repro.spice.devices.switch import VSwitch
 from repro.spice.netlist import Circuit, normalize_node
 
 #: the normalized global reference node.
@@ -52,27 +49,20 @@ def structural_edges(dev: Device) -> Iterator[tuple[str, str]]:
 
 def dc_edges(dev: Device) -> Iterator[tuple[str, str]]:
     """Terminal pairs of *dev* that conduct direct current."""
-    if isinstance(dev, (Resistor, Inductor, Diode, VoltageSource)):
-        yield dev.n1, dev.n2
-    elif isinstance(dev, VSwitch):
-        # ron/roff are both finite; the channel always conducts some DC.
-        yield dev.n1, dev.n2
-    elif isinstance(dev, Vcvs):
-        # The controlled branch pins n1-n2; the sense pins are open.
+    if isinstance(dev, (Resistor, VoltageSource)):
         yield dev.n1, dev.n2
     elif isinstance(dev, Mosfet):
         # Channel plus junctions: drain/source/bulk form a DC-connected
         # cluster; the gate is purely capacitive.
         yield dev.d, dev.s
         yield dev.s, dev.b
-    # Capacitor, CurrentSource, Vccs: no DC conduction at all.
+    # Capacitor, CurrentSource: no DC conduction at all.
 
 
 def non_current_source_edges(dev: Device) -> Iterator[tuple[str, str]]:
-    """Structural edges of everything except current-source branches
-    (independent and voltage-controlled) - the graph whose cut
-    components expose current-source cutsets."""
-    if isinstance(dev, (CurrentSource, Vccs)):
+    """Structural edges of everything except current sources - the
+    graph whose cut components expose current-source cutsets."""
+    if isinstance(dev, CurrentSource):
         return
     yield from structural_edges(dev)
 

@@ -113,10 +113,6 @@ class LintReport:
         return {s.label: len(self.at_severity(s))
                 for s in sorted(Severity, reverse=True)}
 
-    def worst(self) -> Severity | None:
-        """Highest severity present, or ``None`` for a clean report."""
-        return max((f.severity for f in self.findings), default=None)
-
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------

@@ -48,12 +48,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.spice.devices.base import Device
-from repro.spice.devices.controlled import Vccs, Vcvs
-from repro.spice.devices.diode import Diode
 from repro.spice.devices.mosfet import Mosfet
-from repro.spice.devices.passives import Capacitor, Inductor, Resistor
+from repro.spice.devices.passives import Capacitor, Resistor
 from repro.spice.devices.sources import CurrentSource, VoltageSource
-from repro.spice.devices.switch import VSwitch
 from repro.spice.lint.graph import (
     GROUND,
     CircuitGraph,
@@ -207,21 +204,19 @@ def _rule_shorted_source(graph: CircuitGraph) -> RuleOutput:
 
 def _rule_passive_values(graph: CircuitGraph) -> RuleOutput:
     for dev in graph.circuit.devices:
-        if isinstance(dev, (Resistor, Capacitor, Inductor)):
-            value = getattr(dev, "value", None)
-            if value is not None and value <= 0.0:
-                yield (f"{type(dev).__name__} {dev.name!r} has "
-                       f"non-positive value {value!r}",
-                       _sorted_nodes(set(dev.nodes)), (dev.name,))
+        if isinstance(dev, (Resistor, Capacitor)) and dev.value <= 0.0:
+            yield (f"{type(dev).__name__} {dev.name!r} has "
+                   f"non-positive value {dev.value!r}",
+                   _sorted_nodes(set(dev.nodes)), (dev.name,))
 
 
 def _rule_voltage_loop(graph: CircuitGraph) -> RuleOutput:
-    """A cycle whose edges are all voltage branches (independent V or
-    VCVS outputs) over-constrains the node potentials: MNA goes
-    singular (or resolves an inconsistency by infinite current)."""
+    """A cycle whose edges are all voltage sources over-constrains the
+    node potentials: MNA goes singular (or resolves an inconsistency by
+    infinite current)."""
     uf = _UnionFind(graph.nodes)
     for dev in graph.circuit.devices:
-        if not isinstance(dev, (VoltageSource, Vcvs)):
+        if not isinstance(dev, VoltageSource):
             continue
         if dev.n1 == dev.n2:
             continue  # SP-SHORT-002 reports the degenerate case
@@ -236,14 +231,14 @@ def _rule_current_cutset(graph: CircuitGraph) -> RuleOutput:
     satisfy KCL for an arbitrary source value (ELDO/Spice: 'current
     source cutset')."""
     isources = [dev for dev in graph.circuit.devices
-                if isinstance(dev, (CurrentSource, Vccs))]
+                if isinstance(dev, CurrentSource)]
     if not isources:
         return
     for component in graph.components(non_current_source_edges):
         if graph.anchored(component):
             continue
         cut = [dev for dev in isources
-               if any(normalize_node(n) in component for n in dev.nodes[:2])]
+               if any(normalize_node(n) in component for n in dev.nodes)]
         if cut:
             yield (f"node(s) {', '.join(_sorted_nodes(component))} "
                    "connect to the rest of the circuit only through "
@@ -254,19 +249,18 @@ def _rule_current_cutset(graph: CircuitGraph) -> RuleOutput:
 def _rule_missing_model(graph: CircuitGraph) -> RuleOutput:
     models = graph.circuit.models
     for dev in graph.circuit.devices:
-        if isinstance(dev, (Mosfet, Diode, VSwitch)):
-            if dev.model not in models:
-                yield (f"{type(dev).__name__} {dev.name!r} references "
-                       f"undefined model {dev.model!r}",
-                       (), (dev.name,))
+        if isinstance(dev, Mosfet) and dev.model not in models:
+            yield (f"{type(dev).__name__} {dev.name!r} references "
+                   f"undefined model {dev.model!r}",
+                   (), (dev.name,))
 
 
 def _rule_unused_model(graph: CircuitGraph) -> RuleOutput:
     used = {dev.model for dev in graph.circuit.devices
-            if isinstance(dev, (Mosfet, Diode, VSwitch))}
+            if isinstance(dev, Mosfet)}
     for subckt in graph.circuit.subckts.values():
         used.update(dev.model for dev in subckt.circuit.devices
-                    if isinstance(dev, (Mosfet, Diode, VSwitch)))
+                    if isinstance(dev, Mosfet))
     for name in graph.circuit.models:
         if name not in used:
             yield (f"model card {name!r} is never referenced", (), ())

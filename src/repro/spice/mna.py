@@ -3,10 +3,10 @@
 The compiler (:class:`MnaSystem`) turns a :class:`~repro.spice.netlist.Circuit`
 into:
 
-* a static linear matrix ``G0`` (resistors, controlled sources, source and
-  inductor branch topology),
-* packed linear-capacitor / inductor arrays for the dynamic part,
-* vectorized nonlinear device groups (MOSFETs, diodes, switches).
+* a static linear matrix ``G0`` (resistors and the voltage-source branch
+  topology),
+* packed linear-capacitor arrays for the dynamic part,
+* one vectorized nonlinear device group, the MOSFETs.
 
 Ground handling uses the sentinel trick: ground maps to an extra index
 (``size``) of every node-index array, so stamping never needs branching
@@ -39,12 +39,9 @@ from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.spice.devices.controlled import Vccs, Vcvs
-from repro.spice.devices.diode import Diode, DiodeGroup, DiodeModel
-from repro.spice.devices.mosfet import MosEval, MosGroup, Mosfet, MosModel
-from repro.spice.devices.passives import Capacitor, Inductor, Resistor
+from repro.spice.devices.mosfet import MosEval, MosGroup, Mosfet
+from repro.spice.devices.passives import Capacitor, Resistor
 from repro.spice.devices.sources import CurrentSource, VoltageSource
-from repro.spice.devices.switch import SwitchGroup, SwitchModel, VSwitch
 from repro.spice.errors import (
     ConvergenceError,
     NetlistError,
@@ -78,9 +75,8 @@ def branch_entry(table: Mapping[str, T], device: str) -> T:
         return table[device.lower()]
     except KeyError:
         raise NetlistError(
-            f"{device!r} has no branch current (a V source, VCVS or "
-            "inductor has one; a transient records its current_probes "
-            "only)") from None
+            f"{device!r} has no branch current (a V source has one; a "
+            "transient records its current_probes only)") from None
 
 
 def zero_pivot(a: np.ndarray) -> int:
@@ -131,10 +127,7 @@ class MnaSystem:
 
         self.vsources: list[VoltageSource] = circuit.devices_of(VoltageSource)
         self.isources: list[CurrentSource] = circuit.devices_of(CurrentSource)
-        self.vcvs: list[Vcvs] = circuit.devices_of(Vcvs)
-        self.inductors: list[Inductor] = circuit.devices_of(Inductor)
-        self.n_branch = (len(self.vsources) + len(self.vcvs)
-                         + len(self.inductors))
+        self.n_branch = len(self.vsources)
         self.size = self.n_nodes + self.n_branch
         self.ground = self.size  # sentinel row/column
 
@@ -142,21 +135,19 @@ class MnaSystem:
             name: i for i, name in enumerate(self.nodes)}
         self.node_index["0"] = self.ground
 
-        self.branch_index: dict[str, int] = {}
-        row = self.n_nodes
-        for dev in (*self.vsources, *self.vcvs, *self.inductors):
-            self.branch_index[dev.name] = row
-            row += 1
+        self.branch_index: dict[str, int] = {
+            src.name: self.n_nodes + k
+            for k, src in enumerate(self.vsources)}
 
-        self._compile_groups()
+        mosfets = circuit.devices_of(Mosfet)
+        self.mos_group = (MosGroup(mosfets, circuit.models, self.node_index)
+                          if mosfets else None)
         self._compile_static()
         self._compile_dynamic()
         self._compile_stamps()
 
         # Newton loop constants.
-        self._is_linear = (self.mos_group is None
-                           and self.diode_group is None
-                           and self.switch_group is None)
+        self._is_linear = self.mos_group is None
         self._tol_floor = np.concatenate([
             np.full(self.n_nodes, self.vntol),
             np.full(self.n_branch, self.abstol)])
@@ -174,26 +165,8 @@ class MnaSystem:
     def _node(self, name: str) -> int:
         return self.node_index[name]
 
-    def _compile_groups(self) -> None:
-        models = self.circuit.models
-        mos_models = {k: m for k, m in models.items()
-                      if isinstance(m, MosModel)}
-        dio_models = {k: m for k, m in models.items()
-                      if isinstance(m, DiodeModel)}
-        sw_models = {k: m for k, m in models.items()
-                     if isinstance(m, SwitchModel)}
-        mosfets = self.circuit.devices_of(Mosfet)
-        diodes = self.circuit.devices_of(Diode)
-        switches = self.circuit.devices_of(VSwitch)
-        self.mos_group = (MosGroup(mosfets, mos_models, self.node_index)
-                          if mosfets else None)
-        self.diode_group = (DiodeGroup(diodes, dio_models, self.node_index)
-                            if diodes else None)
-        self.switch_group = (SwitchGroup(switches, sw_models, self.node_index)
-                             if switches else None)
-
     def _compile_static(self) -> None:
-        """Static linear stamps: R, VCCS, and V-source/VCVS/L topology."""
+        """Static linear stamps: resistors and V-source branch topology."""
         n = self.size + 1
         g0 = np.zeros((n, n))
         for res in self.circuit.devices_of(Resistor):
@@ -203,14 +176,6 @@ class MnaSystem:
             g0[b, b] += g
             g0[a, b] -= g
             g0[b, a] -= g
-        for src in self.circuit.devices_of(Vccs):
-            a, b = self._node(src.n1), self._node(src.n2)
-            c, d = self._node(src.cn1), self._node(src.cn2)
-            g = src.gain
-            g0[a, c] += g
-            g0[a, d] -= g
-            g0[b, c] -= g
-            g0[b, d] += g
         for src in self.vsources:
             a, b = self._node(src.n1), self._node(src.n2)
             k = self.branch_index[src.name]
@@ -218,25 +183,6 @@ class MnaSystem:
             g0[b, k] -= 1.0
             g0[k, a] += 1.0
             g0[k, b] -= 1.0
-        for src in self.vcvs:
-            a, b = self._node(src.n1), self._node(src.n2)
-            c, d = self._node(src.cn1), self._node(src.cn2)
-            k = self.branch_index[src.name]
-            g0[a, k] += 1.0
-            g0[b, k] -= 1.0
-            g0[k, a] += 1.0
-            g0[k, b] -= 1.0
-            g0[k, c] -= src.gain
-            g0[k, d] += src.gain
-        for ind in self.inductors:
-            a, b = self._node(ind.n1), self._node(ind.n2)
-            k = self.branch_index[ind.name]
-            g0[a, k] += 1.0
-            g0[b, k] -= 1.0
-            g0[k, a] += 1.0
-            g0[k, b] -= 1.0
-            # The L*di/dt term is added as a transient companion; in DC the
-            # branch equation v1 - v2 = 0 correctly shorts the inductor.
         self.g_static = g0
 
     def _compile_dynamic(self) -> None:
@@ -246,9 +192,6 @@ class MnaSystem:
         self.cap_val = np.array([c.value for c in caps])
         self.cap_ic = np.array(
             [c.ic if c.ic is not None else np.nan for c in caps])
-        self.ind_val = np.array([i.value for i in self.inductors])
-        self.ind_rows = np.array(
-            [self.branch_index[i.name] for i in self.inductors], dtype=np.intp)
         # Terminals of every capacitance the transient companions see:
         # the linear capacitors, then cgs, cgd, cgb, cbd, cbs of each
         # MOSFET (the value order of :meth:`dynamic_caps`).
@@ -287,17 +230,8 @@ class MnaSystem:
                                          (grp.nd, grp.ng, grp.nb, grp.ns))
             self._mos_rev = self._mirror(grp.ns, grp.nd,
                                          (grp.ns, grp.ng, grp.nb, grp.nd))
-        grp = self.diode_group
-        if grp is not None:
-            self._diode_pos = self._mirror(grp.na, grp.nc, (grp.na, grp.nc))
-        grp = self.switch_group
-        if grp is not None:
-            self._switch_pos = self._mirror(grp.n1, grp.n2,
-                                            (grp.n1, grp.n2, grp.c1, grp.c2))
-        ind = self.ind_rows
-        self._companion_pos = np.concatenate([
-            self._mirror(self.dyn_n1, self.dyn_n2, (self.dyn_n1, self.dyn_n2)),
-            self._mat[ind, ind], self._rhs[ind]], axis=None)
+        self._companion_pos = self._mirror(
+            self.dyn_n1, self.dyn_n2, (self.dyn_n1, self.dyn_n2)).ravel()
 
     def _mirror(self, p: np.ndarray, m: np.ndarray,
                 cols: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -374,60 +308,38 @@ class MnaSystem:
             t=t, overrides=overrides, scale=source_scale)[:n]
         return aug
 
-    def companion_stamps(self, geq: np.ndarray, ieq: np.ndarray,
-                         leq: np.ndarray, i_old: np.ndarray) -> np.ndarray:
+    def companion_stamps(self, geq: np.ndarray,
+                         ieq: np.ndarray) -> np.ndarray:
         """Transient companions as a flat ``[A | b]`` array: conductance
         *geq* in parallel with current source *ieq* across every
-        capacitance of :meth:`dynamic_caps`, and ``-leq`` (with
-        ``-leq * i_old`` on the RHS) on every inductor branch."""
-        vals = np.concatenate([geq, -geq, -ieq, -geq, geq, ieq,
-                               -leq, -leq * i_old])
+        capacitance of :meth:`dynamic_caps`."""
+        vals = np.concatenate([geq, -geq, -ieq, -geq, geq, ieq])
         return np.bincount(self._companion_pos, vals,
                            minlength=self.aug_len)
 
     @_trace.timed("spice.stamp")
     def stamp_nonlinear(self, x_full: np.ndarray,
                         mos_eval: MosEval | None = None) -> np.ndarray:
-        """Companion-linearize all nonlinear groups at *x_full* (which
-        includes the 0 V ground entry) and return their stamps as a flat
-        ``[A | b]`` array.  The MOSFETs are linearized at *mos_eval* when
+        """Companion-linearize the MOSFETs at *x_full* (which includes
+        the 0 V ground entry) and return their stamps as a flat
+        ``[A | b]`` array.  They are linearized at *mos_eval* when
         given, else at an evaluation of *x_full*; the evaluation used is
         kept for :meth:`newton` to hand on."""
-        # Each group stamps pos at rows of one terminal and -pos at rows
-        # of the other (see _mirror).
-        positions, values = [], []
-        if self.mos_group is not None:
-            ev = (self.mos_group.evaluate(x_full) if mos_eval is None
-                  else mos_eval)
-            self._stamped_eval = ev
-            gm, gds, gmb = ev.gm, ev.gds, ev.gmb
-            # ids minus its linearization, in the physical frame.
-            i_lin = self.mos_group.sign * (gm * ev.vgs + gds * ev.vds
-                                           - gmb * ev.vsb)
-            pos = np.concatenate([gds, gm, gmb, -(gm + gds + gmb),
-                                  i_lin - ev.ids])
-            positions.append(np.where(ev.reversed, self._mos_rev,
-                                      self._mos_fwd))
-            values += [pos, -pos]
-        if self.diode_group is not None:
-            grp = self.diode_group
-            current, cond = grp.evaluate(x_full)
-            i_lin = cond * (x_full[grp.na] - x_full[grp.nc])
-            pos = np.concatenate([cond, -cond, i_lin - current])
-            positions.append(self._diode_pos)
-            values += [pos, -pos]
-        if self.switch_group is not None:
-            grp = self.switch_group
-            g, dg_dvc, v12 = grp.evaluate(x_full)
-            gc = dg_dvc * v12
-            vc = x_full[grp.c1] - x_full[grp.c2]
-            pos = np.concatenate([g, -g, gc, -gc, gc * vc])
-            positions.append(self._switch_pos)
-            values += [pos, -pos]
-        if not positions:
+        grp = self.mos_group
+        if grp is None:
             return np.zeros(self.aug_len)
-        return np.bincount(np.concatenate(positions, axis=None),
-                           np.concatenate(values), minlength=self.aug_len)
+        ev = grp.evaluate(x_full) if mos_eval is None else mos_eval
+        self._stamped_eval = ev
+        gm, gds, gmb = ev.gm, ev.gds, ev.gmb
+        # ids minus its linearization, in the physical frame.
+        i_lin = grp.sign * (gm * ev.vgs + gds * ev.vds - gmb * ev.vsb)
+        pos = np.concatenate([gds, gm, gmb, -(gm + gds + gmb),
+                              i_lin - ev.ids])
+        # pos goes to rows of the effective drain, -pos to rows of the
+        # effective source (see _mirror).
+        positions = np.where(ev.reversed, self._mos_rev, self._mos_fwd)
+        return np.bincount(positions.ravel(), np.concatenate([pos, -pos]),
+                           minlength=self.aug_len)
 
     # ------------------------------------------------------------------
     # Newton solution
@@ -580,10 +492,9 @@ class MnaSystem:
         x_full = self.full_vector(x_op)
         g_aug = self.linear_stamps() + self.stamp_nonlinear(x_full)
         # The C matrix is the companion matrix of unit conductance per
-        # farad, with -L on every inductor branch (v1 - v2 - jwL i = 0).
-        c_aug = self.companion_stamps(
-            self.dynamic_caps(x_full), np.zeros(len(self.dyn_n1)),
-            self.ind_val, np.zeros(len(self.ind_val)))
+        # farad.
+        c_aug = self.companion_stamps(self.dynamic_caps(x_full),
+                                      np.zeros(len(self.dyn_n1)))
         return self.split(g_aug)[0], self.split(c_aug)[0]
 
     @_trace.timed("spice.caps")
@@ -613,6 +524,6 @@ class MnaSystem:
         return x[..., row]
 
     def branch_current(self, x: np.ndarray, device: str) -> np.ndarray:
-        """Branch current of a voltage source / VCVS / inductor in the
-        solution vector(s) *x*, unknowns on the last axis."""
+        """Branch current of a voltage source in the solution
+        vector(s) *x*, unknowns on the last axis."""
         return x[..., branch_entry(self.branch_index, device)]

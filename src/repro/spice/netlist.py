@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.spice.devices.base import Device
-from repro.spice.devices.diode import DiodeModel
 from repro.spice.devices.mosfet import MosModel
-from repro.spice.devices.switch import SwitchModel
 from repro.spice.errors import NetlistError
 
 #: Names (case-insensitive) that denote the global reference: the
@@ -24,8 +22,6 @@ from repro.spice.errors import NetlistError
 #: lint circuit graph and the MNA node numbering, so static checks and
 #: the simulator can never disagree about what is ground.
 GROUND_ALIASES = ("0", "gnd", "gnd!", "vss!")
-
-ModelCard = MosModel | DiodeModel | SwitchModel
 
 
 def is_ground(node: str) -> bool:
@@ -51,10 +47,10 @@ class Circuit:
         op = operating_point(ckt)
     """
 
-    def __init__(self, title: str = "", models: Iterable[ModelCard] = ()):
+    def __init__(self, title: str = "", models: Iterable[MosModel] = ()):
         self.title = title
         self.devices: list[Device] = []
-        self.models: dict[str, ModelCard] = {}
+        self.models: dict[str, MosModel] = {}
         self.subckts: dict[str, Subckt] = {}
         self._subckt_uses: set[str] = set()
         self._device_names: set[str] = set()
@@ -76,7 +72,7 @@ class Circuit:
             self.devices.append(normalized)
         return self
 
-    def add_model(self, model: ModelCard) -> "Circuit":
+    def add_model(self, model: MosModel) -> "Circuit":
         key = model.name.lower()
         if key in self.models and self.models[key] != model:
             raise NetlistError(f"conflicting redefinition of model {model.name!r}")
@@ -119,13 +115,6 @@ class Circuit:
                 if not is_ground(node):
                     seen.setdefault(node, None)
         return list(seen)
-
-    def device(self, name: str) -> Device:
-        key = name.lower()
-        for dev in self.devices:
-            if dev.name == key:
-                return dev
-        raise NetlistError(f"no device named {name!r}")
 
     def devices_of(self, cls: type) -> list[Device]:
         return [dev for dev in self.devices if isinstance(dev, cls)]

@@ -1,17 +1,20 @@
 """Spice-format netlist parser.
 
 Supports the subset of classic Spice syntax needed to describe the
-circuits in this repository (and a bit more):
+circuits in this repository:
 
-* elements: ``R C L V I E G M D S X``
-* ``.model`` cards for ``nmos`` / ``pmos`` / ``d`` / ``sw``
+* elements: ``R C V I M X``
+* ``.model`` cards for ``nmos`` / ``pmos``
 * ``.subckt`` / ``.ends`` definitions (must precede their use; eagerly
   flattened at instantiation like Spice ``X`` expansion)
 * ``.param`` with ``{...}`` arithmetic expressions in element values
 * ``+`` continuation lines, ``*`` comment lines, ``;``/``$`` trailing
   comments, engineering suffixes (``k``, ``meg``, ``u`` ...)
-* source transients: ``PULSE(...)``, ``SIN(...)``, ``PWL(...)``, plus
-  ``DC`` and ``AC`` specifications.
+* source transients: ``PULSE(...)``, plus ``DC`` and ``AC``
+  specifications.
+
+Any other element letter, model type or source function (``L``, ``D``,
+``SIN(...)``, ``PWL(...)`` ...) is a :class:`ParseError` naming its line.
 
 The first non-blank line is the title (classic Spice convention) unless
 ``title_line=False``.
@@ -23,18 +26,9 @@ import math
 import re
 from typing import Iterator
 
-from repro.spice.devices.controlled import Vccs, Vcvs
-from repro.spice.devices.diode import Diode, DiodeModel
 from repro.spice.devices.mosfet import Mosfet, MosModel
-from repro.spice.devices.passives import Capacitor, Inductor, Resistor
-from repro.spice.devices.sources import (
-    CurrentSource,
-    Pulse,
-    Pwl,
-    Sin,
-    VoltageSource,
-)
-from repro.spice.devices.switch import SwitchModel, VSwitch
+from repro.spice.devices.passives import Capacitor, Resistor
+from repro.spice.devices.sources import CurrentSource, Pulse, VoltageSource
 from repro.spice.errors import NetlistError, ParseError
 from repro.spice.netlist import Circuit, Subckt
 from repro.spice.units import parse_value
@@ -262,28 +256,6 @@ class _NetlistParser:
                     raise ParseError(
                         f"unknown MOS model parameter {key!r}", no, line)
             circuit.add_model(MosModel(name=name, mtype=mtype[0], **kwargs))
-        elif mtype == "d":
-            kwargs = {}
-            for key, val in pairs.items():
-                if key == "is":
-                    kwargs["is_"] = val
-                elif key == "n":
-                    kwargs["n"] = val
-                elif key in ("cj0", "cjo"):
-                    kwargs["cj0"] = val
-                else:
-                    raise ParseError(
-                        f"unknown diode model parameter {key!r}", no, line)
-            circuit.add_model(DiodeModel(name=name, **kwargs))
-        elif mtype == "sw":
-            kwargs = {}
-            for key, val in pairs.items():
-                if key in ("ron", "roff", "vt", "vh"):
-                    kwargs[key] = val
-                else:
-                    raise ParseError(
-                        f"unknown switch model parameter {key!r}", no, line)
-            circuit.add_model(SwitchModel(name=name, **kwargs))
         else:
             raise ParseError(f"unsupported model type {mtype!r}", no, line)
 
@@ -336,18 +308,8 @@ class _NetlistParser:
                 ic = self._trailing_ic(tokens[4:], no, line)
                 circuit.add(Capacitor(name, tokens[1], tokens[2],
                                       self.value(tokens[3]), ic=ic))
-            elif kind == "l":
-                ic = self._trailing_ic(tokens[4:], no, line)
-                circuit.add(Inductor(name, tokens[1], tokens[2],
-                                     self.value(tokens[3]), ic=ic))
             elif kind in ("v", "i"):
                 self._handle_source(circuit, kind, name, tokens, no, line)
-            elif kind == "e":
-                circuit.add(Vcvs(name, tokens[1], tokens[2], tokens[3],
-                                 tokens[4], self.value(tokens[5])))
-            elif kind == "g":
-                circuit.add(Vccs(name, tokens[1], tokens[2], tokens[3],
-                                 tokens[4], self.value(tokens[5])))
             elif kind == "m":
                 params = self._kv_pairs(tokens[6:], no, line)
                 if "w" not in params or "l" not in params:
@@ -356,12 +318,6 @@ class _NetlistParser:
                                    tokens[4], tokens[5].lower(),
                                    params["w"], params["l"],
                                    m=params.get("m", 1.0)))
-            elif kind == "d":
-                circuit.add(Diode(name, tokens[1], tokens[2],
-                                  tokens[3].lower()))
-            elif kind == "s":
-                circuit.add(VSwitch(name, tokens[1], tokens[2], tokens[3],
-                                    tokens[4], tokens[5].lower()))
             elif kind == "x":
                 circuit.instantiate(name, tokens[-1].lower(), tokens[1:-1])
             else:
@@ -370,6 +326,11 @@ class _NetlistParser:
         except IndexError:
             raise ParseError(f"too few fields for element {tokens[0]!r}",
                              no, line) from None
+        except ParseError as exc:
+            # A value that does not evaluate names its line too.
+            if exc.line_no is not None:
+                raise
+            raise ParseError(str(exc), no, line) from None
         except NetlistError as exc:
             # Duplicate device names, bad subckt bindings and invalid
             # element values surface as parse errors with the offending
@@ -436,19 +397,9 @@ class _NetlistParser:
                 defaults = [0.0, 0.0, 0.0, 1e-12, 1e-12, 1e-6, math.inf]
                 vals = vals + defaults[len(vals):]
                 wave = Pulse(*vals[:7])
-            elif tok == "sin":
-                vals, i = take_numbers(i + 1)
-                if len(vals) < 3:
-                    raise ParseError("SIN needs vo va freq", no, line)
-                defaults = [0.0, 0.0, 0.0, 0.0, 0.0]
-                vals = vals + defaults[len(vals):]
-                wave = Sin(vals[0], vals[1], vals[2], vals[3], vals[4])
-            elif tok == "pwl":
-                vals, i = take_numbers(i + 1)
-                if len(vals) < 2 or len(vals) % 2:
-                    raise ParseError("PWL needs t/v pairs", no, line)
-                pts = list(zip(vals[0::2], vals[1::2]))
-                wave = Pwl(pts)
+            elif rest[i + 1:i + 2] == ["("]:
+                raise ParseError(
+                    f"unsupported source function {rest[i]!r}", no, line)
             else:
                 # Bare leading number = DC value.
                 dc = self.value(rest[i])

@@ -18,8 +18,15 @@ def noise_sigma_for_ebn0(eb: float, ebn0_db: float, fs: float) -> float:
         eb: received energy per bit (V^2 s).
         ebn0_db: target Eb/N0 in dB.
         fs: sample rate.
+
+    Raises:
+        ValueError: *eb* is not positive, or *ebn0_db* is NaN or so low
+            (-inf) that the noise level is not finite.
     """
     if eb <= 0:
         raise ValueError("energy per bit must be positive")
-    n0 = eb / (10.0 ** (ebn0_db / 10.0))
+    ebn0 = 10.0 ** (ebn0_db / 10.0)
+    if not ebn0 > 0.0:
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no finite noise level")
+    n0 = eb / ebn0
     return math.sqrt(n0 * fs / 2.0)

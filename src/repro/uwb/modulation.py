@@ -56,10 +56,6 @@ class Packet:
         return np.concatenate([
             np.zeros(self.preamble_symbols, dtype=np.int8), self.payload])
 
-    @property
-    def n_symbols(self) -> int:
-        return self.preamble_symbols + len(self.payload)
-
 
 def ppm_positions(symbols: np.ndarray, config: UwbConfig) -> np.ndarray:
     """Sample index of each pulse center.

@@ -240,7 +240,7 @@ class TestRecorderAndTrace:
         t = np.linspace(0.0, 1.0, 101)
         tr = Trace("sin", t, np.sin(2 * math.pi * t))
         assert tr.maximum() == pytest.approx(1.0, abs=1e-3)
-        assert tr.rms() == pytest.approx(1 / math.sqrt(2), abs=0.01)
+        assert tr.minimum() == pytest.approx(-1.0, abs=1e-3)
 
     def test_unknown_probe(self):
         sim = Simulator(dt=1e-9)

@@ -19,6 +19,11 @@ from repro.spice.analysis.tran import transient
 from repro.spice.devices.mosfet import Mosfet
 
 
+def c_int(sub):
+    """The integrating capacitor of an Integrate & Dump subcircuit."""
+    return next(dev for dev in sub.circuit.devices if dev.name == "c_int")
+
+
 class TestStructure:
     def test_transistor_count_matches_paper(self):
         """Paper: 'The ELDO integrator, which includes 31 transistors'."""
@@ -50,13 +55,13 @@ class TestStructure:
 
     def test_integrating_cap_value(self):
         sub = build_integrate_dump()
-        cap = sub.circuit.device("c_int")
+        cap = c_int(sub)
         assert cap.value == pytest.approx(1e-12)
 
     def test_custom_cap(self):
         design = dataclasses.replace(default_design(), c_int=2e-12)
         sub = build_integrate_dump(design)
-        assert sub.circuit.device("c_int").value == pytest.approx(2e-12)
+        assert c_int(sub).value == pytest.approx(2e-12)
 
 
 class TestOperatingPoint:

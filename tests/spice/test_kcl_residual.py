@@ -30,7 +30,6 @@ def kcl_residual(stepper: TransientStepper, h: float, x: np.ndarray,
     *x*, and per row the largest magnitude of the terms summed into
     it."""
     system = stepper.system
-    assert system.diode_group is None and system.switch_group is None
     n = system.size
     x_full = np.append(x, 0.0)
     terms = system.g_static * x_full
@@ -59,9 +58,6 @@ def kcl_residual(stepper: TransientStepper, h: float, x: np.ndarray,
         current = geq[k] * (x_full[a] - x_full[b]) + ieq[k]
         add(a, current)
         add(b, -current)
-    for j, row in enumerate(system.ind_rows):
-        leq = system.ind_val[j] / h
-        add(row, -leq * (x[row] - stepper.x[row]))
     # Channel currents, into the effective drain.
     grp = system.mos_group
     ev = grp.evaluate(x_full)

@@ -1,6 +1,5 @@
 """CircuitGraph: the incidence/connectivity layer under the lint rules."""
 
-from repro.spice.devices.controlled import Vcvs
 from repro.spice.devices.mosfet import Mosfet
 from repro.spice.devices.passives import Capacitor, Resistor
 from repro.spice.devices.sources import CurrentSource, VoltageSource
@@ -78,10 +77,6 @@ class TestEdgeViews:
         flat = {n for e in edges for n in e}
         assert "g" not in flat            # gate is purely capacitive
         assert {"d", "s", "b"} <= flat    # channel + junctions conduct
-
-    def test_dc_edges_vcvs_sense_pins_open(self):
-        e = Vcvs("e1", "p", "n", "cp", "cn", gain=2.0)
-        assert list(dc_edges(e)) == [("p", "n")]
 
     def test_non_current_source_edges(self):
         i = CurrentSource("i1", "a", "b", dc=1e-3)

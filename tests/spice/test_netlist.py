@@ -29,8 +29,7 @@ class TestNodes:
         ckt.add(Resistor("r1", "a", "GND", 1.0))
         ckt.add(Resistor("r2", "a", "vss!", 1.0))
         assert ckt.node_names() == ["a"]
-        assert ckt.device("r1").nodes[1] == "0"
-        assert ckt.device("r2").nodes[1] == "0"
+        assert [dev.nodes[1] for dev in ckt.devices] == ["0", "0"]
 
     def test_case_insensitive_nodes(self):
         ckt = Circuit("t")
@@ -44,13 +43,6 @@ class TestCircuit:
         ckt.add(Resistor("r1", "a", "0", 1.0))
         with pytest.raises(NetlistError):
             ckt.add(Resistor("R1", "b", "0", 1.0))
-
-    def test_device_lookup(self):
-        ckt = Circuit("t")
-        ckt.add(Resistor("r1", "a", "0", 1.0))
-        assert ckt.device("R1").value == 1.0
-        with pytest.raises(NetlistError):
-            ckt.device("nope")
 
     def test_devices_of(self):
         ckt = Circuit("t")
@@ -102,13 +94,10 @@ class TestSubckt:
         top.add_subckt(self._divider())
         top.add(VoltageSource("v1", "vin", "0", dc=1.0))
         top.instantiate("x1", "div", ["vin", "vout"])
-        names = {d.name for d in top.devices}
-        assert "x1.r1" in names and "x1.r2" in names
-        r1 = top.device("x1.r1")
-        assert r1.nodes == ("vin", "vout")
+        nodes = {d.name: d.nodes for d in top.devices}
+        assert nodes["x1.r1"] == ("vin", "vout")
         # ground stays global
-        r2 = top.device("x1.r2")
-        assert r2.nodes == ("vout", "0")
+        assert nodes["x1.r2"] == ("vout", "0")
 
     def test_port_count_mismatch(self):
         top = Circuit("top")
@@ -142,4 +131,5 @@ class TestSubckt:
         top.instantiate("x1", "div", ["a", "b"])
         top.instantiate("x2", "div", ["b", "c"])
         assert len(top.devices) == 4
-        assert top.device("x2.r1").nodes == ("b", "c")
+        assert top.devices[2].name == "x2.r1"
+        assert top.devices[2].nodes == ("b", "c")

@@ -4,21 +4,17 @@ import math
 
 import pytest
 
-from repro.spice.devices.controlled import Vccs, Vcvs
-from repro.spice.devices.diode import Diode
 from repro.spice.devices.mosfet import Mosfet
-from repro.spice.devices.passives import Capacitor, Inductor, Resistor
-from repro.spice.devices.sources import (
-    CurrentSource,
-    Pulse,
-    Pwl,
-    Sin,
-    VoltageSource,
-)
-from repro.spice.devices.switch import VSwitch
+from repro.spice.devices.passives import Capacitor, Resistor
+from repro.spice.devices.sources import Pulse
 from repro.spice.errors import ParseError
 from repro.spice.library import GENERIC_018_CARDS
 from repro.spice.parser import parse_netlist
+
+
+def device(ckt, name):
+    """The device of *ckt* named *name* (lower-case, as stored)."""
+    return next(dev for dev in ckt.devices if dev.name == name)
 
 
 class TestBasics:
@@ -44,7 +40,7 @@ r2 a 0 2k $ another
     def test_continuation_lines(self):
         text = "title\nr1 a\n+ 0\n+ 1k\n"
         ckt = parse_netlist(text)
-        assert ckt.device("r1").value == 1000.0
+        assert device(ckt, "r1").value == 1000.0
 
     def test_continuation_without_start_fails(self):
         with pytest.raises(ParseError):
@@ -69,28 +65,18 @@ class TestElements:
         text = """t
 r1 a 0 1k
 c1 a 0 1p
-l1 a 0 1n
 c2 a 0 1p ic=0.5
 """
         ckt = parse_netlist(text)
-        assert isinstance(ckt.device("r1"), Resistor)
-        assert isinstance(ckt.device("c1"), Capacitor)
-        assert isinstance(ckt.device("l1"), Inductor)
-        assert ckt.device("c2").ic == 0.5
-
-    def test_controlled_sources(self):
-        text = "t\ne1 o 0 a b 10\ng1 o 0 a b 1m\n"
-        ckt = parse_netlist(text)
-        assert isinstance(ckt.device("e1"), Vcvs)
-        assert ckt.device("e1").gain == 10.0
-        assert isinstance(ckt.device("g1"), Vccs)
-        assert ckt.device("g1").gain == 1e-3
+        assert isinstance(device(ckt, "r1"), Resistor)
+        assert isinstance(device(ckt, "c1"), Capacitor)
+        assert device(ckt, "c2").ic == 0.5
 
     def test_mosfet(self):
         text = ("t\n.model nch nmos (vto=0.4 kp=200u)\n"
                 "m1 d g 0 0 nch w=10u l=0.18u m=2\n")
         ckt = parse_netlist(text)
-        m = ckt.device("m1")
+        m = device(ckt, "m1")
         assert isinstance(m, Mosfet)
         assert m.w == pytest.approx(10e-6)
         assert m.l == pytest.approx(0.18e-6)
@@ -100,77 +86,78 @@ c2 a 0 1p ic=0.5
         with pytest.raises(ParseError):
             parse_netlist("t\nm1 d g 0 0 nch\n")
 
-    def test_diode_and_switch(self):
-        text = ("t\n.model dm d (is=1e-15)\n.model sw1 sw (ron=10)\n"
-                "d1 a 0 dm\ns1 a 0 c 0 sw1\n")
-        ckt = parse_netlist(text)
-        assert isinstance(ckt.device("d1"), Diode)
-        assert isinstance(ckt.device("s1"), VSwitch)
-
     def test_too_few_fields(self):
         with pytest.raises(ParseError):
             parse_netlist("t\nr1 a\n")
 
 
+#: a line of each Spice kind the parser does not support, and the error
+#: it gets.
+UNSUPPORTED = {
+    "inductor": ("l1 a 0 1n", "unknown element type 'l1'"),
+    "vcvs": ("e1 o 0 a b 10", "unknown element type 'e1'"),
+    "vccs": ("g1 o 0 a b 1m", "unknown element type 'g1'"),
+    "diode": ("d1 a 0 dm", "unknown element type 'd1'"),
+    "switch": ("s1 a 0 c 0 sw1", "unknown element type 's1'"),
+    "diode-model": (".model m d (is=1e-15)", "unsupported model type 'd'"),
+    "switch-model": (".model m sw (ron=10)", "unsupported model type 'sw'"),
+    "sin": ("v1 a 0 sin(0 1 1meg)", "unsupported source function 'sin'"),
+    "pwl": ("v1 a 0 pwl(0 0 1n 1 2n 0)", "unsupported source function 'pwl'"),
+    "sin-bare": ("v1 a 0 sin 0 1 1meg", "cannot evaluate value 'sin'"),
+}
+
+
+@pytest.mark.parametrize("line, message", UNSUPPORTED.values(),
+                         ids=UNSUPPORTED)
+def test_an_unsupported_kind_is_a_parse_error_naming_its_line(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_netlist(f"t\nr1 a 0 1k\n{line}\n")
+    assert exc.value.line_no == 3
+    assert str(exc.value) == f"line 3: {message}\n  >> {line}"
+
+
 class TestSources:
     def test_dc_forms(self):
         ckt = parse_netlist("t\nv1 a 0 5\nv2 b 0 dc 3\ni1 a 0 1m\n")
-        assert ckt.device("v1").dc == 5.0
-        assert ckt.device("v2").dc == 3.0
-        assert ckt.device("i1").dc == 1e-3
+        assert device(ckt, "v1").dc == 5.0
+        assert device(ckt, "v2").dc == 3.0
+        assert device(ckt, "i1").dc == 1e-3
 
     def test_ac_spec(self):
         ckt = parse_netlist("t\nv1 a 0 dc 1 ac 2 45\n")
-        v = ckt.device("v1")
+        v = device(ckt, "v1")
         assert v.ac_mag == 2.0
         assert v.ac_phase == 45.0
 
     def test_pulse(self):
         ckt = parse_netlist("t\nv1 a 0 pulse(0 1.8 1n 0.1n 0.1n 5n 10n)\n")
-        wave = ckt.device("v1").wave
+        wave = device(ckt, "v1").wave
         assert isinstance(wave, Pulse)
         assert wave.v2 == 1.8
         assert wave.per == 10e-9
 
     def test_pulse_defaults(self):
         ckt = parse_netlist("t\nv1 a 0 pulse(0 1)\n")
-        assert math.isinf(ckt.device("v1").wave.per)
-
-    def test_sin(self):
-        ckt = parse_netlist("t\nv1 a 0 sin(0 1 1meg)\n")
-        wave = ckt.device("v1").wave
-        assert isinstance(wave, Sin)
-        assert wave.freq == 1e6
-
-    def test_pwl(self):
-        ckt = parse_netlist("t\nv1 a 0 pwl(0 0 1n 1 2n 0)\n")
-        wave = ckt.device("v1").wave
-        assert isinstance(wave, Pwl)
-        assert wave.value(0.5e-9) == pytest.approx(0.5)
-
-    def test_pwl_odd_values_rejected(self):
-        with pytest.raises(ParseError):
-            parse_netlist("t\nv1 a 0 pwl(0 0 1n)\n")
-
+        assert math.isinf(device(ckt, "v1").wave.per)
 
 class TestParamsAndExpressions:
     def test_param_use(self):
         text = "t\n.param rr=2k cc={1p*2}\nr1 a 0 rr\nc1 a 0 cc\n"
         ckt = parse_netlist(text)
-        assert ckt.device("r1").value == 2000.0
-        assert ckt.device("c1").value == pytest.approx(2e-12)
+        assert device(ckt, "r1").value == 2000.0
+        assert device(ckt, "c1").value == pytest.approx(2e-12)
 
     def test_expression_with_suffix_literals(self):
         ckt = parse_netlist("t\nr1 a 0 {10k/2}\n")
-        assert ckt.device("r1").value == pytest.approx(5000.0)
+        assert device(ckt, "r1").value == pytest.approx(5000.0)
 
     def test_expression_functions(self):
         ckt = parse_netlist("t\nr1 a 0 {sqrt(4)*1k}\n")
-        assert ckt.device("r1").value == pytest.approx(2000.0)
+        assert device(ckt, "r1").value == pytest.approx(2000.0)
 
     def test_quoted_expression(self):
         ckt = parse_netlist("t\n.param x=3\nr1 a 0 'x*1k'\n")
-        assert ckt.device("r1").value == 3000.0
+        assert device(ckt, "r1").value == 3000.0
 
     def test_bad_expression(self):
         with pytest.raises(ParseError):
@@ -201,8 +188,8 @@ r2 out 0 1k
 x1 a b div
 """
         ckt = parse_netlist(text)
-        assert ckt.device("x1.r1").nodes == ("a", "b")
-        assert ckt.device("x1.r2").nodes == ("b", "0")
+        assert device(ckt, "x1.r1").nodes == ("a", "b")
+        assert device(ckt, "x1.r2").nodes == ("b", "0")
 
     def test_subckt_missing_ends(self):
         with pytest.raises(ParseError):
@@ -225,8 +212,8 @@ x2 m q unit
 xtop n1 n2 pair
 """
         ckt = parse_netlist(text)
-        assert ckt.device("xtop.x1.r1").nodes == ("n1", "xtop.m")
-        assert ckt.device("xtop.x2.r1").nodes == ("xtop.m", "n2")
+        assert device(ckt, "xtop.x1.r1").nodes == ("n1", "xtop.m")
+        assert device(ckt, "xtop.x2.r1").nodes == ("xtop.m", "n2")
 
 
 class TestEdgeCases:
@@ -239,7 +226,7 @@ class TestEdgeCases:
         ckt = parse_netlist(text)
         assert ckt.title == "* extracted by hand"
         assert len(ckt) == 2
-        assert ckt.device("v1").dc == 1.0
+        assert device(ckt, "v1").dc == 1.0
 
     def test_continuations_interleaved_with_comments(self):
         text = """title
@@ -251,13 +238,13 @@ r1 a
 r2 a 0 2k
 """
         ckt = parse_netlist(text)
-        assert ckt.device("r1").nodes == ("a", "0")
-        assert ckt.device("r1").value == 1000.0
+        assert device(ckt, "r1").nodes == ("a", "0")
+        assert device(ckt, "r1").value == 1000.0
         assert len(ckt) == 2
 
     def test_continuation_across_blank_line(self):
         ckt = parse_netlist("title\nr1 a\n\n+ 0 1k\n")
-        assert ckt.device("r1").value == 1000.0
+        assert device(ckt, "r1").value == 1000.0
 
     def test_subckt_directives_case_insensitive(self):
         text = """t
@@ -268,7 +255,7 @@ Xdiv n1 n2 div
 """
         ckt = parse_netlist(text)
         assert "div" in ckt.subckts
-        assert ckt.device("xdiv.r1").nodes == ("n1", "n2")
+        assert device(ckt, "xdiv.r1").nodes == ("n1", "n2")
 
     def test_mixed_case_ends_with_name(self):
         text = "t\n.SubCkt u a\nr1 a 0 1\n.EnDs U\nxu n u\n"

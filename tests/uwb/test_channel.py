@@ -170,8 +170,9 @@ class TestAwgn:
         sigma = noise_sigma_for_ebn0(eb, 10.0, fs)
         n0 = eb / 10.0
         assert sigma == pytest.approx(math.sqrt(n0 * fs / 2.0))
-        with pytest.raises(ValueError):
-            noise_sigma_for_ebn0(-1.0, 10.0, fs)
+        for bad_eb, bad_ebn0 in ((-1.0, 10.0), (eb, -math.inf)):
+            with pytest.raises(ValueError):
+                noise_sigma_for_ebn0(bad_eb, bad_ebn0, fs)
 
     @given(st.floats(1.0, 20.0))
     @settings(max_examples=10, deadline=None)

@@ -350,13 +350,15 @@ def public_definitions(source: str) -> list[str]:
             if not name.rpartition(".")[2].startswith("_")]
 
 
-def named_in(source: str) -> set[str]:
-    """The identifiers the code of *source* names: every name, attribute
-    and import, and every string that is a whole (dotted) identifier,
-    such as a ``getattr`` argument or a patch target.  Prose does not
-    count: a docstring, a word inside a message or an f-string, and an
-    ``__all__`` entry name nothing.  A ``def`` or ``class`` statement
-    does not name what it defines."""
+def named_in(source: str) -> tuple[set[str], set[str]]:
+    """The identifiers the code of *source* names, as two sets: every
+    name, attribute and import, and every string that is a whole
+    (dotted) identifier, such as a ``getattr`` argument or a patch
+    target; and of those the members, the attributes and the strings,
+    which alone can reach a method (a bare name or an import never
+    does).  Prose does not count: a docstring, a word inside a message
+    or an f-string, and an ``__all__`` entry name nothing.  A ``def`` or
+    ``class`` statement does not name what it defines."""
     tree = ast.parse(source)
     prose = set()
     for node in ast.walk(tree):
@@ -369,28 +371,32 @@ def named_in(source: str) -> set[str]:
             if any(isinstance(t, ast.Name) and t.id == "__all__"
                    for t in targets):
                 prose.update(map(id, ast.walk(node.value)))
-    names = set()
+    names, members = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in prose
               and _IDENTIFIER.fullmatch(node.value)):
-            names.update(node.value.split("."))
-    return names
+            members.update(node.value.split("."))
+    return names | members, members
 
 
 def unreached(defining: list[str], users: list[str]) -> list[str]:
     """The public definitions of the *defining* sources that none of
-    the *users* sources names."""
-    named = set().union(*map(named_in, users))
+    the *users* sources names: a function or class by any name, a
+    method (``Class.method``) by a member."""
+    found = [named_in(source) for source in users]
+    named = set().union(*(names for names, _ in found))
+    members = set().union(*(members for _, members in found))
     return sorted(name for source in defining
                   for name in public_definitions(source)
-                  if name.rpartition(".")[2] not in named)
+                  if name.rpartition(".")[2]
+                  not in (members if "." in name else named))
 
 
 def test_every_public_name_is_reached_from_the_program():
@@ -435,3 +441,17 @@ def test_a_planted_test_only_name_is_caught():
                  'patch_function(mod, "planted", wrap)\n',
                  'monkeypatch.setattr("pkg.mod.planted", stub)\n'):
         assert unreached([defining], [defining, caller, code]) == [], code
+    # a method is reached through an attribute or a whole-identifier
+    # string, never through a bare name or an import that shares its name
+    box = "class Box:\n    def shine(self):\n        pass\n"
+    users = [box, "Box()\n"]
+    for bare in ("shine = 2\nprint(shine)\n",
+                 "def f(x):\n    shine = x\n    return shine\n",
+                 "from pkg.mod import shine\n",
+                 "import shine\n"):
+        assert unreached([box], users + [bare]) == ["Box.shine"], bare
+    for member in ("Box().shine()\n",
+                   "np.shine(x)\n",
+                   'getattr(box, "shine")()\n',
+                   'patch_method("pkg.mod.Box.shine", wrap)\n'):
+        assert unreached([box], users + [member]) == [], member

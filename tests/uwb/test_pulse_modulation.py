@@ -134,7 +134,6 @@ class TestPacket:
     def test_symbols_layout(self):
         p = Packet(4, np.array([1, 0, 1], dtype=np.int8))
         assert list(p.symbols) == [0, 0, 0, 0, 1, 0, 1]
-        assert p.n_symbols == 7
 
     def test_payload_validation(self):
         with pytest.raises(ValueError):
