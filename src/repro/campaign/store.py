@@ -149,8 +149,6 @@ class ResultStore:
                 "params": dict(scenario.params),
                 "seed": scenario.seed,
                 "rng_param": scenario.rng_param,
-                # Retired Scenario field, kept so stored keys still hit.
-                "seed_param": None,
                 "salt": self.salt,
             }
             return stable_hash(payload)

@@ -176,13 +176,11 @@ def run_table1(simulated_time: float = 1e-6,
 
     runner = CampaignRunner(processes=processes, store=store)
     for label, kind in MODEL_ROWS:
-        # cosim_substeps/engine stay in params: stored keys hash them.
         runner.add(Scenario(
             name=label, fn=table1_row,
             params=dict(spec=LinkSpec(config=config, integrator=kind),
                         n_symbols=n_symbols, stimulus_seed=seed,
-                        cosim_substeps=1, t_stop=span,
-                        engine="compiled")))
+                        t_stop=span)))
     if measure_reference:
         ideal_spec = LinkSpec(config=config, integrator="ideal")
         for i in range(3):

@@ -12,10 +12,10 @@ that front door for the repository:
   :class:`~repro.link.spec.NetworkSpec`,
 * :mod:`repro.link.ops` - one function per operation, each the only
   implementation of it: ``ber_sweep`` / ``ber_curve`` /
-  ``mui_ber_curve`` (vectorized golden model), ``ranging``
-  (packet-level receiver), ``run_testbench`` (AMS-kernel testbench,
-  reference or compiled engine, optional transistor co-simulation)
-  and ``golden_packet``; all picklable campaign scenario functions,
+  ``mui_ber_curve`` (vectorized golden model of the ideal AWGN link,
+  unquantized), ``ranging`` (packet-level receiver, CM1 channel),
+  ``run_testbench`` (AMS-kernel testbench, reference or compiled
+  engine, optional transistor co-simulation) and ``golden_packet``; all picklable campaign scenario functions,
 * :mod:`repro.link.pipeline` - the staged signal-path pipeline the
   golden model executes chunk by chunk: a Tx -> Channel -> Combine ->
   AnalogFrontEnd front over a :class:`~repro.link.pipeline.LinkState`,
@@ -24,8 +24,9 @@ that front door for the repository:
   :func:`~repro.link.pipeline.run_ber_sweep` through one
   :class:`~repro.link.pipeline.DecisionStage` per integrator variant,
 * :mod:`repro.link.backends` - the spec -> component builders every
-  operation shares (integrator, band-pass, converter, channel,
-  receiver, pilot calibration, interferer paths);
+  operation shares (integrator, band-pass, the packet operations'
+  converter, the ranging channel model, receiver, pilot calibration,
+  interferer paths);
   :func:`~repro.link.backends.build_integrator` is the one integrator
   resolver,
 * :mod:`repro.link.equivalence` - the golden-model versus kernel

@@ -8,10 +8,12 @@ Every operation of :mod:`repro.link.ops` builds its components from a
 * :func:`build_bpf` / :func:`build_adc` / :func:`build_quantizer` /
   :func:`build_receiver` - the band-pass, converter and packet-level
   receiver wiring,
-* :func:`build_channel_model` / :func:`build_channel_realization` -
-  the channel generator and the memoized deterministic draw,
+* :func:`build_channel_model` - the CM1 channel generator of the
+  packet receiver's ranging exchange,
 * :func:`calibrate` / :func:`build_interferer_paths` - the pilot
-  calibration and the SIR-calibrated multi-user paths,
+  calibration and the SIR-calibrated multi-user paths of the
+  golden-model BER link (the ideal AWGN link, no converter in the
+  sweep),
 * :func:`draw_stimulus` - one seeded noisy burst at the squarer input
   (the Phase-I stimulus graded by golden model and kernel alike).
 
@@ -22,7 +24,6 @@ comparison.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -44,7 +45,7 @@ from repro.uwb.adc import Adc, AutoRangingAdc
 from repro.uwb.agc import Agc, TwoStageAgc
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
-from repro.uwb.channel.ieee802154a import ChannelRealization, Cm1Channel
+from repro.uwb.channel.ieee802154a import Cm1Channel
 from repro.uwb.config import UwbConfig
 from repro.uwb.frontend import Vga
 from repro.uwb.integrator import WindowIntegrator, nominal_gain
@@ -117,20 +118,17 @@ def build_adc(spec: LinkSpec) -> Adc:
     return Adc(bits=cfg.adc_bits, vref=cfg.adc_vref)
 
 
-def build_quantizer(spec: LinkSpec, *, packet: bool
-                    ) -> Adc | AutoRangingAdc | None:
-    """The converter in front of the 2-PPM decision of *spec* (the
-    ``FrontEndSpec.adc`` policy, see :data:`~repro.link.spec.ADC_MODES`).
-
-    ``"config"`` is :func:`build_adc` and ``"none"`` no converter on
-    every operation; ``"auto"`` is no converter for the golden-model
-    BER sweep and an :class:`~repro.uwb.adc.AutoRangingAdc` for the
-    *packet* operations.
+def build_quantizer(spec: LinkSpec) -> Adc | AutoRangingAdc | None:
+    """The converter in front of the packet operations' 2-PPM
+    decision (the ``FrontEndSpec.adc`` policy, see
+    :data:`~repro.link.spec.ADC_MODES`): :func:`build_adc` for
+    ``"config"``, an :class:`~repro.uwb.adc.AutoRangingAdc` for
+    ``"auto"`` and no converter for ``"none"``.
     """
     mode = spec.frontend.adc
     if mode == "config":
         return build_adc(spec)
-    if mode == "auto" and packet:
+    if mode == "auto":
         return AutoRangingAdc(spec.config.adc_bits)
     return None
 
@@ -143,16 +141,8 @@ def build_channel_model(spec: LinkSpec) -> Cm1Channel | None:
     return Cm1Channel(spec.config.fs)
 
 
-#: memoized deterministic channel realizations keyed by
-#: ``(ChannelSpec, fs)``.  Every Eb/N0 point of a curve (and every
-#: curve of a campaign over the same spec) reuses one CM1 draw instead
-#: of redoing the identical multipath work; the realization is seeded
-#: by the spec, so sharing cannot change any number.
-_REALIZATION_MEMO: dict = {}
-
-#: memoized pilot calibrations keyed by
-#: ``(UwbConfig, ChannelSpec, FrontEndSpec)`` - everything
-#: :class:`_LinkCache` depends on.
+#: memoized pilot calibrations keyed by ``(UwbConfig, FrontEndSpec)``
+#: - everything :class:`_LinkCache` depends on.
 _CALIBRATION_MEMO: dict = {}
 
 _MEMO_CAP = 128
@@ -166,24 +156,6 @@ def _memoized(memo: dict, key, build):
             memo.clear()
         memo[key] = hit
     return hit
-
-
-def build_channel_realization(spec: LinkSpec
-                              ) -> ChannelRealization | None:
-    """One deterministic channel realization for BER sweeps, seeded by
-    ``spec.channel.realization_seed``.
-
-    Memoized per ``(channel spec, fs)``: identical specs share one
-    realization object across points, curves and campaigns.
-    """
-    model = build_channel_model(spec)
-    if model is None:
-        return None
-    return _memoized(
-        _REALIZATION_MEMO, (spec.channel, spec.config.fs),
-        lambda: model.realize(
-            spec.channel.distance,
-            np.random.default_rng(spec.channel.realization_seed)))
 
 
 def build_receiver(spec: LinkSpec, *,
@@ -219,26 +191,16 @@ class _LinkCache:
     """Per-configuration precomputation shared across Eb/N0 points: the
     pilot calibration :func:`calibrate` memoizes."""
 
-    def __init__(self, config: UwbConfig,
-                 channel: ChannelRealization | None,
-                 bpf: BandPassFilter | None):
+    def __init__(self, config: UwbConfig, bpf: BandPassFilter):
         self.config = config
-        self.channel = channel
-        self.bpf = bpf if bpf is not None else BandPassFilter.for_pulse(
-            config.fs, config.pulse_tau, config.pulse_order)
+        self.bpf = bpf
         # Reference energy per bit and peak amplitude measured on a
         # noiseless filtered pilot (one pulse per bit -> Eb = pulse
-        # energy after channel+filter).  The pilot goes through exactly
-        # the data-path processing of the BER sweep: the channel
-        # output is trimmed by the propagation delay and truncated to
-        # whole symbols, so delayed-channel energy landing outside the
-        # symbol window is not counted toward Eb.
+        # energy after the filter), truncated to whole symbols like the
+        # data path of the BER sweep.
         pilot_bits = np.zeros(8, dtype=np.int8)
         n_samples = len(pilot_bits) * config.samples_per_symbol
-        pilot = ppm_waveform(pilot_bits, config)
-        if channel is not None:
-            pilot = channel.received(pilot, n_samples)
-        filtered = self.bpf(pilot)[:n_samples]
+        filtered = self.bpf(ppm_waveform(pilot_bits, config))[:n_samples]
         self.eb = float(np.sum(filtered ** 2) * config.dt / len(pilot_bits))
         self.peak = float(np.max(np.abs(filtered)))
         if self.eb <= 0:
@@ -247,25 +209,33 @@ class _LinkCache:
 
 def calibrate(spec: LinkSpec) -> _LinkCache:
     """Pilot calibration of *spec*: per-bit received energy ``eb`` and
-    clean peak amplitude ``peak`` after channel + band-pass (the
-    quantities every BER point needs for noise sizing and drive
-    scaling).
+    clean peak amplitude ``peak`` after the band-pass (the quantities
+    every BER point needs for noise sizing and drive scaling).
 
-    Memoized per ``(config, channel spec, front end)``: every Eb/N0
-    point - and every curve of a campaign over the same link - shares
-    one pilot measurement instead of re-filtering an identical pilot.
+    Memoized per ``(config, front end)``: every Eb/N0 point - and every
+    curve of a campaign over the same link - shares one pilot
+    measurement instead of re-filtering an identical pilot.
+
+    Raises:
+        ValueError: *spec* has a channel.  The golden-model BER link is
+            the ideal AWGN link; a CM1 link runs through the packet
+            receiver of :func:`repro.link.ops.ranging`.
     """
+    if spec.channel.kind != "none":
+        raise ValueError(
+            f"the golden-model BER link has no {spec.channel.kind!r} "
+            "channel: it is the ideal AWGN link; run a multipath link "
+            "through the packet receiver of ops.ranging")
     return _memoized(
-        _CALIBRATION_MEMO, (spec.config, spec.channel, spec.frontend),
+        _CALIBRATION_MEMO, (spec.config, spec.frontend),
         lambda: _calibrated(spec))
 
 
 def _calibrated(spec: LinkSpec) -> _LinkCache:
     # One span over the whole build: on a cold run the band-pass design
-    # and the channel draw cost more than the pilot itself.
+    # costs more than the pilot itself.
     with _trace.span("link.calibrate"):
-        return _LinkCache(spec.config, build_channel_realization(spec),
-                          build_bpf(spec))
+        return _LinkCache(spec.config, build_bpf(spec))
 
 
 def build_interferer_paths(network: NetworkSpec, *,
@@ -274,50 +244,23 @@ def build_interferer_paths(network: NetworkSpec, *,
     """Resolve a :class:`NetworkSpec`'s interferers into calibrated
     :class:`~repro.link.pipeline.InterfererPath` values.
 
-    SIR calibration: with ``rel_power_db`` set, the interferer's
-    amplitude is chosen so that its received per-bit energy (its own
-    pilot through its own channel and the victim's band-pass) relative
-    to the victim's received per-bit energy equals ``rel_power_db``
-    exactly.  With ``rel_power_db=None`` the amplitude is the victim's
-    unit transmit amplitude and the received ratio emerges from the
-    channels' path losses (the near-far configuration).
-
-    Each interferer's own channel (an independent CM1 draw from its
-    ``realization_seed``, or ``None`` for an ideal path) is built by
-    the victim's construction path pointed at the interferer's
-    :class:`~repro.link.spec.ChannelSpec`, so victim and interferer
-    channels can never diverge in how they are built.
+    SIR calibration: an interferer sends the victim's pulse train
+    through the victim's ideal link, so its received per-bit energy
+    relative to the victim's equals ``rel_power_db`` exactly at
+    amplitude ``sqrt(10^(rel_power_db / 10))``.
 
     Args:
         network: the multi-user scenario.
-        cache: the victim's pilot calibration, if the caller already
-            has one (avoids recomputing the pilot).
+        cache: the victim's pilot calibration.  The amplitudes need no
+            pilot, so it is unused; perfbench's ``ber_mui`` set-up
+            passes it.
     """
-    victim = network.victim
-    cfg = victim.config
-    if cache is None:
-        cache = calibrate(victim)
-    paths = []
-    for intf in network.interferers:
-        realization = build_channel_realization(
-            dataclasses.replace(victim, channel=intf.channel))
-        if intf.rel_power_db is None:
-            amplitude = 1.0
-        else:
-            if realization is None and cache.channel is None:
-                # Identical pilot chains measure identical energies;
-                # reuse the victim's calibration outright.
-                pilot = cache
-            else:
-                with _trace.span("link.calibrate"):
-                    pilot = _LinkCache(cfg, realization, cache.bpf)
-            amplitude = math.sqrt(10.0 ** (intf.rel_power_db / 10.0)
-                                  * cache.eb / pilot.eb)
-        paths.append(InterfererPath(
-            amplitude=amplitude,
-            offset_samples=int(round(intf.timing_offset * cfg.fs)),
-            channel=realization))
-    return tuple(paths)
+    cfg = network.victim.config
+    return tuple(
+        InterfererPath(
+            amplitude=math.sqrt(10.0 ** (intf.rel_power_db / 10.0)),
+            offset_samples=int(round(intf.timing_offset * cfg.fs)))
+        for intf in network.interferers)
 
 
 def draw_stimulus(spec: LinkSpec, ebn0_db: float, n: int,
@@ -325,7 +268,8 @@ def draw_stimulus(spec: LinkSpec, ebn0_db: float, n: int,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """One seeded noisy burst of *n* symbols at the squarer input.
 
-    The pipeline's Tx -> Channel -> Combine front draws the bits and
+    The pipeline's Tx -> Channel -> Combine front (the ideal AWGN link,
+    so :func:`calibrate` rejects a CM1 *spec*) draws the bits and
     the unit noise (in that order, from *rng*), scaled to the AWGN at
     *ebn0_db*; the band-pass and drive scaling of the calibrated
     *spec* follow.  This is the
@@ -342,7 +286,7 @@ def draw_stimulus(spec: LinkSpec, ebn0_db: float, n: int,
     sigma = noise_sigma_for_ebn0(cache.eb, float(ebn0_db), cfg.fs)
     state = SignalPipeline(stages=(
         TxStage(cfg),
-        ChannelStage(cfg, cache.channel),
+        ChannelStage(),
         CombineStage(cfg),
     )).run_chunk(n, rng)
     scale = spec.frontend.squarer_drive / cache.peak

@@ -102,6 +102,11 @@ def ber_sweep(spec: LinkSpec | NetworkSpec, ebn0_grid,
         adaptive: optional sequential policy ending a cell as soon
             as its estimate is resolved; its confidence level also
             sets the curves' Wilson bounds.
+
+    Raises:
+        ValueError: a CM1 channel or the ``adc="config"`` converter on
+            the victim: the sweep grades the ideal AWGN link, unquantized
+            (run a CM1 link through :func:`ranging`).
     """
     victim, network = split_network(spec)
     resolved = [build_integrator(victim, integ) for integ in integrators]
@@ -117,8 +122,7 @@ def ber_sweep(spec: LinkSpec | NetworkSpec, ebn0_grid,
         raise ValueError(f"duplicate sweep labels: {labels!r}")
     ebn0_grid = np.asarray(ebn0_grid, dtype=float)
     (front,), (sigmas,) = _fronts(victim, (network,), (ebn0_grid,))
-    adc = build_quantizer(victim, packet=False)
-    deciders = [DecisionStage(victim.config, r, adc) for r in resolved]
+    deciders = [DecisionStage(victim.config, r) for r in resolved]
     ((errors, bits),) = run_ber_sweep(
         (front,), deciders, (sigmas,), rng, target_errors=target_errors,
         max_bits=max_bits, min_bits=min_bits, chunk_bits=chunk_bits,
@@ -138,17 +142,24 @@ def _fronts(victim: LinkSpec, networks, grids
     pilot calibration of the victim; the fronts share one Tx, Channel
     and AnalogFrontEnd stage, and each network's interferers are
     SIR-calibrated against the victim in a Combine stage of its own.
+    A converter in front of the decision is refused here, and a channel
+    by :func:`~repro.link.backends.calibrate`.
     """
+    if victim.frontend.adc == "config":
+        raise ValueError(
+            "the golden-model BER link has no converter: adc='config' "
+            "quantizes the packet operations only (ops.run_testbench, "
+            "ops.golden_packet); use adc='auto' or 'none'")
     cfg = victim.config
     cache = calibrate(victim)
     tx = TxStage(cfg)
-    channel = ChannelStage(cfg, cache.channel)
+    channel = ChannelStage()
     afe = AnalogFrontEndStage(cfg, cache.bpf,
                               victim.frontend.squarer_drive / cache.peak)
     fronts = [SignalPipeline(stages=(
         tx, channel,
         CombineStage(cfg, () if network is None else
-                     build_interferer_paths(network, cache=cache)),
+                     build_interferer_paths(network)),
         afe)) for network in networks]
     sigmas = [np.array([noise_sigma_for_ebn0(cache.eb, float(p), cfg.fs)
                         for p in grid]) for grid in grids]
@@ -253,8 +264,7 @@ def mui_ber_curves(calls: Sequence[Mapping[str, Any]]
     resolved = build_integrator(victim, budget.pop("integrator", None))
     grids = [np.asarray(call["ebn0_grid"], dtype=float) for call in calls]
     fronts, sigmas = _fronts(victim, [c["network"] for c in calls], grids)
-    decider = DecisionStage(victim.config, resolved,
-                            build_quantizer(victim, packet=False))
+    decider = DecisionStage(victim.config, resolved)
     counts = run_ber_sweep(fronts, (decider,), sigmas, rng, **budget)
     return [_curve_result(grid, errors[0], bits[0],
                           call.get("label") or resolved.name,
@@ -311,7 +321,7 @@ def run_testbench(spec: LinkSpec, waveform, *,
     cfg = spec.config
     sim, harvest = build_ams_receiver(
         cfg, resolved, np.asarray(waveform, dtype=float),
-        adc=build_quantizer(spec, packet=True),
+        adc=build_quantizer(spec),
         cosim_substeps=cosim_substeps, record=record,
         t_hold=spec.frontend.t_hold, t_dump=spec.frontend.t_dump,
         engine=engine)
@@ -345,6 +355,6 @@ def golden_packet(spec: LinkSpec, waveform) -> AmsRunResult:
         spec.frontend.t_hold * cfg.fs))
     values, bits = decide_slots(
         resolved.window_outputs(squared[:, :, gate0:gate1], cfg.dt),
-        build_quantizer(spec, packet=True))
+        build_quantizer(spec))
     return AmsRunResult(bits=bits, slot_values=values,
                         cpu_time=0.0, steps=0)

@@ -16,8 +16,10 @@ integrator variant,
 
 with multi-user interference entering at the :class:`CombineStage`,
 which adds one pulse train per :class:`InterfererPath` (relative
-amplitude, circular timing offset, optional independent channel
-realization) before the victim's AWGN is added.
+amplitude and circular timing offset) before the victim's AWGN is
+added.  The link is the ideal AWGN link: the Channel stage passes the
+waveform through (a CM1 channel is for the packet receiver of
+``ops.ranging``), and no converter sits in front of the decision.
 
 **Draw-order contract.** :meth:`SignalPipeline.draw` is the one place
 that fixes the order of a chunk's draws: the victim bits, then each
@@ -133,9 +135,8 @@ import numpy as np
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.uwb.adc import Adc, AutoRangingAdc, decide_slots
+from repro.uwb.adc import decide_slots
 from repro.uwb.bpf import BandPassFilter
-from repro.uwb.channel.ieee802154a import ChannelRealization
 from repro.uwb.config import UwbConfig
 from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import WindowIntegrator
@@ -263,8 +264,7 @@ class LinkState:
         interferer_bits: each interferer's bits, in path order
             (drawn).
         waveform: clean waveform at the antenna reference plane -
-            victim only after :class:`TxStage` and
-            :class:`ChannelStage`, victim plus scaled interferers
+            victim only after :class:`TxStage`, victim plus scaled interferers
             after :class:`CombineStage` (the front end band-passes it
             in place into ``signal`` and clears it).
         unit: the chunk's one unit-variance noise vector, as long as
@@ -298,23 +298,19 @@ class InterfererPath:
 
     Attributes:
         amplitude: linear amplitude applied to the interferer's unit
-            pulse train (after its channel).  SIR calibration happens
-            upstream: the amplitude already accounts for both pilots'
-            received energies.
+            pulse train.  SIR calibration happens upstream: the
+            amplitude already sets the received power relative to the
+            victim's.
         offset_samples: circular timing offset of the interferer's
             waveform within the chunk (``np.roll`` convention: positive
             shifts the interferer later).  Circular shifting keeps the
             chunk statistics stationary - the few symbols wrapping
             around the chunk edge see the tail of the interferer
             stream, which is statistically identical.
-        channel: optional multipath realization of the interferer's own
-            propagation path (``None`` = ideal link); applied and
-            delay-trimmed exactly like the victim's.
     """
 
     amplitude: float
     offset_samples: int = 0
-    channel: ChannelRealization | None = None
 
     def add_to(self, waveform: np.ndarray, bits: np.ndarray,
                config: UwbConfig) -> None:
@@ -322,14 +318,12 @@ class InterfererPath:
         into *waveform* in place: ``waveform + amplitude *
         roll(train, offset_samples)``, sample for sample.
 
-        Without a channel only the pulse samples are touched (a
-        scatter-add at their circularly offset positions), unless the
-        pulse supports overlap; a channel realization spreads the
-        train, so it is convolved densely.
+        Only the pulse samples are touched (a scatter-add at their
+        circularly offset positions), unless the pulse supports
+        overlap: then the train is synthesized densely.
         """
         total = len(bits) * config.samples_per_symbol
-        pulses = None if self.channel is not None else \
-            ppm_pulse_samples(bits, config)
+        pulses = ppm_pulse_samples(bits, config)
         if pulses is not None:
             index, value = pulses
             if self.offset_samples:
@@ -337,8 +331,6 @@ class InterfererPath:
             waveform[index] += self.amplitude * value
             return
         wave = ppm_waveform(bits, config)
-        if self.channel is not None:
-            wave = self.channel.received(wave, total)
         if self.offset_samples:
             wave = np.roll(wave, self.offset_samples)
         waveform += self.amplitude * wave
@@ -358,18 +350,14 @@ class TxStage:
 
 @dataclass
 class ChannelStage:
-    """Victim propagation: convolve with the realization and trim the
-    propagation delay to whole symbols (a no-op on the ideal link)."""
+    """Victim propagation on the ideal AWGN link: the waveform passes
+    through.  The stage keeps the front's ``link.channel`` span, which
+    the trace and perfbench's layer table read."""
 
-    config: UwbConfig
-    channel: ChannelRealization | None = None
     span_name = "link.channel"
 
     def process(self, state: LinkState) -> None:
-        if self.channel is None:
-            return
-        state.waveform = self.channel.received(
-            state.waveform, state.n * self.config.samples_per_symbol)
+        pass
 
 
 @dataclass
@@ -428,8 +416,8 @@ class AnalogFrontEndStage:
 
 @dataclass
 class DecisionStage:
-    """Squarer, integrator model per slot, optional ADC, larger-slot
-    decision - per noise scale (the scenario axis lives here).
+    """Squarer, integrator model per slot and larger-slot decision -
+    per noise scale (the scenario axis lives here).
 
     :meth:`slot_values` grades a linear model from three float64
     reductions per slot.  It grades a nonlinear one (the circuit
@@ -441,8 +429,8 @@ class DecisionStage:
 
     **Screen.**  :meth:`decide` needs the decisions only.  When the
     model states a deficit bound (:meth:`WindowIntegrator.deficit_bound`:
-    the circuit surrogate's :class:`~repro.uwb.integrator.SoftLimiter`)
-    and there is no converter, it decides a (row, symbol) pair from the
+    the circuit surrogate's :class:`~repro.uwb.integrator.SoftLimiter`),
+    it decides a (row, symbol) pair from the
     linear two-pole values wherever the limiter cannot flip the
     decision, and grades full float32 rows only for the rest.  Per
     slot, with weights ``g > 0``, ``y = a + sigma b`` and ``v = y^2``:
@@ -497,24 +485,22 @@ class DecisionStage:
 
     config: UwbConfig
     integrator: WindowIntegrator
-    adc: Adc | AutoRangingAdc | None = None
     span_name = "link.decision"
 
     def decide(self, signal: np.ndarray, noise: np.ndarray, sigmas
                ) -> np.ndarray:
         """The int8 decisions on ``signal + sigma * noise`` for every
-        noise scale in *sigmas* (bit 1 where slot 1 beats slot 0 after
-        the converter), shape ``S + (n,)``; the arguments are those of
+        noise scale in *sigmas* (bit 1 where slot 1 beats slot 0),
+        shape ``S + (n,)``; the arguments are those of
         :meth:`slot_values`."""
         sigmas = np.asarray(sigmas, dtype=float)
         _WINDOWS.inc(sigmas.size * signal.shape[0] * 2)
         # Substitute models without the method state no bound.
         deficit_bound = getattr(self.integrator, "deficit_bound", None)
-        bound = None if self.adc is not None or deficit_bound is None \
+        bound = None if deficit_bound is None \
             else deficit_bound(signal.shape[-1], self.config.dt)
         if bound is None:
-            return decide_slots(self.slot_values(signal, noise, sigmas),
-                                self.adc)[1]
+            return decide_slots(self.slot_values(signal, noise, sigmas))[1]
         # The windows the screen leaves are few (about 0.3 of fig6's 8
         # rows), and this thread grades them alone: handing them to the
         # helper thread, busy with the next chunk's noise, was slower.
@@ -533,7 +519,7 @@ class DecisionStage:
     def slot_values(self, signal: np.ndarray, noise: np.ndarray, sigmas
                     ) -> np.ndarray:
         """The integrator's slot values of ``signal + sigma * noise``
-        for every noise scale in *sigmas* (before any converter).
+        for every noise scale in *sigmas*.
 
         Args:
             signal / noise: the front end's drive-scaled clean and

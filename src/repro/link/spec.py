@@ -12,7 +12,7 @@ AMS kernel testbench.
 
 Multi-user scenarios compose on top: an :class:`InterfererSpec`
 describes one interfering transmitter (received power relative to the
-victim, timing offset, its own channel), and a :class:`NetworkSpec`
+victim and timing offset), and a :class:`NetworkSpec`
 bundles a victim :class:`LinkSpec` with any number of interferers -
 the declarative input of the multi-user-interference / coexistence
 workloads (the BER operations ``ops.ber_sweep`` / ``ops.ber_curve`` /
@@ -38,21 +38,22 @@ from repro.uwb.integrator import (
 
 #: channel selections understood by the builders.
 CHANNEL_KINDS = ("none", "cm1")
-#: ADC policies - the converter in front of the 2-PPM slot decision,
+#: ADC policies - the converter in front of the packet operations'
+#: 2-PPM slot decision (``ops.run_testbench``, ``ops.golden_packet``),
 #: resolved once by :func:`repro.link.backends.build_quantizer` and
 #: applied by :func:`repro.uwb.adc.decide_slots`:
 #:
-#: * ``"auto"``: unquantized in the golden-model BER operations
-#:   (``ops.ber_sweep``/``ber_curve``/``mui_ber_curve``); on the packet
-#:   operations ``ops.run_testbench`` and ``ops.golden_packet`` an
-#:   auto-ranged converter at ``UwbConfig.adc_bits`` whose full scale
-#:   is 1.05x the burst's slot peak (a converged-AGC stand-in);
-#: * ``"config"``: the ``UwbConfig.adc_bits``/``adc_vref`` converter
-#:   on every operation;
-#: * ``"none"``: unquantized on every operation.
+#: * ``"auto"``: an auto-ranged converter at ``UwbConfig.adc_bits``
+#:   whose full scale is 1.05x the burst's slot peak (a converged-AGC
+#:   stand-in);
+#: * ``"config"``: the ``UwbConfig.adc_bits``/``adc_vref`` converter;
+#: * ``"none"``: unquantized.
 #:
-#: The packet-level receiver behind ``ranging`` always converts with
-#: the ``"config"`` ADC its AGC targets.
+#: The golden-model BER operations (``ops.ber_sweep``/``ber_curve``/
+#: ``mui_ber_curve``) never quantize: they run ``"auto"`` and
+#: ``"none"`` alike and reject ``"config"``.  The packet-level receiver
+#: behind ``ranging`` always converts with the ``"config"`` ADC its AGC
+#: targets.
 ADC_MODES = ("auto", "config", "none")
 #: AGC policies of the packet-level receiver.
 AGC_MODES = ("single", "two_stage")
@@ -77,17 +78,17 @@ class ChannelSpec:
 
     Attributes:
         kind: ``"none"`` (ideal delay-only link) or ``"cm1"`` (the TG4a
-            residential-LOS multipath model the paper uses).
+            residential-LOS multipath model the paper uses).  The
+            golden-model BER operations run the ideal link only; a
+            ``"cm1"`` link runs through the packet receiver of
+            ``ops.ranging``, which draws a fresh realization per
+            exchange from the run's generator.
         distance: link distance in meters (drives path loss and flight
             time; the paper's TWR experiment sits at 9.9 m).
-        realization_seed: seed of the deterministic CM1 realization
-            drawn for BER sweeps (ranging draws fresh realizations from
-            the run's generator instead).
     """
 
     kind: str = "none"
     distance: float = 9.9
-    realization_seed: int = 1234
 
     def __post_init__(self) -> None:
         if self.kind not in CHANNEL_KINDS:
@@ -218,54 +219,32 @@ class InterfererSpec:
     """One interfering transmitter of a multi-user scenario.
 
     The interferer transmits the same 2-PPM signaling as the victim
-    (same pulse, same symbol timing base) with independent random
-    payload bits, entering the victim's receiver through the
-    :class:`~repro.link.pipeline.CombineStage`.
+    (same pulse, same symbol timing base) over the victim's ideal link,
+    with independent random payload bits, entering the victim's
+    receiver through the :class:`~repro.link.pipeline.CombineStage`.
 
     Attributes:
         rel_power_db: received interferer power relative to the
             victim's received power, in dB (the negated
             signal-to-interference ratio: ``rel_power_db = -SIR``).
-            The backend calibrates the interferer's amplitude against
-            both pilots' post-channel, post-band-pass energies, so the
-            value is an exact *received* power ratio regardless of the
-            channels involved.  ``None`` switches to *physical*
-            power accounting: the interferer transmits at the victim's
-            unit amplitude and its received power emerges from its own
-            channel's path loss - the near-far configuration, where
-            relative power is set by the two distances through
-            :func:`repro.uwb.channel.ieee802154a.path_loss_db`.
+            Both transmitters share the victim's pulse and band-pass,
+            so the value is an exact *received* power ratio.  A
+            near-far scenario sets it from the two distances through
+            :func:`repro.uwb.channel.ieee802154a.path_loss_db`
+            (``repro.experiments.mui_network.near_far_network``).
         timing_offset: offset of the interferer's symbol clock relative
             to the victim's, in seconds (positive = interferer late).
             Applied as a circular shift within each Monte-Carlo chunk;
             an offset of 0 means chip-aligned transmitters.
-        channel: the interferer's own propagation channel.  With kind
-            ``"cm1"`` an *independent* CM1 realization is drawn from
-            ``channel.realization_seed``, so victim and interferers
-            never share fading.
     """
 
-    rel_power_db: float | None = 0.0
+    rel_power_db: float = 0.0
     timing_offset: float = 0.0
-    channel: ChannelSpec = ChannelSpec()
 
     def __post_init__(self) -> None:
-        if self.rel_power_db is not None:
-            object.__setattr__(self, "rel_power_db",
-                               float(self.rel_power_db))
+        object.__setattr__(self, "rel_power_db", float(self.rel_power_db))
         object.__setattr__(self, "timing_offset",
                            float(self.timing_offset))
-        if not isinstance(self.channel, ChannelSpec):
-            raise TypeError("channel must be a ChannelSpec, got "
-                            f"{type(self.channel).__name__}")
-
-    @property
-    def sir_db(self) -> float | None:
-        """Signal-to-interference ratio implied by ``rel_power_db``
-        (``None`` in the physical / near-far configuration)."""
-        if self.rel_power_db is None:
-            return None
-        return -self.rel_power_db
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from typing import Iterator
 
 from repro.spice.devices.mosfet import Mosfet, MosModel
@@ -87,6 +88,18 @@ def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
         pending_no = no
     if pending is not None:
         yield pending_no, pending
+
+
+@contextmanager
+def _located(no: int, line: str) -> Iterator[None]:
+    """Give a :class:`ParseError` raised inside the line number *no*
+    and the logical *line*, unless it already names its line."""
+    try:
+        yield
+    except ParseError as exc:
+        if exc.line_no is not None:
+            raise
+        raise ParseError(str(exc), no, line) from None
 
 
 def _tokenize(line: str) -> list[str]:
@@ -180,9 +193,10 @@ class _NetlistParser:
 
         # First pass: collect .param so forward references work.
         for no, line in lines:
-            tokens = _tokenize(line)
-            if tokens and tokens[0].lower() == ".param":
-                self._handle_param(tokens[1:], no, line)
+            with _located(no, line):
+                tokens = _tokenize(line)
+                if tokens and tokens[0].lower() == ".param":
+                    self._handle_param(tokens[1:], no, line)
 
         idx = 0
         while idx < len(lines):
@@ -197,13 +211,14 @@ class _NetlistParser:
                 continue
             if head == ".ends":
                 raise ParseError(".ends without .subckt", no, line)
-            if head == ".model":
-                self._handle_model(circuit, tokens[1:], no, line)
-            elif head.startswith("."):
-                raise ParseError(f"unsupported directive {tokens[0]!r}",
-                                 no, line)
-            else:
-                self._handle_element(circuit, tokens, no, line)
+            with _located(no, line):
+                if head == ".model":
+                    self._handle_model(circuit, tokens[1:], no, line)
+                elif head.startswith("."):
+                    raise ParseError(
+                        f"unsupported directive {tokens[0]!r}", no, line)
+                else:
+                    self._handle_element(circuit, tokens, no, line)
             idx += 1
         return circuit
 
@@ -224,9 +239,6 @@ class _NetlistParser:
         toks = [t for t in tokens if t not in ("(", ")")]
         i = 0
         while i < len(toks):
-            if i + 2 >= len(toks) + 1 and toks[i + 1: i + 2] != ["="]:
-                raise ParseError(f"expected key=value, got {toks[i:]!r}",
-                                 no, line)
             if i + 2 >= len(toks) or toks[i + 1] != "=":
                 raise ParseError(f"expected key=value, got {toks[i:]!r}",
                                  no, line)
@@ -283,15 +295,16 @@ class _NetlistParser:
             if head == ".subckt":
                 raise ParseError("nested .subckt definitions are not "
                                  "supported", no2, line2)
-            if head == ".model":
-                self._handle_model(inner, toks[1:], no2, line2)
-            elif head == ".param":
-                pass  # collected in the first pass
-            elif head.startswith("."):
-                raise ParseError(f"unsupported directive {toks[0]!r} "
-                                 "inside .subckt", no2, line2)
-            else:
-                self._handle_element(inner, toks, no2, line2)
+            with _located(no2, line2):
+                if head == ".model":
+                    self._handle_model(inner, toks[1:], no2, line2)
+                elif head == ".param":
+                    pass  # collected in the first pass
+                elif head.startswith("."):
+                    raise ParseError(f"unsupported directive {toks[0]!r} "
+                                     "inside .subckt", no2, line2)
+                else:
+                    self._handle_element(inner, toks, no2, line2)
             idx += 1
         raise ParseError(f".subckt {name} is missing .ends", no, line)
 
@@ -326,11 +339,6 @@ class _NetlistParser:
         except IndexError:
             raise ParseError(f"too few fields for element {tokens[0]!r}",
                              no, line) from None
-        except ParseError as exc:
-            # A value that does not evaluate names its line too.
-            if exc.line_no is not None:
-                raise
-            raise ParseError(str(exc), no, line) from None
         except NetlistError as exc:
             # Duplicate device names, bad subckt bindings and invalid
             # element values surface as parse errors with the offending

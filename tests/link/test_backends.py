@@ -10,7 +10,6 @@ from repro.link import ops
 from repro.link.backends import (
     _LinkCache,
     build_bpf,
-    build_channel_realization,
     build_integrator,
     build_receiver,
     calibrate,
@@ -51,14 +50,6 @@ class TestBuilders:
         assert explicit.band == (1e9, 3e9)
         derived = build_bpf(SPEC)
         assert 0 < derived.band[0] < derived.band[1] < FAST.fs / 2
-
-    def test_channel_realization_deterministic(self):
-        spec = replace(SPEC, channel=ChannelSpec(kind="cm1", distance=4.0))
-        a = build_channel_realization(spec)
-        b = build_channel_realization(spec)
-        assert np.array_equal(a.taps, b.taps)
-        assert a.delay_samples == b.delay_samples
-        assert build_channel_realization(SPEC) is None
 
     def test_calibrate_positive_energy(self):
         cache = calibrate(SPEC)
@@ -117,7 +108,7 @@ class TestFastsimBackend:
         budget = dict(target_errors=20, max_bits=3000, min_bits=500)
         spec = SPEC.with_frontend(band=(1.0e9, 3.5e9))
         via_op = ber_point(spec, 8.0, np.random.default_rng(5), **budget)
-        cache = _LinkCache(FAST, None, build_bpf(spec))
+        cache = _LinkCache(FAST, build_bpf(spec))
         direct = run_ber_point(
             link_front(FAST, cache.bpf, scale=0.05 / cache.peak),
             DecisionStage(FAST, IdealIntegrator()),
@@ -240,9 +231,6 @@ class TestKernelBackend:
 
     @pytest.mark.parametrize("spec, ebn0, expected", [
         pytest.param(SPEC, 6.0, (9, 90), id="awgn"),
-        pytest.param(replace(SPEC, channel=ChannelSpec(kind="cm1",
-                                                       distance=3.0)),
-                     14.0, (6, 90), id="cm1"),
     ])
     def test_ber_point_pinned_counters(self, spec, ebn0, expected):
         """Kernel decisions on three consecutive 30-symbol Phase-I
@@ -322,6 +310,46 @@ class TestOps:
             else SPEC
         with pytest.raises(TypeError, match=knob):
             op(spec, [8.0], np.random.default_rng(1), **{knob: "kernel"})
+
+
+CM1 = replace(SPEC, channel=ChannelSpec(kind="cm1", distance=3.0))
+
+#: every golden-model BER entry point, called on *spec*.
+BER_ENTRY_POINTS = {
+    "ber_sweep": lambda spec: ops.ber_sweep(
+        spec, [8.0], np.random.default_rng(1), integrators=("ideal",)),
+    "ber_curve": lambda spec: ops.ber_curve(
+        spec, [8.0], np.random.default_rng(1)),
+    "mui_ber_curve": lambda spec: ops.mui_ber_curve(
+        NetworkSpec(victim=spec), [8.0], np.random.default_rng(1)),
+    "draw_stimulus": lambda spec: draw_stimulus(
+        spec, 8.0, 30, np.random.default_rng(1)),
+}
+
+
+class TestBerLinkIsTheIdealAwgnLink:
+    """The golden-model BER link has no channel and no converter: a
+    CM1 link runs through the packet receiver of ``ops.ranging``."""
+
+    @pytest.mark.parametrize("call", BER_ENTRY_POINTS.values(),
+                             ids=BER_ENTRY_POINTS)
+    def test_a_cm1_spec_is_rejected_naming_ranging(self, call):
+        with pytest.raises(ValueError, match=r"ops\.ranging"):
+            call(CM1)
+
+    @pytest.mark.parametrize("op", ["ber_sweep", "ber_curve",
+                                    "mui_ber_curve"])
+    def test_the_config_converter_is_rejected(self, op):
+        with pytest.raises(ValueError, match="adc='config'"):
+            BER_ENTRY_POINTS[op](SPEC.with_frontend(adc="config"))
+
+    def test_auto_and_none_grade_alike(self):
+        """Neither policy quantizes the sweep, so the counts agree."""
+        budget = dict(target_errors=10, max_bits=1000, min_bits=400)
+        counts = {adc: ber_point(SPEC.with_frontend(adc=adc), 6.0,
+                                 np.random.default_rng(3), **budget)
+                  for adc in ("auto", "none")}
+        assert counts["auto"] == counts["none"]
 
 
 def _conditioned(bits: np.ndarray) -> np.ndarray:

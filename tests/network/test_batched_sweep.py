@@ -27,14 +27,11 @@ from test_pipeline_parity import _legacy_simulate_ber_point
 from repro.link import ops, pipeline as pipe
 from repro.link.backends import (
     _CALIBRATION_MEMO,
-    _REALIZATION_MEMO,
-    build_channel_realization,
     build_integrator,
     calibrate,
 )
 from repro.link.pipeline import run_ber_sweep
 from repro.link.spec import (
-    ChannelSpec,
     FrontEndSpec,
     InterfererSpec,
     LinkSpec,
@@ -86,15 +83,6 @@ class TestCurveParity:
             **BUDGET)
         expected = _pointwise(SPEC, GRID, 7, adaptive=adaptive,
                               **BUDGET)
-        assert list(zip(curve.errors.tolist(),
-                        curve.bits.tolist())) == expected
-
-    def test_cm1_channel_grid_matches_pointwise(self):
-        spec = LinkSpec(config=TEST_CONFIG,
-                        channel=ChannelSpec(kind="cm1", distance=3.0))
-        curve = ops.ber_curve(
-            spec, GRID[:2], np.random.default_rng(3), **BUDGET)
-        expected = _pointwise(spec, GRID[:2], 3, **BUDGET)
         assert list(zip(curve.errors.tolist(),
                         curve.bits.tolist())) == expected
 
@@ -225,7 +213,7 @@ class TestValidation:
 
     @pytest.fixture
     def decider(self):
-        return pipe.DecisionStage(TEST_CONFIG, IdealIntegrator(), None)
+        return pipe.DecisionStage(TEST_CONFIG, IdealIntegrator())
 
     @pytest.mark.parametrize("bad", [dict(chunk_bits=0),
                                      dict(max_bits=0),
@@ -269,18 +257,8 @@ class TestMemoization:
         a = calibrate(SPEC)
         b = calibrate(SPEC)
         assert a is b
-        other = calibrate(LinkSpec(
-            config=TEST_CONFIG,
-            channel=ChannelSpec(kind="cm1", distance=3.0)))
+        other = calibrate(SPEC.with_frontend(band=(1e9, 3.5e9)))
         assert other is not a
-
-    def test_realization_memoized_on_seeded_path(self):
-        _REALIZATION_MEMO.clear()
-        spec = LinkSpec(config=TEST_CONFIG,
-                        channel=ChannelSpec(kind="cm1", distance=3.0))
-        a = build_channel_realization(spec)
-        b = build_channel_realization(spec)
-        assert a is b
 
 
 class TestVectorizedPpmWaveform:

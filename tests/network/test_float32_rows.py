@@ -26,7 +26,7 @@ from repro.experiments.fig6_ber import BER_DRIVE, WIDE_FRONT_END
 from repro.link import pipeline as pipe
 from repro.link.backends import build_integrator, calibrate
 from repro.link.spec import FrontEndSpec, LinkSpec
-from repro.uwb.adc import AutoRangingAdc, decide_slots
+from repro.uwb.adc import decide_slots
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.config import UwbConfig
 from repro.uwb.integrator import (CircuitSurrogateIntegrator, SoftLimiter,
@@ -63,7 +63,7 @@ def chunk():
     cache = calibrate(SPEC)
     front = pipe.SignalPipeline(stages=(
         pipe.TxStage(cfg),
-        pipe.ChannelStage(cfg, cache.channel),
+        pipe.ChannelStage(),
         pipe.CombineStage(cfg),
         pipe.AnalogFrontEndStage(cfg, cache.bpf,
                                  BER_DRIVE / cache.peak)))
@@ -265,27 +265,20 @@ def test_planted_symbols_at_the_screen_edge():
         decider.slot_values(signal, noise, sigmas))[1])
 
 
-@pytest.mark.parametrize("model", ["adc", "tabulated"])
-def test_unscreened_deciders_grade_every_window(chunk, model):
-    """A converter, or a nonlinearity without a deficit bound, turns
-    the screen off: every window is graded in full, as before it."""
+def test_unscreened_deciders_grade_every_window(chunk):
+    """A nonlinearity without a deficit bound turns the screen off:
+    every window is graded in full, as before it."""
     decider, signal, noise, sigmas = chunk
-    if model == "adc":
-        unscreened = pipe.DecisionStage(decider.config,
-                                        decider.integrator,
-                                        adc=AutoRangingAdc(bits=6))
-    else:
-        v = np.linspace(0.0, 1.0, 101)
-        unscreened = pipe.DecisionStage(
-            decider.config, CircuitSurrogateIntegrator(
-                input_nonlinearity=TabulatedNonlinearity(
-                    v, SoftLimiter(0.1)(v))))
+    v = np.linspace(0.0, 1.0, 101)
+    unscreened = pipe.DecisionStage(
+        decider.config, CircuitSurrogateIntegrator(
+            input_nonlinearity=TabulatedNonlinearity(
+                v, SoftLimiter(0.1)(v))))
     full = pipe._FULL_WINDOWS.value
     decisions = unscreened.decide(signal, noise, sigmas)
     assert pipe._FULL_WINDOWS.value - full == sigmas.size * len(signal) * 2
     assert np.array_equal(decisions, decide_slots(
-        unscreened.slot_values(signal, noise, sigmas),
-        unscreened.adc)[1])
+        unscreened.slot_values(signal, noise, sigmas))[1])
 
 
 @pytest.mark.parametrize("scale", [0.01, 0.1, 3.0])

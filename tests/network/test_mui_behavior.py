@@ -12,14 +12,9 @@ import numpy as np
 import pytest
 
 from repro.link import ops
-from repro.link.backends import build_interferer_paths, calibrate
+from repro.link.backends import _LinkCache, build_interferer_paths, calibrate
 from repro.link.pipeline import CombineStage, InterfererPath
-from repro.link.spec import (
-    ChannelSpec,
-    InterfererSpec,
-    LinkSpec,
-    NetworkSpec,
-)
+from repro.link.spec import InterfererSpec, LinkSpec, NetworkSpec
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.fastsim import BerResult
 from repro.uwb.modulation import ppm_waveform, random_bits
@@ -71,40 +66,14 @@ class TestInterferenceBehavior:
             InterfererSpec(rel_power_db=-6.0),))
         cache = calibrate(SPEC)
         (path,) = build_interferer_paths(network, cache=cache)
-        # The interferer's pilot energy through the victim's band-pass,
+        # The interferer's own pilot through the victim's band-pass,
         # scaled by the calibrated amplitude, sits exactly 6 dB under
         # the victim's pilot energy.
-        from repro.link.backends import _LinkCache
-
-        pilot = _LinkCache(TEST_CONFIG, None, cache.bpf)
+        pilot = _LinkCache(TEST_CONFIG, cache.bpf)
         ratio_db = 10 * np.log10(path.amplitude ** 2 * pilot.eb
                                  / cache.eb)
         assert ratio_db == pytest.approx(-6.0, abs=1e-9)
-
-    def test_near_far_mode_uses_unit_amplitude(self):
-        network = NetworkSpec(victim=SPEC, interferers=(
-            InterfererSpec(rel_power_db=None),))
-        (path,) = build_interferer_paths(network)
-        assert path.amplitude == 1.0
-
-    def test_independent_cm1_realizations(self):
-        """Interferers draw their own channel, not the victim's."""
-        spec = dataclasses.replace(SPEC, channel=ChannelSpec(
-            kind="cm1", distance=9.9, realization_seed=1234))
-        network = NetworkSpec(victim=spec, interferers=(
-            InterfererSpec(rel_power_db=None,
-                           channel=spec.channel),
-            InterfererSpec(rel_power_db=None,
-                           channel=spec.channel.__class__(
-                               kind="cm1", distance=9.9,
-                               realization_seed=4321)),))
-        same_seed, other_seed = build_interferer_paths(network)
-        from repro.link.backends import build_channel_realization
-
-        victim_real = build_channel_realization(spec)
-        assert np.array_equal(same_seed.channel.taps, victim_real.taps)
-        assert not np.array_equal(other_seed.channel.taps,
-                                  victim_real.taps)
+        assert path.amplitude == np.sqrt(10 ** (-6.0 / 10))
 
 
 class TestCombineStage:
@@ -140,8 +109,7 @@ class TestCombineStage:
 
     @pytest.mark.parametrize("offset", [0, 37, -5, 4097, 10**6 + 3])
     def test_sparse_add_is_the_dense_roll(self, offset):
-        """A channel-free interferer scatter-adds its pulses into the
-        victim: the sum equals victim + amp * roll(train) at any
+        """An interferer scatter-adds its pulses into the victim: the sum equals victim + amp * roll(train) at any
         circular offset."""
         cfg = TEST_CONFIG
         rng = np.random.default_rng(5)
@@ -154,8 +122,8 @@ class TestCombineStage:
 
     @pytest.mark.parametrize("offset", [0, 37])
     def test_overlapping_pulses_add_the_dense_roll(self, offset):
-        """A pulse longer than the slot has no sparse form; a
-        channel-free interferer then adds its dense pulse train."""
+        """A pulse longer than the slot has no sparse form; an
+        interferer then adds its dense pulse train."""
         cfg = dataclasses.replace(TEST_CONFIG,
                                   pulse_tau=TEST_CONFIG.pulse_tau * 8)
         rng = np.random.default_rng(5)

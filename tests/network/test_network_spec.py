@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.serialization import from_jsonable, stable_hash, to_jsonable
-from repro.link.spec import ChannelSpec, InterfererSpec, LinkSpec, NetworkSpec
+from repro.link.spec import InterfererSpec, LinkSpec, NetworkSpec
 from repro.uwb.config import TEST_CONFIG
 
 
@@ -13,24 +13,19 @@ class TestInterfererSpec:
     def test_defaults(self):
         intf = InterfererSpec()
         assert intf.rel_power_db == 0.0
-        assert intf.sir_db == 0.0
         assert intf.timing_offset == 0.0
-        assert intf.channel.kind == "none"
 
     def test_sir_convention(self):
-        assert InterfererSpec(rel_power_db=-6.0).sir_db == 6.0
+        """``rel_power_db`` is the negated SIR, held as a float."""
+        assert -InterfererSpec(rel_power_db=-6.0).rel_power_db == 6.0
         assert InterfererSpec(rel_power_db=10).rel_power_db == 10.0
+        assert type(InterfererSpec(rel_power_db=10).rel_power_db) is float
 
-    def test_near_far_mode(self):
-        intf = InterfererSpec(rel_power_db=None,
-                              channel=ChannelSpec(kind="cm1",
-                                                  distance=3.0))
-        assert intf.rel_power_db is None
-        assert intf.sir_db is None
-
-    def test_channel_type_enforced(self):
+    def test_power_is_a_number(self):
+        """There is no unset power: a near-far scenario sets the ratio
+        from the two distances."""
         with pytest.raises(TypeError):
-            InterfererSpec(channel="cm1")
+            InterfererSpec(rel_power_db=None)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -73,10 +68,7 @@ def _network():
         victim=victim,
         interferers=(
             InterfererSpec(rel_power_db=-6.0, timing_offset=1.7e-9),
-            InterfererSpec(rel_power_db=None,
-                           channel=ChannelSpec(kind="cm1",
-                                               distance=3.0,
-                                               realization_seed=99)),
+            InterfererSpec(rel_power_db=9.28),
         ))
 
 

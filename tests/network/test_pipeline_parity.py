@@ -19,16 +19,14 @@ import numpy as np
 import pytest
 
 from repro.link import ops
-from repro.link.backends import _LinkCache
+from repro.link.backends import calibrate
 from repro.link.pipeline import (
     DecisionStage,
     _filtered_noise,
     run_ber_point,
 )
 from repro.link.spec import LinkSpec, NetworkSpec
-from repro.uwb.adc import Adc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
-from repro.uwb.channel.ieee802154a import Cm1Channel
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import (
@@ -40,14 +38,14 @@ from repro.uwb.modulation import ppm_waveform, random_bits
 
 
 def _legacy_simulate_ber_point(config, integrator, ebn0_db, rng, *,
-                               channel=None, bpf=None,
-                               squarer_drive=0.05, adc=None,
+                               squarer_drive=0.05,
                                target_errors=100, max_bits=200_000,
                                min_bits=2_000, chunk_bits=1_000,
                                adaptive=None, _cache=None):
-    """Verbatim copy of the pre-refactor monolithic chunk loop."""
+    """Verbatim copy of the pre-refactor monolithic chunk loop on the
+    ideal AWGN link, without a converter."""
     config.validate()
-    cache = _cache or _LinkCache(config, channel, bpf)
+    cache = _cache or calibrate(LinkSpec(config=config))
     sigma = noise_sigma_for_ebn0(cache.eb, ebn0_db, config.fs)
     scale = squarer_drive / cache.peak
 
@@ -63,17 +61,11 @@ def _legacy_simulate_ber_point(config, integrator, ebn0_db, rng, *,
         n = min(chunk_bits, max_bits - bits_done)
         bits = random_bits(n, rng)
         wave = ppm_waveform(bits, config)
-        if cache.channel is not None:
-            wave = cache.channel.apply(wave)[
-                cache.channel.delay_samples:
-                cache.channel.delay_samples + n * n_sym]
         noisy = wave + rng.normal(0.0, sigma, size=len(wave))
         filtered = cache.bpf(noisy)[:n * n_sym]
         driven = scale * filtered
         squared = np.square(driven).reshape(n, 2, n_slot)
         values = integrator.window_outputs(squared, config.dt)
-        if adc is not None:
-            values = adc.quantize(values)
         decided = (values[:, 1] > values[:, 0]).astype(np.int8)
         errors += int(np.count_nonzero(decided != bits))
         bits_done += n
@@ -81,17 +73,15 @@ def _legacy_simulate_ber_point(config, integrator, ebn0_db, rng, *,
 
 
 def _staged_ber_point(link_front, config, integrator, ebn0_db, rng, *,
-                      channel=None, adc=None, squarer_drive=0.05,
-                      **rule):
+                      squarer_drive=0.05, **rule):
     """The staged entry at one operating point: the canonical front
     and decision stage through the sweep's 1x1 case, sized from the
     same pilot."""
-    cache = _LinkCache(config, channel, None)
+    cache = calibrate(LinkSpec(config=config))
     front = link_front(config, cache.bpf,
-                       scale=squarer_drive / cache.peak,
-                       channel=cache.channel)
+                       scale=squarer_drive / cache.peak)
     return run_ber_point(
-        front, DecisionStage(config, integrator, adc),
+        front, DecisionStage(config, integrator),
         noise_sigma_for_ebn0(cache.eb, ebn0_db, config.fs), rng, **rule)
 
 
@@ -121,27 +111,16 @@ def ber_point(spec, ebn0_db, rng, **budget):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("integrator_cls", _integrators())
-    @pytest.mark.parametrize("with_adc", [False, True],
-                             ids=["no-adc", "adc"])
-    @pytest.mark.parametrize("with_cm1", [False, True],
-                             ids=["awgn", "cm1"])
-    def test_counters_match_legacy(self, link_front, integrator_cls,
-                                   with_adc, with_cm1):
+    def test_counters_match_legacy(self, link_front, integrator_cls):
         config = TEST_CONFIG
         integrator = integrator_cls()
-        channel = None
-        if with_cm1:
-            channel = Cm1Channel(config.fs).realize(
-                3.0, np.random.default_rng(42))
-        adc = Adc(bits=5, vref=0.01) if with_adc else None
         for ebn0 in (4.0, 10.0):
             legacy = _legacy_simulate_ber_point(
                 config, integrator, ebn0, np.random.default_rng(7),
-                channel=channel, adc=adc, **BUDGET)
+                **BUDGET)
             staged = _staged_ber_point(
                 link_front, config, integrator, ebn0,
-                np.random.default_rng(7),
-                channel=channel, adc=adc, **BUDGET)
+                np.random.default_rng(7), **BUDGET)
             assert staged == legacy
 
     @pytest.mark.parametrize("ber_floor", [0.0, 1e-2])
@@ -196,7 +175,7 @@ class TestSlotValues:
         rtol = 1e-12 if integrator.linear_weights(
             config.samples_per_slot, config.dt) is not None \
             else FLOAT32_ROW_RTOL
-        cache = _LinkCache(config, None, None)
+        cache = calibrate(LinkSpec(config=config))
         scale = 0.05 / cache.peak
         sigmas = np.array([noise_sigma_for_ebn0(cache.eb, e, config.fs)
                            for e in (0.0, 6.0, 12.0)])

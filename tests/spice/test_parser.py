@@ -116,6 +116,27 @@ def test_an_unsupported_kind_is_a_parse_error_naming_its_line(line, message):
     assert str(exc.value) == f"line 3: {message}\n  >> {line}"
 
 
+#: errors raised outside an element's fields - by the tokenizer and by a
+#: directive's value - and the message each gets.
+OUTSIDE_AN_ELEMENT = {
+    "unterminated-brace": ("r2 a 0 {1+2",
+                           "unterminated '{' expression in 'r2 a 0 {1+2'"),
+    "param-expression": (".param x={y+1}",
+                         "bad expression 'y+1': name 'y' is not defined"),
+    "model-expression": (".model nm nmos vto={1/0}",
+                         "bad expression '1/0': division by zero"),
+}
+
+
+@pytest.mark.parametrize("line, message", OUTSIDE_AN_ELEMENT.values(),
+                         ids=OUTSIDE_AN_ELEMENT)
+def test_an_error_outside_an_element_names_its_line(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_netlist(f"t\nr1 a 0 1k\n{line}\n")
+    assert exc.value.line_no == 3
+    assert str(exc.value) == f"line 3: {message}\n  >> {line}"
+
+
 class TestSources:
     def test_dc_forms(self):
         ckt = parse_netlist("t\nv1 a 0 5\nv2 b 0 dc 3\ni1 a 0 1m\n")

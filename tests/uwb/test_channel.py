@@ -183,18 +183,7 @@ class TestAwgn:
 
 
 class TestRelDelayAndTail:
-    """The delay-trimmed received() window and apply() tail-length
-    semantics."""
-
-    def test_received_is_the_delay_trimmed_window(self):
-        """received(x, n) is the n samples after the flight delay:
-        apply(x)[delay : delay + n]."""
-        real = Cm1Channel(20e9).realize(9.9, np.random.default_rng(38))
-        x = np.random.default_rng(39).normal(size=400)
-        d = real.delay_samples
-        assert d > 0
-        assert np.array_equal(real.received(x, 400),
-                              real.apply(x)[d: d + 400])
+    """The apply() tail-length semantics."""
 
     def test_extra_tail_appends_after_ringing(self):
         """extra_tail zeros come after the full convolution - they

@@ -9,7 +9,6 @@ from repro.link import ops
 from repro.link.backends import _LinkCache, build_integrator
 from repro.link.spec import LinkSpec
 from repro.uwb.bpf import BandPassFilter
-from repro.uwb.channel.ieee802154a import ChannelRealization
 from repro.uwb.config import UwbConfig
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
@@ -83,47 +82,20 @@ class TestFastsim:
 
 class TestLinkCachePilot:
     """The cached Eb/peak pilot must see exactly the data-path
-    processing of the BER sweep (delay trim + whole-symbol
+    processing of the BER sweep (band-pass + whole-symbol
     truncation)."""
 
-    def _channel(self, delay: int) -> ChannelRealization:
-        taps = np.exp(-np.arange(160) / 40.0)
-        taps /= np.sqrt(np.sum(taps ** 2))
-        return ChannelRealization(taps=taps, delay_samples=delay,
-                                  fs=FAST.fs, distance=3.0)
-
     def test_pilot_matches_data_path(self):
-        channel = self._channel(delay=57)
-        cache = _LinkCache(FAST, channel, None)
+        bpf = BandPassFilter.for_pulse(FAST.fs, FAST.pulse_tau,
+                                       FAST.pulse_order)
+        cache = _LinkCache(FAST, bpf)
         n_sym = FAST.samples_per_symbol
         pilot = ppm_waveform(np.zeros(8, dtype=np.int8), FAST)
-        aligned = channel.apply(pilot)[
-            channel.delay_samples:channel.delay_samples + 8 * n_sym]
-        filtered = cache.bpf(aligned)[:8 * n_sym]
+        filtered = bpf(pilot)[:8 * n_sym]
         expected_eb = float(np.sum(filtered ** 2) * FAST.dt / 8)
         assert cache.eb == pytest.approx(expected_eb, rel=1e-12)
         assert cache.peak == pytest.approx(
             float(np.max(np.abs(filtered))), rel=1e-12)
-
-    def test_eb_invariant_under_propagation_delay(self):
-        """A pure extra flight time must not change the measured
-        per-bit energy - the delay trim realigns the pilot exactly as
-        the data path realigns the payload."""
-        near = _LinkCache(FAST, self._channel(delay=0), None)
-        far = _LinkCache(FAST, self._channel(delay=400), None)
-        assert far.eb == pytest.approx(near.eb, rel=1e-9)
-        assert far.peak == pytest.approx(near.peak, rel=1e-9)
-
-    def test_tail_energy_not_counted(self):
-        """Multipath energy convolved past the last symbol window is
-        excluded from Eb (it is also invisible to the data path)."""
-        channel = self._channel(delay=0)
-        cache = _LinkCache(FAST, channel, None)
-        n_sym = FAST.samples_per_symbol
-        pilot = ppm_waveform(np.zeros(8, dtype=np.int8), FAST)
-        untrimmed = cache.bpf(channel.apply(pilot))
-        eb_with_tail = float(np.sum(untrimmed ** 2) * FAST.dt / 8)
-        assert cache.eb < eb_with_tail
 
 
 class TestAmsReceiver:

@@ -357,8 +357,9 @@ def named_in(source: str) -> tuple[set[str], set[str]]:
     target; and of those the members, the attributes and the strings,
     which alone can reach a method (a bare name or an import never
     does).  Prose does not count: a docstring, a word inside a message
-    or an f-string, and an ``__all__`` entry name nothing.  A ``def`` or
-    ``class`` statement does not name what it defines."""
+    or an f-string, an ``__all__`` entry and a dict display's string
+    key name nothing.  A ``def`` or ``class`` statement does not name
+    what it defines."""
     tree = ast.parse(source)
     prose = set()
     for node in ast.walk(tree):
@@ -366,6 +367,8 @@ def named_in(source: str) -> tuple[set[str], set[str]]:
             prose.add(id(node.value))
         elif isinstance(node, ast.JoinedStr):
             prose.update(map(id, node.values))
+        elif isinstance(node, ast.Dict):
+            prose.update(id(key) for key in node.keys if key is not None)
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = getattr(node, "targets", None) or [node.target]
             if any(isinstance(t, ast.Name) and t.id == "__all__"
@@ -422,8 +425,8 @@ def test_a_planted_test_only_name_is_caught():
     # module does (Box.lid)
     assert unreached([defining], [defining]) == [
         "Box", "Box.open", "planted", "used"]
-    # prose does not reach it: a docstring, a message, an f-string or
-    # an __all__ entry that names it
+    # prose does not reach it: a docstring, a message, an f-string, an
+    # __all__ entry or a dict display's key that names it
     for prose in ('def f():\n    """Call planted() first."""\n',
                   'def g():\n    """planted"""\n',
                   '"""Module docstring: planted."""\n',
@@ -431,12 +434,15 @@ def test_a_planted_test_only_name_is_caught():
                   'raise ValueError(f"{x!r} is no planted")\n',
                   'label = f"{prefix}planted"\n',
                   '__all__ = ["planted"]\n',
-                  '__all__ += ["planted"]\n'):
+                  '__all__ += ["planted"]\n',
+                  'row = {"planted": 1.0}\n',
+                  'row = {"planted": 1.0, **rest}\n'):
         assert unreached([defining], [defining, caller, prose]) == [
             "planted"], prose
     # a string that is the whole (dotted) name is code: a getattr
     # argument or a patch target reaches it
     for code in ('getattr(mod, "planted")()\n',
+                 'table = {"key": "planted"}\n',
                  'hasattr(mod, "planted")\n',
                  'patch_function(mod, "planted", wrap)\n',
                  'monkeypatch.setattr("pkg.mod.planted", stub)\n'):
@@ -448,7 +454,8 @@ def test_a_planted_test_only_name_is_caught():
     for bare in ("shine = 2\nprint(shine)\n",
                  "def f(x):\n    shine = x\n    return shine\n",
                  "from pkg.mod import shine\n",
-                 "import shine\n"):
+                 "import shine\n",
+                 'json.dumps({"shine": 1})\n'):
         assert unreached([box], users + [bare]) == ["Box.shine"], bare
     for member in ("Box().shine()\n",
                    "np.shine(x)\n",
