@@ -51,9 +51,9 @@ out-of-place call).  The first
 chunk's noise overlaps its own synthesis.  Every later chunk's bits
 are drawn as soon as the chunk before it has its noise, and its noise
 job overlaps the synthesis and grading of that chunk; once its draw is
-done the helper takes decision rows or front jobs (below).  The
-calling thread draws only while the helper has no draw in flight, so
-the draw sequence is the serial one.  A sweep that stops - or raises
+done the helper takes decision rows, front jobs or pattern jobs
+(below).  The calling thread draws only while the helper has no draw
+in flight, so the draw sequence is the serial one.  A sweep that stops - or raises
 - with a look-ahead chunk drawn joins (or cancels) its noise job and
 rewinds the generator to the state recorded before that chunk's bits
 (counted as ``link.draw_ahead.discarded``): the generator ends exactly
@@ -70,8 +70,8 @@ makes its own helper.  A process started by :mod:`multiprocessing`
 one CPU gets no helper thread: its helper runs each job on
 submission, so the same sweep runs serially.  A trace shows every
 join of the calling thread - a chunk's noise, a discarded look-ahead,
-the helper's decision rows or front jobs - as a ``link.wait`` span,
-beside the stage span it interrupts and under a scenario span, whether
+the helper's decision rows, front jobs or pattern jobs - as a
+``link.wait`` span, beside the stage span it interrupts and under a scenario span, whether
 the job ran or was cancelled; the helper's own work is in no collected
 span tree.
 
@@ -108,13 +108,29 @@ budget - draw the same bits and noise chunk for chunk.
 :func:`run_ber_sweep` takes such scenarios as a front axis: one
 pipeline per scenario, sharing the Tx, Channel and AnalogFrontEnd
 stages, each with its own :class:`CombineStage` and its own noise-scale
-grid.  Each chunk is drawn, and its noise band-passed, once; then each
-front runs one job - synthesize, combine, band-pass its clean signal,
-grade its rows - and both threads pull these jobs from one shared
-iterator, the way a nonlinear decider's rows are shared.  A job on
-the helper grades its rows itself.  Each front's slot values are the
-ones its own sweep computes, so every count is bit-identical to that
-sweep (``tests/network/test_shared_draws.py``).
+grid.  Each chunk is drawn, and its noise band-passed, once, and each
+decider's noise reduction ``sum g b^2`` is taken once for all fronts.
+Then each front runs one job - synthesize, combine, band-pass its
+clean signal, grade its rows - and both threads pull these jobs from
+one shared iterator, the way a nonlinear decider's rows are shared.  A
+job on the helper grades its rows itself.  Each front's slot values
+are the ones its own sweep computes, so every count is bit-identical
+to that sweep.
+
+The band-pass and drive scaling are linear, so a front's clean signal
+is ``V + g P``: the victim's train ``V`` plus its first interferer's
+amplitude ``g`` times its *pattern*'s train ``P`` (its interferer
+offsets, each amplitude relative to the first's).  When the live fronts
+outnumber the trains they are built from - ``run_mui``'s one-interferer
+group is six fronts over the victim and two offsets - each chunk
+band-passes ``V`` and each pattern's ``P`` once instead (one job per
+pattern, pulled by both threads).  A linear decider grades each front
+from the weighted reductions ``VV, Vb`` and, per pattern, ``PP, Pb,
+VP``, each taken once per chunk; any other decider screens and grades
+the front's signal, rebuilt as ``V + g P``.  Those slot values agree
+with the front's own train to rounding (about 1e-15 relative), not bit
+for bit, and the counts equal its own sweep's unless a decision sits
+within rounding of its tie (``tests/network/test_shared_draws.py``).
 
 Stages are deliberately dependency-light (uwb building blocks only);
 :mod:`repro.link.backends` resolves :class:`~repro.link.spec.NetworkSpec`
@@ -487,24 +503,23 @@ class DecisionStage:
     integrator: WindowIntegrator
     span_name = "link.decision"
 
-    def decide(self, signal: np.ndarray, noise: np.ndarray, sigmas
-               ) -> np.ndarray:
+    def decide(self, signal: np.ndarray, noise: np.ndarray, sigmas,
+               noise_power: np.ndarray | None = None) -> np.ndarray:
         """The int8 decisions on ``signal + sigma * noise`` for every
         noise scale in *sigmas* (bit 1 where slot 1 beats slot 0),
         shape ``S + (n,)``; the arguments are those of
         :meth:`slot_values`."""
         sigmas = np.asarray(sigmas, dtype=float)
         _WINDOWS.inc(sigmas.size * signal.shape[0] * 2)
-        # Substitute models without the method state no bound.
-        deficit_bound = getattr(self.integrator, "deficit_bound", None)
-        bound = None if deficit_bound is None \
-            else deficit_bound(signal.shape[-1], self.config.dt)
+        bound = self._bound(signal.shape[-1])
         if bound is None:
-            return decide_slots(self.slot_values(signal, noise, sigmas))[1]
+            return decide_slots(self.slot_values(signal, noise, sigmas,
+                                                 noise_power))[1]
         # The windows the screen leaves are few (about 0.3 of fig6's 8
         # rows), and this thread grades them alone: handing them to the
         # helper thread, busy with the next chunk's noise, was slower.
-        decisions, unresolved = _screen(signal, noise, sigmas, *bound)
+        decisions, unresolved = _screen(signal, noise, sigmas, *bound,
+                                        noise_power)
         left = 0
         for i in np.ndindex(sigmas.shape):
             symbols = np.flatnonzero(unresolved[i])
@@ -516,8 +531,8 @@ class DecisionStage:
         _FULL_WINDOWS.inc(2 * left)
         return decisions
 
-    def slot_values(self, signal: np.ndarray, noise: np.ndarray, sigmas
-                    ) -> np.ndarray:
+    def slot_values(self, signal: np.ndarray, noise: np.ndarray, sigmas,
+                    noise_power: np.ndarray | None = None) -> np.ndarray:
         """The integrator's slot values of ``signal + sigma * noise``
         for every noise scale in *sigmas*.
 
@@ -526,15 +541,14 @@ class DecisionStage:
                 unit-noise slots, shape ``(n, 2, samples_per_slot)``.
             sigmas: noise scales of any shape ``S`` (a scalar grades
                 one chunk); the values have shape ``S + (n, 2)``.
+            noise_power: :meth:`noise_power` of *noise*, when the
+                caller has it (the fronts of a chunk share it).
         """
         sigmas = np.asarray(sigmas, dtype=float)
-        # Substitute models without the method count as nonlinear.
-        linear_weights = getattr(self.integrator, "linear_weights", None)
-        weights = None if linear_weights is None else linear_weights(
-            signal.shape[-1], self.config.dt)
+        weights = self.linear_weights(signal.shape[-1])
         if weights is not None:
-            return _linear_values(*_reductions(signal, noise, weights),
-                                  sigmas)
+            return _linear_values(*_reductions(signal, noise, weights,
+                                               noise_power), sigmas)
         _FULL_WINDOWS.inc(sigmas.size * signal.shape[0] * 2)
         # float32 rows, cast once per call; the model sums each window
         # in float64.
@@ -545,6 +559,44 @@ class DecisionStage:
                                               values, rows),
                 list(np.ndindex(sigmas.shape)))
         return values
+
+    def decide_reduced(self, aa: np.ndarray, ab2: np.ndarray,
+                       bb: np.ndarray, sigmas) -> np.ndarray:
+        """:meth:`decide` for a linear model from the slots' weighted
+        reductions ``(sum g a^2, 2 sum g a b, sum g b^2)`` (see
+        :func:`_reductions`), each shaped ``(n, 2)``: a front graded
+        from shared components has these, not its signal
+        (:func:`run_ber_sweep`)."""
+        sigmas = np.asarray(sigmas, dtype=float)
+        _WINDOWS.inc(sigmas.size * aa.shape[0] * 2)
+        return decide_slots(_linear_values(aa, ab2, bb, sigmas))[1]
+
+    def linear_weights(self, samples: int) -> np.ndarray | None:
+        """The model's weights over *samples*-sample slots if it is
+        linear in its input, else ``None`` (substitute models without
+        the method count as nonlinear)."""
+        linear_weights = getattr(self.integrator, "linear_weights", None)
+        return None if linear_weights is None \
+            else linear_weights(samples, self.config.dt)
+
+    def noise_power(self, noise: np.ndarray) -> np.ndarray | None:
+        """``sum g b^2`` per slot of the unit noise *noise* under the
+        weights this decider reduces with - its screen's, else its
+        linear model's - or ``None`` when it reduces with none (it
+        grades full rows).  It depends on the chunk alone, so the fronts
+        of a chunk share it (:func:`run_ber_sweep`)."""
+        samples = noise.shape[-1]
+        bound = self._bound(samples)
+        weights = self.linear_weights(samples) if bound is None \
+            else bound[0]
+        return None if weights is None \
+            else _weighted_dot(noise, noise, weights)
+
+    def _bound(self, samples: int) -> tuple[np.ndarray, float] | None:
+        # Substitute models without the method state no bound.
+        deficit_bound = getattr(self.integrator, "deficit_bound", None)
+        return None if deficit_bound is None \
+            else deficit_bound(samples, self.config.dt)
 
     def _gathered_values(self, signal: np.ndarray, noise: np.ndarray,
                          sigma: float, symbols: np.ndarray
@@ -578,12 +630,14 @@ class DecisionStage:
 
 
 def _reductions(signal: np.ndarray, noise: np.ndarray,
-                weights: np.ndarray) -> tuple[np.ndarray, ...]:
+                weights: np.ndarray, bb: np.ndarray | None = None
+                ) -> tuple[np.ndarray, ...]:
     """``(sum g a^2, 2 sum g a b, sum g b^2)`` per slot: with them,
-    ``sum g (a + s b)^2`` costs three multiply-adds per row."""
+    ``sum g (a + s b)^2`` costs three multiply-adds per row.  A caller
+    that has ``sum g b^2`` passes it as *bb*."""
     return (_weighted_dot(signal, signal, weights),
             2.0 * _weighted_dot(signal, noise, weights),
-            _weighted_dot(noise, noise, weights))
+            _weighted_dot(noise, noise, weights) if bb is None else bb)
 
 
 def _linear_values(aa: np.ndarray, ab2: np.ndarray, bb: np.ndarray,
@@ -606,13 +660,14 @@ _ALLOW_ABS = 2.0 ** -146
 
 
 def _screen(signal: np.ndarray, noise: np.ndarray, sigmas: np.ndarray,
-            weights: np.ndarray, deficit: float
+            weights: np.ndarray, deficit: float,
+            bb: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray]:
     """``(decisions, unresolved)``, shape ``S + (n,)``: each pair's
     decision from its linear values, and whether the limiter's bound
     plus the rounding allowance could flip it (then the decision is
     not yet made).  See :class:`DecisionStage`."""
-    aa, ab2, bb = _reductions(signal, noise, weights)
+    aa, ab2, bb = _reductions(signal, noise, weights, bb)
     linear = _linear_values(aa, ab2, bb, sigmas)
     s = sigmas[..., None, None]
     # B = c vmax^2 L, vmax = (max|a| + s max|b|)^2; max|x| as
@@ -733,10 +788,11 @@ _PRIMED_BYTES = 0
 
 #: heap a chunk's temporaries span in one allocator arena, in
 #: chunk-sized float64 vectors.  With the helper's jobs inline about 4.6
-#: are live at once (the filtered signal, the noise being graded and the
-#: look-ahead's, an unscreened nonlinear decider's three half-size
-#: float32 copies and the filter's work arrays), and the free gaps
-#: between them make up the rest.
+#: are live at once (the filtered signal - or, for fronts graded from
+#: shared trains, the victim's train and one pattern's - the noise being
+#: graded and the look-ahead's, an unscreened nonlinear decider's three
+#: half-size float32 copies and the filter's work arrays), and the free
+#: gaps between them make up the rest.
 HEAP_VECTORS = 6
 
 
@@ -802,7 +858,7 @@ def run_ber_sweep(fronts: Sequence[SignalPipeline],
     *deciders*.  A whole BER campaign (every Eb/N0 point x every
     integrator variant) costs two filter passes and a handful of
     array ops per chunk, not an outer Python loop over points; each
-    further front adds one filter pass.
+    further front adds at most one filter pass.
 
     **Front axis.**  The fronts differ only in their
     :class:`CombineStage`: they share the Tx, Channel and
@@ -812,7 +868,12 @@ def run_ber_sweep(fronts: Sequence[SignalPipeline],
     iterator by this thread and the helper thread, and each job grades
     its rows on the thread that runs it.  A lone front runs on this
     thread and shares a nonlinear decider's full rows instead
-    (:class:`DecisionStage`).
+    (:class:`DecisionStage`).  When a chunk's live fronts outnumber the
+    trains they are built from - the victim's and one per interference
+    pattern - this thread band-passes the victim's train, and one job
+    per pattern band-passes its train and grades its fronts from the
+    shared trains (module docstring): fewer filter passes, the same
+    counts but for a decision within rounding of its tie.
 
     **Seeding / sharing convention.**  All scenarios consume *one*
     generator: per chunk the driver draws the victim bits, each
@@ -900,6 +961,7 @@ def run_ber_sweep(fronts: Sequence[SignalPipeline],
     with _trace.span("link.prime"):
         _prime_allocator(samples * 8)
         _helper()
+    layout = _layout(fronts)
     bits_done = 0
     # The chunk to grade next (bits drawn, noise on the helper), and
     # the generator's state before its draws while it is a look-ahead
@@ -907,7 +969,7 @@ def run_ber_sweep(fronts: Sequence[SignalPipeline],
     drawn: LinkState | None = None
     noise: futures.Future | None = None
     before: dict | None = None
-    # A front already synthesized for the chunk being graded.
+    # A front or train already synthesized for the chunk being graded.
     ready: dict[int, LinkState] = {}
     try:
         while True:
@@ -917,12 +979,17 @@ def run_ber_sweep(fronts: Sequence[SignalPipeline],
             if not live:
                 break
             n = min(chunk_bits, max_bits - bits_done)
+            trains = None if layout is None else layout.trains(live)
             if drawn is None:
                 # The first chunk: its noise is drawn on the helper
-                # while this thread synthesizes the first front.
+                # while this thread synthesizes the first front, or
+                # the victim's train.
                 drawn = draw.draw(n, rng, noise=False)
                 noise = _helper().submit(_filtered_noise, draw, n, rng)
-                ready[live[0]] = _synthesize(fronts[live[0]], drawn)
+                if trains is None:
+                    ready[live[0]] = _synthesize(fronts[live[0]], drawn)
+                else:
+                    ready[0] = layout.synthesize(0, drawn)
             # Failed, the noise job is this chunk's failure: it is not
             # joined again.  The future holds the filtered noise, so it
             # goes as soon as this chunk has it.
@@ -943,26 +1010,62 @@ def run_ber_sweep(fronts: Sequence[SignalPipeline],
                 ahead = draw.draw(m, rng, noise=False)
                 noise = _helper().submit(_filtered_noise, draw, m, rng)
 
+            # The unit noise's reduction is the same for every front.
+            used = [any(active[f][k].any() for f in live)
+                    for k in range(len(deciders))]
+            with _trace.span(DecisionStage.span_name):
+                powers = [decider.noise_power(chunk_noise) if use else None
+                          for decider, use in zip(deciders, used)]
+
+            def grade(f: int, signal: np.ndarray | None = None,
+                      pattern: tuple | None = None) -> None:
+                # Front f's cells, from its own signal or from its
+                # pattern and the chunk's components; runs on either
+                # thread, and _shared joins the helper's share before
+                # this chunk's variables move on.
+                errors, bits = counts[f]
+                for k, decider in enumerate(deciders):
+                    cols = np.flatnonzero(active[f][k])
+                    if not len(cols):
+                        continue
+                    with _trace.span(decider.span_name):
+                        if pattern is None:
+                            decisions = decider.decide(
+                                signal, chunk_noise, grids[f][cols],
+                                powers[k])
+                        else:
+                            decisions = parts.decide(
+                                f, pattern, k, decider, grids[f][cols],
+                                powers[k])
+                        errors[k, cols] += np.count_nonzero(
+                            decisions != drawn.bits[None, :], axis=-1)
+                    bits[k, cols] += n
+
             def front_jobs(jobs: Iterator[int]) -> None:
-                # Runs on either thread; _shared joins the helper's
-                # share before this chunk's variables move on.
                 for f in jobs:
                     state = ready.pop(f, None)
                     if state is None:
                         state = _synthesize(fronts[f], drawn)
-                    errors, bits = counts[f]
-                    for k, decider in enumerate(deciders):
-                        cols = np.flatnonzero(active[f][k])
-                        if not len(cols):
-                            continue
-                        with _trace.span(decider.span_name):
-                            decisions = decider.decide(
-                                state.signal, chunk_noise, grids[f][cols])
-                            errors[k, cols] += np.count_nonzero(
-                                decisions != drawn.bits[None, :], axis=-1)
-                        bits[k, cols] += n
+                    grade(f, state.signal)
 
-            _shared(front_jobs, live)
+            def pattern_jobs(jobs: Iterator[int]) -> None:
+                for t in jobs:
+                    pattern = parts.pattern(t)
+                    for f in live:
+                        if layout.train[f] == t:
+                            grade(f, pattern=pattern)
+                    # Free the train before the next one is made.
+                    del pattern
+
+            if trains is None:
+                _shared(front_jobs, live)
+            else:
+                parts = _Components(layout, drawn, chunk_noise, [
+                    decider if use else None
+                    for decider, use in zip(deciders, used)],
+                    ready.pop(0, None))
+                _shared(pattern_jobs, trains[1:])
+                parts = None
             bits_done += n
             # Free this chunk's arrays before the next chunk allocates
             # its own.
@@ -998,10 +1101,164 @@ def _active_cells(errors: np.ndarray, bits: np.ndarray, bits_done: int,
     return active
 
 
-def _synthesize(front: SignalPipeline, drawn: LinkState) -> LinkState:
+def _synthesize(front: SignalPipeline, drawn: LinkState,
+                waveform: np.ndarray | None = None) -> LinkState:
     """*front*'s band-passed clean signal for the *drawn* chunk: its
-    stages run on a state of its own that holds the chunk's draws."""
+    stages run on a state of its own that holds the chunk's draws (and
+    starts from *waveform*, if given)."""
     state = LinkState(n=drawn.n, bits=drawn.bits,
-                      interferer_bits=drawn.interferer_bits)
+                      interferer_bits=drawn.interferer_bits,
+                      waveform=waveform)
     front.process(state)
     return state
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """A sweep's fronts as sums of shared trains.
+
+    Train 0 is the victim's: the fronts' stages without their
+    :class:`CombineStage`.  Every other train is one interference
+    *pattern* - a front's interferer offsets, each amplitude relative to
+    its first interferer's - added into silence by a Combine stage and
+    put through the stages after it (the front end, which is linear).
+    Front ``f``'s clean signal is then ``V + gain[f] * P``, with ``V``
+    the victim's train and ``P`` train ``train[f]``, to rounding.
+    """
+
+    pipelines: tuple[SignalPipeline, ...]
+    train: tuple[int, ...]
+    gain: tuple[float, ...]
+
+    def trains(self, live: Sequence[int]) -> list[int] | None:
+        """The trains the *live* fronts are built from (the victim's
+        first), or ``None`` when they are not fewer than those fronts:
+        then each front band-passing its own signal costs no more."""
+        trains = [0] + sorted({self.train[f] for f in live})
+        return trains if len(trains) < len(live) else None
+
+    def synthesize(self, t: int, drawn: LinkState) -> LinkState:
+        """Train *t* of the *drawn* chunk, band-passed and
+        drive-scaled."""
+        pipeline = self.pipelines[t]
+        if not t:
+            return _synthesize(pipeline, drawn)
+        afe = pipeline.stages[-1]
+        return _synthesize(pipeline, drawn, np.zeros(
+            drawn.n * afe.config.samples_per_symbol))
+
+
+def _layout(fronts: Sequence[SignalPipeline]) -> _Layout | None:
+    """*fronts* as shared trains (:class:`_Layout`), or ``None`` unless
+    each holds one Combine stage with interferers (the first at a
+    nonzero amplitude), in one place among stages they all share."""
+    first = fronts[0].stages
+    at = [i for i, stage in enumerate(first)
+          if isinstance(stage, CombineStage)]
+    if len(at) != 1:
+        return None
+    (c,) = at
+    shared = first[:c] + first[c + 1:]
+    patterns: dict[tuple, int] = {}
+    train, gain = [], []
+    for front in fronts:
+        stages = front.stages
+        if (len(stages) != len(first)
+                or not isinstance(stages[c], CombineStage)
+                or any(a is not b for a, b in
+                       zip(stages[:c] + stages[c + 1:], shared))):
+            return None
+        paths = stages[c].interferers
+        if not paths or paths[0].amplitude == 0:
+            return None
+        g = paths[0].amplitude
+        pattern = tuple((p.amplitude / g, p.offset_samples) for p in paths)
+        train.append(patterns.setdefault(pattern, 1 + len(patterns)))
+        gain.append(g)
+    config = first[c].config
+    return _Layout(
+        pipelines=(SignalPipeline(stages=shared),) + tuple(
+            SignalPipeline(stages=(CombineStage(config, tuple(
+                InterfererPath(a, offset) for a, offset in pattern)),)
+                + first[c + 1:])
+            for pattern in patterns),
+        train=tuple(train), gain=tuple(gain))
+
+
+class _Components:
+    """One chunk's trains (:class:`_Layout`), each band-passed once,
+    and the weighted reductions a linear decider grades a front from.
+
+    With ``V`` the victim's train, ``P`` front ``f``'s pattern train,
+    ``g_f`` its gain and ``b`` the unit noise, the front's reductions
+    (:func:`_reductions`) are ``sum w (V + g_f P)^2 = VV + g_f (2 VP +
+    g_f PP)`` and ``2 sum w (V + g_f P) b = 2 (Vb + g_f Pb)``, from
+    ``VV, Vb`` and each pattern's ``PP, Pb, VP`` (``XY = sum w X Y``
+    per slot, under the decider's weights ``w``): each is computed once
+    per chunk, whatever the number of fronts.  The victim's train is
+    made with the chunk's components; :meth:`pattern` makes a pattern's
+    when its fronts are graded, so it can go once they are.
+    """
+
+    def __init__(self, layout: _Layout, drawn: LinkState,
+                 noise: np.ndarray, deciders: Sequence,
+                 victim: LinkState | None = None):
+        """*deciders*: the sweep's, ``None`` for one with no cell
+        sampling this chunk; *victim*: the victim's train, if already
+        synthesized."""
+        self.layout = layout
+        self.drawn = drawn
+        self.noise = noise
+        #: per decider, its linear weights (``None`` if it has none or
+        #: grades nothing this chunk).
+        self.weights = [None if d is None
+                        else d.linear_weights(noise.shape[-1])
+                        for d in deciders]
+        if victim is None:
+            victim = layout.synthesize(0, drawn)
+        self.victim = victim.signal
+        #: per decider, ``(VV, Vb)``.
+        self.dots = self._dots(self.victim)
+
+    def pattern(self, t: int) -> tuple[np.ndarray, list]:
+        """Train *t* (a pattern's) and, per decider, its ``(PP, Pb,
+        VP)``."""
+        signal = self.layout.synthesize(t, self.drawn).signal
+        return signal, self._dots(signal, self.victim)
+
+    def _dots(self, x: np.ndarray, *others: np.ndarray) -> list:
+        with _trace.span(DecisionStage.span_name):
+            return [None if w is None else tuple(
+                _weighted_dot(x, y, w) for y in (x, self.noise) + others)
+                for w in self.weights]
+
+    def reductions(self, f: int, pattern: tuple, k: int, bb: np.ndarray
+                   ) -> tuple[np.ndarray, ...]:
+        """Front *f*'s :func:`_reductions` under decider *k*'s weights,
+        *pattern* being its :meth:`pattern` and *bb* the noise's."""
+        g = self.layout.gain[f]
+        vv, vb = self.dots[k]
+        pp, pb, vp = pattern[1][k]
+        aa = g * pp
+        aa += 2.0 * vp
+        aa *= g
+        aa += vv
+        ab2 = g * pb
+        ab2 += vb
+        ab2 *= 2.0
+        return aa, ab2, bb
+
+    def decide(self, f: int, pattern: tuple, k: int,
+               decider: DecisionStage, sigmas, bb: np.ndarray | None
+               ) -> np.ndarray:
+        """Front *f*'s decisions by *decider* (the sweep's decider *k*)
+        for the noise scales *sigmas*: a linear decider's from the
+        front's reductions, any other's from the front's signal ``V +
+        g_f P``, built by one axpy and screened or graded as a front's
+        own."""
+        if self.weights[k] is not None:
+            return decider.decide_reduced(
+                *self.reductions(f, pattern, k, bb), sigmas)
+        signal = self.layout.gain[f] * pattern[0]
+        signal += self.victim
+        return decider.decide(signal, self.noise, sigmas, bb)

@@ -191,11 +191,15 @@ class _NetlistParser:
         lines = list(_logical_lines(text))
         circuit = Circuit(title)
 
-        # First pass: collect .param so forward references work.
+        # First pass: collect .param so forward references work, and
+        # refuse a line of separators alone (every later pass reads
+        # each line's first token).
         for no, line in lines:
             with _located(no, line):
                 tokens = _tokenize(line)
-                if tokens and tokens[0].lower() == ".param":
+                if not tokens:
+                    raise ParseError("only separators, no fields")
+                if tokens[0].lower() == ".param":
                     self._handle_param(tokens[1:], no, line)
 
         idx = 0

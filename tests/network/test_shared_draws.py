@@ -3,11 +3,14 @@
 Networks over one victim with the same interferer count, seeded alike
 and on one budget, draw the same bits and noise chunk for chunk
 (``ops.mui_draw_key``).  ``run_ber_sweep`` takes them as a front axis:
-each chunk is drawn and its noise band-passed once, and each front
-synthesizes, combines, band-passes and grades its own rows.  These
-tests pin that every member still counts exactly what its own run
-counts, that the fronts really share the draws (one noise draw per
-chunk, not one per member), and what the front axis refuses.
+each chunk is drawn and its noise band-passed once.  Each front then
+synthesizes, combines, band-passes and grades its own rows - unless
+the fronts outnumber the trains they are built from (the victim's and
+one per interference pattern), and then each train is band-passed once
+and every front graded from them.  These tests pin that every member
+still counts exactly what its own run counts, that a front graded from
+the shared trains matches its own train, that the fronts really share
+the draws and the band-pass work, and what the front axis refuses.
 """
 
 import sys
@@ -34,10 +37,16 @@ from repro.link.pipeline import (
     run_ber_sweep,
 )
 from repro.link.spec import LinkSpec
+from repro.uwb.adc import decide_slots
+from repro.uwb.bpf import BandPassFilter
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.fastsim import AdaptiveStopping
-from repro.uwb.integrator import CircuitSurrogateIntegrator, IdealIntegrator
+from repro.uwb.integrator import (
+    CircuitSurrogateIntegrator,
+    IdealIntegrator,
+    TwoPoleIntegrator,
+)
 
 VICTIM = LinkSpec(config=TEST_CONFIG)
 SEED = 21
@@ -156,16 +165,18 @@ SWEEP = dict(target_errors=10**6, max_bits=1_000, min_bits=1_000,
              chunk_bits=250)
 
 
-def _fronts(link_front, amplitudes):
-    """One front per interferer amplitude, sharing every stage but the
-    Combine stage."""
+def _fronts(link_front, amplitudes, offsets=None):
+    """One front per interferer amplitude (at offset 37 unless
+    *offsets* says otherwise), sharing every stage but the Combine
+    stage."""
+    offsets = offsets or (37,) * len(amplitudes)
     base = link_front(CONFIG, CACHE.bpf,
                       interferers=(InterfererPath(amplitudes[0], 37),))
     tx, channel, _combine, afe = base.stages
     return [SignalPipeline(stages=(
         tx, channel,
-        CombineStage(CONFIG, (InterfererPath(amplitude, 37),)), afe))
-        for amplitude in amplitudes]
+        CombineStage(CONFIG, (InterfererPath(amplitude, offset),)), afe))
+        for amplitude, offset in zip(amplitudes, offsets)]
 
 
 def test_nonlinear_fronts_grade_like_their_solo_sweeps(link_front,
@@ -173,7 +184,10 @@ def test_nonlinear_fronts_grade_like_their_solo_sweeps(link_front,
     """Three fronts with their own grids, the circuit decider's rows
     included: each cell equals its 1x1 sweep, the generator ends where
     the serial program leaves it, and no job is queued from the helper
-    thread (its front jobs grade their rows themselves)."""
+    thread (its jobs grade their rows themselves).  The fronts differ
+    in their interferer's gain alone, so they grade from two shared
+    trains, the circuit decider from each front's signal rebuilt from
+    them."""
     fronts = _fronts(link_front, (0.3, 0.6, 1.0))
     grids = [SIGMAS, SIGMAS[:1], SIGMAS[1:]]
     deciders = (DecisionStage(CONFIG, IdealIntegrator()),
@@ -203,12 +217,12 @@ def test_nonlinear_fronts_grade_like_their_solo_sweeps(link_front,
                 assert cell == (errors[k, j], bits[k, j]), (k, j)
 
 
-def test_each_front_job_runs_once_under_frequent_switches(link_front,
-                                                          monkeypatch):
+def _check_jobs_under_frequent_switches(link_front, monkeypatch,
+                                        offsets=None):
     """Eight fronts' jobs pulled by both threads while the interpreter
     switches threads as often as it can: a job run twice or lost shows
     as a bit count off the budget or a count off the inline sweep's."""
-    fronts = _fronts(link_front, np.linspace(0.2, 1.6, 8))
+    fronts = _fronts(link_front, np.linspace(0.2, 1.6, 8), offsets)
     decider = DecisionStage(CONFIG, IdealIntegrator())
     grids = [SIGMAS] * len(fronts)
     interval = sys.getswitchinterval()
@@ -226,6 +240,63 @@ def test_each_front_job_runs_once_under_frequent_switches(link_front,
         assert (bits == SWEEP["max_bits"]).all()
         assert np.array_equal(errors, want_errors)
         assert np.array_equal(bits, want_bits)
+
+
+def test_each_front_job_runs_once_under_frequent_switches(link_front,
+                                                          monkeypatch):
+    """Each front at an offset of its own: one job per front."""
+    _check_jobs_under_frequent_switches(link_front, monkeypatch,
+                                        tuple(range(30, 38)))
+
+
+def test_each_pattern_job_runs_once_under_frequent_switches(link_front,
+                                                            monkeypatch):
+    """The fronts share one offset: one job per interference pattern,
+    grading every front built from it."""
+    _check_jobs_under_frequent_switches(link_front, monkeypatch)
+
+
+#: run_mui's one-interferer group: the count sweep's two curves share
+#: one offset, the four near-far points another - six fronts built from
+#: three trains.
+N1_GROUP = ([interference_network(VICTIM, 1, sir) for sir in (0.0, 6.0)]
+            + [near_far_network(VICTIM, d) for d in (3.0, 6.0, 9.9, 15.0)])
+
+
+@pytest.mark.parametrize("helper", ["thread", "inline"])
+def test_shared_trains_grade_like_each_fronts_own(helper, monkeypatch):
+    """Each front of the one-interferer group, graded from the chunk's
+    shared trains, has the slot values its own combined train gives to
+    1e-12 relative (the linear-model tolerance of
+    ``test_pipeline_parity.py``), and the same decisions - for the
+    ideal and the two-pole decider, with the helper thread and
+    inline."""
+    if helper == "inline":
+        monkeypatch.setattr(pipe, "_HELPER", pipe._Inline())
+        monkeypatch.setattr(pipe, "_HELPER_THREAD", None)
+    fronts, sigmas = ops._fronts(VICTIM, N1_GROUP, [GRID] * len(N1_GROUP))
+    deciders = (DecisionStage(CONFIG, IdealIntegrator()),
+                DecisionStage(CONFIG, TwoPoleIntegrator()))
+    graded = []
+    decide = pipe._Components.decide
+
+    def checking(self, f, pattern, k, decider, s, bb):
+        decisions = decide(self, f, pattern, k, decider, s, bb)
+        shared = pipe._linear_values(*self.reductions(f, pattern, k, bb),
+                                     s)
+        own = decider.slot_values(
+            pipe._synthesize(fronts[f], self.drawn).signal, self.noise, s)
+        graded.append((shared, own, decisions))
+        return decisions
+
+    monkeypatch.setattr(pipe._Components, "decide", checking)
+    run_ber_sweep(fronts, deciders, sigmas, np.random.default_rng(SEED),
+                  **SWEEP)
+    chunks = SWEEP["max_bits"] // SWEEP["chunk_bits"]
+    assert len(graded) == chunks * len(fronts) * len(deciders)
+    for shared, own, decisions in graded:
+        np.testing.assert_allclose(shared, own, rtol=1e-12, atol=0)
+        assert np.array_equal(decisions, decide_slots(own)[1])
 
 
 def test_front_axis_refuses_fronts_that_cannot_share(link_front):
@@ -266,20 +337,31 @@ def _cells(mui):
 
 
 def test_run_mui_draws_each_chunk_once_per_group(monkeypatch):
-    """The work pin: a study draws (groups x chunks) noise vectors,
-    not (scenarios x chunks) - a change that splits a group fails here
-    whatever the machine's speed."""
-    draws = []
+    """The work pins: a study draws (groups x chunks) noise vectors,
+    not (scenarios x chunks), and band-passes each chunk's noise once
+    and each train it grades once - one per front, but three (the
+    victim's and two patterns') for the one-interferer group's four
+    fronts: 6 noise and 2 + 6 + 4 clean passes, not 2 + 8 + 4.  A
+    change that splits a group, or band-passes a train per front,
+    fails here whatever the machine's speed."""
+    draws, passes = [], []
     draw_noise = SignalPipeline.draw_noise
+    band_pass = BandPassFilter.__call__
 
     def counting(self, n, rng):
         draws.append(n)
         return draw_noise(self, n, rng)
 
+    def filtering(self, x, **kwargs):
+        passes.append(len(x))
+        return band_pass(self, x, **kwargs)
+
     monkeypatch.setattr(SignalPipeline, "draw_noise", counting)
+    monkeypatch.setattr(BandPassFilter, "__call__", filtering)
     mui = run_mui(**STUDY)
     assert len(mui.curves) + len(mui.near_far) == 7
     assert len(draws) == GROUPS * CHUNKS
+    assert len(passes) == 18
 
 
 def test_pooled_run_mui_runs_each_group_as_one_task(monkeypatch):

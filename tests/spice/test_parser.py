@@ -125,6 +125,7 @@ OUTSIDE_AN_ELEMENT = {
                          "bad expression 'y+1': name 'y' is not defined"),
     "model-expression": (".model nm nmos vto={1/0}",
                          "bad expression '1/0': division by zero"),
+    "separators-only": (",,", "only separators, no fields"),
 }
 
 
@@ -135,6 +136,13 @@ def test_an_error_outside_an_element_names_its_line(line, message):
         parse_netlist(f"t\nr1 a 0 1k\n{line}\n")
     assert exc.value.line_no == 3
     assert str(exc.value) == f"line 3: {message}\n  >> {line}"
+
+
+def test_a_line_of_separators_inside_a_subckt_names_its_line():
+    with pytest.raises(ParseError) as exc:
+        parse_netlist("t\n.subckt s a b\nr1 a b 1k\n , ,\n.ends\n")
+    assert exc.value.line_no == 4
+    assert str(exc.value) == "line 4: only separators, no fields\n  >> , ,"
 
 
 class TestSources:
